@@ -10,8 +10,7 @@ CI smoke lane: ``test_bench_smoke.py`` (marker ``smoke``, deselected
 by default) runs every bench file's figure functions on tiny
 configurations (``REPRO_BENCH_SMOKE=1``), so a bench that drifts out
 of sync with the library breaks CI instead of rotting until the next
-full EXPERIMENTS regeneration. Select it with
-``pytest benchmarks -m smoke``.
+full-size run. Select it with ``pytest benchmarks -m smoke``.
 """
 
 import pytest

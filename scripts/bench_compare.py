@@ -8,7 +8,7 @@ Usage::
         [--baseline benchmarks/baselines/BENCH_baseline.json] \
         [--threshold 0.25]
 
-Both files are produced by ``python -m repro.bench.harness --out ...``
+Both files are produced by ``python -m repro bench --out ...``
 (figure id -> headline metric). Every headline metric is
 higher-is-better (throughputs, speedups), and the simulated clock
 makes them deterministic for a given code state, so any drop is a real
@@ -76,7 +76,7 @@ def check_same_context(
                 f"refusing to compare: baseline has {key}="
                 f"{baseline.get(key)!r} but current run has "
                 f"{key}={current.get(key)!r}; regenerate the baseline "
-                "in the same mode (python -m repro.bench --out ...)"
+                "in the same mode (python -m repro bench --out ...)"
             )
 
 

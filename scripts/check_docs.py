@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Keep the documentation executable and internally consistent.
 
-Two checks over ``README.md`` and ``docs/*.md``:
+Two checks over ``README.md`` and ``docs/*.md``, and one over the
+docstrings of ``src/repro``:
 
 1. **Doctests** -- every fenced code block containing ``>>>`` examples
    is run through :mod:`doctest` (ELLIPSIS and NORMALIZE_WHITESPACE
@@ -11,6 +12,10 @@ Two checks over ``README.md`` and ``docs/*.md``:
 2. **Intra-repo links** -- every relative markdown link target must
    exist on disk (http(s)/mailto/anchor links are skipped), so a
    renamed file breaks CI instead of leaving dead links.
+3. **Docstring citations** (default run only, not with explicit
+   ``files``) -- every ``*.md`` file a docstring under ``src/repro``
+   names must exist in the repo, so source comments cannot keep
+   pointing at a document that was never written or was deleted.
 
 Usage::
 
@@ -21,6 +26,7 @@ Exit status 0 when everything passes, 1 otherwise.
 
 from __future__ import annotations
 
+import ast
 import doctest
 import glob
 import re
@@ -32,6 +38,8 @@ _FENCE = re.compile(r"^```")
 #: Markdown link target, with or without an optional "title" part.
 _LINK = re.compile(r"\[[^\]\[]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 _OPTIONFLAGS = doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE
+#: A markdown file named in prose, with or without a directory part.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def fenced_blocks(text: str) -> List[Tuple[int, str]]:
@@ -89,15 +97,45 @@ def check_links(path: Path) -> List[str]:
     return problems
 
 
+def check_docstring_citations(src_root: Path, repo_root: Path) -> List[str]:
+    """``*.md`` names in docstrings under ``src_root`` that match no
+    markdown file of the repo (by trailing path components)."""
+    known = [
+        "/" + rel.as_posix()
+        for rel in (p.relative_to(repo_root) for p in repo_root.rglob("*.md"))
+        if not rel.parts[0].startswith(".")  # .git, tool caches
+    ]
+    problems = []
+    for source in sorted(src_root.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef,
+                 ast.AsyncFunctionDef),
+            ):
+                continue
+            for name in _MD_NAME.findall(ast.get_docstring(node) or ""):
+                wanted = "/" + name.lstrip("./")
+                if not any(path.endswith(wanted) for path in known):
+                    problems.append(
+                        f"{source}: docstring cites missing file {name}"
+                    )
+    return problems
+
+
 def main(argv: List[str]) -> int:
     repo_root = Path(__file__).resolve().parent.parent
+    problems: List[str] = []
     if argv:
         files = [Path(a) for a in argv]
     else:
+        problems.extend(
+            check_docstring_citations(repo_root / "src" / "repro", repo_root)
+        )
         files = [repo_root / "README.md"] + sorted(
             Path(p) for p in glob.glob(str(repo_root / "docs" / "*.md"))
         )
-    problems: List[str] = []
     checked_examples = 0
     for path in files:
         if not path.exists():

@@ -2,8 +2,8 @@
 simulated GPU.
 
 Reproduces He & Yu, "High-Throughput Transaction Executions on Graphics
-Processors", PVLDB 4(5), 2011. See DESIGN.md for the system inventory
-and EXPERIMENTS.md for paper-vs-measured results.
+Processors", PVLDB 4(5), 2011. See docs/ARCHITECTURE.md for the
+system inventory and docs/BENCHMARKS.md for the reproduced figures.
 
 Quick start::
 

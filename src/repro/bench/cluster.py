@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.bench.harness import FigureResult, scaled
 from repro.cluster.pipeline import run_pipelined
 from repro.cluster.runtime import ClusterTx
+from repro.config import ClusterOptions
 from repro.core.engine import GPUTx
 from repro.workloads import micro, tm1
 
@@ -131,7 +132,7 @@ def _run_cross_shard_mode(n_shards: int, mode: str):
         db,
         procedures=tm1.CLUSTER_PROCEDURES,
         n_shards=n_shards,
-        cross_shard=mode,
+        options=ClusterOptions(cross_shard=mode),
     )
     specs = tm1.generate_cluster_transactions(
         db,

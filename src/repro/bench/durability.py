@@ -22,6 +22,7 @@ from typing import List, Optional, Tuple
 from repro.bench.harness import FigureResult, scaled
 from repro.cluster.durability import DurabilityConfig, PHASE_CHECKPOINT, PHASE_WAL_SYNC
 from repro.cluster.runtime import ClusterTx
+from repro.config import ClusterOptions
 from repro.workloads import tm1
 
 #: Workload sizes (pre-scale); kept modest so the simulator stays fast.
@@ -41,7 +42,7 @@ def _run_cluster(
         db,
         procedures=tm1.CLUSTER_PROCEDURES,
         n_shards=_N_SHARDS,
-        durability=durability,
+        options=ClusterOptions(durability=durability),
     )
     seconds = 0.0
     executed = 0
@@ -135,8 +136,10 @@ def failover_recovery() -> FigureResult:
             # Interval larger than the run: only the seed checkpoint
             # (plus the post-recovery reseed) is ever taken, so the
             # whole history up to the kill is WAL suffix.
-            durability=DurabilityConfig(
-                checkpoint_interval=100, n_replicas=1,
+            options=ClusterOptions(
+                durability=DurabilityConfig(
+                    checkpoint_interval=100, n_replicas=1,
+                )
             ),
         )
         cluster.failover.schedule_kill(1, bulk=bulks_since, wave=0)

@@ -1,10 +1,10 @@
 """One function per figure/table of the paper's evaluation (Section 6).
 
 Each returns a :class:`~repro.bench.harness.FigureResult` holding the
-same series the paper plots. Sizes are scaled down per the policy in
-DESIGN.md; the *shape* of each result (who wins, by what factor, where
-crossovers fall) is the reproduction target, recorded against the paper
-in EXPERIMENTS.md.
+same series the paper plots. Sizes are scaled down (see "Deviations
+from the paper" in docs/ARCHITECTURE.md); the *shape* of each result
+(who wins, by what factor, where crossovers fall) is the reproduction
+target.
 """
 
 from __future__ import annotations
@@ -637,7 +637,7 @@ def tbl_storage() -> FigureResult:
     )
 
 
-#: Registry used by the EXPERIMENTS.md generator and the bench files.
+#: Registry used by the bench harness and benchmarks/bench_figures.py.
 ALL_FIGURES: Dict[str, Callable[[], FigureResult]] = {
     "fig03": fig03_branch_divergence,
     "fig04": fig04_bulk_size,

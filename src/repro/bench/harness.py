@@ -138,11 +138,6 @@ def save_result(result: FigureResult, directory: str = "benchmarks/results") -> 
     return path
 
 
-def collect_all(figure_fns: Dict[str, Callable[[], FigureResult]]) -> List[FigureResult]:
-    """Run a set of figure functions (used by the EXPERIMENTS generator)."""
-    return [fn() for fn in figure_fns.values()]
-
-
 # ---------------------------------------------------------------------------
 # CI perf trajectory: headline metrics as machine-readable JSON.
 # ---------------------------------------------------------------------------
@@ -245,7 +240,7 @@ def trajectory_figures() -> Dict[str, Callable[[], FigureResult]]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.bench.harness --out BENCH_PR3.json``.
+    """``python -m repro bench --out BENCH_PR<k>.json``.
 
     Runs every figure function in smoke mode (tiny workloads; the
     simulated-clock metrics are deterministic, so runner speed does
@@ -255,6 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
+        prog="python -m repro bench",
         description="Emit the perf-trajectory headline-metric JSON."
     )
     parser.add_argument(
@@ -296,7 +292,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     path = write_bench_json(headlines, args.out)
     print(f"wrote {len(headlines)} headline metrics to {path}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI lane
-    raise SystemExit(main())

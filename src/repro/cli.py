@@ -1,4 +1,4 @@
-"""The one CLI front door: ``python -m repro <subcommand>``.
+"""The one command surface: ``python -m repro <subcommand>``.
 
 Subcommands:
 
@@ -13,10 +13,6 @@ Subcommands:
   scenario harness (:mod:`repro.scenarios`): enumerate the registered
   scenarios, execute one, or run the built-in verifiers (Definition-1
   equivalence, tenant isolation, byte-identical recovery).
-
-``python -m repro.bench`` and ``python -m repro.telemetry`` remain as
-aliases and route through this module, so both spellings stay
-byte-identical in behavior.
 """
 
 from __future__ import annotations
@@ -253,7 +249,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _scenarios(rest)
     print(f"unknown command {command!r}\n{_USAGE}", end="", file=sys.stderr)
     return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via -m repro
-    raise SystemExit(main())

@@ -50,7 +50,6 @@ import repro.telemetry as telemetry
 from repro.cluster.coordinator import CrossShardCoordinator, FailoverController
 from repro.cluster.durability.failover import (
     ClusterDurability,
-    DurabilityConfig,
     RecoveryReport,
 )
 from repro.cluster.durability.replay import states_identical
@@ -63,7 +62,6 @@ from repro.cluster.durability.wal import (
     PHASE_WAL_SYNC,
 )
 from repro.cluster.elastic import (
-    ElasticConfig,
     ElasticController,
     MigrationPlan,
     MigrationReport,
@@ -71,12 +69,12 @@ from repro.cluster.elastic import (
 )
 from repro.cluster.partition import key_space_of, partition_database
 from repro.cluster.router import ShardRouter, make_router
-from repro.core.backends import EngineOptions
+from repro.config import ClusterOptions
 from repro.core.chooser import ChooserThresholds
 from repro.core.engine import GPUTx, validate_strategy_options
 from repro.core.procedure import TransactionType
 from repro.core.txn import ResultPool, Transaction, TransactionPool, TxnResult
-from repro.errors import ClusterError, RecoveryError, ShardFailure
+from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.spec import C1060, GPUSpec
 from repro.storage.catalog import Database
@@ -229,33 +227,19 @@ class ClusterTx:
         use_undo_logging: bool = True,
         thresholds: Optional[ChooserThresholds] = None,
         sync_latency_s: Optional[float] = None,
-        durability: Optional[DurabilityConfig] = None,
-        options: Union[EngineOptions, ClusterOptions, None] = None,
-        cross_shard: Optional[str] = None,
-        elastic: Optional[ElasticConfig] = None,
+        options: Optional[ClusterOptions] = None,
     ) -> None:
-        if cross_shard is not None and cross_shard not in (
-            "parallel", "serial",
-        ):
-            raise ClusterError(
-                f"unknown cross_shard mode {cross_shard!r}; expected "
-                "'parallel' (grouped leader/follower) or 'serial' "
-                "(the serial-leader oracle)"
+        if options is None:
+            options = ClusterOptions()
+        elif not isinstance(options, ClusterOptions):
+            raise ConfigError(
+                "ClusterTx options must be a ClusterOptions, got "
+                f"{type(options).__name__}"
             )
-        # New-style configuration comes in one ClusterOptions value;
-        # the legacy kwargs keep working (with a deprecation warning)
-        # and override the corresponding field.
-        from repro.config import ClusterOptions, resolve_cluster_options
-
-        self.options: "ClusterOptions" = resolve_cluster_options(
-            options,
-            durability=durability,
-            cross_shard=cross_shard,
-            elastic=elastic,
-        )
-        durability = self.options.durability
-        elastic = self.options.elastic
-        self.cross_shard = self.options.cross_shard
+        self.options = options
+        durability = options.durability
+        elastic = options.elastic
+        self.cross_shard = options.cross_shard
         key_space = key_space_of(db) if router == "range" else None
         self.router = make_router(router, n_shards, key_space=key_space)
         self.n_shards = self.router.n_shards
@@ -270,7 +254,7 @@ class ClusterTx:
                 block_size=block_size,
                 use_undo_logging=use_undo_logging,
                 thresholds=thresholds,
-                options=self.options.engine,
+                options=options.engine,
             )
             for shard_db in shard_dbs
         ]

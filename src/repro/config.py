@@ -1,53 +1,42 @@
-"""One composable options object for the whole runtime stack.
+"""One composable options object for the cluster runtime.
 
-The engine surface grew one knob at a time: ``GPUTx`` takes
-:class:`~repro.core.backends.EngineOptions`, ``ClusterTx`` adds
-``durability=``, ``cross_shard=`` and ``elastic=`` keyword arguments
-on top. :class:`ClusterOptions` composes all of them into a single
-frozen value that can be built once, logged, and handed to any
-constructor::
+``GPUTx`` is configured by
+:class:`~repro.core.backends.EngineOptions`; ``ClusterTx`` by
+:class:`ClusterOptions`, which composes the per-shard engine options
+with the cluster-level durability, cross-shard commit and elastic
+settings into a single frozen value that can be built once, logged,
+and handed to the constructor::
 
     >>> from repro.config import ClusterOptions
     >>> from repro.core.backends import EngineOptions
-    >>> opts = ClusterOptions(engine=EngineOptions(backend="vector"))
+    >>> opts = ClusterOptions(engine=EngineOptions(backend="vectorized"))
     >>> opts.cross_shard
     'parallel'
-
-The old keyword arguments keep working, but emit a
-:class:`DeprecationWarning` through the same warn-dedup machinery the
-engine's option filtering uses (``warnings.warn_explicit`` with a
-caller-owned memo and a fresh registry -- see
-:func:`repro.core.engine._filter_options`): each distinct message
-warns once per process, later call sites are not swallowed by the
-first, and the process's warning *filters* (``-W error`` and
-``filterwarnings`` configs) still apply.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional, Set, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.cluster.durability.failover import DurabilityConfig
 from repro.cluster.elastic import ElasticConfig
 from repro.core.backends import EngineOptions
 from repro.errors import ConfigError
 
-__all__ = ["ClusterOptions", "warn_deprecated", "resolve_cluster_options"]
+__all__ = ["ClusterOptions"]
 
-#: Cross-shard commit modes ClusterTx understands.
+#: Cross-shard commit modes ClusterTx understands: "parallel" is the
+#: grouped leader/follower commit, "serial" the serial-leader oracle.
 _CROSS_SHARD_MODES = ("parallel", "serial")
 
 
 @dataclass(frozen=True)
 class ClusterOptions:
-    """Every runtime knob, in one composable frozen value.
+    """Every ``ClusterTx`` runtime knob, in one composable frozen value.
 
-    ``engine`` configures each shard's (or the single device's)
-    execution backend; ``durability``, ``cross_shard`` and ``elastic``
-    are cluster-level and ignored-with-a-warning by single-device
-    consumers.
+    ``engine`` configures each shard's execution backend;
+    ``durability``, ``cross_shard`` and ``elastic`` are cluster-level.
     """
 
     engine: EngineOptions = field(default_factory=EngineOptions)
@@ -66,122 +55,3 @@ class ClusterOptions:
                 "ClusterOptions.engine must be an EngineOptions, got "
                 f"{type(self.engine).__name__}"
             )
-
-
-#: Deprecation messages already issued this process (cleared by the
-#: unit tests that assert the shims warn).
-_WARNED: Set[str] = set()
-
-
-def warn_deprecated(message: str) -> None:
-    """Emit ``message`` as a once-per-process DeprecationWarning.
-
-    Dedup is by message text through the caller-owned memo above, not
-    Python's per-location registry, so a second *call site* with a new
-    message still warns -- the `_filter_options` discipline.
-    """
-    if message in _WARNED:
-        return
-    _WARNED.add(message)
-    warnings.warn_explicit(
-        message,
-        DeprecationWarning,
-        filename=__file__,
-        lineno=0,
-        module=__name__,
-        registry={},
-    )
-
-
-def resolve_cluster_options(
-    options: Union[ClusterOptions, EngineOptions, None],
-    *,
-    durability: Optional[DurabilityConfig] = None,
-    cross_shard: Optional[str] = None,
-    elastic: Optional[ElasticConfig] = None,
-    owner: str = "ClusterTx",
-) -> ClusterOptions:
-    """Fold new-style ``options`` and legacy kwargs into one value.
-
-    The legacy keyword arguments keep working -- and override the
-    corresponding ``ClusterOptions`` field when both are given -- but
-    each use emits a deprecation warning pointing at the field that
-    replaces it.
-    """
-    if isinstance(options, ClusterOptions):
-        resolved = options
-    elif isinstance(options, EngineOptions):
-        warn_deprecated(
-            f"{owner}(options=EngineOptions(...)) is deprecated; pass "
-            "options=ClusterOptions(engine=EngineOptions(...))"
-        )
-        resolved = ClusterOptions(engine=options)
-    elif options is None:
-        resolved = ClusterOptions()
-    else:
-        raise ConfigError(
-            f"{owner} options must be ClusterOptions or EngineOptions, "
-            f"got {type(options).__name__}"
-        )
-    if durability is not None:
-        warn_deprecated(
-            f"{owner}(durability=...) is deprecated; pass "
-            "options=ClusterOptions(durability=...)"
-        )
-        resolved = replace(resolved, durability=durability)
-    if cross_shard is not None:
-        warn_deprecated(
-            f"{owner}(cross_shard=...) is deprecated; pass "
-            "options=ClusterOptions(cross_shard=...)"
-        )
-        resolved = replace(resolved, cross_shard=cross_shard)
-    if elastic is not None:
-        warn_deprecated(
-            f"{owner}(elastic=...) is deprecated; pass "
-            "options=ClusterOptions(elastic=...)"
-        )
-        resolved = replace(resolved, elastic=elastic)
-    return resolved
-
-
-def coerce_engine_options(
-    options: Union[ClusterOptions, EngineOptions, None],
-    *,
-    owner: str = "GPUTx",
-) -> EngineOptions:
-    """The ``EngineOptions`` a single-device consumer should use.
-
-    Accepts a full :class:`ClusterOptions` everywhere an
-    ``EngineOptions`` used to go; cluster-only fields are ignored with
-    a warning (a single device has no shards to make durable, route
-    across, or rebalance).
-    """
-    if isinstance(options, ClusterOptions):
-        ignored = [
-            name
-            for name, is_set in (
-                ("durability", options.durability is not None),
-                ("cross_shard", options.cross_shard != "parallel"),
-                ("elastic", options.elastic is not None),
-            )
-            if is_set
-        ]
-        if ignored:
-            warn_deprecated(
-                f"{owner} is a single-device engine and ignores "
-                f"ClusterOptions field(s) {ignored}"
-            )
-        return options.engine
-    if isinstance(options, EngineOptions):
-        return options
-    if options is None:
-        return EngineOptions()
-    raise ConfigError(
-        f"{owner} options must be ClusterOptions or EngineOptions, "
-        f"got {type(options).__name__}"
-    )
-
-
-def _reset_deprecation_memo() -> None:
-    """Test hook: forget which deprecations have been issued."""
-    _WARNED.clear()

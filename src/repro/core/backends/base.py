@@ -95,6 +95,17 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
+    def bulk_path(self) -> str:
+        """Which path ran the launches since the previous call.
+
+        ``"interpreted"``, ``"vectorized"``, or ``"mixed"`` when a
+        vectorizing backend fell back for some of them; the engine
+        calls it around each bulk to fill ``ExecutionResult.backend``.
+        A bulk that launched nothing through the backend (ad-hoc,
+        relaxed TPL, an empty 0-set) reads as interpreted.
+        """
+        return "interpreted"
+
 
 class InterpretedBackend(ExecutionBackend):
     """The original generator-per-thread SIMT interpreter path."""
@@ -149,15 +160,9 @@ def available_backends() -> List[str]:
 
 
 def create_backend(options: "EngineOptions") -> ExecutionBackend:
-    """Instantiate the backend ``options`` selects."""
-    try:
-        factory = _BACKENDS[options.backend]
-    except KeyError:
-        raise ConfigError(
-            f"unknown execution backend {options.backend!r}; "
-            f"choose from {available_backends()}"
-        ) from None
-    return factory(options)
+    """Instantiate the backend ``options`` selects (the name was
+    validated when the options were built)."""
+    return _BACKENDS[options.backend](options)
 
 
 def _env_strict_vector() -> bool:

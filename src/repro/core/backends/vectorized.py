@@ -19,9 +19,10 @@ Per-wave fallback: a wave is vectorized only when every participating
 transaction type has a vector form (``TransactionType.vector_body``)
 and the store is column-layout; the partition path additionally
 requires two-phase types that need no undo logging (the PART wrapper's
-inline compensating rollback is interpreter-shaped). Anything else --
-e.g. the ad-hoc strategy's serial semantics -- runs through
-:class:`~repro.core.backends.base.InterpretedBackend` unchanged. The
+inline compensating rollback is interpreter-shaped). Such a wave runs
+through :class:`~repro.core.backends.base.InterpretedBackend`
+unchanged. (The ad-hoc and relaxed-TPL strategies never reach a
+backend: they launch on the SIMT engine directly.) The
 ``strict_vector`` engine option turns that fallback into an error for
 tests and benches that must know vectorization happened; the
 ``vector_min_wave`` option keeps tiny waves on the interpreter, where
@@ -64,11 +65,11 @@ class VectorizedBackend(ExecutionBackend):
         super().__init__()
         self.options = options or EngineOptions(backend="vectorized")
         self._interpreted = InterpretedBackend()
-        #: Per-backend cost feedback for the engine's profiler: how
-        #: many waves each path actually ran (the chooser's wall-clock
-        #: model keys on these outcomes).
+        #: How many launches each path actually ran.
         self.waves_vectorized = 0
         self.waves_interpreted = 0
+        #: The two counters as of the last :meth:`bulk_path` call.
+        self._path_mark = (0, 0)
         self.last_fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -99,13 +100,32 @@ class VectorizedBackend(ExecutionBackend):
                     return f"transaction type {name!r} requires undo logging"
         return None
 
-    def _fall_back(self, reason: str) -> None:
-        self.last_fallback_reason = reason
-        if self.options.strict_vector:
-            raise ExecutionError(
-                f"strict_vector: wave cannot be vectorized ({reason})"
-            )
+    def _interpret(self, launch, reason: Optional[str], *args):
+        """Run one ``self._interpreted`` launch, timed under this backend.
+
+        ``reason`` says why the wave cannot vectorize (an error under
+        ``strict_vector``); ``None`` means it merely fell below
+        ``vector_min_wave``.
+        """
+        if reason is not None:
+            self.last_fallback_reason = reason
+            if self.options.strict_vector:
+                raise ExecutionError(
+                    f"strict_vector: wave cannot be vectorized ({reason})"
+                )
         self.waves_interpreted += 1
+        report = launch(*args)
+        self.wall_launch_seconds += self._interpreted.wall_launch_seconds
+        self._interpreted.wall_launch_seconds = 0.0
+        return report
+
+    def bulk_path(self) -> str:
+        vec = self.waves_vectorized - self._path_mark[0]
+        interp = self.waves_interpreted - self._path_mark[1]
+        self._path_mark = (self.waves_vectorized, self.waves_interpreted)
+        if vec and interp:
+            return "mixed"
+        return "vectorized" if vec else "interpreted"
 
     # ------------------------------------------------------------------
     # K-SET waves: one thread per transaction, conflict-free.
@@ -116,18 +136,10 @@ class VectorizedBackend(ExecutionBackend):
         for i, txn in enumerate(transactions):
             by_type.setdefault(txn.type_name, []).append(i)
         reason = self._unsupported_reason(executor, list(by_type))
-        if reason is not None:
-            self._fall_back(reason)
-            report = self._interpreted.launch_wave(executor, transactions)
-            self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-            self._interpreted.wall_launch_seconds = 0.0
-            return report
-        if n < self.options.vector_min_wave:
-            self.waves_interpreted += 1
-            report = self._interpreted.launch_wave(executor, transactions)
-            self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-            self._interpreted.wall_launch_seconds = 0.0
-            return report
+        if reason is not None or n < self.options.vector_min_wave:
+            return self._interpret(
+                self._interpreted.launch_wave, reason, executor, transactions
+            )
 
         start = _time.perf_counter()
         registry = executor.registry
@@ -198,22 +210,14 @@ class VectorizedBackend(ExecutionBackend):
         for i, txn in enumerate(transactions):
             by_type.setdefault(txn.type_name, []).append(i)
         reason = self._unsupported_reason(executor, list(by_type))
-        if reason is not None:
-            self._fall_back(reason)
-            report = self._interpreted.launch_locked(
-                executor, transactions, plans, locks
+        if (
+            reason is not None
+            or len(transactions) < self.options.vector_min_wave
+        ):
+            return self._interpret(
+                self._interpreted.launch_locked,
+                reason, executor, transactions, plans, locks,
             )
-            self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-            self._interpreted.wall_launch_seconds = 0.0
-            return report
-        if len(transactions) < self.options.vector_min_wave:
-            self.waves_interpreted += 1
-            report = self._interpreted.launch_locked(
-                executor, transactions, plans, locks
-            )
-            self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-            self._interpreted.wall_launch_seconds = 0.0
-            return report
         start = _time.perf_counter()
         store = self._wave_store(executor, by_type)
         report = run_locked_schedule(
@@ -235,23 +239,12 @@ class VectorizedBackend(ExecutionBackend):
         reason = self._unsupported_reason(
             executor, sorted(type_names), allow_undo=False
         )
-        if reason is not None:
-            self._fall_back(reason)
-            report = self._interpreted.launch_partitions(
-                executor, parts, boundary_cycles
-            )
-            self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-            self._interpreted.wall_launch_seconds = 0.0
-            return report
         total = sum(len(txns) for _pid, txns in parts)
-        if total < self.options.vector_min_wave:
-            self.waves_interpreted += 1
-            report = self._interpreted.launch_partitions(
-                executor, parts, boundary_cycles
+        if reason is not None or total < self.options.vector_min_wave:
+            return self._interpret(
+                self._interpreted.launch_partitions,
+                reason, executor, parts, boundary_cycles,
             )
-            self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-            self._interpreted.wall_launch_seconds = 0.0
-            return report
 
         start = _time.perf_counter()
         registry = executor.registry

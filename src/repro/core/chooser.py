@@ -120,47 +120,20 @@ class StrategyFeedback:
     alpha: float = 0.3
     _models: Dict[str, _StrategyModel] = field(default_factory=dict)
 
-    @staticmethod
-    def _key(strategy: str, backend: Optional[str]) -> str:
-        return strategy if backend is None else f"{strategy}@{backend}"
-
-    def observe(
-        self,
-        strategy: str,
-        size: int,
-        seconds: float,
-        backend: Optional[str] = None,
-    ) -> None:
-        """Record one executed bulk's (size, service seconds).
-
-        ``backend`` adds a second, backend-keyed observation (e.g.
-        ``"kset@vectorized"``): the simulated service time is
-        backend-independent, but wall-clock cost models -- the
-        engine's ``wall_feedback`` -- are only meaningful per backend.
-        The plain per-strategy curve is always updated, so existing
-        consumers see identical behaviour.
-        """
+    def observe(self, strategy: str, size: int, seconds: float) -> None:
+        """Record one executed bulk's (size, service seconds)."""
         if size <= 0 or seconds < 0.0:
             return
         model = self._models.setdefault(strategy, _StrategyModel())
         model.observe(size, seconds, self.alpha)
-        if backend is not None:
-            keyed = self._models.setdefault(
-                self._key(strategy, backend), _StrategyModel()
-            )
-            keyed.observe(size, seconds, self.alpha)
 
-    def observations(
-        self, strategy: str, backend: Optional[str] = None
-    ) -> int:
-        model = self._models.get(self._key(strategy, backend))
+    def observations(self, strategy: str) -> int:
+        model = self._models.get(strategy)
         return model.n if model else 0
 
-    def predict_seconds(
-        self, strategy: str, size: int, backend: Optional[str] = None
-    ) -> Optional[float]:
+    def predict_seconds(self, strategy: str, size: int) -> Optional[float]:
         """Expected service seconds of a ``size``-transaction bulk."""
-        model = self._models.get(self._key(strategy, backend))
+        model = self._models.get(strategy)
         if model is None or model.n == 0:
             return None
         fixed, per_txn = model.fit()

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 
 import repro.telemetry as telemetry
 from repro.core.backends import EngineOptions, create_backend
-from repro.core.chooser import ChooserThresholds, StrategyFeedback, choose_strategy
+from repro.core.chooser import ChooserThresholds, choose_strategy
 from repro.core.executor import ExecutionResult, StrategyExecutor
 from repro.core.profiler import BulkProfile, BulkProfiler
 from repro.core.procedure import ProcedureRegistry, TransactionType
@@ -41,9 +41,7 @@ from repro.core.strategies.relaxed import (
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import ResultPool, Transaction, TransactionPool
 from repro.errors import ConfigError
-from repro.gpu.costmodel import PERF_HANDICAP_ENV  # noqa: F401  (re-export:
-# the perf-canary env knob historically lived here; the scaling now
-# happens at the kernel-timing source in repro.gpu.costmodel.)
+from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
 from repro.gpu.spec import C1060, GPUSpec
@@ -94,7 +92,7 @@ class GPUTx:
         block_size: int = 256,
         use_undo_logging: bool = True,
         thresholds: Optional[ChooserThresholds] = None,
-        options: "Union[EngineOptions, ClusterOptions, None]" = None,
+        options: Optional[EngineOptions] = None,
     ) -> None:
         self.db = db
         self.spec = spec
@@ -110,29 +108,20 @@ class GPUTx:
         self.profiler = BulkProfiler(self.registry, self.primitives)
         self.thresholds = thresholds or ChooserThresholds.for_spec(spec)
         self.use_undo_logging = use_undo_logging
-        if options is None or isinstance(options, EngineOptions):
-            self.options = options or EngineOptions()
-        else:
-            # A full ClusterOptions is accepted wherever EngineOptions
-            # used to go; repro.config extracts the engine slice (and
-            # warns about ignored cluster-only fields). Imported
-            # lazily: repro.config composes cluster-layer types, and
-            # this module is at the bottom of that import graph.
-            from repro.config import coerce_engine_options
-
-            self.options = coerce_engine_options(options)
-        #: The execution backend every K-SET/PART kernel launch of this
-        #: engine routes through (repro.core.backends).
+        if options is None:
+            options = EngineOptions()
+        elif not isinstance(options, EngineOptions):
+            raise ConfigError(
+                "GPUTx options must be an EngineOptions, got "
+                f"{type(options).__name__}"
+            )
+        self.options = options
+        #: The execution backend every K-SET/PART/TPL kernel launch of
+        #: this engine routes through (repro.core.backends).
         self.backend = create_backend(self.options)
-        #: Per-(strategy, backend) wall-clock service model: the host
-        #: cost of executing bulks, fed by execute_bulk. The simulated
-        #: clock is backend-independent; this model is what shows the
-        #: vectorized backend's wall-clock win to the serving layer.
-        self.wall_feedback = StrategyFeedback()
         #: Dropped-option warnings already issued by THIS engine
         #: (dedup is per engine, not per process -- see _filter_options).
         self._warned_options: Set[Tuple[str, Tuple[str, ...]]] = set()
-        self._initialized = False
         #: Bulks traced so far (names the per-bulk telemetry spans).
         self._bulk_count = 0
 
@@ -185,9 +174,7 @@ class GPUTx:
     def initialize_device(self) -> float:
         """Copy tables and indexes to device memory; returns seconds."""
         report = self.db.device_bytes_report()
-        seconds = self.pcie.initialize(report["total"])
-        self._initialized = True
-        return seconds
+        return self.pcie.initialize(report["total"])
 
     # ------------------------------------------------------------------
     # Bulk execution.
@@ -252,7 +239,7 @@ class GPUTx:
         """
         validate_strategy_options(strategy, options)
         if not transactions:
-            return ExecutionResult(strategy, [], breakdown=_empty_breakdown())
+            return ExecutionResult(strategy, [], breakdown=TimeBreakdown())
         chosen = strategy
         profile_seconds = 0.0
         if strategy == "auto":
@@ -261,34 +248,14 @@ class GPUTx:
             profile_seconds = profile.gen_seconds
             options = _filter_options(chosen, options, self._warned_options)
         executor = self.make_executor(chosen, **options)
-        vec_before = getattr(self.backend, "waves_vectorized", 0)
-        interp_before = getattr(self.backend, "waves_interpreted", 0)
+        # Executors driven directly (simulate_arrivals, make_executor
+        # callers) launch outside this method: drop their launches so
+        # the label below covers this bulk only.
+        self.backend.bulk_path()
         wall_start = time.perf_counter()
         result = executor.execute(transactions)
         result.wall_seconds = time.perf_counter() - wall_start
-        # Label the bulk with the backend that *actually* ran its waves
-        # (the vectorized backend falls back per wave), so the
-        # per-backend wall-clock model never files interpreter times
-        # under the vectorized curve.
-        if executor.uses_backend:
-            vec = getattr(self.backend, "waves_vectorized", 0) - vec_before
-            interp = (
-                getattr(self.backend, "waves_interpreted", 0) - interp_before
-            )
-            if vec and not interp:
-                result.backend = "vectorized"
-            elif vec:
-                result.backend = "mixed"
-            else:
-                result.backend = "interpreted"
-        else:
-            result.backend = "interpreted"
-        self.wall_feedback.observe(
-            chosen,
-            len(result.results),
-            result.wall_seconds,
-            backend=result.backend,
-        )
+        result.backend = self.backend.bulk_path()
         if profile_seconds:
             result.breakdown.add("profiling", profile_seconds)
         self.results.record_many(result.results)
@@ -449,12 +416,6 @@ class GPUTx:
             max_response_s=max_response,
             bulk_sizes=bulk_sizes,
         )
-
-
-def _empty_breakdown():
-    from repro.gpu.costmodel import TimeBreakdown
-
-    return TimeBreakdown()
 
 
 #: Options each strategy's executor accepts (beyond the shared ones).

@@ -89,11 +89,6 @@ class StrategyExecutor:
     """Base class: strategy-independent plumbing."""
 
     name = "base"
-    #: Whether this strategy routes kernel launches through the
-    #: configured execution backend. Lock-based and serial strategies
-    #: (TPL, ad-hoc) keep this False: only the interpreter models spin
-    #: locks and single-core execution.
-    uses_backend = False
 
     def __init__(
         self,
@@ -115,10 +110,10 @@ class StrategyExecutor:
         self.pcie = pcie or PCIeModel(engine.spec)
         self.use_undo_logging = use_undo_logging
         #: How waves execute on the host (see repro.core.backends).
-        #: K-SET and PART route their kernel launches through it; the
-        #: lock-based and serial strategies (TPL, ad-hoc) always use
-        #: the interpreter, which is the only path that models spin
-        #: locks and serial-core semantics.
+        #: K-SET, PART and TPL route their kernel launches through it;
+        #: ad-hoc and relaxed TPL launch on the SIMT engine directly
+        #: (only the interpreter models serial-core execution and
+        #: basic spin locks).
         self.backend = backend or InterpretedBackend()
 
     # ------------------------------------------------------------------

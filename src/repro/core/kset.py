@@ -22,12 +22,12 @@ The same rank values drive TPL's counter-lock keys (Section 5.1), and
 the per-(item, rank) reader-run sizes initialise the lock table's
 shared-run countdowns.
 
-**Documented deviation** (see DESIGN.md): the per-group maximum rank is
-a *lower bound* of the true T-dependency depth -- ranks do not
-propagate across items (``T1:Wa; T2:Ra,Wb; T3:Rb`` gives T3 rank 1 but
-TDG depth 2). The 0-set is nevertheless exact, so the iterative
-:class:`IncrementalKSetExtractor` used by the K-SET strategy is
-correct; tests cover both facts.
+**Documented deviation** (see docs/ARCHITECTURE.md): the per-group
+maximum rank is a *lower bound* of the true T-dependency depth --
+ranks do not propagate across items (``T1:Wa; T2:Ra,Wb; T3:Rb`` gives
+T3 rank 1 but TDG depth 2). The 0-set is nevertheless exact, so the
+iterative :class:`IncrementalKSetExtractor` used by the K-SET strategy
+is correct; tests cover both facts.
 
 GPU costs of every step are charged through
 :class:`~repro.gpu.primitives.PrimitiveLibrary` and reported in

@@ -13,7 +13,7 @@ bulk's T-dependency structure:
 ``d`` and ``w0`` come from the sort-based rank pipeline (Section 4.2)
 so profiling costs one pipeline run, charged in ``gen_seconds``. By
 default ``d`` is the pipeline's max rank -- a fast lower bound of the
-exact depth (see the documented deviation in DESIGN.md); pass
+exact depth (see the documented deviation in docs/ARCHITECTURE.md); pass
 ``exact_depth=True`` to compute the true longest path from the graph.
 """
 

@@ -42,7 +42,6 @@ class KsetExecutor(StrategyExecutor):
     """Iterative 0-set execution without locks."""
 
     name = "kset"
-    uses_backend = True
     #: With the timestamp constraint, merging a fresh bulk into the
     #: sorted groups costs a sort (Figure 5's dominant share); the
     #: relaxed variant (Appendix G) groups by counters instead.

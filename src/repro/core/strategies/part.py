@@ -53,7 +53,6 @@ class PartExecutor(StrategyExecutor):
     """Partitioned single-threaded execution (pull model)."""
 
     name = "part"
-    uses_backend = True
     #: When True, bulk generation sorts P by partition id (the paper's
     #: default). The relaxed variant (Appendix G) groups with atomic
     #: counters + prefix sum instead, skipping the sort.

@@ -53,13 +53,6 @@ class TplExecutor(StrategyExecutor):
     """Two-phase locking with deterministic counter locks."""
 
     name = "tpl"
-    #: TPL routes through the execution-backend registry: counter-lock
-    #: pass rounds are a deterministic function of the release
-    #: schedule, which the vectorized backend derives in closed form
-    #: (repro.core.backends.lockstep) -- spin iterations, lock-word
-    #: atomics, and reader-run countdowns included, byte-identical to
-    #: the interpreter.
-    uses_backend = True
 
     def __init__(self, *args, grouping_passes: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)

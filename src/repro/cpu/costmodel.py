@@ -9,7 +9,8 @@ Why model instead of measuring Python wall-clock: measuring would
 benchmark the CPython interpreter, not the paper's design. Both engines
 run identical op streams through their respective cost models, so every
 GPU/CPU ratio reflects modelled hardware and scheduling, not
-interpreter noise (see DESIGN.md).
+interpreter noise (see "Deviations from the paper" in
+docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations

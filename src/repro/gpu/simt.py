@@ -1,7 +1,7 @@
 """Lockstep SIMT execution engine -- the simulated GPU.
 
 This is the substrate substituting for CUDA on a Tesla C1060 (see
-DESIGN.md, "Hardware substitution"). Threads are Python generators
+docs/ARCHITECTURE.md, "Hardware substitution"). Threads are Python generators
 yielding micro-ops (:mod:`repro.gpu.ops`); the engine
 
 * packs them into warps of 32 and thread blocks, assigns blocks to SMs

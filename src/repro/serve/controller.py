@@ -24,7 +24,7 @@ Two formers share one interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.chooser import StrategyFeedback
@@ -100,7 +100,6 @@ class BulkFormer:
         strategy: str,
         service_s: float,
         p95_total_s: float,
-        backend: Optional[str] = None,
     ) -> None:
         """Feed back one executed bulk's outcome (no-op by default)."""
 
@@ -165,13 +164,9 @@ class AdaptiveBulkFormer(BulkFormer):
         strategy: str,
         service_s: float,
         p95_total_s: float,
-        backend: Optional[str] = None,
     ) -> None:
         slo = self.slo
-        # The simulated service model is backend-independent; the
-        # backend-keyed curve is kept alongside so operators can read
-        # per-backend behaviour off one feedback object.
-        self.feedback.observe(strategy, size, service_s, backend=backend)
+        self.feedback.observe(strategy, size, service_s)
         self._last_strategy = strategy
         self.trajectory.append((size, self._target, strategy))
         # AIMD on the observed end-to-end p95 -- but a breach has two
@@ -230,18 +225,3 @@ class AdaptiveBulkFormer(BulkFormer):
             )
             target = ceiling if proposal is None else min(proposal, ceiling)
         return max(slo.min_bulk, min(slo.max_bulk, target))
-
-
-@dataclass
-class FormerReport:
-    """What the former did over a serve run (for benches/README)."""
-
-    name: str
-    bulk_sizes: List[int] = field(default_factory=list)
-    bulk_targets: List[int] = field(default_factory=list)
-
-    @property
-    def mean_bulk(self) -> float:
-        if not self.bulk_sizes:
-            return 0.0
-        return sum(self.bulk_sizes) / len(self.bulk_sizes)

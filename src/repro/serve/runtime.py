@@ -438,7 +438,6 @@ class ServeRuntime:
             strategy=strategy,
             service_s=result.seconds,
             p95_total_s=p95,
-            backend=getattr(result, "backend", None),
         )
 
 

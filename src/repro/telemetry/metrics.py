@@ -29,7 +29,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     The single shared implementation -- ``repro.serve.metrics``
     re-exports it and :class:`Histogram` delegates to it.
     """
-    if not values:
+    if len(values) == 0:  # not truthiness: ndarrays are accepted
         return 0.0
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be within [0, 100]")

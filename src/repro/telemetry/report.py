@@ -1,6 +1,6 @@
 """Paper-style reporting over an exported trace.
 
-``python -m repro.telemetry report trace.json`` prints the
+``python -m repro telemetry report trace.json`` prints the
 phase-breakdown table (the Figure-5 view: per-phase simulated totals
 and shares) and the top-N slowest bulks. The aggregation helpers are
 importable so tests can reconcile a trace against the engine's
@@ -171,7 +171,7 @@ def format_report(
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.telemetry ...).
+# CLI (python -m repro telemetry ...).
 # ---------------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
     """``report <trace.json>`` and ``validate <trace.json>``."""
@@ -180,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.telemetry.export import load_trace, validate_chrome_trace
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry",
+        prog="python -m repro telemetry",
         description="Inspect and validate exported traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ five types are written two-phase (abort checks complete before the
 first write -- NEW_ORDER validates every item id up front, the
 well-known H-Store rewrite), so no undo logging is required.
 
-**Documented deviation** (also in DESIGN.md): the paper partitions
+**Documented deviation** (also in docs/ARCHITECTURE.md): the paper partitions
 TPC-C by the combined (warehouse, district) key. District-level
 partitioning is unsound for STOCK, which is shared by all ten districts
 of a warehouse (two districts' NEW_ORDERs write the same stock rows);

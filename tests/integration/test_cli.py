@@ -1,8 +1,8 @@
-"""The unified CLI front door (``python -m repro``).
+"""The one command surface (``python -m repro``).
 
-The old entry points (``python -m repro.bench``, ``python -m
-repro.telemetry``) must keep working, byte-identical in behavior,
-as aliases routed through :mod:`repro.cli`.
+The former aliases (``python -m repro.bench``, ``python -m
+repro.telemetry``) are gone: those packages no longer carry a
+``__main__``.
 """
 
 import subprocess
@@ -57,7 +57,7 @@ class TestFrontDoor:
         assert "frobnicate" in capsys.readouterr().err
 
     def test_telemetry_report_matches_direct_entry(self, tiny_trace, capsys):
-        """`repro telemetry report` == `repro.telemetry report`."""
+        """`repro telemetry report` == `repro.telemetry.report.main`."""
         assert telemetry_main(["report", tiny_trace]) == 0
         direct = capsys.readouterr().out
         assert main(["telemetry", "report", tiny_trace]) == 0
@@ -167,20 +167,19 @@ class TestScenariosCommand:
 
 
 class TestAliases:
-    """The old `-m` spellings still work and match the front door."""
+    """`python -m repro` is the only `-m` spelling."""
 
-    def test_python_m_repro_telemetry_identical(self, tiny_trace):
-        old = run_module(["repro.telemetry", "report", tiny_trace])
-        new = run_module(["repro", "telemetry", "report", tiny_trace])
-        assert old.returncode == new.returncode == 0
-        assert old.stdout == new.stdout
+    @pytest.mark.parametrize("package", ["repro.bench", "repro.telemetry"])
+    def test_removed_alias_has_no_main(self, package):
+        old = run_module([package, "--help"])
+        assert old.returncode != 0
+        assert f"No module named {package}.__main__" in old.stderr
 
-    def test_python_m_repro_bench_help_identical(self):
-        old = run_module(["repro.bench", "--help"])
+    def test_python_m_repro_bench_help(self):
         new = run_module(["repro", "bench", "--help"])
-        assert old.returncode == new.returncode == 0
-        assert old.stdout == new.stdout
-        assert "--out" in old.stdout
+        assert new.returncode == 0
+        assert "usage: python -m repro bench" in new.stdout
+        assert "--out" in new.stdout
 
     def test_migrate_demo_runs(self):
         demo = run_module(["repro", "migrate-demo", "--txns", "60"])

@@ -11,7 +11,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro import ClusterTx, CpuEngine, DurabilityConfig, TransactionPool
+from repro import (
+    ClusterOptions,
+    ClusterTx,
+    CpuEngine,
+    DurabilityConfig,
+    TransactionPool,
+)
 from repro.errors import ClusterError, ShardFailure
 from repro.workloads import tm1
 
@@ -49,8 +55,10 @@ def run_tm1_cluster(
         db,
         procedures=tm1.CLUSTER_PROCEDURES,
         n_shards=N_SHARDS,
-        durability=DurabilityConfig(
-            checkpoint_interval=4, n_replicas=2, **config_kwargs
+        options=ClusterOptions(
+            durability=DurabilityConfig(
+                checkpoint_interval=4, n_replicas=2, **config_kwargs
+            )
         ),
     )
     if kill is not None:
@@ -159,7 +167,9 @@ class TestFailoverMechanics:
             build_ledger_db(n_accounts),
             procedures=LEDGER_PROCEDURES,
             n_shards=2,
-            durability=DurabilityConfig(**config_kwargs),
+            options=ClusterOptions(
+                durability=DurabilityConfig(**config_kwargs)
+            ),
         )
 
     def test_halted_waves_requeue_in_timestamp_order(self, rng):
@@ -316,7 +326,11 @@ class TestFailoverMechanics:
             build_ledger_db(24),
             procedures=LEDGER_PROCEDURES,
             n_shards=4,
-            durability=DurabilityConfig(checkpoint_interval=8, n_replicas=1),
+            options=ClusterOptions(
+                durability=DurabilityConfig(
+                    checkpoint_interval=8, n_replicas=1
+                )
+            ),
         )
         # Accounts 0 and 1 live on shards 0 and 1 under hash routing.
         cluster.submit("transfer", (0, 1, 5))
@@ -356,7 +370,7 @@ class TestFailoverErrors:
     def test_recover_requires_dead_shard(self):
         cluster = ClusterTx(
             build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
-            durability=DurabilityConfig(),
+            options=ClusterOptions(durability=DurabilityConfig()),
         )
         with pytest.raises(ClusterError, match="not down"):
             cluster.failover.recover(0)
@@ -364,7 +378,7 @@ class TestFailoverErrors:
     def test_kill_validates_shard_id(self):
         cluster = ClusterTx(
             build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
-            durability=DurabilityConfig(),
+            options=ClusterOptions(durability=DurabilityConfig()),
         )
         with pytest.raises(ClusterError, match="no shard"):
             cluster.failover.kill(5)
@@ -376,7 +390,7 @@ class TestFailoverErrors:
     def test_dead_shard_access_raises_shard_failure(self):
         cluster = ClusterTx(
             build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
-            durability=DurabilityConfig(),
+            options=ClusterOptions(durability=DurabilityConfig()),
         )
         cluster.failover.kill(1)
         with pytest.raises(ShardFailure, match="shard 1 is down"):
@@ -389,7 +403,7 @@ class TestFailoverErrors:
     def test_double_kill_is_idempotent(self):
         cluster = ClusterTx(
             build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
-            durability=DurabilityConfig(),
+            options=ClusterOptions(durability=DurabilityConfig()),
         )
         cluster.failover.kill(1)
         cluster.failover.kill(1)

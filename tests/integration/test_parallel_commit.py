@@ -18,9 +18,9 @@ their home shards. These tests pin the observable contract:
 import pytest
 
 import repro.telemetry as telemetry
-from repro import ClusterTx
+from repro import ClusterOptions, ClusterTx
 from repro.core.txn import TransactionPool
-from repro.errors import ClusterError
+from repro.errors import ConfigError
 
 from tests.integration.test_cluster import (
     LEDGER_PROCEDURES,
@@ -37,7 +37,7 @@ def run_mode(specs, mode, n_shards=4):
         build_ledger_db(N_ACCOUNTS),
         procedures=LEDGER_PROCEDURES,
         n_shards=n_shards,
-        cross_shard=mode,
+        options=ClusterOptions(cross_shard=mode),
     )
     cluster.submit_many(specs)
     result = cluster.run_bulk(strategy="kset")
@@ -100,12 +100,12 @@ class TestModeEquivalence:
         assert result.n_groups == 0
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ClusterError, match="cross_shard"):
+        with pytest.raises(ConfigError, match="cross_shard"):
             ClusterTx(
                 build_ledger_db(N_ACCOUNTS),
                 procedures=LEDGER_PROCEDURES,
                 n_shards=2,
-                cross_shard="magic",
+                options=ClusterOptions(cross_shard="magic"),
             )
 
     def test_parallel_coordinator_faster_at_four_shards(self, rng):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
-from repro import ClusterTx, DurabilityConfig, GPUTx
+from repro import ClusterOptions, ClusterTx, DurabilityConfig, GPUTx
 from repro.serve import AdmissionController, ServeRuntime
 from repro.telemetry.report import format_report, layers, phase_totals
 from repro.workloads import tm1
@@ -106,7 +106,11 @@ class TestClusterFailoverTrace:
             db,
             procedures=tm1.CLUSTER_PROCEDURES,
             n_shards=self.N_SHARDS,
-            durability=DurabilityConfig(checkpoint_interval=2, n_replicas=1),
+            options=ClusterOptions(
+                durability=DurabilityConfig(
+                    checkpoint_interval=2, n_replicas=1
+                )
+            ),
         )
         cluster.failover.schedule_kill(0, bulk=1, wave=0)
         bulks = [

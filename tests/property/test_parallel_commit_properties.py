@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterTx, DurabilityConfig
+from repro import ClusterOptions, ClusterTx, DurabilityConfig
 
 from tests.integration.test_cluster import (
     LEDGER_PROCEDURES,
@@ -40,8 +40,10 @@ def run_cluster(bulks, n_shards, mode, kill=None):
         build_ledger_db(N_ACCOUNTS),
         procedures=LEDGER_PROCEDURES,
         n_shards=n_shards,
-        cross_shard=mode,
-        durability=DurabilityConfig(checkpoint_interval=2, n_replicas=1),
+        options=ClusterOptions(
+            cross_shard=mode,
+            durability=DurabilityConfig(checkpoint_interval=2, n_replicas=1),
+        ),
     )
     if kill is not None:
         shard, bulk, wave = kill

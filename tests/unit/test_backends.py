@@ -257,6 +257,7 @@ class TestFallback:
             engine.submit("deposit", (i % 16, 5))
         result = engine.run_bulk(strategy="kset")
         assert result.committed == 12
+        assert result.backend == "interpreted"
         assert engine.backend.waves_interpreted > 0
         assert engine.backend.waves_vectorized == 0
         assert "vector form" in engine.backend.last_fallback_reason
@@ -335,26 +336,44 @@ class TestWarnDedupPerEngine:
             engine.run_bulk(strategy="auto", max_txns=4, partition_size=4)
 
 
-class TestWallFeedback:
-    def test_per_backend_wall_model_observed(self):
-        engine = _engine(
-            micro.build_database(64), micro.build_procedures(2), "vectorized"
+class TestResultBackend:
+    """``ExecutionResult.backend`` names the path that ran the bulk."""
+
+    def _micro_engine(self, n_tuples=64, **options):
+        engine = GPUTx(
+            micro.build_database(n_tuples),
+            procedures=micro.build_procedures(2),
+            options=EngineOptions(**options),
         )
         engine.submit_many(
-            micro.generate_transactions(32, n_tuples=64, n_branches=2)
+            micro.generate_transactions(32, n_tuples=n_tuples, n_branches=2)
         )
-        engine.run_bulk(strategy="kset")
-        assert engine.wall_feedback.observations("kset") == 1
-        assert (
-            engine.wall_feedback.observations("kset", backend="vectorized")
-            == 1
+        return engine
+
+    def test_vectorized_bulk(self):
+        engine = self._micro_engine(backend="vectorized", strict_vector=True)
+        assert engine.run_bulk(strategy="kset").backend == "vectorized"
+
+    def test_interpreted_bulk(self):
+        engine = self._micro_engine(backend="interpreted")
+        assert engine.run_bulk(strategy="kset").backend == "interpreted"
+
+    def test_partial_fallback_is_mixed(self):
+        # 32 transactions over 4 tuples: the first 0-sets are 4 wide,
+        # the tail narrower than vector_min_wave.
+        engine = self._micro_engine(
+            n_tuples=4, backend="vectorized", vector_min_wave=4
         )
-        assert (
-            engine.wall_feedback.predict_seconds(
-                "kset", 32, backend="vectorized"
-            )
-            is not None
-        )
+        result = engine.run_bulk(strategy="kset")
+        assert engine.backend.waves_vectorized > 0
+        assert engine.backend.waves_interpreted > 0
+        assert result.backend == "mixed"
+
+    def test_launches_outside_execute_bulk_do_not_leak_in(self):
+        engine = self._micro_engine(backend="vectorized", strict_vector=True)
+        engine.make_executor("kset").execute(engine.pool.take(16))
+        assert engine.backend.waves_vectorized > 0
+        assert engine.run_bulk(strategy="adhoc").backend == "interpreted"
 
 
 class TestArrayForms:

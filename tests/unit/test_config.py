@@ -1,38 +1,28 @@
-"""ClusterOptions: one composable options value + the legacy shims.
+"""ClusterOptions / EngineOptions: the one configuration surface.
 
-Both configuration paths must work: the new single ``options=``
-value configures everything with no warnings, and every legacy kwarg
-keeps working behind a ``DeprecationWarning`` routed through the
-warn-dedup machinery (once per process per message, later call sites
-not swallowed by the first).
+``ClusterTx`` takes a ``ClusterOptions``, ``GPUTx`` an
+``EngineOptions``; anything else -- the other constructor's options
+type, a plain dict, a removed keyword argument -- is rejected up
+front rather than translated.
 """
-
-import warnings
 
 import pytest
 
 from repro.cluster.durability import DurabilityConfig
 from repro.cluster.elastic import ElasticConfig
 from repro.cluster.runtime import ClusterTx
-from repro.config import (
-    ClusterOptions,
-    _reset_deprecation_memo,
-    coerce_engine_options,
-    resolve_cluster_options,
-)
+from repro.config import ClusterOptions
 from repro.core.backends import EngineOptions
 from repro.core.engine import GPUTx
-from repro.errors import ClusterError, ConfigError
+from repro.errors import ConfigError
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    """Each test sees the shims' warnings as if first use."""
-    _reset_deprecation_memo()
-    yield
-    _reset_deprecation_memo()
+def bank_cluster(**kwargs):
+    return ClusterTx(
+        build_bank_db(32), procedures=BANK_PROCEDURES, n_shards=2, **kwargs
+    )
 
 
 class TestClusterOptionsValue:
@@ -53,138 +43,57 @@ class TestClusterOptionsValue:
 
 
 class TestNewPath:
-    def test_cluster_options_configures_everything_silently(self):
+    def test_cluster_options_configures_everything_silently(self, recwarn):
         opts = ClusterOptions(
+            engine=EngineOptions(backend="vectorized"),
             durability=DurabilityConfig(),
             cross_shard="serial",
             elastic=ElasticConfig(),
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster = ClusterTx(
-                build_bank_db(32),
-                procedures=BANK_PROCEDURES,
-                n_shards=2,
-                router="range",
-                options=opts,
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations == []
+        cluster = bank_cluster(router="range", options=opts)
+        assert not recwarn.list
         assert cluster.options is opts
         assert cluster.durability is not None
         assert cluster.cross_shard == "serial"
         assert cluster.elastic is not None
+        assert all(shard.options is opts.engine for shard in cluster.shards)
 
-    def test_gputx_accepts_cluster_options_engine_slice(self):
-        opts = ClusterOptions(engine=EngineOptions(backend="vectorized"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = GPUTx(
-                build_bank_db(8), procedures=BANK_PROCEDURES, options=opts
-            )
-        assert engine.options is opts.engine
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_default_options(self):
+        assert bank_cluster().options == ClusterOptions()
+        engine = GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES)
+        assert engine.options == EngineOptions()
 
-    def test_gputx_warns_on_ignored_cluster_fields(self):
-        opts = ClusterOptions(durability=DurabilityConfig())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES, options=opts)
-        messages = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert any("ignores" in m and "durability" in m for m in messages)
-
-
-class TestLegacyPath:
-    def test_legacy_kwargs_still_work_but_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster = ClusterTx(
-                build_bank_db(32),
+    def test_gputx_rejects_cluster_options(self):
+        with pytest.raises(ConfigError, match="EngineOptions"):
+            GPUTx(
+                build_bank_db(8),
                 procedures=BANK_PROCEDURES,
-                n_shards=2,
-                router="range",
-                durability=DurabilityConfig(),
-                cross_shard="serial",
-                elastic=ElasticConfig(),
-            )
-        assert cluster.durability is not None
-        assert cluster.cross_shard == "serial"
-        assert cluster.elastic is not None
-        messages = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert any("durability=" in m for m in messages)
-        assert any("cross_shard=" in m for m in messages)
-        assert any("elastic=" in m for m in messages)
-
-    def test_legacy_kwarg_overrides_cluster_options_field(self):
-        opts = ClusterOptions(cross_shard="parallel")
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            cluster = ClusterTx(
-                build_bank_db(32),
-                procedures=BANK_PROCEDURES,
-                n_shards=2,
-                options=opts,
-                cross_shard="serial",
-            )
-        assert cluster.cross_shard == "serial"
-
-    def test_warning_dedups_per_process_not_per_site(self):
-        def build():
-            return ClusterTx(
-                build_bank_db(32),
-                procedures=BANK_PROCEDURES,
-                n_shards=2,
-                durability=DurabilityConfig(),
+                options=ClusterOptions(),
             )
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build()
-            build()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
+    def test_clustertx_rejects_engine_options(self):
+        with pytest.raises(ConfigError, match="ClusterOptions"):
+            bank_cluster(options=EngineOptions())
 
-    def test_invalid_cross_shard_kwarg_still_cluster_error(self):
-        with pytest.raises(ClusterError, match="cross_shard"):
-            ClusterTx(
-                build_bank_db(32),
-                procedures=BANK_PROCEDURES,
-                n_shards=2,
-                cross_shard="magic",
-            )
+    @pytest.mark.parametrize(
+        "kwarg",
+        [
+            {"durability": DurabilityConfig()},
+            {"cross_shard": "serial"},
+            {"elastic": ElasticConfig()},
+        ],
+        ids=lambda kwarg: next(iter(kwarg)),
+    )
+    def test_removed_kwarg_is_type_error(self, kwarg):
+        with pytest.raises(TypeError, match=next(iter(kwarg))):
+            bank_cluster(**kwarg)
 
 
 class TestResolvers:
-    def test_engine_options_as_options_is_deprecated_but_wrapped(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolved = resolve_cluster_options(EngineOptions())
-        assert isinstance(resolved, ClusterOptions)
-        assert [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+    """Neither constructor resolves a foreign value into its options."""
 
     def test_unknown_options_type_rejected(self):
         with pytest.raises(ConfigError, match="ClusterOptions"):
-            resolve_cluster_options({"backend": "vector"})
-        with pytest.raises(ConfigError, match="ClusterOptions"):
-            coerce_engine_options(42)
-
-    def test_coerce_passthrough(self):
-        engine = EngineOptions()
-        assert coerce_engine_options(engine) is engine
-        assert isinstance(coerce_engine_options(None), EngineOptions)
+            bank_cluster(options={"backend": "vector"})
+        with pytest.raises(ConfigError, match="EngineOptions"):
+            GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES, options=42)

@@ -1,8 +1,9 @@
 """The docs checker itself, plus the repo's docs passing it.
 
 ``scripts/check_docs.py`` backs the CI docs lane: fenced ``>>>``
-examples in README.md and docs/*.md must run under doctest, and
-intra-repo links must resolve. These tests pin the checker's
+examples in README.md and docs/*.md must run under doctest,
+intra-repo links must resolve, and source docstrings may only name
+markdown files that exist. These tests pin the checker's
 behaviour on synthetic inputs and run the real documentation through
 it so a drifted example fails tier-1 locally, not just in CI.
 """
@@ -61,6 +62,19 @@ class TestCheckerMechanics:
         assert len(problems) == 1
         assert "missing.md" in problems[0]
 
+    def test_docstring_citing_missing_file_detected(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "HERE.md").write_text("# here\n")
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "mod.py").write_text(
+            '"""See docs/HERE.md and HERE.md."""\n\n'
+            'def f():\n    """Rationale in GONE.md."""\n'
+        )
+        problems = check_docs.check_docstring_citations(src, tmp_path)
+        assert len(problems) == 1
+        assert "GONE.md" in problems[0]
+
     def test_main_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.md"
         good.write_text("```pycon\n>>> 1\n1\n```\n")
@@ -81,3 +95,9 @@ def test_repo_documentation_passes(doc, capsys):
         sys.path.insert(0, str(REPO_ROOT / "src"))
     assert check_docs.main([str(REPO_ROOT / doc)]) == 0
     capsys.readouterr()
+
+
+def test_repo_docstrings_cite_existing_files():
+    assert check_docs.check_docstring_citations(
+        REPO_ROOT / "src" / "repro", REPO_ROOT
+    ) == []

@@ -68,7 +68,7 @@ class TestComputeRanks:
         assert result.zero_set() == graph.sources()
 
     def test_documented_deviation_rank_below_depth(self):
-        """Ranks do not propagate across items (see DESIGN.md)."""
+        """Ranks do not propagate across items (see docs/ARCHITECTURE.md)."""
         txns = [
             (1, [W(0)]),
             (2, [R(0), W(1)]),

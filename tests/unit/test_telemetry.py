@@ -133,11 +133,12 @@ class TestMetrics:
 
     def test_percentile_matches_numpy_interpolation(self):
         rng = np.random.default_rng(7)
-        values = rng.random(101).tolist()
-        for q in (0, 10, 50, 90, 99, 100):
-            assert percentile(values, q) == pytest.approx(
-                float(np.percentile(values, q))
-            )
+        array = rng.random(101)
+        for values in (array.tolist(), array):
+            for q in (0, 10, 50, 90, 99, 100):
+                assert percentile(values, q) == pytest.approx(
+                    float(np.percentile(values, q))
+                )
 
     def test_percentile_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -150,6 +151,7 @@ class TestMetrics:
         """No samples -> 0.0, never an IndexError, for any quantile."""
         for q in (0, 50, 95, 99, 100):
             assert percentile([], q) == 0.0
+            assert percentile(np.array([]), q) == 0.0
 
     def test_empty_serve_latency_summary_is_defined(self):
         """The serve layer's summaries ride on the same histogram and
@@ -366,9 +368,15 @@ class TestOverhead:
 
     def test_enabled_overhead_under_10_percent(self):
         self._run_once()  # warm imports and caches
-        disabled = self._min_wall()
-        with telemetry.session():
-            enabled = self._min_wall()
+        # Alternate the two modes: the host's core speed steps 20-40%
+        # for seconds at a time (benchmarks/host/README.md), which
+        # back-to-back blocks of runs would read as overhead.
+        disabled_runs, enabled_runs = [], []
+        for _ in range(self.REPEATS):
+            disabled_runs.append(self._run_once())
+            with telemetry.session():
+                enabled_runs.append(self._run_once())
+        disabled, enabled = min(disabled_runs), min(enabled_runs)
         assert enabled <= 1.10 * disabled, (
             f"tracing enabled cost {enabled / disabled - 1:.1%} "
             f"(budget 10%): {disabled:.4f}s -> {enabled:.4f}s"
