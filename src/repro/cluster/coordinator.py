@@ -15,8 +15,8 @@ interpreter:
 * **parallel** (:meth:`CrossShardCoordinator.execute_parallel`) -- the
   DiPETrans protocol proper: the leader statically conflict-partitions
   the wave into independent *groups* (connected components of the
-  conflict graph, built from the same access declarations the TDG /
-  K-SET extractor uses), serialises one signature batch per group
+  conflict graph, built from the wave's slice of the bulk's operation
+  array), serialises one signature batch per group
   over its interconnect, and the groups execute on their home shards
   in parallel -- the wave's cost is the *max* over the shard lanes,
   not the sum. Groups are mutually conflict-free, so any interleaving
@@ -39,9 +39,10 @@ Two pieces live here besides the coordinator:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.cluster.durability.failover import RecoveryReport
+from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tdg import TDependencyGraph
 from repro.core.txn import Transaction, TxnResult
@@ -265,9 +266,6 @@ class FailoverController:
         """Promote a replica of ``shard`` and bring it back online."""
         return self._cluster.recover_shard(shard)
 
-    def recover_all(self) -> List[RecoveryReport]:
-        return [self.recover(shard) for shard in sorted(self.dead)]
-
 
 class CrossShardCoordinator:
     """Leader executor for cross-shard transactions (serial + grouped)."""
@@ -305,7 +303,9 @@ class CrossShardCoordinator:
 
     # ------------------------------------------------------------------
     def _interpret(
-        self, transactions: Sequence[Transaction]
+        self,
+        transactions: Sequence[Transaction],
+        shard_map: Dict[int, FrozenSet[int]],
     ) -> Tuple[
         List[Transaction],
         List[TxnResult],
@@ -317,15 +317,14 @@ class CrossShardCoordinator:
         Shared by both commit paths so their outcomes, store mutations
         and redo capture are identical by construction. Returns the
         timestamp-sorted transactions plus parallel lists of results,
-        per-transaction cycles (dispatch included) and shard sets.
+        per-transaction cycles (dispatch included) and shard sets
+        (looked up in ``shard_map``, the bulk's routing).
         """
         order = sorted(transactions, key=lambda t: t.txn_id)
         results: List[TxnResult] = []
         cycles: List[float] = []
-        shard_sets: "List[frozenset[int]]" = []
+        shard_sets = [shard_map[txn.txn_id] for txn in order]
         for txn in order:
-            txn_type = self.registry.get(txn.type_name)
-            shard_sets.append(self.router.shards_of(txn_type, txn.params))
             txn_cycles, committed, reason, value = self._run_one(txn)
             cycles.append(txn_cycles + self.cost.dispatch())
             results.append(
@@ -342,13 +341,17 @@ class CrossShardCoordinator:
 
     # ------------------------------------------------------------------
     def execute(
-        self, transactions: Sequence[Transaction]
+        self,
+        transactions: Sequence[Transaction],
+        shard_map: Dict[int, FrozenSet[int]],
     ) -> CoordinatorResult:
         """Run one wave serially, in timestamp order (the oracle)."""
         out = CoordinatorResult()
         if not transactions:
             return out
-        order, results, cycles, shard_sets = self._interpret(transactions)
+        order, results, cycles, shard_sets = self._interpret(
+            transactions, shard_map
+        )
         out.results = results
         total = 0.0
         touched: set = set()
@@ -362,9 +365,10 @@ class CrossShardCoordinator:
 
     # ------------------------------------------------------------------
     def conflict_groups(
-        self, transactions: Sequence[Transaction]
+        self, transactions: Sequence[Transaction], ops: OpArray
     ) -> List[List[Transaction]]:
-        """Partition a wave into independent conflict groups.
+        """Partition a wave (``ops`` is its operation array) into
+        independent conflict groups.
 
         Groups are the connected components of the wave's conflict
         graph, computed over the TDG's (reduced) edge set -- edge
@@ -376,10 +380,7 @@ class CrossShardCoordinator:
         group's members in timestamp order.
         """
         order = sorted(transactions, key=lambda t: t.txn_id)
-        graph = TDependencyGraph.build(
-            (t.txn_id, self.registry.get(t.type_name).accesses(t.params))
-            for t in order
-        )
+        graph = TDependencyGraph.build(ops)
         parent: Dict[int, int] = {t.txn_id: t.txn_id for t in order}
 
         def find(x: int) -> int:
@@ -405,7 +406,10 @@ class CrossShardCoordinator:
 
     # ------------------------------------------------------------------
     def execute_parallel(
-        self, transactions: Sequence[Transaction]
+        self,
+        transactions: Sequence[Transaction],
+        ops: OpArray,
+        shard_map: Dict[int, FrozenSet[int]],
     ) -> CoordinatorResult:
         """Run one wave via the leader/follower group protocol.
 
@@ -425,13 +429,15 @@ class CrossShardCoordinator:
         out = CoordinatorResult()
         if not transactions:
             return out
-        order, results, cycles, shard_sets = self._interpret(transactions)
+        order, results, cycles, shard_sets = self._interpret(
+            transactions, shard_map
+        )
         out.results = results
         position = {t.txn_id: i for i, t in enumerate(order)}
         lanes = [0.0] * self.router.n_shards
         dispatch_end = 0.0
         touched: set = set()
-        for index, group in enumerate(self.conflict_groups(order)):
+        for index, group in enumerate(self.conflict_groups(order, ops)):
             group_shards: set = set()
             group_cycles = 0.0
             group_bytes = 0
@@ -448,7 +454,7 @@ class CrossShardCoordinator:
                 )
             else:
                 # Access-free transactions touch no shard state; spread
-                # them round-robin like the runtime's home_shard does.
+                # them round-robin like the runtime's parallel waves do.
                 home = group[0].txn_id % self.router.n_shards
             seconds = self.cost.seconds(group_cycles)
             start = max(dispatch_end, lanes[home])

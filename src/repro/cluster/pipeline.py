@@ -36,7 +36,7 @@ from repro.core.executor import (
 )
 from repro.errors import ConfigError
 from repro.gpu.costmodel import TimeBreakdown
-from repro.gpu.transfer import PCIeModel, TransferTimeline
+from repro.gpu.transfer import TransferTimeline
 
 #: Phases that occupy the DMA engine on the way out of a bulk: result
 #: copies, WAL replication, checkpoint ships, and the cross-shard
@@ -80,21 +80,6 @@ class BulkTiming:
             transfer_out_s=t_out,
         )
 
-    @classmethod
-    def from_bytes(
-        cls,
-        pcie: PCIeModel,
-        input_bytes: int,
-        compute_s: float,
-        output_bytes: int,
-    ) -> "BulkTiming":
-        """Build timings from payload sizes via a PCIe model."""
-        return cls(
-            transfer_in_s=pcie.transfer_seconds(input_bytes),
-            compute_s=compute_s,
-            transfer_out_s=pcie.transfer_seconds(output_bytes),
-        )
-
 
 @dataclass
 class PipelineReport:
@@ -106,10 +91,6 @@ class PipelineReport:
     depth: int
     #: Transfer seconds the DMA engine was busy (both directions).
     dma_busy_seconds: float = 0.0
-
-    @property
-    def saved_seconds(self) -> float:
-        return self.serial_seconds - self.pipelined_seconds
 
     @property
     def speedup(self) -> float:

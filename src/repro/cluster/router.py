@@ -16,21 +16,38 @@ accesses touch:
 Routing uses the same static metadata as bulk generation (the access
 function / partition function of the transaction type), so a
 transaction's home is known before execution -- no speculative
-re-routing is ever needed.
+re-routing is ever needed. The rule is :func:`routing_keys`, applied
+per arrival by :meth:`ShardRouter.shards_of` and per bulk by
+:meth:`ShardRouter.shard_map`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, FrozenSet, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.procedure import TransactionType
 from repro.errors import ClusterError, ConfigError
 
 #: One row of a range table: keys in ``[lo, hi)`` belong to ``shard``.
 RangeEntry = Tuple[int, int, int]
+
+
+def routing_keys(items: Sequence[int], partition: int) -> Sequence[int]:
+    """The routing rule: the keys that decide a transaction's shards.
+
+    The declared access set (conflict items) is authoritative when
+    present; otherwise the partition is consulted; with neither, the
+    transaction touches no shard-resident state (e.g. a static-map
+    lookup) and may run anywhere.
+    """
+    if items:
+        return items
+    return () if partition == NO_PARTITION else (partition,)
 
 
 class ShardRouter:
@@ -65,20 +82,30 @@ class ShardRouter:
     def shards_of(
         self, txn_type: TransactionType, params: Tuple[Any, ...]
     ) -> FrozenSet[int]:
-        """Shards a transaction touches, from its static metadata.
-
-        The declared access set (conflict items) is authoritative when
-        present; otherwise the partition function is consulted. An
-        empty result means the transaction touches no shard-resident
-        state (e.g. a static-map lookup) and may run anywhere.
-        """
-        accesses = txn_type.accesses(params)
-        if accesses:
-            return frozenset(self.shard_of_key(a.item) for a in accesses)
+        """Shards one transaction touches (see :func:`routing_keys`);
+        the scalar form, for one arrival at a time."""
         partition = txn_type.partition_of(params)
-        if partition is not None:
-            return frozenset((self.shard_of_key(partition),))
-        return frozenset()
+        keys = routing_keys(
+            [a.item for a in txn_type.accesses(params)],
+            NO_PARTITION if partition is None else partition,
+        )
+        return frozenset(self.shard_of_key(key) for key in keys)
+
+    def shard_map(self, ops: OpArray) -> Dict[int, FrozenSet[int]]:
+        """``txn id -> shards`` of a whole bulk, read off its operation
+        array and routed by one :meth:`shard_of_keys` call."""
+        keys = [
+            routing_keys(items, partition)
+            for items, partition in zip(
+                ops.per_txn(ops.item), ops.partition.tolist()
+            )
+        ]
+        flat = np.asarray([k for ks in keys for k in ks], dtype=np.int64)
+        shards = iter(self.shard_of_keys(flat).tolist())
+        return {
+            txn_id: frozenset(islice(shards, len(ks)))
+            for txn_id, ks in zip(ops.txn_ids.tolist(), keys)
+        }
 
     def is_cross_shard(
         self, txn_type: TransactionType, params: Tuple[Any, ...]

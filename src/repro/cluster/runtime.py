@@ -72,6 +72,7 @@ from repro.cluster.router import ShardRouter, make_router
 from repro.config import ClusterOptions
 from repro.core.chooser import ChooserThresholds
 from repro.core.engine import GPUTx, validate_strategy_options
+from repro.core.oparray import OpArray
 from repro.core.procedure import TransactionType
 from repro.core.txn import ResultPool, Transaction, TransactionPool, TxnResult
 from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
@@ -334,33 +335,6 @@ class ClusterTx:
         return max(engine.initialize_device() for engine in self.shards)
 
     # ------------------------------------------------------------------
-    # Classification.
-    # ------------------------------------------------------------------
-    def shards_of(self, txn: Transaction) -> "frozenset[int]":
-        return self.router.shards_of(
-            self.registry.get(txn.type_name), txn.params
-        )
-
-    def home_shard(self, txn: Transaction) -> int:
-        """Owning shard of a single-shard transaction.
-
-        Transactions that touch no shard-resident state (empty access
-        set and no partition) spread round-robin by timestamp.
-        """
-        return self._home_shard(txn, self.shards_of(txn))
-
-    def _home_shard(
-        self, txn: Transaction, shards: "frozenset[int]"
-    ) -> int:
-        if len(shards) > 1:
-            raise ClusterError(
-                f"transaction {txn.txn_id} is cross-shard: {sorted(shards)}"
-            )
-        if shards:
-            return next(iter(shards))
-        return txn.txn_id % self.n_shards
-
-    # ------------------------------------------------------------------
     # Bulk execution.
     # ------------------------------------------------------------------
     def run_bulk(
@@ -534,10 +508,17 @@ class ClusterTx:
         options: Dict[str, Any],
         out: ClusterExecutionResult,
     ) -> None:
-        # Route every transaction once; classification and home-shard
-        # grouping both read from this map.
-        shard_map = {t.txn_id: self.shards_of(t) for t in transactions}
-        waves = self._segment(transactions, shard_map)
+        # Resolve the bulk's declared footprint and route it, once:
+        # classification, home-shard grouping, the shard engines (each
+        # handed its slice) and the coordinator all read these two.
+        ops = OpArray.of_bulk(self.registry, transactions)
+        shard_map = self.router.shard_map(ops)
+        segment = (
+            self._segment_runs
+            if self.cross_shard == "serial"
+            else self._segment_packed
+        )
+        waves = segment(transactions, shard_map)
         bulk_id = self._bulk_seq - 1
         for index, (kind, wave_txns) in enumerate(waves):
             if self.failover is not None:
@@ -567,7 +548,7 @@ class ClusterTx:
                     continue
             if kind == "parallel":
                 deferred = self._run_parallel_wave(
-                    wave_txns, shard_map, strategy, options, out,
+                    wave_txns, ops, shard_map, strategy, options, out,
                     bulk_id, index,
                 )
                 if deferred:
@@ -586,7 +567,7 @@ class ClusterTx:
                     break
             else:
                 self._run_coordinator_wave(
-                    wave_txns, shard_map, out, bulk_id, index
+                    wave_txns, ops, shard_map, out, bulk_id, index
                 )
 
     # ------------------------------------------------------------------
@@ -701,16 +682,6 @@ class ClusterTx:
         return report
 
     # ------------------------------------------------------------------
-    def _segment(
-        self,
-        transactions: Sequence[Transaction],
-        shard_map: Dict[int, "frozenset[int]"],
-    ) -> List[Tuple[str, List[Transaction]]]:
-        """Segment a timestamp-ordered bulk into waves (mode-specific)."""
-        if self.cross_shard == "serial":
-            return self._segment_runs(transactions, shard_map)
-        return self._segment_packed(transactions, shard_map)
-
     @staticmethod
     def _segment_runs(
         transactions: Sequence[Transaction],
@@ -780,6 +751,7 @@ class ClusterTx:
     def _run_parallel_wave(
         self,
         wave_txns: List[Transaction],
+        ops: OpArray,
         shard_map: Dict[int, "frozenset[int]"],
         strategy: str,
         options: Dict[str, Any],
@@ -791,7 +763,11 @@ class ClusterTx:
         transactions (the caller must then stop the bulk)."""
         by_shard: Dict[int, List[Transaction]] = {}
         for txn in wave_txns:
-            home = self._home_shard(txn, shard_map[txn.txn_id])
+            # A parallel wave holds single-shard transactions; those
+            # touching no shard-resident state (no access set, no
+            # partition) spread round-robin by timestamp.
+            shards = shard_map[txn.txn_id]
+            home = next(iter(shards)) if shards else txn.txn_id % self.n_shards
             by_shard.setdefault(home, []).append(txn)
         wave = WaveReport(
             kind="parallel",
@@ -826,7 +802,10 @@ class ClusterTx:
                 tracer.layer = "shard"
             try:
                 result = engine.execute_bulk(
-                    txns, strategy=strategy, **dict(options)
+                    txns,
+                    strategy=strategy,
+                    ops=ops.select([t.txn_id for t in txns]),
+                    **dict(options),
                 )
             finally:
                 if session is not None:
@@ -899,6 +878,7 @@ class ClusterTx:
     def _run_coordinator_wave(
         self,
         wave_txns: List[Transaction],
+        ops: OpArray,
         shard_map: Dict[int, "frozenset[int]"],
         out: ClusterExecutionResult,
         bulk_id: int,
@@ -917,9 +897,13 @@ class ClusterTx:
                 mode=self.cross_shard,
             )
         if parallel:
-            result = self.coordinator.execute_parallel(wave_txns)
+            result = self.coordinator.execute_parallel(
+                wave_txns,
+                ops.select([t.txn_id for t in wave_txns]),
+                shard_map,
+            )
         else:
-            result = self.coordinator.execute(wave_txns)
+            result = self.coordinator.execute(wave_txns, shard_map)
         out.results.extend(result.results)
         out.breakdown.add(PHASE_COORDINATOR, result.exec_seconds)
         # Group dispatch is interconnect traffic: it rides the sync

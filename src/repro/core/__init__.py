@@ -13,8 +13,8 @@ from repro.core.kset import (
     IncrementalKSetExtractor,
     RankResult,
     compute_ranks,
-    merge_accesses,
 )
+from repro.core.oparray import OpArray
 from repro.core.procedure import (
     Access,
     ProcedureRegistry,
@@ -37,7 +37,7 @@ __all__ = [
     "IncrementalKSetExtractor",
     "RankResult",
     "compute_ranks",
-    "merge_accesses",
+    "OpArray",
     "Access",
     "ProcedureRegistry",
     "TransactionType",

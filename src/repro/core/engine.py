@@ -28,6 +28,7 @@ import repro.telemetry as telemetry
 from repro.core.backends import EngineOptions, create_backend
 from repro.core.chooser import ChooserThresholds, choose_strategy
 from repro.core.executor import ExecutionResult, StrategyExecutor
+from repro.core.oparray import OpArray
 from repro.core.profiler import BulkProfile, BulkProfiler
 from repro.core.procedure import ProcedureRegistry, TransactionType
 from repro.core.strategies.adhoc import AdhocExecutor
@@ -226,6 +227,8 @@ class GPUTx:
         self,
         transactions: Sequence[Transaction],
         strategy: str = "auto",
+        *,
+        ops: Optional[OpArray] = None,
         **options: Any,
     ) -> ExecutionResult:
         """The reusable bulk pipeline: profile, choose, execute, record.
@@ -235,15 +238,20 @@ class GPUTx:
         boundary -- the cluster runtime's per-shard sub-bulks, the
         pipelined bulk scheduler -- share one code path. Deferred
         transactions (streaming K-SET) are requeued into this engine's
-        pool; results land in this engine's result pool.
+        pool; results land in this engine's result pool. The bulk's
+        operation array is built here, once, for the profiler and the
+        strategy to read -- unless the caller passes it as ``ops``
+        (the cluster hands each shard its slice).
         """
         validate_strategy_options(strategy, options)
         if not transactions:
             return ExecutionResult(strategy, [], breakdown=TimeBreakdown())
+        if ops is None:
+            ops = OpArray.of_bulk(self.registry, transactions)
         chosen = strategy
         profile_seconds = 0.0
         if strategy == "auto":
-            profile = self.profiler.profile(transactions)
+            profile = self.profiler.profile(transactions, ops)
             chosen = choose_strategy(profile, self.thresholds)
             profile_seconds = profile.gen_seconds
             options = _filter_options(chosen, options, self._warned_options)
@@ -253,7 +261,7 @@ class GPUTx:
         # the label below covers this bulk only.
         self.backend.bulk_path()
         wall_start = time.perf_counter()
-        result = executor.execute(transactions)
+        result = executor.execute(transactions, ops)
         result.wall_seconds = time.perf_counter() - wall_start
         result.backend = self.backend.bulk_path()
         if profile_seconds:
@@ -394,7 +402,9 @@ class GPUTx:
             batch = self.pool.take()
             if not batch:
                 continue
-            result = executor.execute(batch)
+            result = executor.execute(
+                batch, OpArray.of_bulk(self.registry, batch)
+            )
             self.results.record_many(result.results)
             clock += result.seconds
             bulk_sizes.append(len(batch))
@@ -430,15 +440,29 @@ _STRATEGY_OPTIONS: Dict[str, set] = {
 }
 
 
-def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
-    """Reject misdirected strategy options (tuning typos).
+#: Smallest accepted value per integer option (``max_rounds=0`` would
+#: execute nothing: a drain loop over the pool would spin forever).
+_OPTION_MINIMUM = {"partition_size": 1, "grouping_passes": 0, "max_rounds": 1}
 
-    Called before a bulk is consumed, so a typo costs an error, not
-    the workload. Under ``"auto"`` any option some strategy accepts is
-    legitimate (the inapplicable ones are dropped with a warning once
-    Algorithm 1 has chosen); under an explicit strategy the option set
-    is known up front and unknown names are rejected outright.
+
+def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
+    """Reject misdirected or out-of-range strategy options.
+
+    Called before a bulk is consumed, so a typo or a bad value costs
+    an error, not the workload. Under ``"auto"`` any option some
+    strategy accepts is legitimate (the inapplicable ones are dropped
+    with a warning once Algorithm 1 has chosen); under an explicit
+    strategy the option set is known up front and unknown names are
+    rejected outright.
     """
+    for name in _OPTION_MINIMUM.keys() & options.keys():
+        value, lowest = options[name], _OPTION_MINIMUM[name]
+        if value is None and name == "max_rounds":
+            continue  # None = drain the bulk completely
+        if not isinstance(value, int) or value < lowest:
+            raise ConfigError(
+                f"{name} must be an int >= {lowest}, got {value!r}"
+            )
     if strategy == "auto":
         known_anywhere = set().union(*_STRATEGY_OPTIONS.values())
         unknown = sorted(set(options) - known_anywhere)

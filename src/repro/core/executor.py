@@ -17,14 +17,18 @@ The base class also centralises what happens *after* a kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
+from repro.core.tx_logging import rollback
 from repro.core.txn import Transaction, TxnResult
+from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
-from repro.gpu.simt import KernelReport, SIMTEngine, ThreadOutcome, ThreadTask
-from repro.gpu.spec import GPUSpec
+from repro.gpu.simt import KernelReport, SIMTEngine, ThreadTask
 from repro.gpu.transfer import PCIeModel
 from repro.storage.catalog import StoreAdapter
 
@@ -119,7 +123,10 @@ class StrategyExecutor:
     # ------------------------------------------------------------------
     # To be provided by strategies.
     # ------------------------------------------------------------------
-    def execute(self, transactions: Sequence[Transaction]) -> ExecutionResult:
+    def execute(
+        self, transactions: Sequence[Transaction], ops: OpArray
+    ) -> ExecutionResult:
+        """Execute one bulk; ``ops`` is its operation array."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -137,6 +144,34 @@ class StrategyExecutor:
             capture_undo=self._needs_undo(txn),
         )
 
+    def locked_task(
+        self,
+        txn: Transaction,
+        plan: Sequence[Tuple[int, Optional[int], bool]],
+    ) -> ThreadTask:
+        """Wrap the stored procedure with the two locking phases.
+
+        ``plan`` is the thread's ``(lock, key, shared)`` list in
+        ascending item order (globally sorted, so the lock graph stays
+        acyclic); ``key=None`` takes the basic 0/1 spin lock.
+        """
+        inner = self.registry.build_stream(txn.type_name, txn.params)
+
+        def stream():
+            for lock_id, key, shared in plan:
+                yield op_ir.LockAcquire(lock_id, key=key, shared=shared)
+            result = yield from inner
+            for lock_id, _key, _shared in plan:
+                yield op_ir.LockRelease(lock_id)
+            return result
+
+        return ThreadTask(
+            txn_id=txn.txn_id,
+            type_id=self.registry.type_id(txn.type_name),
+            body=stream(),
+            capture_undo=self._needs_undo(txn),
+        )
+
     def input_transfer_seconds(self, transactions: Sequence[Transaction]) -> float:
         """Copy the bulk's signatures host -> device."""
         nbytes = sum(map(Transaction.signature_bytes, transactions))
@@ -147,23 +182,26 @@ class StrategyExecutor:
         nbytes = sum(map(TxnResult.result_bytes, results))
         return self.pcie.to_host(nbytes, component="output")
 
-    def rollback_outcome(self, outcome: ThreadOutcome) -> None:
-        """Undo one aborted transaction's effects (reverse log order)."""
-        for entry in reversed(outcome.undo):
-            table, column, row, old = entry
-            if table == "__insert__":
-                self.adapter.cancel_insert(column, row)
-            elif table == "__delete__":
-                self.adapter.cancel_delete(column, row)
-            else:
-                self.adapter.write(table, column, row, old)
+    def group_by_type(
+        self, transactions: List[Transaction], passes: int
+    ) -> Tuple[List[Transaction], float]:
+        """Radix-group a wave by transaction type to cut branch
+        divergence (Appendix D); returns the new order and its cost."""
+        type_ids = np.asarray(
+            [self.registry.type_id(t.type_name) for t in transactions],
+            dtype=np.int64,
+        )
+        n_types = max(1, len(self.registry))
+        key_bits = max(1, (n_types - 1).bit_length())
+        order, cost = self.primitives.radix_partition(
+            type_ids, passes, key_bits=key_bits
+        )
+        return [transactions[i] for i in order], cost
 
     def finalize_kernel(
         self,
         transactions: Sequence[Transaction],
         report: KernelReport,
-        *,
-        rollback_aborted: bool = True,
     ) -> List[TxnResult]:
         """Roll back aborts, apply the insert/delete batch, build results."""
         by_id: Dict[int, Transaction] = {t.txn_id: t for t in transactions}
@@ -171,8 +209,8 @@ class StrategyExecutor:
         append = results.append
         for outcome in report.outcomes:
             txn = by_id[outcome.txn_id]
-            if not outcome.committed and rollback_aborted and outcome.undo:
-                self.rollback_outcome(outcome)
+            if not outcome.committed and outcome.undo:
+                rollback(self.adapter, outcome.undo)
             append(
                 TxnResult(
                     outcome.txn_id,

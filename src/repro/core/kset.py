@@ -14,9 +14,9 @@ primitives over the basic operations, represented as (v, id) tuples:
    a transaction is its depth, and the 0-set is the set of
    transactions with depth 0.
 
-Entries here are *merged* per (item, transaction) with write dominating,
-matching the paper's worked example (Figure 1(b), where T1's ``Ra Wa``
-is one write entry in group ``a``).
+The input is the bulk's :class:`~repro.core.oparray.OpArray`: the
+merged entries arrive already sorted by (item, txn), so step 1 only
+charges the sort; the array is never sorted twice.
 
 The same rank values drive TPL's counter-lock keys (Section 5.1), and
 the per-(item, rank) reader-run sizes initialise the lock table's
@@ -38,42 +38,13 @@ Figures 5 and 17.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.procedure import Access
+from repro.core.oparray import OpArray
 from repro.errors import ExecutionError
 from repro.gpu.primitives import PrimitiveLibrary
-
-
-def merge_accesses(
-    transactions: Iterable[Tuple[int, Sequence[Access]]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten to merged (item, txn, write) arrays, write dominating."""
-    items: List[int] = []
-    txns: List[int] = []
-    writes: List[bool] = []
-    for txn_id, accesses in transactions:
-        if len(accesses) == 1:
-            # OLTP fast path: one basic operation needs no merge dict.
-            acc = accesses[0]
-            items.append(acc.item)
-            txns.append(txn_id)
-            writes.append(acc.write)
-            continue
-        merged: Dict[int, bool] = {}
-        for acc in accesses:
-            merged[acc.item] = merged.get(acc.item, False) or acc.write
-        for item, wrote in merged.items():
-            items.append(item)
-            txns.append(txn_id)
-            writes.append(wrote)
-    return (
-        np.asarray(items, dtype=np.int64),
-        np.asarray(txns, dtype=np.int64),
-        np.asarray(writes, dtype=bool),
-    )
 
 
 @dataclass
@@ -84,13 +55,18 @@ class RankResult:
     txn_ids: np.ndarray
     #: Max rank (pipeline depth) per transaction, aligned to txn_ids.
     depths: np.ndarray
-    #: Per merged entry, sorted by (item, txn): the detail TPL needs.
-    entry_item: np.ndarray
-    entry_txn: np.ndarray
-    entry_write: np.ndarray
+    #: Per entry of the operation array the ranks were computed over:
+    #: its item group's dense id (TPL's lock id) and its rank in that
+    #: group (TPL's counter key, Section 5.1).
+    entry_group: np.ndarray
     entry_rank: np.ndarray
     #: Simulated GPU time of the pipeline (bulk-generation cost).
     gen_seconds: float
+
+    @property
+    def n_groups(self) -> int:
+        """Distinct items touched (the size of TPL's lock table)."""
+        return int(self.entry_group[-1]) + 1 if len(self.entry_group) else 0
 
     def zero_set(self) -> List[int]:
         return [int(t) for t in self.txn_ids[self.depths == 0]]
@@ -104,52 +80,53 @@ class RankResult:
     def max_depth(self) -> int:
         return int(self.depths.max()) if len(self.depths) else 0
 
-    def lock_keys(self) -> Dict[Tuple[int, int], Tuple[int, bool]]:
-        """(item, txn) -> (counter key, shared?) for TPL (Section 5.1)."""
-        out: Dict[Tuple[int, int], Tuple[int, bool]] = {}
-        for item, txn, write, rank in zip(
-            self.entry_item, self.entry_txn, self.entry_write, self.entry_rank
-        ):
-            out[(int(item), int(txn))] = (int(rank), not bool(write))
-        return out
+    def lock_plans(
+        self, ops: OpArray, txn_ids: Sequence[int]
+    ) -> List[List[Tuple[int, int, bool]]]:
+        """Per-thread ``(lock, key, shared)`` plans for TPL, aligned
+        with ``txn_ids``, each in ascending item order. ``ops`` is the
+        array these ranks were computed over (the result does not keep
+        it: the array memoises the result, and a cycle would leave
+        every bulk's columns to the cycle collector)."""
+        locks = ops.per_txn(self.entry_group)
+        keys = ops.per_txn(self.entry_rank)
+        shared = ops.per_txn(~ops.write)
+        return [
+            list(zip(locks[i], keys[i], shared[i]))
+            for i in np.searchsorted(ops.txn_ids, txn_ids).tolist()
+        ]
 
-    def reader_run_sizes(self) -> Dict[Tuple[int, int], int]:
-        """(item, rank) -> number of readers sharing that rank level."""
-        out: Dict[Tuple[int, int], int] = {}
-        for item, write, rank in zip(
-            self.entry_item, self.entry_write, self.entry_rank
-        ):
-            if not write:
-                key = (int(item), int(rank))
-                out[key] = out.get(key, 0) + 1
-        return out
+    def reader_runs(self, ops: OpArray) -> List[Tuple[int, int, int]]:
+        """``(lock, key, size)`` of every shared-reader run: the
+        readers of one item that share a rank."""
+        reads = ~ops.write
+        width = int(self.entry_rank.max(initial=0)) + 1
+        runs, sizes = np.unique(
+            self.entry_group[reads] * width + self.entry_rank[reads],
+            return_counts=True,
+        )
+        return list(
+            zip((runs // width).tolist(), (runs % width).tolist(), sizes.tolist())
+        )
 
 
 def compute_ranks(
-    transactions: Sequence[Tuple[int, Sequence[Access]]],
-    lib: PrimitiveLibrary | None = None,
+    ops: OpArray, lib: PrimitiveLibrary | None = None
 ) -> RankResult:
     """Run the five-step pipeline; see module docstring."""
+    if ops.ranks is not None:
+        return ops.ranks
     lib = lib or PrimitiveLibrary()
-    item, txn, write = merge_accesses(transactions)
-    n = len(item)
+    item_s, txn_s, write_s = ops.item, ops.txn, ops.write
+    n = len(item_s)
     gen_seconds = 0.0
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return RankResult(
-            txn_ids=empty,
-            depths=empty.copy(),
-            entry_item=empty.copy(),
-            entry_txn=empty.copy(),
-            entry_write=np.zeros(0, dtype=bool),
-            entry_rank=empty.copy(),
-            gen_seconds=0.0,
-        )
+        ops.ranks = RankResult(empty, empty, empty, empty, 0.0)
+        return ops.ranks
 
-    # Step 1: sort by (item, txn).
-    order, cost = lib.sort_by_composite(item, txn)
-    gen_seconds += cost
-    item_s, txn_s, write_s = item[order], txn[order], write[order]
+    # Step 1: sort by (item, txn) -- the order the array is built in.
+    gen_seconds += lib.sort_cost(n, key_bits=64)
 
     # Step 2: group boundaries (map primitive).
     starts, cost = lib.group_boundaries(item_s)
@@ -181,55 +158,42 @@ def compute_ranks(
     txn_ids = txn_2[t_starts]
     depths = rank_2[ends]
 
-    return RankResult(
+    ops.ranks = RankResult(
         txn_ids=txn_ids,
         depths=depths,
-        entry_item=item_s,
-        entry_txn=txn_s,
-        entry_write=write_s,
+        entry_group=group_of,
         entry_rank=rank,
         gen_seconds=gen_seconds,
     )
+    return ops.ranks
 
 
 class IncrementalKSetExtractor:
     """Incremental 0-set extraction (Section 5.3).
 
-    "When new transactions are added to the pool, their basic
-    operations are merged into the sorted array. Next, we can select
-    the bulk for the transactions with the key value of zero" -- i.e.
-    repeatedly peel the current 0-set without recomputing all k-sets.
+    "We can select the bulk for the transactions with the key value of
+    zero" -- i.e. repeatedly peel the current 0-set without recomputing
+    all k-sets.
 
     A transaction is in the current 0-set iff, in every item group it
     touches, its entry either comes first or is a read preceded only by
     reads.
 
-    Internally the merged entries live as columnar ``(item, txn,
-    write)`` arrays sorted by ``(item, txn)`` -- literally the paper's
-    "sorted array" -- so each round's scan is whole-array numpy work
-    instead of per-entry Python; peeled transactions are removed with
-    one boolean mask, which preserves the sort. ``add`` only appends;
-    the sort is (re)established lazily at the next scan.
+    The extractor is seeded with the bulk's operation array -- literally
+    the paper's "sorted array" -- so each round's scan is whole-array
+    numpy work instead of per-entry Python; peeled transactions are
+    removed with one boolean mask, which preserves the sort.
     """
 
-    def __init__(self, lib: PrimitiveLibrary | None = None) -> None:
+    def __init__(
+        self, ops: OpArray, lib: PrimitiveLibrary | None = None
+    ) -> None:
         self._lib = lib or PrimitiveLibrary()
-        #: Merged entries, sorted by (item, txn) once ``_merged`` ran.
-        self._items = np.zeros(0, dtype=np.int64)
-        self._txns = np.zeros(0, dtype=np.int64)
-        self._writes = np.zeros(0, dtype=bool)
-        #: Entries appended since the last merge (unsorted).
-        self._new_items: List[int] = []
-        self._new_txns: List[int] = []
-        self._new_writes: List[bool] = []
-        #: Item -> dense id (items need only be hashable; dense ids
-        #: keep the sorted array numeric).
-        self._item_ids: Dict[Any, int] = {}
-        self._txn_ids: set = set()
-        self._last_ts: int = -1
-        #: Raw (pre-merge) basic-operation count, for callers charging
-        #: map passes over the unmerged ops.
-        self.raw_ops = 0
+        #: Entries of the transactions still pending, (item, txn)-sorted.
+        self._items = ops.item
+        self._txns = ops.txn
+        self._writes = ops.write
+        self._txn_ids = set(ops.txn_ids.tolist())
         self.gen_seconds = 0.0
 
     def __len__(self) -> int:
@@ -239,62 +203,8 @@ class IncrementalKSetExtractor:
     def pending(self) -> List[int]:
         return sorted(self._txn_ids)
 
-    def add(self, txn_id: int, accesses: Sequence[Access]) -> None:
-        """Merge one transaction's ops into the sorted groups."""
-        if txn_id <= self._last_ts:
-            raise ExecutionError(
-                f"transactions must be added in timestamp order "
-                f"({txn_id} after {self._last_ts})"
-            )
-        self._last_ts = txn_id
-        self._txn_ids.add(txn_id)
-        self.raw_ops += len(accesses)
-        item_ids = self._item_ids
-        if len(accesses) == 1:
-            acc = accesses[0]
-            dense = item_ids.setdefault(acc.item, len(item_ids))
-            self._new_items.append(dense)
-            self._new_txns.append(txn_id)
-            self._new_writes.append(acc.write)
-        else:
-            merged: Dict[Any, bool] = {}
-            for acc in accesses:
-                merged[acc.item] = merged.get(acc.item, False) or acc.write
-            for item, wrote in merged.items():
-                self._new_items.append(item_ids.setdefault(item, len(item_ids)))
-                self._new_txns.append(txn_id)
-                self._new_writes.append(wrote)
-        # The merge of a whole batch into the sorted array is one GPU
-        # pass charged by the caller (KsetExecutor) -- charging per
-        # transaction would bill one kernel launch per add.
-
-    def _merged(self) -> None:
-        if not self._new_items:
-            return
-        items = np.concatenate(
-            [self._items, np.asarray(self._new_items, dtype=np.int64)]
-        )
-        txns = np.concatenate(
-            [self._txns, np.asarray(self._new_txns, dtype=np.int64)]
-        )
-        writes = np.concatenate(
-            [self._writes, np.asarray(self._new_writes, dtype=bool)]
-        )
-        order = np.lexsort((txns, items))
-        self._items, self._txns, self._writes = (
-            items[order], txns[order], writes[order]
-        )
-        self._new_items, self._new_txns, self._new_writes = [], [], []
-
-    @property
-    def merged_entry_count(self) -> int:
-        """Number of merged (item, txn) entries in the sorted array."""
-        self._merged()
-        return len(self._items)
-
     def zero_set(self) -> List[int]:
         """Transactions with no preceding conflicting transaction."""
-        self._merged()
         n = len(self._items)
         blocked: set = set()
         if n:

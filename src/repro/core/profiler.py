@@ -11,10 +11,10 @@ bulk's T-dependency structure:
   more than one predecessor / transactions PART cannot place).
 
 ``d`` and ``w0`` come from the sort-based rank pipeline (Section 4.2)
-so profiling costs one pipeline run, charged in ``gen_seconds``. By
-default ``d`` is the pipeline's max rank -- a fast lower bound of the
-exact depth (see the documented deviation in docs/ARCHITECTURE.md); pass
-``exact_depth=True`` to compute the true longest path from the graph.
+so profiling costs one pipeline run, charged in ``gen_seconds``; ``c``
+is counted off the operation array's partition column. ``d`` is the
+pipeline's max rank -- a fast lower bound of the exact depth
+``TDependencyGraph.depth()`` (see docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.kset import compute_ranks
+from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.procedure import ProcedureRegistry
-from repro.core.tdg import TDependencyGraph
 from repro.core.txn import Transaction
 from repro.gpu.primitives import PrimitiveLibrary
 
@@ -71,28 +71,18 @@ class BulkProfiler:
     def profile(
         self,
         transactions: Sequence[Transaction],
-        exact_depth: bool = False,
+        ops: Optional[OpArray] = None,
     ) -> BulkProfile:
+        """``ops`` is the bulk's operation array, if already built."""
         if not transactions:
             return BulkProfile(0, 0, 0, 0, 0.0)
-        access_lists = [
-            (t.txn_id, self.registry.get(t.type_name).accesses(t.params))
-            for t in transactions
-        ]
-        ranks = compute_ranks(access_lists, self.primitives)
-        if exact_depth:
-            depth = TDependencyGraph.build(access_lists).depth()
-        else:
-            depth = ranks.max_depth()
-        cross = 0
-        for txn in transactions:
-            txn_type = self.registry.get(txn.type_name)
-            if txn_type.partition_of(txn.params) is None:
-                cross += 1
+        if ops is None:
+            ops = OpArray.of_bulk(self.registry, transactions)
+        ranks = compute_ranks(ops, self.primitives)
         return BulkProfile(
             size=len(transactions),
-            w0=len(ranks.zero_set()),
-            depth=depth,
-            cross_partition=cross,
+            w0=int((ranks.depths == 0).sum()),
+            depth=ranks.max_depth(),
+            cross_partition=int((ops.partition == NO_PARTITION).sum()),
             gen_seconds=ranks.gen_seconds,
         )

@@ -21,6 +21,7 @@ from repro.core.executor import (
     ExecutionResult,
     StrategyExecutor,
 )
+from repro.core.oparray import OpArray
 from repro.core.txn import Transaction
 from repro.gpu.costmodel import TimeBreakdown
 
@@ -34,23 +35,25 @@ class AdhocExecutor(StrategyExecutor):
         super().__init__(*args, **kwargs)
         self.per_task_launch_overhead = per_task_launch_overhead
 
-    def execute(self, transactions: Sequence[Transaction]) -> ExecutionResult:
+    def execute(
+        self, transactions: Sequence[Transaction], ops: OpArray
+    ) -> ExecutionResult:
+        # Serial execution reads no conflict information from ``ops``;
+        # a bulk is in timestamp order already.
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, [], breakdown)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
-        ordered = sorted(transactions, key=lambda t: t.txn_id)
-        tasks = [self.build_task(t) for t in ordered]
+        tasks = [self.build_task(t) for t in transactions]
         report = self.engine.launch_serial(
             tasks,
             self.adapter,
             per_task_launch_overhead=self.per_task_launch_overhead,
         )
         breakdown.add(PHASE_EXECUTION, report.seconds)
-        results = self.finalize_kernel(ordered, report)
-        results.sort(key=lambda r: r.txn_id)
+        results = self.finalize_kernel(transactions, report)
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name, results, breakdown, kernel_reports=[report]

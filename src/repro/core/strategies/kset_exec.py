@@ -7,10 +7,10 @@ no concurrency control at all (Property 1: members of a k-set are
 pairwise conflict-free). After removing an executed 0-set, the old
 1-set becomes the new 0-set, and so on.
 
-Bulk generation uses the incremental extractor of Section 5.3: new
-transactions' basic operations are merged into the sorted item groups
-(one sort when the bulk arrives, charged here), and each round's 0-set
-is found by a scan, not by recomputing all k-sets.
+Bulk generation uses the incremental extractor of Section 5.3, seeded
+with the bulk's sorted operation array (merging it into the item groups
+is one sort, charged here), and each round's 0-set is found by a scan,
+not by recomputing all k-sets.
 
 Because a round's transactions are mutually conflict-free, an abort can
 only affect the aborting transaction itself (Appendix D): rollback is
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.core.executor import (
     PHASE_EXECUTION,
     PHASE_GENERATION,
@@ -34,6 +32,7 @@ from repro.core.executor import (
     StrategyExecutor,
 )
 from repro.core.kset import IncrementalKSetExtractor
+from repro.core.oparray import OpArray
 from repro.core.txn import Transaction, TxnResult
 from repro.gpu.costmodel import TimeBreakdown
 
@@ -57,7 +56,9 @@ class KsetExecutor(StrategyExecutor):
         #: drain the bulk completely.
         self.max_rounds = max_rounds
 
-    def execute(self, transactions: Sequence[Transaction]) -> ExecutionResult:
+    def execute(
+        self, transactions: Sequence[Transaction], ops: OpArray
+    ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, [], breakdown)
@@ -67,27 +68,18 @@ class KsetExecutor(StrategyExecutor):
 
         # ---- bulk generation: merge ops into sorted groups -------------
         by_id: Dict[int, Transaction] = {t.txn_id: t for t in transactions}
-        extractor = IncrementalKSetExtractor(self.primitives)
+        extractor = IncrementalKSetExtractor(ops, self.primitives)
         gen_before = extractor.gen_seconds
-        registry_get = self.registry.get
-        for txn in transactions:
-            extractor.add(
-                txn.txn_id, registry_get(txn.type_name).accesses(txn.params)
-            )
         if self.timestamp_constrained:
-            # The sort merges the bulk's (merged) entries into the
-            # sorted item groups -- the same count merge_accesses
-            # would produce, read off the extractor's sorted array.
+            # The sort merges the bulk's entries into the item groups.
             breakdown.add(
                 PHASE_GENERATION,
-                self.primitives.sort_cost(
-                    max(1, extractor.merged_entry_count)
-                ),
+                self.primitives.sort_cost(max(1, len(ops.item))),
             )
         else:
             breakdown.add(
                 PHASE_GENERATION,
-                self.primitives.map_cost(max(1, extractor.raw_ops))
+                self.primitives.map_cost(max(1, int(ops.op_counts.sum())))
                 + self.primitives.scan_cost(max(1, len(transactions))),
             )
 
@@ -104,7 +96,9 @@ class KsetExecutor(StrategyExecutor):
             gen_before = extractor.gen_seconds
             round_txns = [by_id[t] for t in zero]
             if self.grouping_passes > 0:
-                round_txns, group_cost = self._group_by_type(round_txns)
+                round_txns, group_cost = self.group_by_type(
+                    round_txns, self.grouping_passes
+                )
                 breakdown.add(PHASE_GENERATION, group_cost)
             # The wave executes through the configured backend: the
             # interpreter steps one generator per thread; the
@@ -124,16 +118,3 @@ class KsetExecutor(StrategyExecutor):
             self.name, all_results, breakdown, kernel_reports=reports,
             deferred=deferred,
         )
-
-    # ------------------------------------------------------------------
-    def _group_by_type(self, transactions: List[Transaction]):
-        type_ids = np.asarray(
-            [self.registry.type_id(t.type_name) for t in transactions],
-            dtype=np.int64,
-        )
-        n_types = max(1, len(self.registry))
-        key_bits = max(1, (n_types - 1).bit_length())
-        order, cost = self.primitives.radix_partition(
-            type_ids, self.grouping_passes, key_bits=key_bits
-        )
-        return [transactions[i] for i in order], cost

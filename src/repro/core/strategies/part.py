@@ -30,7 +30,7 @@ not run yet), so the wrapper rolls its writes back inline and moves on.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.core.executor import (
     ExecutionResult,
     StrategyExecutor,
 )
+from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import Transaction, TxnResult
 from repro.gpu import ops as op_ir
@@ -65,17 +66,15 @@ class PartExecutor(StrategyExecutor):
         self.partition_size = partition_size
 
     # ------------------------------------------------------------------
-    def execute(self, transactions: Sequence[Transaction]) -> ExecutionResult:
+    def execute(
+        self, transactions: Sequence[Transaction], ops: OpArray
+    ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, [], breakdown)
 
         # Cross-partition transactions force the TPL fallback.
-        partitions: List[Optional[int]] = []
-        for txn in transactions:
-            pid = self.registry.get(txn.type_name).partition_of(txn.params)
-            partitions.append(pid)
-        if any(pid is None for pid in partitions):
+        if (ops.partition == NO_PARTITION).any():
             fallback = TplExecutor(
                 self.registry,
                 self.adapter,
@@ -85,23 +84,16 @@ class PartExecutor(StrategyExecutor):
                 use_undo_logging=self.use_undo_logging,
                 backend=self.backend,
             )
-            result = fallback.execute(transactions)
-            return ExecutionResult(
-                f"{self.name}(tpl-fallback)",
-                result.results,
-                result.breakdown,
-                kernel_reports=result.kernel_reports,
-                cascaded_aborts=result.cascaded_aborts,
-            )
+            result = fallback.execute(transactions, ops)
+            result.strategy = f"{self.name}(tpl-fallback)"
+            return result
 
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
 
         # ---- bulk generation: map + sort by partition ------------------
-        coarse = np.asarray(
-            [pid // self.partition_size for pid in partitions], dtype=np.int64
-        )
+        coarse = ops.partition // self.partition_size
         breakdown.add(PHASE_GENERATION, self.primitives.map_cost(len(coarse)))
         if self.timestamp_constrained:
             order, sort_cost = self.primitives.sort_by_composite(

@@ -23,7 +23,9 @@ with cheap locks TPL comes out ahead -- the opposite of Figure 5.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.executor import (
     PHASE_EXECUTION,
@@ -33,13 +35,12 @@ from repro.core.executor import (
     ExecutionResult,
     StrategyExecutor,
 )
+from repro.core.oparray import OpArray
 from repro.core.strategies.kset_exec import KsetExecutor
 from repro.core.strategies.part import PartExecutor
 from repro.core.txn import Transaction
-from repro.gpu import ops as op_ir
 from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import TimeBreakdown
-from repro.gpu.simt import ThreadTask
 
 
 class RelaxedTplExecutor(StrategyExecutor):
@@ -47,7 +48,9 @@ class RelaxedTplExecutor(StrategyExecutor):
 
     name = "tpl-relaxed"
 
-    def execute(self, transactions: Sequence[Transaction]) -> ExecutionResult:
+    def execute(
+        self, transactions: Sequence[Transaction], ops: OpArray
+    ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, [], breakdown)
@@ -55,21 +58,17 @@ class RelaxedTplExecutor(StrategyExecutor):
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
 
-        # Bulk generation: nothing but assigning dense lock ids (a map).
-        item_sets: Dict[int, List[int]] = {}
-        for txn in transactions:
-            accesses = self.registry.get(txn.type_name).accesses(txn.params)
-            item_sets[txn.txn_id] = sorted({a.item for a in accesses})
-        all_items = sorted({i for items in item_sets.values() for i in items})
-        lock_of = {item: i for i, item in enumerate(all_items)}
+        # Bulk generation: nothing but assigning dense lock ids (a map)
+        # -- each entry's item group, regrouped per transaction.
+        all_items, lock_of_entry = np.unique(ops.item, return_inverse=True)
         breakdown.add(
             PHASE_GENERATION, self.primitives.map_cost(max(1, len(all_items)))
         )
 
         locks = LockTable(len(all_items))
         tasks = [
-            self._locked_task(txn, item_sets[txn.txn_id], lock_of)
-            for txn in transactions
+            self.locked_task(txn, [(lock, None, False) for lock in lock_ids])
+            for txn, lock_ids in zip(transactions, ops.per_txn(lock_of_entry))
         ]
         report = self.engine.launch(tasks, self.adapter, locks=locks)
         breakdown.add(PHASE_EXECUTION, report.seconds)
@@ -78,27 +77,6 @@ class RelaxedTplExecutor(StrategyExecutor):
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name, results, breakdown, kernel_reports=[report]
-        )
-
-    def _locked_task(
-        self, txn: Transaction, items: List[int], lock_of: Dict[int, int]
-    ) -> ThreadTask:
-        inner = self.registry.build_stream(txn.type_name, txn.params)
-        lock_ids = [lock_of[item] for item in items]  # sorted order
-
-        def stream():
-            for lock_id in lock_ids:
-                yield op_ir.LockAcquire(lock_id)  # basic 0/1 lock
-            result = yield from inner
-            for lock_id in lock_ids:
-                yield op_ir.LockRelease(lock_id)
-            return result
-
-        return ThreadTask(
-            txn_id=txn.txn_id,
-            type_id=self.registry.type_id(txn.type_name),
-            body=stream(),
-            capture_undo=self._needs_undo(txn),
         )
 
 

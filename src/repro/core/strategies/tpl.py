@@ -29,7 +29,7 @@ it. Two-phase transactions abort before writing and cascade nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 from repro.core.executor import (
     PHASE_EXECUTION,
@@ -40,13 +40,12 @@ from repro.core.executor import (
     StrategyExecutor,
 )
 from repro.core.kset import compute_ranks
-from repro.core.procedure import Access
+from repro.core.oparray import OpArray
 from repro.core.tdg import TDependencyGraph
+from repro.core.tx_logging import rollback
 from repro.core.txn import Transaction, TxnResult
-from repro.gpu import ops as op_ir
 from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import TimeBreakdown
-from repro.gpu.simt import ThreadTask
 
 
 class TplExecutor(StrategyExecutor):
@@ -58,7 +57,9 @@ class TplExecutor(StrategyExecutor):
         super().__init__(*args, **kwargs)
         self.grouping_passes = grouping_passes
 
-    def execute(self, transactions: Sequence[Transaction]) -> ExecutionResult:
+    def execute(
+        self, transactions: Sequence[Transaction], ops: OpArray
+    ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, [], breakdown)
@@ -67,38 +68,30 @@ class TplExecutor(StrategyExecutor):
         )
 
         # ---- bulk generation: ranks -> lock keys ----------------------
-        access_lists = [
-            (t.txn_id, self.registry.get(t.type_name).accesses(t.params))
-            for t in transactions
-        ]
-        ranks = compute_ranks(access_lists, self.primitives)
+        # Lock ids are the item groups' dense ids, counter keys the
+        # entries' ranks: both are columns of the rank result (reused
+        # as is when the profiler already ran the pipeline).
+        ranks = compute_ranks(ops, self.primitives)
         breakdown.add(PHASE_GENERATION, ranks.gen_seconds)
-
-        # Dense lock ids for the touched items.
-        items = sorted({int(i) for i in ranks.entry_item})
-        lock_of: Dict[int, int] = {item: i for i, item in enumerate(items)}
-        locks = LockTable(len(items))
-        for (item, rank), size in ranks.reader_run_sizes().items():
-            locks.set_run_size(lock_of[item], rank, size)
-        keys = ranks.lock_keys()
+        locks = LockTable(ranks.n_groups)
+        for lock_id, key, size in ranks.reader_runs(ops):
+            locks.set_run_size(lock_id, key, size)
 
         # Optional grouping by type to cut branch divergence (App. D).
         ordered = list(transactions)
         if self.grouping_passes > 0:
-            ordered, group_cost = self._group_by_type(ordered)
+            ordered, group_cost = self.group_by_type(
+                ordered, self.grouping_passes
+            )
             breakdown.add(PHASE_GENERATION, group_cost)
 
         # ---- kernel ----------------------------------------------------
-        access_map = {txn_id: accesses for txn_id, accesses in access_lists}
-        plans = [
-            self._lock_plan(txn, access_map[txn.txn_id], lock_of, keys)
-            for txn in ordered
-        ]
+        plans = ranks.lock_plans(ops, [txn.txn_id for txn in ordered])
         report = self.backend.launch_locked(self, ordered, plans, locks)
         breakdown.add(PHASE_EXECUTION, report.seconds)
 
         # ---- recovery (aborts + TPL cascade) ---------------------------
-        results, cascaded = self._recover(transactions, access_lists, report)
+        results, cascaded = self._recover(transactions, ops, report)
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name,
@@ -109,62 +102,7 @@ class TplExecutor(StrategyExecutor):
         )
 
     # ------------------------------------------------------------------
-    def _group_by_type(
-        self, transactions: List[Transaction]
-    ) -> Tuple[List[Transaction], float]:
-        import numpy as np
-
-        type_ids = np.asarray(
-            [self.registry.type_id(t.type_name) for t in transactions],
-            dtype=np.int64,
-        )
-        n_types = max(1, len(self.registry))
-        key_bits = max(1, (n_types - 1).bit_length())
-        order, cost = self.primitives.radix_partition(
-            type_ids, self.grouping_passes, key_bits=key_bits
-        )
-        return [transactions[i] for i in order], cost
-
-    @staticmethod
-    def _lock_plan(
-        txn: Transaction,
-        accesses: Sequence[Access],
-        lock_of: Dict[int, int],
-        keys: Dict[Tuple[int, int], Tuple[int, bool]],
-    ) -> List[Tuple[int, int, bool]]:
-        """The transaction's ``(lock, key, shared)`` plan, merged item
-        order -- the order both locking phases walk."""
-        merged: Dict[int, bool] = {}
-        for acc in accesses:
-            merged[acc.item] = merged.get(acc.item, False) or acc.write
-        plan = []
-        for item in sorted(merged):
-            key, shared = keys[(item, txn.txn_id)]
-            plan.append((lock_of[item], key, shared))
-        return plan
-
-    def locked_task(
-        self, txn: Transaction, plan: Sequence[Tuple[int, int, bool]]
-    ) -> ThreadTask:
-        """Wrap the stored procedure with the two locking phases."""
-        inner = self.registry.build_stream(txn.type_name, txn.params)
-
-        def stream():
-            for lock_id, key, shared in plan:
-                yield op_ir.LockAcquire(lock_id, key=key, shared=shared)
-            result = yield from inner
-            for lock_id, _key, _shared in plan:
-                yield op_ir.LockRelease(lock_id)
-            return result
-
-        return ThreadTask(
-            txn_id=txn.txn_id,
-            type_id=self.registry.type_id(txn.type_name),
-            body=stream(),
-            capture_undo=self._needs_undo(txn),
-        )
-
-    def _recover(self, transactions, access_lists, report):
+    def _recover(self, transactions, ops, report):
         """Roll back aborted transactions, cascading through the sub-DAG."""
         aborted_ids = {
             o.txn_id for o in report.outcomes if not o.committed
@@ -178,14 +116,14 @@ class TplExecutor(StrategyExecutor):
                 if not o.committed and o.undo
             }
             if dirty_roots:
-                graph = TDependencyGraph.build(access_lists)
+                graph = TDependencyGraph.build(ops)
                 for root in sorted(dirty_roots):
                     cascaded |= graph.sub_dag_from(root)
                 cascaded -= aborted_ids
         outcome_by_id = {o.txn_id: o for o in report.outcomes}
         # Roll back in reverse timestamp order so earlier states win.
         for txn_id in sorted(aborted_ids | cascaded, reverse=True):
-            self.rollback_outcome(outcome_by_id[txn_id])
+            rollback(self.adapter, outcome_by_id[txn_id].undo)
 
         results: List[TxnResult] = []
         for txn in transactions:

@@ -7,8 +7,9 @@ intermediate timestamp conflicts with both. Because timestamps strictly
 order the edges, the graph is acyclic -- which is what makes the
 counter-lock TPL of Section 5.1 deadlock-free.
 
-Construction follows the data-oriented algorithm of Appendix B: per
-data item we keep the timestamp-ordered list of transactions touching
+Construction follows the data-oriented algorithm of Appendix B over
+the bulk's :class:`~repro.core.oparray.OpArray`: per data item we keep
+the timestamp-ordered list of transactions touching
 it; adding a transaction only examines the tails of the lists of the
 items it touches:
 
@@ -29,14 +30,14 @@ depth-(k-1) predecessor), both asserted by the property-based tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.core.procedure import Access
+from repro.core.oparray import OpArray
 from repro.errors import ExecutionError
 
 
 class TDependencyGraph:
-    """Explicit T-dependency graph over (txn_id, access set) pairs."""
+    """Explicit T-dependency graph over a bulk's operation array."""
 
     def __init__(self) -> None:
         self.succ: Dict[int, Set[int]] = {}
@@ -45,23 +46,24 @@ class TDependencyGraph:
         self._item_lists: Dict[int, List[Tuple[int, bool]]] = {}
         self._last_ts: Optional[int] = None
         #: txn -> {item: wrote} merged access map (write dominates).
-        self._access: Dict[int, Dict[int, bool]] = {}
+        self._access: Dict[int, Mapping[int, bool]] = {}
 
     # ------------------------------------------------------------------
     # Construction (Appendix B).
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls, transactions: Iterable[Tuple[int, Sequence[Access]]]
-    ) -> "TDependencyGraph":
-        """Build from (txn_id, accesses) in increasing timestamp order."""
+    def build(cls, ops: OpArray) -> "TDependencyGraph":
+        """Build from a bulk's operation array, in timestamp order."""
         graph = cls()
-        for txn_id, accesses in transactions:
-            graph.add_transaction(txn_id, accesses)
+        for txn_id, items, writes in zip(
+            ops.txn_ids.tolist(), ops.per_txn(ops.item), ops.per_txn(ops.write)
+        ):
+            graph.add_transaction(txn_id, dict(zip(items, writes)))
         return graph
 
-    def add_transaction(self, txn_id: int, accesses: Sequence[Access]) -> None:
-        """Insert one transaction; must arrive in timestamp order."""
+    def add_transaction(self, txn_id: int, merged: Mapping[int, bool]) -> None:
+        """Insert one transaction's merged ``{item: wrote}`` access
+        map; must arrive in timestamp order."""
         if self._last_ts is not None and txn_id <= self._last_ts:
             raise ExecutionError(
                 f"transactions must be added in timestamp order "
@@ -71,9 +73,6 @@ class TDependencyGraph:
         self.succ.setdefault(txn_id, set())
         self.pred.setdefault(txn_id, set())
 
-        merged: Dict[int, bool] = {}
-        for acc in accesses:
-            merged[acc.item] = merged.get(acc.item, False) or acc.write
         self._access[txn_id] = merged
 
         for item, wrote in merged.items():

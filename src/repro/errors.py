@@ -58,18 +58,6 @@ class KernelTimeoutError(ExecutionError):
     """A simulated kernel exceeded the configured round budget."""
 
 
-class TransactionAborted(ReproError):
-    """Internal signal: a transaction requested an abort.
-
-    Not a user-facing error; executors catch it, roll back via the undo
-    log when necessary, and record the abort in the result pool.
-    """
-
-    def __init__(self, reason: str = "") -> None:
-        super().__init__(reason or "transaction aborted")
-        self.reason = reason
-
-
 class RecoveryError(ReproError):
     """Log-based recovery could not roll back an aborted transaction."""
 

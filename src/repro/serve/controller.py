@@ -145,7 +145,6 @@ class AdaptiveBulkFormer(BulkFormer):
         #: cheap probes that seed the service model.
         self._aimd = float(self.slo.min_bulk)
         self._target = self.slo.min_bulk
-        self._last_strategy: Optional[str] = None
         #: (size, target, strategy) per executed bulk, for reports.
         self.trajectory: List["tuple[int, int, str]"] = []
         self._draining = False
@@ -167,7 +166,6 @@ class AdaptiveBulkFormer(BulkFormer):
     ) -> None:
         slo = self.slo
         self.feedback.observe(strategy, size, service_s)
-        self._last_strategy = strategy
         self.trajectory.append((size, self._target, strategy))
         # AIMD on the observed end-to-end p95 -- but a breach has two
         # causes with opposite cures. If the bulk's own service time
@@ -193,16 +191,6 @@ class AdaptiveBulkFormer(BulkFormer):
         # Model proposal: largest bulk whose predicted service time
         # fits the service share of the latency budget.
         self._target = self._combine(strategy)
-
-    def retarget(self, strategy: str) -> int:
-        """Re-aim the target at ``strategy``'s service curve.
-
-        The serve loop calls this when composition probing predicts
-        the chooser will pick a different strategy for the queue head
-        than the one the last bulk ran with.
-        """
-        self._target = self._combine(strategy)
-        return self._target
 
     def _combine(self, strategy: str) -> int:
         """Model proposal capped by the AIMD ceiling, clamped to SLO

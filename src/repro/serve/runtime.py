@@ -121,33 +121,17 @@ class ServeRuntime:
         former: Optional[BulkFormer] = None,
         admission: Optional[AdmissionController] = None,
         strategy: str = "auto",
-        probe_composition: bool = False,
         **options: Any,
     ) -> None:
         """``engine`` is any bulk backend exposing ``pool``,
         ``registry`` and ``execute_bulk`` -- a ``GPUTx`` or a
-        ``ClusterTx``. ``probe_composition`` makes the adaptive former
-        profile the queue head before each cut and size against the
-        strategy Algorithm 1 predicts for it (slower, but reacts to
-        composition shifts before the bulk executes rather than
-        after)."""
+        ``ClusterTx``."""
         validate_strategy_options(strategy, options)
         self.engine = engine
         self.former = former or AdaptiveBulkFormer()
         self.admission = admission or AdmissionController()
         self.strategy = strategy
         self.options = options
-        self.probe_composition = probe_composition
-        self._profiler = getattr(engine, "profiler", None)
-        if self._profiler is None:
-            shards = getattr(engine, "shards", None)
-            if shards:
-                self._profiler = shards[0].profiler
-        self.thresholds = getattr(engine, "thresholds", None)
-        if self.thresholds is None:
-            shards = getattr(engine, "shards", None)
-            if shards:
-                self.thresholds = shards[0].thresholds
         # Telemetry bookkeeping: the serve lane's layout cursor (so
         # forming spans never overlap the previous bulk), the origin
         # this runtime's stream clock is anchored at (several serve
@@ -167,16 +151,6 @@ class ServeRuntime:
             stream.pop_until(clock), self.engine.pool
         )
 
-    def _probe_strategy(self, target: int) -> Optional[str]:
-        """Predict the chooser's pick for the current queue head."""
-        if not self.probe_composition or self._profiler is None:
-            return None
-        head = self.engine.pool.peek(target)
-        if not head:
-            return None
-        profile = self._profiler.profile(head)
-        return profile.predicted_strategy(self.thresholds)
-
     def run(self, arrivals: Iterable[ArrivalLike]) -> ServeReport:
         """Serve the stream to completion and drain the queue."""
         stream = ArrivalStream(arrivals)
@@ -195,11 +169,6 @@ class ServeRuntime:
                 clock = max(clock, stream.peek_time())
                 continue
             target = self.former.target_size()
-            if self.probe_composition:
-                probed = self._probe_strategy(target)
-                retarget = getattr(self.former, "retarget", None)
-                if probed is not None and retarget is not None:
-                    target = retarget(probed)
             deadline = pool.peek(1)[0].submit_time + self.former.max_form_wait_s
             if (
                 len(pool) < target

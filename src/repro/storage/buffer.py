@@ -42,12 +42,6 @@ class MutationJournal:
         self._deleted.setdefault(table, set()).add(row)
         self.total_deletes += 1
 
-    def was_inserted(self, table: str, row: int) -> bool:
-        return row in self._inserted.get(table, ())
-
-    def was_deleted(self, table: str, row: int) -> bool:
-        return row in self._deleted.get(table, ())
-
     def forget_insert(self, table: str, row: int) -> None:
         self._inserted.get(table, set()).discard(row)
 

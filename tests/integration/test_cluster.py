@@ -473,6 +473,26 @@ class TestClusterSurface:
                                  max_rounds=2)
         assert cluster.run_bulk(strategy="kset").committed == 1
 
+    @pytest.mark.parametrize(
+        "strategy, option",
+        [
+            ("part", {"partition_size": 0}),
+            ("tpl", {"grouping_passes": -1}),
+            ("kset", {"max_rounds": 0}),
+        ],
+    )
+    def test_out_of_range_option_value_preserves_pool(self, strategy, option):
+        from repro import ConfigError
+
+        cluster = ClusterTx(
+            build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
+        )
+        cluster.submit("deposit", (1, 5))
+        with pytest.raises(ConfigError, match=next(iter(option))):
+            cluster.run_bulk(strategy=strategy, **option)
+        assert len(cluster.pool) == 1
+        assert cluster.run_bulk(strategy=strategy).committed == 1
+
     def test_unknown_strategy_rejected_cluster_level(self):
         from repro import ConfigError
 

@@ -239,6 +239,24 @@ class TestAutoStrategyOptions:
         result = engine.run_bulk(strategy="part", partition_size=64)
         assert len(result.results) == 8
 
+    @pytest.mark.parametrize(
+        "strategy, option",
+        [
+            ("part", {"partition_size": 0}),
+            ("tpl", {"grouping_passes": -1}),
+            ("kset", {"max_rounds": 0}),
+            ("auto", {"max_rounds": 0}),
+        ],
+    )
+    def test_out_of_range_option_value_preserves_pool(self, strategy, option):
+        """Values are checked before the pool is drained: max_rounds=0
+        would execute nothing (a drain loop would spin forever) and
+        partition_size=0 used to die after the bulk was taken."""
+        engine = self.make_engine()
+        with pytest.raises(ConfigError, match=next(iter(option))):
+            engine.run_bulk(strategy=strategy, **option)
+        assert len(engine.pool) == 8
+
     def test_unknown_strategy_preserves_pool(self):
         engine = self.make_engine()
         with pytest.raises(ConfigError, match="unknown strategy"):

@@ -269,19 +269,6 @@ class TestSingleEngineServing:
         got = {t: engine.results.get(t).committed for t in range(250)}
         assert got == expected_outcomes
 
-    def test_probe_composition_path(self):
-        arrivals = ledger_arrivals(200, 60_000.0, seed=19)
-        expected_state, _ = ledger_oracle(arrivals)
-        engine = GPUTx(build_ledger_db(), procedures=LEDGER_PROCEDURES)
-        runtime = ServeRuntime(
-            engine,
-            former=AdaptiveBulkFormer(slo()),
-            probe_composition=True,
-        )
-        report = runtime.run(arrivals)
-        assert report.executed == 200
-        assert engine.db.logical_state() == expected_state
-
     def test_non_monotone_stream_rejected(self):
         engine = GPUTx(build_ledger_db(), procedures=LEDGER_PROCEDURES)
         bad = [("deposit", (0, 1), 0.5), ("deposit", (1, 1), 0.1)]

@@ -19,6 +19,7 @@ import pytest
 
 import repro.telemetry as telemetry
 from repro import ClusterOptions, ClusterTx
+from repro.core.oparray import OpArray
 from repro.core.txn import TransactionPool
 from repro.errors import ConfigError
 
@@ -124,7 +125,9 @@ class TestConflictGroups:
         )
         pool = TransactionPool()
         txns = [pool.submit(name, params) for name, params in specs]
-        return txns, cluster.coordinator.conflict_groups(txns)
+        return txns, cluster.coordinator.conflict_groups(
+            txns, OpArray.of_bulk(cluster.registry, txns)
+        )
 
     def test_disjoint_transfers_split_overlapping_merge(self):
         txns, groups = self.groups_of(

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kset import IncrementalKSetExtractor, compute_ranks
+from repro.core.oparray import OpArray
 from repro.core.procedure import Access
 from repro.core.tdg import TDependencyGraph
 
@@ -37,7 +38,7 @@ workloads = st.lists(access_sets, min_size=1, max_size=30).map(
 @st.composite
 def workload_and_graph(draw):
     txns = draw(workloads)
-    return txns, TDependencyGraph.build(txns)
+    return txns, TDependencyGraph.build(OpArray.from_accesses(txns))
 
 
 @given(workload_and_graph())
@@ -85,7 +86,7 @@ def test_property_2_conflicting_predecessor_exists(data):
 @settings(max_examples=150, deadline=None)
 def test_rank_pipeline_zero_set_equals_sources(data):
     txns, graph = data
-    ranks = compute_ranks(txns)
+    ranks = compute_ranks(OpArray.from_accesses(txns))
     assert ranks.zero_set() == graph.sources()
 
 
@@ -93,7 +94,7 @@ def test_rank_pipeline_zero_set_equals_sources(data):
 @settings(max_examples=150, deadline=None)
 def test_rank_is_lower_bound_of_depth(data):
     txns, graph = data
-    ranks = compute_ranks(txns)
+    ranks = compute_ranks(OpArray.from_accesses(txns))
     depths = graph.depths()
     for txn_id, _ in txns:
         assert ranks.depth_of(txn_id) <= depths[txn_id]
@@ -103,9 +104,7 @@ def test_rank_is_lower_bound_of_depth(data):
 @settings(max_examples=100, deadline=None)
 def test_iterative_peeling_respects_conflict_order(data):
     txns, graph = data
-    extractor = IncrementalKSetExtractor()
-    for txn_id, accesses in txns:
-        extractor.add(txn_id, accesses)
+    extractor = IncrementalKSetExtractor(OpArray.from_accesses(txns))
     executed: List[int] = []
     seen = set()
     while len(extractor):
@@ -128,15 +127,17 @@ def test_iterative_peeling_respects_conflict_order(data):
 @settings(max_examples=100, deadline=None)
 def test_reader_run_sizes_count_shared_ranks(data):
     txns, _graph = data
-    ranks = compute_ranks(txns)
-    runs = ranks.reader_run_sizes()
+    ops = OpArray.from_accesses(txns)
+    ranks = compute_ranks(ops)
+    runs = {(lock, key): size for lock, key, size in ranks.reader_runs(ops)}
+    assert len(runs) == len(ranks.reader_runs(ops))
     # Reconstruct counts directly from the entry arrays.
     expected = {}
-    for item, write, rank in zip(
-        ranks.entry_item, ranks.entry_write, ranks.entry_rank
+    for group, write, rank in zip(
+        ranks.entry_group, ops.write, ranks.entry_rank
     ):
         if not write:
-            key = (int(item), int(rank))
+            key = (int(group), int(rank))
             expected[key] = expected.get(key, 0) + 1
     assert runs == expected
 
@@ -144,11 +145,13 @@ def test_reader_run_sizes_count_shared_ranks(data):
 @given(workloads)
 @settings(max_examples=100, deadline=None)
 def test_lock_keys_strictly_order_writers_per_item(txns):
-    ranks = compute_ranks(txns)
-    keys = ranks.lock_keys()
+    ops = OpArray.from_accesses(txns)
+    ranks = compute_ranks(ops)
+    txn_ids = [txn_id for txn_id, _ in txns]
     per_item = {}
-    for (item, txn), (key, shared) in keys.items():
-        per_item.setdefault(item, []).append((txn, key, shared))
+    for txn, plan in zip(txn_ids, ranks.lock_plans(ops, txn_ids)):
+        for lock, key, shared in plan:
+            per_item.setdefault(lock, []).append((txn, key, shared))
     for item, entries in per_item.items():
         entries.sort()
         writer_keys = [k for _t, k, shared in entries if not shared]

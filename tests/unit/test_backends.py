@@ -20,6 +20,7 @@ from repro.core.backends import (
     create_backend,
 )
 from repro.core.chooser import ChooserThresholds
+from repro.core.oparray import OpArray
 from repro.gpu.costmodel import GpuCostModel
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.spec import C1060
@@ -371,7 +372,10 @@ class TestResultBackend:
 
     def test_launches_outside_execute_bulk_do_not_leak_in(self):
         engine = self._micro_engine(backend="vectorized", strict_vector=True)
-        engine.make_executor("kset").execute(engine.pool.take(16))
+        batch = engine.pool.take(16)
+        engine.make_executor("kset").execute(
+            batch, OpArray.of_bulk(engine.registry, batch)
+        )
         assert engine.backend.waves_vectorized > 0
         assert engine.run_bulk(strategy="adhoc").backend == "interpreted"
 

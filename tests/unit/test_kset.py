@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.kset import (
-    IncrementalKSetExtractor,
-    compute_ranks,
-    merge_accesses,
-)
+from repro.core.kset import IncrementalKSetExtractor, compute_ranks
+from repro.core.oparray import OpArray
 from repro.core.procedure import Access
 from repro.core.tdg import TDependencyGraph
 from repro.errors import ExecutionError
+
+X = 0  # the one item of the extractor tests
 
 
 def R(item):
@@ -20,24 +19,31 @@ def W(item):
     return Access(item, write=True)
 
 
-PAPER_EXAMPLE = [
+def ops_of(*txns):
+    """ops_of((id, [accesses]), ...) -- the bulk's operation array."""
+    return OpArray.from_accesses(txns)
+
+
+PAPER_EXAMPLE = ops_of(
     (1, [R(0), R(1), W(0), W(1)]),   # T1: Ra Rb Wa Wb
     (2, [R(0)]),                      # T2: Ra
     (3, [R(0), R(1)]),                # T3: Ra Rb
     (4, [R(2), W(2), R(0), W(0)]),    # T4: Rc Wc Ra Wa
-]
+)
 
 
 class TestMergeAccesses:
     def test_write_dominates(self):
-        items, txns, writes = merge_accesses([(7, [R(0), W(0), R(0)])])
-        assert items.tolist() == [0]
-        assert txns.tolist() == [7]
-        assert writes.tolist() == [True]
+        ops = ops_of((7, [R(0), W(0), R(0)]))
+        assert ops.item.tolist() == [0]
+        assert ops.txn.tolist() == [7]
+        assert ops.write.tolist() == [True]
+        assert ops.op_counts.tolist() == [3]
 
     def test_one_entry_per_item_txn(self):
-        items, txns, _ = merge_accesses(PAPER_EXAMPLE)
-        assert len(items) == 7  # T1:(a,b) T2:(a) T3:(a,b) T4:(c,a)
+        # T1:(a,b) T2:(a) T3:(a,b) T4:(c,a), sorted by (item, txn).
+        assert PAPER_EXAMPLE.item.tolist() == [0, 0, 0, 0, 1, 1, 2]
+        assert PAPER_EXAMPLE.txn.tolist() == [1, 2, 3, 4, 1, 3, 4]
 
 
 class TestComputeRanks:
@@ -47,7 +53,7 @@ class TestComputeRanks:
         ranks = {
             (int(i), int(t)): int(r)
             for i, t, r in zip(
-                result.entry_item, result.entry_txn, result.entry_rank
+                PAPER_EXAMPLE.item, PAPER_EXAMPLE.txn, result.entry_rank
             )
         }
         assert ranks[(0, 1)] == 0 and ranks[(0, 2)] == 1
@@ -69,11 +75,11 @@ class TestComputeRanks:
 
     def test_documented_deviation_rank_below_depth(self):
         """Ranks do not propagate across items (see docs/ARCHITECTURE.md)."""
-        txns = [
+        txns = ops_of(
             (1, [W(0)]),
             (2, [R(0), W(1)]),
             (3, [R(1)]),
-        ]
+        )
         result = compute_ranks(txns)
         graph = TDependencyGraph.build(txns)
         assert result.depth_of(3) == 1          # pipeline rank
@@ -82,7 +88,7 @@ class TestComputeRanks:
         assert result.zero_set() == graph.sources() == [1]
 
     def test_empty_input(self):
-        result = compute_ranks([])
+        result = compute_ranks(ops_of())
         assert result.zero_set() == []
         assert result.max_depth() == 0
         assert result.gen_seconds == 0.0
@@ -96,20 +102,18 @@ class TestComputeRanks:
 
     def test_lock_keys_and_reader_runs(self):
         result = compute_ranks(PAPER_EXAMPLE)
-        keys = result.lock_keys()
-        # T2's read of a: key 1, shared; T4's write of a: key 2, excl.
-        assert keys[(0, 2)] == (1, True)
-        assert keys[(0, 4)] == (2, False)
-        runs = result.reader_run_sizes()
-        # Readers T2, T3 share rank 1 on item a.
-        assert runs[(0, 1)] == 2
+        t2, t4 = result.lock_plans(PAPER_EXAMPLE, [2, 4])
+        # T2's read of a: lock 0, key 1, shared; T4 locks a then c,
+        # its write of a: key 2, exclusive.
+        assert t2 == [(0, 1, True)]
+        assert t4 == [(0, 2, False), (2, 0, False)]
+        # Readers T2, T3 share rank 1 on item a; T3 alone reads b.
+        assert result.reader_runs(PAPER_EXAMPLE) == [(0, 1, 2), (1, 1, 1)]
 
 
 class TestIncrementalExtractor:
     def test_rounds_match_iterative_tdg_peeling(self):
-        extractor = IncrementalKSetExtractor()
-        for txn_id, accesses in PAPER_EXAMPLE:
-            extractor.add(txn_id, accesses)
+        extractor = IncrementalKSetExtractor(PAPER_EXAMPLE)
         assert extractor.pop_zero_set() == [1]
         assert extractor.pop_zero_set() == [2, 3]
         assert extractor.pop_zero_set() == [4]
@@ -117,44 +121,31 @@ class TestIncrementalExtractor:
         assert len(extractor) == 0
 
     def test_zero_set_is_non_destructive(self):
-        extractor = IncrementalKSetExtractor()
-        extractor.add(1, [W("x")])
-        extractor.add(2, [R("x")])
+        extractor = IncrementalKSetExtractor(
+            ops_of((1, [W(X)]), (2, [R(X)]))
+        )
         assert extractor.zero_set() == [1]
         assert extractor.zero_set() == [1]
         assert len(extractor) == 2
 
     def test_leading_readers_all_in_zero_set(self):
-        extractor = IncrementalKSetExtractor()
-        extractor.add(1, [R("x")])
-        extractor.add(2, [R("x")])
-        extractor.add(3, [W("x")])
+        extractor = IncrementalKSetExtractor(
+            ops_of((1, [R(X)]), (2, [R(X)]), (3, [W(X)]))
+        )
         assert extractor.zero_set() == [1, 2]
 
     def test_writer_first_blocks_everyone(self):
-        extractor = IncrementalKSetExtractor()
-        extractor.add(1, [W("x")])
-        extractor.add(2, [R("x")])
-        extractor.add(3, [W("x")])
+        extractor = IncrementalKSetExtractor(
+            ops_of((1, [W(X)]), (2, [R(X)]), (3, [W(X)]))
+        )
         assert extractor.zero_set() == [1]
 
     def test_out_of_order_add_rejected(self):
-        extractor = IncrementalKSetExtractor()
-        extractor.add(5, [W("x")])
         with pytest.raises(ExecutionError):
-            extractor.add(4, [W("x")])
+            ops_of((5, [W(X)]), (4, [W(X)]))
 
     def test_no_access_txn_always_ready(self):
-        extractor = IncrementalKSetExtractor()
-        extractor.add(1, [W("x")])
-        extractor.add(2, [])
-        extractor.add(3, [W("x")])
+        extractor = IncrementalKSetExtractor(
+            ops_of((1, [W(X)]), (2, []), (3, [W(X)]))
+        )
         assert extractor.zero_set() == [1, 2]
-
-    def test_incremental_additions_between_pops(self):
-        extractor = IncrementalKSetExtractor()
-        extractor.add(1, [W("x")])
-        extractor.add(2, [W("x")])
-        assert extractor.pop_zero_set() == [1]
-        extractor.add(3, [W("y")])
-        assert extractor.pop_zero_set() == [2, 3]

@@ -56,16 +56,6 @@ class TestBulkProfiler:
         profile = self.make_profiler().profile(txns)
         assert profile.cross_partition == 1
 
-    def test_exact_depth_option(self):
-        # risky(a) ; transfer(a->b) ; audit(b): rank says depth 1,
-        # the true longest path is 2.
-        txns = make_transactions(
-            [("deposit", (0, 1)), ("transfer", (0, 1, 1)), ("audit", (1,))]
-        )
-        profiler = self.make_profiler()
-        assert profiler.profile(txns).depth == 1
-        assert profiler.profile(txns, exact_depth=True).depth == 2
-
 
 class TestChooser:
     def profile(self, w0=0, depth=0, cross=0, size=100):

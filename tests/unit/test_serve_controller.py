@@ -115,20 +115,6 @@ class TestAdaptiveBulkFormer:
             observe(former, size=30, service_s=0.004, p95=0.0)
         assert former.target_size() == pytest.approx(40, abs=3)
 
-    def test_retarget_uses_probed_strategy_curve(self):
-        slo = self.slo(max_bulk=4096)
-        former = AdaptiveBulkFormer(slo)
-        # tpl is slow (50 us/txn), kset is fast (1 us/txn).
-        former.feedback.observe("tpl", 100, 0.005)
-        former.feedback.observe("tpl", 200, 0.010)
-        former.feedback.observe("kset", 100, 0.0001)
-        former.feedback.observe("kset", 1000, 0.001)
-        for _ in range(200):
-            observe(former, size=100, service_s=0.0001, p95=0.0)
-        kset_target = former.retarget("kset")
-        tpl_target = former.retarget("tpl")
-        assert tpl_target < kset_target
-
     def test_trajectory_records_bulks(self):
         former = AdaptiveBulkFormer(self.slo())
         observe(former, size=8, strategy="part")

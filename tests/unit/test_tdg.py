@@ -2,22 +2,23 @@
 
 import pytest
 
+from repro.core.oparray import OpArray
 from repro.core.procedure import Access
 from repro.core.tdg import TDependencyGraph
 from repro.errors import ExecutionError
 
 
 def R(item):
-    return Access(item, write=False)
+    return Access(ord(item), write=False)
 
 
 def W(item):
-    return Access(item, write=True)
+    return Access(ord(item), write=True)
 
 
 def build(*txns):
     """build((id, [accesses]), ...)"""
-    return TDependencyGraph.build(txns)
+    return TDependencyGraph.build(OpArray.from_accesses(txns))
 
 
 class TestPaperExample:
@@ -84,11 +85,11 @@ class TestConstructionRules:
 
     def test_out_of_order_insert_rejected(self):
         g = TDependencyGraph()
-        g.add_transaction(5, [W("x")])
+        g.add_transaction(5, {0: True})
         with pytest.raises(ExecutionError):
-            g.add_transaction(5, [W("x")])
+            g.add_transaction(5, {0: True})
         with pytest.raises(ExecutionError):
-            g.add_transaction(3, [W("x")])
+            g.add_transaction(3, {0: True})
 
     def test_empty_access_transaction_is_source(self):
         g = build((1, [W("x")]), (2, []))

@@ -204,16 +204,21 @@ class TestTpcc:
     def test_disjoint_item_new_orders_do_not_conflict(self):
         """Row-level stock conflicts: different item sets, same
         warehouse, different districts -> conflict-free."""
+        from repro.core.oparray import OpArray
         from repro.core.tdg import TDependencyGraph
 
         proc = next(t for t in tpcc.PROCEDURES if t.name == "tpcc_new_order")
         a = proc.accesses((1, 1, 0, (5,), (1,), (2,)))
         b = proc.accesses((1, 2, 0, (6,), (1,), (2,)))
-        graph = TDependencyGraph.build([(0, a), (1, b)])
+        graph = TDependencyGraph.build(
+            OpArray.from_accesses([(0, a), (1, b)])
+        )
         assert not graph.conflicting(0, 1)
         # Shared item -> conflict.
         c = proc.accesses((1, 2, 0, (5,), (1,), (2,)))
-        graph2 = TDependencyGraph.build([(0, a), (1, c)])
+        graph2 = TDependencyGraph.build(
+            OpArray.from_accesses([(0, a), (1, c)])
+        )
         assert graph2.conflicting(0, 1)
 
     def test_local_new_order_is_single_partition(self):
