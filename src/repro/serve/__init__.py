@@ -14,9 +14,9 @@ from repro.serve.controller import (
     SLOConfig,
 )
 from repro.serve.metrics import (
+    BulkLatency,
     LatencySummary,
     Percentiles,
-    TxnLatency,
     percentile,
     tenant_summaries,
 )
@@ -30,6 +30,7 @@ __all__ = [
     "Arrival",
     "ArrivalStream",
     "BulkFormer",
+    "BulkLatency",
     "BulkTrace",
     "FixedBulkFormer",
     "LatencySummary",
@@ -37,7 +38,6 @@ __all__ = [
     "ServeReport",
     "ServeRuntime",
     "SLOConfig",
-    "TxnLatency",
     "percentile",
     "serve",
     "tenant_summaries",

@@ -226,21 +226,17 @@ class AdmissionController:
 
         Called with the *executed* (not merely dequeued) transactions:
         deferred/requeued ones keep their slots because they still sit
-        in the pool.
+        in the pool. Free while no tenant or shard slot is held.
         """
+        if not self._tenant_of_txn and not self._shards_of_txn:
+            return
+        tenant_depth, shard_depth = self._tenant_depth, self._shard_depth
         for txn in transactions:
             tenant = self._tenant_of_txn.pop(txn.txn_id, None)
             if tenant is not None:
-                depth = self._tenant_depth.get(tenant, 0)
-                self._tenant_depth[tenant] = max(0, depth - 1)
-            if self.max_pending_per_shard is None:
-                continue
-            shards = self._shards_of_txn.pop(txn.txn_id, None)
-            if not shards:
-                continue
-            for shard in shards:
-                depth = self._shard_depth.get(shard, 0)
-                self._shard_depth[shard] = max(0, depth - 1)
+                tenant_depth[tenant] = max(0, tenant_depth.get(tenant, 0) - 1)
+            for shard in self._shards_of_txn.pop(txn.txn_id, ()):
+                shard_depth[shard] = max(0, shard_depth.get(shard, 0) - 1)
 
     def shard_depth(self, shard: int) -> int:
         return self._shard_depth.get(shard, 0)

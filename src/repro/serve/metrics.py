@@ -1,31 +1,34 @@
 """End-to-end latency accounting for the online ingest runtime.
 
-Each executed transaction gets a :class:`TxnLatency`: when it arrived,
-when its bulk started, when the bulk finished, and how the bulk-level
-service time splits between device execution and interconnect
-transfer. The server aggregates these into a :class:`LatencySummary`
--- percentiles per component (queue wait, execution, transfer, total)
--- which is the "latency breakdown" the README documents: queue wait
-is the admission-to-bulk-start share (the bulk former's knob),
-execution and transfer are the engine-side shares every transaction of
-a bulk pays together.
+Every transaction of a bulk shares the bulk's start, finish, execution
+and transfer seconds; only its arrival time is its own. So the server
+keeps one :class:`BulkLatency` per executed bulk -- a ``submit_s``
+array plus four scalars -- and never a record per transaction. The
+server aggregates these into a :class:`LatencySummary` -- percentiles
+per component (queue wait, execution, transfer, total) -- which is the
+"latency breakdown" the README documents: queue wait is the
+admission-to-bulk-start share (the bulk former's knob), execution and
+transfer are the engine-side shares every transaction of a bulk pays
+together.
 
 Percentile math is the telemetry layer's single shared implementation
-(:func:`repro.telemetry.metrics.percentile` via
-:class:`~repro.telemetry.metrics.Histogram`), so the serving report
-and a trace's metrics snapshot can never disagree about what "p95"
-means.
+(:func:`repro.telemetry.metrics.summarize`, which
+:class:`~repro.telemetry.metrics.Histogram` also reads through), so
+the serving report and a trace's metrics snapshot can never disagree
+about what "p95" means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.gpu.costmodel import TimeBreakdown
-from repro.telemetry.metrics import Histogram
 from repro.telemetry.metrics import percentile as percentile  # noqa: PLC0414
-# (re-export: this module's ``percentile`` is, and must remain, the
+from repro.telemetry.metrics import summarize
+# (``percentile`` is re-exported: this module's is, and must remain, the
 # telemetry registry's -- one definition of a percentile repo-wide.)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
@@ -41,39 +44,30 @@ TRANSFER_PHASES = frozenset(
 QUEUE, EXECUTION, TRANSFER, TOTAL = "queue", "execution", "transfer", "total"
 
 
-@dataclass(frozen=True)
-class TxnLatency:
-    """One transaction's end-to-end timing through the server."""
+class BulkLatency(NamedTuple):
+    """End-to-end timings of one executed bulk's transactions, in
+    result order: their own arrival times, the seconds they share."""
 
-    txn_id: int
-    type_name: str
-    submit_s: float
+    submit_s: np.ndarray
     start_s: float
     finish_s: float
     exec_s: float
     transfer_s: float
-    #: Originating tenant ("" = untenanted), carried from admission so
-    #: the report can split percentiles per tenant.
-    tenant: str = ""
+    #: Originating tenant per transaction ("" = untenanted), carried
+    #: from admission so the report can split percentiles per tenant;
+    #: None when admission has seen no tenant.
+    tenants: Optional[np.ndarray] = None
 
-    @property
-    def queue_s(self) -> float:
-        """Admission to bulk start: the wait the former controls."""
-        return self.start_s - self.submit_s
-
-    @property
-    def total_s(self) -> float:
-        return self.finish_s - self.submit_s
-
-    def component(self, name: str) -> float:
+    def component(self, name: str) -> np.ndarray:
         if name == QUEUE:
-            return self.queue_s
+            # Admission to bulk start: the wait the former controls.
+            return self.start_s - self.submit_s
         if name == EXECUTION:
-            return self.exec_s
+            return np.full(len(self.submit_s), self.exec_s)
         if name == TRANSFER:
-            return self.transfer_s
+            return np.full(len(self.submit_s), self.transfer_s)
         if name == TOTAL:
-            return self.total_s
+            return self.finish_s - self.submit_s
         raise KeyError(name)
 
 
@@ -89,18 +83,9 @@ class Percentiles:
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "Percentiles":
-        """Summarise ``values`` through the shared telemetry histogram."""
-        histogram = Histogram()
-        for value in values:
-            histogram.observe(value)
-        summary = histogram.summary()
-        return cls(
-            mean=summary["mean"],
-            p50=summary["p50"],
-            p95=summary["p95"],
-            p99=summary["p99"],
-            max=summary["max"],
-        )
+        """Summarise a column of seconds: shared telemetry math, one sort."""
+        summary = summarize(values)
+        return cls(**{name: summary[name] for name in cls.__dataclass_fields__})
 
 
 @dataclass
@@ -123,14 +108,17 @@ class LatencySummary:
     @classmethod
     def of(
         cls,
-        latencies: Sequence[TxnLatency],
+        latencies: Sequence[BulkLatency],
         admission: "Optional[AdmissionStats]" = None,
     ) -> "LatencySummary":
+        # (no bulks = one empty bulk: every component summarises to zeros)
+        bulks = latencies or [BulkLatency(np.empty(0), 0.0, 0.0, 0.0, 0.0)]
         components = {
-            name: Percentiles.of([lat.component(name) for lat in latencies])
+            name: Percentiles.of(np.concatenate([b.component(name) for b in bulks]))
             for name in (QUEUE, EXECUTION, TRANSFER, TOTAL)
         }
-        summary = cls(count=len(latencies), components=components)
+        count = sum(len(b.submit_s) for b in bulks)
+        summary = cls(count=count, components=components)
         if admission is not None:
             summary.shed = admission.rejected
             summary.shed_by_shard = dict(admission.rejected_by_shard)
@@ -151,7 +139,7 @@ class LatencySummary:
 
 
 def tenant_summaries(
-    latencies: Sequence[TxnLatency],
+    latencies: Sequence[BulkLatency],
     admission: "Optional[AdmissionStats]" = None,
 ) -> Dict[str, LatencySummary]:
     """Per-tenant :class:`LatencySummary` over tenanted transactions.
@@ -161,10 +149,16 @@ def tenant_summaries(
     dropped the tenant it throttled would hide exactly the behaviour
     it exists to show.
     """
-    groups: Dict[str, List[TxnLatency]] = {}
-    for latency in latencies:
-        if latency.tenant:
-            groups.setdefault(latency.tenant, []).append(latency)
+    groups: Dict[str, List[BulkLatency]] = {}
+    for bulk in latencies:
+        if bulk.tenants is None:
+            continue
+        for tenant in np.unique(bulk.tenants).tolist():
+            if tenant:
+                mine = bulk.submit_s[bulk.tenants == tenant]
+                groups.setdefault(tenant, []).append(
+                    bulk._replace(submit_s=mine, tenants=None)
+                )
     tenants = set(groups)
     if admission is not None:
         tenants.update(admission.rejected_by_tenant)

@@ -17,8 +17,8 @@ between ``simulate_arrivals``' fixed-interval replay and a server:
   :class:`~repro.cluster.runtime.ClusterTx`, whose wave machinery
   keeps timestamp order within and across bulks;
 * observed wave times feed back into the former's size controller,
-  and every executed transaction gets an end-to-end
-  :class:`~repro.serve.metrics.TxnLatency` (queue wait + execution +
+  and every executed bulk gets an end-to-end
+  :class:`~repro.serve.metrics.BulkLatency` (queue wait + execution +
   transfer), summarised as percentiles in the final report.
 
 The clock is simulated, like everything else in this reproduction:
@@ -29,7 +29,10 @@ cost models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional
+
+import numpy as np
 
 import repro.telemetry as telemetry
 from repro.core.engine import validate_strategy_options
@@ -39,13 +42,18 @@ from repro.gpu.costmodel import TimeBreakdown
 from repro.serve.admission import AdmissionController, AdmissionStats
 from repro.serve.controller import AdaptiveBulkFormer, BulkFormer
 from repro.serve.metrics import (
+    TOTAL,
+    BulkLatency,
     LatencySummary,
     Percentiles,
-    TxnLatency,
     split_service,
     tenant_summaries,
 )
 from repro.serve.stream import ArrivalLike, ArrivalStream
+
+_TXN_ID = attrgetter("txn_id")
+_SUBMIT_TIME = attrgetter("submit_time")
+_COMMITTED = attrgetter("committed")
 
 
 @dataclass
@@ -146,23 +154,17 @@ class ServeRuntime:
         self._trace_prev_tenant_rejected: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def _admit_until(self, stream: ArrivalStream, clock: float) -> None:
-        self.admission.offer_batch(
-            stream.pop_until(clock), self.engine.pool
-        )
-
     def run(self, arrivals: Iterable[ArrivalLike]) -> ServeReport:
         """Serve the stream to completion and drain the queue."""
         stream = ArrivalStream(arrivals)
         pool = self.engine.pool
         report = ServeReport(former=self.former.name)
-        latencies: List[TxnLatency] = []
+        latencies: List[BulkLatency] = []
         clock = 0.0
         gpu_free = 0.0
         first_submit: Optional[float] = None
-        last_finish = 0.0
         while True:
-            self._admit_until(stream, clock)
+            self.admission.offer_batch(stream.pop_until(clock), pool)
             if len(pool) == 0:
                 if stream.exhausted:
                     break
@@ -170,26 +172,31 @@ class ServeRuntime:
                 continue
             target = self.former.target_size()
             deadline = pool.peek(1)[0].submit_time + self.former.max_form_wait_s
-            if (
+            while (
                 len(pool) < target
-                and not stream.exhausted
+                and not stream.exhausted  # an infinite budget waits for +inf
                 and stream.peek_time() <= deadline
             ):
                 # The bulk is still filling and more arrivals fit the
-                # oldest transaction's wait budget: wait for them.
-                clock = max(clock, stream.peek_time())
-                continue
+                # oldest transaction's wait budget: wait for as many as
+                # it still needs (arrivals tied with the last one taken
+                # are admitted at the cut). The clock moves to the last
+                # one; only shedding can leave the bulk short then.
+                filling = stream.pop_until(deadline, target - len(pool))
+                clock = filling[-1].submit_time
+                self.admission.offer_batch(filling, pool)
             # Cut: the queue hit the target, the wait budget expired,
             # or the stream ran dry (shutdown drain).
             start = max(clock, gpu_free)
-            self._admit_until(stream, start)
+            self.admission.offer_batch(stream.pop_until(start), pool)
             batch = pool.take(target)
+            submit_s = np.fromiter(map(_SUBMIT_TIME, batch), np.float64, len(batch))
             session = telemetry.current()
             serve_span = None
             result = None
             if session is not None:
                 serve_span = self._trace_bulk_open(
-                    session, batch, start, target
+                    session, submit_s, start, target
                 )
             try:
                 result = self.engine.execute_bulk(
@@ -208,10 +215,9 @@ class ServeRuntime:
                         executed=len(result.results) if done else 0,
                     )
                     self._trace_cursor = bulk_end
-                    self._trace_bulk_metrics(session, batch, start)
+                    self._trace_bulk_metrics(session, start - submit_s)
             finish = start + result.seconds
-            executed_ids = {r.txn_id for r in result.results}
-            if not executed_ids and finish <= start:
+            if not result.results and finish <= start:
                 # The whole batch bounced back (deferred/halted) and
                 # no simulated time passed: nothing can change, so
                 # looping again would spin forever.
@@ -220,15 +226,11 @@ class ServeRuntime:
                     f"{len(batch)}-transaction bulk"
                 )
             self._record_bulk(
-                report, latencies, batch, result, start, finish, target,
-                executed_ids,
+                report, latencies, batch, submit_s, result, start, finish,
+                target,
             )
-            self.admission.note_executed(
-                [t for t in batch if t.txn_id in executed_ids]
-            )
-            if first_submit is None and batch:
-                first_submit = min(t.submit_time for t in batch)
-            last_finish = finish
+            if first_submit is None:
+                first_submit = float(submit_s.min())
             gpu_free = finish
             clock = finish
             # Elastic clusters rebalance between bulks: the engine is
@@ -241,7 +243,6 @@ class ServeRuntime:
                     report.migrations.append(migration)
                     report.breakdown.add("migration", migration.seconds)
                     gpu_free = finish + migration.seconds
-                    last_finish = gpu_free
         report.latency = LatencySummary.of(
             latencies, admission=self.admission.stats
         )
@@ -250,14 +251,14 @@ class ServeRuntime:
         )
         report.admission = self.admission.stats
         if first_submit is not None:
-            report.elapsed_s = max(last_finish - first_submit, 1e-12)
+            report.elapsed_s = max(gpu_free - first_submit, 1e-12)
         return report
 
     # ------------------------------------------------------------------
     def _trace_bulk_open(
         self,
         session: "telemetry.TelemetrySession",
-        batch: List[Transaction],
+        submit_s: np.ndarray,
         start: float,
         target: int,
     ) -> "telemetry.Span":
@@ -276,7 +277,7 @@ class ServeRuntime:
             self._trace_origin = tracer.sim_now
             self._trace_cursor = self._trace_origin
         origin = self._trace_origin
-        oldest = min((t.submit_time for t in batch), default=start)
+        oldest = float(submit_s.min())
         form_start = min(max(self._trace_cursor, origin + oldest),
                          origin + start)
         if origin + start > form_start:
@@ -287,7 +288,7 @@ class ServeRuntime:
                 cat=telemetry.CAT_PHASE,
                 track="serve",
                 layer="serve",
-                queued=len(batch),
+                queued=len(submit_s),
             )
         self._trace_cursor = origin + start
         return tracer.begin(
@@ -296,7 +297,7 @@ class ServeRuntime:
             track="serve",
             layer="serve",
             sim_start=origin + start,
-            size=len(batch),
+            size=len(submit_s),
             target=target,
             queue_wait_s=start - oldest,
         )
@@ -304,8 +305,7 @@ class ServeRuntime:
     def _trace_bulk_metrics(
         self,
         session: "telemetry.TelemetrySession",
-        batch: List[Transaction],
-        start: float,
+        queue_wait_s: np.ndarray,
     ) -> None:
         """Serve-layer metrics after one dispatched bulk."""
         metrics = session.metrics
@@ -343,43 +343,48 @@ class ServeRuntime:
                     "tenant_sheds", "arrivals shed per tenant"
                 ).inc(rejected - prev, tenant=tenant)
                 self._trace_prev_tenant_rejected[tenant] = rejected
-        wait_hist = metrics.histogram(
+        metrics.histogram(
             "queue_wait_seconds", "admission-to-dispatch wait per txn"
-        )
-        for txn in batch:
-            wait_hist.observe(start - txn.submit_time)
+        ).observe_many(queue_wait_s)
 
     # ------------------------------------------------------------------
     def _record_bulk(
         self,
         report: ServeReport,
-        latencies: List[TxnLatency],
+        latencies: List[BulkLatency],
         batch: List[Transaction],
+        submit_s: np.ndarray,
         result: Any,
         start: float,
         finish: float,
         target: int,
-        executed_ids: "set[int]",
     ) -> None:
-        exec_s, transfer_s = split_service(result.breakdown)
-        submit_of: Dict[int, Transaction] = {t.txn_id: t for t in batch}
-        bulk_latencies = [
-            TxnLatency(
-                txn_id=r.txn_id,
-                type_name=r.type_name,
-                submit_s=submit_of[r.txn_id].submit_time,
-                start_s=start,
-                finish_s=finish,
-                exec_s=exec_s,
-                transfer_s=transfer_s,
-                tenant=self.admission.tenant_of(r.txn_id),
-            )
-            for r in result.results
-        ]
-        latencies.extend(bulk_latencies)
-        report.executed += len(result.results)
-        report.committed += sum(1 for r in result.results if r.committed)
-        report.aborted += sum(1 for r in result.results if not r.committed)
+        """Account one executed bulk: latency columns (in result order;
+        ``batch`` is in id order, so a binary search places each result),
+        report counters, admission slots, former feedback."""
+        results = result.results
+        n = len(results)
+        ids = np.fromiter(map(_TXN_ID, results), np.int64, n)
+        order = np.searchsorted(
+            np.fromiter(map(_TXN_ID, batch), np.int64, len(batch)), ids
+        )
+        tenants = None
+        if self.admission.stats.admitted_by_tenant:
+            tenants = np.array(list(map(self.admission.tenant_of, ids.tolist())))
+        latency = BulkLatency(
+            submit_s[order], start, finish,
+            *split_service(result.breakdown), tenants,
+        )
+        latencies.append(latency)
+        self.admission.note_executed(
+            batch if n == len(batch) else [batch[i] for i in order.tolist()]
+        )
+        committed = int(
+            np.count_nonzero(np.fromiter(map(_COMMITTED, results), np.bool_, n))
+        )
+        report.executed += n
+        report.committed += committed
+        report.aborted += n - committed
         report.busy_s += result.seconds
         for phase, seconds in result.breakdown.phases.items():
             report.breakdown.add(phase, seconds)
@@ -389,7 +394,7 @@ class ServeRuntime:
                 start_s=start,
                 seconds=result.seconds,
                 size=len(batch),
-                executed=len(result.results),
+                executed=n,
                 target=target,
                 strategy=strategy,
             )
@@ -397,16 +402,11 @@ class ServeRuntime:
         # Close the loop: the bulk's observed service time updates the
         # former's per-strategy model; its own p95 is the freshest
         # latency signal available.
-        p95 = (
-            Percentiles.of([lat.total_s for lat in bulk_latencies]).p95
-            if bulk_latencies
-            else 0.0
-        )
         self.former.observe(
             size=len(batch),
             strategy=strategy,
             service_s=result.seconds,
-            p95_total_s=p95,
+            p95_total_s=Percentiles.of(latency.component(TOTAL)).p95,
         )
 
 

@@ -7,9 +7,10 @@ so the serve loop can ask "when does the next request land?" without
 materialising the stream. Streams may be unbounded generators; nothing
 here ever calls ``len``.
 
-Submit times must be nondecreasing: the transaction pool's
+Submit times must be finite and nondecreasing: the transaction pool's
 auto-increment ids double as Definition-1 timestamps, so admitting out
-of arrival order would silently reorder commits. The stream validates
+of arrival order would silently reorder commits (and a NaN, which
+compares false both ways, would never come due). The stream validates
 this as it goes and raises :class:`~repro.errors.ServeError` on the
 first violation.
 """
@@ -17,6 +18,7 @@ first violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.errors import ServeError
@@ -67,12 +69,13 @@ class ArrivalStream:
             self._head = None
             return
         arrival = Arrival.of(item)
-        if arrival.submit_time < self._last_time:
+        time = arrival.submit_time
+        if not (isfinite(time) and time >= self._last_time):
             raise ServeError(
-                f"arrival stream went backwards: {arrival.submit_time} "
-                f"after {self._last_time}"
+                "arrival times must be finite and never go backwards: "
+                f"{time} after {self._last_time}"
             )
-        self._last_time = arrival.submit_time
+        self._last_time = time
         self._head = arrival
 
     @property
@@ -91,9 +94,14 @@ class ArrivalStream:
         self._advance()
         return out
 
-    def pop_until(self, clock: float) -> "list[Arrival]":
-        """Consume every arrival with ``submit_time <= clock``."""
-        out = []
-        while self._head is not None and self._head.submit_time <= clock:
+    def pop_until(self, clock: float, limit: Optional[int] = None) -> "list[Arrival]":
+        """Consume every arrival with ``submit_time <= clock``, the
+        oldest ``limit`` of them when a limit is given."""
+        out: "list[Arrival]" = []
+        while (
+            self._head is not None
+            and self._head.submit_time <= clock
+            and len(out) != limit
+        ):
             out.append(self.pop())
         return out

@@ -7,18 +7,21 @@ backend}``, ``admission_sheds``, ``shard_queue_depth{shard}``,
 ``wal_bytes`` ...). The registry is plain dictionaries -- zero
 dependencies, deterministic snapshots.
 
-The :class:`Histogram` here is *the* percentile implementation of the
-repository: it keeps every observation (these are simulation-scale
-series, thousands of points, not production firehoses) and computes
-linear-interpolation percentiles exactly.
-:mod:`repro.serve.metrics`' ``LatencySummary`` is built on it, so the
-serving layer's p50/p95/p99 and a trace's metrics snapshot can never
-disagree about what a percentile means.
+This module is *the* percentile implementation of the repository:
+:class:`Histogram` keeps every observation as a packed column of
+doubles (simulation-scale series, not production firehoses) and
+:func:`summarize` computes linear-interpolation percentiles exactly.
+:mod:`repro.serve.metrics`' ``LatencySummary`` goes through the same
+function, so the serving layer's p50/p95/p99 and a trace's metrics
+snapshot can never disagree about what a percentile means.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -31,19 +34,58 @@ def percentile(values: Sequence[float], q: float) -> float:
     """
     if len(values) == 0:  # not truthiness: ndarrays are accepted
         return 0.0
+    return sorted_percentile(sorted(values), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of a non-empty list or ndarray already in
+    ascending order, so several quantiles can share one sort."""
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be within [0, 100]")
-    ordered = sorted(values)
     if len(ordered) == 1:
-        return ordered[0]
+        return float(ordered[0])
     rank = (len(ordered) - 1) * q / 100.0
     lo = int(rank)
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return float(ordered[lo]) * (1.0 - frac) + float(ordered[hi]) * frac
+
+
+def _column(values: Sequence[float], name: str = "") -> np.ndarray:
+    """``values`` as a flat float64 array; NaN is not an observation."""
+    column = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if np.isnan(column).any():
+        raise ValueError(f"{name}: NaN is not a valid observation")
+    return column
+
+
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """``count/sum/mean/p50/p95/p99/max`` of a float column (ndarray,
+    ``array('d')`` or list) with one sort.
+
+    ``sum`` (and so ``mean``) adds left to right in the order given,
+    exactly as ``sum(list)`` does -- ``np.sum`` is pairwise and
+    differs in the last bits. An empty column summarises to zeros; a
+    NaN raises ``ValueError`` (every recording path's guard).
+    """
+    column = _column(values)
+    n = len(column)
+    ordered = np.sort(column) if n else np.zeros(1)  # no samples: all zeros
+    total = sum(column.tolist(), 0.0)
+    return {
+        "count": n,
+        "sum": total,
+        "mean": total / max(n, 1),
+        "p50": sorted_percentile(ordered, 50.0),
+        "p95": sorted_percentile(ordered, 95.0),
+        "p99": sorted_percentile(ordered, 99.0),
+        "max": float(ordered[-1]),
+    }
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -117,49 +159,42 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Exact-sample histogram with shared percentile math."""
+    """Exact-sample histogram with shared percentile math.
+
+    Each labelled series is one packed ``array('d')`` column in
+    observation order; :meth:`observe_many` appends a whole array to
+    it with one copy.
+    """
 
     kind = "histogram"
 
     def __init__(self, name: str = "", help: str = "") -> None:
         super().__init__(name, help)
-        self._series: Dict[LabelKey, List[float]] = {}
+        self._series: Dict[LabelKey, array] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        self._series.setdefault(_label_key(labels), []).append(
+        self._series.setdefault(_label_key(labels), array("d")).append(
             self._check_amount(value)
         )
 
+    def observe_many(self, values: Sequence[float], **labels: Any) -> None:
+        """Record every value of a sequence or ndarray, in order."""
+        self._series.setdefault(_label_key(labels), array("d")).frombytes(
+            _column(values, self.name).tobytes()
+        )
+
     def values(self, **labels: Any) -> List[float]:
-        return list(self._series.get(_label_key(labels), []))
+        return list(self._series.get(_label_key(labels), ()))
 
     def count(self, **labels: Any) -> int:
-        return len(self._series.get(_label_key(labels), []))
+        return len(self._series.get(_label_key(labels), ()))
 
     def percentile(self, q: float, **labels: Any) -> float:
-        return percentile(self._series.get(_label_key(labels), []), q)
+        return percentile(self._series.get(_label_key(labels), ()), q)
 
     def summary(self, **labels: Any) -> Dict[str, float]:
-        """``mean/p50/p95/p99/max`` plus ``count`` and ``sum``.
-
-        Empty series summarise to zeros -- the same convention
-        ``LatencySummary`` always used.
-        """
-        values = self._series.get(_label_key(labels), [])
-        if not values:
-            return {
-                "count": 0, "sum": 0.0, "mean": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0,
-            }
-        return {
-            "count": len(values),
-            "sum": sum(values),
-            "mean": sum(values) / len(values),
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-            "max": max(values),
-        }
+        """:func:`summarize` of one labelled series (zeros when empty)."""
+        return summarize(self._series.get(_label_key(labels), ()))
 
     def series(self) -> List[Dict[str, Any]]:
         return [

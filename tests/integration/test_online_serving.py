@@ -275,6 +275,32 @@ class TestSingleEngineServing:
         with pytest.raises(ServeError):
             serve(engine, bad)
 
+    def test_nan_submit_time_is_rejected_not_served_forever(self):
+        """Regression: one NaN in the stream used to hang ``run`` (it
+        never comes due and never moves the clock)."""
+        arrivals = [list(a) for a in ledger_arrivals(50, 50_000.0, seed=3)]
+        arrivals[20][2] = float("nan")
+        engine = GPUTx(build_ledger_db(), procedures=LEDGER_PROCEDURES)
+        with pytest.raises(ServeError, match="finite"):
+            serve(engine, arrivals)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_infinite_wait_budget_cuts_when_the_stream_runs_dry(self, adaptive):
+        """Regression: an exhausted stream peeks +inf, which "fits" an
+        infinite wait budget; the fill must stop at exhaustion instead
+        of popping an empty slice."""
+        wait = float("inf")
+        former = FixedBulkFormer(32, max_form_wait_s=wait)
+        if adaptive:
+            former = AdaptiveBulkFormer(
+                SLOConfig(min_bulk=32, max_bulk=32, max_form_wait_s=wait)
+            )
+        engine = GPUTx(build_ledger_db(), procedures=LEDGER_PROCEDURES)
+        report = serve(
+            engine, ledger_arrivals(59, 50_000.0, seed=3), former=former
+        )
+        assert [b.size for b in report.bulks] == [32, 27]
+
     def test_bank_single_device_still_served(self):
         """The direct-row bank procedures (no index) stay serveable on
         a single device."""
@@ -283,6 +309,73 @@ class TestSingleEngineServing:
         report = serve(engine, specs, former=AdaptiveBulkFormer(slo()))
         assert report.executed == 64
         assert report.committed == 64
+
+
+class TestServeLoopIsPerBulk:
+    """Host control cost is paid per bulk, not per arrival: call
+    counts, so no clock is involved."""
+
+    def test_overload_run_makes_a_few_calls_per_bulk(self, monkeypatch):
+        import repro.telemetry as telemetry
+        from repro import EngineOptions
+        from repro.core.txn import TransactionPool
+        from repro.serve import ArrivalStream
+        from repro.telemetry.metrics import Histogram
+        from repro.workloads import tm1
+
+        calls = {}
+
+        def count(owner, attr):
+            original = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] = calls.get(attr, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(ArrivalStream, "pop_until")
+        count(AdmissionController, "offer_batch")
+        count(AdmissionController, "tenant_of")
+        count(TransactionPool, "submit_batch")
+        count(AdaptiveBulkFormer, "target_size")
+        count(Histogram, "observe")
+
+        db = tm1.build_database(1)
+        arrivals = tm1.generate_timed_transactions(
+            db, 20_000, rate_tps=2e6, pattern="poisson", seed=5
+        )
+        engine = GPUTx(
+            db, procedures=tm1.PROCEDURES,
+            options=EngineOptions(backend="vectorized"),
+        )
+        runtime = ServeRuntime(
+            engine,
+            former=AdaptiveBulkFormer(
+                SLOConfig(target_p95_s=0.005, min_bulk=24, max_bulk=4096)
+            ),
+            admission=AdmissionController(1 << 16),
+        )
+        with telemetry.session() as tel:
+            report = runtime.run(arrivals)
+        assert report.executed == len(arrivals) >= 20_000
+        bulks = len(report.bulks)
+        # The device goes idle before a bulk only when the queue ran
+        # empty (or a filling bulk waited) -- once, at the first
+        # arrival, under overload.
+        finishes = [0.0] + [b.start_s + b.seconds for b in report.bulks]
+        idle = sum(
+            1 for b, free in zip(report.bulks, finishes) if b.start_s > free
+        )
+        budget = 4 * bulks + idle
+        assert bulks < 100 and budget < len(arrivals) / 50
+        for name in ("pop_until", "offer_batch", "submit_batch",
+                     "target_size", "observe"):
+            assert 0 < calls[name] <= budget, (name, calls[name], budget)
+        assert "tenant_of" not in calls
+        # ... and the queue-wait histogram still saw every transaction.
+        waits = tel.metrics.histogram("queue_wait_seconds")
+        assert waits.count() == report.executed
 
 
 class TestShardedServing:

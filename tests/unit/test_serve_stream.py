@@ -58,6 +58,27 @@ class TestArrivalStream:
         with pytest.raises(ServeError):
             stream.pop()  # advancing past "a" validates "b"
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_submit_time_raises(self, bad):
+        """NaN compares false both ways: it passed the order check,
+        ``pop_until`` never popped it, and the serve loop spun."""
+        with pytest.raises(ServeError, match="finite"):
+            ArrivalStream([("a", (), bad)])
+        stream = ArrivalStream([("a", (), 0.0), ("b", (), bad)])
+        with pytest.raises(ServeError, match="finite"):
+            stream.pop()
+
+    def test_pop_until_limit_takes_the_oldest(self):
+        stream = ArrivalStream(
+            [("a", (), 0.1), ("b", (), 0.2), ("c", (), 0.2), ("d", (), 0.9)]
+        )
+        assert [a.type_name for a in stream.pop_until(0.5, limit=2)] == ["a", "b"]
+        assert [a.type_name for a in stream.pop_until(0.5, limit=5)] == ["c"]
+        assert stream.pop_until(0.5, limit=5) == []
+        assert stream.peek_time() == 0.9
+
     def test_unbounded_generator_is_not_materialised(self):
         def infinite():
             t = 0.0

@@ -125,6 +125,25 @@ class TestMetrics:
         assert summary["p95"] == pytest.approx(percentile(values, 95))
         assert summary["max"] == 8.0
 
+    def test_every_recording_path_rejects_nan(self):
+        from repro.serve.metrics import Percentiles
+        from repro.telemetry.metrics import summarize
+
+        h = Histogram("lat")
+        for record in (
+            lambda: h.observe(float("nan")),
+            lambda: h.observe_many([1.0, float("nan")]),
+            lambda: summarize(np.array([1.0, float("nan")])),
+            lambda: Percentiles.of([float("nan")]),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                record()
+        assert h.count() == 0
+
+    def test_observe_takes_one_number_not_a_sequence(self):
+        with pytest.raises(TypeError):
+            Histogram("lat").observe([1.0, 2.0])
+
     def test_empty_histogram_is_all_zeros(self):
         assert Histogram("x").summary() == {
             "count": 0, "sum": 0.0, "mean": 0.0,
