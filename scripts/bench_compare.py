@@ -20,6 +20,11 @@ regression or on a figure the baseline has but the current run lost
 (a lane that silently drops a figure must go red too). Figures new in
 the current run pass with a note; refresh the baseline to start
 tracking them.
+
+``--self-test`` is the gate's canary: it halves every headline of the
+current run in memory (a 2x slowdown of everything) and exits 0 only
+if the comparison then goes red -- proof that the gate can fire, with
+no second bench run.
 """
 
 from __future__ import annotations
@@ -147,15 +152,32 @@ def main(argv=None) -> int:
         default=DEFAULT_THRESHOLD,
         help="maximum tolerated relative drop (default 0.25 = 25%%)",
     )
+    parser.add_argument(
+        "--self-test",
+        action="store_true",
+        help="halve every headline of CURRENT in memory and require the "
+        "gate to go red (exit 0 only if it does)",
+    )
     args = parser.parse_args(argv)
     baseline_payload = load_payload(args.baseline)
     current_payload = load_payload(args.current)
     check_same_context(baseline_payload, current_payload)
-    failures = compare(
-        baseline_payload["figures"],
-        current_payload["figures"],
-        args.threshold,
-    )
+    current = current_payload["figures"]
+    if args.self_test:
+        current = {
+            figure: {**entry, "value": float(entry["value"]) / 2.0}
+            for figure, entry in current.items()
+        }
+    failures = compare(baseline_payload["figures"], current, args.threshold)
+    if args.self_test:
+        if failures:
+            print(
+                f"\nself-test OK: a 2x slowdown turned {failures} "
+                "figure(s) red"
+            )
+            return 0
+        print("\nself-test FAILED: the gate did not detect a 2x slowdown")
+        return 1
     if failures:
         print(
             f"\n{failures} figure(s) regressed more than "

@@ -1,32 +1,23 @@
 """Execution-backend benchmarks: vectorized vs. interpreted.
 
-BACKEND-1 measures the vectorized backend's wall-clock win on TM1
-bulks while *asserting* the equivalence contract on every row: both
-backends must produce byte-identical outcomes, identical final
-physical state, and an identical simulated clock. Two wall-clock
-views are reported:
-
-* ``exec_speedup`` -- the kernel-execution phase only
-  (``backend.wall_launch_seconds``): the code path the backend
-  actually replaces. This is the gated >=5x figure.
-* ``e2e_speedup`` -- end-to-end ``run_bulk`` wall time, which also
-  contains the backend-independent bulk-generation and transfer
-  accounting both backends share.
+BACKEND-1 runs TM1 bulks through both backends and *asserts* the
+equivalence contract on every row: byte-identical outcomes, identical
+final physical state, and an identical simulated clock. It reports
+which path ran the vectorized engine's waves and the (simulated,
+deterministic) throughput both backends share. What the vectorized
+backend buys is host time, and host time is measured by the host
+benchmark (``benchmarks/host``: ``core.backends.vec_over_interp`` and
+the ``host_tps`` rows), not here -- this registry runs on the
+simulated clock only.
 
 BACKEND-2 pins the fallback contract: waves whose types have no
 vector form (or a row-layout store) silently run through the
 interpreter with identical results.
-
-The headline metric is the (simulated, deterministic) throughput of
-the largest vectorized K-SET bulk -- wall-clock speedups are real
-measurements and too noisy to gate the perf-trajectory lane on.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gc
-import time
 from typing import List, Tuple
 
 from repro.bench.harness import FigureResult, scaled
@@ -46,6 +37,21 @@ def _outcomes(result) -> List[Tuple]:
     ]
 
 
+def assert_backends_agree(label: str, interpreted, vectorized) -> None:
+    """The equivalence contract on one ``(db, result)`` pair per
+    backend: byte-identical outcomes, state, and simulated clock."""
+    (db_i, res_i), (db_v, res_v) = interpreted, vectorized
+    assert _outcomes(res_i) == _outcomes(res_v), (
+        f"backend outcomes diverged ({label})"
+    )
+    assert db_i.physical_state() == db_v.physical_state(), (
+        f"backend final state diverged ({label})"
+    )
+    assert res_i.seconds == res_v.seconds, (
+        f"simulated clock diverged ({label})"
+    )
+
+
 def _run_tm1(backend: str, n: int, strategy: str):
     db = tm1.build_database(_TM1_SF, seed=3)
     engine = GPUTx(
@@ -54,60 +60,22 @@ def _run_tm1(backend: str, n: int, strategy: str):
         options=EngineOptions(backend=backend),
     )
     engine.submit_many(tm1.generate_transactions(db, n, seed=5))
-    # Wall-clock hygiene: collect leftover garbage from the previous
-    # row's multi-hundred-thousand-object database, then keep the
-    # collector out of the timed region -- an unlucky gen-2 pause is
-    # the size of the whole vectorized execution phase.
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        result = engine.run_bulk(strategy=strategy)
-        e2e = time.perf_counter() - start
-    finally:
-        gc.enable()
-    return db, engine, result, e2e
+    return db, engine, engine.run_bulk(strategy=strategy)
 
 
 def backend_speedup() -> FigureResult:
-    """BACKEND-1: wall-clock speedup at identical simulated figures."""
+    """BACKEND-1: both backends, identical simulated figures."""
     rows = []
     headline_ktps = 0.0
     for n_raw in _SIZES:
         n = scaled(n_raw)
         for strategy in _STRATEGIES:
-            # Best-of-N wall measurements: the ratio is robust, the
-            # absolute numbers are one scheduler hiccup away from
-            # noise (the simulated figures are identical either way).
-            # The gated >=8k rows get an extra repetition.
-            reps = 3 if n_raw >= 8_000 else 2
-            db_i, eng_i, res_i, e2e_i = _run_tm1("interpreted", n, strategy)
-            db_v, eng_v, res_v, e2e_v = _run_tm1("vectorized", n, strategy)
-            exec_i2 = exec_v2 = float("inf")
-            for _rep in range(reps - 1):
-                _dbi, eng_i2, _ri, e2e_i_r = _run_tm1(
-                    "interpreted", n, strategy
-                )
-                _dbv, eng_v2, _rv, e2e_v_r = _run_tm1(
-                    "vectorized", n, strategy
-                )
-                exec_i2 = min(exec_i2, eng_i2.backend.wall_launch_seconds)
-                exec_v2 = min(exec_v2, eng_v2.backend.wall_launch_seconds)
-                e2e_i = min(e2e_i, e2e_i_r)
-                e2e_v = min(e2e_v, e2e_v_r)
-            # The contract, asserted on every row (smoke lane included):
-            # byte-identical outcomes, state, and simulated clock.
-            assert _outcomes(res_i) == _outcomes(res_v), (
-                f"backend outcomes diverged ({strategy}, n={n})"
+            db_i, _eng_i, res_i = _run_tm1("interpreted", n, strategy)
+            db_v, eng_v, res_v = _run_tm1("vectorized", n, strategy)
+            # Asserted on every row (smoke lane included).
+            assert_backends_agree(
+                f"{strategy}, n={n}", (db_i, res_i), (db_v, res_v)
             )
-            assert db_i.physical_state() == db_v.physical_state(), (
-                f"backend final state diverged ({strategy}, n={n})"
-            )
-            assert res_i.seconds == res_v.seconds, (
-                f"simulated clock diverged ({strategy}, n={n})"
-            )
-            exec_i = min(eng_i.backend.wall_launch_seconds, exec_i2)
-            exec_v = min(eng_v.backend.wall_launch_seconds, exec_v2)
             if strategy == "kset":
                 headline_ktps = max(headline_ktps, res_v.throughput_ktps)
             rows.append(
@@ -115,38 +83,31 @@ def backend_speedup() -> FigureResult:
                     n,
                     strategy,
                     res_i.strategy,
-                    exec_i * 1e3,
-                    exec_v * 1e3,
-                    exec_i / exec_v if exec_v > 0 else 0.0,
-                    e2e_i / e2e_v if e2e_v > 0 else 0.0,
+                    res_v.backend,
+                    eng_v.backend.waves_vectorized,
+                    eng_v.backend.waves_interpreted,
                     res_v.throughput_ktps,
                 )
             )
     return FigureResult(
         figure_id="BACKEND-1",
-        title="Vectorized backend: wall-clock speedup, identical simulated clock (TM1)",
+        title="Vectorized backend: identical outcomes and simulated clock (TM1)",
         columns=[
             "bulk",
             "strategy",
             "chosen",
-            "interp_exec_ms",
-            "vector_exec_ms",
-            "exec_speedup",
-            "e2e_speedup",
+            "path",
+            "waves_vectorized",
+            "waves_interpreted",
             "sim_ktps",
         ],
         rows=rows,
         notes=[
             "Every row asserts byte-identical outcomes, final physical "
-            "state, and simulated clock across backends; only wall "
+            "state, and simulated clock across backends; only the host "
             "clock differs.",
-            "exec_speedup compares the kernel-execution phase the "
-            "backend owns (backend.wall_launch_seconds); e2e_speedup "
-            "includes the shared bulk-generation and transfer "
-            "accounting outside it.",
-            "Gate: >=5x exec_speedup for K-SET/auto on bulks >= 8k "
-            "(asserted in benchmarks/bench_backend_speedup.py at full "
-            "size; wall measurements are skipped under the smoke lane).",
+            "The host-clock ratio lives in the host benchmark "
+            "(benchmarks/host: core.backends.vec_over_interp, host_tps).",
         ],
         headline=("vector_sim_ktps", headline_ktps),
     )

@@ -156,8 +156,6 @@ def cluster_elastic_skew_shift() -> FigureResult:
             ElasticConfig(
                 queue_ratio=2.0,
                 min_queue_depth=24,
-                split_fraction=0.5,
-                cooldown_bulks=2,
                 max_migrations=4,
             ),
         ),

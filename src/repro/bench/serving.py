@@ -27,8 +27,6 @@ Four series, in the style of the figure reproductions:
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Iterable, List
 
 from repro.bench.harness import FigureResult, scaled
@@ -300,22 +298,16 @@ def serving_admission_sweep() -> FigureResult:
         # The front half in isolation: the same stream through
         # offer_batch slices and through the per-arrival offer loop on
         # twin pools. Identity of fates, counters, and pool ids is the
-        # contract (asserted in every lane, smoke included); the wall
-        # columns show what batching buys.
+        # contract (asserted in every lane, smoke included).
         pool_b, pool_o = TransactionPool(), TransactionPool()
         adm_b = AdmissionController(_ADMIT_CAP, record_admitted=True)
         adm_o = AdmissionController(_ADMIT_CAP, record_admitted=True)
-        gc.collect()
-        start = time.perf_counter()
         fates_b: List[bool] = []
         for i in range(0, len(arrivals), _ADMIT_SLICE):
             fates_b.extend(
                 adm_b.offer_batch(arrivals[i:i + _ADMIT_SLICE], pool_b)
             )
-        t_batch = time.perf_counter() - start
-        start = time.perf_counter()
         fates_o = [adm_o.offer(a, pool_o) for a in arrivals]
-        t_loop = time.perf_counter() - start
         assert fates_b == fates_o, (
             f"admission fates diverged at {load_ktps} ktps"
         )
@@ -339,9 +331,6 @@ def serving_admission_sweep() -> FigureResult:
             (
                 load_ktps,
                 n_arr,
-                n_arr / t_batch / 1e3 if t_batch > 0 else 0.0,
-                n_arr / t_loop / 1e3 if t_loop > 0 else 0.0,
-                t_loop / t_batch if t_batch > 0 else 0.0,
                 adm_b.stats.admitted,
                 adm_b.stats.rejected,
                 report.sustained_ktps,
@@ -354,9 +343,6 @@ def serving_admission_sweep() -> FigureResult:
         columns=[
             "offered_ktps",
             "arrivals",
-            "batch_admit_ktps",
-            "loop_admit_ktps",
-            "batch_speedup",
             "admitted",
             "rejected",
             "sustained_ktps",
@@ -368,10 +354,9 @@ def serving_admission_sweep() -> FigureResult:
             "stream: same admit/shed fates, same counters and "
             "high-water marks, same pool ids (Definition-1 "
             "timestamps).",
-            "batch_admit_ktps is the front half's wall-clock intake "
-            "rate in isolation; the untenanted, unsharded fast path "
-            "admits a slice with one batched pool stamp instead of "
-            "per-arrival bookkeeping.",
+            "What batching buys is host time: the serve_overload row "
+            "of the host benchmark (benchmarks/host), not a column "
+            "here.",
             "sustained_ktps is the simulated-clock throughput of the "
             "full runtime on the same arrivals (deterministic; the "
             "headline metric).",

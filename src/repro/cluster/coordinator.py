@@ -4,7 +4,7 @@ Following DiPETrans's leader/follower split, transactions whose access
 set spans several shards are not farmed out to shard engines as
 independent work: the *leader* (host CPU) quiesces the shards they
 touch and drives the wave itself. Two commit paths share one
-interpreter:
+interpreter -- the CPU engine's (:func:`repro.cpu.engine.run_serial`):
 
 * **serial** (:meth:`CrossShardCoordinator.execute`) -- the original
   leader pass: every transaction interpreted on the host, serially,
@@ -47,11 +47,16 @@ from repro.core.procedure import ProcedureRegistry
 from repro.core.tdg import TDependencyGraph
 from repro.core.txn import Transaction, TxnResult
 from repro.cpu.costmodel import CpuCostModel
+from repro.cpu.engine import DEVICE_ATOMICS, run_serial
 from repro.cluster.router import ShardRouter
-from repro.errors import ClusterError, ExecutionError
+from repro.errors import ClusterError
 from repro.gpu import ops as op_ir
-from repro.gpu.spec import XEON_E5520, CPUSpec
+from repro.gpu.spec import C1060, GPUSpec
 from repro.storage.catalog import StoreAdapter
+
+#: Device locks order threads *within* a kernel; the leader pass has
+#: no kernel, so a stream that takes one was mis-routed to it.
+_LEADER_REFUSED = DEVICE_ATOMICS | {op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE}
 
 #: Row-handle stride separating shards in the leader's address space.
 _SHARD_ROW_STRIDE = 1 << 32
@@ -275,22 +280,20 @@ class CrossShardCoordinator:
         registry: ProcedureRegistry,
         adapters: Sequence[StoreAdapter],
         router: ShardRouter,
-        *,
-        cpu_spec: CPUSpec = XEON_E5520,
-        sync_latency_s: float = 0.0,
-        dispatch_bytes_per_s: float = 3.4e9,
+        spec: GPUSpec = C1060,
     ) -> None:
         self.registry = registry
         self.router = router
         self.adapter = ClusterStoreAdapter(adapters, router)
-        self.cost = CpuCostModel(cpu_spec)
-        #: One-way latency of a leader<->shard control message; a wave
-        #: pays a gather and a release hop (the quiesce barrier).
-        self.sync_latency_s = sync_latency_s
+        self.cost = CpuCostModel()
+        #: One-way latency of a leader<->shard control message (the
+        #: shards' PCIe hop); a wave pays a gather and a release hop
+        #: (the quiesce barrier).
+        self.sync_latency_s = spec.pcie_latency_s
         #: Leader NIC bandwidth for group dispatch batches: the leader
         #: serialises one signature batch per group, so dispatch time
         #: is bytes-proportional and independent of the shard count.
-        self.dispatch_bytes_per_s = dispatch_bytes_per_s
+        self.dispatch_bytes_per_s = spec.pcie_bandwidth_bytes_per_s
 
     def barrier_seconds(self) -> float:
         """Cost of one quiesce/release control round trip.
@@ -314,29 +317,25 @@ class CrossShardCoordinator:
     ]:
         """Interpret one wave in timestamp order, one txn at a time.
 
+        The leader is the CPU engine: the wave runs through
+        :func:`repro.cpu.engine.run_serial` -- ``CpuEngine.execute``'s
+        own loop and cost model -- over the cluster-wide store view,
+        refusing device locks on top of the atomics no host pass runs.
         Shared by both commit paths so their outcomes, store mutations
         and redo capture are identical by construction. Returns the
         timestamp-sorted transactions plus parallel lists of results,
         per-transaction cycles (dispatch included) and shard sets
         (looked up in ``shard_map``, the bulk's routing).
         """
-        order = sorted(transactions, key=lambda t: t.txn_id)
-        results: List[TxnResult] = []
-        cycles: List[float] = []
+        order, results, cycles = run_serial(
+            self.registry,
+            transactions,
+            self.adapter,
+            self.cost,
+            who="cross-shard transaction",
+            refused=_LEADER_REFUSED,
+        )
         shard_sets = [shard_map[txn.txn_id] for txn in order]
-        for txn in order:
-            txn_cycles, committed, reason, value = self._run_one(txn)
-            cycles.append(txn_cycles + self.cost.dispatch())
-            results.append(
-                TxnResult(
-                    txn_id=txn.txn_id,
-                    type_name=txn.type_name,
-                    committed=committed,
-                    abort_reason=reason,
-                    value=value,
-                )
-            )
-        self.adapter.apply_batch()
         return order, results, cycles, shard_sets
 
     # ------------------------------------------------------------------
@@ -448,14 +447,12 @@ class CrossShardCoordinator:
                 group_bytes += txn.signature_bytes()
             touched |= group_shards
             dispatch_end += group_bytes / self.dispatch_bytes_per_s
-            if group_shards:
-                home = min(
-                    sorted(group_shards), key=lambda s: (lanes[s], s)
-                )
-            else:
-                # Access-free transactions touch no shard state; spread
-                # them round-robin like the runtime's parallel waves do.
-                home = group[0].txn_id % self.router.n_shards
+            home = min(
+                sorted(
+                    self.router.home_shards(group[0].txn_id, group_shards)
+                ),
+                key=lambda s: (lanes[s], s),
+            )
             seconds = self.cost.seconds(group_cycles)
             start = max(dispatch_end, lanes[home])
             lanes[home] = start + seconds
@@ -479,69 +476,3 @@ class CrossShardCoordinator:
         out.sync_seconds = 2.0 * self.sync_latency_s
         out.shards_touched = tuple(sorted(touched))
         return out
-
-    # ------------------------------------------------------------------
-    def _run_one(self, txn: Transaction) -> Tuple[float, bool, str, Any]:
-        """Interpret one op stream; serial, with inline rollback."""
-        stream = self.registry.build_stream(txn.type_name, txn.params)
-        adapter = self.adapter
-        cost = self.cost
-        cycles = 0.0
-        undo: List[Tuple[str, str, int, Any]] = []
-        pending_inserts: List[Tuple[str, int]] = []
-        pending_deletes: List[Tuple[str, int]] = []
-        send: Any = None
-        while True:
-            try:
-                op = stream.send(send)
-            except StopIteration as stop:
-                return cycles, True, "", stop.value
-            except Exception as exc:
-                raise ExecutionError(
-                    f"cross-shard transaction {txn.txn_id} raised {exc!r}"
-                ) from exc
-            send = None
-            kind = op.kind
-            if kind == op_ir.READ:
-                send = adapter.read(op.table, op.column, op.row)
-                cycles += cost.memory_access()
-            elif kind == op_ir.WRITE:
-                old = adapter.write(op.table, op.column, op.row, op.value)
-                undo.append((op.table, op.column, op.row, old))
-                cycles += cost.memory_access()
-            elif kind == op_ir.COMPUTE:
-                cycles += cost.compute(op.amount)
-            elif kind == op_ir.SFU_COMPUTE:
-                cycles += cost.sfu(op.amount)
-            elif kind == op_ir.INDEX_PROBE:
-                send = adapter.probe(op.index, op.key)
-                cycles += 2 * cost.memory_access()
-            elif kind == op_ir.INSERT_ROW:
-                provisional = adapter.insert(op.table, op.values)
-                pending_inserts.append((op.table, provisional))
-                send = provisional
-                cycles += cost.insert(adapter.row_width(op.table))
-            elif kind == op_ir.DELETE_ROW:
-                adapter.delete(op.table, op.row)
-                pending_deletes.append((op.table, op.row))
-                cycles += cost.memory_access()
-            elif kind == op_ir.ABORT:
-                # Serial leader: nothing has observed our writes yet.
-                for table, column, row, old in reversed(undo):
-                    adapter.write(table, column, row, old)
-                    cycles += cost.memory_access()
-                for table, provisional in pending_inserts:
-                    adapter.cancel_insert(table, provisional)
-                for table, row in pending_deletes:
-                    adapter.cancel_delete(table, row)
-                return cycles, False, op.reason, None
-            elif kind in (op_ir.THREAD_FENCE, op_ir.SET_BRANCH):
-                cycles += cost.compute(1)
-            elif kind in (op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE,
-                          op_ir.ATOMIC_ADD, op_ir.ATOMIC_CAS):
-                raise ExecutionError(
-                    "device locks/atomics cannot appear in the serial "
-                    "leader pass"
-                )
-            else:  # pragma: no cover - closed op table
-                raise ExecutionError(f"unknown op kind {kind}")

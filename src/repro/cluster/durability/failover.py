@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import repro.telemetry as telemetry
 from repro.cluster.durability.checkpoint import Checkpoint, CheckpointManager
-from repro.cluster.durability.replay import ReplayStats, recover_database
+from repro.cluster.durability.replay import recover_database
 from repro.cluster.durability.wal import RedoRecorder, ShardWAL, WalRecord
 from repro.cluster.router import replica_placement
 from repro.errors import ConfigError, DurabilityError
@@ -44,18 +44,6 @@ class DurabilityConfig:
     #: host only (no replication traffic); recovery still works in the
     #: simulation, but a real deployment would want K >= 1.
     n_replicas: int = 1
-    #: Recover dead shards automatically at the end of the bulk that
-    #: observed the failure (younger waves are requeued either way).
-    auto_failover: bool = True
-    #: After a promotion, reseed a fresh replica from a new checkpoint
-    #: so the shard returns to K replicas.
-    restore_redundancy: bool = True
-    #: Diff the promoted state against the failed shard's last durable
-    #: state (available because failures are injected, not real) and
-    #: fail recovery on any divergence.
-    verify_recovery: bool = True
-    #: Drop WAL prefixes once a checkpoint covering them is replicated.
-    truncate_on_checkpoint: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
@@ -87,8 +75,8 @@ class RecoveryReport:
     checkpoint_bulk: int
     replayed_records: int
     replayed_entries: int
-    #: Simulated seconds: checkpoint restore + WAL suffix replay (plus
-    #: the reseed checkpoint when redundancy is restored).
+    #: Simulated seconds: checkpoint restore + WAL suffix replay +
+    #: the reseed checkpoint that restores redundancy.
     seconds: float
     #: Decomposed recovery cost: moving the checkpoint image to the
     #: promoted device ...
@@ -123,9 +111,6 @@ class ReplicaSet:
         ]
         self.sync_seconds = 0.0
         self.shipped_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self.replicas)
 
     def _ship(self, nbytes: int, now: float, lsn: int, is_checkpoint: bool) -> float:
         """Feed ``nbytes`` to every replica; returns the synchronous
@@ -176,7 +161,6 @@ class ShardDurability:
         n_shards: int,
     ) -> None:
         self.shard = shard
-        self.config = config
         self.pcie = pcie
         self.wal = ShardWAL(shard)
         self.recorder = RedoRecorder()
@@ -244,8 +228,8 @@ class ShardDurability:
     def _after_checkpoint(self, checkpoint: Checkpoint, now: float) -> float:
         wait = self.replicas.replicate_checkpoint(checkpoint, now)
         self.checkpoint_sync_seconds += wait
-        if self.config.truncate_on_checkpoint:
-            self.wal.truncate_through(checkpoint.lsn)
+        # The replicated checkpoint covers the WAL prefix: drop it.
+        self.wal.truncate_through(checkpoint.lsn)
         session = telemetry.current()
         if session is not None:
             session.metrics.counter(
@@ -287,11 +271,11 @@ class ShardDurability:
         )
         return db, len(records), fork_seconds, replay_seconds
 
-    def promote(self) -> Tuple[Database, ReplayStats, RecoveryReport]:
+    def promote(self) -> Tuple[Database, RecoveryReport]:
         """Restore the newest checkpoint and replay the WAL suffix.
 
         Returns the recovered database (byte-identical to the shard's
-        last durable state), the replay statistics, and a report with
+        last durable state) and a report with the replay statistics and
         the simulated recovery cost: the checkpoint image and the WAL
         suffix both cross the interconnect to the promoted device.
         """
@@ -327,7 +311,7 @@ class ShardDurability:
             restore_seconds=restore_seconds,
             replay_seconds=replay_seconds,
         )
-        return db, stats, report
+        return db, report
 
     def reseed(self, db: Database, bulk_id: int, now: float) -> float:
         """Fresh post-recovery checkpoint, restoring full redundancy."""
@@ -342,18 +326,13 @@ class ClusterDurability:
         self,
         config: DurabilityConfig,
         engines: Sequence,
-        n_shards: int,
     ) -> None:
-        self.config = config
         self.units: List[ShardDurability] = [
-            ShardDurability(shard, engine.db, engine.pcie, config, n_shards)
+            ShardDurability(shard, engine.db, engine.pcie, config, len(engines))
             for shard, engine in enumerate(engines)
         ]
         for engine, unit in zip(engines, self.units):
             engine.adapter.attach_recorder(unit.recorder)
-
-    def __iter__(self):
-        return iter(self.units)
 
     def unit(self, shard: int) -> ShardDurability:
         return self.units[shard]

@@ -6,9 +6,9 @@ Each record's redo images are physical post-images in application
 order, so replay is byte-identical to the original execution --
 :func:`repro.core.tx_logging.apply_redo` verifies that replayed
 inserts land on the same physical rows they originally did, and
-promotion (``ShardDurability.promote``) can additionally diff the
-result against the failed shard's last durable state when the
-simulation still has it (``DurabilityConfig.verify_recovery``).
+``ClusterTx.recover_shard`` diffs the promoted result against the
+failed shard's last durable state, which the simulation still has
+(:func:`states_identical`).
 """
 
 from __future__ import annotations

@@ -70,9 +70,6 @@ class RedoRecorder:
     def __init__(self) -> None:
         self.entries: List[RedoEntry] = []
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     # -- StoreAdapter recorder protocol ---------------------------------
     def on_write(self, table: str, column: str, row: int, value: Any) -> None:
         self.entries.append((REDO_WRITE, table, column, row, value))

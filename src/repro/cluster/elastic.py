@@ -62,6 +62,11 @@ __all__ = [
 ]
 
 
+#: Bulks that must pass between two migrations (the queue-depth signal
+#: refreshes once per served bulk).
+COOLDOWN_BULKS = 2
+
+
 @dataclass(frozen=True)
 class ElasticConfig:
     """Tuning knobs for online hot-shard detection and migration."""
@@ -72,12 +77,6 @@ class ElasticConfig:
     #: ...and at least this deep in absolute terms (small fleets idle
     #: at tiny depths where ratios are noise).
     min_queue_depth: int = 16
-    #: Fraction of the hot shard's widest owned range that stays; the
-    #: upper remainder migrates to the least-loaded shard.
-    split_fraction: float = 0.5
-    #: Bulks that must pass between two migrations (the queue-depth
-    #: signal refreshes once per served bulk).
-    cooldown_bulks: int = 2
     #: Hard cap on migrations per cluster lifetime (safety valve).
     max_migrations: int = 8
 
@@ -86,10 +85,6 @@ class ElasticConfig:
             raise ConfigError("queue_ratio must be > 1.0")
         if self.min_queue_depth < 1:
             raise ConfigError("min_queue_depth must be >= 1")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError("split_fraction must be in (0, 1)")
-        if self.cooldown_bulks < 1:
-            raise ConfigError("cooldown_bulks must be >= 1")
         if self.max_migrations < 0:
             raise ConfigError("max_migrations must be >= 0")
 
@@ -221,11 +216,14 @@ class ShardMigrator:
     the migration from its own log and recovers byte-identically.
     """
 
-    def __init__(
-        self, cluster: Any, config: Optional[ElasticConfig] = None
-    ) -> None:
+    def __init__(self, cluster: Any) -> None:
+        if cluster.router.kind != "range":
+            raise ClusterError(
+                "live migration requires router='range': a "
+                f"{cluster.router.kind!r} router has no range table "
+                "to split"
+            )
         self.cluster = cluster
-        self.config = config or ElasticConfig()
 
     # ------------------------------------------------------------------
     def plan(
@@ -241,7 +239,8 @@ class ShardMigrator:
         lo, hi = max(ranges, key=lambda r: r[1] - r[0])
         if hi - lo < 2:
             return None  # a single key cannot be split
-        point = lo + max(1, int((hi - lo) * self.config.split_fraction))
+        # The lower half of the range stays; the upper half migrates.
+        point = lo + max(1, (hi - lo) // 2)
         point = min(point, hi - 1)
         dst = self._coolest_peer(hot.shard, registry)
         if dst is None:
@@ -523,7 +522,7 @@ class ElasticController:
         self.cluster = cluster
         self.config = config
         self.detector = HotShardDetector(config)
-        self.migrator = ShardMigrator(cluster, config)
+        self.migrator = cluster._migrator_for()
         self.reports: List[MigrationReport] = []
         self._last_migration_bulk: Optional[int] = None
 
@@ -539,7 +538,7 @@ class ElasticController:
         if (
             self._last_migration_bulk is not None
             and cluster.bulk_seq - self._last_migration_bulk
-            < self.config.cooldown_bulks
+            < COOLDOWN_BULKS
         ):
             return None
         hot = self.detector.scan(

@@ -107,6 +107,15 @@ class ShardRouter:
             for txn_id, ks in zip(ops.txn_ids.tolist(), keys)
         }
 
+    def home_shards(
+        self, txn_id: int, shards: set[int] | frozenset[int]
+    ) -> set[int] | frozenset[int]:
+        """The shards a transaction (or conflict group) occupies while
+        it runs: the ones it touches, or -- when it touches no
+        shard-resident state -- one it is spread to, round-robin by
+        timestamp."""
+        return shards or frozenset({txn_id % self.n_shards})
+
     def is_cross_shard(
         self, txn_type: TransactionType, params: Tuple[Any, ...]
     ) -> bool:

@@ -42,7 +42,6 @@ single-device ``GPUTx``, and the serial-leader oracle.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -71,10 +70,16 @@ from repro.cluster.partition import key_space_of, partition_database
 from repro.cluster.router import ShardRouter, make_router
 from repro.config import ClusterOptions
 from repro.core.chooser import ChooserThresholds
-from repro.core.engine import GPUTx, validate_strategy_options
+from repro.core.engine import BulkFrontDoor, GPUTx, validate_strategy_options
 from repro.core.oparray import OpArray
 from repro.core.procedure import TransactionType
-from repro.core.txn import ResultPool, Transaction, TransactionPool, TxnResult
+from repro.core.txn import (
+    BulkOutcome,
+    ResultPool,
+    Transaction,
+    TransactionPool,
+    TxnResult,
+)
 from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.spec import C1060, GPUSpec
@@ -125,7 +130,7 @@ class WaveReport:
 
 
 @dataclass
-class ClusterExecutionResult:
+class ClusterExecutionResult(BulkOutcome):
     """Outcome of executing one bulk across the cluster."""
 
     results: List[TxnResult]
@@ -151,27 +156,6 @@ class ClusterExecutionResult:
     shard_txns: Dict[int, int] = field(default_factory=dict)
     #: Aborts per shard in this bulk's parallel waves (conflict signal).
     shard_aborts: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def seconds(self) -> float:
-        return self.breakdown.total
-
-    @property
-    def committed(self) -> int:
-        return sum(1 for r in self.results if r.committed)
-
-    @property
-    def aborted(self) -> int:
-        return sum(1 for r in self.results if not r.committed)
-
-    def throughput_tps(self, count_aborts: bool = True) -> float:
-        n = len(self.results) if count_aborts else self.committed
-        seconds = self.seconds
-        return n / seconds if seconds > 0 else 0.0
-
-    @property
-    def throughput_ktps(self) -> float:
-        return self.throughput_tps() / 1e3
 
     @property
     def utilization(self) -> float:
@@ -213,7 +197,7 @@ class ClusterExecutionResult:
         return max(sorted(counts), key=lambda name: counts[name])
 
 
-class ClusterTx:
+class ClusterTx(BulkFrontDoor):
     """Bulk transaction execution sharded over N simulated GPUs."""
 
     def __init__(
@@ -225,9 +209,7 @@ class ClusterTx:
         router: Union[str, ShardRouter] = "hash",
         spec: GPUSpec = C1060,
         block_size: int = 256,
-        use_undo_logging: bool = True,
         thresholds: Optional[ChooserThresholds] = None,
-        sync_latency_s: Optional[float] = None,
         options: Optional[ClusterOptions] = None,
     ) -> None:
         if options is None:
@@ -253,23 +235,24 @@ class ClusterTx:
                 procedures=procedures,
                 spec=spec,
                 block_size=block_size,
-                use_undo_logging=use_undo_logging,
                 thresholds=thresholds,
                 options=options.engine,
             )
             for shard_db in shard_dbs
         ]
+        # Shard engines each filter "auto" options for the strategy
+        # they chose; sharing one memo makes that one dropped-option
+        # warning per cluster instead of one per shard.
+        for engine in self.shards[1:]:
+            engine._warned_options = self.shards[0]._warned_options
         self.registry = self.shards[0].registry
         self.pool = TransactionPool()
         self.results = ResultPool()
-        if sync_latency_s is None:
-            sync_latency_s = spec.pcie_latency_s
         self.coordinator = CrossShardCoordinator(
             self.registry,
             [engine.adapter for engine in self.shards],
             self.router,
-            sync_latency_s=sync_latency_s,
-            dispatch_bytes_per_s=spec.pcie_bandwidth_bytes_per_s,
+            spec,
         )
         # -- durability (WAL + checkpoints + replicas) -----------------
         self._bulk_seq = 0
@@ -278,31 +261,22 @@ class ClusterTx:
         #: Dead shards' engine objects: the *device* is lost, but the
         #: host-side handle survives -- recovery rebuilds through
         #: GPUTx.rebuild_on so engine configuration cannot diverge,
-        #: and verify_recovery diffs against its (last durable) store.
+        #: and recover_shard diffs against its (last durable) store.
         self._dead_engines: Dict[int, GPUTx] = {}
         self.durability: Optional[ClusterDurability] = None
         self.failover: Optional[FailoverController] = None
         if durability is not None:
-            self.durability = ClusterDurability(
-                durability, self.shards, self.n_shards
-            )
+            self.durability = ClusterDurability(durability, self.shards)
             self.failover = FailoverController(self)
         # -- elastic shards (hot-key detection + live migration) -------
         self.elastic: Optional[ElasticController] = None
         self._migrator: Optional[ShardMigrator] = None
         self._pending_migration: Optional[MigrationPlan] = None
         if elastic is not None:
-            if self.router.kind != "range":
-                raise ClusterError(
-                    "elastic shards require router='range': live "
-                    "migration splits a range table, and a "
-                    f"{self.router.kind!r} router has none"
-                )
             self.elastic = ElasticController(self, elastic)
-            self._migrator = self.elastic.migrator
 
     # ------------------------------------------------------------------
-    # Registration and submission (mirrors the GPUTx surface).
+    # Registration (submission and run_bulk: BulkFrontDoor).
     # ------------------------------------------------------------------
     def register(self, txn_type: TransactionType) -> int:
         """Register a stored procedure on every shard's combined kernel."""
@@ -312,19 +286,6 @@ class ClusterTx:
                 f"shards disagree on type id for {txn_type.name!r}"
             )
         return type_ids.pop()
-
-    def submit(
-        self, type_name: str, params: Iterable[Any], submit_time: float = 0.0
-    ) -> Transaction:
-        return self.pool.submit(type_name, params, submit_time)
-
-    def submit_many(
-        self,
-        transactions: Iterable[
-            Union[Transaction, Tuple[str, tuple], Tuple[str, tuple, float]]
-        ],
-    ) -> int:
-        return self.pool.submit_specs(transactions)
 
     # ------------------------------------------------------------------
     # Device initialization.
@@ -337,19 +298,6 @@ class ClusterTx:
     # ------------------------------------------------------------------
     # Bulk execution.
     # ------------------------------------------------------------------
-    def run_bulk(
-        self,
-        strategy: str = "auto",
-        max_txns: Optional[int] = None,
-        **options: Any,
-    ) -> ClusterExecutionResult:
-        """Generate one bulk from the pool and execute it cluster-wide."""
-        # Reject typo'd options/strategies before the pool is drained.
-        validate_strategy_options(strategy, options)
-        return self.execute_bulk(
-            self.pool.take(max_txns), strategy=strategy, **options
-        )
-
     def execute_bulk(
         self,
         transactions: Sequence[Transaction],
@@ -386,26 +334,7 @@ class ClusterTx:
             tracer.layer = "cluster"
             tracer.dma_track = "dma"
         try:
-            if strategy == "auto" and options:
-                # Shard engines each filter the options for their own
-                # chosen strategy; dedup their drop warnings to one per
-                # bulk instead of one per shard sub-bulk.
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    self._run_waves(transactions, strategy, options, out)
-                seen = set()
-                for caught_warning in caught:
-                    key = (caught_warning.category, str(caught_warning.message))
-                    if key not in seen:
-                        seen.add(key)
-                        warnings.warn_explicit(
-                            caught_warning.message,
-                            caught_warning.category,
-                            caught_warning.filename,
-                            caught_warning.lineno,
-                        )
-            else:
-                self._run_waves(transactions, strategy, options, out)
+            self._run_waves(transactions, strategy, options, out)
             if self.durability is not None:
                 self._durability_epilogue(out)
         finally:
@@ -425,8 +354,7 @@ class ClusterTx:
                 self._record_bulk_metrics(session, out)
         out.results.sort(key=lambda r: r.txn_id)
         self.results.record_many(out.results)
-        if not self._dead:
-            self._check_replicated_tables()
+        self._check_replicated_tables()
         self._sim_clock += out.seconds
         return out
 
@@ -477,15 +405,12 @@ class ClusterTx:
             ).inc(len(out.migrations))
 
     def _durability_epilogue(self, out: ClusterExecutionResult) -> None:
-        """Post-bulk durability work: auto failover, then checkpoints."""
-        config = self.durability.config
-        if self._dead and config.auto_failover:
-            for shard in sorted(self._dead):
-                report = self.recover_shard(shard)
-                out.failovers.append(report)
-                out.breakdown.add(PHASE_RECOVERY, report.seconds)
-        if self._dead:
-            return
+        """Post-bulk durability work: recover the shards that died in
+        the bulk (their younger waves were requeued), then checkpoint."""
+        for shard in sorted(self._dead):
+            report = self.recover_shard(shard)
+            out.failovers.append(report)
+            out.breakdown.add(PHASE_RECOVERY, report.seconds)
         bulk_id = self._bulk_seq - 1
         now = self._sim_clock + out.breakdown.total
         # Shards checkpoint concurrently: charge the slowest ship.
@@ -494,12 +419,7 @@ class ClusterTx:
             for unit, engine in zip(self.durability.units, self.shards)
         )
         if checkpoint_wait > 0.0:
-            out.breakdown.add(PHASE_CHECKPOINT, checkpoint_wait)
-            session = telemetry.current()
-            if session is not None:
-                session.tracer.phase(
-                    PHASE_CHECKPOINT, checkpoint_wait, track="dma"
-                )
+            self._charge(out, PHASE_CHECKPOINT, checkpoint_wait)
 
     def _run_waves(
         self,
@@ -575,13 +495,7 @@ class ClusterTx:
     # ------------------------------------------------------------------
     def _migrator_for(self) -> ShardMigrator:
         if self._migrator is None:
-            if self.router.kind != "range":
-                raise ClusterError(
-                    "live migration requires router='range': a "
-                    f"{self.router.kind!r} router has no range table "
-                    "to split"
-                )
-            self._migrator = ShardMigrator(self)
+            self._migrator = ShardMigrator(self)  # refuses non-range routers
         return self._migrator
 
     def request_migration(self, plan: MigrationPlan) -> None:
@@ -661,11 +575,8 @@ class ClusterTx:
             kind_k, txns_k = waves[k]
             kept: List[Transaction] = []
             for txn in txns_k:
-                shards = shard_map[txn.txn_id]
-                homes = (
-                    shards
-                    if shards
-                    else frozenset({txn.txn_id % self.n_shards})
+                homes = self.router.home_shards(
+                    txn.txn_id, shard_map[txn.txn_id]
                 )
                 if homes & tainted:
                     tainted |= homes
@@ -763,11 +674,10 @@ class ClusterTx:
         transactions (the caller must then stop the bulk)."""
         by_shard: Dict[int, List[Transaction]] = {}
         for txn in wave_txns:
-            # A parallel wave holds single-shard transactions; those
-            # touching no shard-resident state (no access set, no
-            # partition) spread round-robin by timestamp.
-            shards = shard_map[txn.txn_id]
-            home = next(iter(shards)) if shards else txn.txn_id % self.n_shards
+            # A parallel wave holds single-shard transactions.
+            (home,) = self.router.home_shards(
+                txn.txn_id, shard_map[txn.txn_id]
+            )
             by_shard.setdefault(home, []).append(txn)
         wave = WaveReport(
             kind="parallel",
@@ -787,7 +697,8 @@ class ClusterTx:
             )
         critical_breakdown: Optional[TimeBreakdown] = None
         any_deferred = False
-        wal_wait = 0.0
+        # Each shard seals the outcomes of its own sub-bulk.
+        shares: List[Tuple[int, str, List[TxnResult]]] = []
         now = self._sim_clock + out.breakdown.total
         for shard, txns in sorted(by_shard.items()):
             engine = self.shards[shard]
@@ -832,38 +743,13 @@ class ClusterTx:
             if result.seconds > wave.seconds:
                 wave.seconds = result.seconds
                 critical_breakdown = result.breakdown
-            if self.durability is not None:
-                # The wave is not acknowledged until the shard's WAL
-                # record reaches all its replicas; shards replicate in
-                # parallel, so the wave pays the slowest sync.
-                wal_wait = max(
-                    wal_wait,
-                    self.durability.unit(shard).commit_wave(
-                        bulk_id=bulk_id,
-                        wave=wave_index,
-                        strategy=result.strategy,
-                        results=result.results,
-                        journal_epoch=engine.adapter.journal.epoch,
-                        now=now,
-                    ),
-                )
+            shares.append((shard, result.strategy, result.results))
         # The wave ends when its slowest shard does: charge the
         # critical shard's phase breakdown, not the sum over shards.
         if critical_breakdown is not None:
             for phase, seconds in critical_breakdown.phases.items():
-                out.breakdown.add(phase, seconds)
-                if session is not None:
-                    session.tracer.phase(
-                        phase,
-                        seconds,
-                        track=(
-                            "dma" if phase in telemetry.DMA_PHASES else None
-                        ),
-                    )
-        if wal_wait > 0.0:
-            out.breakdown.add(PHASE_WAL_SYNC, wal_wait)
-            if session is not None:
-                session.tracer.phase(PHASE_WAL_SYNC, wal_wait, track="dma")
+                self._charge(out, phase, seconds)
+        self._seal_wave(out, bulk_id, wave_index, now, shares)
         if wave_span is not None:
             session.tracer.end(
                 wave_span,
@@ -905,80 +791,50 @@ class ClusterTx:
         else:
             result = self.coordinator.execute(wave_txns, shard_map)
         out.results.extend(result.results)
-        out.breakdown.add(PHASE_COORDINATOR, result.exec_seconds)
-        # Group dispatch is interconnect traffic: it rides the sync
-        # phase (a DMA-lane phase), so the pipeline scheduler can
-        # drain it under the next bulk's kernels.
-        out.breakdown.add(
-            PHASE_SYNC, result.sync_seconds + result.dispatch_seconds
-        )
         for group in result.groups:
             out.shard_busy_s[group.home] += group.seconds
-        out.n_groups += len(result.groups)
-        if session is not None:
-            tracer = session.tracer
-            if result.groups:
+            if wave_span is not None:
                 # Followers execute their groups in parallel: one span
                 # per group on its home shard's lane (starting after
                 # the leader serialised its dispatch batch) replaces
                 # the single serial leader span on the cluster lane.
-                wave_start = (
-                    wave_span.sim_start_s
-                    if wave_span is not None
-                    else tracer.sim_now
+                start = wave_span.sim_start_s + group.start_s
+                session.tracer.complete(
+                    f"group-{group.index}",
+                    start,
+                    start + group.seconds,
+                    parent=wave_span,
+                    track=f"shard{group.home}",
+                    layer="shard",
+                    size=group.size,
+                    shards=list(group.shards),
+                    txn_lo=group.txn_lo,
+                    txn_hi=group.txn_hi,
                 )
-                for group in result.groups:
-                    tracer.complete(
-                        f"group-{group.index}",
-                        wave_start + group.start_s,
-                        wave_start + group.start_s + group.seconds,
-                        parent=wave_span,
-                        track=f"shard{group.home}",
-                        layer="shard",
-                        size=group.size,
-                        shards=list(group.shards),
-                        txn_lo=group.txn_lo,
-                        txn_hi=group.txn_hi,
-                    )
-            # Cluster-lane phase spans keep the per-phase totals
-            # reconcilable with the breakdown in either mode.
-            tracer.phase(PHASE_COORDINATOR, result.exec_seconds)
-            tracer.phase(
-                PHASE_SYNC,
-                result.sync_seconds + result.dispatch_seconds,
-                track="dma",
+        out.n_groups += len(result.groups)
+        # Cluster-lane phase spans keep the per-phase totals
+        # reconcilable with the breakdown in either mode. Group
+        # dispatch is interconnect traffic: it rides the sync phase (a
+        # DMA-lane phase), so the pipeline scheduler can drain it
+        # under the next bulk's kernels.
+        self._charge(out, PHASE_COORDINATOR, result.exec_seconds)
+        self._charge(
+            out, PHASE_SYNC, result.sync_seconds + result.dispatch_seconds
+        )
+        # The leader's writes landed on the touched shards' stores (and
+        # in their recorders); every shard seals its share of the wave
+        # -- the outcomes of the transactions that touch it. Untouched
+        # shards append nothing.
+        shares = (
+            (
+                shard,
+                leader_strategy,
+                [r for r in result.results if shard in shard_map[r.txn_id]],
             )
-        if self.durability is not None:
-            # The leader's writes landed on the touched shards' stores
-            # (and in their recorders); every shard seals its share of
-            # the wave -- the outcomes of the transactions that touch
-            # it. Untouched shards append nothing.
-            now = self._sim_clock + out.breakdown.total
-            wal_wait = 0.0
-            for shard in range(self.n_shards):
-                wal_wait = max(
-                    wal_wait,
-                    self.durability.unit(shard).commit_wave(
-                        bulk_id=bulk_id,
-                        wave=wave_index,
-                        strategy=leader_strategy,
-                        results=[
-                            r
-                            for r in result.results
-                            if shard in shard_map[r.txn_id]
-                        ],
-                        journal_epoch=(
-                            self.shards[shard].adapter.journal.epoch
-                        ),
-                        now=now,
-                    ),
-                )
-            if wal_wait > 0.0:
-                out.breakdown.add(PHASE_WAL_SYNC, wal_wait)
-                if session is not None:
-                    session.tracer.phase(
-                        PHASE_WAL_SYNC, wal_wait, track="dma"
-                    )
+            for shard in range(self.n_shards)
+        )
+        now = self._sim_clock + out.breakdown.total
+        self._seal_wave(out, bulk_id, wave_index, now, shares)
         if wave_span is not None:
             session.tracer.end(
                 wave_span,
@@ -997,6 +853,55 @@ class ClusterTx:
                 leader_strategy=leader_strategy,
             )
         )
+
+    def _seal_wave(
+        self,
+        out: ClusterExecutionResult,
+        bulk_id: int,
+        wave_index: int,
+        now: float,
+        shares: Iterable[Tuple[int, str, List[TxnResult]]],
+    ) -> None:
+        """Seal one wave into the WAL of every shard in ``shares``
+        (``(shard, strategy, the shard's outcomes)``) and account it.
+
+        The wave is not acknowledged until each shard's record reaches
+        all its replicas; shards replicate in parallel, so the wave
+        pays the slowest sync.
+        """
+        if self.durability is None:
+            return
+        wal_wait = 0.0
+        for shard, strategy, results in shares:
+            wal_wait = max(
+                wal_wait,
+                self.durability.unit(shard).commit_wave(
+                    bulk_id=bulk_id,
+                    wave=wave_index,
+                    strategy=strategy,
+                    results=results,
+                    journal_epoch=self.shards[shard].adapter.journal.epoch,
+                    now=now,
+                ),
+            )
+        if wal_wait > 0.0:
+            self._charge(out, PHASE_WAL_SYNC, wal_wait)
+
+    @staticmethod
+    def _charge(
+        out: ClusterExecutionResult, phase: str, seconds: float
+    ) -> None:
+        """Account ``seconds`` of ``phase`` on the bulk's critical
+        path: one breakdown entry and, when tracing, one phase span
+        (on the DMA lane for the phases that ride the interconnect)."""
+        out.breakdown.add(phase, seconds)
+        session = telemetry.current()
+        if session is not None:
+            session.tracer.phase(
+                phase,
+                seconds,
+                track="dma" if phase in telemetry.DMA_PHASES else None,
+            )
 
     # ------------------------------------------------------------------
     # Failure injection and recovery (driven by FailoverController).
@@ -1049,17 +954,16 @@ class ClusterTx:
         if shard not in self._dead:
             raise ClusterError(f"shard {shard} is not down")
         unit = self.durability.unit(shard)
-        db, _stats, report = unit.promote()
+        db, report = unit.promote()
         # Peek (don't pop) so a failed verification leaves the shard
         # dead-but-recoverable instead of unrecoverable.
         lost = self._dead_engines[shard]
-        if self.durability.config.verify_recovery:
-            if not states_identical(db, lost.db):
-                raise RecoveryError(
-                    f"promoted replica of shard {shard} diverged from "
-                    "the last durable state"
-                )
-            report.verified = True
+        if not states_identical(db, lost.db):
+            raise RecoveryError(
+                f"promoted replica of shard {shard} diverged from "
+                "the last durable state"
+            )
+        report.verified = True
         # One reconstruction path: the promoted engine inherits the
         # lost engine's exact configuration and type-id order.
         engine = lost.rebuild_on(db)
@@ -1073,11 +977,10 @@ class ClusterTx:
             self.registry = engine.registry
             self.coordinator.registry = engine.registry
         self._dead.discard(shard)
-        if self.durability.config.restore_redundancy:
-            report.seconds += unit.reseed(
-                engine.db, self._bulk_seq - 1,
-                self._sim_clock + report.seconds,
-            )
+        # A fresh checkpoint reseeds the replicas: back to K copies.
+        report.seconds += unit.reseed(
+            engine.db, self._bulk_seq - 1, self._sim_clock + report.seconds
+        )
         session = telemetry.current()
         if session is not None:
             # One "recovery" phase span (whose seconds reconcile with
@@ -1165,21 +1068,14 @@ class ClusterTx:
         (no partition key) are read from shard 0. Row order follows
         the same canonicalisation as ``Database.logical_state``.
         """
+        states = [engine.db.logical_state() for engine in self.shards]
         state: Dict[str, List[Tuple[Any, ...]]] = {}
-        db0 = self.shards[0].db
-        for name, table in db0.tables.items():
+        for name, table in self.shards[0].db.tables.items():
             if table.schema.partition_key is None:
-                sources = [db0]
+                state[name] = states[0][name]
             else:
-                sources = [engine.db for engine in self.shards]
-            rows: List[Tuple[Any, ...]] = []
-            for source in sources:
-                src_table = source.table(name)
-                rows.extend(
-                    src_table.read_row(r)
-                    for r in range(src_table.n_rows)
-                    if not src_table.is_deleted(r)
+                state[name] = sorted(
+                    (row for shard in states for row in shard[name]),
+                    key=repr,
                 )
-            rows.sort(key=repr)
-            state[name] = rows
         return state

@@ -1,4 +1,4 @@
-"""Execution-backend registry and engine-level options.
+"""The execution-backend interface and the interpreted backend.
 
 The strategies of :mod:`repro.core.strategies` decide *what* runs in
 each kernel launch (which transactions form a wave, in which order);
@@ -19,19 +19,17 @@ executes on the host:
 
 Both backends produce byte-identical outcomes, final states, and
 simulated-clock figures; only wall-clock time differs. Backends are
-selected via :class:`EngineOptions` (``GPUTx(..., options=...)``).
+selected via :class:`~repro.core.backends.EngineOptions`
+(``GPUTx(..., options=...)``).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.errors import ConfigError
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.backends import EngineOptions
     from repro.core.executor import StrategyExecutor
     from repro.core.txn import Transaction
     from repro.gpu.simt import KernelReport
@@ -42,7 +40,10 @@ class ExecutionBackend:
 
     name = "base"
 
-    def __init__(self) -> None:
+    def __init__(self, options: Optional["EngineOptions"] = None) -> None:
+        #: The engine options the backend was built from (only the
+        #: vectorized backend reads them).
+        self.options = options
         #: Host wall-clock seconds spent inside kernel launches (the
         #: phase a backend owns; bulk generation and transfer
         #: accounting are shared code outside it). Benchmarks read
@@ -138,74 +139,3 @@ class InterpretedBackend(ExecutionBackend):
         report = executor.engine.launch(tasks, executor.adapter, locks=locks)
         self.wall_launch_seconds += time.perf_counter() - start
         return report
-
-
-#: Backend name -> zero-config factory.
-_BACKENDS: Dict[str, Callable[["EngineOptions"], ExecutionBackend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[["EngineOptions"], ExecutionBackend]
-) -> None:
-    """Add a backend to the registry (idempotent re-registration is an
-    error: backend names are part of the engine's public contract)."""
-    if name in _BACKENDS:
-        raise ConfigError(f"backend {name!r} already registered")
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
-
-
-def create_backend(options: "EngineOptions") -> ExecutionBackend:
-    """Instantiate the backend ``options`` selects (the name was
-    validated when the options were built)."""
-    return _BACKENDS[options.backend](options)
-
-
-def _env_strict_vector() -> bool:
-    """The ``REPRO_STRICT_VECTOR`` environment default.
-
-    CI's strict lane exports ``REPRO_STRICT_VECTOR=1`` to turn every
-    silent interpreter fallback in the vectorized backend into an
-    error; empty, ``0``, and ``false`` (any case) leave it off.
-    """
-    raw = os.environ.get("REPRO_STRICT_VECTOR", "")
-    return raw.strip().lower() not in ("", "0", "false")
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """Engine-level execution options (strategy-independent).
-
-    ``backend`` selects the execution backend by registry name.
-    ``vector_min_wave`` is the smallest wave the vectorized backend
-    bothers to vectorize -- below it the per-wave NumPy setup costs
-    more wall-clock than interpreting (the simulated clock is
-    identical either way). ``strict_vector`` turns the vectorized
-    backend's silent per-wave fallback into an error -- for tests and
-    benchmarks that must know vectorization actually happened. Its
-    default (``None``) resolves from the ``REPRO_STRICT_VECTOR``
-    environment variable, so a CI lane can arm strictness repo-wide;
-    an explicit ``False`` stays off regardless of the environment.
-    """
-
-    backend: str = "interpreted"
-    vector_min_wave: int = 1
-    strict_vector: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r}; "
-                f"choose from {available_backends()}"
-            )
-        if self.vector_min_wave < 1:
-            raise ConfigError("vector_min_wave must be >= 1")
-        if self.strict_vector is None:
-            object.__setattr__(self, "strict_vector", _env_strict_vector())
-
-
-register_backend("interpreted", lambda options: InterpretedBackend())

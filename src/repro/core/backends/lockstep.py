@@ -261,7 +261,7 @@ def run_locked_schedule(
         (registry.type_id(t.type_name) for t in transactions), np.int64, n
     )
     capture = np.array(
-        [executor._needs_undo(t) for t in transactions], dtype=bool
+        [registry.needs_undo(t.type_name) for t in transactions], dtype=bool
     )
     type_of: Dict[int, Any] = {}
     for t in transactions:

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.gpu import ops as op_ir
-from repro.gpu.costmodel import KernelStats, with_perf_handicap
+from repro.gpu.costmodel import KernelStats
 from repro.gpu.simt import KernelReport, ThreadOutcome, warp_layout
 
 from repro.core.backends.wave import HANDLE_BASE, TraceRecorder, WaveStore
@@ -38,7 +38,6 @@ from repro.core.backends.wave import HANDLE_BASE, TraceRecorder, WaveStore
 _PLAIN_ISSUE_KINDS = (
     op_ir.SET_BRANCH,
     op_ir.ABORT,
-    op_ir.THREAD_FENCE,
 )
 
 
@@ -398,7 +397,7 @@ def replay_kernel(
     stats.mem_bytes = mem_bytes.tolist()
     stats.atomic_cycles = atomic_cycles.tolist()
 
-    timing = with_perf_handicap(cost.resolve(stats))
+    timing = cost.resolve(stats)
     return KernelReport(stats=stats, timing=timing, outcomes=outcomes)
 
 

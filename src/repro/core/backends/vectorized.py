@@ -20,29 +20,22 @@ transaction type has a vector form (``TransactionType.vector_body``)
 and the store is column-layout; the partition path additionally
 requires two-phase types that need no undo logging (the PART wrapper's
 inline compensating rollback is interpreter-shaped). Such a wave runs
-through :class:`~repro.core.backends.base.InterpretedBackend`
-unchanged. (The ad-hoc and relaxed-TPL strategies never reach a
-backend: they launch on the SIMT engine directly.) The
+through the base class (:class:`~repro.core.backends.base.
+InterpretedBackend`) unchanged. (The ad-hoc and relaxed-TPL strategies
+never reach a backend: they launch on the SIMT engine directly.) The
 ``strict_vector`` engine option turns that fallback into an error for
-tests and benches that must know vectorization happened; the
-``vector_min_wave`` option keeps tiny waves on the interpreter, where
-the NumPy setup overhead is not worth paying.
+tests and benches that must know vectorization happened.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import tx_logging
-from repro.core.backends.base import (
-    EngineOptions,
-    ExecutionBackend,
-    InterpretedBackend,
-    register_backend,
-)
+from repro.core.backends.base import InterpretedBackend
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
 from repro.core.backends.wave import (
@@ -55,16 +48,18 @@ from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, ThreadOutcome
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.backends import EngineOptions
 
-class VectorizedBackend(ExecutionBackend):
-    """Batched NumPy wave execution with exact cost replay."""
+
+class VectorizedBackend(InterpretedBackend):
+    """Batched NumPy wave execution with exact cost replay; a wave it
+    cannot express runs on the interpreter it extends."""
 
     name = "vectorized"
 
-    def __init__(self, options: Optional[EngineOptions] = None) -> None:
-        super().__init__()
-        self.options = options or EngineOptions(backend="vectorized")
-        self._interpreted = InterpretedBackend()
+    def __init__(self, options: "EngineOptions") -> None:
+        super().__init__(options)
         #: How many launches each path actually ran.
         self.waves_vectorized = 0
         self.waves_interpreted = 0
@@ -96,28 +91,19 @@ class VectorizedBackend(ExecutionBackend):
             if not allow_undo:
                 if not txn_type.two_phase:
                     return f"transaction type {name!r} is not two-phase"
-                if executor.use_undo_logging and registry.needs_undo(name):
+                if registry.needs_undo(name):
                     return f"transaction type {name!r} requires undo logging"
         return None
 
-    def _interpret(self, launch, reason: Optional[str], *args):
-        """Run one ``self._interpreted`` launch, timed under this backend.
-
-        ``reason`` says why the wave cannot vectorize (an error under
-        ``strict_vector``); ``None`` means it merely fell below
-        ``vector_min_wave``.
-        """
-        if reason is not None:
-            self.last_fallback_reason = reason
-            if self.options.strict_vector:
-                raise ExecutionError(
-                    f"strict_vector: wave cannot be vectorized ({reason})"
-                )
+    def _fall_back(self, reason: str) -> None:
+        """Count one launch left to the interpreter because of
+        ``reason`` (an error under ``strict_vector``)."""
+        self.last_fallback_reason = reason
+        if self.options.strict_vector:
+            raise ExecutionError(
+                f"strict_vector: wave cannot be vectorized ({reason})"
+            )
         self.waves_interpreted += 1
-        report = launch(*args)
-        self.wall_launch_seconds += self._interpreted.wall_launch_seconds
-        self._interpreted.wall_launch_seconds = 0.0
-        return report
 
     def bulk_path(self) -> str:
         vec = self.waves_vectorized - self._path_mark[0]
@@ -136,10 +122,9 @@ class VectorizedBackend(ExecutionBackend):
         for i, txn in enumerate(transactions):
             by_type.setdefault(txn.type_name, []).append(i)
         reason = self._unsupported_reason(executor, list(by_type))
-        if reason is not None or n < self.options.vector_min_wave:
-            return self._interpret(
-                self._interpreted.launch_wave, reason, executor, transactions
-            )
+        if reason is not None:
+            self._fall_back(reason)
+            return super().launch_wave(executor, transactions)
 
         start = _time.perf_counter()
         registry = executor.registry
@@ -149,7 +134,8 @@ class VectorizedBackend(ExecutionBackend):
         # journal before-images during the kernel (one gather per
         # write step), exactly like the interpreter's per-row appends.
         capture = np.array(
-            [executor._needs_undo(t) for t in transactions], dtype=bool
+            [registry.needs_undo(t.type_name) for t in transactions],
+            dtype=bool,
         )
         recorder.undo_capture = capture
         committed = np.ones(n, dtype=bool)
@@ -210,14 +196,9 @@ class VectorizedBackend(ExecutionBackend):
         for i, txn in enumerate(transactions):
             by_type.setdefault(txn.type_name, []).append(i)
         reason = self._unsupported_reason(executor, list(by_type))
-        if (
-            reason is not None
-            or len(transactions) < self.options.vector_min_wave
-        ):
-            return self._interpret(
-                self._interpreted.launch_locked,
-                reason, executor, transactions, plans, locks,
-            )
+        if reason is not None:
+            self._fall_back(reason)
+            return super().launch_locked(executor, transactions, plans, locks)
         start = _time.perf_counter()
         store = self._wave_store(executor, by_type)
         report = run_locked_schedule(
@@ -239,12 +220,9 @@ class VectorizedBackend(ExecutionBackend):
         reason = self._unsupported_reason(
             executor, sorted(type_names), allow_undo=False
         )
-        total = sum(len(txns) for _pid, txns in parts)
-        if reason is not None or total < self.options.vector_min_wave:
-            return self._interpret(
-                self._interpreted.launch_partitions,
-                reason, executor, parts, boundary_cycles,
-            )
+        if reason is not None:
+            self._fall_back(reason)
+            return super().launch_partitions(executor, parts, boundary_cycles)
 
         start = _time.perf_counter()
         registry = executor.registry
@@ -330,5 +308,3 @@ class VectorizedBackend(ExecutionBackend):
         )
         return WaveStore(executor.adapter, mutating)
 
-
-register_backend("vectorized", lambda options: VectorizedBackend(options))

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import repro.telemetry as telemetry
-from repro.core.backends import EngineOptions, create_backend
+from repro.core.backends import BACKENDS, EngineOptions
 from repro.core.chooser import ChooserThresholds, choose_strategy
-from repro.core.executor import ExecutionResult, StrategyExecutor
+from repro.core.executor import PHASE_EXECUTION, ExecutionResult, StrategyExecutor
 from repro.core.oparray import OpArray
 from repro.core.profiler import BulkProfile, BulkProfiler
 from repro.core.procedure import ProcedureRegistry, TransactionType
@@ -81,7 +81,50 @@ class ArrivalReport:
         return self.throughput_tps / 1e3
 
 
-class GPUTx:
+class BulkFrontDoor:
+    """Submission into the pool and the pool-draining ``run_bulk``:
+    the surface ``GPUTx`` and the cluster's ``ClusterTx`` share. The
+    subclass owns ``pool`` and ``execute_bulk``."""
+
+    pool: TransactionPool
+
+    def submit(
+        self, type_name: str, params: Iterable[Any], submit_time: float = 0.0
+    ) -> Transaction:
+        return self.pool.submit(type_name, params, submit_time)
+
+    def submit_many(
+        self,
+        transactions: Iterable[
+            Union[Transaction, Tuple[str, tuple], Tuple[str, tuple, float]]
+        ],
+    ) -> int:
+        """Submit pre-built transactions, (type, params) pairs, or
+        (type, params, submit_time) triples."""
+        return self.pool.submit_specs(transactions)
+
+    def run_bulk(
+        self,
+        strategy: str = "auto",
+        max_txns: Optional[int] = None,
+        **options: Any,
+    ):
+        """Generate one bulk from the pool and execute it.
+
+        ``strategy="auto"`` profiles the bulk and applies Algorithm 1
+        (per shard, on a cluster). Strategy-specific options
+        (``grouping_passes``, ``partition_size``, ...) pass through to
+        the executor.
+        """
+        # Validate before draining the pool: a typo'd option or
+        # strategy name must not cost the caller the bulk.
+        validate_strategy_options(strategy, options)
+        return self.execute_bulk(  # type: ignore[attr-defined]
+            self.pool.take(max_txns), strategy=strategy, **options
+        )
+
+
+class GPUTx(BulkFrontDoor):
     """High-throughput bulk transaction execution engine on the GPU."""
 
     def __init__(
@@ -91,7 +134,6 @@ class GPUTx:
         *,
         spec: GPUSpec = C1060,
         block_size: int = 256,
-        use_undo_logging: bool = True,
         thresholds: Optional[ChooserThresholds] = None,
         options: Optional[EngineOptions] = None,
     ) -> None:
@@ -108,7 +150,6 @@ class GPUTx:
         self.results = ResultPool()
         self.profiler = BulkProfiler(self.registry, self.primitives)
         self.thresholds = thresholds or ChooserThresholds.for_spec(spec)
-        self.use_undo_logging = use_undo_logging
         if options is None:
             options = EngineOptions()
         elif not isinstance(options, EngineOptions):
@@ -119,34 +160,16 @@ class GPUTx:
         self.options = options
         #: The execution backend every K-SET/PART/TPL kernel launch of
         #: this engine routes through (repro.core.backends).
-        self.backend = create_backend(self.options)
+        self.backend = BACKENDS[options.backend](options)
         #: Dropped-option warnings already issued by THIS engine
         #: (dedup is per engine, not per process -- see _filter_options).
         self._warned_options: Set[Tuple[str, Tuple[str, ...]]] = set()
         #: Bulks traced so far (names the per-bulk telemetry spans).
         self._bulk_count = 0
 
-    # ------------------------------------------------------------------
-    # Registration and submission.
-    # ------------------------------------------------------------------
     def register(self, txn_type: TransactionType) -> int:
         """Add a stored procedure to the combined kernel."""
         return self.registry.register(txn_type)
-
-    def submit(
-        self, type_name: str, params: Iterable[Any], submit_time: float = 0.0
-    ) -> Transaction:
-        return self.pool.submit(type_name, params, submit_time)
-
-    def submit_many(
-        self,
-        transactions: Iterable[
-            Union[Transaction, Tuple[str, tuple], Tuple[str, tuple, float]]
-        ],
-    ) -> int:
-        """Submit pre-built transactions, (type, params) pairs, or
-        (type, params, submit_time) triples."""
-        return self.pool.submit_specs(transactions)
 
     def rebuild_on(self, db: Database) -> "GPUTx":
         """A fresh engine over ``db`` with this engine's configuration.
@@ -164,7 +187,6 @@ class GPUTx:
             ],
             spec=self.spec,
             block_size=self.engine.block_size,
-            use_undo_logging=self.use_undo_logging,
             thresholds=self.thresholds,
             options=self.options,
         )
@@ -182,9 +204,10 @@ class GPUTx:
     # ------------------------------------------------------------------
     def make_executor(self, strategy: str, **options: Any) -> StrategyExecutor:
         """Build a strategy executor sharing this engine's plumbing."""
+        validate_strategy_options(strategy, options)
         try:
             cls = _STRATEGIES[strategy]
-        except KeyError:
+        except KeyError:  # "auto": only execute_bulk resolves it
             raise ConfigError(
                 f"unknown strategy {strategy!r}; "
                 f"choose from {sorted(_STRATEGIES)}"
@@ -195,7 +218,6 @@ class GPUTx:
             self.engine,
             primitives=self.primitives,
             pcie=self.pcie,
-            use_undo_logging=self.use_undo_logging,
             backend=self.backend,
             **options,
         )
@@ -203,25 +225,6 @@ class GPUTx:
     def profile_pool(self, max_txns: Optional[int] = None) -> BulkProfile:
         """Profile the pending transactions without executing them."""
         return self.profiler.profile(self.pool.peek(max_txns))
-
-    def run_bulk(
-        self,
-        strategy: str = "auto",
-        max_txns: Optional[int] = None,
-        **options: Any,
-    ) -> ExecutionResult:
-        """Generate one bulk from the pool and execute it.
-
-        ``strategy="auto"`` profiles the bulk and applies Algorithm 1.
-        Strategy-specific options (``grouping_passes``,
-        ``partition_size``, ...) pass through to the executor.
-        """
-        # Validate before draining the pool: a typo'd option or
-        # strategy name must not cost the caller the bulk.
-        validate_strategy_options(strategy, options)
-        return self.execute_bulk(
-            self.pool.take(max_txns), strategy=strategy, **options
-        )
 
     def execute_bulk(
         self,
@@ -300,8 +303,6 @@ class GPUTx:
             aborted=result.aborted,
             deferred=len(result.deferred),
         )
-        from repro.core.executor import PHASE_EXECUTION
-
         for phase, seconds in result.breakdown.phases.items():
             track = tracer.dma_track if phase in telemetry.DMA_PHASES else None
             if phase != PHASE_EXECUTION or not result.kernel_reports:
@@ -463,6 +464,12 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
             raise ConfigError(
                 f"{name} must be an int >= {lowest}, got {value!r}"
             )
+    # The one on/off option: a truthy "no" would silently switch it on.
+    flag = options.get("per_task_launch_overhead", False)
+    if not isinstance(flag, bool):
+        raise ConfigError(
+            f"per_task_launch_overhead must be a bool, got {flag!r}"
+        )
     if strategy == "auto":
         known_anywhere = set().union(*_STRATEGY_OPTIONS.values())
         unknown = sorted(set(options) - known_anywhere)
@@ -488,7 +495,7 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
 def _filter_options(
     strategy: str,
     options: Dict[str, Any],
-    warned: Optional[Set[Tuple[str, Tuple[str, ...]]]] = None,
+    warned: Set[Tuple[str, Tuple[str, ...]]],
 ) -> Dict[str, Any]:
     """Keep only the options the chosen strategy's executor accepts.
 
@@ -510,9 +517,8 @@ def _filter_options(
     dropped = set(options) - allowed
     if dropped:
         key = (strategy, tuple(sorted(dropped)))
-        if warned is None or key not in warned:
-            if warned is not None:
-                warned.add(key)
+        if key not in warned:
+            warned.add(key)
             warnings.warn_explicit(
                 f"option(s) {sorted(dropped)} are not used by the chosen "
                 f"strategy {strategy!r} and were dropped",

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tx_logging import rollback
-from repro.core.txn import Transaction, TxnResult
+from repro.core.txn import BulkOutcome, Transaction, TxnResult
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
@@ -43,7 +43,7 @@ PHASE_TRANSFER_OUT = "transfer_out"
 
 
 @dataclass
-class ExecutionResult:
+class ExecutionResult(BulkOutcome):
     """Outcome of executing one bulk with some strategy."""
 
     strategy: str
@@ -65,29 +65,6 @@ class ExecutionResult:
     #: engine facade; 0.0 when the executor was driven directly).
     wall_seconds: float = 0.0
 
-    @property
-    def seconds(self) -> float:
-        return self.breakdown.total
-
-    @property
-    def committed(self) -> int:
-        return sum(1 for r in self.results if r.committed)
-
-    @property
-    def aborted(self) -> int:
-        return sum(1 for r in self.results if not r.committed)
-
-    def throughput_tps(self, count_aborts: bool = True) -> float:
-        """Transactions per second of this bulk execution."""
-        n = len(self.results) if count_aborts else self.committed
-        seconds = self.seconds
-        return n / seconds if seconds > 0 else 0.0
-
-    @property
-    def throughput_ktps(self) -> float:
-        """The paper's unit: thousands of transactions per second."""
-        return self.throughput_tps() / 1e3
-
 
 class StrategyExecutor:
     """Base class: strategy-independent plumbing."""
@@ -100,25 +77,21 @@ class StrategyExecutor:
         adapter: StoreAdapter,
         engine: SIMTEngine,
         *,
-        primitives: Optional[PrimitiveLibrary] = None,
-        pcie: Optional[PCIeModel] = None,
-        use_undo_logging: bool = True,
-        backend: Optional["ExecutionBackend"] = None,
+        primitives: PrimitiveLibrary,
+        pcie: PCIeModel,
+        backend: "ExecutionBackend",
     ) -> None:
-        from repro.core.backends import InterpretedBackend
-
         self.registry = registry
         self.adapter = adapter
         self.engine = engine
-        self.primitives = primitives or PrimitiveLibrary(engine.spec)
-        self.pcie = pcie or PCIeModel(engine.spec)
-        self.use_undo_logging = use_undo_logging
+        self.primitives = primitives
+        self.pcie = pcie
         #: How waves execute on the host (see repro.core.backends).
         #: K-SET, PART and TPL route their kernel launches through it;
         #: ad-hoc and relaxed TPL launch on the SIMT engine directly
         #: (only the interpreter models serial-core execution and
         #: basic spin locks).
-        self.backend = backend or InterpretedBackend()
+        self.backend = backend
 
     # ------------------------------------------------------------------
     # To be provided by strategies.
@@ -132,16 +105,13 @@ class StrategyExecutor:
     # ------------------------------------------------------------------
     # Shared helpers.
     # ------------------------------------------------------------------
-    def _needs_undo(self, txn: Transaction) -> bool:
-        return self.use_undo_logging and self.registry.needs_undo(txn.type_name)
-
     def build_task(self, txn: Transaction) -> ThreadTask:
         """One transaction -> one GPU thread."""
         return ThreadTask(
             txn_id=txn.txn_id,
             type_id=self.registry.type_id(txn.type_name),
             body=self.registry.build_stream(txn.type_name, txn.params),
-            capture_undo=self._needs_undo(txn),
+            capture_undo=self.registry.needs_undo(txn.type_name),
         )
 
     def locked_task(
@@ -169,7 +139,7 @@ class StrategyExecutor:
             txn_id=txn.txn_id,
             type_id=self.registry.type_id(txn.type_name),
             body=stream(),
-            capture_undo=self._needs_undo(txn),
+            capture_undo=self.registry.needs_undo(txn.type_name),
         )
 
     def input_transfer_seconds(self, transactions: Sequence[Transaction]) -> float:

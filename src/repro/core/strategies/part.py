@@ -61,8 +61,6 @@ class PartExecutor(StrategyExecutor):
 
     def __init__(self, *args, partition_size: int = 1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if partition_size < 1:
-            raise ValueError("partition_size must be >= 1")
         self.partition_size = partition_size
 
     # ------------------------------------------------------------------
@@ -81,7 +79,6 @@ class PartExecutor(StrategyExecutor):
                 self.engine,
                 primitives=self.primitives,
                 pcie=self.pcie,
-                use_undo_logging=self.use_undo_logging,
                 backend=self.backend,
             )
             result = fallback.execute(transactions, ops)
@@ -146,7 +143,7 @@ class PartExecutor(StrategyExecutor):
             (
                 txn.txn_id,
                 self.registry.type_id(txn.type_name),
-                self._needs_undo(txn),
+                self.registry.needs_undo(txn.type_name),
                 self.registry.build_stream(txn.type_name, txn.params),
             )
             for txn in txns

@@ -65,6 +65,43 @@ class TxnResult:
         return size
 
 
+class BulkOutcome:
+    """The scalar summary every bulk result reports.
+
+    Base of the engine's ``ExecutionResult``, the cluster's
+    ``ClusterExecutionResult`` and the CPU counterpart's
+    ``CpuExecutionResult``: each is a dataclass holding per-transaction
+    ``results`` and a phase ``breakdown``
+    (:class:`~repro.gpu.costmodel.TimeBreakdown`); what is derived
+    from those two is defined here, once.
+    """
+
+    results: List[TxnResult]
+
+    @property
+    def seconds(self) -> float:
+        return self.breakdown.total  # type: ignore[attr-defined]
+
+    @property
+    def committed(self) -> int:
+        return sum(1 for r in self.results if r.committed)
+
+    @property
+    def aborted(self) -> int:
+        return sum(1 for r in self.results if not r.committed)
+
+    def throughput_tps(self, count_aborts: bool = True) -> float:
+        """Transactions per second of this bulk execution."""
+        n = len(self.results) if count_aborts else self.committed
+        seconds = self.seconds
+        return n / seconds if seconds > 0 else 0.0
+
+    @property
+    def throughput_ktps(self) -> float:
+        """The paper's unit: thousands of transactions per second."""
+        return self.throughput_tps() / 1e3
+
+
 class TransactionPool:
     """FIFO pool of submitted-but-unexecuted transaction signatures.
 

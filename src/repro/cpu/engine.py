@@ -20,35 +20,152 @@ the paper normalises Figure 7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.core.executor import PHASE_EXECUTION
 from repro.core.procedure import ProcedureRegistry, TransactionType
-from repro.core.txn import Transaction, TxnResult
+from repro.core.txn import BulkOutcome, Transaction, TxnResult
 from repro.cpu.costmodel import CpuCostModel
 from repro.errors import ConfigError, ExecutionError
 from repro.gpu import ops as op_ir
+from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.spec import CPUSpec, XEON_E5520
 from repro.storage.catalog import Database, StoreAdapter
 
 
+#: Raw device atomics have no host-core form, so no serial pass runs
+#: them. A caller may refuse more: the cluster leader also refuses
+#: device locks (``refused=`` below).
+DEVICE_ATOMICS = frozenset({op_ir.ATOMIC_ADD, op_ir.ATOMIC_CAS})
+
+
+def run_stream(
+    stream: op_ir.OpStream,
+    adapter: Any,
+    cost: CpuCostModel,
+    *,
+    who: str,
+    refused: FrozenSet[int] = DEVICE_ATOMICS,
+) -> Tuple[float, bool, str, Any]:
+    """Run one transaction's op stream to completion on one host core.
+
+    The only serial op-stream interpreter outside the SIMT simulator:
+    :class:`CpuEngine` and the cluster's cross-shard leader
+    (:mod:`repro.cluster.coordinator`) both execute through it, so
+    their outcomes and cycle charges agree by construction. ``adapter``
+    is any DeviceStore-protocol store view; ``who`` names the
+    transaction in errors; an op whose kind is in ``refused`` is an
+    :class:`~repro.errors.ExecutionError`. Returns ``(cycles,
+    committed, abort_reason, value)``. An abort is rolled back inline:
+    serial execution makes that trivial (no other transaction has
+    observed the writes).
+    """
+    cycles = 0.0
+    undo: List[Tuple[str, str, int, Any]] = []
+    pending_inserts: List[Tuple[str, int]] = []
+    pending_deletes: List[Tuple[str, int]] = []
+    send: Any = None
+    while True:
+        try:
+            op = stream.send(send)
+        except StopIteration as stop:
+            return cycles, True, "", stop.value
+        except Exception as exc:
+            raise ExecutionError(f"{who} raised {exc!r}") from exc
+        send = None
+        kind = op.kind
+        if kind == op_ir.READ:
+            send = adapter.read(op.table, op.column, op.row)
+            cycles += cost.memory_access()
+        elif kind == op_ir.WRITE:
+            old = adapter.write(op.table, op.column, op.row, op.value)
+            undo.append((op.table, op.column, op.row, old))
+            cycles += cost.memory_access()
+        elif kind == op_ir.COMPUTE:
+            cycles += cost.compute(op.amount)
+        elif kind == op_ir.SFU_COMPUTE:
+            cycles += cost.sfu(op.amount)
+        elif kind == op_ir.INDEX_PROBE:
+            send = adapter.probe(op.index, op.key)
+            cycles += 2 * cost.memory_access()
+        elif kind == op_ir.INSERT_ROW:
+            provisional = adapter.insert(op.table, op.values)
+            pending_inserts.append((op.table, provisional))
+            send = provisional
+            cycles += cost.insert(adapter.row_width(op.table))
+        elif kind == op_ir.DELETE_ROW:
+            adapter.delete(op.table, op.row)
+            pending_deletes.append((op.table, op.row))
+            cycles += cost.memory_access()
+        elif kind == op_ir.ABORT:
+            for table, column, row, old in reversed(undo):
+                adapter.write(table, column, row, old)
+                cycles += cost.memory_access()
+            for table, provisional in pending_inserts:
+                adapter.cancel_insert(table, provisional)
+            for table, row in pending_deletes:
+                adapter.cancel_delete(table, row)
+            return cycles, False, op.reason, None
+        elif kind in refused:
+            raise ExecutionError(
+                f"{who} issued {type(op).__name__}, which this serial "
+                "host pass does not run"
+            )
+        elif kind in (op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE,
+                      op_ir.SET_BRANCH):
+            cycles += cost.compute(1)
+        else:  # pragma: no cover - closed op table
+            raise ExecutionError(f"unknown op kind {kind}")
+
+
+def run_serial(
+    registry: ProcedureRegistry,
+    transactions: Sequence[Transaction],
+    adapter: Any,
+    cost: CpuCostModel,
+    *,
+    who: str = "transaction",
+    refused: FrozenSet[int] = DEVICE_ATOMICS,
+) -> Tuple[List[Transaction], List[TxnResult], List[float]]:
+    """Run a batch through :func:`run_stream` in timestamp order.
+
+    Returns the timestamp-sorted transactions plus parallel lists of
+    results and per-transaction cycles (engine dispatch included), and
+    applies the buffered insert/delete batch once at the end.
+    """
+    order = sorted(transactions, key=lambda t: t.txn_id)
+    results: List[TxnResult] = []
+    cycles: List[float] = []
+    for txn in order:
+        txn_cycles, committed, reason, value = run_stream(
+            registry.build_stream(txn.type_name, txn.params),
+            adapter,
+            cost,
+            who=f"{who} {txn.txn_id}",
+            refused=refused,
+        )
+        cycles.append(txn_cycles + cost.dispatch())
+        results.append(
+            TxnResult(
+                txn_id=txn.txn_id,
+                type_name=txn.type_name,
+                committed=committed,
+                abort_reason=reason,
+                value=value,
+            )
+        )
+    adapter.apply_batch()
+    return order, results, cycles
+
+
 @dataclass
-class CpuExecutionResult:
+class CpuExecutionResult(BulkOutcome):
     """Outcome and timing of one CPU batch execution."""
 
     results: List[TxnResult]
-    seconds: float
+    #: One phase: the makespan (the busiest core's time).
+    breakdown: TimeBreakdown
     core_seconds: List[float] = field(default_factory=list)
-
-    @property
-    def committed(self) -> int:
-        return sum(1 for r in self.results if r.committed)
-
-    def throughput_tps(self) -> float:
-        return len(self.results) / self.seconds if self.seconds > 0 else 0.0
-
-    @property
-    def throughput_ktps(self) -> float:
-        return self.throughput_tps() / 1e3
 
 
 class CpuEngine:
@@ -80,100 +197,21 @@ class CpuEngine:
     def execute(self, transactions: Sequence[Transaction]) -> CpuExecutionResult:
         """Run a batch to completion; returns outcomes + makespan."""
         core_cycles = [0.0] * self.num_cores
-        results: List[TxnResult] = []
-        ordered = sorted(transactions, key=lambda t: t.txn_id)
-        for txn in ordered:
-            txn_type = self.registry.get(txn.type_name)
-            partition = txn_type.partition_of(txn.params)
-            cycles, committed, reason, value = self._run_one(txn, txn_type)
-            cycles += self.cost.dispatch()
+        order, results, cycles = run_serial(
+            self.registry, transactions, self.adapter, self.cost
+        )
+        for txn, txn_cycles in zip(order, cycles):
+            partition = self.registry.get(txn.type_name).partition_of(txn.params)
             if partition is None:
                 # Cross-partition: quiesce -- every worker blocks for it.
                 for core in range(self.num_cores):
-                    core_cycles[core] += cycles
+                    core_cycles[core] += txn_cycles
             else:
-                core_cycles[partition % self.num_cores] += cycles
-            results.append(
-                TxnResult(
-                    txn_id=txn.txn_id,
-                    type_name=txn.type_name,
-                    committed=committed,
-                    abort_reason=reason,
-                    value=value,
-                )
-            )
-        self.adapter.apply_batch()
-        seconds = self.cost.seconds(max(core_cycles)) if core_cycles else 0.0
+                core_cycles[partition % self.num_cores] += txn_cycles
         return CpuExecutionResult(
             results=results,
-            seconds=seconds,
+            breakdown=TimeBreakdown(
+                {PHASE_EXECUTION: self.cost.seconds(max(core_cycles))}
+            ),
             core_seconds=[self.cost.seconds(c) for c in core_cycles],
         )
-
-    # ------------------------------------------------------------------
-    def _run_one(
-        self, txn: Transaction, txn_type: TransactionType
-    ) -> Tuple[float, bool, str, Any]:
-        """Execute one transaction's op stream; serial, inline rollback."""
-        stream = self.registry.build_stream(txn.type_name, txn.params)
-        adapter = self.adapter
-        cost = self.cost
-        cycles = 0.0
-        undo: List[Tuple[str, str, int, Any]] = []
-        pending_inserts: List[Tuple[str, int]] = []
-        pending_deletes: List[Tuple[str, int]] = []
-        send: Any = None
-        while True:
-            try:
-                op = stream.send(send)
-            except StopIteration as stop:
-                return cycles, True, "", stop.value
-            except Exception as exc:
-                raise ExecutionError(
-                    f"transaction {txn.txn_id} raised {exc!r}"
-                ) from exc
-            send = None
-            kind = op.kind
-            if kind == op_ir.READ:
-                send = adapter.read(op.table, op.column, op.row)
-                cycles += cost.memory_access()
-            elif kind == op_ir.WRITE:
-                old = adapter.write(op.table, op.column, op.row, op.value)
-                undo.append((op.table, op.column, op.row, old))
-                cycles += cost.memory_access()
-            elif kind == op_ir.COMPUTE:
-                cycles += cost.compute(op.amount)
-            elif kind == op_ir.SFU_COMPUTE:
-                cycles += cost.sfu(op.amount)
-            elif kind == op_ir.INDEX_PROBE:
-                send = adapter.probe(op.index, op.key)
-                cycles += 2 * cost.memory_access()
-            elif kind == op_ir.INSERT_ROW:
-                provisional = adapter.insert(op.table, op.values)
-                pending_inserts.append((op.table, provisional))
-                send = provisional
-                cycles += cost.insert(adapter.row_width(op.table))
-            elif kind == op_ir.DELETE_ROW:
-                adapter.delete(op.table, op.row)
-                pending_deletes.append((op.table, op.row))
-                cycles += cost.memory_access()
-            elif kind == op_ir.ABORT:
-                # Inline rollback: serial execution makes this trivial
-                # (no other transaction has observed our writes).
-                for table, column, row, old in reversed(undo):
-                    adapter.write(table, column, row, old)
-                    cycles += cost.memory_access()
-                for table, provisional in pending_inserts:
-                    adapter.cancel_insert(table, provisional)
-                for table, row in pending_deletes:
-                    adapter.cancel_delete(table, row)
-                return cycles, False, op.reason, None
-            elif kind in (op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE,
-                          op_ir.THREAD_FENCE, op_ir.SET_BRANCH):
-                cycles += cost.compute(1)
-            elif kind in (op_ir.ATOMIC_ADD, op_ir.ATOMIC_CAS):
-                raise ExecutionError(
-                    "raw device atomics are not part of the CPU engine"
-                )
-            else:  # pragma: no cover - closed op table
-                raise ExecutionError(f"unknown op kind {kind}")

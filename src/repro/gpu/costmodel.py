@@ -26,8 +26,7 @@ time (Sections 5.2, 6.2).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.gpu.spec import GPUSpec
@@ -96,45 +95,6 @@ class KernelTiming:
     memory_cycles: float
     atomic_cycles: float
     bound: str  # "compute" | "memory"
-
-    def __add__(self, other: "KernelTiming") -> "KernelTiming":
-        return KernelTiming(
-            cycles=self.cycles + other.cycles,
-            seconds=self.seconds + other.seconds,
-            issue_cycles=self.issue_cycles + other.issue_cycles,
-            memory_cycles=self.memory_cycles + other.memory_cycles,
-            atomic_cycles=self.atomic_cycles + other.atomic_cycles,
-            bound=self.bound if self.issue_cycles >= other.issue_cycles else other.bound,
-        )
-
-
-#: Perf-canary hook: ``REPRO_PERF_HANDICAP=<factor>`` multiplies the
-#: simulated seconds of every kernel launch. The CI perf-trajectory
-#: lane uses it to prove the regression gate actually fires (a 2x
-#: handicap must turn ``scripts/bench_compare.py`` red); it must never
-#: be set in normal runs. Applying it here -- at the source, where
-#: each :class:`KernelReport`'s timing is resolved -- rather than
-#: editing a bulk's breakdown after the fact keeps every consumer of
-#: kernel time consistent: per-wave trace spans, the execution phase
-#: of the breakdown, and the bench figures all see the same slowdown.
-PERF_HANDICAP_ENV = "REPRO_PERF_HANDICAP"
-
-
-def perf_handicap_factor() -> float:
-    """The active handicap multiplier (1.0 when the canary is off)."""
-    raw = os.environ.get(PERF_HANDICAP_ENV)
-    if not raw:
-        return 1.0
-    factor = float(raw)
-    return factor if factor > 1.0 else 1.0
-
-
-def with_perf_handicap(timing: KernelTiming) -> KernelTiming:
-    """Scale a resolved kernel timing by the active handicap."""
-    factor = perf_handicap_factor()
-    if factor == 1.0:
-        return timing
-    return replace(timing, seconds=timing.seconds * factor)
 
 
 class GpuCostModel:

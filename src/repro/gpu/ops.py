@@ -51,7 +51,6 @@ INDEX_PROBE = 8
 INSERT_ROW = 9
 DELETE_ROW = 10
 ABORT = 11
-THREAD_FENCE = 12
 SET_BRANCH = 13
 
 KIND_NAMES = {
@@ -67,7 +66,6 @@ KIND_NAMES = {
     INSERT_ROW: "INSERT_ROW",
     DELETE_ROW: "DELETE_ROW",
     ABORT: "ABORT",
-    THREAD_FENCE: "THREAD_FENCE",
     SET_BRANCH: "SET_BRANCH",
 }
 
@@ -256,13 +254,6 @@ class Abort(Op):
         self.reason = reason
 
 
-class ThreadFence(Op):
-    """``__threadfence()`` -- a memory barrier; timing-only."""
-
-    __slots__ = ()
-    kind = THREAD_FENCE
-
-
 class SetBranch(Op):
     """Enter a branch of the combined kernel's ``switch`` clause.
 
@@ -304,7 +295,6 @@ VECTORIZABLE_KINDS = frozenset(
         INSERT_ROW,
         DELETE_ROW,
         ABORT,
-        THREAD_FENCE,
         SET_BRANCH,
     }
 )

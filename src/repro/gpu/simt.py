@@ -29,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import DeadlockError, ExecutionError, KernelTimeoutError
+from repro.errors import (
+    ConfigError,
+    DeadlockError,
+    ExecutionError,
+    KernelTimeoutError,
+)
 from repro.gpu import ops as op_ir
 from repro.gpu.atomics import CounterSpace, LockTable
-from repro.gpu.costmodel import (
-    GpuCostModel,
-    KernelStats,
-    KernelTiming,
-    with_perf_handicap,
-)
+from repro.gpu.costmodel import GpuCostModel, KernelStats, KernelTiming
 from repro.gpu.memory import DeviceStore
 from repro.gpu.spec import C1060, GPUSpec
 
@@ -169,10 +169,10 @@ class SIMTEngine:
         block_size: int = 256,
         max_rounds: int = 2_000_000,
     ) -> None:
-        if block_size % spec.warp_size:
-            raise ExecutionError(
-                f"block size {block_size} must be a multiple of the warp "
-                f"size {spec.warp_size}"
+        if block_size < spec.warp_size or block_size % spec.warp_size:
+            raise ConfigError(
+                f"block size {block_size} must be a positive multiple of "
+                f"the warp size {spec.warp_size}"
             )
         self.spec = spec
         self.cost = GpuCostModel(spec)
@@ -249,7 +249,7 @@ class SIMTEngine:
 
         stats.rounds = rounds
         stats.threads_aborted = sum(1 for t in threads if t.aborted)
-        timing = with_perf_handicap(self.cost.resolve(stats))
+        timing = self.cost.resolve(stats)
         return KernelReport(
             stats=stats, timing=timing, outcomes=[t.outcome() for t in threads]
         )
@@ -482,10 +482,6 @@ class SIMTEngine:
                     t.abort_reason = t.op.reason
                     self._finish(t)
                 stats.issue_cycles[sm] += cost.issue_plain()
-            elif kind == op_ir.THREAD_FENCE:
-                stats.issue_cycles[sm] += cost.issue_plain()
-                for t in members:
-                    self._advance(t, None)
             else:  # pragma: no cover - op table is closed
                 raise ExecutionError(f"unknown op kind {kind}")
         return progressed, blocked
@@ -600,7 +596,7 @@ class SIMTEngine:
                         stats.mem_transactions[0] += 1
                         stats.mem_bytes[0] += spec.memory_transaction_bytes
                     thread.undo.clear()
-                # Lock ops and fences are free of contention when serial.
+                # Lock ops are free of contention when serial.
             outcomes.append(thread.outcome())
 
         stats.issue_cycles[0] = issue
@@ -614,14 +610,12 @@ class SIMTEngine:
         extra = spec.kernel_launch_overhead_s * (
             launches if per_task_launch_overhead else 1
         )
-        timing = with_perf_handicap(
-            KernelTiming(
-                cycles=cycles,
-                seconds=spec.seconds(cycles) + extra,
-                issue_cycles=issue,
-                memory_cycles=mem_cycles,
-                atomic_cycles=0.0,
-                bound="memory" if mem_cycles > issue else "compute",
-            )
+        timing = KernelTiming(
+            cycles=cycles,
+            seconds=spec.seconds(cycles) + extra,
+            issue_cycles=issue,
+            memory_cycles=mem_cycles,
+            atomic_cycles=0.0,
+            bound="memory" if mem_cycles > issue else "compute",
         )
         return KernelReport(stats=stats, timing=timing, outcomes=outcomes)

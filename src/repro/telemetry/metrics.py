@@ -105,14 +105,28 @@ class _Metric:
         return number
 
 
-class Counter(_Metric):
-    """Monotone event counter, optionally labelled."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One float per label combination: the state and the read side a
+    counter and a gauge share (they differ only in how it moves)."""
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._series: Dict[LabelKey, float] = {}
+
+    def value(self, **labels: Any) -> float:
+        return self._series.get(_label_key(labels), 0.0)
+
+    def series(self) -> List[Dict[str, Any]]:
+        return [
+            {"labels": dict(key), "value": value}
+            for key, value in sorted(self._series.items())
+        ]
+
+
+class Counter(_Scalar):
+    """Monotone event counter, optionally labelled."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         amount = self._check_amount(amount)
@@ -121,41 +135,19 @@ class Counter(_Metric):
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        return self._series.get(_label_key(labels), 0.0)
-
     @property
     def total(self) -> float:
         """Sum over every label combination."""
         return sum(self._series.values())
 
-    def series(self) -> List[Dict[str, Any]]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._series.items())
-        ]
 
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """Point-in-time value (queue depth, conflict rate, ...)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._series: Dict[LabelKey, float] = {}
-
     def set(self, value: float, **labels: Any) -> None:
         self._series[_label_key(labels)] = self._check_amount(value)
-
-    def value(self, **labels: Any) -> float:
-        return self._series.get(_label_key(labels), 0.0)
-
-    def series(self) -> List[Dict[str, Any]]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._series.items())
-        ]
 
 
 class Histogram(_Metric):

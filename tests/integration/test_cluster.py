@@ -514,7 +514,7 @@ class TestClusterSurface:
         cluster.submit_many(specs)
         with pytest.warns(UserWarning, match="per_task_launch_overhead") as rec:
             result = cluster.run_bulk(
-                strategy="auto", per_task_launch_overhead=1e-6,
+                strategy="auto", per_task_launch_overhead=True,
             )
         # All four shards executed (so each would have warned) ...
         assert set(result.waves[0].strategies) == {0, 1, 2, 3}

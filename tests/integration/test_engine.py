@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro import GPUTx
+from repro import ClusterTx, GPUTx
 from repro.errors import ConfigError
 from repro.workloads import micro
 
@@ -214,7 +214,7 @@ class TestAutoStrategyOptions:
         # option must be dropped with a warning naming it.
         with pytest.warns(UserWarning, match="per_task_launch_overhead"):
             result = engine.run_bulk(
-                strategy="auto", per_task_launch_overhead=1e-6
+                strategy="auto", per_task_launch_overhead=True
             )
         assert result.committed == 8
 
@@ -256,6 +256,47 @@ class TestAutoStrategyOptions:
         with pytest.raises(ConfigError, match=next(iter(option))):
             engine.run_bulk(strategy=strategy, **option)
         assert len(engine.pool) == 8
+
+    @pytest.mark.parametrize(
+        "strategy, option",
+        [
+            ("part", {"partition_size": 0}),
+            ("adhoc", {"per_task_launch_overhead": "yes"}),
+        ],
+    )
+    def test_bad_option_is_a_config_error_on_every_path(
+        self, strategy, option
+    ):
+        """make_executor used to let partition_size=0 reach
+        PartExecutor's bare ValueError, and a truthy string switched
+        the ad-hoc flag on; both are ConfigErrors, before the pool is
+        drained, whichever way the executor is reached."""
+        engine = self.make_engine()
+        name = next(iter(option))
+        with pytest.raises(ConfigError, match=name):
+            engine.make_executor(strategy, **option)
+        with pytest.raises(ConfigError, match=name):
+            engine.run_bulk(strategy=strategy, **option)
+        with pytest.raises(ConfigError, match=name):
+            engine.run_bulk(strategy="auto", **option)
+        assert len(engine.pool) == 8
+
+    @pytest.mark.parametrize("block_size", [0, -32, 16, 100])
+    def test_bad_block_size_never_reaches_a_bulk(self, block_size):
+        """block_size=0 used to construct, then run_bulk drained the
+        pool and died in warp_layout (-32: a misleading
+        DeadlockError). No engine or cluster can exist to lose a bulk:
+        construction refuses, and leaves the caller's database alone."""
+        db = build_bank_db(8)
+        before = db.physical_state()
+        with pytest.raises(ConfigError, match="block size"):
+            GPUTx(db, procedures=BANK_PROCEDURES, block_size=block_size)
+        with pytest.raises(ConfigError, match="block size"):
+            ClusterTx(
+                db, procedures=BANK_PROCEDURES, n_shards=2,
+                block_size=block_size,
+            )
+        assert db.physical_state() == before
 
     def test_unknown_strategy_preserves_pool(self):
         engine = self.make_engine()

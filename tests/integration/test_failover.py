@@ -242,19 +242,19 @@ class TestFailoverMechanics:
         assert cluster.results.get(3).committed
         assert cluster.logical_state() == serial_ledger_state(specs, 4)
 
-    def test_manual_failover_when_auto_disabled(self, rng):
-        cluster = self.make_cluster(auto_failover=False)
+    def test_kill_between_bulks_recovers_at_the_next_bulk(self, rng):
+        cluster = self.make_cluster()
         specs = ledger_specs(rng, 30, 24, cross_prob=0.0)
         cluster.submit_many(specs)
         cluster.run_bulk(strategy="kset")
         cluster.failover.kill(0)
         assert cluster.dead_shards == {0}
-        # A dead shard halts bulks until someone promotes a replica.
+        # The next bulk finds the shard down at its first wave: it
+        # halts, requeues everything, and promotes a replica.
         cluster.submit_many(ledger_specs(rng, 10, 24, cross_prob=0.0))
         result = cluster.run_bulk(strategy="kset")
-        assert result.halted and not result.failovers
-        assert cluster.dead_shards == {0}
-        report = cluster.failover.recover(0)
+        assert result.halted and result.requeued == 10
+        (report,) = result.failovers
         assert report.shard == 0 and report.verified
         assert cluster.failover.dead == frozenset()
         while len(cluster.pool):

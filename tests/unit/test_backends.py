@@ -1,4 +1,4 @@
-"""Execution backends: registry, options, exact equivalence, fallback.
+"""Execution backends: options, exact equivalence, fallback.
 
 The vectorized backend's contract is *byte-identical everything*:
 outcomes, final physical state, and every simulated-clock figure down
@@ -7,6 +7,7 @@ small deterministic workloads; the hypothesis suite
 (tests/property/test_backend_equivalence.py) fuzzes it.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,10 +15,9 @@ import pytest
 
 from repro import ConfigError, EngineOptions, ExecutionError, GPUTx
 from repro.core.backends import (
+    BACKENDS,
     InterpretedBackend,
     VectorizedBackend,
-    available_backends,
-    create_backend,
 )
 from repro.core.chooser import ChooserThresholds
 from repro.core.oparray import OpArray
@@ -97,25 +97,23 @@ def assert_identical(interp, vector):
 
 class TestRegistryAndOptions:
     def test_both_builtin_backends_registered(self):
-        assert "interpreted" in available_backends()
-        assert "vectorized" in available_backends()
+        assert BACKENDS == {
+            "interpreted": InterpretedBackend,
+            "vectorized": VectorizedBackend,
+        }
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown execution backend"):
             EngineOptions(backend="cuda")
 
-    def test_bad_min_wave_rejected(self):
-        with pytest.raises(ConfigError, match="vector_min_wave"):
-            EngineOptions(vector_min_wave=0)
-
     def test_create_backend_resolves_names(self):
-        assert isinstance(
-            create_backend(EngineOptions()), InterpretedBackend
-        )
-        assert isinstance(
-            create_backend(EngineOptions(backend="vectorized")),
-            VectorizedBackend,
-        )
+        for name, cls in BACKENDS.items():
+            engine = GPUTx(
+                build_bank_db(8),
+                procedures=BANK_PROCEDURES,
+                options=EngineOptions(backend=name),
+            )
+            assert type(engine.backend) is cls
 
     def test_engine_defaults_to_interpreted(self):
         engine = GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES)
@@ -288,21 +286,6 @@ class TestFallback:
         assert engine.backend.waves_interpreted > 0
         assert "column" in engine.backend.last_fallback_reason
 
-    def test_min_wave_keeps_tiny_waves_interpreted(self):
-        db = micro.build_database(32)
-        engine = GPUTx(
-            db,
-            procedures=micro.build_procedures(2),
-            options=EngineOptions(backend="vectorized", vector_min_wave=64),
-        )
-        engine.submit_many(
-            micro.generate_transactions(16, n_tuples=32, n_branches=2)
-        )
-        result = engine.run_bulk(strategy="kset")
-        assert result.committed == 16
-        assert engine.backend.waves_interpreted > 0
-        assert engine.backend.waves_vectorized == 0
-
 
 class TestWarnDedupPerEngine:
     """A second engine in the same process must still get its first
@@ -360,11 +343,20 @@ class TestResultBackend:
         assert engine.run_bulk(strategy="kset").backend == "interpreted"
 
     def test_partial_fallback_is_mixed(self):
-        # 32 transactions over 4 tuples: the first 0-sets are 4 wide,
-        # the tail narrower than vector_min_wave.
+        # 32 vectorizable transactions over 4 tuples, then two of a
+        # type without a vector form on tuple 0: the first 0-sets
+        # vectorize, the ones the scalar-only type lands in fall back.
         engine = self._micro_engine(
-            n_tuples=4, backend="vectorized", vector_min_wave=4
+            n_tuples=4, backend="vectorized", strict_vector=False
         )
+        engine.register(
+            dataclasses.replace(
+                engine.registry.get("micro_0"),
+                name="scalar_only",
+                vector_body=None,
+            )
+        )
+        engine.submit_many([("scalar_only", (0,))] * 2)
         result = engine.run_bulk(strategy="kset")
         assert engine.backend.waves_vectorized > 0
         assert engine.backend.waves_interpreted > 0

@@ -6,6 +6,8 @@ type, a plain dict, a removed keyword argument -- is rejected up
 front rather than translated.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.durability import DurabilityConfig
@@ -97,3 +99,28 @@ class TestResolvers:
             bank_cluster(options={"backend": "vector"})
         with pytest.raises(ConfigError, match="EngineOptions"):
             GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES, options=42)
+
+
+class TestOptionSurfaceIsPinned:
+    """The exact fields of every options object: a new knob (or a
+    removed one) has to edit this table, so it is a deliberate diff.
+    docs/API.md's "Options" table names the production callers that
+    justify each one."""
+
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (EngineOptions, {"backend", "strict_vector"}),
+            (
+                ClusterOptions,
+                {"engine", "durability", "cross_shard", "elastic"},
+            ),
+            (DurabilityConfig, {"checkpoint_interval", "n_replicas"}),
+            (
+                ElasticConfig,
+                {"queue_ratio", "min_queue_depth", "max_migrations"},
+            ),
+        ],
+    )
+    def test_fields(self, cls, fields):
+        assert {f.name for f in dataclasses.fields(cls)} == fields

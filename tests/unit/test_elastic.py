@@ -53,9 +53,6 @@ class TestElasticConfig:
             {"queue_ratio": 1.0},
             {"queue_ratio": 0.5},
             {"min_queue_depth": 0},
-            {"split_fraction": 0.0},
-            {"split_fraction": 1.0},
-            {"cooldown_bulks": 0},
             {"max_migrations": -1},
         ],
     )

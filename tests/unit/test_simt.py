@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError, ExecutionError
+from repro.errors import ConfigError, DeadlockError, ExecutionError
 from repro.gpu import ops
 from repro.gpu.atomics import CounterSpace, LockTable
 from repro.gpu.memory import DictStore
@@ -55,8 +55,15 @@ class TestBasicExecution:
         assert t1 == pytest.approx(t2)
 
     def test_block_size_must_be_warp_multiple(self):
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ConfigError):
             SIMTEngine(block_size=100)
+
+    @pytest.mark.parametrize("block_size", [16, 0, -32])
+    def test_block_size_must_be_at_least_one_warp(self, block_size):
+        # 0 used to pass the modulo check and die in warp_layout's
+        # range(); -32 surfaced as a misleading DeadlockError.
+        with pytest.raises(ConfigError, match="block size"):
+            SIMTEngine(block_size=block_size)
 
     def test_generator_exception_becomes_execution_error(self):
         def bad():
