@@ -153,11 +153,7 @@ def cluster_elastic_skew_shift() -> FigureResult:
         ("static", None),
         (
             "elastic",
-            ElasticConfig(
-                queue_ratio=2.0,
-                min_queue_depth=24,
-                max_migrations=4,
-            ),
+            ElasticConfig(min_queue_depth=24, max_migrations=4),
         ),
     ):
         report = _serve_skew_shift(arrivals, config)

@@ -66,23 +66,25 @@ __all__ = [
 #: refreshes once per served bulk).
 COOLDOWN_BULKS = 2
 
+#: A shard is hot when its admission queue is more than this many
+#: times the mean depth of the other live shards (and at least
+#: ``ElasticConfig.min_queue_depth`` deep).
+QUEUE_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class ElasticConfig:
     """Tuning knobs for online hot-shard detection and migration."""
 
-    #: A shard is hot when its admission queue is this many times the
-    #: mean depth of the other live shards...
-    queue_ratio: float = 2.0
-    #: ...and at least this deep in absolute terms (small fleets idle
-    #: at tiny depths where ratios are noise).
+    #: A shard is hot when its admission queue is :data:`QUEUE_RATIO`
+    #: times the mean depth of the other live shards and at least this
+    #: deep in absolute terms (small fleets idle at tiny depths where
+    #: ratios are noise).
     min_queue_depth: int = 16
     #: Hard cap on migrations per cluster lifetime (safety valve).
     max_migrations: int = 8
 
     def __post_init__(self) -> None:
-        if self.queue_ratio <= 1.0:
-            raise ConfigError("queue_ratio must be > 1.0")
         if self.min_queue_depth < 1:
             raise ConfigError("min_queue_depth must be >= 1")
         if self.max_migrations < 0:
@@ -179,7 +181,7 @@ class HotShardDetector:
             depth = depths[shard]
             if depth < self.config.min_queue_depth:
                 continue
-            if depth <= self.config.queue_ratio * max(mean_other, 1.0):
+            if depth <= QUEUE_RATIO * max(mean_other, 1.0):
                 continue
             other_busy = [busys[k] for k in live if k != shard]
             report = HotShardReport(
@@ -197,7 +199,7 @@ class HotShardDetector:
                     f"queue depth {depth:.0f} vs fleet mean "
                     f"{mean_other:.1f} (ratio "
                     f"{depth / max(mean_other, 1.0):.1f}x > "
-                    f"{self.config.queue_ratio}x)"
+                    f"{QUEUE_RATIO}x)"
                 ),
             )
             if best is None or report.queue_depth > best.queue_depth:

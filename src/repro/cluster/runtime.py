@@ -69,7 +69,6 @@ from repro.cluster.elastic import (
 from repro.cluster.partition import key_space_of, partition_database
 from repro.cluster.router import ShardRouter, make_router
 from repro.config import ClusterOptions
-from repro.core.chooser import ChooserThresholds
 from repro.core.engine import BulkFrontDoor, GPUTx, validate_strategy_options
 from repro.core.oparray import OpArray
 from repro.core.procedure import TransactionType
@@ -82,7 +81,6 @@ from repro.core.txn import (
 )
 from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
 from repro.gpu.costmodel import TimeBreakdown
-from repro.gpu.spec import C1060, GPUSpec
 from repro.storage.catalog import Database
 
 #: Breakdown phases specific to the cluster runtime.
@@ -207,9 +205,6 @@ class ClusterTx(BulkFrontDoor):
         n_shards: int = 2,
         *,
         router: Union[str, ShardRouter] = "hash",
-        spec: GPUSpec = C1060,
-        block_size: int = 256,
-        thresholds: Optional[ChooserThresholds] = None,
         options: Optional[ClusterOptions] = None,
     ) -> None:
         if options is None:
@@ -226,18 +221,10 @@ class ClusterTx(BulkFrontDoor):
         key_space = key_space_of(db) if router == "range" else None
         self.router = make_router(router, n_shards, key_space=key_space)
         self.n_shards = self.router.n_shards
-        self.spec = spec
         # The source database is partitioned by copy and never mutated.
         shard_dbs = partition_database(db, self.router)
         self.shards: List[GPUTx] = [
-            GPUTx(
-                shard_db,
-                procedures=procedures,
-                spec=spec,
-                block_size=block_size,
-                thresholds=thresholds,
-                options=options.engine,
-            )
+            GPUTx(shard_db, procedures=procedures, options=options.engine)
             for shard_db in shard_dbs
         ]
         # Shard engines each filter "auto" options for the strategy
@@ -252,7 +239,7 @@ class ClusterTx(BulkFrontDoor):
             self.registry,
             [engine.adapter for engine in self.shards],
             self.router,
-            spec,
+            self.shards[0].spec,
         )
         # -- durability (WAL + checkpoints + replicas) -----------------
         self._bulk_seq = 0
@@ -1036,22 +1023,12 @@ class ClusterTx(BulkFrontDoor):
         Definition 1. Replicas are compared after every bulk; shipped
         workloads partition every table, so this is free in practice.
         """
-        def live_rows(db: Database, name: str) -> List[Tuple[Any, ...]]:
-            table = db.table(name)
-            rows = [
-                table.read_row(r)
-                for r in range(table.n_rows)
-                if not table.is_deleted(r)
-            ]
-            rows.sort(key=repr)
-            return rows
-
         for name, table in self.shards[0].db.tables.items():
             if table.schema.partition_key is not None:
                 continue
-            reference = live_rows(self.shards[0].db, name)
+            reference = self.shards[0].db.table_state(name)
             for engine in self.shards[1:]:
-                if live_rows(engine.db, name) != reference:
+                if engine.db.table_state(name) != reference:
                     raise ClusterError(
                         f"replicated table {name!r} diverged across "
                         "shards: replicated tables are read-only under "

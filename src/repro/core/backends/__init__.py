@@ -1,6 +1,6 @@
 """Execution backends: interpreted vs. vectorized wave execution.
 
-See :mod:`repro.core.backends.base` for the backend interface, and
+See :mod:`repro.core.backends.base` for the backend contract, and
 ``docs/ARCHITECTURE.md`` for where backends sit in the layer map.
 :class:`EngineOptions` names one of the two backends in
 :data:`BACKENDS`; ``GPUTx`` builds it as
@@ -11,23 +11,19 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Type
 
-from repro.core.backends.base import (  # noqa: F401
-    ExecutionBackend,
-    InterpretedBackend,
-)
+from repro.core.backends.base import InterpretedBackend  # noqa: F401
 from repro.core.backends.vectorized import VectorizedBackend  # noqa: F401
 from repro.errors import ConfigError
 
 __all__ = [
     "BACKENDS",
     "EngineOptions",
-    "ExecutionBackend",
     "InterpretedBackend",
     "VectorizedBackend",
 ]
 
 #: Backend name -> class; each is constructed from the engine options.
-BACKENDS: Dict[str, Type[ExecutionBackend]] = {
+BACKENDS: Dict[str, Type[InterpretedBackend]] = {
     "interpreted": InterpretedBackend,
     "vectorized": VectorizedBackend,
 }

@@ -1,21 +1,24 @@
-"""The execution-backend interface and the interpreted backend.
+"""The execution-backend contract and the interpreted backend.
 
 The strategies of :mod:`repro.core.strategies` decide *what* runs in
 each kernel launch (which transactions form a wave, in which order);
-an :class:`ExecutionBackend` decides *how* the wave's kernel actually
-executes on the host:
+an execution backend decides *how* the wave's kernel actually executes
+on the host:
 
 * ``interpreted`` -- the original path: one Python generator per GPU
   thread, stepped op-by-op in warp lockstep by
   :class:`~repro.gpu.simt.SIMTEngine`. Fully general (locks, atomics,
   undo logging) but pays Python interpreter cost per op per thread.
+  :class:`InterpretedBackend`'s three ``launch_*`` methods are the
+  contract every backend meets.
 * ``vectorized`` -- the whole wave's same-procedure transactions
   execute as batched NumPy column kernels (gather -> compute ->
   conflict-masked scatter) against the column store, and the kernel's
   simulated cost is reproduced *exactly* by a vectorized replay of the
-  SIMT cost accounting (:mod:`repro.core.backends.replay`). Falls back
-  to the interpreter per wave when a transaction type has no vector
-  form or the wave needs features only the interpreter models.
+  SIMT cost accounting (:mod:`repro.core.backends.replay`). Extends
+  the interpreted backend and leaves it any wave with a transaction
+  type that has no vector form or that needs features only the
+  interpreter models.
 
 Both backends produce byte-identical outcomes, final states, and
 simulated-clock figures; only wall-clock time differs. Backends are
@@ -26,7 +29,7 @@ selected via :class:`~repro.core.backends.EngineOptions`
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backends import EngineOptions
@@ -35,12 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpu.simt import KernelReport
 
 
-class ExecutionBackend:
-    """How a strategy's kernel launches execute on the host."""
+class InterpretedBackend:
+    """How a strategy's kernel launches execute on the host: here, the
+    original generator-per-thread SIMT interpreter path."""
 
-    name = "base"
+    name = "interpreted"
 
-    def __init__(self, options: Optional["EngineOptions"] = None) -> None:
+    def __init__(self, options: "EngineOptions") -> None:
         #: The engine options the backend was built from (only the
         #: vectorized backend reads them).
         self.options = options
@@ -57,15 +61,19 @@ class ExecutionBackend:
     ) -> "KernelReport":
         """Execute one conflict-free wave (one thread per transaction).
 
-        Used by K-SET (each 0-set round is one wave). Must return a
-        report identical to what :meth:`SIMTEngine.launch` would have
-        produced for ``executor.build_task``-built tasks in order.
+        Used by K-SET (each 0-set round is one wave). Every backend
+        returns the report :meth:`SIMTEngine.launch` produces here for
+        ``executor.build_task``-built tasks in order.
         """
-        raise NotImplementedError
+        start = time.perf_counter()
+        tasks = [executor.build_task(t) for t in transactions]
+        report = executor.engine.launch(tasks, executor.adapter)
+        self.wall_launch_seconds += time.perf_counter() - start
+        return report
 
     def launch_partitions(
         self,
-        executor,
+        executor: "StrategyExecutor",
         parts: Sequence[Tuple[int, List["Transaction"]]],
         boundary_cycles: int,
     ) -> "KernelReport":
@@ -75,11 +83,18 @@ class ExecutionBackend:
         each partition is one GPU thread running its transactions back
         to back (the pull model of Section 5.2).
         """
-        raise NotImplementedError
+        start = time.perf_counter()
+        tasks = [
+            executor.partition_task(pid, txns, boundary_cycles)
+            for pid, txns in parts
+        ]
+        report = executor.engine.launch(tasks, executor.adapter)
+        self.wall_launch_seconds += time.perf_counter() - start
+        return report
 
     def launch_locked(
         self,
-        executor,
+        executor: "StrategyExecutor",
         transactions: Sequence["Transaction"],
         plans: Sequence[List[Tuple[int, int, bool]]],
         locks,
@@ -90,11 +105,18 @@ class ExecutionBackend:
         ``plans`` aligns with ``transactions``: each entry is the
         thread's lock plan ``[(lock_id, key, shared), ...]`` in merged
         item order (both locking phases walk it). ``locks`` is the
-        pre-seeded :class:`~repro.gpu.atomics.LockTable`. Must return
-        a report identical to launching
-        ``executor.locked_task``-built tasks on the interpreter.
+        pre-seeded :class:`~repro.gpu.atomics.LockTable`. Every backend
+        returns the report of launching ``executor.locked_task``-built
+        tasks on the interpreter, as done here.
         """
-        raise NotImplementedError
+        start = time.perf_counter()
+        tasks = [
+            executor.locked_task(txn, plan)
+            for txn, plan in zip(transactions, plans)
+        ]
+        report = executor.engine.launch(tasks, executor.adapter, locks=locks)
+        self.wall_launch_seconds += time.perf_counter() - start
+        return report
 
     def bulk_path(self) -> str:
         """Which path ran the launches since the previous call.
@@ -106,36 +128,3 @@ class ExecutionBackend:
         relaxed TPL, an empty 0-set) reads as interpreted.
         """
         return "interpreted"
-
-
-class InterpretedBackend(ExecutionBackend):
-    """The original generator-per-thread SIMT interpreter path."""
-
-    name = "interpreted"
-
-    def launch_wave(self, executor, transactions):
-        start = time.perf_counter()
-        tasks = [executor.build_task(t) for t in transactions]
-        report = executor.engine.launch(tasks, executor.adapter)
-        self.wall_launch_seconds += time.perf_counter() - start
-        return report
-
-    def launch_partitions(self, executor, parts, boundary_cycles):
-        start = time.perf_counter()
-        tasks = [
-            executor.partition_task(pid, txns, boundary_cycles)
-            for pid, txns in parts
-        ]
-        report = executor.engine.launch(tasks, executor.adapter)
-        self.wall_launch_seconds += time.perf_counter() - start
-        return report
-
-    def launch_locked(self, executor, transactions, plans, locks):
-        start = time.perf_counter()
-        tasks = [
-            executor.locked_task(txn, plan)
-            for txn, plan in zip(transactions, plans)
-        ]
-        report = executor.engine.launch(tasks, executor.adapter, locks=locks)
-        self.wall_launch_seconds += time.perf_counter() - start
-        return report

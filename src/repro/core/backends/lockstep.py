@@ -1,4 +1,10 @@
-"""Closed-form TPL lock scheduling for the vectorized backend.
+"""The vectorized backend's thread-per-transaction launch: closed-form
+TPL lock scheduling, with a K-SET wave as its lock-free case.
+
+The paper's K-SET kernel is its TPL kernel with the two locking phases
+removed (Section 5.3 vs. 5.1), so both run through
+:func:`run_locked_schedule`; a wave is the launch whose lock plans are
+all empty, in which no event below is ever queued.
 
 The SIMT interpreter resolves a TPL kernel by spinning every blocked
 thread one round at a time: each round, every thread at a counter-lock
@@ -171,24 +177,28 @@ class _VisitTracker:
     rounds with no newly-dead warps remove nothing; and enumerating the
     post-sweep list assigns every surviving warp the same visit rank
     the interpreter hands out mid-sweep.
+
+    Death rounds are read off ``warp_last`` when ranks are asked for:
+    bodies run the moment their locks are granted, so a warp's last
+    round is known before the schedule reaches it, and a launch that
+    never asks (no lock gates) never pays.
     """
 
     def __init__(
         self, sm_warp_ids: Sequence[Sequence[int]], warp_last: np.ndarray
     ) -> None:
-        self._live = [list(ids) for ids in sm_warp_ids]
-        self._deaths: List[List[int]] = [[] for _ in sm_warp_ids]
+        self._sm_warp_ids = sm_warp_ids
+        #: sm -> its live-warp list, copied when first asked about.
+        self._live: Dict[int, List[int]] = {}
         self._warp_last = warp_last
 
-    def add_death(self, sm: int, round_: int, warp: int) -> None:
-        heapq.heappush(self._deaths[sm], round_)
-
     def ranks_at(self, sm: int, r: int) -> Dict[int, int]:
-        deaths = self._deaths[sm]
-        live = self._live[sm]
+        live = self._live.get(sm)
+        if live is None:
+            live = self._live[sm] = list(self._sm_warp_ids[sm])
         warp_last = self._warp_last
-        while deaths and deaths[0] <= r:
-            d = heapq.heappop(deaths)
+        deaths = {int(warp_last[w]) + 1 for w in live if warp_last[w] < r}
+        for d in sorted(deaths):
             i = 0
             while i < len(live):
                 if warp_last[live[i]] < d:
@@ -238,18 +248,25 @@ def _uncovered_count(
 def run_locked_schedule(
     executor: Any,
     transactions: Sequence[Any],
-    plans: Sequence[List[Tuple[int, int, bool]]],
+    by_type: Dict[str, List[int]],
+    plans: Sequence[Sequence[Tuple[int, int, bool]]],
     locks: Any,
     store: WaveStore,
 ) -> KernelReport:
-    """Execute a TPL bulk as a closed-form lock schedule.
+    """Execute one thread-per-transaction launch as a closed-form lock
+    schedule.
 
-    ``plans`` aligns with ``transactions``: each entry is the thread's
-    merged-item lock plan ``[(lock_id, key, shared), ...]`` in item
-    order (the order the growing and shrinking phases walk). ``locks``
-    is the pre-seeded :class:`~repro.gpu.atomics.LockTable` -- mutated
-    here exactly as the interpreter would, one release at a time in
-    interpreter position order.
+    ``by_type`` groups the launch's thread indices by transaction type
+    name. ``plans`` aligns with ``transactions``: each entry is the
+    thread's merged-item lock plan ``[(lock_id, key, shared), ...]`` in
+    item order (the order the growing and shrinking phases walk).
+    ``locks`` is the pre-seeded :class:`~repro.gpu.atomics.LockTable`
+    -- mutated here exactly as the interpreter would, one release at a
+    time in interpreter position order.
+
+    A K-SET wave is the launch whose plans are all empty: every thread
+    runs its body from round 1, no event is ever queued, and all the
+    bookkeeping below happens once per type in columns.
     """
     engine = executor.engine
     spec = engine.spec
@@ -257,45 +274,38 @@ def run_locked_schedule(
     registry = executor.registry
     n = len(transactions)
 
-    type_ids = np.fromiter(
-        (registry.type_id(t.type_name) for t in transactions), np.int64, n
-    )
-    capture = np.array(
-        [registry.needs_undo(t.type_name) for t in transactions], dtype=bool
-    )
-    type_of: Dict[int, Any] = {}
-    for t in transactions:
-        tid = int(registry.type_id(t.type_name))
-        if tid not in type_of:
-            type_of[tid] = registry.get(t.type_name)
-
-    bounds, sm_warp_ids, _resident = warp_layout(n, engine.block_size, spec)
-    warp_of = np.empty(n, dtype=np.int64)
-    for w, (lo, hi) in enumerate(bounds):
-        warp_of[lo:hi] = w
-    sm_of_warp = np.empty(len(bounds), dtype=np.int64)
-    for sm, ids in enumerate(sm_warp_ids):
-        for w in ids:
-            sm_of_warp[w] = sm
-
+    layout = warp_layout(n, engine.block_size, spec)
+    bounds, sm_warp_ids, _resident, warp_of, sm_of_warp = layout
     recorder = TraceRecorder(n)
-    recorder.round_base = np.zeros(n, dtype=np.int64)
-    recorder.undo_capture = capture
+    recorder.undo_capture = np.zeros(n, dtype=bool)
+    type_ids = np.empty(n, dtype=np.int64)
+    #: type id -> (transaction type, its thread indices, whether its
+    #: threads journal before-images -- bulk undo capture, one gather
+    #: per write step, exactly like the interpreter's per-row appends).
+    types: Dict[int, Tuple[Any, np.ndarray, bool]] = {}
+    for name, idxs in by_type.items():
+        tid = registry.type_id(name)
+        lanes = np.asarray(idxs, dtype=np.int64)
+        capture_undo = registry.needs_undo(name)
+        types[tid] = (registry.get(name), lanes, capture_undo)
+        type_ids[lanes] = tid
+        recorder.undo_capture[lanes] = capture_undo
 
     charges = _Charges(spec.num_sms, cost, spec.memory_transaction_bytes)
 
     warp_last = np.full(len(bounds), _ALIVE, dtype=np.int64)
-    warp_remaining = np.array([hi - lo for lo, hi in bounds], dtype=np.int64)
+    warp_remaining = np.bincount(warp_of, minlength=len(bounds))
     warp_max_done = np.zeros(len(bounds), dtype=np.int64)
     tracker = _VisitTracker(sm_warp_ids, warp_last)
 
-    # Per-thread progress and results.
+    # Per-thread progress and results, one column each.
+    held = np.fromiter(map(len, plans), np.int64, n)
     gate = np.zeros(n, dtype=np.int64)
     done_round = np.full(n, -1, dtype=np.int64)
     committed = np.ones(n, dtype=bool)
-    abort_reason = [""] * n
-    results: List[Any] = [None] * n
-    undo_logs: List[List[Tuple[Any, ...]]] = [[] for _ in range(n)]
+    abort_reason = np.full(n, "", dtype=object)
+    results = np.full(n, None, dtype=object)
+    undo_logs: Dict[int, List[Tuple[Any, ...]]] = {}
 
     #: (warp, type_id) -> acquire group.
     groups: Dict[Tuple[int, int], _AcqGroup] = {}
@@ -312,10 +322,11 @@ def run_locked_schedule(
     rel_threads: List[int] = []
     rel_rounds: List[int] = []
     rel_locks: List[int] = []
-    #: warp -> rounds carrying trace events (body spans, pass points),
-    #: and warp -> spin-only group intervals; both feed the divergence
+    #: warp -> gate-pass rounds, and warp -> spin-only group intervals;
+    #: with the body spans (``round_base .. done_round``: a thread's
+    #: only recorded ops are its body's) they feed the divergence
     #: correction.
-    occupied: Dict[int, List[Tuple[int, int]]] = {}
+    pass_points: Dict[int, List[Tuple[int, int]]] = {}
     spin_ivs: Dict[int, List[Tuple[int, int]]] = {}
 
     def schedule(round_: int, kind: str, item: Any) -> None:
@@ -325,22 +336,10 @@ def run_locked_schedule(
             heapq.heappush(heap, round_)
         entry[0 if kind == "arr" else 1].append(item)
 
-    n_done = 0
-
-    def finish_thread(t: int, done: int) -> None:
-        nonlocal n_done
-        done_round[t] = done
-        n_done += 1
-        w = int(warp_of[t])
-        if done > warp_max_done[w]:
-            warp_max_done[w] = done
-        warp_remaining[w] -= 1
-        if warp_remaining[w] == 0:
-            warp_last[w] = warp_max_done[w]
-            tracker.add_death(int(sm_of_warp[w]), int(warp_max_done[w]) + 1, w)
-
-    def run_body_batch(tid: int, threads: List[int], r: int) -> None:
-        """Run the granted threads' bodies as one column kernel.
+    def run_bodies(ready: Dict[int, np.ndarray], r: int) -> None:
+        """Run the bodies of the threads granted at round ``r`` -- per
+        type (``ready``: type id -> ascending thread indices) one
+        column kernel -- then retire them all in one pass.
 
         Bodies start at round ``r + 1`` (the round after the final
         gate pass); release and abort counter effects are scheduled at
@@ -349,63 +348,73 @@ def run_locked_schedule(
         serialized after this one's, and rounds process in ascending
         order.
         """
-        lanes = np.asarray(sorted(threads), dtype=np.int64)
-        recorder.round_base[lanes] = (r + 1) - recorder.op_count[lanes]
-        txns = [transactions[i] for i in lanes.tolist()]
-        cap = capture[lanes]
-        ctx = WaveContext(
-            recorder, store, lanes, tid, txns,
-            capture_undo=cap if cap.any() else None,
-        )
-        ctx.set_branch()
-        type_of[tid].vector_body(ctx)
-        ctx.close()
-        end = recorder.round_base[lanes] + recorder.op_count[lanes] - 1
-        for j, t in enumerate(lanes.tolist()):
+        for tid in sorted(ready):
+            lanes = ready[tid]
+            txn_type, _lanes, capture_undo = types[tid]
+            recorder.round_base[lanes] = r + 1
+            lane_list = lanes.tolist()
+            ctx = WaveContext(
+                recorder, store, lanes, tid,
+                [transactions[t] for t in lane_list],
+                capture_undo=capture_undo,
+            )
+            ctx.set_branch()
+            txn_type.vector_body(ctx)
+            ctx.close()
+            committed[lanes] = ctx.committed
+            abort_reason[lanes] = ctx.abort_reason
+            results[lanes] = ctx.results
+            if ctx.undo is not None:
+                undo_logs.update(
+                    (t, log) for t, log in zip(lane_list, ctx.undo) if log
+                )
+        lanes = np.concatenate([ready[tid] for tid in sorted(ready)])
+        # A committed thread releases its locks one per round after
+        # its last body op; an aborted one is done at its ABORT op.
+        end = r + recorder.op_count[lanes]
+        ok = committed[lanes]
+        locked = held[lanes]
+        done = end + locked * ok
+        done_round[lanes] = done
+        warps = warp_of[lanes]
+        np.maximum.at(warp_max_done, warps, done)
+        np.subtract.at(warp_remaining, warps, 1)
+        dead = warps[warp_remaining[warps] == 0]
+        warp_last[dead] = warp_max_done[dead]
+        for j in np.flatnonzero(locked).tolist():
+            t = int(lanes[j])
             end_j = int(end[j])
-            committed[t] = bool(ctx.committed[j])
-            abort_reason[t] = ctx.abort_reason[j]
-            results[t] = ctx.results[j]
-            if ctx.undo[j]:
-                undo_logs[t] = ctx.undo[j]
-            plan = plans[t]
-            if ctx.committed[j]:
+            if ok[j]:
                 # Shrinking phase: one release per round, plan order.
-                for k in range(len(plan)):
+                for k, (lock, _key, _shared) in enumerate(plans[t]):
                     rel_threads.append(t)
                     rel_rounds.append(end_j + 1 + k)
-                    rel_locks.append(plan[k][0])
+                    rel_locks.append(lock)
                     schedule(end_j + 1 + k, "mut", ("rel", t, k))
-                finish_thread(t, end_j + len(plan))
-                occupied.setdefault(int(warp_of[t]), []).append(
-                    (r + 1, end_j + len(plan))
-                )
             else:
                 # The ABORT op auto-releases every held lock that
                 # round (no trace events, no charges -- counter
                 # effects only).
-                if plan:
-                    schedule(end_j, "mut", ("abort", t))
-                finish_thread(t, end_j)
-                occupied.setdefault(int(warp_of[t]), []).append((r + 1, end_j))
+                schedule(end_j, "mut", ("abort", t))
 
     # ---- seed: zero-lock threads run at once; the rest join their
     # acquire groups and first-attempt their gates at round 1.
-    free_by_type: Dict[int, List[int]] = {}
-    for t in range(n):
-        if plans[t]:
-            key = (int(warp_of[t]), int(type_ids[t]))
-            g = groups.get(key)
-            if g is None:
-                g = groups[key] = _AcqGroup(
-                    int(sm_of_warp[warp_of[t]]), key[0], key[1]
-                )
-            g.members[t] = plans[t][0][0]
-            schedule(1, "arr", t)
-        else:
-            free_by_type.setdefault(int(type_ids[t]), []).append(t)
-    for tid in sorted(free_by_type):
-        run_body_batch(tid, free_by_type[tid], 0)
+    for t in np.flatnonzero(held).tolist():
+        key = (int(warp_of[t]), int(type_ids[t]))
+        g = groups.get(key)
+        if g is None:
+            g = groups[key] = _AcqGroup(
+                int(sm_of_warp[key[0]]), key[0], key[1]
+            )
+        g.members[t] = plans[t][0][0]
+        schedule(1, "arr", t)
+    free = {}
+    for tid, (_type, lanes, _capture) in types.items():
+        unlocked = lanes[held[lanes] == 0]
+        if len(unlocked):
+            free[tid] = unlocked
+    if free:
+        run_bodies(free, 0)
 
     # ---- event loop ----------------------------------------------------
     while heap:
@@ -516,7 +525,7 @@ def run_locked_schedule(
             g = groups[key]
             ts = passes[key]
             g.settle(r, len(ts), charges, spin_ivs.setdefault(g.warp, []))
-            w_occ = occupied.setdefault(g.warp, [])
+            w_occ = pass_points.setdefault(g.warp, [])
             for t in sorted(ts):
                 pass_threads.append(t)
                 pass_rounds.append(r)
@@ -531,12 +540,19 @@ def run_locked_schedule(
                     body_ready.setdefault(g.type_id, []).append(t)
             if not g.members:
                 del groups[key]
-        for tid in sorted(body_ready):
-            run_body_batch(tid, body_ready[tid], r)
+        if body_ready:
+            run_bodies(
+                {
+                    tid: np.asarray(sorted(ts), dtype=np.int64)
+                    for tid, ts in body_ready.items()
+                },
+                r,
+            )
 
-    if n_done != n:
+    parked = int((done_round < 0).sum())
+    if parked:
         raise DeadlockError(
-            f"lock schedule stalled with {n - n_done} thread(s) parked "
+            f"lock schedule stalled with {parked} thread(s) parked "
             "on counter gates that can never advance (invalid rank keys)"
         )
 
@@ -548,38 +564,31 @@ def run_locked_schedule(
 
     # Collapse the per-batch step fragments into one step per distinct
     # op shape before the replay flattens them (the synthetic lock
-    # steps below are appended whole and need no merging).
-    recorder.merge_steps()
+    # steps below are appended whole and need no merging). A type's
+    # steps only fragment once threads are granted past a gate.
+    if pass_threads:
+        recorder.merge_steps()
 
     # ---- synthetic lock-op trace events --------------------------------
     # Appended directly (record() would double-bump op_count on
     # repeated lanes): pass events replay as uncharged LOCK_ACQUIRE
     # groups (their charges came via settle), release events charge
     # exactly like the interpreter's release groups.
-    if pass_threads:
-        lanes_arr = np.asarray(pass_threads, dtype=np.int64)
-        recorder.steps.append(
-            Step(
-                op_ir.LOCK_ACQUIRE,
-                lanes=lanes_arr,
-                opidx=np.zeros(len(lanes_arr), dtype=np.int64),
-                branch=type_ids[lanes_arr],
-                addr=LOCK_BASE + np.asarray(pass_locks, dtype=np.int64) * 8,
-                rounds=np.asarray(pass_rounds, dtype=np.int64),
+    for kind, threads, rounds, lock_ids in (
+        (op_ir.LOCK_ACQUIRE, pass_threads, pass_rounds, pass_locks),
+        (op_ir.LOCK_RELEASE, rel_threads, rel_rounds, rel_locks),
+    ):
+        if threads:
+            lanes_arr = np.asarray(threads, dtype=np.int64)
+            recorder.steps.append(
+                Step(
+                    kind,
+                    lanes_arr,
+                    np.asarray(rounds, dtype=np.int64),
+                    type_ids[lanes_arr],
+                    addr=LOCK_BASE + np.asarray(lock_ids, dtype=np.int64) * 8,
+                )
             )
-        )
-    if rel_threads:
-        lanes_arr = np.asarray(rel_threads, dtype=np.int64)
-        recorder.steps.append(
-            Step(
-                op_ir.LOCK_RELEASE,
-                lanes=lanes_arr,
-                opidx=np.zeros(len(lanes_arr), dtype=np.int64),
-                branch=type_ids[lanes_arr],
-                addr=LOCK_BASE + np.asarray(rel_locks, dtype=np.int64) * 8,
-                rounds=np.asarray(rel_rounds, dtype=np.int64),
-            )
-        )
 
     # ---- divergence correction -----------------------------------------
     # The interpreter counts (groups - 1) per (round, warp); the replay
@@ -591,9 +600,14 @@ def run_locked_schedule(
         b - a + 1 for ivs in spin_ivs.values() for a, b in ivs
     )
     for w, ivs in spin_ivs.items():
-        extra -= _uncovered_count(ivs, occupied.get(w, []))
+        lo, hi = bounds[w]
+        spans = zip(
+            recorder.round_base[lo:hi].tolist(), done_round[lo:hi].tolist()
+        )
+        extra -= _uncovered_count(ivs, pass_points.get(w, []) + list(spans))
 
     schedule_ov = ScheduleOverrides(
+        layout=layout,
         rounds=rounds_total,
         warp_last_round=warp_last,
         issue_cycles=charges.issue,
@@ -605,26 +619,24 @@ def run_locked_schedule(
         divergent_serializations=extra,
     )
 
-    type_ids_l = type_ids.tolist()
-    outcomes = [
-        ThreadOutcome(
-            txn.txn_id,
-            type_ids_l[i],
-            bool(committed[i]),
-            abort_reason[i],
-            results[i],
+    outcomes = list(
+        map(
+            ThreadOutcome,
+            [txn.txn_id for txn in transactions],
+            type_ids.tolist(),
+            committed.tolist(),
+            abort_reason.tolist(),
+            results.tolist(),
         )
-        for i, txn in enumerate(transactions)
-    ]
+    )
     report = replay_kernel(
         recorder, store, engine, outcomes, schedule=schedule_ov
     )
     # Undo logs were journalled during the kernel, before staged
     # inserts materialised; rewrite handle-encoded rows to the
     # physical ids the replay assigned (no-op without staged inserts).
-    for i, entries in enumerate(undo_logs):
-        if entries:
-            outcomes[i].undo = tx_logging.remap_handle_rows(
-                entries, store.handle_row, HANDLE_BASE
-            )
+    for t, entries in undo_logs.items():
+        outcomes[t].undo = tx_logging.remap_handle_rows(
+            entries, store.handle_row, HANDLE_BASE
+        )
     return report

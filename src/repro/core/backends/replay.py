@@ -23,7 +23,7 @@ device addresses of cells in tables whose row count moves mid-kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,36 +43,39 @@ _PLAIN_ISSUE_KINDS = (
 
 @dataclass
 class ScheduleOverrides:
-    """Lock-schedule context a TPL launch feeds into the replay.
+    """Lock-schedule context a thread-per-transaction launch feeds
+    into the replay.
 
-    Without locks, a thread's round is ``opidx + 1`` and a warp stays
-    schedulable until its op count runs out -- both derivable from the
-    trace. With counter locks, rounds have spin gaps and the spin
-    charges happen on rounds with no recorded event at all, so the
-    lockstep scheduler (:mod:`repro.core.backends.lockstep`) hands the
-    replay what it already computed: the true round horizon, each
-    warp's last live round, and the spin-phase charge totals to merge
-    into the stats (all exact integer-valued sums, so the merged
+    Without locks, a thread issues one op per round from round 1 and
+    a warp stays schedulable until its op count runs out -- both
+    derivable from the trace. With counter locks, rounds have spin
+    gaps and the spin charges happen on rounds with no recorded event
+    at all, so the lockstep scheduler
+    (:mod:`repro.core.backends.lockstep`) hands the replay what it
+    already computed: the thread placement, the true round horizon,
+    each warp's last live round, and the spin-phase charge totals to
+    merge into the stats (all exact integer-valued sums, so the merged
     totals are bit-identical to the interpreter's accumulation order).
     """
 
+    #: The launch's :func:`~repro.gpu.simt.warp_layout`.
+    layout: Tuple[Any, ...]
     #: Total rounds (= the interpreter's round counter at finish).
-    rounds: int = 0
+    rounds: int
     #: Per-warp last round with a live thread (visit simulation).
-    warp_last_round: Optional[np.ndarray] = None
+    warp_last_round: np.ndarray
     #: Per-SM spin/acquire charges accumulated by the scheduler.
-    issue_cycles: Optional[np.ndarray] = None
-    atomic_cycles: Optional[np.ndarray] = None
-    mem_transactions: Optional[np.ndarray] = None
-    mem_bytes: Optional[np.ndarray] = None
+    issue_cycles: np.ndarray
+    atomic_cycles: np.ndarray
+    mem_transactions: np.ndarray
+    mem_bytes: np.ndarray
     #: Aggregate counters from the acquire phase.
-    spin_iterations: int = 0
-    atomic_conflicts: int = 0
+    spin_iterations: int
+    atomic_conflicts: int
     #: Divergence groups that left no trace event (all-spinning
     #: acquire groups), already netted against rounds where they were
-    #: the only group (see lockstep._divergence_extra).
-    divergent_serializations: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
+    #: the only group (the scheduler's divergence correction).
+    divergent_serializations: int
 
 
 def _pack_sort(*keys: np.ndarray) -> np.ndarray:
@@ -117,21 +120,13 @@ def replay_kernel(
     stats.threads_aborted = sum(1 for o in outcomes if not o.committed)
     if schedule is not None:
         stats.rounds = schedule.rounds
+        layout = schedule.layout
     else:
         stats.rounds = int(recorder.op_count.max()) if n_threads else 0
-
-    bounds, sm_warp_ids, resident = warp_layout(
-        n_threads, engine.block_size, spec
-    )
+        layout = warp_layout(n_threads, engine.block_size, spec)
+    bounds, sm_warp_ids, resident, warp_of, sm_of_warp = layout
     for sm in range(spec.num_sms):
         stats.resident_warps[sm] = resident[sm]
-    warp_of = np.empty(n_threads, dtype=np.int64)
-    sm_of_warp = np.empty(len(bounds), dtype=np.int64)
-    for sm, ids in enumerate(sm_warp_ids):
-        for w in ids:
-            sm_of_warp[w] = sm
-    for w, (lo, hi) in enumerate(bounds):
-        warp_of[lo:hi] = w
 
     # ---- flatten steps into event arrays ------------------------------
     steps = recorder.steps
@@ -148,12 +143,7 @@ def replay_kernel(
         if steps else np.zeros(0, dtype=np.int64)
     )
     ev_round = (
-        np.concatenate(
-            [
-                s.rounds if s.rounds is not None else s.opidx + 1
-                for s in steps
-            ]
-        )
+        np.concatenate([s.rounds for s in steps])
         if steps else np.zeros(0, dtype=np.int64)
     )
     ev_kind = np.repeat(
@@ -380,14 +370,10 @@ def replay_kernel(
         # Acquire/spin-phase charges the scheduler accumulated. Every
         # quantum is an integer-valued float (< 2**53), so adding the
         # per-SM totals is exact regardless of accumulation order.
-        if schedule.issue_cycles is not None:
-            issue += schedule.issue_cycles
-        if schedule.atomic_cycles is not None:
-            atomic_cycles += schedule.atomic_cycles
-        if schedule.mem_transactions is not None:
-            mem_tx += schedule.mem_transactions
-        if schedule.mem_bytes is not None:
-            mem_bytes += schedule.mem_bytes
+        issue += schedule.issue_cycles
+        atomic_cycles += schedule.atomic_cycles
+        mem_tx += schedule.mem_transactions
+        mem_bytes += schedule.mem_bytes
 
     # tolist() yields Python scalars, so downstream arithmetic (and
     # report equality checks) see the same types as the interpreter.

@@ -1,19 +1,21 @@
 """The vectorized NumPy execution backend.
 
-Executes K-SET waves and PART partition schedules as batched column
-kernels (:mod:`repro.core.backends.wave`) and reproduces the SIMT
-interpreter's cost accounting exactly
+Executes K-SET waves, TPL bulks and PART partition schedules as
+batched column kernels (:mod:`repro.core.backends.wave`) and
+reproduces the SIMT interpreter's cost accounting exactly
 (:mod:`repro.core.backends.replay`). The result is byte-identical to
 the interpreted backend -- same outcomes, same final physical state,
 same simulated-clock figures -- at a fraction of the host wall-clock
 cost, which is what lets the serving and cluster layers push real
 traffic through the simulator ("as fast as the hardware allows").
 
-TPL bulks route through :func:`~repro.core.backends.lockstep.
-run_locked_schedule`: counter-lock spin rounds are derived in closed
-form from the release schedule, bodies run as column kernels the
-moment their locks are granted, and abort-capable waves journal
-before-images as bulk gathers (vectorized undo capture).
+There is one thread-per-transaction launch,
+:func:`~repro.core.backends.lockstep.run_locked_schedule`: counter-lock
+spin rounds are derived in closed form from the release schedule,
+bodies run as column kernels the moment their locks are granted, and
+abort-capable launches journal before-images as bulk gathers
+(vectorized undo capture). A K-SET wave is that launch with every lock
+plan empty. PART's one-thread-per-partition sweep is the other launch.
 
 Per-wave fallback: a wave is vectorized only when every participating
 transaction type has a vector form (``TransactionType.vector_body``)
@@ -34,16 +36,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import tx_logging
 from repro.core.backends.base import InterpretedBackend
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
-from repro.core.backends.wave import (
-    HANDLE_BASE,
-    TraceRecorder,
-    WaveContext,
-    WaveStore,
-)
+from repro.core.backends.wave import TraceRecorder, WaveContext, WaveStore
 from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, ThreadOutcome
@@ -114,95 +110,39 @@ class VectorizedBackend(InterpretedBackend):
         return "vectorized" if vec else "interpreted"
 
     # ------------------------------------------------------------------
-    # K-SET waves: one thread per transaction, conflict-free.
+    # One thread per transaction: TPL behind counter-lock gates, and
+    # K-SET's conflict-free waves as the launch with no gates at all.
     # ------------------------------------------------------------------
     def launch_wave(self, executor, transactions) -> KernelReport:
-        n = len(transactions)
-        by_type: Dict[str, List[int]] = {}
-        for i, txn in enumerate(transactions):
-            by_type.setdefault(txn.type_name, []).append(i)
-        reason = self._unsupported_reason(executor, list(by_type))
-        if reason is not None:
-            self._fall_back(reason)
-            return super().launch_wave(executor, transactions)
-
-        start = _time.perf_counter()
-        registry = executor.registry
-        store = self._wave_store(executor, by_type)
-        recorder = TraceRecorder(n)
-        # Bulk undo capture: threads whose task would set capture_undo
-        # journal before-images during the kernel (one gather per
-        # write step), exactly like the interpreter's per-row appends.
-        capture = np.array(
-            [registry.needs_undo(t.type_name) for t in transactions],
-            dtype=bool,
+        report = self._launch_threads(
+            executor, transactions, ((),) * len(transactions), None
         )
-        recorder.undo_capture = capture
-        committed = np.ones(n, dtype=bool)
-        reasons = [""] * n
-        results: List[object] = [None] * n
-        undo_logs: List[List[Tuple]] = [[] for _ in range(n)]
-        type_ids = np.empty(n, dtype=np.int64)
-        for type_name, idxs in by_type.items():
-            txn_type = registry.get(type_name)
-            type_id = registry.type_id(type_name)
-            lanes = np.asarray(idxs, dtype=np.int64)
-            type_ids[lanes] = type_id
-            cap = capture[lanes]
-            ctx = WaveContext(
-                recorder,
-                store,
-                lanes,
-                type_id,
-                [transactions[i] for i in idxs],
-                capture_undo=cap if cap.any() else None,
-            )
-            ctx.set_branch()
-            txn_type.vector_body(ctx)
-            ctx.close()
-            committed[lanes] = ctx.committed
-            for j, i in enumerate(idxs):
-                reasons[i] = ctx.abort_reason[j]
-                results[i] = ctx.results[j]
-                if ctx.undo[j]:
-                    undo_logs[i] = ctx.undo[j]
-        committed_l = committed.tolist()
-        type_ids_l = type_ids.tolist()
-        outcomes = [
-            ThreadOutcome(
-                txn.txn_id,
-                type_ids_l[i],
-                committed_l[i],
-                reasons[i],
-                results[i],
-            )
-            for i, txn in enumerate(transactions)
-        ]
-        report = replay_kernel(recorder, store, executor.engine, outcomes)
-        for i, entries in enumerate(undo_logs):
-            if entries:
-                outcomes[i].undo = tx_logging.remap_handle_rows(
-                    entries, store.handle_row, HANDLE_BASE
-                )
-        self.waves_vectorized += 1
-        self.wall_launch_seconds += _time.perf_counter() - start
+        if report is None:
+            return super().launch_wave(executor, transactions)
         return report
 
-    # ------------------------------------------------------------------
-    # TPL: one thread per transaction behind counter-lock gates.
-    # ------------------------------------------------------------------
     def launch_locked(self, executor, transactions, plans, locks):
+        report = self._launch_threads(executor, transactions, plans, locks)
+        if report is None:
+            return super().launch_locked(executor, transactions, plans, locks)
+        return report
+
+    def _launch_threads(
+        self, executor, transactions, plans, locks
+    ) -> Optional[KernelReport]:
+        """Run one thread per transaction through the lock scheduler;
+        None when the launch is left to the interpreter."""
         by_type: Dict[str, List[int]] = {}
         for i, txn in enumerate(transactions):
             by_type.setdefault(txn.type_name, []).append(i)
         reason = self._unsupported_reason(executor, list(by_type))
         if reason is not None:
             self._fall_back(reason)
-            return super().launch_locked(executor, transactions, plans, locks)
+            return None
         start = _time.perf_counter()
-        store = self._wave_store(executor, by_type)
         report = run_locked_schedule(
-            executor, transactions, plans, locks, store
+            executor, transactions, by_type, plans, locks,
+            self._wave_store(executor, by_type),
         )
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
@@ -268,16 +208,15 @@ class VectorizedBackend(InterpretedBackend):
                 ctx.set_branch()
                 txn_type.vector_body(ctx)
                 ctx.close()
-                for j, i in enumerate(lane_list):
+                for i, txn, ok, reason, value in zip(
+                    lane_list,
+                    txns_slot,
+                    ctx.committed.tolist(),
+                    ctx.abort_reason.tolist(),
+                    ctx.results.tolist(),
+                ):
                     per_part[i].append(
-                        (
-                            txns_slot[j].txn_id,
-                            bool(ctx.committed[j]),
-                            ctx.abort_reason[j],
-                            ctx.results[j],
-                            [],
-                            [],
-                        )
+                        (txn.txn_id, ok, reason, value, [], [])
                     )
             # Loop bookkeeping between transactions (one Compute op).
             recorder.record(

@@ -13,13 +13,15 @@ memory addresses per lane per op. The cost replay
 interpreter's, which is what makes the two backends agree on the
 simulated clock to the last cycle.
 
-Kernel-authoring contract (checked where cheap, documented here):
+Kernel-authoring contract (checked where cheap, documented here; the
+column rules of the kernel boundary are on :class:`WaveContext`):
 
 * the per-lane op sequence must match the stored procedure's generator
   exactly -- same ops, same order, same data-dependent control flow;
-* only two-phase types (no abort after the first write) may be
-  vectorized -- the scatter mask equals the commit mask, so no undo
-  logging is needed;
+* a type that aborts after its first write journals before-images
+  (``capture_undo``, one bulk gather per write step); the PART sweep
+  takes only two-phase types, where the scatter mask equals the commit
+  mask and no undo logging is needed;
 * a lane must not read a cell it wrote earlier in the same wave
   (conflict-free waves make cross-lane reads of written cells
   impossible; same-lane re-reads are a kernel-authoring error);
@@ -36,6 +38,7 @@ Kernel-authoring contract (checked where cheap, documented here):
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,8 +142,6 @@ class WaveStore:
         Returns encoded rows: ``-1`` miss, real row id, or
         ``HANDLE_BASE + handle`` for a staged insert's row.
         """
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
         static = self.db.static_maps.get(index)
         if static is not None:
             return np.fromiter(
@@ -237,8 +238,6 @@ class WaveStore:
         (:func:`repro.storage.catalog.static_map_cost_base`,
         :meth:`~repro.storage.index.HashIndex.cost_address_base`).
         """
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
         if index in self.db.static_maps:
             base = np.fromiter(
                 (static_map_cost_base(index, k) for k in keys),
@@ -292,13 +291,17 @@ class WaveStore:
             ]
         return info
 
-    def stage_insert(self, table: str, values: Tuple[Any, ...]) -> int:
-        """Stage one insert; returns the encoded handle row."""
-        handle = len(self.pending_inserts)
-        self.pending_inserts.append((table, values))
+    def stage_inserts(
+        self, table: str, rows: List[Tuple[Any, ...]]
+    ) -> np.ndarray:
+        """Stage one insert per row tuple; returns the encoded handle
+        rows."""
+        first = len(self.pending_inserts)
+        self.pending_inserts.extend(zip(repeat(table), rows))
+        handles = range(first, len(self.pending_inserts))
         self._dirty = True
-        self._unfolded.setdefault(table, []).append(handle)
-        return HANDLE_BASE + handle
+        self._unfolded.setdefault(table, []).extend(handles)
+        return HANDLE_BASE + np.arange(first, handles.stop, dtype=np.int64)
 
     def _fold(self, table: str) -> None:
         """Build the overlay index entries of ``table``'s staged
@@ -393,13 +396,13 @@ class WaveStore:
 
 
 class Step:
-    """One recorded wave step: the same micro-op at one per-lane op
-    position, over a set of lanes (threads)."""
+    """One recorded wave step: the same micro-op over a set of lanes
+    (threads), each at its own execution round."""
 
     __slots__ = (
         "kind",
         "lanes",
-        "opidx",
+        "rounds",
         "branch",
         "amount",
         "addr",
@@ -407,7 +410,6 @@ class Step:
         "deferred",
         "table",
         "payload",
-        "rounds",
         "undo",
     )
 
@@ -415,7 +417,7 @@ class Step:
         self,
         kind: int,
         lanes: np.ndarray,
-        opidx: np.ndarray,
+        rounds: np.ndarray,
         branch: Any,
         *,
         amount: int = 0,
@@ -424,12 +426,15 @@ class Step:
         deferred: Optional[Tuple[str, str, np.ndarray]] = None,
         table: Optional[str] = None,
         payload: Optional[np.ndarray] = None,
-        rounds: Optional[np.ndarray] = None,
         undo: Optional[np.ndarray] = None,
     ) -> None:
         self.kind = kind
         self.lanes = lanes
-        self.opidx = opidx
+        #: Per-lane execution round (1-based). A thread issues one op
+        #: per round from its body's first round on; under the TPL lock
+        #: schedule that first round follows the thread's spin on its
+        #: lock gates.
+        self.rounds = rounds
         #: Divergence branch per lane: scalar or per-lane array.
         self.branch = branch
         self.amount = amount
@@ -442,12 +447,6 @@ class Step:
         self.table = table
         #: Insert handles / delete encoded rows.
         self.payload = payload
-        #: Explicit per-lane execution round. ``None`` means the
-        #: conflict-free convention ``round = opidx + 1`` (every thread
-        #: starts at round 1 and issues one op per round); the TPL
-        #: lockstep scheduler records real rounds, with gaps where
-        #: lanes spun on a lock gate.
-        self.rounds = rounds
         #: Per-lane bool: this WRITE journalled a before-image (the
         #: interpreter's per-group undo-log flush charge keys on the
         #: number of such lanes per divergence group).
@@ -463,14 +462,14 @@ class TraceRecorder:
         self.steps: List[Step] = []
         #: Columnar buffers for single-lane records, keyed by the op
         #: shape (the merge_steps key): each value is the field lists
-        #: (lanes, opidx, rounds, addr, payload, undo, deferred rows)
-        #: flushed into one Step per key by :meth:`flush_scalar`.
+        #: (lanes, rounds, addr, payload, undo, deferred rows) flushed
+        #: into one Step per key by :meth:`flush_scalar`.
         self._acc: Dict[Any, Tuple[list, ...]] = {}
-        #: When set (TPL lockstep scheduling), a recorded op's round is
-        #: ``round_base[thread] + op_count[thread]``: the base absorbs
-        #: the thread's lock-acquire phase so body ops land on real
-        #: rounds instead of ``opidx + 1``.
-        self.round_base: Optional[np.ndarray] = None
+        #: A recorded op's round is ``round_base[thread] +
+        #: op_count[thread]``. Every thread starts at round 1; the TPL
+        #: lock scheduler moves a thread's base past its lock-acquire
+        #: phase so body ops land on the rounds they really execute in.
+        self.round_base = np.ones(n_threads, np.int64)
         #: Per-thread "journals before-images" flags; stamped onto
         #: WRITE steps so the replay can charge the undo-log flush.
         self.undo_capture: Optional[np.ndarray] = None
@@ -506,8 +505,6 @@ class TraceRecorder:
             )
         opidx = int(self.op_count[lane])
         self.op_count[lane] = opidx + 1
-        rb = self.round_base
-        no_rounds = rb is None
         undo = None
         if kind == op_ir.WRITE and self.undo_capture is not None:
             undo = bool(self.undo_capture[lane])
@@ -515,23 +512,21 @@ class TraceRecorder:
         deferred_tc = None if deferred is None else deferred[:2]
         key = (
             kind, branch, amount, width, table, deferred_tc,
-            addr_ndim, payload is None, no_rounds, undo is None,
+            addr_ndim, payload is None, undo is None,
         )
         acc = self._acc.get(key)
         if acc is None:
-            acc = self._acc[key] = ([], [], [], [], [], [], [])
+            acc = self._acc[key] = ([], [], [], [], [], [])
         acc[0].append(lane)
-        acc[1].append(opidx)
-        if not no_rounds:
-            acc[2].append(int(rb[lane]) + opidx)
+        acc[1].append(int(self.round_base[lane]) + opidx)
         if addr is not None:
-            acc[3].append(addr)
+            acc[2].append(addr)
         if payload is not None:
-            acc[4].append(payload)
+            acc[3].append(payload)
         if undo is not None:
-            acc[5].append(undo)
+            acc[4].append(undo)
         if deferred is not None:
-            acc[6].append(deferred[2])
+            acc[5].append(deferred[2])
 
     def flush_scalar(self) -> None:
         """Materialise the scalar accumulator into whole Steps."""
@@ -540,12 +535,10 @@ class TraceRecorder:
         for key, acc in self._acc.items():
             (
                 kind, branch, amount, width, table, deferred_tc,
-                addr_ndim, no_payload, no_rounds, no_undo,
+                addr_ndim, no_payload, no_undo,
             ) = key
-            lanes, opidx, rounds, addr, payload, undo, drows = acc
+            lanes, rounds, addr, payload, undo, drows = acc
             kw: Dict[str, Any] = {}
-            if not no_rounds:
-                kw["rounds"] = np.asarray(rounds, dtype=np.int64)
             if addr_ndim is not None:
                 kw["addr"] = np.asarray(addr, dtype=np.int64)
             if not no_payload:
@@ -562,7 +555,7 @@ class TraceRecorder:
                 Step(
                     kind,
                     np.asarray(lanes, dtype=np.int64),
-                    np.asarray(opidx, dtype=np.int64),
+                    np.asarray(rounds, dtype=np.int64),
                     branch,
                     amount=amount,
                     width=width,
@@ -595,7 +588,7 @@ class TraceRecorder:
                     s.kind, s.branch, s.amount, s.width, s.table,
                     None if s.deferred is None else s.deferred[:2],
                     None if s.addr is None else s.addr.ndim,
-                    s.payload is None, s.rounds is None, s.undo is None,
+                    s.payload is None, s.undo is None,
                 )
             bucket = buckets.get(key)
             if bucket is None:
@@ -612,9 +605,9 @@ class TraceRecorder:
             out.append(
                 Step(
                     first.kind,
-                    lanes=cat([s.lanes for s in bucket]),
-                    opidx=cat([s.opidx for s in bucket]),
-                    branch=first.branch,
+                    cat([s.lanes for s in bucket]),
+                    cat([s.rounds for s in bucket]),
+                    first.branch,
                     amount=first.amount,
                     addr=(
                         None
@@ -642,11 +635,6 @@ class TraceRecorder:
                         if first.payload is None
                         else cat([s.payload for s in bucket])
                     ),
-                    rounds=(
-                        None
-                        if first.rounds is None
-                        else cat([s.rounds for s in bucket])
-                    ),
                     undo=(
                         None
                         if first.undo is None
@@ -665,17 +653,41 @@ class TraceRecorder:
             )
         if len(lanes) == 0:
             return
-        opidx = self.op_count[lanes].copy()
+        rounds = self.round_base[lanes] + self.op_count[lanes]
         self.op_count[lanes] += 1
-        if self.round_base is not None and "rounds" not in kw:
-            kw["rounds"] = self.round_base[lanes] + opidx
-        if (
-            kind == op_ir.WRITE
-            and self.undo_capture is not None
-            and "undo" not in kw
-        ):
+        if kind == op_ir.WRITE and self.undo_capture is not None:
             kw["undo"] = self.undo_capture[lanes]
-        self.steps.append(Step(kind, lanes, opidx, branch, **kw))
+        self.steps.append(Step(kind, lanes, rounds, branch, **kw))
+
+
+def _padded(lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-lane int lists as a zero-padded ``(n, max(width, 1))``
+    matrix plus the per-lane lengths."""
+    n = len(lists)
+    lens = np.fromiter(map(len, lists), np.int64, n)
+    width = max(int(lens.max()), 1) if n else 1
+    mat = np.zeros((n, width), dtype=np.int64)
+    # Row-major fill: the mask visits lane 0's slots, then lane 1's...
+    mat[np.arange(width) < lens[:, None]] = np.fromiter(
+        chain.from_iterable(lists), np.int64, int(lens.sum())
+    )
+    return mat, lens
+
+
+def _python_keys(keys: Any, idx: Optional[np.ndarray] = None) -> List[Any]:
+    """The probe keys of lanes ``idx`` (all lanes when None) as Python
+    values: ``keys`` is one column, or a tuple of columns zipped into
+    composite keys."""
+    if isinstance(keys, tuple):
+        return list(zip(*(_python_keys(column, idx) for column in keys)))
+    return (keys if idx is None else keys[idx]).tolist()
+
+
+def _python_key0(keys: Any) -> Any:
+    """Lane 0's :func:`_python_keys` entry (the one-lane fast path)."""
+    if isinstance(keys, tuple):
+        return tuple(column.item(0) for column in keys)
+    return keys.item(0)
 
 
 class WaveContext:
@@ -685,6 +697,25 @@ class WaveContext:
     thread index. All ops apply to the currently *active* local lanes,
     optionally narrowed by a ``mask``; returned arrays are full local
     length with unspecified values at inactive lanes.
+
+    The kernel boundary is columns in both directions -- a body holds
+    NumPy arrays of local length and never loops per lane to marshal:
+
+    * parameters arrive as typed columns (:meth:`param_i64`,
+      :meth:`param_f64`, :meth:`param_bool`, :meth:`param_obj`;
+      :meth:`param_lists` for a tuple-valued parameter);
+    * a probe key is one column, or a tuple of columns for a composite
+      key; :meth:`index_probe_multi` returns a zero-padded row matrix
+      plus per-lane match counts;
+    * :meth:`insert` takes one entry per table column -- a per-lane
+      array, or a scalar shared by every lane;
+    * :meth:`finish` / :meth:`finish_where` take the result as columns:
+      none (the transaction returns ``None``), one (a scalar per lane)
+      or several (a tuple per lane). Columns convert with
+      ``ndarray.tolist()``, the same ``.item()`` conversion
+      :meth:`ColumnTable.read` applies, so a result has the Python type
+      the generator body returns when the column has the dtype of the
+      value the generator computed.
     """
 
     def __init__(
@@ -696,31 +727,35 @@ class WaveContext:
         transactions: Sequence[Any],
         *,
         record_abort_ops: bool = True,
-        capture_undo: Optional[np.ndarray] = None,
+        capture_undo: bool = False,
     ) -> None:
         self.recorder = recorder
         self.store = store
         self.lanes = lanes
         self.type_id = type_id
-        self.txns = transactions
-        #: Parameter tuples, extracted once (param_* index into these).
-        self.params = [t.params for t in transactions]
         self.n = len(transactions)
+        #: The sub-wave's parameter table, transposed once: one tuple
+        #: per signature position (the param_* columns are built from
+        #: these).
+        self._params = list(zip(*[t.params for t in transactions]))
         self.active = np.ones(self.n, dtype=bool)
         self.committed = np.ones(self.n, dtype=bool)
-        self.abort_reason: List[str] = [""] * self.n
-        self.results: List[Any] = [None] * self.n
+        #: Per-lane abort reasons and results, as object columns.
+        self.abort_reason = np.full(self.n, "", dtype=object)
+        self.results = np.full(self.n, None, dtype=object)
         self.record_abort_ops = record_abort_ops
-        #: Per-local-lane bool: journal before-images, exactly as the
-        #: interpreter does for threads whose task sets capture_undo.
-        #: The vectorized capture is one bulk gather per write step
-        #: instead of a per-row append.
-        self.capture = capture_undo
-        #: Per-local-lane undo logs, interpreter entry format
-        #: (rows staged by a same-launch insert are recorded under
-        #: their encoded handle and remapped after the replay
-        #: materialises them).
-        self.undo: List[List[Tuple[Any, ...]]] = [[] for _ in range(self.n)]
+        #: Per-local-lane undo logs when the sub-wave journals
+        #: before-images, as the interpreter does for threads whose
+        #: task sets capture_undo (a property of the transaction type,
+        #: hence of the whole sub-wave), else None. The vectorized
+        #: capture is one bulk gather per write step instead of a
+        #: per-row append; entries have the interpreter's format (rows
+        #: staged by a same-launch insert are recorded under their
+        #: encoded handle and remapped after the replay materialises
+        #: them).
+        self.undo: Optional[List[List[Tuple[Any, ...]]]] = (
+            [[] for _ in range(self.n)] if capture_undo else None
+        )
         #: Single-lane fast path: a TPL lock schedule grants mostly one
         #: thread at a time under contention, so one-lane batches take
         #: scalar code paths (plain python ints, columnar op recording)
@@ -731,20 +766,21 @@ class WaveContext:
 
     # -- parameters ------------------------------------------------------
     def param_i64(self, i: int) -> np.ndarray:
-        if self._one:
-            return np.array((self.params[0][i],), dtype=np.int64)
-        return np.fromiter((p[i] for p in self.params), np.int64, self.n)
+        return np.array(self._params[i], dtype=np.int64)
 
-    def param_obj(self, i: int) -> np.ndarray:
-        out = np.empty(self.n, dtype=object)
-        for j, p in enumerate(self.params):
-            out[j] = p[i]
-        return out
+    def param_f64(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=np.float64)
 
     def param_bool(self, i: int) -> np.ndarray:
-        if self._one:
-            return np.array((bool(self.params[0][i]),), dtype=bool)
-        return np.fromiter((bool(p[i]) for p in self.params), bool, self.n)
+        return np.array(self._params[i], dtype=bool)
+
+    def param_obj(self, i: int) -> np.ndarray:
+        return np.fromiter(self._params[i], dtype=object, count=self.n)
+
+    def param_lists(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A tuple-of-ints parameter as a zero-padded matrix (one row
+        per lane) plus the per-lane tuple lengths."""
+        return _padded(self._params[i])
 
     # -- mask plumbing ---------------------------------------------------
     def _mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
@@ -770,34 +806,31 @@ class WaveContext:
             return
         self._record(op_ir.SET_BRANCH, self._mask(None))
 
+    def _record_probe1(self, index: str, key: Any) -> None:
+        base = int(self.store.probe_cost_base1(index, key))
+        self.recorder.record_scalar(
+            op_ir.INDEX_PROBE, self._lane0, self.type_id,
+            addr=(base, base + 8),
+        )
+
     def index_probe(
-        self, index: str, keys: Sequence[Any], mask: Optional[np.ndarray] = None
+        self, index: str, keys: Any, mask: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Probe a unique index or static map; -1 encodes a miss."""
         if self._one:
             if not self._on1(mask):
                 return np.full(1, -1, dtype=np.int64)
-            k = keys[0]
-            if isinstance(k, np.generic):
-                k = k.item()
-            row = self.store.probe_unique1(index, k)
-            base = int(self.store.probe_cost_base1(index, k))
-            self.recorder.record_scalar(
-                op_ir.INDEX_PROBE, self._lane0, self.type_id,
-                addr=(base, base + 8),
-            )
+            key = _python_key0(keys)
+            row = self.store.probe_unique1(index, key)
+            self._record_probe1(index, key)
             return np.array((row,), dtype=np.int64)
         m = self._mask(mask)
-        if m.all():
-            keys_m: Sequence[Any] = keys
-            out = self.store.probe_unique(index, keys_m)
-        else:
-            idx = np.flatnonzero(m)
-            out = np.full(self.n, -1, dtype=np.int64)
-            if len(idx) == 0:
-                return out
-            keys_m = [keys[i] for i in idx]
-            out[m] = self.store.probe_unique(index, keys_m)
+        idx = None if m.all() else np.flatnonzero(m)
+        out = np.full(self.n, -1, dtype=np.int64)
+        if idx is not None and len(idx) == 0:
+            return out
+        keys_m = _python_keys(keys, idx)
+        out[m] = self.store.probe_unique(index, keys_m)
         self._record(
             op_ir.INDEX_PROBE,
             m,
@@ -806,36 +839,40 @@ class WaveContext:
         return out
 
     def index_probe_multi(
-        self, index: str, keys: Sequence[Any], mask: Optional[np.ndarray] = None
-    ) -> List[List[int]]:
-        """Probe a multi index; returns per-lane row lists."""
+        self, index: str, keys: Any, mask: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Probe a multi index; returns ``(rows, counts)``.
+
+        ``rows[i, :counts[i]]`` are lane ``i``'s matching row ids in
+        index order, zero-padded to the widest lane (at least one
+        column); lanes outside the mask count zero matches.
+        """
         if self._one:
             if not self._on1(mask):
-                return [[]]
-            k = keys[0]
-            if isinstance(k, np.generic):
-                k = k.item()
-            rows = self.store.probe_multi1(index, k)
-            base = int(self.store.probe_cost_base1(index, k))
-            self.recorder.record_scalar(
-                op_ir.INDEX_PROBE, self._lane0, self.type_id,
-                addr=(base, base + 8),
+                return _padded([()])
+            key = _python_key0(keys)
+            rows = self.store.probe_multi1(index, key)
+            self._record_probe1(index, key)
+            return (
+                np.array([rows or (0,)], dtype=np.int64),
+                np.array((len(rows),), dtype=np.int64),
             )
-            return [rows]
         m = self._mask(mask)
         idx = np.flatnonzero(m)
-        out: List[List[int]] = [[] for _ in range(self.n)]
         if len(idx) == 0:
-            return out
-        keys_m = [keys[i] for i in idx]
-        for i, rows in zip(idx, self.store.probe_multi(index, keys_m)):
-            out[i] = rows
+            return _padded([()] * self.n)
+        keys_m = _python_keys(keys, idx)
+        rows_m, counts_m = _padded(self.store.probe_multi(index, keys_m))
         self._record(
             op_ir.INDEX_PROBE,
             m,
             addr=self.store.probe_cost_addresses(index, keys_m),
         )
-        return out
+        rows = np.zeros((self.n, rows_m.shape[1]), dtype=np.int64)
+        counts = np.zeros(self.n, dtype=np.int64)
+        rows[idx] = rows_m
+        counts[idx] = counts_m
+        return rows, counts
 
     def read(
         self,
@@ -889,7 +926,7 @@ class WaveContext:
             rows_arr = np.asarray(rows)
             values_arr = np.asarray(values)
             row_enc = int(rows_arr[0])
-            if self.capture is not None and self.capture[0]:
+            if self.undo is not None:
                 old = self.store.gather1(table, column, row_enc).tolist()[0]
                 self.undo[0].append((table, column, row_enc, old))
             if row_enc >= HANDLE_BASE:
@@ -913,18 +950,15 @@ class WaveContext:
             return
         rows_m = np.asarray(rows)[idx]
         values_m = np.asarray(values)[idx]
-        if self.capture is not None and self.capture[idx].any():
+        if self.undo is not None:
             # Bulk before-image capture: one overlay-aware gather for
             # the whole step, then per-lane appends in lane order --
             # the entries (and their order) match the interpreter's
             # per-row ``t.undo.append`` exactly. ``.tolist()`` converts
             # numpy scalars at the edge, as ColumnTable.write does.
             olds = self.store.gather(table, column, rows_m).tolist()
-            for j, i in enumerate(idx):
-                if self.capture[i]:
-                    self.undo[i].append(
-                        (table, column, int(rows_m[j]), olds[j])
-                    )
+            for i, row, old in zip(idx.tolist(), rows_m.tolist(), olds):
+                self.undo[i].append((table, column, row, old))
         handles = rows_m >= HANDLE_BASE
         if handles.any():
             if table not in self.store.mutating_tables:
@@ -1003,42 +1037,53 @@ class WaveContext:
     def insert(
         self,
         table: str,
-        values_rows: Sequence[Optional[Tuple[Any, ...]]],
+        columns: Sequence[Any],
         mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Stage one insert per masked lane; returns encoded handles."""
+        """Stage one insert per masked lane; returns encoded handles.
+
+        ``columns`` has one entry per table column, in schema order: a
+        per-lane array, or a scalar every lane inserts.
+        """
         if self._one:
-            out = np.full(1, -1, dtype=np.int64)
             if not self._on1(mask):
-                return out
-            handle = self.store.stage_insert(table, values_rows[0])
-            if self.capture is not None and self.capture[0]:
-                self.undo[0].append(
-                    (tx_logging.INSERT_SENTINEL, table, int(handle), None)
+                return np.full(1, -1, dtype=np.int64)
+            lanes = [0]
+            rows = [
+                tuple(
+                    c.item(0) if isinstance(c, np.ndarray) else c
+                    for c in columns
                 )
-            out[0] = handle
+            ]
+        else:
+            m = self._mask(mask)
+            idx = np.flatnonzero(m)
+            if len(idx) == 0:
+                return np.full(self.n, -1, dtype=np.int64)
+            lanes = idx.tolist()
+            rows = list(zip(*(
+                c[idx].tolist() if isinstance(c, np.ndarray)
+                else repeat(c, len(idx))
+                for c in columns
+            )))
+        handles = self.store.stage_inserts(table, rows)
+        if self.undo is not None:
+            # Interpreter entry: (INSERT_SENTINEL, table, row, None)
+            # with the provisional row id; recorded here under the
+            # encoded handle and remapped once the replay materialises
+            # the insert.
+            for i, handle in zip(lanes, handles.tolist()):
+                self.undo[i].append(
+                    (tx_logging.INSERT_SENTINEL, table, handle, None)
+                )
+        if self._one:
             self.recorder.record_scalar(
                 op_ir.INSERT_ROW, self._lane0, self.type_id,
-                table=table, payload=int(handle),
+                table=table, payload=int(handles[0]),
             )
-            return out
-        m = self._mask(mask)
-        idx = np.flatnonzero(m)
+            return handles
         out = np.full(self.n, -1, dtype=np.int64)
-        if len(idx) == 0:
-            return out
-        handles = np.empty(len(idx), dtype=np.int64)
-        for j, i in enumerate(idx):
-            handles[j] = self.store.stage_insert(table, values_rows[i])
-            if self.capture is not None and self.capture[i]:
-                # Interpreter entry: (INSERT_SENTINEL, table, row, None)
-                # with the provisional row id; recorded here under the
-                # encoded handle and remapped once the replay
-                # materialises the insert.
-                self.undo[i].append(
-                    (tx_logging.INSERT_SENTINEL, table, int(handles[j]), None)
-                )
-        out[m] = handles
+        out[idx] = handles
         self._record(op_ir.INSERT_ROW, m, table=table, payload=handles)
         return out
 
@@ -1048,32 +1093,24 @@ class WaveContext:
         rows: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> None:
-        if self._one:
-            if not self._on1(mask):
-                return
-            row_enc = int(rows[0])
-            self.store.stage_delete(table, row_enc)
-            if self.capture is not None and self.capture[0]:
-                self.undo[0].append(
-                    (tx_logging.DELETE_SENTINEL, table, row_enc, None)
-                )
-            self.recorder.record_scalar(
-                op_ir.DELETE_ROW, self._lane0, self.type_id,
-                table=table, payload=row_enc,
-            )
-            return
         m = self._mask(mask)
         idx = np.flatnonzero(m)
         if len(idx) == 0:
             return
         rows_m = np.asarray(rows)[idx].astype(np.int64)
-        for j, i in enumerate(idx):
-            self.store.stage_delete(table, int(rows_m[j]))
-            if self.capture is not None and self.capture[i]:
+        for i, row_enc in zip(idx.tolist(), rows_m.tolist()):
+            self.store.stage_delete(table, row_enc)
+            if self.undo is not None:
                 self.undo[i].append(
-                    (tx_logging.DELETE_SENTINEL, table, int(rows_m[j]), None)
+                    (tx_logging.DELETE_SENTINEL, table, row_enc, None)
                 )
-        self._record(op_ir.DELETE_ROW, m, table=table, payload=rows_m)
+        if self._one:
+            self.recorder.record_scalar(
+                op_ir.DELETE_ROW, self._lane0, self.type_id,
+                table=table, payload=int(rows_m[0]),
+            )
+        else:
+            self._record(op_ir.DELETE_ROW, m, table=table, payload=rows_m)
 
     # -- control flow ----------------------------------------------------
     def abort_where(self, cond: np.ndarray, reason: str) -> None:
@@ -1081,50 +1118,44 @@ class WaveContext:
         if self._one:
             if not (self.active[0] and cond[0]):
                 return
+            m = self.active
             if self.record_abort_ops:
                 self.recorder.record_scalar(
                     op_ir.ABORT, self._lane0, self.type_id
                 )
-            self.committed[0] = False
-            self.abort_reason[0] = reason
-            self.active[0] = False
-            return
-        m = self.active & cond
-        if not m.any():
-            return
-        if self.record_abort_ops:
-            self._record(op_ir.ABORT, m)
+        else:
+            m = self.active & cond
+            if not m.any():
+                return
+            if self.record_abort_ops:
+                self._record(op_ir.ABORT, m)
         self.committed &= ~m
-        for i in np.flatnonzero(m):
-            self.abort_reason[i] = reason
+        self.abort_reason[m] = reason
         self.active &= ~m
 
-    def finish_where(self, mask: np.ndarray, values: Any) -> None:
-        """Lanes in ``mask`` return ``values`` (per-lane sequence or a
-        shared scalar) and leave the kernel."""
+    def finish_where(self, mask: np.ndarray, *columns: np.ndarray) -> None:
+        """Lanes in ``mask`` return their entries of the result
+        ``columns`` and leave the kernel."""
         if self._one:
             if not (self.active[0] and mask[0]):
                 return
-            if np.isscalar(values) or values is None:
-                self.results[0] = values
-            else:
-                self.results[0] = values[0]
-            self.active[0] = False
-            return
-        m = self.active & mask
-        if not m.any():
-            return
-        if np.isscalar(values) or values is None:
-            for i in np.flatnonzero(m):
-                self.results[i] = values
+            m = self.active
         else:
-            for i in np.flatnonzero(m):
-                self.results[i] = values[i]
+            m = self.active & mask
+            if not m.any():
+                return
+        if columns:
+            values = [c.tolist() for c in columns]
+            self.results[m] = np.fromiter(
+                values[0] if len(values) == 1 else zip(*values),
+                dtype=object,
+                count=self.n,
+            )[m]
         self.active &= ~m
 
-    def finish(self, values: Any = None) -> None:
+    def finish(self, *columns: np.ndarray) -> None:
         """All still-active lanes return."""
-        self.finish_where(self.active.copy(), values)
+        self.finish_where(self.active, *columns)
 
     def close(self) -> None:
         """Kernel epilogue sanity check: every lane ended or aborted."""

@@ -134,7 +134,6 @@ class GPUTx(BulkFrontDoor):
         *,
         spec: GPUSpec = C1060,
         block_size: int = 256,
-        thresholds: Optional[ChooserThresholds] = None,
         options: Optional[EngineOptions] = None,
     ) -> None:
         self.db = db
@@ -149,7 +148,9 @@ class GPUTx(BulkFrontDoor):
         self.pool = TransactionPool()
         self.results = ResultPool()
         self.profiler = BulkProfiler(self.registry, self.primitives)
-        self.thresholds = thresholds or ChooserThresholds.for_spec(spec)
+        #: Algorithm 1's thresholds for ``strategy="auto"``; assign a
+        #: :class:`ChooserThresholds` to tune the chooser.
+        self.thresholds = ChooserThresholds.for_spec(spec)
         if options is None:
             options = EngineOptions()
         elif not isinstance(options, EngineOptions):
@@ -177,9 +178,11 @@ class GPUTx(BulkFrontDoor):
         Registers the same transaction types in the same order, so
         type ids are preserved -- the contract replica promotion needs
         when it swaps a recovered database under a shard id
-        (:mod:`repro.cluster.durability`).
+        (:mod:`repro.cluster.durability`). The chooser thresholds and
+        the dropped-option warning memo (which a cluster shares
+        between its shards) carry over.
         """
-        return GPUTx(
+        engine = GPUTx(
             db,
             procedures=[
                 self.registry.get(name)
@@ -187,9 +190,11 @@ class GPUTx(BulkFrontDoor):
             ],
             spec=self.spec,
             block_size=self.engine.block_size,
-            thresholds=self.thresholds,
             options=self.options,
         )
+        engine.thresholds = self.thresholds
+        engine._warned_options = self._warned_options
+        return engine
 
     # ------------------------------------------------------------------
     # Device initialization (Figure 16's one-off component).

@@ -33,7 +33,7 @@ from repro.gpu.transfer import PCIeModel
 from repro.storage.catalog import StoreAdapter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.backends import ExecutionBackend
+    from repro.core.backends import InterpretedBackend
 
 #: Phase names used in breakdowns (Figures 5, 12, 17).
 PHASE_GENERATION = "generation"
@@ -79,7 +79,7 @@ class StrategyExecutor:
         *,
         primitives: PrimitiveLibrary,
         pcie: PCIeModel,
-        backend: "ExecutionBackend",
+        backend: "InterpretedBackend",
     ) -> None:
         self.registry = registry
         self.adapter = adapter

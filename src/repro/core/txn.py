@@ -12,6 +12,7 @@ generates a bulk from the pool; results land in a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ProcedureError
@@ -165,16 +166,23 @@ class TransactionPool:
     ) -> int:
         """Admit a mixed stream of pre-built transactions, ``(type,
         params)`` pairs, or ``(type, params, submit_time)`` triples;
-        returns how many were submitted."""
+        returns how many were submitted. Each run of pairs/triples is
+        stamped by one :meth:`submit_batch` call."""
         count = 0
-        for item in specs:
-            if isinstance(item, Transaction):
-                self.submit_transaction(item)
-            elif len(item) == 3:
-                self.submit(item[0], item[1], item[2])
+        for prebuilt, run in groupby(
+            specs, key=lambda item: isinstance(item, Transaction)
+        ):
+            if prebuilt:
+                for txn in run:
+                    self.submit_transaction(txn)
+                    count += 1
             else:
-                self.submit(item[0], item[1])
-            count += 1
+                count += len(
+                    self.submit_batch(
+                        (item[0], item[1], item[2] if len(item) == 3 else 0.0)
+                        for item in run
+                    )
+                )
         return count
 
     def submit_transaction(self, txn: Transaction) -> Transaction:

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import (
     ConfigError,
     DeadlockError,
@@ -59,32 +61,42 @@ class ThreadTask:
 
 def warp_layout(
     n_threads: int, block_size: int, spec: GPUSpec
-) -> Tuple[List[Tuple[int, int]], List[List[int]], List[int]]:
+) -> Tuple[
+    List[Tuple[int, int]], List[List[int]], List[int], np.ndarray, np.ndarray
+]:
     """Pack ``n_threads`` into warps, blocks, and SMs.
 
     The single source of truth for thread placement, shared by the
-    interpreter's :meth:`SIMTEngine.launch` and the vectorized
-    backend's cost replay (:mod:`repro.core.backends.replay`), which
-    must agree on it exactly. Returns ``(warp_bounds, sm_warp_ids,
-    resident_warps)``: per-warp ``[start, end)`` thread ranges, each
-    SM's warp ids in schedule order, and the per-SM resident-warp
-    count (capped by the occupancy ceiling).
+    interpreter's :meth:`SIMTEngine.launch`, the vectorized backend's
+    lock scheduler and its cost replay (:mod:`repro.core.backends`),
+    which must agree on it exactly. Returns ``(warp_bounds,
+    sm_warp_ids, resident_warps, warp_of, sm_of_warp)``: per-warp
+    ``[start, end)`` thread ranges, each SM's warp ids in schedule
+    order, the per-SM resident-warp count (capped by the occupancy
+    ceiling), and the same placement as arrays -- each thread's warp
+    and each warp's SM.
     """
     sm_warp_ids: List[List[int]] = [[] for _ in range(spec.num_sms)]
     bounds: List[Tuple[int, int]] = []
-    wid = 0
+    warp_of = np.empty(n_threads, dtype=np.int64)
+    sm_of_warp: List[int] = []
     for b_start in range(0, n_threads, block_size):
         b_end = min(b_start + block_size, n_threads)
         sm = (b_start // block_size) % spec.num_sms
         for w_start in range(b_start, b_end, spec.warp_size):
-            bounds.append((w_start, min(w_start + spec.warp_size, b_end)))
-            sm_warp_ids[sm].append(wid)
-            wid += 1
+            w_end = min(w_start + spec.warp_size, b_end)
+            warp_of[w_start:w_end] = len(bounds)
+            sm_warp_ids[sm].append(len(bounds))
+            bounds.append((w_start, w_end))
+            sm_of_warp.append(sm)
     resident = [
         min(len(ids), spec.max_blocks_per_sm * (block_size // spec.warp_size))
         for ids in sm_warp_ids
     ]
-    return bounds, sm_warp_ids, resident
+    return (
+        bounds, sm_warp_ids, resident, warp_of,
+        np.asarray(sm_of_warp, dtype=np.int64),
+    )
 
 
 @dataclass
@@ -199,7 +211,7 @@ class SIMTEngine:
         threads = [_Thread(t) for t in tasks]
 
         # Blocks round-robin over SMs; blocks split into warps.
-        bounds, sm_warp_ids, resident = warp_layout(
+        bounds, sm_warp_ids, resident, _warp_of, _sm_of_warp = warp_layout(
             len(threads), self.block_size, spec
         )
         sm_warps: List[List[List[_Thread]]] = [

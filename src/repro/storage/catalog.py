@@ -217,24 +217,26 @@ class Database:
             ]
         return state
 
-    def logical_state(self) -> Dict[str, List[Tuple[Any, ...]]]:
-        """Canonical content per table: sorted live row tuples.
+    def table_state(self, name: str) -> List[Tuple[Any, ...]]:
+        """Canonical content of one table: sorted live row tuples.
 
         Physical row order is not logical state (batched inserts may
         land in a different order than a serial execution would have
         appended them), so rows are sorted by their repr -- stable for
         the mixed int/float/str tuples the workloads produce.
         """
-        state: Dict[str, List[Tuple[Any, ...]]] = {}
-        for name, table in self.tables.items():
-            rows = [
-                table.read_row(r)
-                for r in range(table.n_rows)
-                if not table.is_deleted(r)
-            ]
-            rows.sort(key=repr)
-            state[name] = rows
-        return state
+        table = self.table(name)
+        rows = [
+            table.read_row(r)
+            for r in range(table.n_rows)
+            if not table.is_deleted(r)
+        ]
+        rows.sort(key=repr)
+        return rows
+
+    def logical_state(self) -> Dict[str, List[Tuple[Any, ...]]]:
+        """:meth:`table_state` of every table."""
+        return {name: self.table_state(name) for name in self.tables}
 
 
 class StoreAdapter:

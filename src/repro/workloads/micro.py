@@ -99,16 +99,11 @@ def build_procedures(
 
         def vector_body(ctx) -> None:
             # The batched form of ``body`` (same per-lane op trace).
-            import numpy as np
-
             rows = ctx.param_i64(0)
             value = ctx.read(TABLE, "value", rows)
             ctx.sfu(sinf_calls)
             ctx.write(TABLE, "value", rows, value + 1.0)
-            out = [None] * ctx.n
-            for i in np.flatnonzero(ctx.active):
-                out[i] = float(value[i]) + 1.0
-            ctx.finish(out)
+            ctx.finish(value + 1.0)
 
         def access_fn(params) -> List[Access]:
             return [Access(item=int(params[0]), write=True)]
@@ -163,8 +158,6 @@ def build_pair_procedures(
 
         def vector_body(ctx) -> None:
             # The batched form of ``body`` (same per-lane op trace).
-            import numpy as np
-
             a = ctx.param_i64(0)
             b = ctx.param_i64(1)
             row_a = ctx.index_probe("tuples_pk", a)
@@ -177,10 +170,7 @@ def build_pair_procedures(
             pair = row_b != row_a
             value_b = ctx.read(TABLE, "value", row_b, mask=pair)
             ctx.write(TABLE, "value", row_b, value_b + 1.0, mask=pair)
-            out = [None] * ctx.n
-            for i in np.flatnonzero(ctx.active):
-                out[i] = float(value_a[i]) + 1.0
-            ctx.finish(out)
+            ctx.finish(value_a + 1.0)
 
         def access_fn(params) -> List[Access]:
             a, b = int(params[0]), int(params[1])

@@ -244,17 +244,6 @@ def _send_payment(custid0: int, custid1: int, amount: float) -> op_ir.OpStream:
 # per-lane op lockstep with the generator bodies above -- the
 # backend-equivalence property suite diffs the two.
 # ---------------------------------------------------------------------------
-def _amount_arr(ctx, i: int) -> np.ndarray:
-    return np.fromiter((float(p[i]) for p in ctx.params), np.float64, ctx.n)
-
-
-def _finish_float(ctx, values: np.ndarray) -> None:
-    out: List[float] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = float(values[i])
-    ctx.finish(out)
-
-
 def _v_balance(ctx) -> None:
     custid = ctx.param_i64(0)
     s_row = ctx.index_probe("sb_savings_pk", custid)
@@ -263,27 +252,27 @@ def _v_balance(ctx) -> None:
     ctx.abort_where(c_row < 0, "no checking account")
     savings = ctx.read(SAVINGS, "bal", s_row)
     checking = ctx.read(CHECKING, "bal", c_row)
-    _finish_float(ctx, savings + checking)
+    ctx.finish(savings + checking)
 
 
 def _v_deposit_checking(ctx) -> None:
-    amount = _amount_arr(ctx, 1)
+    amount = ctx.param_f64(1)
     ctx.abort_where(amount < 0, "negative deposit")
     c_row = ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
     ctx.abort_where(c_row < 0, "no checking account")
     checking = ctx.read(CHECKING, "bal", c_row)
     ctx.write(CHECKING, "bal", c_row, checking + amount)
-    _finish_float(ctx, checking + amount)
+    ctx.finish(checking + amount)
 
 
 def _v_transact_savings(ctx) -> None:
-    amount = _amount_arr(ctx, 1)
+    amount = ctx.param_f64(1)
     s_row = ctx.index_probe("sb_savings_pk", ctx.param_i64(0))
     ctx.abort_where(s_row < 0, "no savings account")
     savings = ctx.read(SAVINGS, "bal", s_row)
     ctx.abort_where(savings + amount < 0, "insufficient savings")
     ctx.write(SAVINGS, "bal", s_row, savings + amount)
-    _finish_float(ctx, savings + amount)
+    ctx.finish(savings + amount)
 
 
 def _v_amalgamate(ctx) -> None:
@@ -302,11 +291,11 @@ def _v_amalgamate(ctx) -> None:
     ctx.write(SAVINGS, "bal", s_row, np.zeros(ctx.n))
     ctx.write(CHECKING, "bal", c_row0, np.zeros(ctx.n))
     ctx.write(CHECKING, "bal", c_row1, checking1 + savings + checking0)
-    _finish_float(ctx, savings + checking0)
+    ctx.finish(savings + checking0)
 
 
 def _v_write_check(ctx) -> None:
-    amount = _amount_arr(ctx, 1)
+    amount = ctx.param_f64(1)
     s_row = ctx.index_probe("sb_savings_pk", ctx.param_i64(0))
     ctx.abort_where(s_row < 0, "no savings account")
     c_row = ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
@@ -318,11 +307,11 @@ def _v_write_check(ctx) -> None:
         overdraft, checking - (amount + 1.0), checking - amount
     )
     ctx.write(CHECKING, "bal", c_row, new_bal)
-    _finish_float(ctx, new_bal)
+    ctx.finish(new_bal)
 
 
 def _v_send_payment(ctx) -> None:
-    amount = _amount_arr(ctx, 2)
+    amount = ctx.param_f64(2)
     c_row0 = ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
     ctx.abort_where(c_row0 < 0, "no source account")
     c_row1 = ctx.index_probe("sb_checking_pk", ctx.param_i64(1))
@@ -332,7 +321,7 @@ def _v_send_payment(ctx) -> None:
     checking1 = ctx.read(CHECKING, "bal", c_row1)
     ctx.write(CHECKING, "bal", c_row0, checking0 - amount)
     ctx.write(CHECKING, "bal", c_row1, checking1 + amount)
-    _finish_float(ctx, checking0 - amount)
+    ctx.finish(checking0 - amount)
 
 
 # ---------------------------------------------------------------------------

@@ -376,16 +376,10 @@ def _sync_location(src_s_id: int, dst_s_id: int) -> op_ir.OpStream:
 # recording, per lane, exactly the op sequence the generator body
 # above yields. That one-to-one correspondence is what makes the
 # vectorized backend's simulated clock identical to the interpreter's,
-# so keep the two forms in lockstep when editing either.
+# and the backend-equivalence property suite diffs the two. Parameters,
+# keys, inserted rows and results cross the kernel boundary as columns
+# (the WaveContext contract, docs/ARCHITECTURE.md).
 # ---------------------------------------------------------------------------
-def _key2(a: np.ndarray, b: np.ndarray) -> List[tuple]:
-    return list(zip(a.tolist(), b.tolist()))
-
-
-def _key3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> List[tuple]:
-    return list(zip(a.tolist(), b.tolist(), c.tolist()))
-
-
 def _v_get_subscriber_data(ctx) -> None:
     s_id = ctx.param_i64(0)
     row = ctx.index_probe("subscriber_pk", s_id)
@@ -395,13 +389,7 @@ def _v_get_subscriber_data(ctx) -> None:
     byte2_9 = ctx.read(SUBSCRIBER, "byte2_9", row)
     msc = ctx.read(SUBSCRIBER, "msc_location", row)
     vlr = ctx.read(SUBSCRIBER, "vlr_location", row)
-    out: List[tuple] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = (
-            bool(bit_1[i]), int(hex_5[i]), int(byte2_9[i]),
-            int(msc[i]), int(vlr[i]),
-        )
-    ctx.finish(out)
+    ctx.finish(bit_1, hex_5, byte2_9, msc, vlr)
 
 
 def _v_get_new_destination(ctx) -> None:
@@ -409,49 +397,32 @@ def _v_get_new_destination(ctx) -> None:
     sf_type = ctx.param_i64(1)
     start_time = ctx.param_i64(2)
     end_time = ctx.param_i64(3)
-    sf_row = ctx.index_probe("special_facility_pk", _key2(s_id, sf_type))
+    sf_row = ctx.index_probe("special_facility_pk", (s_id, sf_type))
     ctx.abort_where(sf_row < 0, "no special facility")
     active_flag = ctx.read(SPECIAL_FACILITY, "is_active", sf_row)
     ctx.abort_where(~active_flag.astype(bool), "special facility inactive")
-    cand = ctx.index_probe_multi(
-        "call_forwarding_by_sf", _key2(s_id, sf_type)
+    cand, n_cand = ctx.index_probe_multi(
+        "call_forwarding_by_sf", (s_id, sf_type)
     )
-    n_cand = np.fromiter((len(c) for c in cand), np.int64, ctx.n)
-    searching = ctx.active.copy()
-    slot = 0
-    while True:
-        has = searching & ctx.active & (n_cand > slot)
-        if not has.any():
-            break
-        rows = np.fromiter(
-            (c[slot] if len(c) > slot else 0 for c in cand), np.int64, ctx.n
-        )
+    for slot in range(cand.shape[1]):
+        has = n_cand > slot
+        rows = cand[:, slot]
         cf_start = ctx.read(CALL_FORWARDING, "start_time", rows, mask=has)
         cf_end = ctx.read(CALL_FORWARDING, "end_time", rows, mask=has)
         match = has & (cf_start <= start_time) & (end_time < cf_end)
-        if match.any():
-            numberx = ctx.read(CALL_FORWARDING, "numberx", rows, mask=match)
-            out: List[str] = [None] * ctx.n  # type: ignore[list-item]
-            for i in np.flatnonzero(match):
-                out[i] = numberx[i]
-            ctx.finish_where(match, out)
-            searching &= ~match
-        slot += 1
-    ctx.abort_where(searching, "no matching call forwarding")
+        numberx = ctx.read(CALL_FORWARDING, "numberx", rows, mask=match)
+        ctx.finish_where(match, numberx)
+    ctx.abort_where(ctx.active, "no matching call forwarding")
 
 
 def _v_get_access_data(ctx) -> None:
     s_id = ctx.param_i64(0)
     ai_type = ctx.param_i64(1)
-    row = ctx.index_probe("access_info_pk", _key2(s_id, ai_type))
+    row = ctx.index_probe("access_info_pk", (s_id, ai_type))
     ctx.abort_where(row < 0, "no access info")
-    data = [
-        ctx.read(ACCESS_INFO, f"data{i}", row) for i in range(1, 5)
-    ]
-    out: List[tuple] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = tuple(int(d[i]) for d in data)
-    ctx.finish(out)
+    ctx.finish(
+        *(ctx.read(ACCESS_INFO, f"data{i}", row) for i in range(1, 5))
+    )
 
 
 def _v_update_subscriber_data(ctx) -> None:
@@ -461,20 +432,15 @@ def _v_update_subscriber_data(ctx) -> None:
     data_a = ctx.param_i64(3)
     sub_row = ctx.index_probe("subscriber_pk", s_id)
     ctx.abort_where(sub_row < 0, "subscriber not found")
-    sf_row = ctx.index_probe("special_facility_pk", _key2(s_id, sf_type))
+    sf_row = ctx.index_probe("special_facility_pk", (s_id, sf_type))
     ctx.abort_where(sf_row < 0, "no special facility")
     ctx.write(SUBSCRIBER, "bit_1", sub_row, bit_1)
     ctx.write(SPECIAL_FACILITY, "data_a", sf_row, data_a)
-    ctx.finish(None)
+    ctx.finish()
 
 
 def _v_lookup_sub_nbr(ctx) -> None:
-    sub_nbr = ctx.param_obj(0)
-    s_id = ctx.index_probe("sub_nbr_map", sub_nbr)
-    out: List[int] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = int(s_id[i])
-    ctx.finish(out)
+    ctx.finish(ctx.index_probe("sub_nbr_map", ctx.param_obj(0)))
 
 
 def _v_update_location(ctx) -> None:
@@ -483,23 +449,24 @@ def _v_update_location(ctx) -> None:
     row = ctx.index_probe("subscriber_pk", s_id)
     ctx.abort_where(row < 0, "subscriber not found")
     ctx.write(SUBSCRIBER, "vlr_location", row, vlr_location)
-    ctx.finish(None)
+    ctx.finish()
 
 
 def _v_insert_call_forwarding(ctx) -> None:
     s_id = ctx.param_i64(0)
     sf_type = ctx.param_i64(1)
     start_time = ctx.param_i64(2)
-    sf_row = ctx.index_probe("special_facility_pk", _key2(s_id, sf_type))
+    sf_row = ctx.index_probe("special_facility_pk", (s_id, sf_type))
     ctx.abort_where(sf_row < 0, "no special facility")
     existing = ctx.index_probe(
-        "call_forwarding_pk", _key3(s_id, sf_type, start_time)
+        "call_forwarding_pk", (s_id, sf_type, start_time)
     )
     ctx.abort_where(existing >= 0, "call forwarding exists")
-    # The row tuple IS the signature's parameter tuple, as in the
-    # generator form's InsertRow(...params...).
-    ctx.insert(CALL_FORWARDING, ctx.params)
-    ctx.finish(None)
+    ctx.insert(
+        CALL_FORWARDING,
+        (s_id, sf_type, start_time, ctx.param_i64(3), ctx.param_obj(4)),
+    )
+    ctx.finish()
 
 
 def _v_delete_call_forwarding(ctx) -> None:
@@ -507,11 +474,11 @@ def _v_delete_call_forwarding(ctx) -> None:
     sf_type = ctx.param_i64(1)
     start_time = ctx.param_i64(2)
     row = ctx.index_probe(
-        "call_forwarding_pk", _key3(s_id, sf_type, start_time)
+        "call_forwarding_pk", (s_id, sf_type, start_time)
     )
     ctx.abort_where(row < 0, "no call forwarding")
     ctx.delete(CALL_FORWARDING, row)
-    ctx.finish(None)
+    ctx.finish()
 
 
 def _v_sync_location(ctx) -> None:
@@ -523,10 +490,7 @@ def _v_sync_location(ctx) -> None:
     ctx.abort_where(dst_row < 0, "destination subscriber not found")
     vlr = ctx.read(SUBSCRIBER, "vlr_location", src_row)
     ctx.write(SUBSCRIBER, "vlr_location", dst_row, vlr)
-    out: List[int] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = int(vlr[i])
-    ctx.finish(out)
+    ctx.finish(vlr)
 
 
 def _sub_access(write: bool):

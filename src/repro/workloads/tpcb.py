@@ -160,36 +160,26 @@ def _profile_body(a_id: int, t_id: int, b_id: int, delta: float) -> op_ir.OpStre
 
 # ---------------------------------------------------------------------------
 # Vectorized form (repro.core.backends): the batched profile
-# transaction. Keep the per-lane op trace in lockstep with
-# _profile_body when editing either -- the backend-equivalence
-# property suite diffs the two.
+# transaction, recording per lane the op trace of _profile_body -- the
+# backend-equivalence property suite diffs the two.
 # ---------------------------------------------------------------------------
 def _v_profile(ctx) -> None:
     a_id = ctx.param_i64(0)
     t_id = ctx.param_i64(1)
     b_id = ctx.param_i64(2)
-    delta = np.fromiter((float(p[3]) for p in ctx.params), np.float64, ctx.n)
+    delta = ctx.param_f64(3)
     a_row = ctx.index_probe("account_pk", a_id)
     ctx.abort_where(a_row < 0, "account not found")
     a_balance = ctx.read(ACCOUNT, "a_balance", a_row)
     ctx.write(ACCOUNT, "a_balance", a_row, a_balance + delta)
-    ctx.insert(
-        HISTORY,
-        list(zip(
-            a_id.tolist(), t_id.tolist(), b_id.tolist(), delta.tolist(),
-            [0] * ctx.n,
-        )),
-    )
+    ctx.insert(HISTORY, (a_id, t_id, b_id, delta, 0))
     t_row = ctx.index_probe("teller_pk", t_id)
     t_balance = ctx.read(TELLER, "t_balance", t_row)
     ctx.write(TELLER, "t_balance", t_row, t_balance + delta)
     b_row = ctx.index_probe("branch_pk", b_id)
     b_balance = ctx.read(BRANCH, "b_balance", b_row)
     ctx.write(BRANCH, "b_balance", b_row, b_balance + delta)
-    out: List[float] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = float(a_balance[i] + delta[i])
-    ctx.finish(out)
+    ctx.finish(a_balance + delta)
 
 
 def _access_fn(params) -> List[Access]:

@@ -626,46 +626,18 @@ def _stock_level(w_id: int, d_id: int, threshold: int) -> op_ir.OpStream:
 # interpreter's trace. Keep both forms in sync when editing either --
 # the backend-equivalence property suite diffs them.
 # ---------------------------------------------------------------------------
-def _key2(a: np.ndarray, b: np.ndarray) -> List[tuple]:
-    return list(zip(a.tolist(), b.tolist()))
-
-
-def _key3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> List[tuple]:
-    return list(zip(a.tolist(), b.tolist(), c.tolist()))
-
-
-def _tuple_param_matrix(params_col, n: int):
-    """(lengths, padded int64 matrix) of a tuple-valued parameter."""
-    lens = np.fromiter((len(t) for t in params_col), np.int64, n)
-    width = int(lens.max()) if n else 0
-    mat = np.zeros((n, max(width, 1)), dtype=np.int64)
-    for i, values in enumerate(params_col):
-        mat[i, : len(values)] = values
-    return lens, mat
-
-
-def _ragged_rows(row_lists: List[List[int]], n: int):
-    """(lengths, padded matrix) of per-lane row-id lists (multi probes)."""
-    lens = np.fromiter((len(r) for r in row_lists), np.int64, n)
-    width = int(lens.max()) if n else 0
-    mat = np.zeros((n, max(width, 1)), dtype=np.int64)
-    for i, rows in enumerate(row_lists):
-        mat[i, : len(rows)] = rows
-    return lens, mat
-
-
 def _v_new_order(ctx) -> None:
     w_id = ctx.param_i64(0)
     d_id = ctx.param_i64(1)
     c_id = ctx.param_i64(2)
-    ol_cnt, item_mat = _tuple_param_matrix(ctx.param_obj(3), ctx.n)
-    _, supply_mat = _tuple_param_matrix(ctx.param_obj(4), ctx.n)
-    _, qty_mat = _tuple_param_matrix(ctx.param_obj(5), ctx.n)
-    max_cnt = int(ol_cnt.max()) if ctx.n else 0
+    item_mat, ol_cnt = ctx.param_lists(3)
+    supply_mat, _ = ctx.param_lists(4)
+    qty_mat, _ = ctx.param_lists(5)
+    max_cnt = int(ol_cnt.max())
 
     # Phase 1: validate every item id up front (H-Store rewrite); a
     # lane aborts at its first invalid item, probing no further.
-    item_rows = np.zeros((ctx.n, max(max_cnt, 1)), dtype=np.int64)
+    item_rows = np.zeros_like(item_mat)
     for line in range(max_cnt):
         m = ol_cnt > line
         rows = ctx.index_probe("item_pk", item_mat[:, line], mask=m)
@@ -673,32 +645,25 @@ def _v_new_order(ctx) -> None:
         item_rows[:, line] = rows
     w_row = ctx.index_probe("warehouse_pk", w_id)
     w_tax = ctx.read(WAREHOUSE, "w_tax", w_row)
-    d_row = ctx.index_probe("district_pk", _key2(w_id, d_id))
+    d_row = ctx.index_probe("district_pk", (w_id, d_id))
     d_tax = ctx.read(DISTRICT, "d_tax", d_row)
-    c_row = ctx.index_probe("customer_pk", _key3(w_id, d_id, c_id))
+    c_row = ctx.index_probe("customer_pk", (w_id, d_id, c_id))
     ctx.abort_where(c_row < 0, "no such customer")
     discount = ctx.read(CUSTOMER, "c_discount", c_row)
 
-    # Phase 2: allocate the order id and write everything. Row tuples
-    # are built full-length with zip (C speed); ctx.insert only reads
-    # the masked lanes' entries.
+    # Phase 2: allocate the order id and write everything.
     o_id = ctx.read(DISTRICT, "d_next_o_id", d_row)
     ctx.write(DISTRICT, "d_next_o_id", d_row, o_id + 1)
-    w_l, d_l, o_l = w_id.tolist(), d_id.tolist(), o_id.tolist()
-    zeros_l = [0] * ctx.n
-    ctx.insert(
-        ORDERS,
-        list(zip(w_l, d_l, o_l, c_id.tolist(), zeros_l, ol_cnt.tolist())),
-    )
-    ctx.insert(NEW_ORDER, list(zip(w_l, d_l, o_l)))
+    ctx.insert(ORDERS, (w_id, d_id, o_id, c_id, 0, ol_cnt))
+    ctx.insert(NEW_ORDER, (w_id, d_id, o_id))
     total = np.zeros(ctx.n)
     for line in range(max_cnt):
         m = ol_cnt > line
-        price = ctx.read(ITEM, "i_price", item_rows[:, line], mask=m)
-        s_row = ctx.index_probe(
-            "stock_pk", _key2(supply_mat[:, line], item_mat[:, line]), mask=m
+        i_id, supply_w, qty = (
+            item_mat[:, line], supply_mat[:, line], qty_mat[:, line]
         )
-        qty = qty_mat[:, line]
+        price = ctx.read(ITEM, "i_price", item_rows[:, line], mask=m)
+        s_row = ctx.index_probe("stock_pk", (supply_w, i_id), mask=m)
         s_qty = ctx.read(STOCK, "s_quantity", s_row, mask=m)
         new_qty = np.where(s_qty - qty >= 10, s_qty - qty, s_qty - qty + 91)
         ctx.write(STOCK, "s_quantity", s_row, new_qty, mask=m)
@@ -706,27 +671,18 @@ def _v_new_order(ctx) -> None:
         ctx.write(STOCK, "s_ytd", s_row, s_ytd + qty, mask=m)
         s_cnt = ctx.read(STOCK, "s_order_cnt", s_row, mask=m)
         ctx.write(STOCK, "s_order_cnt", s_row, s_cnt + 1, mask=m)
-        remote = m & (supply_mat[:, line] != w_id)
+        remote = m & (supply_w != w_id)
         s_rem = ctx.read(STOCK, "s_remote_cnt", s_row, mask=remote)
         ctx.write(STOCK, "s_remote_cnt", s_row, s_rem + 1, mask=remote)
         amount = qty.astype(np.float64) * price
-        live = m & ctx.active
-        total = total + np.where(live, amount, 0.0)
+        total = total + np.where(m & ctx.active, amount, 0.0)
         ctx.insert(
             ORDER_LINE,
-            list(zip(
-                w_l, d_l, o_l, [line + 1] * ctx.n,
-                item_mat[:, line].tolist(), supply_mat[:, line].tolist(),
-                qty_mat[:, line].tolist(), amount.tolist(), zeros_l,
-            )),
+            (w_id, d_id, o_id, line + 1, i_id, supply_w, qty, amount, 0),
             mask=m,
         )
     ctx.compute(8)  # tax arithmetic
-    result = total * (1.0 + w_tax + d_tax) * (1.0 - discount)
-    out: List[float] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = float(result[i])
-    ctx.finish(out)
+    ctx.finish(total * (1.0 + w_tax + d_tax) * (1.0 - discount))
 
 
 def _v_payment(ctx) -> None:
@@ -735,11 +691,11 @@ def _v_payment(ctx) -> None:
     c_w_id = ctx.param_i64(2)
     c_d_id = ctx.param_i64(3)
     c_id = ctx.param_i64(4)
-    amount = np.fromiter((float(p[5]) for p in ctx.params), np.float64, ctx.n)
-    c_row = ctx.index_probe("customer_pk", _key3(c_w_id, c_d_id, c_id))
+    amount = ctx.param_f64(5)
+    c_row = ctx.index_probe("customer_pk", (c_w_id, c_d_id, c_id))
     ctx.abort_where(c_row < 0, "no such customer")
     w_row = ctx.index_probe("warehouse_pk", w_id)
-    d_row = ctx.index_probe("district_pk", _key2(w_id, d_id))
+    d_row = ctx.index_probe("district_pk", (w_id, d_id))
     w_ytd = ctx.read(WAREHOUSE, "w_ytd", w_row)
     ctx.write(WAREHOUSE, "w_ytd", w_row, w_ytd + amount)
     d_ytd = ctx.read(DISTRICT, "d_ytd", d_row)
@@ -750,93 +706,60 @@ def _v_payment(ctx) -> None:
     ctx.write(CUSTOMER, "c_ytd_payment", c_row, ytd_payment + amount)
     pay_cnt = ctx.read(CUSTOMER, "c_payment_cnt", c_row)
     ctx.write(CUSTOMER, "c_payment_cnt", c_row, pay_cnt + 1)
-    ctx.insert(
-        HISTORY,
-        list(zip(
-            c_w_id.tolist(), c_d_id.tolist(), c_id.tolist(),
-            w_id.tolist(), d_id.tolist(), amount.tolist(),
-        )),
-    )
-    out: List[float] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = float(balance[i] - amount[i])
-    ctx.finish(out)
+    ctx.insert(HISTORY, (c_w_id, c_d_id, c_id, w_id, d_id, amount))
+    ctx.finish(balance - amount)
 
 
 def _v_customer_by_name(ctx) -> None:
     w_id = ctx.param_i64(0)
     d_id = ctx.param_i64(1)
     c_last = ctx.param_obj(2)
-    keys = [
-        (int(w_id[i]), int(d_id[i]), c_last[i]) for i in range(ctx.n)
-    ]
-    rows = ctx.index_probe_multi("customer_name", keys)
-    empty = np.fromiter((len(r) == 0 for r in rows), bool, ctx.n)
-    ctx.abort_where(empty, "no customer with that name")
-    chosen = np.fromiter(
-        (r[len(r) // 2] if r else 0 for r in rows), np.int64, ctx.n
-    )
-    c_id = ctx.read(CUSTOMER, "c_id", chosen)
-    out: List[int] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = int(c_id[i])
-    ctx.finish(out)
+    rows, n_rows = ctx.index_probe_multi("customer_name", (w_id, d_id, c_last))
+    ctx.abort_where(n_rows == 0, "no customer with that name")
+    chosen = rows[np.arange(ctx.n), n_rows // 2]
+    ctx.finish(ctx.read(CUSTOMER, "c_id", chosen))
 
 
 def _v_order_status(ctx) -> None:
     w_id = ctx.param_i64(0)
     d_id = ctx.param_i64(1)
     c_id = ctx.param_i64(2)
-    c_row = ctx.index_probe("customer_pk", _key3(w_id, d_id, c_id))
+    c_row = ctx.index_probe("customer_pk", (w_id, d_id, c_id))
     ctx.abort_where(c_row < 0, "no such customer")
     balance = ctx.read(CUSTOMER, "c_balance", c_row)
-    order_rows = ctx.index_probe_multi(
-        "orders_by_customer", _key3(w_id, d_id, c_id)
+    order_rows, n_orders = ctx.index_probe_multi(
+        "orders_by_customer", (w_id, d_id, c_id)
     )
-    empty = np.fromiter((len(r) == 0 for r in order_rows), bool, ctx.n)
-    ctx.abort_where(empty, "customer has no orders")
-    last = np.fromiter(
-        (r[-1] if r else 0 for r in order_rows), np.int64, ctx.n
-    )
+    ctx.abort_where(n_orders == 0, "customer has no orders")
+    last = order_rows[np.arange(ctx.n), np.maximum(n_orders - 1, 0)]
     o_id = ctx.read(ORDERS, "o_id", last)
     carrier = ctx.read(ORDERS, "o_carrier_id", last)
-    line_lists = ctx.index_probe_multi(
-        "order_line_by_order", _key3(w_id, d_id, o_id)
+    line_rows, n_lines = ctx.index_probe_multi(
+        "order_line_by_order", (w_id, d_id, o_id)
     )
-    n_lines, line_mat = _ragged_rows(line_lists, ctx.n)
     total = np.zeros(ctx.n)
-    for slot in range(int(n_lines.max()) if ctx.n else 0):
+    for slot in range(int(n_lines.max())):
         m = n_lines > slot
-        amount = ctx.read(ORDER_LINE, "ol_amount", line_mat[:, slot], mask=m)
+        amount = ctx.read(ORDER_LINE, "ol_amount", line_rows[:, slot], mask=m)
         total = total + np.where(m & ctx.active, amount, 0.0)
-    out: List[tuple] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = (
-            float(balance[i]), int(o_id[i]), int(carrier[i]),
-            float(total[i]),
-        )
-    ctx.finish(out)
+    ctx.finish(balance, o_id, carrier, total)
 
 
 def _v_delivery(ctx) -> None:
     w_id = ctx.param_i64(0)
     d_id = ctx.param_i64(1)
     carrier_id = ctx.param_i64(2)
-    no_lists = ctx.index_probe_multi(
-        "new_order_by_district", _key2(w_id, d_id)
+    no_rows, n_new = ctx.index_probe_multi(
+        "new_order_by_district", (w_id, d_id)
     )
-    empty = np.fromiter((len(r) == 0 for r in no_lists), bool, ctx.n)
-    ctx.abort_where(empty, "no undelivered order")
-    oldest = np.fromiter(
-        (r[0] if r else 0 for r in no_lists), np.int64, ctx.n
-    )
+    ctx.abort_where(n_new == 0, "no undelivered order")
+    oldest = no_rows[:, 0]
     o_id = ctx.read(NEW_ORDER, "no_o_id", oldest)
-    o_row = ctx.index_probe("orders_pk", _key3(w_id, d_id, o_id))
+    o_row = ctx.index_probe("orders_pk", (w_id, d_id, o_id))
     c_id = ctx.read(ORDERS, "o_c_id", o_row)
-    line_lists = ctx.index_probe_multi(
-        "order_line_by_order", _key3(w_id, d_id, o_id)
+    line_rows, n_lines = ctx.index_probe_multi(
+        "order_line_by_order", (w_id, d_id, o_id)
     )
-    n_lines, line_mat = _ragged_rows(line_lists, ctx.n)
     # Phase 2: writes only. The delivered order may itself be a
     # same-bulk NEW_ORDER insert (PART schedules), so the writes below
     # may target staged rows -- the wave store's handle-write staging
@@ -844,30 +767,27 @@ def _v_delivery(ctx) -> None:
     ctx.delete(NEW_ORDER, oldest)
     ctx.write(ORDERS, "o_carrier_id", o_row, carrier_id)
     total = np.zeros(ctx.n)
-    for slot in range(int(n_lines.max()) if ctx.n else 0):
+    for slot in range(int(n_lines.max())):
         m = n_lines > slot
-        amount = ctx.read(ORDER_LINE, "ol_amount", line_mat[:, slot], mask=m)
+        amount = ctx.read(ORDER_LINE, "ol_amount", line_rows[:, slot], mask=m)
         total = total + np.where(m & ctx.active, amount, 0.0)
         ctx.write(
-            ORDER_LINE, "ol_delivery_d", line_mat[:, slot],
+            ORDER_LINE, "ol_delivery_d", line_rows[:, slot],
             np.ones(ctx.n, dtype=np.int64), mask=m,
         )
-    c_row = ctx.index_probe("customer_pk", _key3(w_id, d_id, c_id))
+    c_row = ctx.index_probe("customer_pk", (w_id, d_id, c_id))
     c_balance = ctx.read(CUSTOMER, "c_balance", c_row)
     ctx.write(CUSTOMER, "c_balance", c_row, c_balance + total)
     del_cnt = ctx.read(CUSTOMER, "c_delivery_cnt", c_row)
     ctx.write(CUSTOMER, "c_delivery_cnt", c_row, del_cnt + 1)
-    out: List[float] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = float(total[i])
-    ctx.finish(out)
+    ctx.finish(total)
 
 
 def _v_stock_level(ctx) -> None:
     w_id = ctx.param_i64(0)
     d_id = ctx.param_i64(1)
     threshold = ctx.param_i64(2)
-    d_row = ctx.index_probe("district_pk", _key2(w_id, d_id))
+    d_row = ctx.index_probe("district_pk", (w_id, d_id))
     next_o_id = ctx.read(DISTRICT, "d_next_o_id", d_row)
     lo = np.maximum(0, next_o_id - 20)
     n_orders = next_o_id - lo
@@ -876,15 +796,13 @@ def _v_stock_level(ctx) -> None:
     max_orders = int(n_orders[ctx.active].max()) if ctx.active.any() else 0
     for k in range(max_orders):
         m = n_orders > k
-        o_k = lo + k
-        line_lists = ctx.index_probe_multi(
-            "order_line_by_order", _key3(w_id, d_id, o_k), mask=m
+        line_rows, n_lines = ctx.index_probe_multi(
+            "order_line_by_order", (w_id, d_id, lo + k), mask=m
         )
-        n_lines, line_mat = _ragged_rows(line_lists, ctx.n)
-        for slot in range(int(n_lines.max()) if ctx.n else 0):
+        for slot in range(int(n_lines.max())):
             mm = m & (n_lines > slot)
             i_id = ctx.read(
-                ORDER_LINE, "ol_i_id", line_mat[:, slot], mask=mm
+                ORDER_LINE, "ol_i_id", line_rows[:, slot], mask=mm
             )
             # The per-lane dedup set: repeated items skip the stock
             # probe, exactly like the generator's `seen` check.
@@ -894,17 +812,12 @@ def _v_stock_level(ctx) -> None:
                 if item not in seen[i]:
                     seen[i].add(item)
                     fresh[i] = True
-            s_row = ctx.index_probe(
-                "stock_pk", _key2(w_id, i_id), mask=fresh
-            )
+            s_row = ctx.index_probe("stock_pk", (w_id, i_id), mask=fresh)
             qty = ctx.read(STOCK, "s_quantity", s_row, mask=fresh)
             low = low + np.where(
                 fresh & ctx.active & (qty < threshold), 1, 0
             )
-    out: List[int] = [None] * ctx.n  # type: ignore[list-item]
-    for i in np.flatnonzero(ctx.active):
-        out[i] = int(low[i])
-    ctx.finish(out)
+    ctx.finish(low)
 
 
 # ---------------------------------------------------------------------------

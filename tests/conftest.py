@@ -137,7 +137,7 @@ def _v_deposit(ctx) -> None:
     balance = ctx.read(ACCOUNTS, "balance", account)
     ctx.compute(4)
     ctx.write(ACCOUNTS, "balance", account, balance + amount)
-    ctx.finish([int(v) for v in balance + amount])
+    ctx.finish(balance + amount)
 
 
 def _v_transfer(ctx) -> None:
@@ -149,14 +149,14 @@ def _v_transfer(ctx) -> None:
     dst_balance = ctx.read(ACCOUNTS, "balance", dst)
     ctx.write(ACCOUNTS, "balance", src, src_balance - amount)
     ctx.write(ACCOUNTS, "balance", dst, dst_balance + amount)
-    ctx.finish([int(v) for v in src_balance - amount])
+    ctx.finish(src_balance - amount)
 
 
 def _v_audit(ctx) -> None:
     account = ctx.param_i64(0)
     balance = ctx.read(ACCOUNTS, "balance", account)
     version = ctx.read(ACCOUNTS, "version", account)
-    ctx.finish([(int(b), int(v)) for b, v in zip(balance, version)])
+    ctx.finish(balance, version)
 
 
 def _v_risky(ctx) -> None:
@@ -168,7 +168,7 @@ def _v_risky(ctx) -> None:
     version = ctx.read(ACCOUNTS, "version", account)
     ctx.write(ACCOUNTS, "version", account, version + 1)
     ctx.abort_where(fail != 0, "post-write failure")
-    ctx.finish([int(v) for v in balance + amount])
+    ctx.finish(balance + amount)
 
 
 _VECTOR_BODIES = {

@@ -139,7 +139,7 @@ def _v_deposit(ctx) -> None:
     balance = ctx.read(LEDGER, "balance", row)
     ctx.compute(4)
     ctx.write(LEDGER, "balance", row, balance + amount)
-    ctx.finish([int(v) for v in balance + amount])
+    ctx.finish(balance + amount)
 
 
 def _v_transfer(ctx) -> None:
@@ -153,7 +153,7 @@ def _v_transfer(ctx) -> None:
     dst_balance = ctx.read(LEDGER, "balance", dst_row)
     ctx.write(LEDGER, "balance", src_row, src_balance - amount)
     ctx.write(LEDGER, "balance", dst_row, dst_balance + amount)
-    ctx.finish([int(v) for v in src_balance - amount])
+    ctx.finish(src_balance - amount)
 
 
 def _v_audit(ctx) -> None:
@@ -161,7 +161,7 @@ def _v_audit(ctx) -> None:
     ctx.abort_where(row < 0, "no such account")
     balance = ctx.read(LEDGER, "balance", row)
     version = ctx.read(LEDGER, "version", row)
-    ctx.finish([(int(b), int(v)) for b, v in zip(balance, version)])
+    ctx.finish(balance, version)
 
 
 def _v_reconcile(ctx) -> None:
@@ -173,7 +173,7 @@ def _v_reconcile(ctx) -> None:
     ctx.write(LEDGER, "balance", row_a, mean)
     ctx.write(LEDGER, "balance", row_b, balance_a + balance_b - mean)
     ctx.abort_where(ctx.param_i64(2) != 0, "post-write failure")
-    ctx.finish([int(v) for v in mean])
+    ctx.finish(mean)
 
 
 _LEDGER_VECTOR_BODIES = {

@@ -285,13 +285,14 @@ class TestAutoStrategyOptions:
     def test_bad_block_size_never_reaches_a_bulk(self, block_size):
         """block_size=0 used to construct, then run_bulk drained the
         pool and died in warp_layout (-32: a misleading
-        DeadlockError). No engine or cluster can exist to lose a bulk:
-        construction refuses, and leaves the caller's database alone."""
+        DeadlockError). No engine can exist to lose a bulk:
+        construction refuses, and leaves the caller's database alone
+        (a cluster takes no block size: its shards run the default)."""
         db = build_bank_db(8)
         before = db.physical_state()
         with pytest.raises(ConfigError, match="block size"):
             GPUTx(db, procedures=BANK_PROCEDURES, block_size=block_size)
-        with pytest.raises(ConfigError, match="block size"):
+        with pytest.raises(TypeError, match="block_size"):
             ClusterTx(
                 db, procedures=BANK_PROCEDURES, n_shards=2,
                 block_size=block_size,

@@ -6,6 +6,7 @@ WAL replay, yields final store state and per-transaction outcomes
 identical to the uninterrupted run and to the serial oracle.
 """
 
+import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -260,6 +261,32 @@ class TestFailoverMechanics:
         while len(cluster.pool):
             cluster.run_bulk(strategy="kset")
         assert len(cluster.results) == 40
+
+    def test_recovered_shard_keeps_the_clusters_warning_memo(self, rng):
+        """A dropped-option warning is given once per cluster lifetime:
+        the engine rebuilt for a recovered shard shares the memo the
+        other shards already filled (GPUTx.rebuild_on used to drop it,
+        so the recovered shard warned again)."""
+        cluster = self.make_cluster()
+
+        def auto_bulk():
+            cluster.submit_many(ledger_specs(rng, 30, 24, cross_prob=0.0))
+            return cluster.run_bulk(
+                strategy="auto", per_task_launch_overhead=True
+            )
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            auto_bulk()
+            cluster.failover.kill(0)
+            cluster.failover.recover(0)
+            assert cluster.failover.dead == frozenset()
+            result = auto_bulk()
+        assert set(result.waves[0].strategies) == {0, 1}
+        drops = [w for w in caught
+                 if "per_task_launch_overhead" in str(w.message)]
+        assert len(drops) == 1
+        assert issubclass(drops[0].category, UserWarning)
 
     def test_recovery_without_replicas_uses_host_wal(self, rng):
         """K = 0 still recovers in the simulation (host-side WAL and

@@ -11,6 +11,7 @@ reason, value), the deferral sets, the simulated clock, and the final
 physical row order of batched inserts).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -358,3 +359,104 @@ class TestSmallBankEquivalence:
             _smallbank_db, smallbank.PROCEDURES, specs, "part",
             partition_size=partition_size,
         )
+
+
+def _typed(value):
+    """``value`` with its Python type, element-wise inside tuples."""
+    if isinstance(value, tuple):
+        return (tuple, tuple(_typed(v) for v in value))
+    return (type(value), value)
+
+
+def _micro_pair_case():
+    specs = micro.generate_pair_transactions(
+        48, n_tuples=N_TUPLES, shard_of=lambda key: key % 2,
+        cross_shard_fraction=0.5, n_branches=2,
+    )
+    return (
+        lambda: micro.build_database(N_TUPLES, with_index=True),
+        micro.build_pair_procedures(2),
+        specs + [("micro_pair_0", (3, 3))],
+    )
+
+
+def _tm1_case():
+    db = tm1.build_database(1, subscribers_per_sf=200, seed=3)
+    even_mix = [(name, 1.0) for name, _weight in tm1.DEFAULT_MIX]
+    specs = tm1.generate_cluster_transactions(
+        db, 700, shard_of=lambda key: key % 2, cross_shard_fraction=0.05,
+        seed=5, mix=even_mix,
+    )
+    return db.clone, tm1.CLUSTER_PROCEDURES, specs
+
+
+def _tpcc_case():
+    db = tpcc.build_database(
+        TPCC_WAREHOUSES, customers_per_district=8, n_items=32,
+        init_orders_per_district=6, seed=11,
+    )
+    specs = tpcc.generate_transactions(db, 300, seed=4, remote_item_prob=0.2)
+    # The generator's random last names rarely exist at this scale.
+    specs += [
+        ("tpcc_customer_by_name", (w, 1, tpcc.tpcc_last_name(c)))
+        for w in range(TPCC_WAREHOUSES) for c in range(3)
+    ]
+    return db.clone, tpcc.PROCEDURES, specs
+
+
+class TestResultTypes:
+    """A vector kernel hands its result columns over with
+    ``ndarray.tolist()``; what comes out must be what the generator
+    body returns -- the same value *and* the same Python type,
+    element-wise inside tuples (``True == 1`` and ``2 == 2.0`` pass a
+    plain ``==``) -- for every type of all five workloads."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (
+                lambda: micro.build_database(N_TUPLES),
+                micro.build_procedures(4),
+                micro.generate_transactions(
+                    40, n_tuples=N_TUPLES, n_branches=4
+                ),
+            ),
+            _micro_pair_case,
+            _tm1_case,
+            lambda: (
+                _tpcb_db,
+                tpcb.PROCEDURES,
+                tpcb.generate_transactions(_tpcb_db(), 40, seed=2),
+            ),
+            _tpcc_case,
+            lambda: (
+                _smallbank_db,
+                smallbank.PROCEDURES,
+                smallbank.generate_transactions(
+                    _smallbank_db(), 300, seed=3
+                ),
+            ),
+        ],
+        ids=["micro", "micro-pair", "tm1", "tpcb", "tpcc", "smallbank"],
+    )
+    def test_vector_results_have_the_interpreters_types(self, case):
+        build_db, procedures, specs = case()
+        values = {}
+        for backend in ("interpreted", "vectorized"):
+            engine = GPUTx(
+                build_db(),
+                procedures=procedures,
+                options=EngineOptions(
+                    backend=backend, strict_vector=(backend == "vectorized")
+                ),
+            )
+            engine.submit_many(specs)
+            results = engine.run_bulk(strategy="kset").results
+            values[backend] = {
+                r.txn_id: (r.type_name, _typed(r.value))
+                for r in results
+                if r.committed
+            }
+        assert values["vectorized"] == values["interpreted"]
+        committed_types = {name for name, _ in values["vectorized"].values()}
+        assert committed_types == {t.name for t in procedures}

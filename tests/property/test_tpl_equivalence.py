@@ -14,7 +14,9 @@ on *everything observable*:
 
 The suite forces tpl directly, reaches it through part's tpl-fallback
 (cross-partition transactions), and checks both ``strict_vector``
-settings produce identical results.
+settings produce identical results. It also pins the other end of the
+scheduler: a K-SET wave *is* the locked launch whose plans are all
+empty, on both backends.
 """
 
 from hypothesis import given, settings
@@ -74,7 +76,7 @@ def _bank_specs():
 
 
 def _run(build_db, procedures, specs, backend, strategy, strict=None,
-         **options):
+         waves_as_locked=False, **options):
     db = build_db()
     if strict is None:
         strict = backend == "vectorized"
@@ -83,6 +85,11 @@ def _run(build_db, procedures, specs, backend, strategy, strict=None,
         procedures=procedures,
         options=EngineOptions(backend=backend, strict_vector=strict),
     )
+    if waves_as_locked:
+        launch_locked = engine.backend.launch_locked
+        engine.backend.launch_wave = lambda executor, txns: launch_locked(
+            executor, txns, [[]] * len(txns), None
+        )
     engine.submit_many(specs)
     bulks = [engine.run_bulk(strategy=strategy, **options)]
     while len(engine.pool):
@@ -98,7 +105,11 @@ def _run(build_db, procedures, specs, backend, strategy, strict=None,
         for b in bulks
     ]
     stats = [
-        tuple(getattr(rep.stats, f) for f in STATS_FIELDS)
+        (
+            tuple(getattr(rep.stats, f) for f in STATS_FIELDS),
+            rep.timing,
+            rep.outcomes,
+        )
         for b in bulks
         for rep in (b.kernel_reports or [])
     ]
@@ -176,6 +187,49 @@ class TestAbortMixes:
             BANK_VECTOR_PROCEDURES,
             specs,
             "part",
+        )
+
+
+class TestWaveIsTheLockFreeLaunch:
+    """``launch_locked(txns, [[]] * n, None)`` equals
+    ``launch_wave(txns)`` field by field -- kernel stats, timing,
+    per-thread outcomes (undo logs included), physical state -- on the
+    interpreter and on the vectorized backend, whose two launches share
+    one scheduler. Every 0-set of a K-SET run is one such pair."""
+
+    def _assert_same_launch(self, build_db, procedures, specs):
+        for backend in ("interpreted", "vectorized"):
+            wave = _run(build_db, procedures, specs, backend, "kset")
+            locked = _run(
+                build_db, procedures, specs, backend, "kset",
+                waves_as_locked=True,
+            )
+            assert wave == locked
+
+    @settings(max_examples=15, deadline=None)
+    @given(specs=_tm1_specs())
+    def test_tm1(self, specs):
+        self._assert_same_launch(
+            lambda: tm1.build_database(1, subscribers_per_sf=TM1_SUBS, seed=3),
+            tm1.PROCEDURES,
+            specs,
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(specs=_tpcc_specs())
+    def test_tpcc(self, specs):
+        self._assert_same_launch(_tpcc_db, tpcc.PROCEDURES, specs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(specs=_smallbank_specs())
+    def test_smallbank(self, specs):
+        self._assert_same_launch(_smallbank_db, smallbank.PROCEDURES, specs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(specs=_bank_specs())
+    def test_bank_undo_capturing_aborters(self, specs):
+        self._assert_same_launch(
+            lambda: build_bank_db(BANK_ACCOUNTS), BANK_VECTOR_PROCEDURES, specs
         )
 
 

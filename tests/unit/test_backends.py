@@ -294,10 +294,9 @@ class TestWarnDedupPerEngine:
 
     def _engine(self):
         engine = GPUTx(
-            micro.build_database(32),
-            procedures=micro.build_procedures(2),
-            thresholds=ChooserThresholds(w0_bar=1),
+            micro.build_database(32), procedures=micro.build_procedures(2)
         )
+        engine.thresholds = ChooserThresholds(w0_bar=1)
         engine.submit_many(
             micro.generate_transactions(8, n_tuples=32, n_branches=2)
         )

@@ -7,6 +7,7 @@ front rather than translated.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -116,11 +117,22 @@ class TestOptionSurfaceIsPinned:
                 {"engine", "durability", "cross_shard", "elastic"},
             ),
             (DurabilityConfig, {"checkpoint_interval", "n_replicas"}),
-            (
-                ElasticConfig,
-                {"queue_ratio", "min_queue_depth", "max_migrations"},
-            ),
+            (ElasticConfig, {"min_queue_depth", "max_migrations"}),
         ],
     )
     def test_fields(self, cls, fields):
         assert {f.name for f in dataclasses.fields(cls)} == fields
+
+    @pytest.mark.parametrize(
+        "cls, arguments",
+        [
+            (GPUTx, {"db", "procedures", "spec", "block_size", "options"}),
+            (
+                ClusterTx,
+                {"db", "procedures", "n_shards", "router", "options"},
+            ),
+        ],
+    )
+    def test_constructor_arguments(self, cls, arguments):
+        signature = inspect.signature(cls.__init__)
+        assert set(signature.parameters) - {"self"} == arguments

@@ -10,7 +10,7 @@ from repro import (
     HotShardDetector,
     MigrationPlan,
 )
-from repro.cluster.elastic import ShardMigrator
+from repro.cluster.elastic import QUEUE_RATIO, ShardMigrator
 from repro.errors import ClusterError, ConfigError
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -44,14 +44,12 @@ def registry_with_depths(depths, busy=None):
 class TestElasticConfig:
     def test_defaults_are_valid(self):
         config = ElasticConfig()
-        assert config.queue_ratio > 1.0
+        assert QUEUE_RATIO > 1.0
         assert config.min_queue_depth >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"queue_ratio": 1.0},
-            {"queue_ratio": 0.5},
             {"min_queue_depth": 0},
             {"max_migrations": -1},
         ],
@@ -90,16 +88,20 @@ class TestHotShardDetector:
         assert HotShardDetector(config).scan(registry, n_shards=4) is None
 
     def test_ratio_threshold_respected(self):
-        registry = registry_with_depths({0: 30, 1: 20, 2: 20, 3: 20})
-        strict = ElasticConfig(queue_ratio=2.0, min_queue_depth=1)
-        lax = ElasticConfig(queue_ratio=1.2, min_queue_depth=1)
-        assert HotShardDetector(strict).scan(registry, n_shards=4) is None
-        report = HotShardDetector(lax).scan(registry, n_shards=4)
+        detector = HotShardDetector(ElasticConfig(min_queue_depth=1))
+        at_ratio = registry_with_depths(
+            {0: 20 * QUEUE_RATIO, 1: 20, 2: 20, 3: 20}
+        )
+        assert detector.scan(at_ratio, n_shards=4) is None
+        above = registry_with_depths(
+            {0: 20 * QUEUE_RATIO + 1, 1: 20, 2: 20, 3: 20}
+        )
+        report = detector.scan(above, n_shards=4)
         assert report is not None and report.shard == 0
 
     def test_deepest_of_several_hot_shards_wins(self):
-        registry = registry_with_depths({0: 60, 1: 90, 2: 1, 3: 1})
-        config = ElasticConfig(queue_ratio=1.5, min_queue_depth=1)
+        registry = registry_with_depths({0: 80, 1: 90, 2: 1, 3: 1})
+        config = ElasticConfig(min_queue_depth=1)
         report = HotShardDetector(config).scan(registry, n_shards=4)
         assert report is not None and report.shard == 1
 

@@ -47,6 +47,35 @@ class TestTransactionPool:
         with pytest.raises(ProcedureError):
             pool.submit_transaction(Transaction(3, "t", ()))
 
+    def test_submit_specs_matches_the_per_item_loop(self):
+        """Runs of pairs/triples go through one submit_batch each; ids,
+        submit times and pool order equal one submit per item, with
+        pre-built transactions (and their id check) in between."""
+        specs = [
+            ("a", (1,)),
+            ("b", [2, 3], 0.5),
+            Transaction(7, "c", (4,), submit_time=0.75),
+            ("d", (5,), 1.0),
+            ("e", ()),
+            Transaction(20, "f", ()),
+            Transaction(21, "g", ()),
+            ("h", (6,)),
+        ]
+        oracle = TransactionPool()
+        for item in specs:
+            if isinstance(item, Transaction):
+                oracle.submit_transaction(item)
+            else:
+                oracle.submit(*item)
+        pool = TransactionPool()
+        assert pool.submit_specs(iter(specs)) == len(specs)
+        assert pool.peek() == oracle.peek()
+        assert [t.txn_id for t in pool] == [0, 1, 7, 8, 9, 20, 21, 22]
+        assert pool.submit("next", ()).txn_id == 23
+        with pytest.raises(ProcedureError):
+            pool.submit_specs([("ok", ()), Transaction(3, "stale", ())])
+        assert [t.type_name for t in pool][-2:] == ["next", "ok"]
+
     def test_signature_bytes(self):
         txn = Transaction(0, "t", (1, "abc", 2.5))
         assert txn.signature_bytes() == 8 + 4 + 8 + 3 + 8
