@@ -289,6 +289,8 @@ class ClusterTx(BulkFrontDoor):
         self,
         transactions: Sequence[Transaction],
         strategy: str = "auto",
+        *,
+        ops: Optional[OpArray] = None,
         **options: Any,
     ) -> ClusterExecutionResult:
         """Segment a bulk into waves and execute them in order."""
@@ -300,6 +302,10 @@ class ClusterTx(BulkFrontDoor):
         )
         if not transactions:
             return out
+        # Resolve the declared footprint before the bulk counts: an
+        # error here must not shift the kills keyed on ``_bulk_seq``.
+        if ops is None:
+            ops = OpArray.of_bulk(self.registry, transactions)
         self._bulk_seq += 1
         session = telemetry.current()
         bulk_span = None
@@ -321,7 +327,7 @@ class ClusterTx(BulkFrontDoor):
             tracer.layer = "cluster"
             tracer.dma_track = "dma"
         try:
-            self._run_waves(transactions, strategy, options, out)
+            self._run_waves(transactions, ops, strategy, options, out)
             if self.durability is not None:
                 self._durability_epilogue(out)
         finally:
@@ -411,14 +417,14 @@ class ClusterTx(BulkFrontDoor):
     def _run_waves(
         self,
         transactions: Sequence[Transaction],
+        ops: OpArray,
         strategy: str,
         options: Dict[str, Any],
         out: ClusterExecutionResult,
     ) -> None:
-        # Resolve the bulk's declared footprint and route it, once:
-        # classification, home-shard grouping, the shard engines (each
-        # handed its slice) and the coordinator all read these two.
-        ops = OpArray.of_bulk(self.registry, transactions)
+        # Route the bulk's footprint once: classification, home-shard
+        # grouping, the shard engines (each handed its slice of
+        # ``ops``) and the coordinator all read these two.
         shard_map = self.router.shard_map(ops)
         segment = (
             self._segment_runs

@@ -16,8 +16,8 @@ simulated clock to the last cycle.
 Kernel-authoring contract (checked where cheap, documented here; the
 column rules of the kernel boundary are on :class:`WaveContext`):
 
-* the per-lane op sequence must match the stored procedure's generator
-  exactly -- same ops, same order, same data-dependent control flow;
+* a hand-written vector body must record per lane exactly the ops its
+  generator body yields (a single-source kernel, lane.py, cannot differ);
 * a type that aborts after its first write journals before-images
   (``capture_undo``, one bulk gather per write step); the PART sweep
   takes only two-phase types, where the scatter mask equals the commit
@@ -690,7 +690,42 @@ def _python_key0(keys: Any) -> Any:
     return keys.item(0)
 
 
-class WaveContext:
+def _python_row0(columns: Sequence[Any]) -> Tuple[Any, ...]:
+    """Lane 0's row of insert ``columns`` as Python values."""
+    return tuple(c.item(0) if isinstance(c, np.ndarray) else c for c in columns)
+
+
+class KernelContext:
+    """What a kernel sees the same way at any width: ``n`` lanes, their
+    typed parameter columns (``_params`` holds the parameter table
+    transposed, one tuple per signature position) and ``finish``."""
+
+    n: int
+    _params: Sequence[Tuple[Any, ...]]
+
+    def param_i64(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=np.int64)
+
+    def param_f64(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=np.float64)
+
+    def param_bool(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=bool)
+
+    def param_obj(self, i: int) -> np.ndarray:
+        return np.fromiter(self._params[i], dtype=object, count=self.n)
+
+    def param_lists(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A tuple-of-ints parameter as a zero-padded matrix (one row
+        per lane) plus the per-lane tuple lengths."""
+        return _padded(self._params[i])
+
+    def finish(self, *columns: np.ndarray) -> None:
+        """All still-active lanes return."""
+        self.finish_where(self.active, *columns)  # type: ignore[attr-defined]
+
+
+class WaveContext(KernelContext):
     """The vector kernel's view of one type's sub-wave.
 
     ``lanes`` maps the kernel's local lane index to the launch-global
@@ -734,9 +769,6 @@ class WaveContext:
         self.lanes = lanes
         self.type_id = type_id
         self.n = len(transactions)
-        #: The sub-wave's parameter table, transposed once: one tuple
-        #: per signature position (the param_* columns are built from
-        #: these).
         self._params = list(zip(*[t.params for t in transactions]))
         self.active = np.ones(self.n, dtype=bool)
         self.committed = np.ones(self.n, dtype=bool)
@@ -763,24 +795,6 @@ class WaveContext:
         #: return arrays without the small-array numpy overhead.
         self._one = self.n == 1
         self._lane0 = int(lanes[0]) if self._one else -1
-
-    # -- parameters ------------------------------------------------------
-    def param_i64(self, i: int) -> np.ndarray:
-        return np.array(self._params[i], dtype=np.int64)
-
-    def param_f64(self, i: int) -> np.ndarray:
-        return np.array(self._params[i], dtype=np.float64)
-
-    def param_bool(self, i: int) -> np.ndarray:
-        return np.array(self._params[i], dtype=bool)
-
-    def param_obj(self, i: int) -> np.ndarray:
-        return np.fromiter(self._params[i], dtype=object, count=self.n)
-
-    def param_lists(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """A tuple-of-ints parameter as a zero-padded matrix (one row
-        per lane) plus the per-lane tuple lengths."""
-        return _padded(self._params[i])
 
     # -- mask plumbing ---------------------------------------------------
     def _mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
@@ -1049,12 +1063,7 @@ class WaveContext:
             if not self._on1(mask):
                 return np.full(1, -1, dtype=np.int64)
             lanes = [0]
-            rows = [
-                tuple(
-                    c.item(0) if isinstance(c, np.ndarray) else c
-                    for c in columns
-                )
-            ]
+            rows = [_python_row0(columns)]
         else:
             m = self._mask(mask)
             idx = np.flatnonzero(m)
@@ -1152,10 +1161,6 @@ class WaveContext:
                 count=self.n,
             )[m]
         self.active &= ~m
-
-    def finish(self, *columns: np.ndarray) -> None:
-        """All still-active lanes return."""
-        self.finish_where(self.active, *columns)
 
     def close(self) -> None:
         """Kernel epilogue sanity check: every lane ended or aborted."""

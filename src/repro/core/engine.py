@@ -41,7 +41,7 @@ from repro.core.strategies.relaxed import (
 )
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import ResultPool, Transaction, TransactionPool
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProcedureError
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
@@ -87,6 +87,7 @@ class BulkFrontDoor:
     subclass owns ``pool`` and ``execute_bulk``."""
 
     pool: TransactionPool
+    registry: ProcedureRegistry
 
     def submit(
         self, type_name: str, params: Iterable[Any], submit_time: float = 0.0
@@ -119,8 +120,16 @@ class BulkFrontDoor:
         # Validate before draining the pool: a typo'd option or
         # strategy name must not cost the caller the bulk.
         validate_strategy_options(strategy, options)
+        batch = self.pool.take(max_txns)
+        try:
+            ops = OpArray.of_bulk(self.registry, batch)
+        except ProcedureError:
+            # Nor must a transaction its type cannot resolve: nothing
+            # has run yet, so the batch goes back as it came.
+            self.pool.requeue(batch)
+            raise
         return self.execute_bulk(  # type: ignore[attr-defined]
-            self.pool.take(max_txns), strategy=strategy, **options
+            batch, strategy=strategy, ops=ops, **options
         )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.procedure import Access, ProcedureRegistry
 from repro.core.txn import Transaction
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ProcedureError
 
 #: ``partition`` value of a cross-partition transaction.
 NO_PARTITION = -1
@@ -57,14 +57,28 @@ class OpArray:
     def of_bulk(
         cls, registry: ProcedureRegistry, transactions: Sequence[Transaction]
     ) -> "OpArray":
-        """Resolve a bulk's declared access sets and partitions, once."""
+        """Resolve a bulk's declared access sets and partitions, once;
+        a declaration that cannot read its parameters is a
+        :class:`~repro.errors.ProcedureError` naming the transaction."""
         get = registry.get
-        # A generator: each access list is merged and dropped before
-        # the next is built, so a 16k bulk never holds 16k of them.
-        return cls.from_accesses(
-            ((t.txn_id, get(t.type_name).accesses(t.params)) for t in transactions),
-            [get(t.type_name).partition_of(t.params) for t in transactions],
-        )
+        partitions: List[Optional[int]] = []
+
+        def declared() -> Iterable[Tuple[int, Sequence[Access]]]:
+            # A generator: each access list is merged and dropped
+            # before the next is built, so a 16k bulk never holds 16k
+            # of them; ``partitions`` fills as it is consumed.
+            try:
+                for t in transactions:
+                    txn_type = get(t.type_name)
+                    partitions.append(txn_type.partition_of(t.params))
+                    yield t.txn_id, txn_type.accesses(t.params)
+            except (IndexError, ValueError, TypeError, KeyError) as exc:
+                raise ProcedureError(
+                    f"transaction {t.txn_id} ({t.type_name!r}): its declared "
+                    f"accesses cannot be resolved from {t.params!r}: {exc!r}"
+                ) from exc
+
+        return cls.from_accesses(declared(), partitions)
 
     @classmethod
     def from_accesses(

@@ -5,8 +5,14 @@ interaction", and "the codes of registered transaction types are
 combined into a single kernel ... with a switch clause" (Sections 3.1,
 3.2). Here:
 
-* the *stored procedure* is a generator function emitting micro-ops
-  (:mod:`repro.gpu.ops`);
+* the *stored procedure* has two authoring forms. A *kernel*
+  (:mod:`repro.core.backends.lane`) is written once, as a generator
+  function over the wave op surface; :meth:`TransactionType.from_kernel`
+  derives ``body`` and ``vector_body`` from it. A hand-written pair --
+  ``body``, a generator function emitting micro-ops
+  (:mod:`repro.gpu.ops`), plus an optional ``vector_body`` -- is for
+  types that need interpreter-only ops (atomics, basic spin locks) and
+  for the equivalence walls' independent reference (TM1, micro);
 * the *access function* derives the affected data items from the
   parameters before execution -- the paper's requirement that conflicts
   be derivable "on the affected data items" (Appendix B), which is why
@@ -26,9 +32,11 @@ conflict with (sharing a conflict class) as requiring undo logging.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.core.backends.lane import lane_stream, wave_pump
 from repro.errors import RegistrationError
 from repro.gpu import ops as op_ir
 
@@ -70,19 +78,28 @@ class TransactionType:
     #: types may conflict -- the "domain-specific rules on detecting
     #: whether two transactions are conflicting" a DBA supplies (App. E).
     conflict_classes: FrozenSet[str] = frozenset()
-    #: Optional batched form of ``body`` for the vectorized execution
-    #: backend: a callable taking a
-    #: :class:`~repro.core.backends.wave.WaveContext` that executes a
-    #: whole same-type wave as NumPy column kernels while recording
-    #: the interpreter-equivalent op trace. ``None`` means waves
-    #: containing this type fall back to the interpreter. See
-    #: docs/ARCHITECTURE.md ("Execution backends") for the authoring
-    #: contract.
+    #: Optional batched form of ``body`` for the vectorized backend: a
+    #: callable that runs a whole same-type sub-wave on a
+    #: :class:`~repro.core.backends.wave.WaveContext`. ``None`` means
+    #: waves containing this type fall back to the interpreter. See
+    #: docs/ARCHITECTURE.md ("Authoring a stored procedure").
     vector_body: Optional[Callable[..., None]] = None
     #: Tables ``vector_body`` may insert rows into -- the vectorized
     #: backend resolves device addresses on these tables lazily, since
     #: their row count (and hence column offsets) moves mid-kernel.
     vector_inserts: FrozenSet[str] = frozenset()
+
+    @classmethod
+    def from_kernel(
+        cls, kernel: Callable[[Any], Any], **fields: Any
+    ) -> "TransactionType":
+        """A type written once: ``body`` and ``vector_body`` are the two
+        drivers of one ``kernel`` (:mod:`repro.core.backends.lane`)."""
+        if not inspect.isgeneratorfunction(kernel):
+            raise RegistrationError(f"{kernel!r} is not a generator function")
+        return cls(
+            body=lane_stream(kernel), vector_body=wave_pump(kernel), **fields
+        )
 
     def accesses(self, params: Tuple[Any, ...]) -> List[Access]:
         return self.access_fn(params)

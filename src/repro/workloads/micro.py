@@ -13,6 +13,11 @@ paper; the low/high computation variants of Figure 3 are ``x = 1`` and
 The lock-acquisition skew (Figure 6) is the ``alpha`` model: a
 transaction targets tuple 0 with probability alpha, otherwise a uniform
 tuple; larger alpha deepens the T-dependency graph.
+
+Two forms on purpose: each type keeps a hand-written generator ``body``
+and a hand-written ``vector_body``. With TM1 they are the independent
+reference the backend-equivalence walls rest on, now that the other
+workloads are single-source kernels. Do not convert them.
 """
 
 from __future__ import annotations

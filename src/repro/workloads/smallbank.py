@@ -44,7 +44,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.procedure import Access, TransactionType
-from repro.gpu import ops as op_ir
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import (
@@ -149,178 +148,87 @@ def build_database(
 
 
 # ---------------------------------------------------------------------------
-# Stored procedures.
+# Stored procedures: single-source kernels (repro.core.backends.lane).
 # ---------------------------------------------------------------------------
-def _balance(custid: int) -> op_ir.OpStream:
-    s_row = yield op_ir.IndexProbe("sb_savings_pk", custid)
-    if s_row < 0:
-        yield op_ir.Abort("no savings account")
-    c_row = yield op_ir.IndexProbe("sb_checking_pk", custid)
-    if c_row < 0:
-        yield op_ir.Abort("no checking account")
-    savings = yield op_ir.Read(SAVINGS, "bal", s_row)
-    checking = yield op_ir.Read(CHECKING, "bal", c_row)
-    return savings + checking
-
-
-def _deposit_checking(custid: int, amount: float) -> op_ir.OpStream:
-    if amount < 0:
-        yield op_ir.Abort("negative deposit")
-    c_row = yield op_ir.IndexProbe("sb_checking_pk", custid)
-    if c_row < 0:
-        yield op_ir.Abort("no checking account")
-    checking = yield op_ir.Read(CHECKING, "bal", c_row)
-    yield op_ir.Write(CHECKING, "bal", c_row, checking + amount)
-    return checking + amount
-
-
-def _transact_savings(custid: int, amount: float) -> op_ir.OpStream:
-    s_row = yield op_ir.IndexProbe("sb_savings_pk", custid)
-    if s_row < 0:
-        yield op_ir.Abort("no savings account")
-    savings = yield op_ir.Read(SAVINGS, "bal", s_row)
-    if savings + amount < 0:
-        yield op_ir.Abort("insufficient savings")
-    yield op_ir.Write(SAVINGS, "bal", s_row, savings + amount)
-    return savings + amount
-
-
-def _amalgamate(custid0: int, custid1: int) -> op_ir.OpStream:
-    s_row = yield op_ir.IndexProbe("sb_savings_pk", custid0)
-    if s_row < 0:
-        yield op_ir.Abort("no savings account")
-    c_row0 = yield op_ir.IndexProbe("sb_checking_pk", custid0)
-    if c_row0 < 0:
-        yield op_ir.Abort("no checking account")
-    c_row1 = yield op_ir.IndexProbe("sb_checking_pk", custid1)
-    if c_row1 < 0:
-        yield op_ir.Abort("no destination account")
-    savings = yield op_ir.Read(SAVINGS, "bal", s_row)
-    checking0 = yield op_ir.Read(CHECKING, "bal", c_row0)
-    checking1 = yield op_ir.Read(CHECKING, "bal", c_row1)
-    yield op_ir.Compute(2)
-    yield op_ir.Write(SAVINGS, "bal", s_row, 0.0)
-    yield op_ir.Write(CHECKING, "bal", c_row0, 0.0)
-    yield op_ir.Write(CHECKING, "bal", c_row1, checking1 + savings + checking0)
-    return savings + checking0
-
-
-def _write_check(custid: int, amount: float) -> op_ir.OpStream:
-    s_row = yield op_ir.IndexProbe("sb_savings_pk", custid)
-    if s_row < 0:
-        yield op_ir.Abort("no savings account")
-    c_row = yield op_ir.IndexProbe("sb_checking_pk", custid)
-    if c_row < 0:
-        yield op_ir.Abort("no checking account")
-    savings = yield op_ir.Read(SAVINGS, "bal", s_row)
-    checking = yield op_ir.Read(CHECKING, "bal", c_row)
-    # Overdraft charges a 1.0 penalty: a data-dependent value, not a
-    # divergent branch -- both arms emit the same single write op.
-    if savings + checking < amount:
-        yield op_ir.Write(CHECKING, "bal", c_row, checking - (amount + 1.0))
-        return checking - (amount + 1.0)
-    yield op_ir.Write(CHECKING, "bal", c_row, checking - amount)
-    return checking - amount
-
-
-def _send_payment(custid0: int, custid1: int, amount: float) -> op_ir.OpStream:
-    c_row0 = yield op_ir.IndexProbe("sb_checking_pk", custid0)
-    if c_row0 < 0:
-        yield op_ir.Abort("no source account")
-    c_row1 = yield op_ir.IndexProbe("sb_checking_pk", custid1)
-    if c_row1 < 0:
-        yield op_ir.Abort("no destination account")
-    checking0 = yield op_ir.Read(CHECKING, "bal", c_row0)
-    if checking0 < amount:
-        yield op_ir.Abort("insufficient funds")
-    checking1 = yield op_ir.Read(CHECKING, "bal", c_row1)
-    yield op_ir.Write(CHECKING, "bal", c_row0, checking0 - amount)
-    yield op_ir.Write(CHECKING, "bal", c_row1, checking1 + amount)
-    return checking0 - amount
-
-
-# ---------------------------------------------------------------------------
-# Vectorized forms (repro.core.backends): the batched kernels, kept in
-# per-lane op lockstep with the generator bodies above -- the
-# backend-equivalence property suite diffs the two.
-# ---------------------------------------------------------------------------
-def _v_balance(ctx) -> None:
+def balance(ctx):
     custid = ctx.param_i64(0)
-    s_row = ctx.index_probe("sb_savings_pk", custid)
-    ctx.abort_where(s_row < 0, "no savings account")
-    c_row = ctx.index_probe("sb_checking_pk", custid)
-    ctx.abort_where(c_row < 0, "no checking account")
-    savings = ctx.read(SAVINGS, "bal", s_row)
-    checking = ctx.read(CHECKING, "bal", c_row)
+    s_row = yield ctx.index_probe("sb_savings_pk", custid)
+    yield ctx.abort_where(s_row < 0, "no savings account")
+    c_row = yield ctx.index_probe("sb_checking_pk", custid)
+    yield ctx.abort_where(c_row < 0, "no checking account")
+    savings = yield ctx.read(SAVINGS, "bal", s_row)
+    checking = yield ctx.read(CHECKING, "bal", c_row)
     ctx.finish(savings + checking)
 
 
-def _v_deposit_checking(ctx) -> None:
+def deposit_checking(ctx):
     amount = ctx.param_f64(1)
-    ctx.abort_where(amount < 0, "negative deposit")
-    c_row = ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
-    ctx.abort_where(c_row < 0, "no checking account")
-    checking = ctx.read(CHECKING, "bal", c_row)
-    ctx.write(CHECKING, "bal", c_row, checking + amount)
+    yield ctx.abort_where(amount < 0, "negative deposit")
+    c_row = yield ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
+    yield ctx.abort_where(c_row < 0, "no checking account")
+    checking = yield ctx.read(CHECKING, "bal", c_row)
+    yield ctx.write(CHECKING, "bal", c_row, checking + amount)
     ctx.finish(checking + amount)
 
 
-def _v_transact_savings(ctx) -> None:
+def transact_savings(ctx):
     amount = ctx.param_f64(1)
-    s_row = ctx.index_probe("sb_savings_pk", ctx.param_i64(0))
-    ctx.abort_where(s_row < 0, "no savings account")
-    savings = ctx.read(SAVINGS, "bal", s_row)
-    ctx.abort_where(savings + amount < 0, "insufficient savings")
-    ctx.write(SAVINGS, "bal", s_row, savings + amount)
+    s_row = yield ctx.index_probe("sb_savings_pk", ctx.param_i64(0))
+    yield ctx.abort_where(s_row < 0, "no savings account")
+    savings = yield ctx.read(SAVINGS, "bal", s_row)
+    yield ctx.abort_where(savings + amount < 0, "insufficient savings")
+    yield ctx.write(SAVINGS, "bal", s_row, savings + amount)
     ctx.finish(savings + amount)
 
 
-def _v_amalgamate(ctx) -> None:
+def amalgamate(ctx):
     custid0 = ctx.param_i64(0)
     custid1 = ctx.param_i64(1)
-    s_row = ctx.index_probe("sb_savings_pk", custid0)
-    ctx.abort_where(s_row < 0, "no savings account")
-    c_row0 = ctx.index_probe("sb_checking_pk", custid0)
-    ctx.abort_where(c_row0 < 0, "no checking account")
-    c_row1 = ctx.index_probe("sb_checking_pk", custid1)
-    ctx.abort_where(c_row1 < 0, "no destination account")
-    savings = ctx.read(SAVINGS, "bal", s_row)
-    checking0 = ctx.read(CHECKING, "bal", c_row0)
-    checking1 = ctx.read(CHECKING, "bal", c_row1)
-    ctx.compute(2)
-    ctx.write(SAVINGS, "bal", s_row, np.zeros(ctx.n))
-    ctx.write(CHECKING, "bal", c_row0, np.zeros(ctx.n))
-    ctx.write(CHECKING, "bal", c_row1, checking1 + savings + checking0)
+    s_row = yield ctx.index_probe("sb_savings_pk", custid0)
+    yield ctx.abort_where(s_row < 0, "no savings account")
+    c_row0 = yield ctx.index_probe("sb_checking_pk", custid0)
+    yield ctx.abort_where(c_row0 < 0, "no checking account")
+    c_row1 = yield ctx.index_probe("sb_checking_pk", custid1)
+    yield ctx.abort_where(c_row1 < 0, "no destination account")
+    savings = yield ctx.read(SAVINGS, "bal", s_row)
+    checking0 = yield ctx.read(CHECKING, "bal", c_row0)
+    checking1 = yield ctx.read(CHECKING, "bal", c_row1)
+    yield ctx.compute(2)
+    yield ctx.write(SAVINGS, "bal", s_row, np.zeros(ctx.n))
+    yield ctx.write(CHECKING, "bal", c_row0, np.zeros(ctx.n))
+    yield ctx.write(CHECKING, "bal", c_row1, checking1 + savings + checking0)
     ctx.finish(savings + checking0)
 
 
-def _v_write_check(ctx) -> None:
+def write_check(ctx):
     amount = ctx.param_f64(1)
-    s_row = ctx.index_probe("sb_savings_pk", ctx.param_i64(0))
-    ctx.abort_where(s_row < 0, "no savings account")
-    c_row = ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
-    ctx.abort_where(c_row < 0, "no checking account")
-    savings = ctx.read(SAVINGS, "bal", s_row)
-    checking = ctx.read(CHECKING, "bal", c_row)
+    s_row = yield ctx.index_probe("sb_savings_pk", ctx.param_i64(0))
+    yield ctx.abort_where(s_row < 0, "no savings account")
+    c_row = yield ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
+    yield ctx.abort_where(c_row < 0, "no checking account")
+    savings = yield ctx.read(SAVINGS, "bal", s_row)
+    checking = yield ctx.read(CHECKING, "bal", c_row)
+    # Overdraft charges a 1.0 penalty: a data-dependent value, not a
+    # divergent branch -- both arms are the same single write op.
     overdraft = savings + checking < amount
     new_bal = np.where(
         overdraft, checking - (amount + 1.0), checking - amount
     )
-    ctx.write(CHECKING, "bal", c_row, new_bal)
+    yield ctx.write(CHECKING, "bal", c_row, new_bal)
     ctx.finish(new_bal)
 
 
-def _v_send_payment(ctx) -> None:
+def send_payment(ctx):
     amount = ctx.param_f64(2)
-    c_row0 = ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
-    ctx.abort_where(c_row0 < 0, "no source account")
-    c_row1 = ctx.index_probe("sb_checking_pk", ctx.param_i64(1))
-    ctx.abort_where(c_row1 < 0, "no destination account")
-    checking0 = ctx.read(CHECKING, "bal", c_row0)
-    ctx.abort_where(checking0 < amount, "insufficient funds")
-    checking1 = ctx.read(CHECKING, "bal", c_row1)
-    ctx.write(CHECKING, "bal", c_row0, checking0 - amount)
-    ctx.write(CHECKING, "bal", c_row1, checking1 + amount)
+    c_row0 = yield ctx.index_probe("sb_checking_pk", ctx.param_i64(0))
+    yield ctx.abort_where(c_row0 < 0, "no source account")
+    c_row1 = yield ctx.index_probe("sb_checking_pk", ctx.param_i64(1))
+    yield ctx.abort_where(c_row1 < 0, "no destination account")
+    checking0 = yield ctx.read(CHECKING, "bal", c_row0)
+    yield ctx.abort_where(checking0 < amount, "insufficient funds")
+    checking1 = yield ctx.read(CHECKING, "bal", c_row1)
+    yield ctx.write(CHECKING, "bal", c_row0, checking0 - amount)
+    yield ctx.write(CHECKING, "bal", c_row1, checking1 + amount)
     ctx.finish(checking0 - amount)
 
 
@@ -354,59 +262,53 @@ def _pair_partition(params):
 _TABLES = frozenset({SAVINGS, CHECKING})
 
 PROCEDURES = [
-    TransactionType(
+    TransactionType.from_kernel(
+        amalgamate,
         name="smallbank_amalgamate",
-        body=_amalgamate,
         access_fn=_two_customers,
         partition_fn=_pair_partition,
         two_phase=True,
         conflict_classes=_TABLES,
-        vector_body=_v_amalgamate,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        balance,
         name="smallbank_balance",
-        body=_balance,
         access_fn=_one_customer_read,
         partition_fn=_single_partition,
         two_phase=True,
         conflict_classes=_TABLES,
-        vector_body=_v_balance,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        deposit_checking,
         name="smallbank_deposit_checking",
-        body=_deposit_checking,
         access_fn=_one_customer,
         partition_fn=_single_partition,
         two_phase=True,
         conflict_classes=frozenset({CHECKING}),
-        vector_body=_v_deposit_checking,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        send_payment,
         name="smallbank_send_payment",
-        body=_send_payment,
         access_fn=_two_customers,
         partition_fn=_pair_partition,
         two_phase=True,
         conflict_classes=frozenset({CHECKING}),
-        vector_body=_v_send_payment,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        transact_savings,
         name="smallbank_transact_savings",
-        body=_transact_savings,
         access_fn=_one_customer,
         partition_fn=_single_partition,
         two_phase=True,
         conflict_classes=frozenset({SAVINGS}),
-        vector_body=_v_transact_savings,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        write_check,
         name="smallbank_write_check",
-        body=_write_check,
         access_fn=_one_customer,
         partition_fn=_single_partition,
         two_phase=True,
         conflict_classes=_TABLES,
-        vector_body=_v_write_check,
     ),
 ]
 

@@ -27,6 +27,12 @@ speed while keeping every ratio intact. The standard transaction mix is
 GET_SUBSCRIBER_DATA 35 %, GET_NEW_DESTINATION 10 %, GET_ACCESS_DATA
 35 %, UPDATE_SUBSCRIBER_DATA 2 %, UPDATE_LOCATION 14 %,
 INSERT_CALL_FORWARDING 2 %, DELETE_CALL_FORWARDING 2 %.
+
+Two forms on purpose: every type keeps a hand-written generator body
+*and* a hand-written ``_v_`` vector body. The other workloads are
+single-source kernels whose forms cannot diverge, so the equivalence
+walls rest on TM1 (which also carries the serving, cluster and leader
+paths) and micro as the independent reference. Do not convert them.
 """
 
 from __future__ import annotations
@@ -369,16 +375,8 @@ def _sync_location(src_s_id: int, dst_s_id: int) -> op_ir.OpStream:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forms of the stored procedures (repro.core.backends).
-#
-# Each kernel executes a whole same-type wave as batched NumPy column
-# operations -- gather, compute, conflict-masked scatter -- while
-# recording, per lane, exactly the op sequence the generator body
-# above yields. That one-to-one correspondence is what makes the
-# vectorized backend's simulated clock identical to the interpreter's,
-# and the backend-equivalence property suite diffs the two. Parameters,
-# keys, inserted rows and results cross the kernel boundary as columns
-# (the WaveContext contract, docs/ARCHITECTURE.md).
+# Vectorized forms: the hand-written twins of the generator bodies
+# above (the module docstring says why TM1 keeps both).
 # ---------------------------------------------------------------------------
 def _v_get_subscriber_data(ctx) -> None:
     s_id = ctx.param_i64(0)

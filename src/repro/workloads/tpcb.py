@@ -22,7 +22,6 @@ from typing import List
 import numpy as np
 
 from repro.core.procedure import Access, TransactionType
-from repro.gpu import ops as op_ir
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import TxnSpec, make_rng
@@ -141,44 +140,23 @@ def build_database(
     return db
 
 
-def _profile_body(a_id: int, t_id: int, b_id: int, delta: float) -> op_ir.OpStream:
-    """The TPC-B profile transaction as an op stream."""
-    a_row = yield op_ir.IndexProbe("account_pk", a_id)
-    if a_row < 0:
-        yield op_ir.Abort("account not found")
-    a_balance = yield op_ir.Read(ACCOUNT, "a_balance", a_row)
-    yield op_ir.Write(ACCOUNT, "a_balance", a_row, a_balance + delta)
-    yield op_ir.InsertRow(HISTORY, (a_id, t_id, b_id, delta, 0))
-    t_row = yield op_ir.IndexProbe("teller_pk", t_id)
-    t_balance = yield op_ir.Read(TELLER, "t_balance", t_row)
-    yield op_ir.Write(TELLER, "t_balance", t_row, t_balance + delta)
-    b_row = yield op_ir.IndexProbe("branch_pk", b_id)
-    b_balance = yield op_ir.Read(BRANCH, "b_balance", b_row)
-    yield op_ir.Write(BRANCH, "b_balance", b_row, b_balance + delta)
-    return a_balance + delta
-
-
-# ---------------------------------------------------------------------------
-# Vectorized form (repro.core.backends): the batched profile
-# transaction, recording per lane the op trace of _profile_body -- the
-# backend-equivalence property suite diffs the two.
-# ---------------------------------------------------------------------------
-def _v_profile(ctx) -> None:
+def profile(ctx):
+    """The TPC-B profile transaction (a single-source kernel)."""
     a_id = ctx.param_i64(0)
     t_id = ctx.param_i64(1)
     b_id = ctx.param_i64(2)
     delta = ctx.param_f64(3)
-    a_row = ctx.index_probe("account_pk", a_id)
-    ctx.abort_where(a_row < 0, "account not found")
-    a_balance = ctx.read(ACCOUNT, "a_balance", a_row)
-    ctx.write(ACCOUNT, "a_balance", a_row, a_balance + delta)
-    ctx.insert(HISTORY, (a_id, t_id, b_id, delta, 0))
-    t_row = ctx.index_probe("teller_pk", t_id)
-    t_balance = ctx.read(TELLER, "t_balance", t_row)
-    ctx.write(TELLER, "t_balance", t_row, t_balance + delta)
-    b_row = ctx.index_probe("branch_pk", b_id)
-    b_balance = ctx.read(BRANCH, "b_balance", b_row)
-    ctx.write(BRANCH, "b_balance", b_row, b_balance + delta)
+    a_row = yield ctx.index_probe("account_pk", a_id)
+    yield ctx.abort_where(a_row < 0, "account not found")
+    a_balance = yield ctx.read(ACCOUNT, "a_balance", a_row)
+    yield ctx.write(ACCOUNT, "a_balance", a_row, a_balance + delta)
+    yield ctx.insert(HISTORY, (a_id, t_id, b_id, delta, 0))
+    t_row = yield ctx.index_probe("teller_pk", t_id)
+    t_balance = yield ctx.read(TELLER, "t_balance", t_row)
+    yield ctx.write(TELLER, "t_balance", t_row, t_balance + delta)
+    b_row = yield ctx.index_probe("branch_pk", b_id)
+    b_balance = yield ctx.read(BRANCH, "b_balance", b_row)
+    yield ctx.write(BRANCH, "b_balance", b_row, b_balance + delta)
     ctx.finish(a_balance + delta)
 
 
@@ -193,14 +171,13 @@ def _partition_fn(params):
     return int(params[2])
 
 
-PROFILE = TransactionType(
+PROFILE = TransactionType.from_kernel(
+    profile,
     name="tpcb_profile",
-    body=_profile_body,
     access_fn=_access_fn,
     partition_fn=_partition_fn,
     two_phase=True,
     conflict_classes=frozenset({BRANCH, TELLER, ACCOUNT, HISTORY}),
-    vector_body=_v_profile,
     vector_inserts=frozenset({HISTORY}),
 )
 

@@ -454,6 +454,31 @@ class TestClusterSurface:
         assert len(cluster.pool) == 1
         assert cluster.run_bulk(strategy="auto").committed == 1
 
+    def test_unresolvable_transaction_preserves_pool_and_bulk_seq(self):
+        """A declaration that cannot read its parameters fails before
+        the bulk counts (scheduled kills are keyed on ``bulk_seq``),
+        names the transaction, and leaves the pool as it was."""
+        from repro.errors import ProcedureError
+
+        cluster = ClusterTx(
+            build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
+        )
+        cluster.submit_many(
+            [("deposit", (1, 5)), ("transfer", (2,)), ("deposit", (3, 1))]
+        )
+        with pytest.raises(ProcedureError, match=r"transaction 1 \('transfer'\)"):
+            cluster.run_bulk(strategy="kset")
+        assert [t.txn_id for t in cluster.pool] == [0, 1, 2]
+        assert cluster.bulk_seq == 0 and len(cluster.results) == 0
+        # execute_bulk resolves before it counts too (the serve loop
+        # and the pipeline hand it batches they own).
+        with pytest.raises(ProcedureError, match="transaction 1"):
+            cluster.execute_bulk(cluster.pool.peek(), strategy="kset")
+        assert cluster.bulk_seq == 0
+        cluster.pool.take_matching([1])
+        assert cluster.run_bulk(strategy="kset").committed == 2
+        assert cluster.bulk_seq == 1
+
     def test_explicit_strategy_rejects_misdirected_option(self, rng):
         """PR 1's validate_strategy_options contract at the ClusterTx
         level: an option owned by another strategy is rejected before

@@ -5,8 +5,8 @@ import warnings
 import pytest
 
 from repro import ClusterTx, GPUTx
-from repro.errors import ConfigError
-from repro.workloads import micro
+from repro.errors import ConfigError, ProcedureError, RegistrationError
+from repro.workloads import micro, tpcb
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db
 
@@ -304,6 +304,39 @@ class TestAutoStrategyOptions:
         with pytest.raises(ConfigError, match="unknown strategy"):
             engine.run_bulk(strategy="warp-drive")
         assert len(engine.pool) == 8
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (("tpcb_profile", (1, 2)), ProcedureError,
+             r"transaction 1 \('tpcb_profile'\).*IndexError"),
+            (("tpcb_profile", (1, 2, "x", 1.0)), ProcedureError,
+             r"transaction 1 \('tpcb_profile'\).*ValueError"),
+            (("tpcb_profil", (1, 2, 0, 1.0)), RegistrationError,
+             "unknown transaction type 'tpcb_profil'"),
+        ],
+        ids=["short-params", "bad-type", "unregistered"],
+    )
+    def test_unresolvable_transaction_preserves_pool(self, bad, error, match):
+        """A transaction its type cannot resolve used to cost the whole
+        bulk (and, for a short tuple, a bare IndexError out of the
+        partition function): resolution fails before anything runs,
+        names the transaction, and the batch goes back as it came."""
+        db = tpcb.build_database(2, accounts_per_branch=4)
+        before = db.physical_state()
+        engine = GPUTx(db, procedures=tpcb.PROCEDURES)
+        engine.submit_many(
+            [("tpcb_profile", (0, 0, 0, 5.0)), bad,
+             ("tpcb_profile", (5, 10, 1, 2.0))]
+        )
+        with pytest.raises(error, match=match):
+            engine.run_bulk()
+        assert [t.txn_id for t in engine.pool] == [0, 1, 2]
+        assert len(engine.results) == 0
+        assert db.physical_state() == before
+        # Withdraw the offender: the rest of the batch runs as usual.
+        engine.pool.take_matching([1])
+        assert engine.run_bulk().committed == 2
 
     def test_applicable_option_passes_through_silently(self):
         # This bulk is small and fully partitioned, so Algorithm 1

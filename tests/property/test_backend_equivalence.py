@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import EngineOptions, GPUTx
+from repro.core.txn import TransactionPool
+from repro.cpu.engine import CpuEngine
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc
 
 N_TUPLES = 48
@@ -458,5 +460,17 @@ class TestResultTypes:
                 if r.committed
             }
         assert values["vectorized"] == values["interpreted"]
+        # The serial oracle runs the same bodies -- for the
+        # single-source workloads a stream derived from the kernel, like
+        # the interpreter's -- so its results are held to the same bar.
+        pool = TransactionPool()
+        pool.submit_specs(specs)
+        oracle = CpuEngine(build_db(), procedures=procedures, num_cores=1)
+        values["cpu"] = {
+            r.txn_id: (r.type_name, _typed(r.value))
+            for r in oracle.execute(pool.take()).results
+            if r.committed
+        }
+        assert values["cpu"] == values["interpreted"]
         committed_types = {name for name, _ in values["vectorized"].values()}
         assert committed_types == {t.name for t in procedures}
