@@ -9,9 +9,10 @@ One series, in the style of the figure reproductions:
   loses to). The static cluster keeps its initial even range split;
   the elastic cluster runs the :class:`~repro.cluster.elastic.
   ElasticController` between bulks -- hot-shard detection from the
-  telemetry metrics, then a live range split via checkpoint fork +
-  WAL tail toward the coolest peer. Compared head to head on the
-  same arrivals: end-to-end p95 latency and admission shed rate.
+  serve loop's per-shard admission depths, then a live range split
+  via checkpoint fork + WAL tail toward the coolest peer. Compared
+  head to head on the same arrivals: end-to-end p95 latency and
+  admission shed rate.
 
 The point mirrors the paper's own skew story (Figure 6: K-SET
 throughput degrades monotonically with zipfian ``theta``): skew the
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import repro.telemetry as telemetry
 from repro.bench.harness import FigureResult, scaled
 from repro.cluster.elastic import ElasticConfig
 from repro.cluster.runtime import ClusterTx
@@ -128,19 +128,17 @@ def _serve_skew_shift(
         options=ClusterOptions(elastic=elastic),
     )
     slo = SLOConfig(target_p95_s=_SLO_P95_S, min_bulk=16, max_bulk=512)
-    with telemetry.session():
-        runtime = ServeRuntime(
-            cluster,
-            former=AdaptiveBulkFormer(slo),
-            admission=AdmissionController(
-                _MAX_PENDING,
-                max_pending_per_shard=_MAX_PENDING_PER_SHARD,
-                router=cluster.router,
-                registry=cluster.registry,
-            ),
-        )
-        report = runtime.run(arrivals)
-    return report
+    runtime = ServeRuntime(
+        cluster,
+        former=AdaptiveBulkFormer(slo),
+        admission=AdmissionController(
+            _MAX_PENDING,
+            max_pending_per_shard=_MAX_PENDING_PER_SHARD,
+            router=cluster.router,
+            registry=cluster.registry,
+        ),
+    )
+    return runtime.run(arrivals)
 
 
 def cluster_elastic_skew_shift() -> FigureResult:
@@ -189,8 +187,8 @@ def cluster_elastic_skew_shift() -> FigureResult:
             f"(theta={_HOT_THETA}) from a hot range that moves "
             f"{_PHASE_WINDOWS[0]} -> {_PHASE_WINDOWS[1]} at half-time.",
             "The elastic controller detects the runaway admission "
-            "queue from the telemetry metrics and splits the hot "
-            "shard's range toward the coolest peer (checkpoint fork + "
+            "queue from the serve loop's per-shard depths and splits "
+            "the hot shard's range toward the coolest peer (checkpoint fork + "
             "WAL tail + atomic router swap, between bulks); the "
             "static cluster serializes the hot range on one shard "
             "and sheds at its per-shard admission cap.",

@@ -7,12 +7,12 @@ and rebalance hot shards *online*. The primitives already exist in the
 durability layer: a copy-on-write checkpoint fork plus a WAL-suffix
 replay is exactly a migration mechanism. This module composes them:
 
-* :class:`HotShardDetector` consumes the telemetry
-  :class:`~repro.telemetry.metrics.MetricsRegistry` -- per-shard queue
-  depth from the serve layer (``shard_queue_depth``), per-shard wave
-  time (``shard_busy_seconds``) and conflict rate
-  (``shard_conflict_rate``) from the cluster runtime -- and flags the
-  shard whose queue has run away from the rest of the fleet;
+* :class:`HotShardDetector` reads shard state handed to it as plain
+  mappings -- per-shard admission queue depth from the serve loop (its
+  snapshot after each dispatched bulk), per-shard busy seconds and
+  abort share of the last bulk from the cluster runtime -- and flags
+  the shard whose queue has run away from the rest of the fleet
+  (the telemetry gauges of the same values are for reports only);
 * :class:`ShardMigrator` moves a key range between shards with zero
   ordering violations: it materialises the source shard's durable
   state off to the side (checkpoint fork + WAL tail,
@@ -41,14 +41,14 @@ shard still observes its transactions in timestamp order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
 import repro.telemetry as telemetry
 from repro.cluster.durability.wal import MIGRATION_STRATEGY, PHASE_MIGRATION
 from repro.errors import ClusterError, ConfigError
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "ElasticConfig",
@@ -70,6 +70,8 @@ COOLDOWN_BULKS = 2
 #: times the mean depth of the other live shards (and at least
 #: ``ElasticConfig.min_queue_depth`` deep).
 QUEUE_RATIO = 2.0
+
+_NO_SIGNAL: Mapping[int, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -140,15 +142,15 @@ class MigrationReport:
 
 
 class HotShardDetector:
-    """Flags hot shards from the telemetry metrics registry.
+    """Flags hot shards from per-shard state passed as plain mappings.
 
     The primary signal is per-shard admission queue depth (the serve
-    layer refreshes ``shard_queue_depth`` after every dispatched bulk):
-    a queue that has run away from the fleet mean is load the shard is
-    failing to drain. Wave time (``shard_busy_seconds``) and conflict
-    rate (``shard_conflict_rate``) are reported as corroborating
-    evidence -- a hot shard with low conflict rate splits well, one
-    whose heat is a single contended key does not split below one key.
+    loop snapshots it after every dispatched bulk): a queue that has
+    run away from the fleet mean is load the shard is failing to
+    drain. Busy seconds and abort share of the last bulk are reported
+    as corroborating evidence -- a hot shard with low conflict rate
+    splits well, one whose heat is a single contended key does not
+    split below one key. A shard absent from a mapping reads 0.
     """
 
     def __init__(self, config: Optional[ElasticConfig] = None) -> None:
@@ -156,45 +158,35 @@ class HotShardDetector:
 
     def scan(
         self,
-        registry: MetricsRegistry,
+        depths: Mapping[int, float],
         n_shards: int,
         dead: "frozenset[int]" = frozenset(),
+        *,
+        busy: Mapping[int, float] = _NO_SIGNAL,
+        conflict: Mapping[int, float] = _NO_SIGNAL,
     ) -> Optional[HotShardReport]:
-        """The hottest flagged shard, or None when the fleet is level."""
-        depth_gauge = registry.get("shard_queue_depth")
-        if depth_gauge is None:
-            return None
-        busy_gauge = registry.get("shard_busy_seconds")
-        conflict_gauge = registry.get("shard_conflict_rate")
+        """The hottest flagged shard, or None when the fleet is level
+        (or ``depths`` is empty: no per-shard admission)."""
         live = [k for k in range(n_shards) if k not in dead]
-        if len(live) < 2:
+        if not depths or len(live) < 2:
             return None
-        depths = {k: depth_gauge.value(shard=k) for k in live}
-        busys = {
-            k: busy_gauge.value(shard=k) if busy_gauge is not None else 0.0
-            for k in live
-        }
         best: Optional[HotShardReport] = None
         for shard in live:
-            others = [depths[k] for k in live if k != shard]
+            others = [depths.get(k, 0) for k in live if k != shard]
             mean_other = sum(others) / len(others)
-            depth = depths[shard]
+            depth = depths.get(shard, 0)
             if depth < self.config.min_queue_depth:
                 continue
             if depth <= QUEUE_RATIO * max(mean_other, 1.0):
                 continue
-            other_busy = [busys[k] for k in live if k != shard]
+            other_busy = [busy.get(k, 0.0) for k in live if k != shard]
             report = HotShardReport(
                 shard=shard,
                 queue_depth=depth,
                 mean_other_depth=mean_other,
-                busy_s=busys[shard],
+                busy_s=busy.get(shard, 0.0),
                 mean_other_busy_s=sum(other_busy) / len(other_busy),
-                conflict_rate=(
-                    conflict_gauge.value(shard=shard)
-                    if conflict_gauge is not None
-                    else 0.0
-                ),
+                conflict_rate=conflict.get(shard, 0.0),
                 reason=(
                     f"queue depth {depth:.0f} vs fleet mean "
                     f"{mean_other:.1f} (ratio "
@@ -205,6 +197,16 @@ class HotShardDetector:
             if best is None or report.queue_depth > best.queue_depth:
                 best = report
         return best
+
+
+def _rows_in_range(table: Any, plan: MigrationPlan) -> np.ndarray:
+    """Live rows of ``table`` whose partition key is in ``plan``'s range."""
+    keys = np.asarray(
+        table.column_array(table.schema.partition_key), dtype=np.int64
+    )
+    return np.flatnonzero(
+        ~table.deleted_mask() & (keys >= plan.key_lo) & (keys < plan.key_hi)
+    )
 
 
 class ShardMigrator:
@@ -229,11 +231,10 @@ class ShardMigrator:
 
     # ------------------------------------------------------------------
     def plan(
-        self,
-        hot: HotShardReport,
-        registry: Optional[MetricsRegistry] = None,
+        self, hot: HotShardReport, depths: Mapping[int, float]
     ) -> Optional[MigrationPlan]:
-        """Split the hot shard's widest range toward the coolest peer."""
+        """Split the hot shard's widest range toward the coolest peer
+        (the live shard with the shallowest queue in ``depths``)."""
         cluster = self.cluster
         ranges = cluster.router.ranges_of(hot.shard)
         if not ranges:
@@ -241,31 +242,20 @@ class ShardMigrator:
         lo, hi = max(ranges, key=lambda r: r[1] - r[0])
         if hi - lo < 2:
             return None  # a single key cannot be split
-        # The lower half of the range stays; the upper half migrates.
-        point = lo + max(1, (hi - lo) // 2)
-        point = min(point, hi - 1)
-        dst = self._coolest_peer(hot.shard, registry)
-        if dst is None:
+        # The lower half of the range stays; the upper half migrates
+        # (both non-empty: the range holds at least two keys).
+        point = lo + (hi - lo) // 2
+        peers = [
+            k
+            for k in range(cluster.n_shards)
+            if k != hot.shard and k not in cluster.dead_shards
+        ]
+        if not peers:
             return None
+        dst = min(peers, key=lambda k: (depths.get(k, 0), k))
         return MigrationPlan(
             src=hot.shard, dst=dst, key_lo=point, key_hi=hi
         )
-
-    def _coolest_peer(
-        self, src: int, registry: Optional[MetricsRegistry]
-    ) -> Optional[int]:
-        cluster = self.cluster
-        live = [
-            k
-            for k in range(cluster.n_shards)
-            if k != src and k not in cluster.dead_shards
-        ]
-        if not live:
-            return None
-        depth_gauge = registry.get("shard_queue_depth") if registry else None
-        if depth_gauge is not None:
-            return min(live, key=lambda k: (depth_gauge.value(shard=k), k))
-        return min(live)
 
     # ------------------------------------------------------------------
     def migrate(
@@ -311,29 +301,13 @@ class ShardMigrator:
         moved_rows = 0
         moved_bytes = 0
         for name, table in snapshot.tables.items():
-            pk_col = table.schema.partition_key
-            if pk_col is None:
+            if table.schema.partition_key is None:
                 continue  # replicated tables live everywhere already
-            keys = np.asarray(table.column_array(pk_col), dtype=np.int64)
-            mask = (
-                ~table.deleted_mask()
-                & (keys >= plan.key_lo)
-                & (keys < plan.key_hi)
-            )
-            snap_rows = np.flatnonzero(mask)
+            snap_rows = _rows_in_range(table, plan)
             if not len(snap_rows):
                 continue
             values = [table.read_row(int(r)) for r in snap_rows]
-            src_table = src_engine.db.table(name)
-            src_keys = np.asarray(
-                src_table.column_array(pk_col), dtype=np.int64
-            )
-            src_mask = (
-                ~src_table.deleted_mask()
-                & (src_keys >= plan.key_lo)
-                & (src_keys < plan.key_hi)
-            )
-            live_rows = np.flatnonzero(src_mask)
+            live_rows = _rows_in_range(src_engine.db.table(name), plan)
             if len(live_rows) != len(snap_rows):
                 raise ClusterError(
                     f"durable snapshot of shard {plan.src} diverged "
@@ -455,10 +429,18 @@ class ShardMigrator:
         session = telemetry.current()
         if session is None:
             return
-        tracer = session.tracer
-        span = tracer.begin(
+        copy_seconds = report.transfer_seconds + report.wal_sync_seconds
+        parts = [
+            ("checkpoint_fork", report.fork_seconds),
+            ("wal_replay", report.replay_seconds),
+        ]
+        if copy_seconds > 0.0:
+            parts.append(("range_copy", copy_seconds))
+        parts.append(("router_swap", report.swap_seconds))
+        session.tracer.decomposed_phase(
             PHASE_MIGRATION,
-            cat=telemetry.CAT_PHASE,
+            report.seconds,
+            parts,
             track="cluster",
             layer="cluster",
             src=report.src,
@@ -468,37 +450,6 @@ class ShardMigrator:
             moved_rows=report.moved_rows,
             moved_bytes=report.moved_bytes,
             requeued=report.requeued,
-        )
-        tracer.phase(
-            "checkpoint_fork",
-            report.fork_seconds,
-            cat=telemetry.CAT_SPAN,
-            track="dma",
-        )
-        tracer.phase(
-            "wal_replay",
-            report.replay_seconds,
-            cat=telemetry.CAT_SPAN,
-            track="dma",
-        )
-        copy_seconds = report.transfer_seconds + report.wal_sync_seconds
-        if copy_seconds > 0.0:
-            tracer.phase(
-                "range_copy",
-                copy_seconds,
-                cat=telemetry.CAT_SPAN,
-                track="dma",
-            )
-        tracer.phase(
-            "router_swap",
-            report.swap_seconds,
-            cat=telemetry.CAT_SPAN,
-            track="dma",
-        )
-        tracer.end(
-            span,
-            sim_end=span.sim_start_s + report.seconds,
-            advance_parent=True,
         )
         metrics = session.metrics
         metrics.counter(
@@ -516,25 +467,35 @@ class ElasticController:
     """Detector + migrator + pacing, bound to one cluster.
 
     :meth:`ClusterTx.maybe_rebalance` delegates here between bulks:
-    scan the metrics registry, plan a split of the hottest shard, and
-    execute it immediately (nothing is in flight between bulks).
+    scan the per-shard queue depths the serve loop hands over, plan a
+    split of the hottest shard, and execute it immediately (nothing is
+    in flight between bulks).
     """
 
     def __init__(self, cluster: Any, config: ElasticConfig) -> None:
         self.cluster = cluster
         self.config = config
         self.detector = HotShardDetector(config)
-        self.migrator = cluster._migrator_for()
+        self.migrator = ShardMigrator(cluster)
         self.reports: List[MigrationReport] = []
         self._last_migration_bulk: Optional[int] = None
+        #: Per-shard busy seconds and abort share of the last executed
+        #: bulk (:meth:`note_bulk`): the detector's evidence columns.
+        self._busy: Dict[int, float] = {}
+        self._conflict: Dict[int, float] = {}
 
-    def maybe_rebalance(self, now: float) -> Optional[MigrationReport]:
-        session = telemetry.current()
-        if session is None:
-            return None  # no metrics to detect from
+    def note_bulk(
+        self, busy_s: List[float], abort_share: Mapping[int, float]
+    ) -> None:
+        """Keep one executed bulk's per-shard busy seconds and abort
+        share; a shard that executed nothing keeps its last share."""
+        self._busy = dict(enumerate(busy_s))
+        self._conflict.update(abort_share)
+
+    def maybe_rebalance(
+        self, depths: Mapping[int, float]
+    ) -> Optional[MigrationReport]:
         cluster = self.cluster
-        if cluster.dead_shards:
-            return None  # recovery first, rebalancing second
         if len(self.reports) >= self.config.max_migrations:
             return None
         if (
@@ -544,16 +505,17 @@ class ElasticController:
         ):
             return None
         hot = self.detector.scan(
-            session.metrics, cluster.n_shards, dead=cluster.dead_shards
+            depths,
+            cluster.n_shards,
+            dead=cluster.dead_shards,
+            busy=self._busy,
+            conflict=self._conflict,
         )
         if hot is None:
             return None
-        plan = self.migrator.plan(hot, session.metrics)
+        plan = self.migrator.plan(hot, depths)
         if plan is None:
             return None
-        report = self.migrator.migrate(
-            plan, bulk_id=cluster.bulk_seq, wave=0, now=now
-        )
+        report = cluster.migrate(plan)  # lands in ``reports``
         self._last_migration_bulk = cluster.bulk_seq
-        self.reports.append(report)
         return report

@@ -155,6 +155,15 @@ class ClusterExecutionResult(BulkOutcome):
     #: Aborts per shard in this bulk's parallel waves (conflict signal).
     shard_aborts: Dict[int, int] = field(default_factory=dict)
 
+    def shard_abort_share(self) -> Dict[int, float]:
+        """Abort share per shard that executed anything in this bulk's
+        parallel waves (the conflict signal)."""
+        return {
+            shard: self.shard_aborts.get(shard, 0) / executed
+            for shard, executed in self.shard_txns.items()
+            if executed
+        }
+
     @property
     def utilization(self) -> float:
         """Mean fraction of the makespan the shard GPUs were busy."""
@@ -227,14 +236,18 @@ class ClusterTx(BulkFrontDoor):
             GPUTx(shard_db, procedures=procedures, options=options.engine)
             for shard_db in shard_dbs
         ]
-        # Shard engines each filter "auto" options for the strategy
-        # they chose; sharing one memo makes that one dropped-option
-        # warning per cluster instead of one per shard.
-        for engine in self.shards[1:]:
-            engine._warned_options = self.shards[0]._warned_options
         self.registry = self.shards[0].registry
         self.pool = TransactionPool()
         self.results = ResultPool()
+        for engine in self.shards:
+            # Shard engines each filter "auto" options for the strategy
+            # they chose; sharing one memo makes that one dropped-option
+            # warning per cluster instead of one per shard.
+            engine._warned_options = self.shards[0]._warned_options
+            # One pool in, one result pool out (Section 3.1): a shard
+            # records its outcomes and requeues what it defers there.
+            engine.pool = self.pool
+            engine.results = self.results
         self.coordinator = CrossShardCoordinator(
             self.registry,
             [engine.adapter for engine in self.shards],
@@ -257,7 +270,6 @@ class ClusterTx(BulkFrontDoor):
             self.failover = FailoverController(self)
         # -- elastic shards (hot-key detection + live migration) -------
         self.elastic: Optional[ElasticController] = None
-        self._migrator: Optional[ShardMigrator] = None
         self._pending_migration: Optional[MigrationPlan] = None
         if elastic is not None:
             self.elastic = ElasticController(self, elastic)
@@ -345,8 +357,9 @@ class ClusterTx(BulkFrontDoor):
                 )
                 tracer.track, tracer.layer, tracer.dma_track = prev_defaults
                 self._record_bulk_metrics(session, out)
+        if self.elastic is not None:
+            self.elastic.note_bulk(out.shard_busy_s, out.shard_abort_share())
         out.results.sort(key=lambda r: r.txn_id)
-        self.results.record_many(out.results)
         self._check_replicated_tables()
         self._sim_clock += out.seconds
         return out
@@ -385,13 +398,11 @@ class ClusterTx(BulkFrontDoor):
             metrics.gauge(
                 "shard_busy_seconds", "per-shard busy time of the last bulk"
             ).set(busy, shard=shard)
-        for shard, executed in out.shard_txns.items():
-            if executed:
-                metrics.gauge(
-                    "shard_conflict_rate",
-                    "per-shard abort share of the last bulk's parallel "
-                    "waves",
-                ).set(out.shard_aborts.get(shard, 0) / executed, shard=shard)
+        for shard, share in out.shard_abort_share().items():
+            metrics.gauge(
+                "shard_conflict_rate",
+                "per-shard abort share of the last bulk's parallel waves",
+            ).set(share, shard=shard)
         if out.migrations:
             metrics.counter(
                 "cluster_migrations", "live range migrations in bulks"
@@ -486,11 +497,6 @@ class ClusterTx(BulkFrontDoor):
     # ------------------------------------------------------------------
     # Elastic shards: live range migration.
     # ------------------------------------------------------------------
-    def _migrator_for(self) -> ShardMigrator:
-        if self._migrator is None:
-            self._migrator = ShardMigrator(self)  # refuses non-range routers
-        return self._migrator
-
     def request_migration(self, plan: MigrationPlan) -> None:
         """Queue a range move to land at the next wave boundary.
 
@@ -499,12 +505,15 @@ class ClusterTx(BulkFrontDoor):
         requeues (in timestamp order, the halted-bulk path) exactly
         the transactions transitively ordered against them.
         """
-        self._migrator_for()  # validates the router up front
         if self._pending_migration is not None:
             raise ClusterError(
                 "a migration is already pending; one range move lands "
                 "per wave boundary"
             )
+        # Refuse an impossible plan (or router) now, not from inside
+        # the bulk it lands in: the slot holds one plan, so ownership
+        # cannot change before then.
+        ShardMigrator(self)._validate(plan)
         self._pending_migration = plan
 
     def migrate(self, plan: MigrationPlan) -> MigrationReport:
@@ -513,7 +522,7 @@ class ClusterTx(BulkFrontDoor):
         Nothing is in flight between bulks, so no requeue is needed;
         the cost still rides the DMA timeline and the simulated clock.
         """
-        report = self._migrator_for().migrate(
+        report = ShardMigrator(self).migrate(
             plan, bulk_id=self._bulk_seq, wave=0, now=self._sim_clock
         )
         self._sim_clock += report.seconds
@@ -521,19 +530,17 @@ class ClusterTx(BulkFrontDoor):
             self.elastic.reports.append(report)
         return report
 
-    def maybe_rebalance(self) -> Optional[MigrationReport]:
-        """Detect-and-split hook the serve loop calls between bulks.
+    def maybe_rebalance(self, depths: Dict[int, int]) -> Optional[MigrationReport]:
+        """Detect-and-split hook the serve loop calls between bulks
+        with its per-shard admission queue depths.
 
         No-op unless the cluster was built with ``elastic=``; returns
         the :class:`MigrationReport` when a hot shard was split so the
         caller can charge the simulated cost to its own clock.
         """
         if self.elastic is None or self._dead:
-            return None
-        report = self.elastic.maybe_rebalance(self._sim_clock)
-        if report is not None:
-            self._sim_clock += report.seconds
-        return report
+            return None  # recovery first, rebalancing second
+        return self.elastic.maybe_rebalance(depths)
 
     def _apply_pending_migration(
         self,
@@ -559,7 +566,7 @@ class ClusterTx(BulkFrontDoor):
         """
         plan, self._pending_migration = self._pending_migration, None
         now = self._sim_clock + out.breakdown.total
-        report = self._migrator_for().migrate(
+        report = ShardMigrator(self).migrate(
             plan, bulk_id=bulk_id, wave=index, now=now
         )
         tainted = {plan.src, plan.dst}
@@ -717,19 +724,17 @@ class ClusterTx(BulkFrontDoor):
                     tracer.track = "cluster"
                     tracer.layer = "cluster"
                     tracer.dma_track = "dma"
-            # Streaming strategies may defer work into the *shard*
-            # pool; pull it back so it rejoins the cluster-wide order.
-            leftovers = engine.pool.take()
-            if leftovers:
+            # A streaming strategy's deferred transactions are back in
+            # the (shared) pool, in the cluster-wide timestamp order.
+            if result.deferred:
                 any_deferred = True
-                self.pool.requeue(leftovers)
             out.results.extend(result.results)
             out.shard_busy_s[shard] += result.seconds
             out.shard_txns[shard] = (
                 out.shard_txns.get(shard, 0) + len(result.results)
             )
-            out.shard_aborts[shard] = out.shard_aborts.get(shard, 0) + sum(
-                1 for r in result.results if not r.committed
+            out.shard_aborts[shard] = (
+                out.shard_aborts.get(shard, 0) + result.aborted
             )
             wave.strategies[shard] = result.strategy
             wave.shard_sizes[shard] = len(txns)
@@ -783,6 +788,9 @@ class ClusterTx(BulkFrontDoor):
             )
         else:
             result = self.coordinator.execute(wave_txns, shard_map)
+        # Shard engines record their own sub-bulks; the leader's
+        # outcomes are the only ones the cluster records itself.
+        self.results.record_many(result.results)
         out.results.extend(result.results)
         for group in result.groups:
             out.shard_busy_s[group.home] += group.seconds
@@ -980,43 +988,25 @@ class ClusterTx(BulkFrontDoor):
             # the breakdown's recovery entry) wrapping the failover
             # decomposition: checkpoint restore, WAL-suffix replay,
             # and the redundancy-restoring reseed checkpoint.
-            tracer = session.tracer
-            rec = tracer.begin(
+            parts = [
+                ("checkpoint_restore", report.restore_seconds),
+                ("wal_replay", report.replay_seconds),
+            ]
+            reseed_seconds = report.seconds - (
+                report.restore_seconds + report.replay_seconds
+            )
+            if reseed_seconds > 0.0:
+                parts.append(("reseed_checkpoint", reseed_seconds))
+            session.tracer.decomposed_phase(
                 PHASE_RECOVERY,
-                cat=telemetry.CAT_PHASE,
+                report.seconds,
+                parts,
                 track="cluster",
                 layer="cluster",
                 shard=shard,
                 replica_device=report.replica_device,
                 replayed_records=report.replayed_records,
                 verified=report.verified,
-            )
-            tracer.phase(
-                "checkpoint_restore",
-                report.restore_seconds,
-                cat=telemetry.CAT_SPAN,
-                track="dma",
-            )
-            tracer.phase(
-                "wal_replay",
-                report.replay_seconds,
-                cat=telemetry.CAT_SPAN,
-                track="dma",
-            )
-            reseed_seconds = report.seconds - (
-                report.restore_seconds + report.replay_seconds
-            )
-            if reseed_seconds > 0.0:
-                tracer.phase(
-                    "reseed_checkpoint",
-                    reseed_seconds,
-                    cat=telemetry.CAT_SPAN,
-                    track="dma",
-                )
-            tracer.end(
-                rec,
-                sim_end=rec.sim_start_s + report.seconds,
-                advance_parent=True,
             )
         return report
 

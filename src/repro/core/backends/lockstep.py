@@ -74,7 +74,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core import tx_logging
-from repro.core.backends.replay import ScheduleOverrides, replay_kernel
+from repro.core.backends.replay import ScheduleOverrides, VisitTracker, replay_kernel
 from repro.core.backends.wave import (
     HANDLE_BASE,
     Step,
@@ -166,49 +166,6 @@ class _AcqGroup:
         self.t0 = r + 1
 
 
-class _VisitTracker:
-    """Per-SM warp visit ranks under the scheduler's swap-removal.
-
-    The interpreter sweeps each SM's live-warp list every round,
-    replacing a warp first encountered with no live thread by the
-    list's last warp (without advancing the index). Replaying only the
-    *death rounds* in ascending order -- each one its own left-to-right
-    sweep -- leaves the list in the identical state, because sweeps of
-    rounds with no newly-dead warps remove nothing; and enumerating the
-    post-sweep list assigns every surviving warp the same visit rank
-    the interpreter hands out mid-sweep.
-
-    Death rounds are read off ``warp_last`` when ranks are asked for:
-    bodies run the moment their locks are granted, so a warp's last
-    round is known before the schedule reaches it, and a launch that
-    never asks (no lock gates) never pays.
-    """
-
-    def __init__(
-        self, sm_warp_ids: Sequence[Sequence[int]], warp_last: np.ndarray
-    ) -> None:
-        self._sm_warp_ids = sm_warp_ids
-        #: sm -> its live-warp list, copied when first asked about.
-        self._live: Dict[int, List[int]] = {}
-        self._warp_last = warp_last
-
-    def ranks_at(self, sm: int, r: int) -> Dict[int, int]:
-        live = self._live.get(sm)
-        if live is None:
-            live = self._live[sm] = list(self._sm_warp_ids[sm])
-        warp_last = self._warp_last
-        deaths = {int(warp_last[w]) + 1 for w in live if warp_last[w] < r}
-        for d in sorted(deaths):
-            i = 0
-            while i < len(live):
-                if warp_last[live[i]] < d:
-                    live[i] = live[-1]
-                    live.pop()
-                else:
-                    i += 1
-        return {w: i for i, w in enumerate(live)}
-
-
 def _merge_intervals(ivs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     if not ivs:
         return []
@@ -296,7 +253,7 @@ def run_locked_schedule(
     warp_last = np.full(len(bounds), _ALIVE, dtype=np.int64)
     warp_remaining = np.bincount(warp_of, minlength=len(bounds))
     warp_max_done = np.zeros(len(bounds), dtype=np.int64)
-    tracker = _VisitTracker(sm_warp_ids, warp_last)
+    tracker = VisitTracker(sm_warp_ids, warp_last)
 
     # Per-thread progress and results, one column each.
     held = np.fromiter(map(len, plans), np.int64, n)

@@ -24,7 +24,7 @@ device addresses of cells in tables whose row count moves mid-kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -387,64 +387,79 @@ def replay_kernel(
     return KernelReport(stats=stats, timing=timing, outcomes=outcomes)
 
 
-def _warp_visit_ranks(
-    op_count: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    sm_warp_ids: List[List[int]],
-    needed_rounds: np.ndarray,
-    warp_last: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Warp visit ranks within each SM, for ``needed_rounds`` only.
+class VisitTracker:
+    """Per-SM warp visit ranks under the scheduler's swap-removal.
 
-    Reproduces the scheduler's swap-removal of finished warps: a warp
-    encountered with no live thread is replaced by the list's last
-    warp, permuting subsequent visit order. The list only changes on
-    rounds where at least one warp dies, so replaying each death
-    round's sweep -- a position-order scan that swap-removes dead
-    warps and re-examines the swapped-in warp, exactly like the
-    interpreter's mid-sweep removal -- leaves the list byte-identical
-    to the interpreter's at every subsequent round. (Removal order
-    matters: two warps dying in the same round are removed in *scan
-    position* order, which is not warp-id order once earlier deaths
-    have permuted the list.)
+    The interpreter sweeps each SM's live-warp list every round,
+    replacing a warp first encountered with no live thread by the
+    list's last warp (without advancing the index, so the swapped-in
+    warp is examined next). Replaying only the *death rounds* in
+    ascending order -- each one its own left-to-right sweep -- leaves
+    the list in the identical state, because sweeps of rounds with no
+    newly-dead warps remove nothing; and enumerating the post-sweep
+    list assigns every surviving warp the same visit rank the
+    interpreter hands out mid-sweep. (Removal order matters: two warps
+    dying in the same round are removed in *scan position* order, which
+    is not warp-id order once earlier deaths have permuted the list.)
+
+    ``warp_last`` is each warp's last round with a live thread; a warp
+    is swap-removed by the sweep of round ``warp_last + 1``. It is read
+    when ranks are asked for, so the lock scheduler may still be
+    filling it in: bodies run the moment their locks are granted, so a
+    warp's last round is known before the schedule reaches it, and a
+    launch that never asks (no lock gates) never pays. Rounds must be
+    asked in ascending order per SM.
+    """
+
+    def __init__(
+        self, sm_warp_ids: Sequence[Sequence[int]], warp_last: np.ndarray
+    ) -> None:
+        self._sm_warp_ids = sm_warp_ids
+        #: sm -> its live-warp list, copied when first asked about.
+        self._live: Dict[int, List[int]] = {}
+        self._warp_last = warp_last
+
+    def ranks_at(self, sm: int, r: int) -> Dict[int, int]:
+        """``{warp: visit rank}`` of ``sm`` at round ``r`` (1-based),
+        in visit order; a warp already removed is absent."""
+        live = self._live.get(sm)
+        if live is None:
+            live = self._live[sm] = list(self._sm_warp_ids[sm])
+        warp_last = self._warp_last
+        deaths = {int(warp_last[w]) + 1 for w in live if warp_last[w] < r}
+        for d in sorted(deaths):
+            i = 0
+            while i < len(live):
+                if warp_last[live[i]] < d:
+                    live[i] = live[-1]
+                    live.pop()
+                else:
+                    i += 1
+        return {w: i for i, w in enumerate(live)}
+
+
+def _warp_visit_ranks(
+    sm_warp_ids: List[List[int]],
+    warp_last: np.ndarray,
+    needed_rounds: np.ndarray,
+) -> np.ndarray:
+    """:class:`VisitTracker` ranks of every warp, for ``needed_rounds``.
 
     Returns ``V[i, warp]`` for ``needed_rounds[i]`` (ascending,
     1-based rounds; -1 = not visited). Sparse on purpose: a TPL kernel
     can span millions of spin rounds, but only rounds carrying an
     order-sensitive event need ranks -- a dense ``(rounds, warps)``
     matrix would dominate memory at benchmark scale.
-
-    ``warp_last`` overrides the per-warp last live round; without it
-    (the conflict-free case) a warp's life equals its member op count.
     """
-    n_warps = len(bounds)
-    if warp_last is not None:
-        warp_len = warp_last
-    else:
-        warp_len = np.array(
-            [op_count[lo:hi].max() if hi > lo else 0 for lo, hi in bounds],
-            dtype=np.int64,
-        )
-    visits = np.full((len(needed_rounds), n_warps), -1, dtype=np.int64)
-    rounds_list = [int(r) for r in needed_rounds]
-    for ids in sm_warp_ids:
-        # Death rounds, ascending; ties resolved by the sweep below.
-        death_rounds = sorted({int(warp_len[w]) + 1 for w in ids})
-        live = list(ids)
-        di = 0
-        for i, r in enumerate(rounds_list):
-            while di < len(death_rounds) and death_rounds[di] <= r:
-                dr = death_rounds[di]
-                di += 1
-                w = 0
-                while w < len(live):
-                    if warp_len[live[w]] + 1 <= dr:
-                        live[w] = live[-1]
-                        live.pop()
-                    else:
-                        w += 1
-            for rank, warp in enumerate(live):
-                visits[i, warp] = rank
+    visits = np.full((len(needed_rounds), len(warp_last)), -1, dtype=np.int64)
+    tracker = VisitTracker(sm_warp_ids, warp_last)
+    rounds = needed_rounds.tolist()
+    for sm, ids in enumerate(sm_warp_ids):
+        if not ids:
+            continue  # no resident warp: nothing to rank
+        for i, r in enumerate(rounds):
+            ranks = tracker.ranks_at(sm, r)
+            visits[i, list(ranks)] = range(len(ranks))
     return visits
 
 
@@ -493,11 +508,17 @@ def _resolve_order_and_addresses(
     s_branch = ev_branch[sub]
     S = len(sub)
 
-    warp_last = schedule.warp_last_round if schedule is not None else None
+    if schedule is not None:
+        warp_last = schedule.warp_last_round
+    else:
+        # Conflict-free: a warp lives as long as its longest thread.
+        op_count = recorder.op_count
+        warp_last = np.array(
+            [op_count[lo:hi].max() if hi > lo else 0 for lo, hi in bounds],
+            dtype=np.int64,
+        )
     needed = np.unique(s_round)
-    visits = _warp_visit_ranks(
-        recorder.op_count, bounds, sm_warp_ids, needed, warp_last=warp_last
-    )
+    visits = _warp_visit_ranks(sm_warp_ids, warp_last, needed)
     s_visit = visits[np.searchsorted(needed, s_round), s_warp]
     s_sm = sm_of_warp[s_warp]
     # First-occurrence order of each (round, warp, branch, kind) group

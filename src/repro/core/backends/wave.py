@@ -147,27 +147,19 @@ class WaveStore:
             return np.fromiter(
                 (static.get(k, -1) for k in keys), np.int64, len(keys)
             )
-        ix = self.db.index(index)
-        mapping = ix.mapping
         if not self._dirty:
+            mapping = self.db.index(index).mapping
             return np.fromiter(
                 (mapping.get(k, -1) for k in keys), np.int64, len(keys)
             )
-        self._fold(ix.table)
-        added = self._unique_add.get(index, {})
-        removed = self._unique_del.get(index, set())
-        out = np.empty(len(keys), np.int64)
-        for i, k in enumerate(keys):
-            if k in added:
-                out[i] = added[k]
-            elif k in removed:
-                out[i] = -1
-            else:
-                out[i] = mapping.get(k, -1)
-        return out
+        return np.fromiter(
+            (self.probe_unique1(index, k) for k in keys), np.int64, len(keys)
+        )
 
     def probe_unique1(self, index: str, key: Any) -> int:
-        """Single-key :meth:`probe_unique` (the one-lane fast path)."""
+        """Single-key :meth:`probe_unique` (the one-lane fast path, and
+        the owner of the staged-overlay precedence: a staged insert
+        wins over a staged delete, which wins over the real index)."""
         static = self.db.static_maps.get(index)
         if static is not None:
             return static.get(key, -1)
@@ -184,7 +176,9 @@ class WaveStore:
         return ix.mapping.get(key, -1)
 
     def probe_multi1(self, index: str, key: Any) -> List[int]:
-        """Single-key :meth:`probe_multi` (the one-lane fast path)."""
+        """Single-key :meth:`probe_multi` (the one-lane fast path, and
+        the owner of the staged-overlay merge: real rows minus staged
+        deletes, then staged inserts)."""
         ix = self.db.index(index)
         rows = list(ix.mapping.get(key, ()))
         if not self._dirty:
@@ -197,6 +191,9 @@ class WaveStore:
         added = self._multi_add.get(index)
         extra = added.get(key) if added is not None else None
         if extra:
+            # Staged rows materialise at the table tail, above every
+            # existing id, and in staging order -- exactly where the
+            # sorted multi-index would put them.
             rows = rows + extra
         return rows
 
@@ -208,27 +205,10 @@ class WaveStore:
 
     def probe_multi(self, index: str, keys: Sequence[Any]) -> List[List[int]]:
         """MultiHashIndex.probe_all, batched, overlay-aware."""
-        ix = self.db.index(index)
-        mapping = ix.mapping
         if not self._dirty:
+            mapping = self.db.index(index).mapping
             return [list(mapping.get(k, ())) for k in keys]
-        self._fold(ix.table)
-        added = self._multi_add.get(index, {})
-        removed = self._multi_del.get(index, {})
-        out = []
-        for k in keys:
-            rows = list(mapping.get(k, ()))
-            gone = removed.get(k)
-            if gone:
-                rows = [r for r in rows if r not in gone]
-            extra = added.get(k)
-            if extra:
-                # Staged rows materialise at the table tail, above every
-                # existing id, and in staging order -- exactly where the
-                # sorted multi-index would put them.
-                rows = rows + extra
-            out.append(rows)
-        return out
+        return [self.probe_multi1(index, k) for k in keys]
 
     def probe_cost_addresses(self, index: str, keys: Sequence[Any]) -> np.ndarray:
         """The two per-probe cost addresses, shape ``(len(keys), 2)``.

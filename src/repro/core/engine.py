@@ -187,9 +187,9 @@ class GPUTx(BulkFrontDoor):
         Registers the same transaction types in the same order, so
         type ids are preserved -- the contract replica promotion needs
         when it swaps a recovered database under a shard id
-        (:mod:`repro.cluster.durability`). The chooser thresholds and
-        the dropped-option warning memo (which a cluster shares
-        between its shards) carry over.
+        (:mod:`repro.cluster.durability`). The chooser thresholds carry
+        over, and so does what a cluster shares between its shards: the
+        dropped-option warning memo and the transaction and result pools.
         """
         engine = GPUTx(
             db,
@@ -203,6 +203,8 @@ class GPUTx(BulkFrontDoor):
         )
         engine.thresholds = self.thresholds
         engine._warned_options = self._warned_options
+        engine.pool = self.pool
+        engine.results = self.results
         return engine
 
     # ------------------------------------------------------------------

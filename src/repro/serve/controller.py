@@ -30,6 +30,18 @@ from typing import List, Optional
 from repro.core.chooser import StrategyFeedback
 from repro.errors import ConfigError
 
+#: Share of the latency budget granted to bulk *service* (execution +
+#: transfer); the rest covers queue wait while the bulk forms.
+SERVICE_FRACTION = 0.5
+#: Backoff multiplier on a service-driven p95 breach.
+DECREASE_FACTOR = 0.5
+#: Additive growth (in transactions) when p95 has headroom.
+INCREASE_STEP = 64
+#: Multiplicative growth while draining a backlog (a p95 breach whose
+#: cause is queue wait, not service time): bigger bulks drain faster,
+#: so the controller ramps aggressively.
+DRAIN_GROWTH = 2.0
+
 
 @dataclass(frozen=True)
 class SLOConfig:
@@ -40,44 +52,29 @@ class SLOConfig:
     #: Bulk size bounds the controller may never leave.
     min_bulk: int = 32
     max_bulk: int = 8192
-    #: Share of the latency budget granted to bulk *service* (execution
-    #: + transfer); the rest covers queue wait while the bulk forms.
-    service_fraction: float = 0.5
-    #: Backoff multiplier on a service-driven p95 breach.
-    decrease_factor: float = 0.5
-    #: Additive growth (in transactions) when p95 has headroom.
-    increase_step: int = 64
-    #: Multiplicative growth while draining a backlog (a p95 breach
-    #: whose cause is queue wait, not service time): bigger bulks
-    #: drain faster, so the controller ramps aggressively.
-    drain_growth: float = 2.0
     #: Longest the oldest queued transaction may wait for a cut.
     #: Defaults to the queue share of the latency budget.
     max_form_wait_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.target_p95_s <= 0:
+        # ``not x > 0``, not ``x <= 0``: a NaN target must not pass
+        # (it would make every AIMD comparison false).
+        if not self.target_p95_s > 0:
             raise ConfigError("target_p95_s must be positive")
         if self.min_bulk < 1 or self.max_bulk < self.min_bulk:
             raise ConfigError("need 1 <= min_bulk <= max_bulk")
-        if not 0.0 < self.service_fraction < 1.0:
-            raise ConfigError("service_fraction must be within (0, 1)")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ConfigError("decrease_factor must be within (0, 1)")
-        if self.increase_step < 1:
-            raise ConfigError("increase_step must be >= 1")
-        if self.drain_growth <= 1.0:
-            raise ConfigError("drain_growth must be > 1")
+        if self.max_form_wait_s is not None and not self.max_form_wait_s > 0:
+            raise ConfigError("max_form_wait_s must be positive")
 
     @property
     def service_budget_s(self) -> float:
-        return self.target_p95_s * self.service_fraction
+        return self.target_p95_s * SERVICE_FRACTION
 
     @property
     def form_wait_s(self) -> float:
         if self.max_form_wait_s is not None:
             return self.max_form_wait_s
-        return self.target_p95_s * (1.0 - self.service_fraction)
+        return self.target_p95_s * (1.0 - SERVICE_FRACTION)
 
 
 class BulkFormer:
@@ -130,17 +127,12 @@ class AdaptiveBulkFormer(BulkFormer):
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        slo: Optional[SLOConfig] = None,
-        *,
-        feedback: Optional[StrategyFeedback] = None,
-    ) -> None:
+    def __init__(self, slo: Optional[SLOConfig] = None) -> None:
         self.slo = slo or SLOConfig()
-        #: Per-strategy service model, shared with (and keyed like)
-        #: the engine's chooser: the strategy Algorithm 1 picked for a
-        #: bulk determines which curve the observation updates.
-        self.feedback = feedback or StrategyFeedback()
+        #: Per-strategy service model, keyed like the engine's chooser:
+        #: the strategy Algorithm 1 picked for a bulk determines which
+        #: curve the observation updates.
+        self.feedback = StrategyFeedback()
         #: AIMD ceiling; starts at min_bulk so the first bulks are
         #: cheap probes that seed the service model.
         self._aimd = float(self.slo.min_bulk)
@@ -177,16 +169,16 @@ class AdaptiveBulkFormer(BulkFormer):
         if p95_total_s > slo.target_p95_s:
             if service_s > slo.service_budget_s:
                 self._aimd = max(
-                    float(slo.min_bulk), self._aimd * slo.decrease_factor
+                    float(slo.min_bulk), self._aimd * DECREASE_FACTOR
                 )
             else:
                 self._draining = True
                 self._aimd = min(
-                    float(slo.max_bulk), self._aimd * slo.drain_growth
+                    float(slo.max_bulk), self._aimd * DRAIN_GROWTH
                 )
         else:
             self._aimd = min(
-                float(slo.max_bulk), self._aimd + slo.increase_step
+                float(slo.max_bulk), self._aimd + INCREASE_STEP
             )
         # Model proposal: largest bulk whose predicted service time
         # fits the service share of the latency budget.

@@ -163,6 +163,9 @@ class ServeRuntime:
         clock = 0.0
         gpu_free = 0.0
         first_submit: Optional[float] = None
+        # Elastic clusters rebalance between bulks, from the per-shard
+        # admission depths this loop holds.
+        rebalance = getattr(self.engine, "maybe_rebalance", None)
         while True:
             self.admission.offer_batch(stream.pop_until(clock), pool)
             if len(pool) == 0:
@@ -216,6 +219,9 @@ class ServeRuntime:
                     )
                     self._trace_cursor = bulk_end
                     self._trace_bulk_metrics(session, start - submit_s)
+            # Per-shard queue depths before _record_bulk releases the
+            # batch's slots: a shard's depth counts what it was handed.
+            depths = dict(self.admission._shard_depth)
             finish = start + result.seconds
             if not result.results and finish <= start:
                 # The whole batch bounced back (deferred/halted) and
@@ -233,12 +239,10 @@ class ServeRuntime:
                 first_submit = float(submit_s.min())
             gpu_free = finish
             clock = finish
-            # Elastic clusters rebalance between bulks: the engine is
-            # idle here, so a hot-shard split delays only the next
-            # dispatch (its cost shows up as interconnect time).
-            rebalance = getattr(self.engine, "maybe_rebalance", None)
+            # The engine is idle here, so a hot-shard split delays only
+            # the next dispatch (its cost shows up as interconnect time).
             if rebalance is not None:
-                migration = rebalance()
+                migration = rebalance(depths)
                 if migration is not None:
                     report.migrations.append(migration)
                     report.breakdown.add("migration", migration.seconds)

@@ -254,20 +254,21 @@ class StoreAdapter:
     def __init__(self, db: Database) -> None:
         self.db = db
         self.journal = MutationJournal()
-        #: Redo recorders (``repro.cluster.durability.wal``) observing
-        #: every physical mutation in application order. Kept as a
-        #: plain list so the hot path is one truthiness check when no
-        #: durability layer is attached.
-        self._recorders: List[Any] = []
+        #: The redo recorder (``repro.cluster.durability.wal``)
+        #: observing every physical mutation in application order, or
+        #: None when no durability layer is attached -- one slot: a
+        #: shard has one WAL.
+        self._recorder: Optional[Any] = None
 
     def attach_recorder(self, recorder: Any) -> None:
         """Start streaming physical mutations to ``recorder``."""
-        if recorder not in self._recorders:
-            self._recorders.append(recorder)
+        if self._recorder is not None and self._recorder is not recorder:
+            raise StorageError("a redo recorder is already attached to this adapter")
+        self._recorder = recorder
 
     def detach_recorder(self, recorder: Any) -> None:
-        if recorder in self._recorders:
-            self._recorders.remove(recorder)
+        if self._recorder is recorder:
+            self._recorder = None
 
     # -- DeviceStore protocol -------------------------------------------
     def read(self, table: str, column: str, row: int) -> Any:
@@ -275,9 +276,8 @@ class StoreAdapter:
 
     def write(self, table: str, column: str, row: int, value: Any) -> Any:
         old = self.db.table(table).write(column, row, value)
-        if self._recorders:
-            for recorder in self._recorders:
-                recorder.on_write(table, column, row, value)
+        if self._recorder is not None:
+            self._recorder.on_write(table, column, row, value)
         return old
 
     def address_of(self, table: str, column: str, row: int) -> Tuple[int, int]:
@@ -314,9 +314,8 @@ class StoreAdapter:
             key = Database._key_from_values(tbl.schema, ix.columns, values)
             ix.insert(key, row)
         self.journal.record_insert(table, row)
-        if self._recorders:
-            for recorder in self._recorders:
-                recorder.on_insert(table, row, tuple(values))
+        if self._recorder is not None:
+            self._recorder.on_insert(table, row, tuple(values))
         return row
 
     def delete(self, table: str, row: int) -> None:
@@ -332,9 +331,8 @@ class StoreAdapter:
         self._unindex_row(table, row)
         tbl.mark_deleted(row)
         self.journal.record_delete(table, row)
-        if self._recorders:
-            for recorder in self._recorders:
-                recorder.on_delete(table, row)
+        if self._recorder is not None:
+            self._recorder.on_delete(table, row)
 
     def insert_bulk(
         self, table: str, values_rows: Sequence[Sequence[Any]]
@@ -375,11 +373,10 @@ class StoreAdapter:
                 ix.insert(key, row)
         for row in rows:
             self.journal.record_insert(table, row)
-        if self._recorders:
+        if self._recorder is not None:
+            on_insert = self._recorder.on_insert
             for row, values in zip(rows, values_rows):
-                frozen = tuple(values)
-                for recorder in self._recorders:
-                    recorder.on_insert(table, row, frozen)
+                on_insert(table, row, tuple(values))
         return rows
 
     def row_width(self, table: str) -> int:
@@ -394,9 +391,8 @@ class StoreAdapter:
         self._unindex_row(table, row)
         self.db.table(table).mark_deleted(row)
         self.journal.forget_insert(table, row)
-        if self._recorders:
-            for recorder in self._recorders:
-                recorder.on_cancel_insert(table, row)
+        if self._recorder is not None:
+            self._recorder.on_cancel_insert(table, row)
 
     def cancel_delete(self, table: str, row: int) -> None:
         """Undo one delete of an aborting transaction."""
@@ -406,9 +402,8 @@ class StoreAdapter:
             key = Database._key_of(tbl, ix.columns, row)
             ix.insert(key, row)
         self.journal.forget_delete(table, row)
-        if self._recorders:
-            for recorder in self._recorders:
-                recorder.on_cancel_delete(table, row)
+        if self._recorder is not None:
+            self._recorder.on_cancel_delete(table, row)
 
     # -- bulk access (vectorized backend fast path) -------------------------
     def gather_bulk(self, table: str, column: str, rows: Any) -> Any:
@@ -433,11 +428,11 @@ class StoreAdapter:
         not affect the replayed state).
         """
         self.db.table(table).scatter(column, rows, values)
-        if self._recorders:
+        if self._recorder is not None:
+            on_write = self._recorder.on_write
             for row, value in zip(rows, values):
                 py = value.item() if isinstance(value, np.generic) else value
-                for recorder in self._recorders:
-                    recorder.on_write(table, column, int(row), py)
+                on_write(table, column, int(row), py)
 
     # -- batch boundary -----------------------------------------------------
     def apply_batch(self) -> None:

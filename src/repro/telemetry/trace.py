@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Breakdown phases that ride the interconnect (DMA) rather than the
 #: device; the exporter lays them on a dedicated trace track.
@@ -227,6 +227,25 @@ class Tracer:
         else:
             self.sim_now = span.sim_end_s
         return span
+
+    def decomposed_phase(
+        self,
+        name: str,
+        seconds: float,
+        parts: Sequence[Tuple[str, float]],
+        **span: Any,
+    ) -> Span:
+        """Record one phase of ``seconds`` (``span``: :meth:`begin`'s
+        track, layer and tags) with its ``parts`` back to back on the
+        DMA lane beneath it. It closes at ``start + seconds`` whatever
+        the parts sum to (reconciling with the caller's breakdown
+        entry) and advances the enclosing span's cursor."""
+        phase = self.begin(name, cat=CAT_PHASE, **span)
+        for part, part_seconds in parts:
+            self.phase(part, part_seconds, cat=CAT_SPAN, track="dma")
+        return self.end(
+            phase, sim_end=phase.sim_start_s + seconds, advance_parent=True
+        )
 
     def complete(
         self,

@@ -17,11 +17,11 @@ from repro import (
     ClusterTx,
     CpuEngine,
     DurabilityConfig,
+    MigrationPlan,
     TransactionPool,
 )
 from repro.errors import ClusterError, ShardFailure
 from repro.workloads import tm1
-
 from tests.integration.test_cluster import (
     LEDGER_PROCEDURES,
     build_ledger_db,
@@ -435,3 +435,66 @@ class TestFailoverErrors:
         cluster.failover.kill(1)
         cluster.failover.kill(1)
         assert cluster.dead_shards == {1}
+
+
+class TestOnePoolOneResultSet:
+    """Every shard engine of a cluster holds the cluster's own
+    transaction pool and result pool (Sections 3.1-3.2: one pool in,
+    one result pool out): nothing is pulled back from a shard pool and
+    no result is recorded twice."""
+
+    def build(self):
+        return ClusterTx(
+            build_ledger_db(64),
+            procedures=LEDGER_PROCEDURES,
+            n_shards=N_SHARDS,
+            router="range",
+            options=ClusterOptions(
+                durability=DurabilityConfig(
+                    checkpoint_interval=2, n_replicas=1
+                )
+            ),
+        )
+
+    @staticmethod
+    def assert_shared(cluster):
+        for engine in cluster.shards:
+            assert engine.pool is cluster.pool
+            assert engine.results is cluster.results
+
+    def test_shards_share_pool_and_results_through_faults(self):
+        cluster = self.build()
+        self.assert_shared(cluster)
+        specs = ledger_specs(
+            np.random.default_rng(5), 240, 64, cross_prob=0.15
+        )
+        submitted = cluster.submit_many(specs)
+        cluster.failover.schedule_kill(1, bulk=1, wave=0)
+        cluster.request_migration(
+            MigrationPlan(src=0, dst=3, key_lo=8, key_hi=16)
+        )
+        executed = 0
+        deferrals = failovers = migrations = 0
+        while len(cluster.pool):
+            taken = min(60, len(cluster.pool))
+            # max_rounds=1: streaming K-SET defers everything past the
+            # first 0-set back into the (shared) pool.
+            out = cluster.run_bulk(
+                strategy="kset", max_rounds=1, max_txns=60
+            )
+            executed += len(out.results)
+            failovers += len(out.failovers)
+            migrations += len(out.migrations)
+            if (
+                len(out.results) < taken
+                and not out.halted
+                and not out.migrations
+            ):
+                deferrals += 1
+            self.assert_shared(cluster)  # also the recovered engine
+        assert (failovers, migrations) == (1, 1)
+        assert deferrals > 0
+        assert executed == submitted == len(cluster.results)
+        for txn_id in range(submitted):
+            assert cluster.results.get(txn_id) is not None
+        assert cluster.logical_state() == serial_ledger_state(specs, 64)

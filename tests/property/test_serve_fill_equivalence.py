@@ -244,7 +244,7 @@ def _build_former(spec):
         return FixedBulkFormer(size, max_form_wait_s=wait)
     return AdaptiveBulkFormer(
         SLOConfig(target_p95_s=1e-3, min_bulk=size, max_bulk=64,
-                  increase_step=4, max_form_wait_s=wait)
+                  max_form_wait_s=wait)
     )
 
 

@@ -18,6 +18,13 @@ from repro.config import ClusterOptions
 from repro.core.backends import EngineOptions
 from repro.core.engine import GPUTx
 from repro.errors import ConfigError
+from repro.serve.admission import AdmissionController
+from repro.serve.controller import (
+    AdaptiveBulkFormer,
+    FixedBulkFormer,
+    SLOConfig,
+)
+from repro.serve.runtime import ServeRuntime
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db
 
@@ -118,6 +125,10 @@ class TestOptionSurfaceIsPinned:
             ),
             (DurabilityConfig, {"checkpoint_interval", "n_replicas"}),
             (ElasticConfig, {"min_queue_depth", "max_migrations"}),
+            (
+                SLOConfig,
+                {"target_p95_s", "min_bulk", "max_bulk", "max_form_wait_s"},
+            ),
         ],
     )
     def test_fields(self, cls, fields):
@@ -130,6 +141,23 @@ class TestOptionSurfaceIsPinned:
             (
                 ClusterTx,
                 {"db", "procedures", "n_shards", "router", "options"},
+            ),
+            (FixedBulkFormer, {"size", "max_form_wait_s"}),
+            (AdaptiveBulkFormer, {"slo"}),
+            (
+                AdmissionController,
+                {
+                    "max_pending",
+                    "max_pending_per_shard",
+                    "router",
+                    "registry",
+                    "tenant_quotas",
+                    "record_admitted",
+                },
+            ),
+            (
+                ServeRuntime,
+                {"engine", "former", "admission", "strategy", "options"},
             ),
         ],
     )

@@ -29,6 +29,7 @@ from repro.errors import (
     ConfigError,
     DurabilityError,
     RecoveryError,
+    StorageError,
 )
 from repro.gpu.spec import C1060
 from repro.gpu.transfer import PCIeModel
@@ -132,6 +133,22 @@ class TestRedoCaptureReplay:
         adapter.write("accounts", "balance", 0, 100)
         assert recorder.entries == []
         assert len(entries) == 5
+
+    def test_an_adapter_streams_to_one_recorder(self):
+        """One shard, one WAL: the adapter holds one recorder slot."""
+        adapter = StoreAdapter(build_bank_db(4))
+        first, second = RedoRecorder(), RedoRecorder()
+        adapter.attach_recorder(first)
+        adapter.attach_recorder(first)  # the same one again is a no-op
+        with pytest.raises(StorageError, match="already attached"):
+            adapter.attach_recorder(second)
+        adapter.detach_recorder(second)  # not the attached one: ignored
+        adapter.write("accounts", "balance", 0, 150)
+        assert len(first.entries) == 1 and second.entries == []
+        adapter.detach_recorder(first)
+        adapter.attach_recorder(second)
+        adapter.write("accounts", "balance", 0, 100)
+        assert len(first.entries) == 1 and len(second.entries) == 1
 
     def test_replayed_entries_reproduce_physical_state(self):
         db = build_bank_db(4)

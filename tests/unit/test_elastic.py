@@ -1,7 +1,8 @@
 """Unit tests for the elastic-shard layer: config validation,
-hot-shard detection from the metrics registry, and migration
+hot-shard detection from per-shard depth mappings, and migration
 planning/validation on a live cluster."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -12,9 +13,13 @@ from repro import (
 )
 from repro.cluster.elastic import QUEUE_RATIO, ShardMigrator
 from repro.errors import ClusterError, ConfigError
-from repro.telemetry.metrics import MetricsRegistry
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db
+from tests.integration.test_cluster import (
+    LEDGER_PROCEDURES,
+    build_ledger_db,
+    ledger_specs,
+)
 
 N_ACCOUNTS = 64
 
@@ -29,16 +34,10 @@ def build_cluster(n_shards=4, **kwargs):
     )
 
 
-def registry_with_depths(depths, busy=None):
-    registry = MetricsRegistry()
-    gauge = registry.gauge("shard_queue_depth")
-    for shard, depth in depths.items():
-        gauge.set(depth, shard=shard)
-    if busy is not None:
-        busy_gauge = registry.gauge("shard_busy_seconds")
-        for shard, seconds in busy.items():
-            busy_gauge.set(seconds, shard=shard)
-    return registry
+def registry_with_depths(depths):
+    """Per-shard queue depths as the serve loop hands them over: a
+    plain mapping (the gauges of the same name are report-only)."""
+    return dict(depths)
 
 
 class TestElasticConfig:
@@ -62,23 +61,33 @@ class TestElasticConfig:
 class TestHotShardDetector:
     def test_no_queue_gauge_means_no_signal(self):
         detector = HotShardDetector()
-        assert detector.scan(MetricsRegistry(), n_shards=4) is None
+        assert detector.scan({}, n_shards=4) is None
+
+    def test_absent_shard_reads_zero(self):
+        report = HotShardDetector().scan({0: 100}, n_shards=4)
+        assert report is not None and report.shard == 0
+        assert report.mean_other_depth == 0.0
+        assert report.busy_s == 0.0 and report.conflict_rate == 0.0
 
     def test_level_fleet_is_not_flagged(self):
         registry = registry_with_depths({0: 20, 1: 22, 2: 21, 3: 20})
         assert HotShardDetector().scan(registry, n_shards=4) is None
 
     def test_runaway_queue_is_flagged_with_evidence(self):
-        registry = registry_with_depths(
-            {0: 100, 1: 4, 2: 6, 3: 5},
+        registry = registry_with_depths({0: 100, 1: 4, 2: 6, 3: 5})
+        report = HotShardDetector().scan(
+            registry,
+            n_shards=4,
             busy={0: 0.9, 1: 0.1, 2: 0.1, 3: 0.1},
+            conflict={0: 0.25},
         )
-        report = HotShardDetector().scan(registry, n_shards=4)
         assert report is not None
         assert report.shard == 0
         assert report.queue_depth == 100
         assert report.mean_other_depth == pytest.approx(5.0)
         assert report.busy_s == pytest.approx(0.9)
+        assert report.mean_other_busy_s == pytest.approx(0.1)
+        assert report.conflict_rate == 0.25
         assert "queue depth" in report.reason
 
     def test_absolute_floor_suppresses_tiny_queues(self):
@@ -159,6 +168,42 @@ class TestMigrationValidation:
             cluster.migrate(
                 MigrationPlan(src=3, dst=0, key_lo=56, key_hi=999)
             )
+
+    def test_impossible_request_is_refused_before_the_bulk(self):
+        """An impossible plan used to be accepted and then raise from
+        inside the next bulk's wave loop, after the pool was drained:
+        the caller lost the bulk to a typo."""
+        cluster = ClusterTx(
+            build_ledger_db(N_ACCOUNTS),
+            procedures=LEDGER_PROCEDURES,
+            n_shards=4,
+            router="range",
+        )
+        cluster.submit_many(
+            ledger_specs(np.random.default_rng(3), 120, N_ACCOUNTS, 0.2)
+        )
+        queued = [txn.txn_id for txn in cluster.pool]
+        # Shard 0 owns [0, 16): it cannot give away [16, 32).
+        with pytest.raises(ConfigError, match="not\\s+fully owned"):
+            cluster.request_migration(
+                MigrationPlan(src=0, dst=3, key_lo=16, key_hi=32)
+            )
+        assert [txn.txn_id for txn in cluster.pool] == queued
+        assert cluster.bulk_seq == 0
+        assert len(cluster.results) == 0
+        # The slot is still free, and a valid plan still lands at the
+        # next wave boundary.
+        cluster.request_migration(
+            MigrationPlan(src=0, dst=3, key_lo=8, key_hi=16)
+        )
+        out = cluster.run_bulk()
+        assert [(m.src, m.dst, m.key_lo, m.key_hi) for m in out.migrations] == [
+            (0, 3, 8, 16)
+        ]
+        assert (8, 16, 3) in cluster.router.range_table
+        while len(cluster.pool):
+            cluster.run_bulk()
+        assert len(cluster.results) == len(queued)
 
     def test_one_pending_migration_at_a_time(self):
         cluster = build_cluster()

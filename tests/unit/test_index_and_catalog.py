@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.backends.wave import HANDLE_BASE, WaveStore
 from repro.errors import CatalogError, IndexError_, StorageError
 from repro.storage.catalog import Database, StoreAdapter
 from repro.storage.index import HashIndex, MultiHashIndex
@@ -216,3 +217,66 @@ class TestStoreAdapter:
         row = StoreAdapter(build_db("row"))
         assert col.row_width("acct") == 24
         assert row.row_width("acct") == 24  # all-int64 table: no padding
+
+
+class TestWaveStoreStagedOverlay:
+    """The vectorized backend's staging overlay: a probe sees staged
+    inserts and deletes before the replay applies them. Precedence
+    (staged insert > staged delete > real index) lives in the
+    single-key forms; the batched forms must agree lane for lane."""
+
+    KEYS = [10, 20, 30, 40, 50, 99]
+    OWNERS = [1, 2, 3, 7]
+
+    def store(self):
+        return WaveStore(StoreAdapter(build_db()), frozenset({"acct"}))
+
+    def assert_forms_agree(self, store):
+        unique = store.probe_unique("acct_pk", self.KEYS)
+        assert unique.dtype == np.int64
+        assert unique.tolist() == [
+            store.probe_unique1("acct_pk", k) for k in self.KEYS
+        ]
+        assert store.probe_multi("acct_by_owner", self.OWNERS) == [
+            store.probe_multi1("acct_by_owner", k) for k in self.OWNERS
+        ]
+        return unique.tolist(), store.probe_multi("acct_by_owner", self.OWNERS)
+
+    def test_clean_store_reads_the_real_indexes(self):
+        unique, multi = self.assert_forms_agree(self.store())
+        assert unique == [0, 1, 2, -1, -1, -1]
+        assert multi == [[0, 1], [2], [], []]
+
+    def test_insert_then_probe(self):
+        store = self.store()
+        rows = store.stage_inserts("acct", [(40, 2, 400), (50, 7, 500)])
+        assert rows.tolist() == [HANDLE_BASE, HANDLE_BASE + 1]
+        unique, multi = self.assert_forms_agree(store)
+        assert unique == [0, 1, 2, HANDLE_BASE, HANDLE_BASE + 1, -1]
+        # Staged rows follow the real ones, in staging order.
+        assert multi == [[0, 1], [2, HANDLE_BASE], [], [HANDLE_BASE + 1]]
+
+    def test_delete_then_probe(self):
+        store = self.store()
+        store.stage_delete("acct", 1)  # real row: id 20, owner 1
+        (staged,) = store.stage_inserts("acct", [(40, 1, 400)]).tolist()
+        store.stage_delete("acct", staged)  # and a staged one
+        unique, multi = self.assert_forms_agree(store)
+        assert unique == [0, -1, 2, -1, -1, -1]
+        assert multi == [[0], [2], [], []]
+        assert staged == HANDLE_BASE
+
+    def test_delete_then_reinsert_under_one_key(self):
+        store = self.store()
+        store.stage_delete("acct", 1)  # id 20 leaves...
+        (again,) = store.stage_inserts("acct", [(20, 3, 7)]).tolist()
+        unique, multi = self.assert_forms_agree(store)
+        # ...and comes back as the staged row, under a new owner.
+        assert unique == [0, again, 2, -1, -1, -1]
+        assert multi == [[0], [2], [again], []]
+        # Deleting the re-insert must not resurrect the real row.
+        store.stage_delete("acct", again)
+        unique, multi = self.assert_forms_agree(store)
+        assert unique == [0, -1, 2, -1, -1, -1]
+        assert multi == [[0], [2], [], []]
+        assert again == HANDLE_BASE

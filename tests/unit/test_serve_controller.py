@@ -5,6 +5,8 @@ import pytest
 from repro.core.chooser import StrategyFeedback
 from repro.errors import ConfigError
 from repro.serve.controller import (
+    INCREASE_STEP,
+    SERVICE_FRACTION,
     AdaptiveBulkFormer,
     FixedBulkFormer,
     SLOConfig,
@@ -22,9 +24,10 @@ def observe(former, *, size=None, service_s=0.0001, p95=0.0, strategy="kset"):
 
 class TestSLOConfig:
     def test_budget_split(self):
-        slo = SLOConfig(target_p95_s=0.01, service_fraction=0.6)
-        assert slo.service_budget_s == pytest.approx(0.006)
-        assert slo.form_wait_s == pytest.approx(0.004)
+        slo = SLOConfig(target_p95_s=0.01)
+        assert slo.service_budget_s == pytest.approx(0.01 * SERVICE_FRACTION)
+        assert slo.form_wait_s == pytest.approx(0.01 * (1 - SERVICE_FRACTION))
+        assert slo.service_budget_s + slo.form_wait_s == pytest.approx(0.01)
         explicit = SLOConfig(target_p95_s=0.01, max_form_wait_s=0.002)
         assert explicit.form_wait_s == 0.002
 
@@ -34,10 +37,9 @@ class TestSLOConfig:
             {"target_p95_s": 0.0},
             {"min_bulk": 0},
             {"min_bulk": 64, "max_bulk": 32},
-            {"service_fraction": 1.0},
-            {"decrease_factor": 1.0},
-            {"increase_step": 0},
-            {"drain_growth": 1.0},
+            # A NaN target makes every AIMD comparison false.
+            {"target_p95_s": float("nan")},
+            {"max_form_wait_s": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -94,22 +96,22 @@ class TestAdaptiveBulkFormer:
         assert former.target_size() == 8
 
     def test_additive_growth_with_headroom(self):
-        former = AdaptiveBulkFormer(self.slo(increase_step=4))
+        former = AdaptiveBulkFormer(self.slo(max_bulk=4096))
         observe(former, service_s=0.0001, p95=0.0)
         first = former.target_size()
         observe(former, size=first, service_s=0.0001, p95=0.0)
-        assert former.target_size() - first <= 4
+        assert former.target_size() - first <= INCREASE_STEP
         assert former.target_size() > 8
 
     def test_model_proposal_caps_oversized_bulks(self):
         """With a learned service curve, the target never exceeds the
         size whose predicted service time fits the budget."""
-        slo = self.slo(target_p95_s=0.01, service_fraction=0.5,
-                       max_bulk=4096)
+        slo = self.slo(target_p95_s=0.01, max_bulk=4096)
         former = AdaptiveBulkFormer(slo)
         # Alternating observations pin the affine model: fixed = 1 ms,
-        # per-txn = 0.1 ms -> budget 5 ms buys ~40 txns, far below the
-        # AIMD ceiling the headroom growth builds up.
+        # per-txn = 0.1 ms -> budget 5 ms (SERVICE_FRACTION of the
+        # target) buys ~40 txns, far below the AIMD ceiling the
+        # headroom growth builds up.
         for _ in range(15):
             observe(former, size=10, service_s=0.002, p95=0.0)
             observe(former, size=30, service_s=0.004, p95=0.0)
