@@ -49,6 +49,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.cluster.durability.wal import MIGRATION_STRATEGY, PHASE_MIGRATION
 from repro.errors import ClusterError, ConfigError
+from repro.storage.catalog import row_tuples
 
 __all__ = [
     "ElasticConfig",
@@ -306,7 +307,7 @@ class ShardMigrator:
             snap_rows = _rows_in_range(table, plan)
             if not len(snap_rows):
                 continue
-            values = [table.read_row(int(r)) for r in snap_rows]
+            values = row_tuples(table, snap_rows)
             live_rows = _rows_in_range(src_engine.db.table(name), plan)
             if len(live_rows) != len(snap_rows):
                 raise ClusterError(

@@ -638,25 +638,30 @@ class ClusterTx(BulkFrontDoor):
         waves (whose per-wave sync dominates) into a few large ones.
         """
         waves: List[Tuple[str, List[Transaction]]] = []
-        touched: List[set] = []
+        # Per kind, shard -> index of the youngest wave of that kind
+        # touching the shard: all the placement rule ever reads.
+        parallel: Dict[int, int] = {}
+        coordinator: Dict[int, int] = {}
         for txn in transactions:
             shards = shard_map[txn.txn_id]
-            kind = "coordinator" if len(shards) > 1 else "parallel"
+            if len(shards) > 1:
+                kind, same, other = "coordinator", coordinator, parallel
+            else:
+                kind, same, other = "parallel", parallel, coordinator
             earliest = 0
-            for index, (wave_kind, _wave_txns) in enumerate(waves):
-                if touched[index] & shards:
-                    earliest = max(
-                        earliest,
-                        index if wave_kind == kind else index + 1,
-                    )
+            for shard in shards:
+                earliest = max(
+                    earliest, same.get(shard, 0), other.get(shard, -1) + 1
+                )
             for index in range(earliest, len(waves)):
                 if waves[index][0] == kind:
                     waves[index][1].append(txn)
-                    touched[index] |= shards
                     break
             else:
+                index = len(waves)
                 waves.append((kind, [txn]))
-                touched.append(set(shards))
+            for shard in shards:
+                same[shard] = index
         return waves
 
     def _run_parallel_wave(

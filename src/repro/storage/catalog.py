@@ -30,6 +30,22 @@ Index = Union[HashIndex, MultiHashIndex]
 _TABLE_REGION_STRIDE = 1 << 38
 
 
+def row_tuples(
+    table: Table, rows: Optional[np.ndarray] = None
+) -> List[Tuple[Any, ...]]:
+    """Row tuples of ``table`` -- every slot in row order, or just the
+    slots ``rows`` -- from one pass per column.
+
+    Element types are those of ``read_row`` (``tolist`` converts as
+    ``.item()`` does), so callers may compare, hash and ``repr`` them
+    interchangeably with per-cell reads.
+    """
+    columns = [table.column_array(c.name) for c in table.schema.columns]
+    if rows is not None:
+        columns = [column[rows] for column in columns]
+    return list(zip(*[column.tolist() for column in columns]))
+
+
 def static_map_cost_base(map_name: str, key: Any) -> int:
     """Bucket-header address of one static-map probe.
 
@@ -75,8 +91,8 @@ class Database:
         columns: Sequence[str],
         unique: bool = True,
     ) -> Index:
-        if name in self.indexes:
-            raise CatalogError(f"index {name!r} already exists")
+        if name in self.indexes or name in self.static_maps:
+            raise CatalogError(f"map/index {name!r} already exists")
         tbl = self.table(table)
         for col in columns:
             tbl.schema.column(col)  # validates existence
@@ -85,10 +101,11 @@ class Database:
             index = HashIndex(name, table, tuple(columns))
         else:
             index = MultiHashIndex(name, table, tuple(columns))
-        # Build over existing rows.
-        for row in range(tbl.n_rows):
-            if not tbl.is_deleted(row):
-                index.insert(self._key_of(tbl, index.columns, row), row)
+        # Build over the live rows, one pass per key column.
+        live = np.flatnonzero(~tbl.deleted_mask())
+        key_columns = [tbl.column_array(c)[live].tolist() for c in columns]
+        keys = key_columns[0] if len(columns) == 1 else list(zip(*key_columns))
+        index.build(keys, live.tolist())
         self.indexes[name] = index
         return index
 
@@ -160,11 +177,11 @@ class Database:
         for name in self._table_order:
             table = self.tables[name]
             clone = other.create_table(table.schema, capacity=max(table.n_rows, 64))
-            rows = [table.read_row(r) for r in range(table.n_rows)]
-            clone.append_rows(rows)
-            for r in range(table.n_rows):
-                if table.is_deleted(r):
-                    clone.mark_deleted(r)
+            clone.append_columns(
+                {c: table.column_array(c) for c in table.schema.column_names}
+            )
+            for r in np.flatnonzero(table.deleted_mask()).tolist():
+                clone.mark_deleted(r)
         for ix in self.indexes.values():
             other.create_index(ix.name, ix.table, ix.columns, unique=ix.unique)
         for name, mapping in self.static_maps.items():
@@ -211,10 +228,9 @@ class Database:
         """
         state: Dict[str, List[Tuple[Tuple[Any, ...], bool]]] = {}
         for name, table in self.tables.items():
-            state[name] = [
-                (table.read_row(r), table.is_deleted(r))
-                for r in range(table.n_rows)
-            ]
+            state[name] = list(
+                zip(row_tuples(table), table.deleted_mask().tolist())
+            )
         return state
 
     def table_state(self, name: str) -> List[Tuple[Any, ...]]:
@@ -226,11 +242,7 @@ class Database:
         the mixed int/float/str tuples the workloads produce.
         """
         table = self.table(name)
-        rows = [
-            table.read_row(r)
-            for r in range(table.n_rows)
-            if not table.is_deleted(r)
-        ]
+        rows = row_tuples(table, np.flatnonzero(~table.deleted_mask()))
         rows.sort(key=repr)
         return rows
 

@@ -19,7 +19,8 @@ header + entry), which is what the SIMT engine charges via
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import bisect
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexError_
 
@@ -63,6 +64,15 @@ class HashIndex:
                 f"duplicate key {key!r} in unique index {self.name!r}"
             )
         self._map[key] = row
+
+    def build(self, keys: Sequence[Any], rows: Sequence[int]) -> None:
+        """Fill this empty index: :meth:`insert` per ``(key, row)`` pair
+        in order, as one dict build."""
+        self._map.update(zip(keys, rows))
+        if len(self._map) != len(keys):
+            self._map.clear()
+            for key, row in zip(keys, rows):
+                self.insert(key, row)  # raises at the first duplicate
 
     def remove(self, key: Any) -> None:
         if self._map.pop(key, None) is None:
@@ -113,11 +123,19 @@ class MultiHashIndex:
         return key in self._map
 
     def insert(self, key: Any, row: int) -> None:
-        rows = self._map.setdefault(key, [])
         # Keep sorted for deterministic iteration.
-        import bisect
+        bisect.insort(self._map.setdefault(key, []), row)
 
-        bisect.insort(rows, row)
+    def build(self, keys: Sequence[Any], rows: Sequence[int]) -> None:
+        """Fill this empty index: :meth:`insert` per ``(key, row)`` pair
+        in order. ``rows`` must ascend, so every bucket is born sorted."""
+        mapping = self._map
+        for key, row in zip(keys, rows):
+            bucket = mapping.get(key)
+            if bucket is None:
+                mapping[key] = [row]
+            else:
+                bucket.append(row)
 
     def remove(self, key: Any, row: Optional[int] = None) -> None:
         rows = self._map.get(key)

@@ -105,6 +105,95 @@ class TestCowFork:
 
 
 # ---------------------------------------------------------------------------
+# Recovery verification: a column-against-column compare.
+# ---------------------------------------------------------------------------
+MIXED = TableSchema(
+    "m",
+    [
+        ColumnDef("k", DataType.INT64),
+        ColumnDef("x", DataType.FLOAT64),
+        ColumnDef("s", DataType.VARCHAR),
+    ],
+)
+MIXED_ROWS = [
+    (1, float("nan"), "a"),
+    (2, -0.0, None),
+    (3, 0.0, ""),
+    (4, 2.5, "d"),
+]
+
+
+def mixed_db(rows=MIXED_ROWS, deleted=(2,), layout="column"):
+    db = Database(layout)
+    table = db.create_table(MIXED)
+    table.append_rows(rows)
+    for row in deleted:
+        table.mark_deleted(row)
+    db.create_table(TableSchema("empty", [ColumnDef("k", DataType.INT32)]))
+    return db
+
+
+class TestStatesIdentical:
+    @pytest.mark.parametrize("layout", ["column", "row"])
+    def test_fork_holding_nan_is_identical(self, layout):
+        """A NaN is the same bytes after replay: ``nan != nan`` must
+        not make a byte-identical replica look diverged (it did, while
+        the compare ran on tuples of fresh ``.item()`` floats)."""
+        db = mixed_db(layout=layout)
+        assert states_identical(db, db.fork())
+        assert states_identical(db, db)
+        assert states_identical(db, mixed_db(layout=layout))
+        assert states_identical(db, db.clone())
+
+    def test_nan_is_not_a_wildcard(self):
+        other = [(1, 7.0, "a")] + MIXED_ROWS[1:]
+        assert not states_identical(mixed_db(), mixed_db(other))
+        assert not states_identical(mixed_db(other), mixed_db())
+
+    def test_signed_zeros_compare_equal_as_they_did(self):
+        rows = MIXED_ROWS[1:]
+        swapped = [(2, 0.0, None), (3, -0.0, ""), MIXED_ROWS[3]]
+        assert states_identical(mixed_db(rows, (1,)), mixed_db(swapped, (1,)))
+
+    def test_empty_databases_and_tables(self):
+        assert states_identical(Database(), Database())
+        assert states_identical(mixed_db(rows=[], deleted=()),
+                                mixed_db(rows=[], deleted=()))
+
+    @pytest.mark.parametrize(
+        "rows, deleted",
+        [
+            ([(1, float("nan"), "a"), (2, -0.0, None), (3, 0.0, ""),
+              (4, 2.5, "x")], (2,)),                       # one string cell
+            ([(1, float("nan"), "a"), (2, -0.0, None), (3, 0.0, ""),
+              (5, 2.5, "d")], (2,)),                       # one int cell
+            ([(1, float("nan"), "a"), (2, -0.0, ""), (3, 0.0, ""),
+              (4, 2.5, "d")], (2,)),                       # None vs ""
+            ([MIXED_ROWS[1], MIXED_ROWS[0]] + MIXED_ROWS[2:], (2,)),  # order
+            (MIXED_ROWS, ()),                              # tombstone cleared
+            (MIXED_ROWS, (1,)),                            # tombstone moved
+            (MIXED_ROWS[:3], (2,)),                        # a row short
+            (MIXED_ROWS + [(5, 1.0, "e")], (2,)),          # a row long
+        ],
+    )
+    def test_any_difference_is_rejected(self, rows, deleted):
+        assert not states_identical(mixed_db(), mixed_db(rows, deleted))
+        assert not states_identical(mixed_db(rows, deleted), mixed_db())
+
+    def test_table_sets_must_match(self):
+        extra = mixed_db()
+        extra.create_table(TableSchema("more", [ColumnDef("k", DataType.INT32)]))
+        assert not states_identical(mixed_db(), extra)
+        assert not states_identical(extra, mixed_db())
+
+    def test_agrees_with_physical_state_where_no_nan(self):
+        rows = MIXED_ROWS[1:]
+        a, b = mixed_db(rows, (0,)), mixed_db(rows, (0,), layout="row")
+        assert a.physical_state() == b.physical_state()
+        assert states_identical(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Redo capture and replay.
 # ---------------------------------------------------------------------------
 class TestRedoCaptureReplay:

@@ -115,6 +115,38 @@ class TestDatabase:
         assert db.index("acct_pk").probe(20) == 1
         assert db.index("acct_by_owner").probe_all(1) == [0, 1]
 
+    def test_index_skips_tombstoned_rows(self):
+        db = build_db()
+        db.table("acct").mark_deleted(1)
+        assert dict(db.create_index("pk2", "acct", ["id"]).items()) == {
+            10: 0, 30: 2,
+        }
+        by_owner = db.create_index(
+            "by_owner2", "acct", ["owner", "balance"], unique=False
+        )
+        assert list(by_owner.items()) == [((1, 100), [0]), ((2, 300), [2])]
+
+    def test_unique_index_over_duplicates_rejected(self):
+        db = build_db()
+        with pytest.raises(IndexError_, match="duplicate key 1 in unique"):
+            db.create_index("owner_pk", "acct", ["owner"])
+        assert "owner_pk" not in db.indexes
+
+    def test_index_and_static_map_share_one_namespace(self):
+        """``probe(name)`` answers from the static map first, so an
+        index registered under a map's name would be unreachable."""
+        db = build_db()
+        with pytest.raises(CatalogError, match="already exists"):
+            db.create_index("alias", "acct", ["id"])
+        assert "alias" not in db.indexes
+        with pytest.raises(CatalogError, match="already exists"):
+            db.create_static_map("acct_pk", {"x": 1})
+        assert "acct_pk" not in db.static_maps
+        with pytest.raises(CatalogError, match="already exists"):
+            db.create_index("acct_pk", "acct", ["id"])
+        assert StoreAdapter(db).probe("alias", "first") == 10
+        assert StoreAdapter(db).probe("acct_pk", 20) == 1
+
     def test_bad_layout_rejected(self):
         with pytest.raises(CatalogError):
             Database("diagonal")
