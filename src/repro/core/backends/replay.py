@@ -24,6 +24,7 @@ device addresses of cells in tables whose row count moves mid-kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,10 +35,45 @@ from repro.gpu.simt import KernelReport, ThreadOutcome, warp_layout
 
 from repro.core.backends.wave import HANDLE_BASE, TraceRecorder, WaveStore
 
-#: Op kinds whose single-group issue charge is one plain instruction.
-_PLAIN_ISSUE_KINDS = (
-    op_ir.SET_BRANCH,
-    op_ir.ABORT,
+#: Rows of the event matrix: one column per recorded (thread, op)
+#: event. Rows 0-3 are the divergence-group key -- a warp's live
+#: threads of one round group by ``(branch, kind)`` -- and the branch
+#: row holds ``tag + 1`` so the untagged -1 packs as 0. Rows 2-6 are
+#: constant per recorded step and filled by one ``repeat`` of the step
+#: table; the thread row is a sort key only and is not carried into
+#: the sorted matrix.
+_ROUND, _WARP, _BRANCH, _KIND, _AMOUNT, _WIDTH, _STEP, _ADDR, _ADDR2, _THREAD = (
+    range(10)
+)
+
+_N_KINDS = max(op_ir.VECTORIZABLE_KINDS) + 1
+
+#: What one divergence group of each op kind charges: (does it pack
+#: its members' addresses into memory transactions, memory
+#: instructions -- the latency unit --, plain warp instructions). A
+#: LOCK_RELEASE group charges exactly like a READ/WRITE group (the
+#: interpreter coalesces the released lock words); a probe touches two
+#: words per member and issues twice. Kinds not listed charge nothing
+#: here: LOCK_ACQUIRE pass events (the acquire-round charges, which
+#: depend on blocked spinners absent from the trace, arrive via
+#: ``schedule``) and COMPUTE/SFU groups (charged by amount).
+_KIND_CHARGES = {
+    op_ir.READ: (1, 1, 1),
+    op_ir.WRITE: (1, 1, 1),
+    op_ir.LOCK_RELEASE: (1, 1, 1),
+    op_ir.INDEX_PROBE: (1, 1, 2),
+    op_ir.INSERT_ROW: (0, 1, 1),
+    op_ir.DELETE_ROW: (0, 1, 1),
+    op_ir.SET_BRANCH: (0, 0, 1),
+    op_ir.ABORT: (0, 0, 1),
+}
+#: The three columns as lookup tables indexed by op kind.
+_COALESCED, _MEM_INSTRUCTIONS, _PLAIN_ISSUES = (
+    np.array(
+        [_KIND_CHARGES.get(kind, (0, 0, 0))[i] for kind in range(_N_KINDS)],
+        dtype=dtype,
+    )
+    for i, dtype in enumerate((bool, np.int64, np.float64))
 )
 
 
@@ -78,28 +114,34 @@ class ScheduleOverrides:
     divergent_serializations: int
 
 
-def _pack_sort(*keys: np.ndarray) -> np.ndarray:
+def _pack_sort(keys: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarray:
     """``np.lexsort`` with the keys packed into one int64 argsort.
 
-    ``keys`` are given most-significant first (the reverse of
-    lexsort's convention). All keys must be non-negative except the
-    last-resort fallback handles anything. A single argsort over the
+    ``keys`` are int64 arrays, most-significant first (the reverse of
+    lexsort's convention), with ``0 <= keys[i] <= bounds[i]`` -- the
+    caller knows how far a round, a warp id or a thread id can reach,
+    so no key is scanned for its range. A single argsort over the
     packed key is several times faster than lexsort's one argsort per
-    key, which matters in the replay hot path.
+    key, which matters in the replay hot path; bounds too wide to pack
+    into 62 bits fall back to lexsort.
     """
-    bits = []
-    for k in keys:
-        hi = int(k.max()) if len(k) else 0
-        lo = int(k.min()) if len(k) else 0
-        if lo < 0:
-            return np.lexsort(tuple(reversed(keys)))
-        bits.append(max(1, hi.bit_length()))
+    bits = [max(1, int(b).bit_length()) for b in bounds]
     if sum(bits) > 62:
         return np.lexsort(tuple(reversed(keys)))
-    packed = np.zeros(len(keys[0]), dtype=np.int64)
-    for k, b in zip(keys, bits):
-        packed = (packed << b) | k.astype(np.int64)
+    packed = keys[0].copy()
+    for k, b in zip(keys[1:], bits[1:]):
+        packed <<= b
+        packed |= k
     return np.argsort(packed, kind="stable")
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Per column of the sorted key rows ``keys``: does it differ from
+    the column before it (the first one always does)?"""
+    fresh = np.empty(keys.shape[1], dtype=bool)
+    fresh[:1] = True
+    np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=fresh[1:])
+    return fresh
 
 
 def replay_kernel(
@@ -125,189 +167,128 @@ def replay_kernel(
         stats.rounds = int(recorder.op_count.max()) if n_threads else 0
         layout = warp_layout(n_threads, engine.block_size, spec)
     bounds, sm_warp_ids, resident, warp_of, sm_of_warp = layout
-    for sm in range(spec.num_sms):
-        stats.resident_warps[sm] = resident[sm]
+    stats.resident_warps = list(resident)
 
-    # ---- flatten steps into event arrays ------------------------------
+    # ---- flatten steps into the event matrix --------------------------
     steps = recorder.steps
-    sizes = [len(s.lanes) for s in steps]
-    E = int(sum(sizes))
+    sizes = [len(step.lanes) for step in steps]
+    offsets = [0, *accumulate(sizes)]
+    E = offsets[-1]
     stats.ops_executed = E
-    offsets = np.zeros(len(steps) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    # Per-step-constant fields flatten with one repeat each; per-lane
-    # fields with one concatenate each -- no per-step python slicing.
-    ev_thread = (
-        np.concatenate([s.lanes for s in steps])
-        if steps else np.zeros(0, dtype=np.int64)
-    )
-    ev_round = (
-        np.concatenate([s.rounds for s in steps])
-        if steps else np.zeros(0, dtype=np.int64)
-    )
-    ev_kind = np.repeat(
-        np.fromiter((s.kind for s in steps), np.int64, len(steps)), sizes_arr
-    )
-    ev_branch = np.concatenate(
-        [
-            s.branch
-            if isinstance(s.branch, np.ndarray)
-            else np.full(len(s.lanes), s.branch, dtype=np.int64)
-            for s in steps
-        ]
-    ) if steps else np.zeros(0, dtype=np.int64)
-    ev_amount = np.repeat(
-        np.fromiter((s.amount for s in steps), np.int64, len(steps)),
-        sizes_arr,
-    )
-    ev_width = np.repeat(
-        np.fromiter((s.width for s in steps), np.int64, len(steps)), sizes_arr
-    )
-    ev_step = np.repeat(np.arange(len(steps), dtype=np.int64), sizes_arr)
-    ev_addr = np.full(E, -1, dtype=np.int64)
-    ev_addr2 = np.full(E, -1, dtype=np.int64)
-    ev_payload = np.full(E, -1, dtype=np.int64)
+    ev = np.empty((10, E), dtype=np.int64)
     deferred_steps: List[int] = []
-    for i, step in enumerate(steps):
-        if step.addr is not None:
+    if steps:
+        np.concatenate([step.rounds for step in steps], out=ev[_ROUND])
+        np.concatenate([step.lanes for step in steps], out=ev[_THREAD])
+        np.take(warp_of, ev[_THREAD], out=ev[_WARP])
+        # Rows _BRANCH.._STEP: one repeat of the per-step table (a
+        # step's per-lane branch tags are written over its 0 below).
+        table = np.array(
+            [
+                [
+                    0 if isinstance(step.branch, np.ndarray) else step.branch + 1
+                    for step in steps
+                ],
+                [step.kind for step in steps],
+                [step.amount for step in steps],
+                [step.width for step in steps],
+                range(len(steps)),
+            ],
+            dtype=np.int64,
+        )
+        ev[_BRANCH:_ADDR] = np.repeat(table, sizes, axis=1)
+        ev[_ADDR:_THREAD] = -1
+        for i, step in enumerate(steps):
             lo, hi = offsets[i], offsets[i + 1]
-            if step.addr.ndim == 2:
-                ev_addr[lo:hi] = step.addr[:, 0]
-                ev_addr2[lo:hi] = step.addr[:, 1]
+            if isinstance(step.branch, np.ndarray):
+                np.add(step.branch, 1, out=ev[_BRANCH, lo:hi])
+            if step.addr is None:
+                if step.deferred is not None:
+                    deferred_steps.append(i)
+            elif step.addr.ndim == 2:
+                ev[_ADDR:_THREAD, lo:hi] = step.addr.T
             else:
-                ev_addr[lo:hi] = step.addr
-        elif step.deferred is not None:
-            deferred_steps.append(i)
-        if step.payload is not None:
-            lo, hi = offsets[i], offsets[i + 1]
-            ev_payload[lo:hi] = step.payload
-    ev_warp = warp_of[ev_thread]
-    ev_sm = sm_of_warp[ev_warp]
+                ev[_ADDR, lo:hi] = step.addr
+    # How far each sort key can reach (round, warp, branch, kind, thread).
+    key_bounds = (
+        stats.rounds, len(bounds), int(ev[_BRANCH].max()) if E else 0,
+        _N_KINDS, n_threads,
+    )
 
     # ---- interpreter event order (mutations, moving addresses) --------
-    need_order = bool(
-        deferred_steps or store.pending_inserts or store.pending_deletes
-    )
-    if need_order:
+    if deferred_steps or store.pending_inserts or store.pending_deletes:
         _resolve_order_and_addresses(
-            recorder, store, bounds, sm_warp_ids, sm_of_warp,
-            ev_thread, ev_round, ev_kind, ev_branch, ev_warp,
-            ev_addr, ev_width, ev_payload, ev_step, offsets, deferred_steps,
-            schedule=schedule,
+            recorder, store, layout, ev, offsets, deferred_steps,
+            key_bounds, schedule,
         )
 
     # ---- group events exactly like _step_warp -------------------------
-    order = _pack_sort(ev_round, ev_warp, ev_branch + 1, ev_kind, ev_thread)
-    s_round = ev_round[order]
-    s_warp = ev_warp[order]
-    s_branch = ev_branch[order]
-    s_kind = ev_kind[order]
-    s_sm = ev_sm[order]
-    s_amount = ev_amount[order]
-    s_width = ev_width[order]
-    s_addr = ev_addr[order]
-    s_addr2 = ev_addr2[order]
-    s_step = ev_step[order]
-    fresh = np.ones(E, dtype=bool)
-    if E > 1:
-        fresh[1:] = (
-            (s_round[1:] != s_round[:-1])
-            | (s_warp[1:] != s_warp[:-1])
-            | (s_branch[1:] != s_branch[:-1])
-            | (s_kind[1:] != s_kind[:-1])
-        )
+    order = _pack_sort(
+        (ev[_ROUND], ev[_WARP], ev[_BRANCH], ev[_KIND], ev[_THREAD]),
+        key_bounds,
+    )
+    # One gather sorts every column; the unsorted matrix goes at once
+    # (two event matrices alive is the replay's memory high-water mark).
+    se = ev[:_THREAD, order]
+    del ev
+    fresh = _group_starts(se[: _KIND + 1])
     g_start = np.flatnonzero(fresh)
     n_groups = len(g_start)
-    g_end = np.append(g_start[1:], E)
-    g_kind = s_kind[g_start]
-    g_sm = s_sm[g_start]
-    g_last = g_end - 1
-    group_of_event = np.cumsum(fresh) - 1
+    g_end = np.empty_like(g_start)
+    g_end[:-1] = g_start[1:]
+    g_end[-1:] = E
+    group_of_event = np.cumsum(fresh)
+    group_of_event -= 1
+    g = se[: _KIND + 1, g_start]
+    g_kind = g[_KIND]
+    g_sm = sm_of_warp[g[_WARP]]
 
     # Divergence: groups per (round, warp) beyond the first serialise.
-    wr_fresh = np.ones(n_groups, dtype=bool)
-    if n_groups > 1:
-        wr_fresh[1:] = (
-            (s_round[g_start][1:] != s_round[g_start][:-1])
-            | (s_warp[g_start][1:] != s_warp[g_start][:-1])
-        )
-    wr_sizes = np.diff(np.append(np.flatnonzero(wr_fresh), n_groups))
-    stats.divergent_serializations = int(np.sum(wr_sizes - 1))
+    stats.divergent_serializations = n_groups - int(
+        np.count_nonzero(_group_starts(g[: _WARP + 1]))
+    )
     if schedule is not None:
         stats.divergent_serializations += schedule.divergent_serializations
         stats.spin_iterations += schedule.spin_iterations
         stats.atomic_conflicts += schedule.atomic_conflicts
 
-    issue = np.zeros(spec.num_sms, dtype=np.float64)
-    mem_tx = np.zeros(spec.num_sms, dtype=np.int64)
-    mem_instr = np.zeros(spec.num_sms, dtype=np.int64)
-    mem_bytes = np.zeros(spec.num_sms, dtype=np.int64)
-    atomic_cycles = np.zeros(spec.num_sms, dtype=np.float64)
+    # Per-group charges, summed by SM at the end.
     seg = spec.memory_transaction_bytes
     plain = cost.issue_plain()
+    g_issue = _PLAIN_ISSUES[g_kind] * plain
+    g_instr = _MEM_INSTRUCTIONS[g_kind]
+    atomic_cycles = np.zeros(spec.num_sms, dtype=np.float64)
 
-    def charge_coalesced(kinds: Tuple[int, ...], probe: bool) -> None:
-        g_mask = np.isin(g_kind, kinds)
-        gs = np.flatnonzero(g_mask)
-        if len(gs) == 0:
-            return
-        e_mask = np.isin(s_kind, kinds)
-        es = np.flatnonzero(e_mask)
-        # Dense sub-group ids for the selected events.
-        sub_of = np.full(n_groups, -1, dtype=np.int64)
-        sub_of[gs] = np.arange(len(gs))
-        sub_idx = sub_of[group_of_event[es]]
-        widths = s_width[g_last][gs][sub_idx]  # the group's *last* width
-        addrs = s_addr[es]
-        if probe:
-            addrs = np.concatenate([addrs, s_addr2[es]])
-            sub_idx = np.concatenate([sub_idx, sub_idx])
-            widths = np.concatenate([widths, widths])
-        ntx = cost.coalesce_groups(sub_idx, addrs, widths, len(gs))
-        sms = g_sm[gs]
-        np.add.at(mem_tx, sms, ntx)
-        np.add.at(mem_bytes, sms, ntx * seg)
-        np.add.at(mem_instr, sms, 1)
-        np.add.at(issue, sms, (2 * plain) if probe else plain)
-
-    # LOCK_RELEASE groups charge exactly like a READ/WRITE group: the
-    # interpreter coalesces the released lock words and issues one
-    # plain instruction per group (LOCK_ACQUIRE pass events carry no
-    # charge here -- the acquire-round charges, which depend on
-    # blocked spinners absent from the trace, arrive via ``schedule``).
-    charge_coalesced(
-        (op_ir.READ, op_ir.WRITE, op_ir.LOCK_RELEASE), probe=False
+    # Coalesced accesses of every kind in one pass: each member's
+    # address, plus a probe's second word, at the group's *last* width.
+    es = np.flatnonzero(_COALESCED[g_kind][group_of_event])
+    gids = group_of_event[es]
+    addrs = se[_ADDR, es]
+    probes = np.flatnonzero(se[_KIND, es] == op_ir.INDEX_PROBE)
+    if len(probes):
+        addrs = np.concatenate([addrs, se[_ADDR2, es[probes]]])
+        gids = np.concatenate([gids, gids[probes]])
+    g_tx = cost.coalesce_groups(
+        gids, addrs, se[_WIDTH, g_end - 1][gids], n_groups
     )
-    charge_coalesced((op_ir.INDEX_PROBE,), probe=True)
 
     # Undo-log flush: a WRITE group whose members journalled
     # before-images appends them consecutively in device memory --
     # one extra memory instruction per group, sized by the member
     # count (16 B per record, Appendix D).
-    undo_flags = [s.undo is not None and s.undo.any() for s in steps]
-    if any(undo_flags):
-        ev_undo = np.concatenate(
-            [
-                s.undo
-                if s.undo is not None
-                else np.zeros(len(s.lanes), dtype=bool)
-                for s in steps
-            ]
-        )[order]
-        write_gs = np.flatnonzero(g_kind == op_ir.WRITE)
-        counts = np.add.reduceat(
-            ev_undo.astype(np.int64), g_start
-        )[write_gs]
-        hot = counts > 0
-        if hot.any():
-            gs_hot = write_gs[hot]
-            ntx = (counts[hot] * 16 + seg - 1) // seg
-            sms = g_sm[gs_hot]
-            np.add.at(mem_tx, sms, ntx)
-            np.add.at(mem_bytes, sms, ntx * seg)
-            np.add.at(mem_instr, sms, 1)
-            np.add.at(issue, sms, plain)
+    undo_steps = [
+        i for i, step in enumerate(steps)
+        if step.undo is not None and step.undo.any()
+    ]
+    if undo_steps:
+        ev_undo = np.zeros(E, dtype=np.int64)
+        for i in undo_steps:
+            ev_undo[offsets[i] : offsets[i + 1]] = steps[i].undo
+        counts = np.add.reduceat(ev_undo[order], g_start)
+        hot = np.flatnonzero((counts > 0) & (g_kind == op_ir.WRITE))
+        g_tx[hot] += (counts[hot] * 16 + seg - 1) // seg
+        g_instr[hot] += 1
+        g_issue[hot] += plain
 
     # Compute / SFU: one issue charge per group, max amount of members.
     for kind, fn in (
@@ -315,22 +296,14 @@ def replay_kernel(
         (op_ir.SFU_COMPUTE, cost.issue_sfu),
     ):
         gs = np.flatnonzero(g_kind == kind)
-        if len(gs) == 0:
-            continue
-        amax = np.maximum.reduceat(s_amount, g_start)[gs]
-        for g, amount in zip(gs, amax):
-            issue[g_sm[g]] += fn(int(amount))
-
-    # Plain-issue-only kinds.
-    gs = np.flatnonzero(np.isin(g_kind, _PLAIN_ISSUE_KINDS))
-    np.add.at(issue, g_sm[gs], plain)
+        if len(gs):
+            amax = np.maximum.reduceat(se[_AMOUNT], g_start)[gs]
+            g_issue[gs] = [fn(amount) for amount in amax.tolist()]
 
     # Inserts: per-event transaction charges from the row width of
-    # each event's step table (widths cached per table), per-group
-    # instruction charges, and the buffer-tail atomicAdd serialization
-    # per (group, table).
-    insert_gs = np.flatnonzero(g_kind == op_ir.INSERT_ROW)
-    if len(insert_gs):
+    # each event's step table (widths cached per table) and the
+    # buffer-tail atomicAdd serialization per (group, table).
+    if (g_kind == op_ir.INSERT_ROW).any():
         width_cache: Dict[str, int] = {}
         step_tids = np.full(len(steps), -1, dtype=np.int64)
         tid_of: Dict[str, int] = {}
@@ -345,27 +318,30 @@ def replay_kernel(
                 )
             step_ntx[i] = (width + seg - 1) // seg
             step_tids[i] = tid_of.setdefault(step.table, len(tid_of))
-        es = np.flatnonzero(s_kind == op_ir.INSERT_ROW)
-        ntx_e = step_ntx[s_step[es]]
-        np.add.at(mem_tx, s_sm[es], ntx_e)
-        np.add.at(mem_bytes, s_sm[es], ntx_e * seg)
-        np.add.at(mem_instr, g_sm[insert_gs], 1)
-        np.add.at(issue, g_sm[insert_gs], plain)
+        es = np.flatnonzero(se[_KIND] == op_ir.INSERT_ROW)
+        e_step = se[_STEP, es]
+        np.add.at(g_tx, group_of_event[es], step_ntx[e_step])
         # (group, table) -> member count; >1 serialises the atomicAdd.
-        pair = group_of_event[es] * len(tid_of) + step_tids[s_step[es]]
+        pair = group_of_event[es] * len(tid_of) + step_tids[e_step]
         pairs, counts = np.unique(pair, return_counts=True)
         for p, count in zip(pairs[counts > 1], counts[counts > 1]):
             sm = int(g_sm[int(p) // len(tid_of)])
             atomic_cycles[sm] += cost.atomic_serialization(int(count))
             stats.atomic_conflicts += int(count) - 1
+    # Deletes: one transaction per member.
     delete_gs = np.flatnonzero(g_kind == op_ir.DELETE_ROW)
-    if len(delete_gs):
-        sizes_g = g_end[delete_gs] - g_start[delete_gs]
-        np.add.at(mem_tx, g_sm[delete_gs], sizes_g)
-        np.add.at(mem_bytes, g_sm[delete_gs], sizes_g * seg)
-        np.add.at(mem_instr, g_sm[delete_gs], 1)
-        np.add.at(issue, g_sm[delete_gs], plain)
+    g_tx[delete_gs] = g_end[delete_gs] - g_start[delete_gs]
 
+    # Per-SM totals of the group columns. Every charge quantum is an
+    # integer-valued number below 2**53, so the float64 sums are exact
+    # whatever the accumulation order.
+    issue, mem_tx, mem_instr = (
+        np.bincount(g_sm, weights=column, minlength=spec.num_sms)
+        for column in (g_issue, g_tx, g_instr)
+    )
+    mem_tx = mem_tx.astype(np.int64)
+    mem_instr = mem_instr.astype(np.int64)
+    mem_bytes = mem_tx * seg
     if schedule is not None:
         # Acquire/spin-phase charges the scheduler accumulated. Every
         # quantum is an integer-valued float (< 2**53), so adding the
@@ -466,27 +442,19 @@ def _warp_visit_ranks(
 def _resolve_order_and_addresses(
     recorder: TraceRecorder,
     store: WaveStore,
-    bounds: List[Tuple[int, int]],
-    sm_warp_ids: List[List[int]],
-    sm_of_warp: np.ndarray,
-    ev_thread: np.ndarray,
-    ev_round: np.ndarray,
-    ev_kind: np.ndarray,
-    ev_branch: np.ndarray,
-    ev_warp: np.ndarray,
-    ev_addr: np.ndarray,
-    ev_width: np.ndarray,
-    ev_payload: np.ndarray,
-    ev_step: np.ndarray,
-    offsets: np.ndarray,
+    layout: Tuple[Any, ...],
+    ev: np.ndarray,
+    offsets: List[int],
     deferred_steps: List[int],
+    key_bounds: Tuple[int, ...],
     schedule: Optional[ScheduleOverrides] = None,
 ) -> None:
     """Compute the interpreter event order over the *order-sensitive
     subset* of events -- staged inserts/deletes plus deferred-address
     reads/writes -- then (a) apply the mutations in it and (b) resolve
     the deferred device addresses against the row counts in effect at
-    each event.
+    each event, into the ``_ADDR`` row of the (unsorted) event matrix
+    ``ev``.
 
     Restricting the ordering to the subset is sound because every
     divergence group that contains a subset event consists entirely of
@@ -494,18 +462,22 @@ def _resolve_order_and_addresses(
     deferred step's whole lane set is deferred), so relative order
     within the subset never depends on excluded events.
     """
-    E = len(ev_thread)
-    sub_mask = (ev_kind == op_ir.INSERT_ROW) | (ev_kind == op_ir.DELETE_ROW)
+    bounds, sm_warp_ids, _resident, _warp_of, sm_of_warp = layout
+    steps = recorder.steps
+    E = ev.shape[1]
+    ev_kind = ev[_KIND]
+    ev_step = ev[_STEP]
+    is_mutation = (ev_kind == op_ir.INSERT_ROW) | (ev_kind == op_ir.DELETE_ROW)
+    sub_mask = is_mutation
     if deferred_steps:
-        sub_mask |= np.isin(
-            ev_step, np.asarray(deferred_steps, dtype=np.int64)
-        )
+        step_deferred = np.zeros(len(steps), dtype=bool)
+        step_deferred[deferred_steps] = True
+        sub_mask = is_mutation | step_deferred[ev_step]
     sub = np.flatnonzero(sub_mask)
-    s_thread = ev_thread[sub]
-    s_round = ev_round[sub]
-    s_warp = ev_warp[sub]
-    s_kind = ev_kind[sub]
-    s_branch = ev_branch[sub]
+    # Subset columns, in the event matrix's row order.
+    keys = ev[: _KIND + 1, sub]
+    s_round, s_warp, s_branch, s_kind = keys
+    s_thread = ev[_THREAD, sub]
     S = len(sub)
 
     if schedule is not None:
@@ -523,22 +495,21 @@ def _resolve_order_and_addresses(
     s_sm = sm_of_warp[s_warp]
     # First-occurrence order of each (round, warp, branch, kind) group
     # = the minimum member thread id (members iterate in warp order).
-    order_g = _pack_sort(s_round, s_warp, s_branch + 1, s_kind, s_thread)
-    fresh = np.ones(S, dtype=bool)
-    if S > 1:
-        fresh[1:] = (
-            (s_round[order_g][1:] != s_round[order_g][:-1])
-            | (s_warp[order_g][1:] != s_warp[order_g][:-1])
-            | (s_branch[order_g][1:] != s_branch[order_g][:-1])
-            | (s_kind[order_g][1:] != s_kind[order_g][:-1])
-        )
+    order_g = _pack_sort(
+        (s_round, s_warp, s_branch, s_kind, s_thread), key_bounds
+    )
+    fresh = _group_starts(keys[:, order_g])
     group_of_sorted = np.cumsum(fresh) - 1
     g_min_thread = np.minimum.reduceat(
         s_thread[order_g], np.flatnonzero(fresh)
     ) if S else np.zeros(0, dtype=np.int64)
     s_gfirst = np.empty(S, dtype=np.int64)
     s_gfirst[order_g] = g_min_thread[group_of_sorted]
-    sub_order = _pack_sort(s_round, s_sm, s_visit, s_gfirst, s_thread)
+    n_threads = key_bounds[-1]
+    sub_order = _pack_sort(
+        (s_round, s_sm, s_visit, s_gfirst, s_thread),
+        (key_bounds[0], len(sm_warp_ids), len(bounds), n_threads, n_threads),
+    )
     #: Event index -> rank within the ordered subset (-1 elsewhere).
     pos = np.full(E, -1, dtype=np.int64)
     pos[sub[sub_order]] = np.arange(S)
@@ -549,18 +520,29 @@ def _resolve_order_and_addresses(
     # physical ids afterwards (tx_logging.remap_handle_rows).
     handle_row: Dict[int, int] = {}
     store.handle_row = handle_row
-    mut_events = np.flatnonzero(
-        (ev_kind == op_ir.INSERT_ROW) | (ev_kind == op_ir.DELETE_ROW)
-    )
+    mut_events = np.flatnonzero(is_mutation)
     mut_events = mut_events[np.argsort(pos[mut_events])]
+    # Insert handles / delete encoded rows of the mutating events.
+    ev_payload = np.full(E, -1, dtype=np.int64)
+    for i, step in enumerate(steps):
+        if step.payload is not None:
+            ev_payload[offsets[i] : offsets[i + 1]] = step.payload
+    #: (is insert, payload, step) per mutating event, in event order.
+    mutations = list(
+        zip(
+            (ev_kind[mut_events] == op_ir.INSERT_ROW).tolist(),
+            ev_payload[mut_events].tolist(),
+            ev_step[mut_events].tolist(),
+        )
+    )
     # Inserts-before prefix per mutating table (by subset rank), for
     # address resolution on tables whose row count moves mid-kernel.
     inserts_before: Dict[str, np.ndarray] = {}
     if deferred_steps:
-        is_insert = (ev_kind[sub] == op_ir.INSERT_ROW).astype(np.int64)
+        is_insert = (s_kind == op_ir.INSERT_ROW).astype(np.int64)
         for table in store.mutating_tables:
             table_mask = np.zeros(E, dtype=bool)
-            for i, step in enumerate(recorder.steps):
+            for i, step in enumerate(steps):
                 if step.kind == op_ir.INSERT_ROW and step.table == table:
                     table_mask[offsets[i] : offsets[i + 1]] = True
             ordered = (is_insert * table_mask[sub])[sub_order]
@@ -574,9 +556,9 @@ def _resolve_order_and_addresses(
         t: store.addressing(t).n_rows for t in store.mutating_tables
     }
     predicted: Dict[str, int] = dict(base_rows)
-    for e in mut_events:
-        if ev_kind[e] == op_ir.INSERT_ROW:
-            handle = int(ev_payload[e]) - HANDLE_BASE
+    for is_ins, payload, _step in mutations:
+        if is_ins:
+            handle = payload - HANDLE_BASE
             table, _values = store.pending_inserts[handle]
             handle_row[handle] = predicted[table]
             predicted[table] += 1
@@ -603,9 +585,9 @@ def _resolve_order_and_addresses(
         run_values.clear()
         run_rows.clear()
 
-    for e in mut_events:
-        if ev_kind[e] == op_ir.INSERT_ROW:
-            handle = int(ev_payload[e]) - HANDLE_BASE
+    for is_ins, payload, step_i in mutations:
+        if is_ins:
+            handle = payload - HANDLE_BASE
             table, values = store.pending_inserts[handle]
             if table not in run_values:
                 run_tables.append(table)
@@ -615,10 +597,10 @@ def _resolve_order_and_addresses(
             run_rows[table].append(handle_row[handle])
         else:
             flush_inserts()
-            row_enc = int(ev_payload[e])
+            row_enc = payload
             if row_enc >= HANDLE_BASE:
                 row_enc = handle_row[row_enc - HANDLE_BASE]
-            adapter.delete(recorder.steps[ev_step[e]].table, row_enc)
+            adapter.delete(steps[step_i].table, row_enc)
     flush_inserts()
 
     # Writes to rows staged by a same-launch insert, now that the
@@ -631,8 +613,7 @@ def _resolve_order_and_addresses(
 
     # Resolve deferred addresses with the per-event row counts.
     for i in deferred_steps:
-        step = recorder.steps[i]
-        table, column, rows_enc = step.deferred
+        table, column, rows_enc = steps[i].deferred
         lo, hi = offsets[i], offsets[i + 1]
         rows = rows_enc.astype(np.int64).copy()
         handles = rows >= HANDLE_BASE
@@ -641,4 +622,4 @@ def _resolve_order_and_addresses(
         info = store.addressing(table)
         n_at = base_rows[table] + inserts_before[table][pos[lo:hi]]
         addr, _width = info.addresses(column, rows, n_rows=n_at)
-        ev_addr[lo:hi] = addr
+        ev[_ADDR, lo:hi] = addr

@@ -197,9 +197,7 @@ class VectorizedBackend(InterpretedBackend):
                 # partition wrapper's SetBranch executes under the
                 # *previous* branch tag, then the stored procedure's
                 # own wrapper issues a second (now same-tag) SetBranch.
-                recorder.record(
-                    op_ir.SET_BRANCH, lanes, cur_branch[lanes].copy()
-                )
+                recorder.record(op_ir.SET_BRANCH, lanes, cur_branch[lanes])
                 cur_branch[lanes] = type_id
                 ctx = WaveContext(
                     recorder, store, lanes, type_id, txns_slot,
@@ -220,8 +218,7 @@ class VectorizedBackend(InterpretedBackend):
                     )
             # Loop bookkeeping between transactions (one Compute op).
             recorder.record(
-                op_ir.COMPUTE, lanes_slot, cur_branch[lanes_slot].copy(),
-                amount=2,
+                op_ir.COMPUTE, lanes_slot, cur_branch[lanes_slot], amount=2
             )
         outcomes = [
             ThreadOutcome(

@@ -51,9 +51,15 @@ from repro.storage.catalog import Database, StoreAdapter, static_map_cost_base
 #: (handle = encoded - HANDLE_BASE); real row ids stay below it.
 HANDLE_BASE = 1 << 44
 
+#: Byte offsets of the two 8-byte words one index probe touches,
+#: relative to its cost-address base.
+_PROBE_WORDS = np.array([0, 8], dtype=np.int64)
+
 
 class _TableAddressing:
-    """Precomputed device-address arithmetic for one table."""
+    """Device-address arithmetic for one table over one launch: the
+    schema's static layout (:attr:`TableSchema.device_columns`, built
+    once per schema) plus the row count as the launch found it."""
 
     __slots__ = ("base", "n_rows", "columns")
 
@@ -64,18 +70,18 @@ class _TableAddressing:
         #: column -> (resident prefix weight, width). The column's
         #: device offset is ``pre_w * max(n_rows, 1)`` -- the layout
         #: contract of ColumnTable.column_device_offset.
-        self.columns: Dict[str, Tuple[int, int]] = {}
-        pre_w = 0
-        for col in tbl.schema.columns:
-            self.columns[col.name] = (pre_w, col.width)
-            if col.device_resident:
-                pre_w += col.width
+        self.columns = tbl.schema.device_columns
 
-    def addresses(self, column: str, rows: np.ndarray, n_rows: Any = None):
-        """Vectorized ColumnTable.cell_address + table base."""
+    def addresses(
+        self, column: str, rows: np.ndarray, n_rows: Optional[np.ndarray] = None
+    ):
+        """Vectorized ColumnTable.cell_address + table base, at the
+        launch's row count or at per-row counts ``n_rows``."""
         pre_w, width = self.columns[column]
-        n = self.n_rows if n_rows is None else n_rows
-        offset = pre_w * np.maximum(n, 1)
+        if n_rows is None:
+            offset = pre_w * max(self.n_rows, 1)
+        else:
+            offset = pre_w * np.maximum(n_rows, 1)
         return self.base + offset + rows * width, width
 
 
@@ -229,12 +235,14 @@ class WaveStore:
             base = np.fromiter(
                 (cost_base(k) for k in keys), np.int64, len(keys)
             )
-        return np.stack([base, base + 8], axis=1)
+        return base[:, None] + _PROBE_WORDS
 
     # -- gathers ---------------------------------------------------------
     def gather(self, table: str, column: str, rows_enc: np.ndarray) -> np.ndarray:
         """Bulk read, resolving staged-insert handles from the overlay."""
         tbl = self.db.table(table)
+        if not self.pending_inserts:  # nothing staged: no handle to find
+            return tbl.gather(column, rows_enc)
         handles = rows_enc >= HANDLE_BASE
         if not handles.any():
             return tbl.gather(column, rows_enc)
@@ -633,8 +641,10 @@ class TraceRecorder:
             )
         if len(lanes) == 0:
             return
-        rounds = self.round_base[lanes] + self.op_count[lanes]
-        self.op_count[lanes] += 1
+        count = self.op_count[lanes]
+        rounds = self.round_base[lanes] + count
+        count += 1
+        self.op_count[lanes] = count
         if kind == op_ir.WRITE and self.undo_capture is not None:
             kw["undo"] = self.undo_capture[lanes]
         self.steps.append(Step(kind, lanes, rounds, branch, **kw))
@@ -775,16 +785,34 @@ class WaveContext(KernelContext):
         #: return arrays without the small-array numpy overhead.
         self._one = self.n == 1
         self._lane0 = int(lanes[0]) if self._one else -1
+        #: True until the first lane finishes or aborts: while it holds,
+        #: an unmasked op applies to ``lanes`` as they are and no mask
+        #: is built, reduced or indexed with.
+        self._all_active = True
 
     # -- mask plumbing ---------------------------------------------------
-    def _mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        return self.active if mask is None else (self.active & mask)
+    def _select(self, mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Local indices of the active lanes under ``mask``, ascending;
+        None when that is every lane of the sub-wave."""
+        if mask is None:
+            if self._all_active:
+                return None
+            m = self.active
+        else:
+            m = self.active & mask
+        return None if m.all() else np.flatnonzero(m)
 
-    def _record(self, kind: int, m: np.ndarray, **kw: Any) -> None:
-        self.recorder.record(kind, self.lanes[m], self.type_id, **kw)
+    def _record(self, kind: int, idx: Optional[np.ndarray], **kw: Any) -> None:
+        """Record one op on the lanes :meth:`_select` picked."""
+        self.recorder.record(
+            kind,
+            self.lanes if idx is None else self.lanes[idx],
+            self.type_id,
+            **kw,
+        )
 
     def _on1(self, mask: Optional[np.ndarray]) -> bool:
-        """Single-lane ``_mask(mask).all()`` without the array ops."""
+        """Single-lane ``_select(mask) is None`` without the array ops."""
         if not self.active[0]:
             return False
         return mask is None or bool(mask[0])
@@ -798,7 +826,7 @@ class WaveContext(KernelContext):
                     op_ir.SET_BRANCH, self._lane0, self.type_id
                 )
             return
-        self._record(op_ir.SET_BRANCH, self._mask(None))
+        self._record(op_ir.SET_BRANCH, self._select(None))
 
     def _record_probe1(self, index: str, key: Any) -> None:
         base = int(self.store.probe_cost_base1(index, key))
@@ -818,16 +846,18 @@ class WaveContext(KernelContext):
             row = self.store.probe_unique1(index, key)
             self._record_probe1(index, key)
             return np.array((row,), dtype=np.int64)
-        m = self._mask(mask)
-        idx = None if m.all() else np.flatnonzero(m)
-        out = np.full(self.n, -1, dtype=np.int64)
-        if idx is not None and len(idx) == 0:
-            return out
+        idx = self._select(mask)
         keys_m = _python_keys(keys, idx)
-        out[m] = self.store.probe_unique(index, keys_m)
+        if idx is None:
+            out = self.store.probe_unique(index, keys_m)
+        else:
+            out = np.full(self.n, -1, dtype=np.int64)
+            if len(idx) == 0:
+                return out
+            out[idx] = self.store.probe_unique(index, keys_m)
         self._record(
             op_ir.INDEX_PROBE,
-            m,
+            idx,
             addr=self.store.probe_cost_addresses(index, keys_m),
         )
         return out
@@ -851,22 +881,23 @@ class WaveContext(KernelContext):
                 np.array([rows or (0,)], dtype=np.int64),
                 np.array((len(rows),), dtype=np.int64),
             )
-        m = self._mask(mask)
-        idx = np.flatnonzero(m)
-        if len(idx) == 0:
+        idx = self._select(mask)
+        if idx is not None and len(idx) == 0:
             return _padded([()] * self.n)
         keys_m = _python_keys(keys, idx)
-        rows_m, counts_m = _padded(self.store.probe_multi(index, keys_m))
+        rows, counts = _padded(self.store.probe_multi(index, keys_m))
         self._record(
             op_ir.INDEX_PROBE,
-            m,
+            idx,
             addr=self.store.probe_cost_addresses(index, keys_m),
         )
-        rows = np.zeros((self.n, rows_m.shape[1]), dtype=np.int64)
-        counts = np.zeros(self.n, dtype=np.int64)
-        rows[idx] = rows_m
-        counts[idx] = counts_m
-        return rows, counts
+        if idx is None:
+            return rows, counts
+        rows_n = np.zeros((self.n, rows.shape[1]), dtype=np.int64)
+        counts_n = np.zeros(self.n, dtype=np.int64)
+        rows_n[idx] = rows
+        counts_n[idx] = counts
+        return rows_n, counts_n
 
     def read(
         self,
@@ -882,12 +913,11 @@ class WaveContext(KernelContext):
             out = self.store.gather1(table, column, row_enc)
             self._record_mem1(op_ir.READ, table, column, row_enc)
             return out
-        m = self._mask(mask)
-        if m.all():
+        idx = self._select(mask)
+        if idx is None:
             out = self.store.gather(table, column, rows)
-            self._record_mem(op_ir.READ, m, table, column, rows)
+            self._record_mem(op_ir.READ, None, table, column, rows)
             return out
-        idx = np.flatnonzero(m)
         if len(idx) == 0:
             return np.zeros(self.n)
         rows_m = rows[idx]
@@ -896,8 +926,8 @@ class WaveContext(KernelContext):
             out = np.empty(self.n, dtype=object)
         else:
             out = np.zeros(self.n, dtype=values.dtype)
-        out[m] = values
-        self._record_mem(op_ir.READ, m, table, column, rows_m)
+        out[idx] = values
+        self._record_mem(op_ir.READ, idx, table, column, rows_m)
         return out
 
     def write(
@@ -938,12 +968,14 @@ class WaveContext(KernelContext):
                 )
             self._record_mem1(op_ir.WRITE, table, column, row_enc)
             return
-        m = self._mask(mask)
-        idx = np.flatnonzero(m)
-        if len(idx) == 0:
-            return
-        rows_m = np.asarray(rows)[idx]
-        values_m = np.asarray(values)[idx]
+        idx = self._select(mask)
+        rows_m = np.asarray(rows)
+        values_m = np.asarray(values)
+        if idx is not None:
+            if len(idx) == 0:
+                return
+            rows_m = rows_m[idx]
+            values_m = values_m[idx]
         if self.undo is not None:
             # Bulk before-image capture: one overlay-aware gather for
             # the whole step, then per-lane appends in lane order --
@@ -951,10 +983,12 @@ class WaveContext(KernelContext):
             # per-row ``t.undo.append`` exactly. ``.tolist()`` converts
             # numpy scalars at the edge, as ColumnTable.write does.
             olds = self.store.gather(table, column, rows_m).tolist()
-            for i, row, old in zip(idx.tolist(), rows_m.tolist(), olds):
+            lane_ids = range(self.n) if idx is None else idx.tolist()
+            for i, row, old in zip(lane_ids, rows_m.tolist(), olds):
                 self.undo[i].append((table, column, row, old))
-        handles = rows_m >= HANDLE_BASE
-        if handles.any():
+        # A handle row can only name one of this launch's staged inserts.
+        handles = rows_m >= HANDLE_BASE if self.store.pending_inserts else None
+        if handles is not None and handles.any():
             if table not in self.store.mutating_tables:
                 # A handle can only come from this launch's inserts,
                 # which all live in mutating tables -- anything else is
@@ -975,21 +1009,21 @@ class WaveContext(KernelContext):
                 )
         else:
             self.store.adapter.scatter_bulk(table, column, rows_m, values_m)
-        self._record_mem(op_ir.WRITE, m, table, column, rows_m)
+        self._record_mem(op_ir.WRITE, idx, table, column, rows_m)
 
     def _record_mem(
-        self, kind: int, m: np.ndarray, table: str, column: str,
+        self, kind: int, idx: Optional[np.ndarray], table: str, column: str,
         rows_m: np.ndarray,
     ) -> None:
         info = self.store.addressing(table)
         if table in self.store.mutating_tables:
             _, width = info.columns[column]
             self._record(
-                kind, m, width=width, deferred=(table, column, rows_m)
+                kind, idx, width=width, deferred=(table, column, rows_m)
             )
         else:
             addr, width = info.addresses(column, rows_m)
-            self._record(kind, m, addr=addr, width=width)
+            self._record(kind, idx, addr=addr, width=width)
 
     def _record_mem1(
         self, kind: int, table: str, column: str, row_enc: int
@@ -1016,7 +1050,7 @@ class WaveContext(KernelContext):
                     op_ir.COMPUTE, self._lane0, self.type_id, amount=amount
                 )
             return
-        self._record(op_ir.COMPUTE, self._mask(mask), amount=amount)
+        self._record(op_ir.COMPUTE, self._select(mask), amount=amount)
 
     def sfu(self, amount: int, mask: Optional[np.ndarray] = None) -> None:
         if self._one:
@@ -1026,7 +1060,7 @@ class WaveContext(KernelContext):
                     amount=amount,
                 )
             return
-        self._record(op_ir.SFU_COMPUTE, self._mask(mask), amount=amount)
+        self._record(op_ir.SFU_COMPUTE, self._select(mask), amount=amount)
 
     def insert(
         self,
@@ -1045,8 +1079,9 @@ class WaveContext(KernelContext):
             lanes = [0]
             rows = [_python_row0(columns)]
         else:
-            m = self._mask(mask)
-            idx = np.flatnonzero(m)
+            idx = self._select(mask)
+            if idx is None:
+                idx = np.arange(self.n)
             if len(idx) == 0:
                 return np.full(self.n, -1, dtype=np.int64)
             lanes = idx.tolist()
@@ -1073,7 +1108,7 @@ class WaveContext(KernelContext):
             return handles
         out = np.full(self.n, -1, dtype=np.int64)
         out[idx] = handles
-        self._record(op_ir.INSERT_ROW, m, table=table, payload=handles)
+        self._record(op_ir.INSERT_ROW, idx, table=table, payload=handles)
         return out
 
     def delete(
@@ -1082,8 +1117,9 @@ class WaveContext(KernelContext):
         rows: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> None:
-        m = self._mask(mask)
-        idx = np.flatnonzero(m)
+        idx = self._select(mask)
+        if idx is None:
+            idx = np.arange(self.n)
         if len(idx) == 0:
             return
         rows_m = np.asarray(rows)[idx].astype(np.int64)
@@ -1099,7 +1135,7 @@ class WaveContext(KernelContext):
                 table=table, payload=int(rows_m[0]),
             )
         else:
-            self._record(op_ir.DELETE_ROW, m, table=table, payload=rows_m)
+            self._record(op_ir.DELETE_ROW, idx, table=table, payload=rows_m)
 
     # -- control flow ----------------------------------------------------
     def abort_where(self, cond: np.ndarray, reason: str) -> None:
@@ -1117,10 +1153,11 @@ class WaveContext(KernelContext):
             if not m.any():
                 return
             if self.record_abort_ops:
-                self._record(op_ir.ABORT, m)
+                self._record(op_ir.ABORT, np.flatnonzero(m))
         self.committed &= ~m
         self.abort_reason[m] = reason
         self.active &= ~m
+        self._all_active = False
 
     def finish_where(self, mask: np.ndarray, *columns: np.ndarray) -> None:
         """Lanes in ``mask`` return their entries of the result
@@ -1141,6 +1178,7 @@ class WaveContext(KernelContext):
                 count=self.n,
             )[m]
         self.active &= ~m
+        self._all_active = False
 
     def close(self) -> None:
         """Kernel epilogue sanity check: every lane ended or aborted."""

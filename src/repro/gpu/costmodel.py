@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
+
 from repro.gpu.spec import GPUSpec
 
 
@@ -150,11 +152,11 @@ class GpuCostModel:
 
     def coalesce_groups(
         self,
-        group_idx: "np.ndarray",
-        addresses: "np.ndarray",
-        widths: "np.ndarray",
+        group_idx: np.ndarray,
+        addresses: np.ndarray,
+        widths: np.ndarray,
         n_groups: int,
-    ) -> "np.ndarray":
+    ) -> np.ndarray:
         """Array form of :meth:`coalesce` for many warp-group accesses.
 
         ``group_idx`` assigns each address to a dense group id in
@@ -165,8 +167,8 @@ class GpuCostModel:
         :meth:`coalesce` per group -- the vectorized execution
         backend's replay depends on that equivalence.
         """
-        import numpy as np
-
+        if len(addresses) == 0:
+            return np.zeros(n_groups, dtype=np.int64)
         seg = self.spec.memory_transaction_bytes
         first = addresses // seg
         last = (addresses + np.maximum(widths, 1) - 1) // seg
@@ -175,7 +177,7 @@ class GpuCostModel:
         # Sort (group, segment) pairs -- packed into one int64 when the
         # value ranges allow (segments are bounded by the pretend
         # address space), falling back to a two-key lexsort otherwise.
-        seg_bits = max(1, int(segs.max()).bit_length()) if len(segs) else 1
+        seg_bits = max(1, int(segs.max()).bit_length())
         grp_bits = max(1, int(n_groups).bit_length())
         if segs.min() >= 0 and seg_bits + grp_bits <= 62:
             packed = np.sort((gids.astype(np.int64) << seg_bits) | segs)
@@ -206,10 +208,12 @@ class GpuCostModel:
         worst = 0.0
         worst_parts = (0.0, 0.0, 0.0)
         bound = "compute"
-        for sm in range(stats.num_sms):
+        for sm, resident in enumerate(stats.resident_warps):
+            if not resident:
+                continue  # no warp placed: nothing was charged here
             issue = stats.issue_cycles[sm]
             bw_cycles = stats.mem_bytes[sm] / bw_per_cycle if bw_per_cycle else 0.0
-            hiding = max(1, min(stats.resident_warps[sm], spec.latency_hiding_warps))
+            hiding = max(1, min(resident, spec.latency_hiding_warps))
             lat_cycles = (
                 stats.mem_instructions[sm] * spec.memory_latency_cycles / hiding
             )

@@ -27,6 +27,7 @@ executed one at a time on a single GPU core (Section 6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +60,7 @@ class ThreadTask:
     capture_undo: bool = False
 
 
+@lru_cache(maxsize=64)
 def warp_layout(
     n_threads: int, block_size: int, spec: GPUSpec
 ) -> Tuple[
@@ -75,6 +77,14 @@ def warp_layout(
     order, the per-SM resident-warp count (capped by the occupancy
     ceiling), and the same placement as arrays -- each thread's warp
     and each warp's SM.
+
+    Pure in its arguments and memoised: a serving engine launches the
+    same few dozen narrow widths thousands of times. Every caller gets
+    the *same* structures, so they are read-only (the arrays enforce
+    it; copy a list before changing it). The memo holds the 64 most
+    recent launch shapes -- about 12 bytes per thread each, so a few MB
+    even when a K-SET bulk cycles through hundreds of widths up to 17k
+    threads.
     """
     sm_warp_ids: List[List[int]] = [[] for _ in range(spec.num_sms)]
     bounds: List[Tuple[int, int]] = []
@@ -93,10 +103,10 @@ def warp_layout(
         min(len(ids), spec.max_blocks_per_sm * (block_size // spec.warp_size))
         for ids in sm_warp_ids
     ]
-    return (
-        bounds, sm_warp_ids, resident, warp_of,
-        np.asarray(sm_of_warp, dtype=np.int64),
-    )
+    sm_of_warp_arr = np.asarray(sm_of_warp, dtype=np.int64)
+    warp_of.flags.writeable = False
+    sm_of_warp_arr.flags.writeable = False
+    return bounds, sm_warp_ids, resident, warp_of, sm_of_warp_arr
 
 
 @dataclass
@@ -218,8 +228,7 @@ class SIMTEngine:
             [threads[bounds[w][0] : bounds[w][1]] for w in ids]
             for ids in sm_warp_ids
         ]
-        for sm in range(spec.num_sms):
-            stats.resident_warps[sm] = resident[sm]
+        stats.resident_warps = list(resident)
 
         # Prime every generator with its first op.
         alive = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,6 +156,25 @@ class TableSchema:
             w = col.width
             width += w + (-w % 4)
         return width
+
+    @cached_property
+    def device_columns(self) -> Dict[str, Tuple[int, int]]:
+        """``column -> (resident prefix weight, width)``: the bytes per
+        row of the device-resident columns laid out before it, and its
+        own width. A column's device offset within the table's region
+        is ``prefix * max(n_rows, 1)`` -- the layout contract of
+        :meth:`ColumnTable.column_device_offset`, which the interpreter
+        walks per cell. Computed once per schema (a schema never
+        changes) and shared read-only by every vectorized launch that
+        addresses the table."""
+        out: Dict[str, Tuple[int, int]] = {}
+        prefix = 0
+        for col in self.columns:
+            width = col.width
+            out[col.name] = (prefix, width)
+            if col.device_resident:
+                prefix += width
+        return out
 
     @property
     def device_row_width(self) -> int:

@@ -1,5 +1,9 @@
 """Unit tests for the GPU cost model (cycle accounting + coalescing)."""
 
+import inspect
+import typing
+
+import numpy as np
 import pytest
 
 from repro.gpu.costmodel import GpuCostModel, KernelStats, TimeBreakdown
@@ -30,6 +34,30 @@ class TestCoalescing:
 
     def test_empty_access_is_free(self, cost):
         assert cost.coalesce([], 8) == 0
+
+    def test_empty_group_access_is_free_too(self, cost):
+        # Used to die in ``segs.min()``: "zero-size array to reduction
+        # operation minimum which has no identity".
+        empty = np.zeros(0, dtype=np.int64)
+        ntx = cost.coalesce_groups(empty, empty, empty, 3)
+        assert ntx.dtype == np.int64
+        assert ntx.tolist() == [0, 0, 0]
+        assert cost.coalesce_groups(empty, empty, empty, 0).tolist() == []
+
+    def test_groups_without_an_access_count_zero(self, cost):
+        # Group ids need not be dense: ids 1 and 3 of 5 touch memory.
+        ntx = cost.coalesce_groups(
+            np.array([1, 1, 3]), np.array([0, 64, 60]), np.array([8, 8, 8]), 5
+        )
+        assert ntx.tolist() == [0, 2, 0, 2, 0]
+
+    def test_array_form_names_numpy_at_module_level(self):
+        # The annotations were strings naming a function-local import
+        # (executed on every call); they resolve now.
+        hints = typing.get_type_hints(GpuCostModel.coalesce_groups)
+        assert hints["addresses"] is np.ndarray
+        assert hints["return"] is np.ndarray
+        assert "import" not in inspect.getsource(GpuCostModel.coalesce_groups)
 
 
 class TestIssueCosts:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
+from repro.storage.column_store import ColumnTable
 from repro.storage.schema import ColumnDef, DataType, TableSchema, schema_dict
 
 
@@ -68,6 +69,32 @@ class TestTableSchema:
 
     def test_device_row_width_skips_host_only_columns(self):
         assert self.make().device_row_width == 16
+
+    def test_device_columns_is_the_column_stores_layout(self):
+        """The static half of a cell address, against the walk the
+        interpreter does per cell: host-only columns take no device
+        room, an empty table lays out as one row."""
+        schema = TableSchema(
+            "t",
+            [
+                ColumnDef("id", DataType.INT64),
+                ColumnDef("tag", DataType.CHAR, length=6,
+                          device_resident=False),
+                ColumnDef("flag", DataType.BOOL),
+                ColumnDef("value", DataType.FLOAT64),
+            ],
+        )
+        assert schema.device_columns == {
+            "id": (0, 8), "tag": (8, 6), "flag": (8, 1), "value": (9, 8),
+        }
+        assert schema.device_columns is schema.device_columns  # built once
+        table = ColumnTable(schema)
+        for n_rows in (0, 1, 5):
+            for name, (prefix, width) in schema.device_columns.items():
+                assert table.cell_address(name, 3) == (
+                    prefix * max(n_rows, 1) + 3 * width, width
+                )
+            table.append_rows([(n_rows, "x", True, 0.5)] * (1 if n_rows == 0 else 4))
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(SchemaError):

@@ -6,7 +6,8 @@ from repro.errors import ConfigError, DeadlockError, ExecutionError
 from repro.gpu import ops
 from repro.gpu.atomics import CounterSpace, LockTable
 from repro.gpu.memory import DictStore
-from repro.gpu.simt import SIMTEngine, ThreadTask
+from repro.gpu.simt import SIMTEngine, ThreadTask, warp_layout
+from repro.gpu.spec import C1060
 
 
 def make_store(n_rows: int = 64) -> DictStore:
@@ -73,6 +74,32 @@ class TestBasicExecution:
         store = make_store()
         with pytest.raises(ExecutionError, match="boom"):
             SIMTEngine().launch([ThreadTask(0, 0, bad())], store)
+
+
+class TestWarpLayout:
+    def test_placement_round_robins_blocks_over_sms(self):
+        bounds, sm_warp_ids, resident, warp_of, sm_of_warp = warp_layout(
+            70, 64, C1060
+        )
+        assert bounds == [(0, 32), (32, 64), (64, 70)]
+        assert sm_warp_ids[:3] == [[0, 1], [2], []]
+        assert resident[:3] == [2, 1, 0]
+        assert warp_of.tolist() == [0] * 32 + [1] * 32 + [2] * 6
+        assert sm_of_warp.tolist() == [0, 0, 1]
+
+    def test_memoised_layout_is_shared_read_only(self):
+        first = warp_layout(70, 64, C1060)
+        assert warp_layout(70, 64, C1060) is first
+        assert warp_layout(71, 64, C1060) is not first
+        for shared in (first[3], first[4]):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 9
+        # A launch works on its own copy of the per-SM counts.
+        report = SIMTEngine(block_size=64).launch(
+            [ThreadTask(i, 0, increment(i)) for i in range(70)], make_store(128)
+        )
+        report.stats.resident_warps[0] = 99
+        assert warp_layout(70, 64, C1060)[2][0] == 2
 
 
 class TestDivergence:
