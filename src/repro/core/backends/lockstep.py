@@ -337,7 +337,7 @@ def run_locked_schedule(
         np.maximum.at(warp_max_done, warps, done)
         np.subtract.at(warp_remaining, warps, 1)
         dead = warps[warp_remaining[warps] == 0]
-        warp_last[dead] = warp_max_done[dead]
+        tracker.retire(dead, warp_max_done[dead], sm_of_warp)
         for j in np.flatnonzero(locked).tolist():
             t = int(lanes[j])
             end_j = int(end[j])
@@ -382,13 +382,8 @@ def run_locked_schedule(
                 f"kernel exceeded {engine.max_rounds} rounds"
             )
 
-        rank_cache: Dict[int, Dict[int, int]] = {}
-
         def rank_of(sm: int, w: int) -> int:
-            ranks = rank_cache.get(sm)
-            if ranks is None:
-                ranks = rank_cache[sm] = tracker.ranks_at(sm, r)
-            return ranks[w]
+            return tracker.ranks_at(sm, r)[w]
 
         def group_pos(g: _AcqGroup) -> Tuple[int, int, int]:
             return (g.sm, rank_of(g.sm, g.warp), min(g.members))

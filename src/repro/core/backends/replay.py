@@ -363,55 +363,94 @@ def replay_kernel(
     return KernelReport(stats=stats, timing=timing, outcomes=outcomes)
 
 
-class VisitTracker:
-    """Per-SM warp visit ranks under the scheduler's swap-removal.
+#: "No death ahead": the round bound of a list with no live warp left.
+_NEVER = np.iinfo(np.int64).max
+
+
+def _sweep(live: List[int], warp_last: np.ndarray, r: int) -> int:
+    """Bring one SM's live-warp list ``live`` (in place) to round ``r``.
 
     The interpreter sweeps each SM's live-warp list every round,
     replacing a warp first encountered with no live thread by the
     list's last warp (without advancing the index, so the swapped-in
-    warp is examined next). Replaying only the *death rounds* in
-    ascending order -- each one its own left-to-right sweep -- leaves
-    the list in the identical state, because sweeps of rounds with no
-    newly-dead warps remove nothing; and enumerating the post-sweep
-    list assigns every surviving warp the same visit rank the
-    interpreter hands out mid-sweep. (Removal order matters: two warps
-    dying in the same round are removed in *scan position* order, which
-    is not warp-id order once earlier deaths have permuted the list.)
+    warp is examined next). Replaying only the *death rounds* up to
+    ``r`` in ascending order -- each one its own left-to-right sweep --
+    leaves the list in the identical state, because sweeps of rounds
+    with no newly-dead warps remove nothing; and enumerating the
+    post-sweep list assigns every surviving warp the same visit rank
+    the interpreter hands out mid-sweep. (Removal order matters: two
+    warps dying in the same round are removed in *scan position*
+    order, which is not warp-id order once earlier deaths have permuted
+    the list.)
 
     ``warp_last`` is each warp's last round with a live thread; a warp
-    is swap-removed by the sweep of round ``warp_last + 1``. It is read
-    when ranks are asked for, so the lock scheduler may still be
-    filling it in: bodies run the moment their locks are granted, so a
-    warp's last round is known before the schedule reaches it, and a
-    launch that never asks (no lock gates) never pays. Rounds must be
-    asked in ascending order per SM.
+    is swap-removed by the sweep of round ``warp_last + 1``. Returns the
+    last round through which the list stays as it is now: the earliest
+    last round of its survivors (:data:`_NEVER` once it is empty).
+    """
+    last_of = dict(zip(live, warp_last[live].tolist()))
+    for d in sorted({last for last in last_of.values() if last < r}):
+        i = 0
+        while i < len(live):
+            if last_of[live[i]] <= d:
+                live[i] = live[-1]
+                live.pop()
+            else:
+                i += 1
+    return min(map(last_of.__getitem__, live), default=_NEVER)
+
+
+class VisitTracker:
+    """Per-SM warp visit ranks under the scheduler's swap-removal
+    (:func:`_sweep`), for a schedule that learns deaths as it runs.
+
+    Bodies run the moment their locks are granted, so a warp's last
+    round is known before the schedule reaches it: the lock scheduler
+    announces it with :meth:`retire`, which writes ``warp_last``. Each
+    SM's ranks are cached until that SM's next death round, so a query
+    between deaths is a lookup and a launch that never asks (no lock
+    gates) never pays. Rounds must be asked in ascending order per SM,
+    and a death announced before its round is asked.
     """
 
     def __init__(
         self, sm_warp_ids: Sequence[Sequence[int]], warp_last: np.ndarray
     ) -> None:
         self._sm_warp_ids = sm_warp_ids
+        self._warp_last = warp_last
         #: sm -> its live-warp list, copied when first asked about.
         self._live: Dict[int, List[int]] = {}
-        self._warp_last = warp_last
+        #: sm -> its cached ``{warp: visit rank}``, valid through round
+        #: ``_stable[sm]`` (0 = nothing cached; rounds are 1-based).
+        self._ranks: Dict[int, Dict[int, int]] = {}
+        self._stable = np.zeros(len(sm_warp_ids), dtype=np.int64)
+
+    def retire(
+        self,
+        warps: np.ndarray,
+        last_rounds: np.ndarray,
+        sm_of_warp: np.ndarray,
+    ) -> None:
+        """Announce that ``warps`` have no live thread after
+        ``last_rounds`` (aligned); ``sm_of_warp`` is the launch
+        layout's warp -> SM map. An SM's cached ranks expire at its
+        earliest announced death."""
+        self._warp_last[warps] = last_rounds
+        if self._ranks:  # a wave never asks, so has nothing to expire
+            np.minimum.at(self._stable, sm_of_warp[warps], last_rounds)
 
     def ranks_at(self, sm: int, r: int) -> Dict[int, int]:
         """``{warp: visit rank}`` of ``sm`` at round ``r`` (1-based),
-        in visit order; a warp already removed is absent."""
+        in visit order; a warp already removed is absent. The mapping
+        is shared with later calls: read it, do not change it."""
+        if r <= self._stable[sm]:
+            return self._ranks[sm]
         live = self._live.get(sm)
         if live is None:
             live = self._live[sm] = list(self._sm_warp_ids[sm])
-        warp_last = self._warp_last
-        deaths = {int(warp_last[w]) + 1 for w in live if warp_last[w] < r}
-        for d in sorted(deaths):
-            i = 0
-            while i < len(live):
-                if warp_last[live[i]] < d:
-                    live[i] = live[-1]
-                    live.pop()
-                else:
-                    i += 1
-        return {w: i for i, w in enumerate(live)}
+        self._stable[sm] = _sweep(live, self._warp_last, r)
+        ranks = self._ranks[sm] = {w: i for i, w in enumerate(live)}
+        return ranks
 
 
 def _warp_visit_ranks(
@@ -425,17 +464,19 @@ def _warp_visit_ranks(
     1-based rounds; -1 = not visited). Sparse on purpose: a TPL kernel
     can span millions of spin rounds, but only rounds carrying an
     order-sensitive event need ranks -- a dense ``(rounds, warps)``
-    matrix would dominate memory at benchmark scale.
+    matrix would dominate memory at benchmark scale. Ranks change only
+    at death rounds, so each SM's list is swept once per death round
+    and every needed round up to its next one is filled by one slice.
     """
     visits = np.full((len(needed_rounds), len(warp_last)), -1, dtype=np.int64)
-    tracker = VisitTracker(sm_warp_ids, warp_last)
-    rounds = needed_rounds.tolist()
-    for sm, ids in enumerate(sm_warp_ids):
-        if not ids:
-            continue  # no resident warp: nothing to rank
-        for i, r in enumerate(rounds):
-            ranks = tracker.ranks_at(sm, r)
-            visits[i, list(ranks)] = range(len(ranks))
+    for ids in sm_warp_ids:
+        live = list(ids)
+        lo = 0
+        while live and lo < len(needed_rounds):
+            stable = _sweep(live, warp_last, int(needed_rounds[lo]))
+            hi = int(np.searchsorted(needed_rounds, stable, side="right"))
+            visits[lo:hi, live] = np.arange(len(live))
+            lo = hi
     return visits
 
 
@@ -539,16 +580,21 @@ def _resolve_order_and_addresses(
     # address resolution on tables whose row count moves mid-kernel.
     inserts_before: Dict[str, np.ndarray] = {}
     if deferred_steps:
-        is_insert = (s_kind == op_ir.INSERT_ROW).astype(np.int64)
-        for table in store.mutating_tables:
-            table_mask = np.zeros(E, dtype=bool)
-            for i, step in enumerate(steps):
-                if step.kind == op_ir.INSERT_ROW and step.table == table:
-                    table_mask[offsets[i] : offsets[i + 1]] = True
-            ordered = (is_insert * table_mask[sub])[sub_order]
+        tables = {table: t for t, table in enumerate(store.mutating_tables)}
+        # Per step: the mutating table it inserts into, else -1.
+        step_table = np.array(
+            [
+                tables.get(step.table, -1)
+                if step.kind == op_ir.INSERT_ROW else -1
+                for step in steps
+            ],
+            dtype=np.int64,
+        )
+        ordered = step_table[ev_step[sub]][sub_order]
+        for table, t in tables.items():
             before = np.zeros(S, dtype=np.int64)
             if S > 1:
-                np.cumsum(ordered[:-1], out=before[1:])
+                np.cumsum(ordered[:-1] == t, out=before[1:])
             inserts_before[table] = before  # indexed by subset rank
 
     adapter = store.adapter

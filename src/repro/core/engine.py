@@ -19,6 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -470,16 +471,23 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
     strategy accepts is legitimate (the inapplicable ones are dropped
     with a warning once Algorithm 1 has chosen); under an explicit
     strategy the option set is known up front and unknown names are
-    rejected outright.
+    rejected outright. Integer options accept any integral type (a
+    NumPy integer is normalised to ``int`` in ``options``) but not a
+    ``bool``: ``True`` is not a round count.
     """
     for name in _OPTION_MINIMUM.keys() & options.keys():
         value, lowest = options[name], _OPTION_MINIMUM[name]
         if value is None and name == "max_rounds":
             continue  # None = drain the bulk completely
-        if not isinstance(value, int) or value < lowest:
+        if (
+            not isinstance(value, numbers.Integral)
+            or isinstance(value, bool)
+            or value < lowest
+        ):
             raise ConfigError(
                 f"{name} must be an int >= {lowest}, got {value!r}"
             )
+        options[name] = int(value)
     # The one on/off option: a truthy "no" would silently switch it on.
     flag = options.get("per_task_launch_overhead", False)
     if not isinstance(flag, bool):

@@ -168,6 +168,13 @@ def compute_ranks(
     return ops.ranks
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``range(s, s + c)`` for every pair, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts + counts - ends, counts)
+
+
 class IncrementalKSetExtractor:
     """Incremental 0-set extraction (Section 5.3).
 
@@ -180,57 +187,113 @@ class IncrementalKSetExtractor:
     reads.
 
     The extractor is seeded with the bulk's operation array -- literally
-    the paper's "sorted array" -- so each round's scan is whole-array
-    numpy work instead of per-entry Python; peeled transactions are
-    removed with one boolean mask, which preserves the sort.
+    the paper's "sorted array" -- and keeps a frontier per item group:
+    its first unpeeled write (``_head``) and how many unpeeled readers
+    precede it. Peeling a round touches only the round's entries and
+    the entries they expose -- the reader run after a peeled write, or
+    the write after it (or after the last reader before it) -- and
+    counts each exposed entry off its transaction's blocked count; a
+    count reaching zero puts the transaction in the next 0-set. The
+    model still charges one map pass over the remaining entries per
+    round (``gen_seconds``): the host pays per peeled entry, the
+    simulated device per pass.
     """
 
     def __init__(
         self, ops: OpArray, lib: PrimitiveLibrary | None = None
     ) -> None:
         self._lib = lib or PrimitiveLibrary()
-        #: Entries of the transactions still pending, (item, txn)-sorted.
-        self._items = ops.item
-        self._txns = ops.txn
-        self._writes = ops.write
-        self._txn_ids = set(ops.txn_ids.tolist())
+        self._txn_ids = ops.txn_ids
+        write = self._write = ops.write
+        n = len(write)
+        #: Transaction ``i`` owns entries ``_order[_bounds[i]:_bounds[i + 1]]``.
+        self._order, bounds = ops._by_txn()
+        self._bounds = np.asarray(bounds, dtype=np.int64)
+        #: Per entry: its transaction's index in ``txn_ids``, its item
+        #: group, and the next write in that group (the group's end if
+        #: none).
+        self._tix = np.empty(n, dtype=np.int64)
+        self._tix[self._order] = np.repeat(
+            np.arange(len(self._txn_ids)), np.diff(self._bounds)
+        )
+        is_start = np.ones(n, dtype=bool)
+        np.not_equal(ops.item[1:], ops.item[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
+        self._grp = np.cumsum(is_start) - 1
+        self._end = np.append(starts[1:], n)  # per group: one past its last
+        idx = np.arange(n)
+        first_write = np.minimum.accumulate(np.where(write, idx, n)[::-1])[::-1]
+        self._next_write = np.minimum(
+            np.append(first_write[1:], n), self._end[self._grp]
+        )
+        #: Per group: its first unpeeled write, and how many unpeeled
+        #: readers precede it.
+        self._head = np.minimum(first_write[starts], self._end)
+        self._readers_before = self._head - starts
+        # A write is blocked unless it opens its group; a read, when a
+        # write precedes it.
+        blocked = np.where(write, ~is_start, idx > self._head[self._grp])
+        #: Per transaction: how many of its entries are blocked.
+        self._blocked = np.bincount(
+            self._tix[blocked], minlength=len(self._txn_ids)
+        )
+        #: Indices of the current 0-set, ascending.
+        self._ready = np.flatnonzero(self._blocked == 0)
+        self._n_pending = len(self._txn_ids)
+        self._n_entries = n
         self.gen_seconds = 0.0
 
     def __len__(self) -> int:
-        return len(self._txn_ids)
+        return self._n_pending
 
     @property
     def pending(self) -> List[int]:
-        return sorted(self._txn_ids)
+        # Blocked, or ready; every peeled transaction is neither.
+        pending = self._blocked > 0
+        pending[self._ready] = True
+        return self._txn_ids[pending].tolist()
 
     def zero_set(self) -> List[int]:
         """Transactions with no preceding conflicting transaction."""
-        n = len(self._items)
-        blocked: set = set()
-        if n:
-            first = np.empty(n, dtype=bool)
-            first[0] = True
-            np.not_equal(self._items[1:], self._items[:-1], out=first[1:])
-            writes = self._writes.astype(np.int64)
-            excl = np.cumsum(writes) - writes
-            group_first = np.maximum.accumulate(
-                np.where(first, np.arange(n), 0)
-            )
-            writes_before = excl - excl[group_first]
-            blocked_mask = ~first & ((writes_before > 0) | self._writes)
-            blocked = set(np.unique(self._txns[blocked_mask]).tolist())
-        result = sorted(self._txn_ids - blocked)
-        self.gen_seconds += self._lib.map_cost(max(1, n))
-        return result
+        self.gen_seconds += self._lib.map_cost(max(1, self._n_entries))
+        return self._txn_ids[self._ready].tolist()
 
     def pop_zero_set(self) -> List[int]:
         """Remove and return the current 0-set."""
         zero = self.zero_set()
         if not zero:
             return zero
-        keep = ~np.isin(self._txns, np.asarray(zero, dtype=np.int64))
-        self._items = self._items[keep]
-        self._txns = self._txns[keep]
-        self._writes = self._writes[keep]
-        self._txn_ids -= set(zero)
+        ready = self._ready
+        self._n_pending -= len(ready)
+        lo = self._bounds[ready]
+        peeled = self._order[_ranges(lo, self._bounds[ready + 1] - lo)]
+        self._n_entries -= len(peeled)
+        group = self._grp[peeled]
+        is_write = self._write[peeled]
+        head, readers_before = self._head, self._readers_before
+        # A peeled write was its group's head with no reader before it:
+        # the reader run up to the next write is exposed.
+        writes = peeled[is_write]
+        w_groups = group[is_write]
+        nxt = self._next_write[writes]
+        run = nxt - writes - 1
+        head[w_groups] = nxt
+        readers_before[w_groups] = run
+        # Peeled readers all precede their group's head.
+        r_groups, peeled_readers = np.unique(
+            group[~is_write], return_counts=True
+        )
+        readers_before[r_groups] -= peeled_readers
+        # The head write is exposed once no reader precedes it.
+        opened = np.concatenate(
+            [w_groups[run == 0], r_groups[readers_before[r_groups] == 0]]
+        )
+        heads = head[opened]
+        exposed = np.concatenate(
+            [_ranges(writes + 1, run), heads[heads < self._end[opened]]]
+        )
+        txns, counts = np.unique(self._tix[exposed], return_counts=True)
+        left = self._blocked[txns] - counts
+        self._blocked[txns] = left
+        self._ready = txns[left == 0]
         return zero

@@ -13,8 +13,9 @@ write entry in group ``a``), sorted by ``(item, txn)``. The other
 columns are per transaction, aligned with ``txn_ids``.
 
 Slice invariant: a mask over a ``(item, txn)``-sorted array is still
-sorted, so :meth:`OpArray.select` (a shard's sub-bulk) and the K-SET
-extractor's peeling never sort again.
+sorted, so :meth:`OpArray.select` (a shard's sub-bulk) never sorts
+again, and neither does the K-SET extractor, which reads its item
+groups off that order.
 
 The array charges no simulated cost; its readers charge the sort, map
 and scan passes the device would run, with counts read off the array.

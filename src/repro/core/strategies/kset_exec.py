@@ -9,8 +9,9 @@ pairwise conflict-free). After removing an executed 0-set, the old
 
 Bulk generation uses the incremental extractor of Section 5.3, seeded
 with the bulk's sorted operation array (merging it into the item groups
-is one sort, charged here), and each round's 0-set is found by a scan,
-not by recomputing all k-sets.
+is one sort, charged here), and each round's 0-set is charged as one
+scan of the remaining entries, not a recomputation of all k-sets (the
+host extractor touches only what the round peels and exposes).
 
 Because a round's transactions are mutually conflict-free, an abort can
 only affect the aborting transaction itself (Appendix D): rollback is

@@ -504,6 +504,9 @@ class TestClusterSurface:
             ("part", {"partition_size": 0}),
             ("tpl", {"grouping_passes": -1}),
             ("kset", {"max_rounds": 0}),
+            ("kset", {"max_rounds": True}),
+            ("tpl", {"grouping_passes": True}),
+            ("part", {"partition_size": True}),
         ],
     )
     def test_out_of_range_option_value_preserves_pool(self, strategy, option):
@@ -517,6 +520,17 @@ class TestClusterSurface:
             cluster.run_bulk(strategy=strategy, **option)
         assert len(cluster.pool) == 1
         assert cluster.run_bulk(strategy=strategy).committed == 1
+
+    def test_numpy_integer_option_is_accepted(self):
+        """``max_rounds=np.int64(1)`` used to be rejected as "must be an
+        int": a streaming K-SET bulk runs one round per shard and defers
+        the rest of each chain."""
+        cluster = ClusterTx(
+            build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
+        )
+        cluster.submit_many([("deposit", (1, 5))] * 3)
+        result = cluster.run_bulk(strategy="kset", max_rounds=np.int64(1))
+        assert result.committed == 1 and len(cluster.pool) == 2
 
     def test_unknown_strategy_rejected_cluster_level(self):
         from repro import ConfigError

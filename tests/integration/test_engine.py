@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import ClusterTx, GPUTx
@@ -246,16 +247,31 @@ class TestAutoStrategyOptions:
             ("tpl", {"grouping_passes": -1}),
             ("kset", {"max_rounds": 0}),
             ("auto", {"max_rounds": 0}),
+            ("kset", {"max_rounds": True}),
+            ("tpl", {"grouping_passes": True}),
+            ("part", {"partition_size": True}),
         ],
     )
     def test_out_of_range_option_value_preserves_pool(self, strategy, option):
         """Values are checked before the pool is drained: max_rounds=0
         would execute nothing (a drain loop would spin forever) and
-        partition_size=0 used to die after the bulk was taken."""
+        partition_size=0 used to die after the bulk was taken. A bool
+        is no count: ``True`` used to pass as 1."""
         engine = self.make_engine()
         with pytest.raises(ConfigError, match=next(iter(option))):
             engine.run_bulk(strategy=strategy, **option)
         assert len(engine.pool) == 8
+
+    def test_numpy_integer_option_is_an_int(self):
+        """``max_rounds=np.int64(1)`` used to be rejected as "must be an
+        int"; any integral value is accepted and reaches the executor as
+        a plain ``int``."""
+        engine = GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES)
+        engine.submit_many([("deposit", (0, 1))] * 3)  # one chain
+        executor = engine.make_executor("kset", max_rounds=np.int64(2))
+        assert type(executor.max_rounds) is int and executor.max_rounds == 2
+        result = engine.run_bulk(strategy="kset", max_rounds=np.int64(1))
+        assert result.committed == 1 and len(engine.pool) == 2
 
     @pytest.mark.parametrize(
         "strategy, option",
