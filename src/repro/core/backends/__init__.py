@@ -57,10 +57,15 @@ class EngineOptions:
     strict_vector: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
+        if not isinstance(self.backend, str) or self.backend not in BACKENDS:
             raise ConfigError(
                 f"unknown execution backend {self.backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
             )
         if self.strict_vector is None:
             object.__setattr__(self, "strict_vector", _env_strict_vector())
+        elif not isinstance(self.strict_vector, bool):
+            raise ConfigError(
+                f"strict_vector must be None or a bool, not "
+                f"{self.strict_vector!r}"
+            )

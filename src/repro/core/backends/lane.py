@@ -27,11 +27,24 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends.wave import KernelContext, _padded, _python_key0, _python_row0
+from repro.core.backends.wave import KernelContext, _padded
 from repro.gpu import ops as op_ir
 
 _Mask = Optional[np.ndarray]
 _Op = Optional[op_ir.Op]
+
+
+def _python_key0(keys: Any) -> Any:
+    """The lane's probe key as a Python value: one column, or a tuple
+    of columns for a composite key."""
+    if isinstance(keys, tuple):
+        return tuple(column.item(0) for column in keys)
+    return keys.item(0)
+
+
+def _python_row0(columns: Sequence[Any]) -> Tuple[Any, ...]:
+    """The lane's row of insert ``columns`` as Python values."""
+    return tuple(c.item(0) if isinstance(c, np.ndarray) else c for c in columns)
 
 
 # How the stream replies to an op method: the interpreter's scalar

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.backends.base import InterpretedBackend
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
-from repro.core.backends.wave import TraceRecorder, WaveContext, WaveStore
+from repro.core.backends.wave import TraceRecorder, WaveContext, WaveStore, run_lane
 from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, ThreadOutcome
@@ -199,19 +199,27 @@ class VectorizedBackend(InterpretedBackend):
                 # own wrapper issues a second (now same-tag) SetBranch.
                 recorder.record(op_ir.SET_BRANCH, lanes, cur_branch[lanes])
                 cur_branch[lanes] = type_id
-                ctx = WaveContext(
-                    recorder, store, lanes, type_id, txns_slot,
-                    record_abort_ops=False,
-                )
-                ctx.set_branch()
-                txn_type.vector_body(ctx)
-                ctx.close()
-                for i, txn, ok, reason, value in zip(
-                    lane_list,
-                    txns_slot,
-                    ctx.committed.tolist(),
-                    ctx.abort_reason.tolist(),
-                    ctx.results.tolist(),
+                if len(lane_list) == 1:
+                    slot_outcomes = [run_lane(
+                        recorder, store, lane_list[0], type_id, txn_type,
+                        txns_slot[0].params,
+                        record_abort_ops=False, capture_undo=False,
+                    )[:3]]
+                else:
+                    ctx = WaveContext(
+                        recorder, store, lanes, type_id, txns_slot,
+                        record_abort_ops=False,
+                    )
+                    ctx.set_branch()
+                    txn_type.vector_body(ctx)
+                    ctx.close()
+                    slot_outcomes = zip(
+                        ctx.committed.tolist(),
+                        ctx.abort_reason.tolist(),
+                        ctx.results.tolist(),
+                    )
+                for i, txn, (ok, reason, value) in zip(
+                    lane_list, txns_slot, slot_outcomes
                 ):
                     per_part[i].append(
                         (txn.txn_id, ok, reason, value, [], [])

@@ -34,6 +34,12 @@ column rules of the kernel boundary are on :class:`WaveContext`):
 * inserts/deletes are staged in a :class:`WaveStore` overlay and
   applied to the real store in interpreter event order by the replay,
   so physical row ids are byte-identical to the interpreted backend.
+
+A sub-wave of one lane (contended TPL grants, a K-SET wave's tail, a
+PART slot) never builds a :class:`WaveContext`: :func:`run_lane` runs
+its op stream on the same :class:`WaveStore`, recording through
+:meth:`TraceRecorder.record_scalar` what a one-lane ``WaveContext``
+would (tests/property/test_one_lane_driver.py diffs the two).
 """
 
 from __future__ import annotations
@@ -163,7 +169,7 @@ class WaveStore:
         )
 
     def probe_unique1(self, index: str, key: Any) -> int:
-        """Single-key :meth:`probe_unique` (the one-lane fast path, and
+        """Single-key :meth:`probe_unique` (:func:`run_lane`'s probe, and
         the owner of the staged-overlay precedence: a staged insert
         wins over a staged delete, which wins over the real index)."""
         static = self.db.static_maps.get(index)
@@ -182,7 +188,7 @@ class WaveStore:
         return ix.mapping.get(key, -1)
 
     def probe_multi1(self, index: str, key: Any) -> List[int]:
-        """Single-key :meth:`probe_multi` (the one-lane fast path, and
+        """Single-key :meth:`probe_multi` (:func:`run_lane`'s probe, and
         the owner of the staged-overlay merge: real rows minus staged
         deletes, then staged inserts)."""
         ix = self.db.index(index)
@@ -247,10 +253,10 @@ class WaveStore:
         if not handles.any():
             return tbl.gather(column, rows_enc)
         col_idx = tbl.schema.column_index(column)
-        safe = np.where(handles, 0, rows_enc)
-        out = tbl.gather(column, safe)
-        if out.dtype != object:
-            out = out.copy()
+        real = ~handles  # gather only real rows: the table may be empty
+        values = tbl.gather(column, rows_enc[real])
+        out = np.empty(len(rows_enc), dtype=values.dtype)
+        out[real] = values
         for i in np.flatnonzero(handles):
             handle = int(rows_enc[i]) - HANDLE_BASE
             if (handle, col_idx) in self._handle_overrides:
@@ -260,13 +266,13 @@ class WaveStore:
                 out[i] = values[col_idx]
         return out
 
-    def gather1(self, table: str, column: str, row_enc: int) -> np.ndarray:
-        """Single-row :meth:`gather` (the one-lane fast path)."""
+    def gather1(self, table: str, column: str, row_enc: int) -> Any:
+        """One cell of :meth:`gather` as the Python value
+        :meth:`ColumnTable.read` returns (:func:`run_lane`'s read)."""
         if row_enc >= HANDLE_BASE:
-            return self.gather(
-                table, column, np.asarray([row_enc], dtype=np.int64)
-            )
-        return self.db.table(table).gather1(column, row_enc)
+            rows = np.asarray([row_enc], dtype=np.int64)
+            return self.gather(table, column, rows).item(0)
+        return self.db.table(table).read(column, row_enc)
 
     # -- mutation staging ------------------------------------------------
     def _indexes_of(self, table: str) -> List[Tuple[Any, Tuple[int, ...]]]:
@@ -478,19 +484,12 @@ class TraceRecorder:
         """Single-lane :meth:`record` that buffers into the columnar
         accumulator instead of building a one-lane Step per op.
 
-        A TPL lock schedule grants mostly one thread at a time under
-        contention, so its body batches record through this path;
-        ``addr`` is a plain int (1-d address) or an ``(lo, hi)`` pair
-        (probe addresses). :meth:`flush_scalar` materialises one Step
-        per distinct op shape -- the exact arrays :meth:`record` would
-        have produced, concatenated.
+        Its one caller is :func:`run_lane`, which dispatches only
+        vectorizable kinds; ``addr`` is a plain int (1-d address) or an
+        ``(lo, hi)`` pair (probe addresses). :meth:`flush_scalar`
+        materialises one Step per distinct op shape -- the exact arrays
+        :meth:`record` would have produced, concatenated.
         """
-        if kind not in op_ir.VECTORIZABLE_KINDS:
-            raise ValueError(
-                f"op kind {op_ir.KIND_NAMES.get(kind, kind)} has no "
-                "vectorized replay; the wave must fall back to the "
-                "interpreter"
-            )
         opidx = int(self.op_count[lane])
         self.op_count[lane] = opidx + 1
         undo = None
@@ -673,18 +672,6 @@ def _python_keys(keys: Any, idx: Optional[np.ndarray] = None) -> List[Any]:
     return (keys if idx is None else keys[idx]).tolist()
 
 
-def _python_key0(keys: Any) -> Any:
-    """Lane 0's :func:`_python_keys` entry (the one-lane fast path)."""
-    if isinstance(keys, tuple):
-        return tuple(column.item(0) for column in keys)
-    return keys.item(0)
-
-
-def _python_row0(columns: Sequence[Any]) -> Tuple[Any, ...]:
-    """Lane 0's row of insert ``columns`` as Python values."""
-    return tuple(c.item(0) if isinstance(c, np.ndarray) else c for c in columns)
-
-
 class KernelContext:
     """What a kernel sees the same way at any width: ``n`` lanes, their
     typed parameter columns (``_params`` holds the parameter table
@@ -778,13 +765,6 @@ class WaveContext(KernelContext):
         self.undo: Optional[List[List[Tuple[Any, ...]]]] = (
             [[] for _ in range(self.n)] if capture_undo else None
         )
-        #: Single-lane fast path: a TPL lock schedule grants mostly one
-        #: thread at a time under contention, so one-lane batches take
-        #: scalar code paths (plain python ints, columnar op recording)
-        #: that produce byte-identical traces, store effects, and
-        #: return arrays without the small-array numpy overhead.
-        self._one = self.n == 1
-        self._lane0 = int(lanes[0]) if self._one else -1
         #: True until the first lane finishes or aborts: while it holds,
         #: an unmasked op applies to ``lanes`` as they are and no mask
         #: is built, reduced or indexed with.
@@ -811,41 +791,15 @@ class WaveContext(KernelContext):
             **kw,
         )
 
-    def _on1(self, mask: Optional[np.ndarray]) -> bool:
-        """Single-lane ``_select(mask) is None`` without the array ops."""
-        if not self.active[0]:
-            return False
-        return mask is None or bool(mask[0])
-
     # -- ops -------------------------------------------------------------
     def set_branch(self) -> None:
         """The registry wrapper's leading ``SetBranch(type_id)`` op."""
-        if self._one:
-            if self.active[0]:
-                self.recorder.record_scalar(
-                    op_ir.SET_BRANCH, self._lane0, self.type_id
-                )
-            return
         self._record(op_ir.SET_BRANCH, self._select(None))
-
-    def _record_probe1(self, index: str, key: Any) -> None:
-        base = int(self.store.probe_cost_base1(index, key))
-        self.recorder.record_scalar(
-            op_ir.INDEX_PROBE, self._lane0, self.type_id,
-            addr=(base, base + 8),
-        )
 
     def index_probe(
         self, index: str, keys: Any, mask: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Probe a unique index or static map; -1 encodes a miss."""
-        if self._one:
-            if not self._on1(mask):
-                return np.full(1, -1, dtype=np.int64)
-            key = _python_key0(keys)
-            row = self.store.probe_unique1(index, key)
-            self._record_probe1(index, key)
-            return np.array((row,), dtype=np.int64)
         idx = self._select(mask)
         keys_m = _python_keys(keys, idx)
         if idx is None:
@@ -871,16 +825,6 @@ class WaveContext(KernelContext):
         index order, zero-padded to the widest lane (at least one
         column); lanes outside the mask count zero matches.
         """
-        if self._one:
-            if not self._on1(mask):
-                return _padded([()])
-            key = _python_key0(keys)
-            rows = self.store.probe_multi1(index, key)
-            self._record_probe1(index, key)
-            return (
-                np.array([rows or (0,)], dtype=np.int64),
-                np.array((len(rows),), dtype=np.int64),
-            )
         idx = self._select(mask)
         if idx is not None and len(idx) == 0:
             return _padded([()] * self.n)
@@ -906,13 +850,6 @@ class WaveContext(KernelContext):
         rows: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if self._one:
-            if not self._on1(mask):
-                return np.zeros(1)
-            row_enc = int(rows[0])
-            out = self.store.gather1(table, column, row_enc)
-            self._record_mem1(op_ir.READ, table, column, row_enc)
-            return out
         idx = self._select(mask)
         if idx is None:
             out = self.store.gather(table, column, rows)
@@ -944,30 +881,6 @@ class WaveContext(KernelContext):
         staged as handle writes instead of scattered -- the replay
         applies them once the insert materialises.
         """
-        if self._one:
-            if not self._on1(mask):
-                return
-            rows_arr = np.asarray(rows)
-            values_arr = np.asarray(values)
-            row_enc = int(rows_arr[0])
-            if self.undo is not None:
-                old = self.store.gather1(table, column, row_enc).tolist()[0]
-                self.undo[0].append((table, column, row_enc, old))
-            if row_enc >= HANDLE_BASE:
-                if table not in self.store.mutating_tables:
-                    raise ValueError(
-                        f"write of staged rows into non-mutating table "
-                        f"{table!r}"
-                    )
-                self.store.stage_handle_write(
-                    table, column, row_enc - HANDLE_BASE, values_arr[0]
-                )
-            else:
-                self.store.adapter.scatter_bulk(
-                    table, column, rows_arr[0:1], values_arr[0:1]
-                )
-            self._record_mem1(op_ir.WRITE, table, column, row_enc)
-            return
         idx = self._select(mask)
         rows_m = np.asarray(rows)
         values_m = np.asarray(values)
@@ -1025,41 +938,10 @@ class WaveContext(KernelContext):
             addr, width = info.addresses(column, rows_m)
             self._record(kind, idx, addr=addr, width=width)
 
-    def _record_mem1(
-        self, kind: int, table: str, column: str, row_enc: int
-    ) -> None:
-        """Single-lane :meth:`_record_mem` on plain ints."""
-        info = self.store.addressing(table)
-        if table in self.store.mutating_tables:
-            width = info.columns[column][1]
-            self.recorder.record_scalar(
-                kind, self._lane0, self.type_id, width=width,
-                deferred=(table, column, row_enc),
-            )
-        else:
-            pre_w, width = info.columns[column]
-            addr = info.base + pre_w * (info.n_rows or 1) + row_enc * width
-            self.recorder.record_scalar(
-                kind, self._lane0, self.type_id, addr=addr, width=width
-            )
-
     def compute(self, amount: int, mask: Optional[np.ndarray] = None) -> None:
-        if self._one:
-            if self._on1(mask):
-                self.recorder.record_scalar(
-                    op_ir.COMPUTE, self._lane0, self.type_id, amount=amount
-                )
-            return
         self._record(op_ir.COMPUTE, self._select(mask), amount=amount)
 
     def sfu(self, amount: int, mask: Optional[np.ndarray] = None) -> None:
-        if self._one:
-            if self._on1(mask):
-                self.recorder.record_scalar(
-                    op_ir.SFU_COMPUTE, self._lane0, self.type_id,
-                    amount=amount,
-                )
-            return
         self._record(op_ir.SFU_COMPUTE, self._select(mask), amount=amount)
 
     def insert(
@@ -1073,23 +955,17 @@ class WaveContext(KernelContext):
         ``columns`` has one entry per table column, in schema order: a
         per-lane array, or a scalar every lane inserts.
         """
-        if self._one:
-            if not self._on1(mask):
-                return np.full(1, -1, dtype=np.int64)
-            lanes = [0]
-            rows = [_python_row0(columns)]
-        else:
-            idx = self._select(mask)
-            if idx is None:
-                idx = np.arange(self.n)
-            if len(idx) == 0:
-                return np.full(self.n, -1, dtype=np.int64)
-            lanes = idx.tolist()
-            rows = list(zip(*(
-                c[idx].tolist() if isinstance(c, np.ndarray)
-                else repeat(c, len(idx))
-                for c in columns
-            )))
+        idx = self._select(mask)
+        if idx is None:
+            idx = np.arange(self.n)
+        if len(idx) == 0:
+            return np.full(self.n, -1, dtype=np.int64)
+        lanes = idx.tolist()
+        rows = list(zip(*(
+            c[idx].tolist() if isinstance(c, np.ndarray)
+            else repeat(c, len(idx))
+            for c in columns
+        )))
         handles = self.store.stage_inserts(table, rows)
         if self.undo is not None:
             # Interpreter entry: (INSERT_SENTINEL, table, row, None)
@@ -1100,12 +976,6 @@ class WaveContext(KernelContext):
                 self.undo[i].append(
                     (tx_logging.INSERT_SENTINEL, table, handle, None)
                 )
-        if self._one:
-            self.recorder.record_scalar(
-                op_ir.INSERT_ROW, self._lane0, self.type_id,
-                table=table, payload=int(handles[0]),
-            )
-            return handles
         out = np.full(self.n, -1, dtype=np.int64)
         out[idx] = handles
         self._record(op_ir.INSERT_ROW, idx, table=table, payload=handles)
@@ -1129,31 +999,16 @@ class WaveContext(KernelContext):
                 self.undo[i].append(
                     (tx_logging.DELETE_SENTINEL, table, row_enc, None)
                 )
-        if self._one:
-            self.recorder.record_scalar(
-                op_ir.DELETE_ROW, self._lane0, self.type_id,
-                table=table, payload=int(rows_m[0]),
-            )
-        else:
-            self._record(op_ir.DELETE_ROW, idx, table=table, payload=rows_m)
+        self._record(op_ir.DELETE_ROW, idx, table=table, payload=rows_m)
 
     # -- control flow ----------------------------------------------------
     def abort_where(self, cond: np.ndarray, reason: str) -> None:
         """Abort the active lanes where ``cond`` holds."""
-        if self._one:
-            if not (self.active[0] and cond[0]):
-                return
-            m = self.active
-            if self.record_abort_ops:
-                self.recorder.record_scalar(
-                    op_ir.ABORT, self._lane0, self.type_id
-                )
-        else:
-            m = self.active & cond
-            if not m.any():
-                return
-            if self.record_abort_ops:
-                self._record(op_ir.ABORT, np.flatnonzero(m))
+        m = self.active & cond
+        if not m.any():
+            return
+        if self.record_abort_ops:
+            self._record(op_ir.ABORT, np.flatnonzero(m))
         self.committed &= ~m
         self.abort_reason[m] = reason
         self.active &= ~m
@@ -1162,14 +1017,9 @@ class WaveContext(KernelContext):
     def finish_where(self, mask: np.ndarray, *columns: np.ndarray) -> None:
         """Lanes in ``mask`` return their entries of the result
         ``columns`` and leave the kernel."""
-        if self._one:
-            if not (self.active[0] and mask[0]):
-                return
-            m = self.active
-        else:
-            m = self.active & mask
-            if not m.any():
-                return
+        m = self.active & mask
+        if not m.any():
+            return
         if columns:
             values = [c.tolist() for c in columns]
             self.results[m] = np.fromiter(
@@ -1186,3 +1036,92 @@ class WaveContext(KernelContext):
             raise RuntimeError(
                 "vector kernel left lanes neither finished nor aborted"
             )
+
+
+def run_lane(
+    recorder: TraceRecorder,
+    store: WaveStore,
+    lane: int,
+    type_id: int,
+    txn_type: Any,
+    params: Tuple[Any, ...],
+    *,
+    record_abort_ops: bool,
+    capture_undo: bool,
+) -> Tuple[bool, str, Any, Optional[List[Tuple[Any, ...]]]]:
+    """Run one transaction as a one-lane sub-wave.
+
+    Drives the type's op stream (``txn_type.body(*params)``), answers
+    each op from ``store`` as the interpreter would, and records it on
+    thread ``lane`` through :meth:`TraceRecorder.record_scalar`: the
+    trace, store effects and undo log a one-lane :class:`WaveContext`
+    would produce, without a column per op. Returns ``(committed, abort
+    reason, result, undo log or None)``.
+    """
+    record = recorder.record_scalar
+    record(op_ir.SET_BRANCH, lane, type_id)
+    undo: Optional[List[Tuple[Any, ...]]] = [] if capture_undo else None
+    db = store.db
+    mutating = store.mutating_tables
+
+    def record_cell(kind: int, table: str, column: str, row: int) -> None:
+        info = store.addressing(table)
+        pre_w, width = info.columns[column]
+        if table in mutating:
+            record(kind, lane, type_id, width=width, deferred=(table, column, row))
+        else:
+            addr = info.base + pre_w * (info.n_rows or 1) + row * width
+            record(kind, lane, type_id, addr=addr, width=width)
+
+    stream = txn_type.body(*params)
+    reply: Any = None
+    while True:
+        try:
+            op = stream.send(reply)
+        except StopIteration as stop:
+            return True, "", stop.value, undo
+        kind = op.kind
+        reply = None
+        if kind == op_ir.READ:
+            reply = store.gather1(op.table, op.column, op.row)
+            record_cell(kind, op.table, op.column, op.row)
+        elif kind == op_ir.WRITE:
+            table, column, row = op.table, op.column, op.row
+            if undo is not None:
+                undo.append((table, column, row, store.gather1(table, column, row)))
+            if row < HANDLE_BASE:
+                store.adapter.write(table, column, row, op.value)
+            elif table in mutating:
+                store.stage_handle_write(table, column, row - HANDLE_BASE, op.value)
+            else:
+                raise ValueError(
+                    f"write of staged rows into non-mutating table {table!r}"
+                )
+            record_cell(kind, table, column, row)
+        elif kind == op_ir.INDEX_PROBE:
+            index, key = op.index, op.key
+            if index in db.static_maps or db.index(index).unique:
+                reply = store.probe_unique1(index, key)
+            else:
+                reply = store.probe_multi1(index, key)
+            base = int(store.probe_cost_base1(index, key))
+            record(kind, lane, type_id, addr=(base, base + 8))
+        elif kind == op_ir.COMPUTE or kind == op_ir.SFU_COMPUTE:
+            record(kind, lane, type_id, amount=op.amount)
+        elif kind == op_ir.INSERT_ROW:
+            reply = int(store.stage_inserts(op.table, [tuple(op.values)])[0])
+            if undo is not None:
+                undo.append((tx_logging.INSERT_SENTINEL, op.table, reply, None))
+            record(kind, lane, type_id, table=op.table, payload=reply)
+        elif kind == op_ir.DELETE_ROW:
+            store.stage_delete(op.table, op.row)
+            if undo is not None:
+                undo.append((tx_logging.DELETE_SENTINEL, op.table, op.row, None))
+            record(kind, lane, type_id, table=op.table, payload=op.row)
+        elif kind == op_ir.ABORT:
+            if record_abort_ops:
+                record(kind, lane, type_id)
+            return False, op.reason, None, undo
+        else:
+            name = op_ir.KIND_NAMES.get(kind, kind)
+            raise ValueError(f"op kind {name} cannot run in a one-lane sub-wave")

@@ -306,22 +306,6 @@ class ColumnTable:
             )
         return col.data[rows]
 
-    def gather1(self, column: str, row: int) -> np.ndarray:
-        """Single-row :meth:`gather`: identical dtype, bounds check,
-        and copy semantics without the fancy-index machinery."""
-        try:
-            col = self._columns[column]
-        except KeyError:
-            raise StorageError(
-                f"no column {column!r} in table {self.schema.name!r}"
-            ) from None
-        if not 0 <= row < self.n_rows:
-            raise StorageError(
-                f"gather rows out of range [0, {self.n_rows}) in "
-                f"table {self.schema.name!r}"
-            )
-        return col.data[row:row + 1].copy()
-
     def scatter(self, column: str, rows: np.ndarray, values: np.ndarray) -> None:
         """Write many cells of ``column`` in one fancy-index pass.
 
