@@ -48,7 +48,8 @@ Equivalence argument (the invariants the property suite pins down):
   equals the interpreter's repeated addition bit for bit.
 
 Bodies run as batched column kernels (:class:`WaveContext`; a type
-granted one thread runs its op stream through :func:`run_lane`) the
+granted at most ``NARROW_WIDTH`` threads runs their op streams through
+:func:`run_lane`, one after another) the
 moment their locks are granted -- safe under two-phase locking because
 any conflicting transaction's lock window is serialized after the
 holder's, so processing rounds in ascending order always presents the
@@ -78,6 +79,7 @@ from repro.core import tx_logging
 from repro.core.backends.replay import ScheduleOverrides, VisitTracker, replay_kernel
 from repro.core.backends.wave import (
     HANDLE_BASE,
+    NARROW_WIDTH,
     Step,
     TraceRecorder,
     WaveContext,
@@ -298,8 +300,9 @@ def run_locked_schedule(
     def run_bodies(ready: Dict[int, np.ndarray], r: int) -> None:
         """Run the bodies of the threads granted at round ``r`` -- per
         type (``ready``: type id -> ascending thread indices) one
-        column kernel, or :func:`run_lane` when the type was granted
-        one thread -- then retire them all in one pass.
+        column kernel, or :func:`run_lane` per thread, in ascending
+        order, when the type was granted at most ``NARROW_WIDTH`` --
+        then retire them all in one pass.
 
         Bodies start at round ``r + 1`` (the round after the final
         gate pass); release and abort counter effects are scheduled at
@@ -313,14 +316,15 @@ def run_locked_schedule(
             txn_type, _lanes, capture_undo = types[tid]
             recorder.round_base[lanes] = r + 1
             lane_list = lanes.tolist()
-            if len(lane_list) == 1:
-                t = lane_list[0]
-                committed[t], abort_reason[t], results[t], undo = run_lane(
-                    recorder, store, t, tid, txn_type, transactions[t].params,
-                    record_abort_ops=True, capture_undo=capture_undo,
-                )
-                if undo:
-                    undo_logs[t] = undo
+            if len(lane_list) <= NARROW_WIDTH:
+                for t in lane_list:
+                    committed[t], abort_reason[t], results[t], undo = run_lane(
+                        recorder, store, t, tid, txn_type,
+                        transactions[t].params,
+                        record_abort_ops=True, capture_undo=capture_undo,
+                    )
+                    if undo:
+                        undo_logs[t] = undo
                 continue
             ctx = WaveContext(
                 recorder, store, lanes, tid,

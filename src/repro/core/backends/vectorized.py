@@ -39,7 +39,13 @@ import numpy as np
 from repro.core.backends.base import InterpretedBackend
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
-from repro.core.backends.wave import TraceRecorder, WaveContext, WaveStore, run_lane
+from repro.core.backends.wave import (
+    NARROW_WIDTH,
+    TraceRecorder,
+    WaveContext,
+    WaveStore,
+    run_lane,
+)
 from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, ThreadOutcome
@@ -199,12 +205,14 @@ class VectorizedBackend(InterpretedBackend):
                 # own wrapper issues a second (now same-tag) SetBranch.
                 recorder.record(op_ir.SET_BRANCH, lanes, cur_branch[lanes])
                 cur_branch[lanes] = type_id
-                if len(lane_list) == 1:
-                    slot_outcomes = [run_lane(
-                        recorder, store, lane_list[0], type_id, txn_type,
-                        txns_slot[0].params,
-                        record_abort_ops=False, capture_undo=False,
-                    )[:3]]
+                if len(lane_list) <= NARROW_WIDTH:
+                    slot_outcomes = [
+                        run_lane(
+                            recorder, store, i, type_id, txn_type, txn.params,
+                            record_abort_ops=False, capture_undo=False,
+                        )[:3]
+                        for i, txn in zip(lane_list, txns_slot)
+                    ]
                 else:
                     ctx = WaveContext(
                         recorder, store, lanes, type_id, txns_slot,

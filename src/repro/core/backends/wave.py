@@ -35,10 +35,11 @@ column rules of the kernel boundary are on :class:`WaveContext`):
   applied to the real store in interpreter event order by the replay,
   so physical row ids are byte-identical to the interpreted backend.
 
-A sub-wave of one lane (contended TPL grants, a K-SET wave's tail, a
-PART slot) never builds a :class:`WaveContext`: :func:`run_lane` runs
-its op stream on the same :class:`WaveStore`, recording through
-:meth:`TraceRecorder.record_scalar` what a one-lane ``WaveContext``
+A same-type sub-wave of at most :data:`NARROW_WIDTH` lanes (contended
+TPL grants, a K-SET wave's tail, a PART slot) never builds a
+:class:`WaveContext`: :func:`run_lane` runs each lane's op stream, in
+ascending lane order, on the same :class:`WaveStore`, recording
+through :meth:`TraceRecorder.record_scalar` what a ``WaveContext``
 would (tests/property/test_one_lane_driver.py diffs the two).
 """
 
@@ -673,31 +674,18 @@ def _python_keys(keys: Any, idx: Optional[np.ndarray] = None) -> List[Any]:
 
 
 class KernelContext:
-    """What a kernel sees the same way at any width: ``n`` lanes, their
-    typed parameter columns (``_params`` holds the parameter table
-    transposed, one tuple per signature position) and ``finish``."""
+    """What a kernel sees the same way at any width: ``n`` lanes, which
+    of them are ``active``, the ops, the parameters, ``finish`` and the
+    width-agnostic helpers (``where``, ``zeros``, ``pick``, ``most``,
+    ``first_seen``). :class:`WaveContext` answers with columns,
+    :class:`~repro.core.backends.lane.LaneContext` with Python scalars;
+    a kernel that computes with operators and these helpers runs
+    unchanged on both."""
 
     n: int
-    _params: Sequence[Tuple[Any, ...]]
+    active: Any
 
-    def param_i64(self, i: int) -> np.ndarray:
-        return np.array(self._params[i], dtype=np.int64)
-
-    def param_f64(self, i: int) -> np.ndarray:
-        return np.array(self._params[i], dtype=np.float64)
-
-    def param_bool(self, i: int) -> np.ndarray:
-        return np.array(self._params[i], dtype=bool)
-
-    def param_obj(self, i: int) -> np.ndarray:
-        return np.fromiter(self._params[i], dtype=object, count=self.n)
-
-    def param_lists(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """A tuple-of-ints parameter as a zero-padded matrix (one row
-        per lane) plus the per-lane tuple lengths."""
-        return _padded(self._params[i])
-
-    def finish(self, *columns: np.ndarray) -> None:
+    def finish(self, *columns: Any) -> None:
         """All still-active lanes return."""
         self.finish_where(self.active, *columns)  # type: ignore[attr-defined]
 
@@ -769,6 +757,57 @@ class WaveContext(KernelContext):
         #: an unmasked op applies to ``lanes`` as they are and no mask
         #: is built, reduced or indexed with.
         self._all_active = True
+
+    # -- parameters ------------------------------------------------------
+    def param_i64(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=np.int64)
+
+    def param_f64(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=np.float64)
+
+    def param_bool(self, i: int) -> np.ndarray:
+        return np.array(self._params[i], dtype=bool)
+
+    def param_obj(self, i: int) -> np.ndarray:
+        return np.fromiter(self._params[i], dtype=object, count=self.n)
+
+    def param_lists(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A tuple-of-ints parameter as a zero-padded matrix (one row
+        per lane) plus the per-lane tuple lengths."""
+        return _padded(self._params[i])
+
+    # -- width-agnostic helpers -------------------------------------------
+    def where(self, cond: Any, a: Any, b: Any) -> np.ndarray:
+        """``a`` at the lanes where ``cond`` holds, else ``b``."""
+        return np.where(cond, a, b)
+
+    def zeros(self, dtype: Any = np.float64) -> np.ndarray:
+        """A zero per lane: an accumulator to add to."""
+        return np.zeros(self.n, dtype)
+
+    def pick(self, matrix: np.ndarray, k: Any) -> np.ndarray:
+        """Entry ``k[i]`` of lane ``i``'s row (a parameter list or a
+        multi-probe's matches, 0 past a lane's own length); a scalar
+        ``k`` picks the same slot in every row."""
+        return matrix[np.arange(self.n), k]
+
+    def most(self, values: np.ndarray) -> int:
+        """The largest of ``values`` over the active lanes (0 when no
+        lane is active): the trip count of a masked slot sweep."""
+        active = self.active
+        return int(values[active].max()) if active.any() else 0
+
+    def first_seen(self, seen: set, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Per-lane dedup: True where an active lane in ``mask`` meets
+        its value for the first time (``seen`` is the kernel's own
+        set, one per kernel run)."""
+        fresh = np.zeros(self.n, dtype=bool)
+        idx = np.flatnonzero(mask & self.active).tolist()
+        for i, value in zip(idx, values[idx].tolist()):
+            if (i, value) not in seen:
+                seen.add((i, value))
+                fresh[i] = True
+        return fresh
 
     # -- mask plumbing ---------------------------------------------------
     def _select(self, mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -877,6 +916,7 @@ class WaveContext(KernelContext):
     ) -> None:
         """The conflict-masked scatter: only surviving lanes write.
 
+        ``values`` is a per-lane array, or a scalar every lane writes.
         Rows staged by a same-launch insert (encoded handles) are
         staged as handle writes instead of scattered -- the replay
         applies them once the insert materialises.
@@ -884,6 +924,8 @@ class WaveContext(KernelContext):
         idx = self._select(mask)
         rows_m = np.asarray(rows)
         values_m = np.asarray(values)
+        if values_m.ndim == 0:
+            values_m = np.full(len(rows_m), values_m)
         if idx is not None:
             if len(idx) == 0:
                 return
@@ -1036,6 +1078,14 @@ class WaveContext(KernelContext):
             raise RuntimeError(
                 "vector kernel left lanes neither finished nor aborted"
             )
+
+
+#: The widest same-type sub-wave that runs lane by lane: up to this many
+#: lanes, ``run_lane`` per lane costs the host no more than one
+#: ``WaveContext`` on any built-in workload; at six, SmallBank and TPC-B
+#: are cheaper as columns (``scripts/lane_cost.py``; docs/ARCHITECTURE.md,
+#: "What a lane costs the host").
+NARROW_WIDTH = 5
 
 
 def run_lane(

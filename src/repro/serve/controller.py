@@ -24,8 +24,9 @@ Two formers share one interface:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.core.chooser import StrategyFeedback
 from repro.errors import ConfigError
@@ -43,6 +44,28 @@ INCREASE_STEP = 64
 DRAIN_GROWTH = 2.0
 
 
+def _size(name: str, value: Any) -> int:
+    """``value`` as a bulk size: any integral type but ``bool``,
+    normalised to ``int`` (a float size would reach a slice)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
+def _seconds(name: str, value: Any) -> float:
+    """``value`` as a time budget: a positive real, ``inf`` included (no
+    deadline: a cut waits for its size or a dry stream). ``not x > 0``,
+    not ``x <= 0``: a NaN must not pass (it would make every comparison
+    against it false)."""
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not value > 0
+    ):
+        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SLOConfig:
     """Latency-vs-throughput target of the online server."""
@@ -57,14 +80,19 @@ class SLOConfig:
     max_form_wait_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # ``not x > 0``, not ``x <= 0``: a NaN target must not pass
-        # (it would make every AIMD comparison false).
-        if not self.target_p95_s > 0:
-            raise ConfigError("target_p95_s must be positive")
+        fields = {
+            "target_p95_s": _seconds("target_p95_s", self.target_p95_s),
+            "min_bulk": _size("min_bulk", self.min_bulk),
+            "max_bulk": _size("max_bulk", self.max_bulk),
+        }
+        if self.max_form_wait_s is not None:
+            fields["max_form_wait_s"] = _seconds(
+                "max_form_wait_s", self.max_form_wait_s
+            )
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         if self.min_bulk < 1 or self.max_bulk < self.min_bulk:
             raise ConfigError("need 1 <= min_bulk <= max_bulk")
-        if self.max_form_wait_s is not None and not self.max_form_wait_s > 0:
-            raise ConfigError("max_form_wait_s must be positive")
 
     @property
     def service_budget_s(self) -> float:
@@ -107,12 +135,10 @@ class FixedBulkFormer(BulkFormer):
     name = "fixed"
 
     def __init__(self, size: int, *, max_form_wait_s: float = 0.05) -> None:
-        if size < 1:
+        self._size = _size("bulk size", size)
+        if self._size < 1:
             raise ConfigError("bulk size must be >= 1")
-        if max_form_wait_s <= 0:
-            raise ConfigError("max_form_wait_s must be positive")
-        self._size = size
-        self._wait = max_form_wait_s
+        self._wait = _seconds("max_form_wait_s", max_form_wait_s)
 
     @property
     def max_form_wait_s(self) -> float:

@@ -194,8 +194,8 @@ def amalgamate(ctx):
     checking0 = yield ctx.read(CHECKING, "bal", c_row0)
     checking1 = yield ctx.read(CHECKING, "bal", c_row1)
     yield ctx.compute(2)
-    yield ctx.write(SAVINGS, "bal", s_row, np.zeros(ctx.n))
-    yield ctx.write(CHECKING, "bal", c_row0, np.zeros(ctx.n))
+    yield ctx.write(SAVINGS, "bal", s_row, 0.0)
+    yield ctx.write(CHECKING, "bal", c_row0, 0.0)
     yield ctx.write(CHECKING, "bal", c_row1, checking1 + savings + checking0)
     ctx.finish(savings + checking0)
 
@@ -211,7 +211,7 @@ def write_check(ctx):
     # Overdraft charges a 1.0 penalty: a data-dependent value, not a
     # divergent branch -- both arms are the same single write op.
     overdraft = savings + checking < amount
-    new_bal = np.where(
+    new_bal = ctx.where(
         overdraft, checking - (amount + 1.0), checking - amount
     )
     yield ctx.write(CHECKING, "bal", c_row, new_bal)

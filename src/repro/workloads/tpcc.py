@@ -447,16 +447,16 @@ def new_order(ctx):
     item_mat, ol_cnt = ctx.param_lists(3)
     supply_mat, _ = ctx.param_lists(4)
     qty_mat, _ = ctx.param_lists(5)
-    max_cnt = int(ol_cnt.max())
+    max_cnt = ctx.most(ol_cnt)
 
     # Phase 1: validate every item id up front (H-Store rewrite); a
     # lane aborts at its first invalid item, probing no further.
-    item_rows = np.zeros_like(item_mat)
+    item_rows = []
     for line in range(max_cnt):
         m = ol_cnt > line
-        rows = yield ctx.index_probe("item_pk", item_mat[:, line], mask=m)
+        rows = yield ctx.index_probe("item_pk", ctx.pick(item_mat, line), mask=m)
         yield ctx.abort_where(m & (rows < 0), "invalid item id")
-        item_rows[:, line] = rows
+        item_rows.append(rows)
     w_row = yield ctx.index_probe("warehouse_pk", w_id)
     w_tax = yield ctx.read(WAREHOUSE, "w_tax", w_row)
     d_row = yield ctx.index_probe("district_pk", (w_id, d_id))
@@ -470,16 +470,16 @@ def new_order(ctx):
     yield ctx.write(DISTRICT, "d_next_o_id", d_row, o_id + 1)
     yield ctx.insert(ORDERS, (w_id, d_id, o_id, c_id, 0, ol_cnt))
     yield ctx.insert(NEW_ORDER, (w_id, d_id, o_id))
-    total = np.zeros(ctx.n)
+    total = ctx.zeros()
     for line in range(max_cnt):
         m = ol_cnt > line
-        i_id, supply_w, qty = (
-            item_mat[:, line], supply_mat[:, line], qty_mat[:, line]
-        )
-        price = yield ctx.read(ITEM, "i_price", item_rows[:, line], mask=m)
+        i_id = ctx.pick(item_mat, line)
+        supply_w = ctx.pick(supply_mat, line)
+        qty = ctx.pick(qty_mat, line)
+        price = yield ctx.read(ITEM, "i_price", item_rows[line], mask=m)
         s_row = yield ctx.index_probe("stock_pk", (supply_w, i_id), mask=m)
         s_qty = yield ctx.read(STOCK, "s_quantity", s_row, mask=m)
-        new_qty = np.where(s_qty - qty >= 10, s_qty - qty, s_qty - qty + 91)
+        new_qty = ctx.where(s_qty - qty >= 10, s_qty - qty, s_qty - qty + 91)
         yield ctx.write(STOCK, "s_quantity", s_row, new_qty, mask=m)
         s_ytd = yield ctx.read(STOCK, "s_ytd", s_row, mask=m)
         yield ctx.write(STOCK, "s_ytd", s_row, s_ytd + qty, mask=m)
@@ -488,8 +488,8 @@ def new_order(ctx):
         remote = m & (supply_w != w_id)
         s_rem = yield ctx.read(STOCK, "s_remote_cnt", s_row, mask=remote)
         yield ctx.write(STOCK, "s_remote_cnt", s_row, s_rem + 1, mask=remote)
-        amount = qty.astype(np.float64) * price
-        total = total + np.where(m & ctx.active, amount, 0.0)
+        amount = qty * price
+        total = total + ctx.where(m & ctx.active, amount, 0.0)
         yield ctx.insert(
             ORDER_LINE,
             (w_id, d_id, o_id, line + 1, i_id, supply_w, qty, amount, 0),
@@ -535,8 +535,7 @@ def customer_by_name(ctx):
     yield ctx.abort_where(n_rows == 0, "no customer with that name")
     # The spec picks the row at position ceil(n/2) of the name-ordered
     # set; row ids are load-ordered by c_id here, which matches.
-    chosen = rows[np.arange(ctx.n), n_rows // 2]
-    c_id = yield ctx.read(CUSTOMER, "c_id", chosen)
+    c_id = yield ctx.read(CUSTOMER, "c_id", ctx.pick(rows, n_rows // 2))
     ctx.finish(c_id)
 
 
@@ -551,19 +550,19 @@ def order_status(ctx):
         "orders_by_customer", (w_id, d_id, c_id)
     )
     yield ctx.abort_where(n_orders == 0, "customer has no orders")
-    last = order_rows[np.arange(ctx.n), np.maximum(n_orders - 1, 0)]
+    last = ctx.pick(order_rows, n_orders - 1)
     o_id = yield ctx.read(ORDERS, "o_id", last)
     carrier = yield ctx.read(ORDERS, "o_carrier_id", last)
     line_rows, n_lines = yield ctx.index_probe_multi(
         "order_line_by_order", (w_id, d_id, o_id)
     )
-    total = np.zeros(ctx.n)
-    for slot in range(int(n_lines.max())):
+    total = ctx.zeros()
+    for slot in range(ctx.most(n_lines)):
         m = n_lines > slot
         amount = yield ctx.read(
-            ORDER_LINE, "ol_amount", line_rows[:, slot], mask=m
+            ORDER_LINE, "ol_amount", ctx.pick(line_rows, slot), mask=m
         )
-        total = total + np.where(m & ctx.active, amount, 0.0)
+        total = total + ctx.where(m & ctx.active, amount, 0.0)
     ctx.finish(balance, o_id, carrier, total)
 
 
@@ -584,7 +583,7 @@ def delivery(ctx):
         "new_order_by_district", (w_id, d_id)
     )
     yield ctx.abort_where(n_new == 0, "no undelivered order")
-    oldest = no_rows[:, 0]
+    oldest = ctx.pick(no_rows, 0)
     o_id = yield ctx.read(NEW_ORDER, "no_o_id", oldest)
     o_row = yield ctx.index_probe("orders_pk", (w_id, d_id, o_id))
     c_id = yield ctx.read(ORDERS, "o_c_id", o_row)
@@ -597,17 +596,13 @@ def delivery(ctx):
     # covers them.
     yield ctx.delete(NEW_ORDER, oldest)
     yield ctx.write(ORDERS, "o_carrier_id", o_row, carrier_id)
-    total = np.zeros(ctx.n)
-    for slot in range(int(n_lines.max())):
+    total = ctx.zeros()
+    for slot in range(ctx.most(n_lines)):
         m = n_lines > slot
-        amount = yield ctx.read(
-            ORDER_LINE, "ol_amount", line_rows[:, slot], mask=m
-        )
-        total = total + np.where(m & ctx.active, amount, 0.0)
-        yield ctx.write(
-            ORDER_LINE, "ol_delivery_d", line_rows[:, slot],
-            np.ones(ctx.n, dtype=np.int64), mask=m,
-        )
+        line_row = ctx.pick(line_rows, slot)
+        amount = yield ctx.read(ORDER_LINE, "ol_amount", line_row, mask=m)
+        total = total + ctx.where(m & ctx.active, amount, 0.0)
+        yield ctx.write(ORDER_LINE, "ol_delivery_d", line_row, 1, mask=m)
     c_row = yield ctx.index_probe("customer_pk", (w_id, d_id, c_id))
     c_balance = yield ctx.read(CUSTOMER, "c_balance", c_row)
     yield ctx.write(CUSTOMER, "c_balance", c_row, c_balance + total)
@@ -622,34 +617,26 @@ def stock_level(ctx):
     threshold = ctx.param_i64(2)
     d_row = yield ctx.index_probe("district_pk", (w_id, d_id))
     next_o_id = yield ctx.read(DISTRICT, "d_next_o_id", d_row)
-    lo = np.maximum(0, next_o_id - 20)
+    lo = ctx.where(next_o_id > 20, next_o_id - 20, 0)
     n_orders = next_o_id - lo
-    low = np.zeros(ctx.n, dtype=np.int64)
-    seen: List[set] = [set() for _ in range(ctx.n)]
-    max_orders = int(n_orders[ctx.active].max()) if ctx.active.any() else 0
-    for k in range(max_orders):
+    low = ctx.zeros(np.int64)
+    seen = set()
+    for k in range(ctx.most(n_orders)):
         m = n_orders > k
         line_rows, n_lines = yield ctx.index_probe_multi(
             "order_line_by_order", (w_id, d_id, lo + k), mask=m
         )
-        for slot in range(int(n_lines.max())):
+        for slot in range(ctx.most(n_lines)):
             mm = m & (n_lines > slot)
             i_id = yield ctx.read(
-                ORDER_LINE, "ol_i_id", line_rows[:, slot], mask=mm
+                ORDER_LINE, "ol_i_id", ctx.pick(line_rows, slot), mask=mm
             )
             # The per-lane dedup set: a repeated item skips the stock
             # probe and read.
-            fresh = np.zeros(ctx.n, dtype=bool)
-            for i in np.flatnonzero(mm & ctx.active):
-                item = int(i_id[i])
-                if item not in seen[i]:
-                    seen[i].add(item)
-                    fresh[i] = True
+            fresh = ctx.first_seen(seen, i_id, mm)
             s_row = yield ctx.index_probe("stock_pk", (w_id, i_id), mask=fresh)
             qty = yield ctx.read(STOCK, "s_quantity", s_row, mask=fresh)
-            low = low + np.where(
-                fresh & ctx.active & (qty < threshold), 1, 0
-            )
+            low = low + ctx.where(fresh & ctx.active & (qty < threshold), 1, 0)
     ctx.finish(low)
 
 

@@ -42,7 +42,7 @@ from repro.cluster.durability.wal import (
 )
 from repro.core.backends import VectorizedBackend
 from repro.core.backends.replay import _pack_sort, replay_kernel
-from repro.core.backends.wave import TraceRecorder, WaveStore
+from repro.core.backends.wave import NARROW_WIDTH, TraceRecorder, WaveStore
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
 from repro.gpu.simt import SIMTEngine, ThreadOutcome, ThreadTask, warp_layout
@@ -50,8 +50,11 @@ from repro.storage.catalog import StoreAdapter
 from repro.storage.schema import TableSchema
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc
 
-#: One lane, a few, either side of a warp (32) and of a block (256).
-WIDTHS = (1, 2, 3, 7, 8, 31, 32, 33, 255, 256, 257)
+#: One lane, a few, either side of the lane-by-lane crossover, of a
+#: warp (32) and of a block (256).
+WIDTHS = tuple(sorted(
+    {1, 2, 3, 7, 8, 31, 32, 33, 255, 256, 257, NARROW_WIDTH, NARROW_WIDTH + 1}
+))
 STATS_FIELDS = tuple(f.name for f in dataclasses.fields(KernelStats))
 
 

@@ -17,8 +17,10 @@ For TM1 and micro, whose generator and vector bodies are two hand-
 written functions, this is the direct check that the vector body
 records what the generator body yields at width 1.
 
-The last two tests pin the edges: an op a lane cannot express is
-refused, and a contended launch builds no one-lane ``WaveContext``.
+The last tests pin the edges: an op a lane cannot express is refused,
+a contended launch builds no one-lane ``WaveContext``, and a same-type
+sub-wave of at most ``NARROW_WIDTH`` lanes runs lane by lane while a
+wider one builds exactly one ``WaveContext``.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro import EngineOptions, GPUTx
 from repro.core.backends import lockstep, vectorized
 from repro.core.backends.wave import (
     HANDLE_BASE,
+    NARROW_WIDTH,
     TraceRecorder,
     WaveContext,
     WaveStore,
@@ -302,3 +305,79 @@ def test_no_one_lane_wave_context_is_built(monkeypatch, module, strategy, build)
         engine.run_bulk(strategy=strategy)
     assert lanes_run, "no one-lane sub-wave ran"
     assert 1 not in widths
+
+
+def _mixed_width_smallbank():
+    """Sub-waves from one lane to a few dozen, under TPL and K-SET."""
+    return (
+        smallbank.build_database(1, accounts_per_sf=256, seed=5),
+        smallbank.PROCEDURES,
+        lambda db: smallbank.generate_transactions(db, 300, seed=5, theta=0.6),
+    )
+
+
+def _dispatch(monkeypatch, module, build, strategy, narrow_width):
+    """Drain ``build``'s workload with ``module.NARROW_WIDTH`` set to
+    ``narrow_width``; every sub-wave dispatch in call order: ``("wave",
+    lanes)`` for a ``WaveContext``, ``("lane", lane)`` for a
+    ``run_lane`` call."""
+    events = []
+
+    class Spy(WaveContext):
+        def __init__(self, recorder, store, lanes, *args, **kwargs):
+            events.append(("wave", tuple(lanes.tolist())))
+            super().__init__(recorder, store, lanes, *args, **kwargs)
+
+    def spy_run_lane(*args, **kwargs):
+        events.append(("lane", args[2]))
+        return run_lane(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "WaveContext", Spy)
+        patch.setattr(module, "run_lane", spy_run_lane)
+        patch.setattr(module, "NARROW_WIDTH", narrow_width)
+        db, procedures, generate = build()
+        engine = GPUTx(
+            db, procedures=procedures,
+            options=EngineOptions(backend="vectorized", strict_vector=True),
+        )
+        engine.submit_many(generate(db))
+        while len(engine.pool):
+            engine.run_bulk(strategy=strategy)
+    return events, db.physical_state()
+
+
+@pytest.mark.parametrize(
+    "module, strategy, build",
+    [
+        (lockstep, "tpl", _mixed_width_smallbank),
+        (lockstep, "kset", _mixed_width_smallbank),
+        (vectorized, "part", lambda: (
+            tpcb.build_database(16, accounts_per_branch=16),
+            tpcb.PROCEDURES,
+            lambda db: tpcb.generate_transactions(db, 200, seed=5),
+        )),
+    ],
+    ids=["smallbank-tpl", "smallbank-kset", "tpcb-part"],
+)
+def test_narrow_sub_waves_run_lane_by_lane(monkeypatch, module, strategy, build):
+    """With the crossover at 0 every same-type sub-wave builds one
+    ``WaveContext``, which exposes the launch's sub-waves in order. At
+    ``NARROW_WIDTH`` the same launches dispatch each sub-wave of at most
+    that many lanes as one ``run_lane`` per lane, ascending, and each
+    wider one as exactly one ``WaveContext`` -- with the same store."""
+    sub_waves, state = _dispatch(monkeypatch, module, build, strategy, 0)
+    assert {kind for kind, _ in sub_waves} == {"wave"}
+    expected = []
+    for _, lanes in sub_waves:
+        if len(lanes) <= NARROW_WIDTH:
+            expected.extend(("lane", lane) for lane in lanes)
+        else:
+            expected.append(("wave", lanes))
+    events, routed_state = _dispatch(
+        monkeypatch, module, build, strategy, NARROW_WIDTH
+    )
+    assert events == expected
+    assert routed_state == state
+    widths = {len(lanes) for _, lanes in sub_waves}
+    assert min(widths) <= NARROW_WIDTH < max(widths), widths

@@ -1,5 +1,6 @@
 """Unit tests for bulk formers and the chooser's strategy feedback."""
 
+import numpy as np
 import pytest
 
 from repro.core.chooser import StrategyFeedback
@@ -46,6 +47,32 @@ class TestSLOConfig:
         with pytest.raises(ConfigError):
             SLOConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # A float size reaches a slice partway through a stream.
+            {"min_bulk": 2.5},
+            {"max_bulk": float("inf")},
+            {"max_bulk": 64.0},
+            {"min_bulk": True},
+            {"max_form_wait_s": float("nan")},
+            {"max_form_wait_s": "0.01"},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    def test_sizes_are_ints_and_waits_not_nan(self, kwargs):
+        with pytest.raises(ConfigError):
+            SLOConfig(**kwargs)
+
+    def test_integral_values_are_normalised(self):
+        slo = SLOConfig(
+            target_p95_s=np.float32(0.5), min_bulk=np.int64(8),
+            max_bulk=np.int32(64), max_form_wait_s=np.float64(0.25),
+        )
+        assert (slo.target_p95_s, slo.min_bulk, slo.max_bulk) == (0.5, 8, 64)
+        assert [type(v) for v in (slo.min_bulk, slo.max_bulk)] == [int, int]
+        assert type(slo.form_wait_s) is float
+
 
 class TestFixedBulkFormer:
     def test_constant_target(self):
@@ -60,6 +87,26 @@ class TestFixedBulkFormer:
             FixedBulkFormer(0)
         with pytest.raises(ConfigError):
             FixedBulkFormer(8, max_form_wait_s=0.0)
+
+    @pytest.mark.parametrize(
+        "size, wait",
+        [
+            (2.5, 0.05),
+            (8.0, 0.05),
+            (float("inf"), 0.05),
+            (True, 0.05),
+            (8, float("nan")),
+        ],
+    )
+    def test_size_is_an_int_and_wait_not_nan(self, size, wait):
+        with pytest.raises(ConfigError):
+            FixedBulkFormer(size, max_form_wait_s=wait)
+
+    def test_integral_size_is_normalised(self):
+        former = FixedBulkFormer(np.int64(16), max_form_wait_s=np.float64(0.01))
+        assert type(former.target_size()) is int
+        assert former.target_size() == 16
+        assert type(former.max_form_wait_s) is float
 
 
 class TestAdaptiveBulkFormer:

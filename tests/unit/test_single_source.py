@@ -38,7 +38,10 @@ OPS = {
 SURFACE = OPS | {
     "param_i64", "param_f64", "param_bool", "param_obj", "param_lists",
     "finish", "finish_where", "n", "active",
+    "where", "zeros", "pick", "most", "first_seen",
 }
+#: ndarray methods a lane's Python scalar does not have.
+ARRAY_METHODS = {"max", "min", "sum", "any", "all", "astype", "tolist", "item"}
 
 
 def unyielded_ops(kernel):
@@ -61,6 +64,30 @@ def unyielded_ops(kernel):
     ]
 
 
+def column_idioms(kernel):
+    """``(line, idiom)`` of every place the kernel computes on columns
+    rather than through its context: a NumPy function call, an ndarray
+    method, a ``[:, j]`` slice. A NumPy dtype passed as an argument is
+    not a call and passes."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
+    ctx = tree.body[0].args.args[0].arg
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            root = node.func.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            name = root.id if isinstance(root, ast.Name) else None
+            if name in ("np", "numpy"):
+                found.append((node.lineno, f"np.{node.func.attr}"))
+            elif name != ctx and node.func.attr in ARRAY_METHODS:
+                found.append((node.lineno, f".{node.func.attr}()"))
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            if any(isinstance(e, ast.Slice) for e in node.slice.elts):
+                found.append((node.lineno, "[:, j]"))
+    return sorted(found)
+
+
 class TestYieldRule:
     @pytest.mark.parametrize("proc", SINGLE_SOURCE, ids=lambda t: t.name)
     def test_every_op_call_is_yielded(self, proc):
@@ -79,6 +106,26 @@ class TestYieldRule:
             "abort_where", "read",
         ]
 
+    @pytest.mark.parametrize("proc", SINGLE_SOURCE, ids=lambda t: t.name)
+    def test_no_kernel_computes_on_columns(self, proc):
+        """A lane holds Python scalars: a NumPy call or a column slice
+        in a kernel would put one-element arrays back on the lane path
+        (or fail there). Kernels use operators and the helpers."""
+        assert column_idioms(proc.body.__wrapped__) == []
+
+    def test_the_walk_catches_column_idioms(self):
+        def kernel(c):
+            rows, n = yield c.index_probe_multi("ix", c.param_i64(0))
+            total = np.zeros(c.n, dtype=np.int64)
+            first = rows[:, 0]
+            last = rows[np.arange(c.n), n - 1]
+            ok = c.zeros(np.int64) + c.pick(rows, n - 1)  # dtype argument
+            c.finish(total + first + last + ok + n.max())
+
+        assert [idiom for _line, idiom in column_idioms(kernel)] == [
+            "np.zeros", "[:, j]", "np.arange", ".max()",
+        ]
+
     def test_a_plain_function_is_not_a_kernel(self):
         def not_a_kernel(ctx):
             ctx.finish()
@@ -91,8 +138,10 @@ class TestYieldRule:
 
 class TestOneSurface:
     def test_lane_context_mirrors_wave_context(self):
-        """Same public names, same parameter lists: a kernel cannot
-        tell which context it runs on."""
+        """Same public names, same parameter lists -- the helpers
+        included: a kernel cannot tell which context it runs on. What
+        the lane holds is lane 0 of the wave's columns as a Python
+        value, and so is what its helpers return."""
         lane = LaneContext((7,))
         wave = WaveContext(
             TraceRecorder(1), None, np.array([0]), 0, [Transaction(0, "x", (7,))]
@@ -103,7 +152,7 @@ class TestOneSurface:
         for name in sorted(SURFACE):
             ours, theirs = getattr(lane, name), getattr(wave, name)
             if not callable(ours):
-                assert np.array_equal(ours, theirs), name
+                assert _typed(ours) == _typed(lane0(theirs)), name
                 continue
             assert [
                 (p.name, p.kind, p.default)
@@ -112,35 +161,59 @@ class TestOneSurface:
                 (p.name, p.kind, p.default)
                 for p in inspect.signature(theirs).parameters.values()
             ], name
+        one = np.array
+        calls = [
+            ("param_i64", (0,), (0,)),
+            ("param_f64", (0,), (0,)),
+            ("param_bool", (0,), (0,)),
+            ("where", (True, 2, 3.5), (one([True]), one([2]), one([3]))),
+            ("where", (False, 2.5, 3.5), (one([False]), one([2.5]), one([3.5]))),
+            ("zeros", (), ()),
+            ("zeros", (np.int64,), (np.int64,)),
+            ("pick", ([4, 5], 1), (one([[4, 5]]), 1)),
+            ("pick", ([4], 1), (one([[4, 0]]), 1)),
+            ("pick", ([4, 5], 1), (one([[4, 5]]), one([1]))),
+            ("most", (6,), (one([6]),)),
+            ("first_seen", (set(), 3, True), (set(), one([3]), one([True]))),
+            ("first_seen", ({3}, 3, True), ({(0, 3)}, one([3]), one([True]))),
+            ("first_seen", (set(), 3, False), (set(), one([3]), one([False]))),
+        ]
+        for name, ours, theirs in calls:
+            assert _typed(getattr(lane, name)(*ours)) == _typed(
+                lane0(getattr(wave, name)(*theirs))
+            ), (name, ours)
+        rows, count = LaneContext(((3, 4),)).param_lists(0)
+        assert _typed((rows, count)) == _typed(([3, 4], 2))
 
     def test_masked_off_ops_issue_nothing(self):
-        """No op, no round -- and the kernel gets back what
-        ``WaveContext`` leaves at a masked-off lane."""
-        off = np.zeros(1, dtype=bool)
-        rows = np.zeros(1, dtype=np.int64)
+        """No op, no round -- and the kernel gets back, as a Python
+        value, lane 0 of what ``WaveContext`` leaves at a masked-off
+        lane; a multi-index probe's reply is a list plus a count."""
         replies = {}
 
         def kernel(ctx):
+            off = ctx.zeros(bool)
+            row = ctx.zeros(np.int64)
             replies[type(ctx)] = [
-                (yield ctx.index_probe("pk", rows, mask=off)),
-                (yield ctx.index_probe_multi("by_x", rows, mask=off)),
-                (yield ctx.read("t", "v", rows, mask=off)),
-                (yield ctx.write("t", "v", rows, rows, mask=off)),
+                (yield ctx.index_probe("pk", row, mask=off)),
+                (yield ctx.index_probe_multi("by_x", row, mask=off)),
+                (yield ctx.read("t", "v", row, mask=off)),
+                (yield ctx.write("t", "v", row, row, mask=off)),
                 (yield ctx.compute(3, mask=off)),
                 (yield ctx.sfu(3, mask=off)),
-                (yield ctx.insert("t", (rows,), mask=off)),
-                (yield ctx.delete("t", rows, mask=off)),
+                (yield ctx.insert("t", (row,), mask=off)),
+                (yield ctx.delete("t", row, mask=off)),
                 (yield ctx.abort_where(off, "never")),
             ]
-            ctx.finish_where(off, rows)
-            ctx.finish(rows + 9)
+            ctx.finish_where(off, row)
+            ctx.finish(row + 9)
 
         proc = TransactionType.from_kernel(
             kernel, name="masked", access_fn=lambda p: []
         )
         with pytest.raises(StopIteration) as stop:
             next(proc.body())
-        assert stop.value.value == 9
+        assert _typed(stop.value.value) == _typed(9)
         recorder = TraceRecorder(1)
         wave = WaveContext(
             recorder, None, np.array([0]), 0, [Transaction(0, "masked", ())]
@@ -148,14 +221,30 @@ class TestOneSurface:
         proc.vector_body(wave)
         recorder.flush_scalar()
         assert recorder.steps == [] and wave.results.tolist() == [9]
+        ours = replies[LaneContext]
+        assert _typed(ours) == _typed([lane0(r) for r in replies[WaveContext]])
+        assert _typed(ours[1]) == ("tuple", [("list", []), ("int", 0)])
 
-        def flat(reply):
-            parts = reply if isinstance(reply, tuple) else (reply,)
-            return [None if p is None else (p.dtype, p.tolist()) for p in parts]
+    def test_a_multi_probe_answers_a_list_and_a_count(self):
+        """Whatever sequence the interpreter answers with (a tuple from
+        ``StoreAdapter.probe``, a list from ``run_lane``), the kernel
+        gets a list of its own plus the count."""
+        got = []
 
-        assert [flat(r) for r in replies[LaneContext]] == [
-            flat(r) for r in replies[WaveContext]
-        ]
+        def kernel(ctx):
+            got.append((yield ctx.index_probe_multi("by_x", ctx.param_i64(0))))
+            ctx.finish()
+
+        body = TransactionType.from_kernel(
+            kernel, name="multi", access_fn=lambda p: []
+        ).body
+        for answer in ((5, 6), [5, 6]):
+            stream = body(1)
+            assert next(stream).key == 1
+            with pytest.raises(StopIteration):
+                stream.send(answer)
+        assert _typed(got) == _typed([([5, 6], 2)] * 2)
+        assert got[1][0] is not got[0][0]
 
     def test_values_cross_the_op_edge_as_python_scalars(self):
         def kernel(ctx):
@@ -256,6 +345,27 @@ class TestOneDefinition:
                 )
             )
         assert observed[0] == observed[1]
+
+
+def _typed(value):
+    """``value`` with the type of every leaf: ``True == 1`` is no
+    match."""
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [_typed(v) for v in value]
+    return type(value).__name__, value
+
+
+def lane0(reply):
+    """Lane 0 of a ``WaveContext`` value as the Python value a lane
+    holds: a multi-probe's ``(rows, counts)`` becomes lane 0's list of
+    matches plus its count."""
+    if isinstance(reply, tuple):
+        rows, counts = reply
+        count = counts.tolist()[0]
+        return rows.tolist()[0][:count], count
+    if isinstance(reply, np.ndarray):
+        return reply.tolist()[0]
+    return reply
 
 
 def answered_by(adapter, stream, seen):
