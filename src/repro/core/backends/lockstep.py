@@ -47,9 +47,9 @@ Equivalence argument (the invariants the property suite pins down):
   is an integer-valued float, so multiplying by the interval length
   equals the interpreter's repeated addition bit for bit.
 
-Bodies run as batched column kernels (:class:`WaveContext`; a type
-granted at most ``NARROW_WIDTH`` threads runs their op streams through
-:func:`run_lane`, one after another) the
+Bodies run, one same-type sub-wave per
+:func:`~repro.core.backends.wave.run_sub_wave` call (which alone decides
+between a column kernel and one op stream per lane), the
 moment their locks are granted -- safe under two-phase locking because
 any conflicting transaction's lock window is serialized after the
 holder's, so processing rounds in ascending order always presents the
@@ -79,12 +79,10 @@ from repro.core import tx_logging
 from repro.core.backends.replay import ScheduleOverrides, VisitTracker, replay_kernel
 from repro.core.backends.wave import (
     HANDLE_BASE,
-    NARROW_WIDTH,
     Step,
     TraceRecorder,
-    WaveContext,
     WaveStore,
-    run_lane,
+    run_sub_wave,
 )
 from repro.errors import DeadlockError, KernelTimeoutError
 from repro.gpu import ops as op_ir
@@ -266,7 +264,8 @@ def run_locked_schedule(
     committed = np.ones(n, dtype=bool)
     abort_reason = np.full(n, "", dtype=object)
     results = np.full(n, None, dtype=object)
-    undo_logs: Dict[int, List[Tuple[Any, ...]]] = {}
+    undo_logs: List[Any] = [None] * n
+    out = (committed, abort_reason, results, undo_logs)
 
     #: (warp, type_id) -> acquire group.
     groups: Dict[Tuple[int, int], _AcqGroup] = {}
@@ -300,9 +299,7 @@ def run_locked_schedule(
     def run_bodies(ready: Dict[int, np.ndarray], r: int) -> None:
         """Run the bodies of the threads granted at round ``r`` -- per
         type (``ready``: type id -> ascending thread indices) one
-        column kernel, or :func:`run_lane` per thread, in ascending
-        order, when the type was granted at most ``NARROW_WIDTH`` --
-        then retire them all in one pass.
+        :func:`run_sub_wave` -- then retire them all in one pass.
 
         Bodies start at round ``r + 1`` (the round after the final
         gate pass); release and abort counter effects are scheduled at
@@ -315,32 +312,11 @@ def run_locked_schedule(
             lanes = ready[tid]
             txn_type, _lanes, capture_undo = types[tid]
             recorder.round_base[lanes] = r + 1
-            lane_list = lanes.tolist()
-            if len(lane_list) <= NARROW_WIDTH:
-                for t in lane_list:
-                    committed[t], abort_reason[t], results[t], undo = run_lane(
-                        recorder, store, t, tid, txn_type,
-                        transactions[t].params,
-                        record_abort_ops=True, capture_undo=capture_undo,
-                    )
-                    if undo:
-                        undo_logs[t] = undo
-                continue
-            ctx = WaveContext(
-                recorder, store, lanes, tid,
-                [transactions[t] for t in lane_list],
-                capture_undo=capture_undo,
+            run_sub_wave(
+                recorder, store, lanes, tid, txn_type,
+                [transactions[t] for t in lanes.tolist()], out,
+                record_abort_ops=True, capture_undo=capture_undo,
             )
-            ctx.set_branch()
-            txn_type.vector_body(ctx)
-            ctx.close()
-            committed[lanes] = ctx.committed
-            abort_reason[lanes] = ctx.abort_reason
-            results[lanes] = ctx.results
-            if ctx.undo is not None:
-                undo_logs.update(
-                    (t, log) for t, log in zip(lane_list, ctx.undo) if log
-                )
         lanes = np.concatenate([ready[tid] for tid in sorted(ready)])
         # A committed thread releases its locks one per round after
         # its last body op; an aborted one is done at its ABORT op.
@@ -603,8 +579,9 @@ def run_locked_schedule(
     # Undo logs were journalled during the kernel, before staged
     # inserts materialised; rewrite handle-encoded rows to the
     # physical ids the replay assigned (no-op without staged inserts).
-    for t, entries in undo_logs.items():
-        outcomes[t].undo = tx_logging.remap_handle_rows(
-            entries, store.handle_row, HANDLE_BASE
-        )
+    for t, entries in enumerate(undo_logs):
+        if entries:
+            outcomes[t].undo = tx_logging.remap_handle_rows(
+                entries, store.handle_row, HANDLE_BASE
+            )
     return report

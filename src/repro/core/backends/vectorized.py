@@ -39,13 +39,7 @@ import numpy as np
 from repro.core.backends.base import InterpretedBackend
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
-from repro.core.backends.wave import (
-    NARROW_WIDTH,
-    TraceRecorder,
-    WaveContext,
-    WaveStore,
-    run_lane,
-)
+from repro.core.backends.wave import TraceRecorder, WaveStore, run_sub_wave
 from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, ThreadOutcome
@@ -178,6 +172,11 @@ class VectorizedBackend(InterpretedBackend):
         recorder = TraceRecorder(n)
         cur_branch = np.full(n, -1, dtype=np.int64)
         per_part: List[List[Tuple]] = [[] for _ in range(n)]
+        # One slot's outcomes, at their partitions' indices.
+        committed = np.ones(n, dtype=bool)
+        abort_reason = np.full(n, "", dtype=object)
+        results = np.full(n, None, dtype=object)
+        out = (committed, abort_reason, results, [None] * n)
         all_lanes = np.arange(n, dtype=np.int64)
         # The partition-boundary binary searches (one Compute op).
         recorder.record(
@@ -205,33 +204,15 @@ class VectorizedBackend(InterpretedBackend):
                 # own wrapper issues a second (now same-tag) SetBranch.
                 recorder.record(op_ir.SET_BRANCH, lanes, cur_branch[lanes])
                 cur_branch[lanes] = type_id
-                if len(lane_list) <= NARROW_WIDTH:
-                    slot_outcomes = [
-                        run_lane(
-                            recorder, store, i, type_id, txn_type, txn.params,
-                            record_abort_ops=False, capture_undo=False,
-                        )[:3]
-                        for i, txn in zip(lane_list, txns_slot)
-                    ]
-                else:
-                    ctx = WaveContext(
-                        recorder, store, lanes, type_id, txns_slot,
-                        record_abort_ops=False,
-                    )
-                    ctx.set_branch()
-                    txn_type.vector_body(ctx)
-                    ctx.close()
-                    slot_outcomes = zip(
-                        ctx.committed.tolist(),
-                        ctx.abort_reason.tolist(),
-                        ctx.results.tolist(),
-                    )
-                for i, txn, (ok, reason, value) in zip(
-                    lane_list, txns_slot, slot_outcomes
+                run_sub_wave(
+                    recorder, store, lanes, type_id, txn_type, txns_slot, out,
+                    record_abort_ops=False, capture_undo=False,
+                )
+                for i, txn, ok, reason, value in zip(
+                    lane_list, txns_slot, committed[lanes].tolist(),
+                    abort_reason[lanes].tolist(), results[lanes].tolist(),
                 ):
-                    per_part[i].append(
-                        (txn.txn_id, ok, reason, value, [], [])
-                    )
+                    per_part[i].append((txn.txn_id, ok, reason, value, [], []))
             # Loop bookkeeping between transactions (one Compute op).
             recorder.record(
                 op_ir.COMPUTE, lanes_slot, cur_branch[lanes_slot], amount=2

@@ -35,12 +35,15 @@ column rules of the kernel boundary are on :class:`WaveContext`):
   applied to the real store in interpreter event order by the replay,
   so physical row ids are byte-identical to the interpreted backend.
 
-A same-type sub-wave of at most :data:`NARROW_WIDTH` lanes (contended
-TPL grants, a K-SET wave's tail, a PART slot) never builds a
+Every launch runs a same-type sub-wave through :func:`run_sub_wave`,
+the one owner of the width fork. At most :data:`NARROW_WIDTH` lanes
+(contended TPL grants, a K-SET wave's tail, a PART slot) build no
 :class:`WaveContext`: :func:`run_lane` runs each lane's op stream, in
 ascending lane order, on the same :class:`WaveStore`, recording
 through :meth:`TraceRecorder.record_scalar` what a ``WaveContext``
-would (tests/property/test_one_lane_driver.py diffs the two).
+would (tests/property/test_one_lane_driver.py diffs the two). A wider
+sub-wave builds one ``WaveContext``, whose every op has one path: its
+lane selection is an index NumPy applies alike to all lanes or some.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ HANDLE_BASE = 1 << 44
 #: relative to its cost-address base.
 _PROBE_WORDS = np.array([0, 8], dtype=np.int64)
 
+#: The lane index of a wave op whose selection is every lane.
+_EVERY_LANE = slice(None)
+
 
 class _TableAddressing:
     """Device-address arithmetic for one table over one launch: the
@@ -79,11 +85,10 @@ class _TableAddressing:
         #: contract of ColumnTable.column_device_offset.
         self.columns = tbl.schema.device_columns
 
-    def addresses(
-        self, column: str, rows: np.ndarray, n_rows: Optional[np.ndarray] = None
-    ):
-        """Vectorized ColumnTable.cell_address + table base, at the
-        launch's row count or at per-row counts ``n_rows``."""
+    def addresses(self, column: str, rows: Any, n_rows: Optional[np.ndarray] = None):
+        """Vectorized ColumnTable.cell_address + table base of ``rows``
+        (an array, or one row id), at the launch's row count or at
+        per-row counts ``n_rows``."""
         pre_w, width = self.columns[column]
         if n_rows is None:
             offset = pre_w * max(self.n_rows, 1)
@@ -147,6 +152,17 @@ class WaveStore:
         if info is None:
             info = self._addr[table] = _TableAddressing(self.db, table)
         return info
+
+    def cells(self, table: str, column: str, rows: Any) -> Tuple[Any, int, Any]:
+        """``(addr, width, deferred)`` of a READ/WRITE of ``rows`` (an
+        array, or one row id): device addresses resolved now, or -- on a
+        table that may gain rows this launch -- the rows, for the replay
+        to resolve."""
+        info = self.addressing(table)
+        if table in self.mutating_tables:
+            return None, info.columns[column][1], (table, column, rows)
+        addr, width = info.addresses(column, rows)
+        return addr, width, None
 
     # -- probes ----------------------------------------------------------
     def probe_unique(self, index: str, keys: Sequence[Any]) -> np.ndarray:
@@ -664,13 +680,12 @@ def _padded(lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return mat, lens
 
 
-def _python_keys(keys: Any, idx: Optional[np.ndarray] = None) -> List[Any]:
-    """The probe keys of lanes ``idx`` (all lanes when None) as Python
-    values: ``keys`` is one column, or a tuple of columns zipped into
-    composite keys."""
+def _python_keys(keys: Any, idx: Any) -> List[Any]:
+    """The probe keys of lanes ``idx`` as Python values: ``keys`` is one
+    column, or a tuple of columns zipped into composite keys."""
     if isinstance(keys, tuple):
         return list(zip(*(_python_keys(column, idx) for column in keys)))
-    return (keys if idx is None else keys[idx]).tolist()
+    return keys[idx].tolist()
 
 
 class KernelContext:
@@ -753,10 +768,6 @@ class WaveContext(KernelContext):
         self.undo: Optional[List[List[Tuple[Any, ...]]]] = (
             [[] for _ in range(self.n)] if capture_undo else None
         )
-        #: True until the first lane finishes or aborts: while it holds,
-        #: an unmasked op applies to ``lanes`` as they are and no mask
-        #: is built, reduced or indexed with.
-        self._all_active = True
 
     # -- parameters ------------------------------------------------------
     def param_i64(self, i: int) -> np.ndarray:
@@ -810,25 +821,17 @@ class WaveContext(KernelContext):
         return fresh
 
     # -- mask plumbing ---------------------------------------------------
-    def _select(self, mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """Local indices of the active lanes under ``mask``, ascending;
-        None when that is every lane of the sub-wave."""
-        if mask is None:
-            if self._all_active:
-                return None
-            m = self.active
-        else:
-            m = self.active & mask
-        return None if m.all() else np.flatnonzero(m)
+    def _select(self, mask: Optional[np.ndarray]) -> Any:
+        """The active lanes under ``mask`` as an index NumPy applies the
+        same way either way: ``slice(None)`` (a view, no copy) when that
+        is every lane of the sub-wave, else their local indices,
+        ascending."""
+        m = self.active if mask is None else self.active & mask
+        return _EVERY_LANE if np.count_nonzero(m) == self.n else m.nonzero()[0]
 
-    def _record(self, kind: int, idx: Optional[np.ndarray], **kw: Any) -> None:
+    def _record(self, kind: int, idx: Any, **kw: Any) -> None:
         """Record one op on the lanes :meth:`_select` picked."""
-        self.recorder.record(
-            kind,
-            self.lanes if idx is None else self.lanes[idx],
-            self.type_id,
-            **kw,
-        )
+        self.recorder.record(kind, self.lanes[idx], self.type_id, **kw)
 
     # -- ops -------------------------------------------------------------
     def set_branch(self) -> None:
@@ -841,13 +844,10 @@ class WaveContext(KernelContext):
         """Probe a unique index or static map; -1 encodes a miss."""
         idx = self._select(mask)
         keys_m = _python_keys(keys, idx)
-        if idx is None:
-            out = self.store.probe_unique(index, keys_m)
-        else:
-            out = np.full(self.n, -1, dtype=np.int64)
-            if len(idx) == 0:
-                return out
-            out[idx] = self.store.probe_unique(index, keys_m)
+        out = np.full(self.n, -1, dtype=np.int64)
+        if not keys_m:
+            return out
+        out[idx] = self.store.probe_unique(index, keys_m)
         self._record(
             op_ir.INDEX_PROBE,
             idx,
@@ -865,17 +865,15 @@ class WaveContext(KernelContext):
         column); lanes outside the mask count zero matches.
         """
         idx = self._select(mask)
-        if idx is not None and len(idx) == 0:
-            return _padded([()] * self.n)
         keys_m = _python_keys(keys, idx)
+        if not keys_m:
+            return _padded([()] * self.n)
         rows, counts = _padded(self.store.probe_multi(index, keys_m))
         self._record(
             op_ir.INDEX_PROBE,
             idx,
             addr=self.store.probe_cost_addresses(index, keys_m),
         )
-        if idx is None:
-            return rows, counts
         rows_n = np.zeros((self.n, rows.shape[1]), dtype=np.int64)
         counts_n = np.zeros(self.n, dtype=np.int64)
         rows_n[idx] = rows
@@ -890,20 +888,17 @@ class WaveContext(KernelContext):
         mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         idx = self._select(mask)
-        if idx is None:
-            out = self.store.gather(table, column, rows)
-            self._record_mem(op_ir.READ, None, table, column, rows)
-            return out
-        if len(idx) == 0:
-            return np.zeros(self.n)
         rows_m = rows[idx]
+        if len(rows_m) == 0:
+            return np.zeros(self.n)
         values = self.store.gather(table, column, rows_m)
         if values.dtype == object:
             out = np.empty(self.n, dtype=object)
         else:
             out = np.zeros(self.n, dtype=values.dtype)
         out[idx] = values
-        self._record_mem(op_ir.READ, idx, table, column, rows_m)
+        addr, width, deferred = self.store.cells(table, column, rows_m)
+        self._record(op_ir.READ, idx, addr=addr, width=width, deferred=deferred)
         return out
 
     def write(
@@ -922,15 +917,11 @@ class WaveContext(KernelContext):
         applies them once the insert materialises.
         """
         idx = self._select(mask)
-        rows_m = np.asarray(rows)
+        rows_m = np.asarray(rows)[idx]
+        if len(rows_m) == 0:
+            return
         values_m = np.asarray(values)
-        if values_m.ndim == 0:
-            values_m = np.full(len(rows_m), values_m)
-        if idx is not None:
-            if len(idx) == 0:
-                return
-            rows_m = rows_m[idx]
-            values_m = values_m[idx]
+        values_m = values_m[idx] if values_m.ndim else np.full(len(rows_m), values_m)
         if self.undo is not None:
             # Bulk before-image capture: one overlay-aware gather for
             # the whole step, then per-lane appends in lane order --
@@ -938,7 +929,7 @@ class WaveContext(KernelContext):
             # per-row ``t.undo.append`` exactly. ``.tolist()`` converts
             # numpy scalars at the edge, as ColumnTable.write does.
             olds = self.store.gather(table, column, rows_m).tolist()
-            lane_ids = range(self.n) if idx is None else idx.tolist()
+            lane_ids = np.arange(self.n)[idx].tolist()
             for i, row, old in zip(lane_ids, rows_m.tolist(), olds):
                 self.undo[i].append((table, column, row, old))
         # A handle row can only name one of this launch's staged inserts.
@@ -964,21 +955,8 @@ class WaveContext(KernelContext):
                 )
         else:
             self.store.adapter.scatter_bulk(table, column, rows_m, values_m)
-        self._record_mem(op_ir.WRITE, idx, table, column, rows_m)
-
-    def _record_mem(
-        self, kind: int, idx: Optional[np.ndarray], table: str, column: str,
-        rows_m: np.ndarray,
-    ) -> None:
-        info = self.store.addressing(table)
-        if table in self.store.mutating_tables:
-            _, width = info.columns[column]
-            self._record(
-                kind, idx, width=width, deferred=(table, column, rows_m)
-            )
-        else:
-            addr, width = info.addresses(column, rows_m)
-            self._record(kind, idx, addr=addr, width=width)
+        addr, width, deferred = self.store.cells(table, column, rows_m)
+        self._record(op_ir.WRITE, idx, addr=addr, width=width, deferred=deferred)
 
     def compute(self, amount: int, mask: Optional[np.ndarray] = None) -> None:
         self._record(op_ir.COMPUTE, self._select(mask), amount=amount)
@@ -998,14 +976,12 @@ class WaveContext(KernelContext):
         per-lane array, or a scalar every lane inserts.
         """
         idx = self._select(mask)
-        if idx is None:
-            idx = np.arange(self.n)
-        if len(idx) == 0:
+        lanes = np.arange(self.n)[idx].tolist()
+        if not lanes:
             return np.full(self.n, -1, dtype=np.int64)
-        lanes = idx.tolist()
         rows = list(zip(*(
             c[idx].tolist() if isinstance(c, np.ndarray)
-            else repeat(c, len(idx))
+            else repeat(c, len(lanes))
             for c in columns
         )))
         handles = self.store.stage_inserts(table, rows)
@@ -1030,12 +1006,10 @@ class WaveContext(KernelContext):
         mask: Optional[np.ndarray] = None,
     ) -> None:
         idx = self._select(mask)
-        if idx is None:
-            idx = np.arange(self.n)
-        if len(idx) == 0:
-            return
         rows_m = np.asarray(rows)[idx].astype(np.int64)
-        for i, row_enc in zip(idx.tolist(), rows_m.tolist()):
+        if len(rows_m) == 0:
+            return
+        for i, row_enc in zip(np.arange(self.n)[idx].tolist(), rows_m.tolist()):
             self.store.stage_delete(table, row_enc)
             if self.undo is not None:
                 self.undo[i].append(
@@ -1054,7 +1028,6 @@ class WaveContext(KernelContext):
         self.committed &= ~m
         self.abort_reason[m] = reason
         self.active &= ~m
-        self._all_active = False
 
     def finish_where(self, mask: np.ndarray, *columns: np.ndarray) -> None:
         """Lanes in ``mask`` return their entries of the result
@@ -1070,7 +1043,6 @@ class WaveContext(KernelContext):
                 count=self.n,
             )[m]
         self.active &= ~m
-        self._all_active = False
 
     def close(self) -> None:
         """Kernel epilogue sanity check: every lane ended or aborted."""
@@ -1114,15 +1086,6 @@ def run_lane(
     db = store.db
     mutating = store.mutating_tables
 
-    def record_cell(kind: int, table: str, column: str, row: int) -> None:
-        info = store.addressing(table)
-        pre_w, width = info.columns[column]
-        if table in mutating:
-            record(kind, lane, type_id, width=width, deferred=(table, column, row))
-        else:
-            addr = info.base + pre_w * (info.n_rows or 1) + row * width
-            record(kind, lane, type_id, addr=addr, width=width)
-
     stream = txn_type.body(*params)
     reply: Any = None
     while True:
@@ -1133,8 +1096,10 @@ def run_lane(
         kind = op.kind
         reply = None
         if kind == op_ir.READ:
-            reply = store.gather1(op.table, op.column, op.row)
-            record_cell(kind, op.table, op.column, op.row)
+            table, column, row = op.table, op.column, op.row
+            reply = store.gather1(table, column, row)
+            addr, width, deferred = store.cells(table, column, row)
+            record(kind, lane, type_id, addr=addr, width=width, deferred=deferred)
         elif kind == op_ir.WRITE:
             table, column, row = op.table, op.column, op.row
             if undo is not None:
@@ -1147,7 +1112,8 @@ def run_lane(
                 raise ValueError(
                     f"write of staged rows into non-mutating table {table!r}"
                 )
-            record_cell(kind, table, column, row)
+            addr, width, deferred = store.cells(table, column, row)
+            record(kind, lane, type_id, addr=addr, width=width, deferred=deferred)
         elif kind == op_ir.INDEX_PROBE:
             index, key = op.index, op.key
             if index in db.static_maps or db.index(index).unique:
@@ -1175,3 +1141,50 @@ def run_lane(
         else:
             name = op_ir.KIND_NAMES.get(kind, kind)
             raise ValueError(f"op kind {name} cannot run in a one-lane sub-wave")
+
+
+def run_sub_wave(
+    recorder: TraceRecorder,
+    store: WaveStore,
+    lanes: np.ndarray,
+    type_id: int,
+    txn_type: Any,
+    transactions: Sequence[Any],
+    out: Tuple[np.ndarray, np.ndarray, np.ndarray, List[Any]],
+    *,
+    record_abort_ops: bool,
+    capture_undo: bool,
+) -> None:
+    """Run one same-type sub-wave: ``transactions`` on the launch
+    threads ``lanes`` (ascending).
+
+    The one owner of the width fork: at most :data:`NARROW_WIDTH` lanes
+    run through :func:`run_lane`, one call per lane in ascending order;
+    a wider sub-wave runs the type's vector body on one
+    :class:`WaveContext`. Either way each thread's committed flag, abort
+    reason, result and undo log (None unless ``capture_undo``) land at
+    its index in ``out``, the caller's launch-length columns ``(committed,
+    abort_reason, results, undo)``.
+    """
+    committed, abort_reason, results, undo = out
+    lane_list = lanes.tolist()
+    if len(lane_list) <= NARROW_WIDTH:
+        for t, txn in zip(lane_list, transactions):
+            committed[t], abort_reason[t], results[t], undo[t] = run_lane(
+                recorder, store, t, type_id, txn_type, txn.params,
+                record_abort_ops=record_abort_ops, capture_undo=capture_undo,
+            )
+        return
+    ctx = WaveContext(
+        recorder, store, lanes, type_id, transactions,
+        record_abort_ops=record_abort_ops, capture_undo=capture_undo,
+    )
+    ctx.set_branch()
+    txn_type.vector_body(ctx)
+    ctx.close()
+    committed[lanes] = ctx.committed
+    abort_reason[lanes] = ctx.abort_reason
+    results[lanes] = ctx.results
+    if ctx.undo is not None:
+        for t, log in zip(lane_list, ctx.undo):
+            undo[t] = log

@@ -19,6 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 import warnings
@@ -397,8 +398,13 @@ class GPUTx(BulkFrontDoor):
         response time of a transaction is bulk-finish-time minus its
         arrival time.
         """
-        if arrival_rate_tps <= 0 or interval_s <= 0:
-            raise ConfigError("arrival rate and interval must be positive")
+        # ``not x > 0``, not ``x <= 0``: a NaN must not pass. The rate may
+        # be infinite (everything arrives at 0); the interval may not.
+        if not arrival_rate_tps > 0 or not 0 < interval_s < math.inf:
+            raise ConfigError(
+                "arrival rate must be positive and interval positive and "
+                f"finite, got {arrival_rate_tps!r} and {interval_s!r}"
+            )
         executor = self.make_executor(strategy, **options)
         n = len(transactions)
         arrive = [i / arrival_rate_tps for i in range(n)]

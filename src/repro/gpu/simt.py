@@ -138,6 +138,20 @@ class KernelReport:
         return sum(1 for o in self.outcomes if not o.committed)
 
 
+def _apply_atomic(
+    counters: Optional[CounterSpace], op: Any, txn_id: int
+) -> int:
+    """Apply one ``AtomicAdd`` / ``AtomicCAS`` and return the old value."""
+    if counters is None:
+        raise ExecutionError(
+            f"transaction {txn_id} issued an atomic on counter space "
+            f"{op.space!r}, but the launch has no CounterSpace"
+        )
+    if op.kind == op_ir.ATOMIC_ADD:
+        return counters.atomic_add(op.space, op.index, op.value)
+    return counters.atomic_cas(op.space, op.index, op.compare, op.value)
+
+
 class _Thread:
     """Mutable per-thread interpreter state."""
 
@@ -432,12 +446,7 @@ class SIMTEngine:
                 per_slot: Dict[Tuple[str, int], int] = {}
                 for t in members:
                     op = t.op
-                    if kind == op_ir.ATOMIC_ADD:
-                        old = counters.atomic_add(op.space, op.index, op.value)
-                    else:
-                        old = counters.atomic_cas(
-                            op.space, op.index, op.compare, op.value
-                        )
+                    old = _apply_atomic(counters, op, t.task.txn_id)
                     slot = (op.space, op.index)
                     per_slot[slot] = per_slot.get(slot, 0) + 1
                     self._advance(t, old)
@@ -572,6 +581,10 @@ class SIMTEngine:
                     old = store.write(op.table, op.column, op.row, op.value)
                     if task.capture_undo:
                         thread.undo.append((op.table, op.column, op.row, old))
+                    stats.mem_transactions[0] += 1
+                    stats.mem_bytes[0] += spec.memory_transaction_bytes
+                elif kind == op_ir.ATOMIC_ADD or kind == op_ir.ATOMIC_CAS:
+                    send = _apply_atomic(counters, op, task.txn_id)
                     stats.mem_transactions[0] += 1
                     stats.mem_bytes[0] += spec.memory_transaction_bytes
                 elif kind == op_ir.COMPUTE:

@@ -15,6 +15,7 @@ string pools).
 
 from __future__ import annotations
 
+import math
 import string
 from typing import Callable, List, Sequence, Tuple
 
@@ -166,8 +167,8 @@ def uniform_arrival_times(
     (Figures 9, 15), exposed for the online ingest runtime.
     """
     _require_arrivals(n)
-    if rate_tps <= 0:
-        raise ValueError("rate_tps must be positive")
+    if not rate_tps > 0:
+        raise ValueError(f"rate_tps must be positive, got {rate_tps!r}")
     return start + np.arange(n, dtype=np.float64) / rate_tps
 
 
@@ -176,8 +177,8 @@ def poisson_arrival_times(
 ) -> np.ndarray:
     """Poisson process: exponential inter-arrival gaps at ``rate_tps``."""
     _require_arrivals(n)
-    if rate_tps <= 0:
-        raise ValueError("rate_tps must be positive")
+    if not rate_tps > 0:
+        raise ValueError(f"rate_tps must be positive, got {rate_tps!r}")
     gaps = rng.exponential(1.0 / rate_tps, size=n)
     return start + np.cumsum(gaps)
 
@@ -197,8 +198,8 @@ def bursty_arrival_times(
     size suits both the burst and the lull.
     """
     _require_arrivals(n)
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
+    if not 0 < period_s < math.inf:
+        raise ValueError(f"period_s must be positive and finite, got {period_s!r}")
     if not 0.0 < duty <= 1.0:
         raise ValueError("duty must be within (0, 1]")
     base = poisson_arrival_times(rng, n, rate_tps, start=0.0)
@@ -222,15 +223,18 @@ def diurnal_arrival_times(
     degenerates to a plain Poisson process.
     """
     _require_arrivals(n)
-    if base_rate_tps <= 0:
+    if not base_rate_tps > 0:
         raise ValueError(
             "base_rate_tps must be positive: a rate-0 trough would "
             "stall the stream for half of every period"
         )
-    if peak_rate_tps < base_rate_tps:
-        raise ValueError("peak_rate_tps must be >= base_rate_tps")
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
+    if not base_rate_tps <= peak_rate_tps < math.inf:
+        raise ValueError(
+            "peak_rate_tps must be >= base_rate_tps and finite (arrivals "
+            f"are thinned against it), got {peak_rate_tps!r}"
+        )
+    if not 0 < period_s < math.inf:
+        raise ValueError(f"period_s must be positive and finite, got {period_s!r}")
     times = np.empty(n, dtype=np.float64)
     filled = 0
     t = 0.0
@@ -265,19 +269,19 @@ def flash_crowd_arrival_times(
     the baseline.
     """
     _require_arrivals(n)
-    if base_rate_tps <= 0:
+    if not base_rate_tps > 0:
         raise ValueError("base_rate_tps must be positive")
-    if flash_at_s < 0:
-        raise ValueError("flash_at_s must be >= 0")
-    if flash_rate_tps <= base_rate_tps:
+    if not 0 <= flash_at_s < math.inf:
+        raise ValueError("flash_at_s must be >= 0 and finite")
+    if not base_rate_tps < flash_rate_tps < math.inf:
         raise ValueError(
             "flash_rate_tps must exceed base_rate_tps: the flash crowd "
-            "is defined as load *above* the baseline"
+            "is defined as load *above* the baseline (and be finite)"
         )
-    if flash_duration_s <= 0:
+    if not 0 < flash_duration_s < math.inf:
         raise ValueError(
-            "flash_duration_s must be positive: a zero-duration burst "
-            "is an empty stream segment, not a flash crowd"
+            "flash_duration_s must be positive and finite: a zero-duration "
+            "burst is an empty stream segment, not a flash crowd"
         )
     n_flash = int(round(flash_rate_tps * flash_duration_s))
     if n_flash < 1:

@@ -10,7 +10,9 @@ every execution strategy against the serial-by-timestamp oracle
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+import signal
+from contextlib import contextmanager
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -23,6 +25,24 @@ from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 
 ACCOUNTS = "accounts"
+
+
+@contextmanager
+def deadline(seconds: int = 10) -> Iterator[None]:
+    """Fail with ``TimeoutError`` instead of hanging when the body runs
+    longer than ``seconds`` (a regression guard for loops that could
+    spin forever; POSIX ``SIGALRM``)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def build_bank_db(n_accounts: int = 32, layout: str = "column") -> Database:

@@ -9,7 +9,7 @@ from repro import ClusterTx, GPUTx
 from repro.errors import ConfigError, ProcedureError, RegistrationError
 from repro.workloads import micro, tpcb
 
-from tests.conftest import BANK_PROCEDURES, build_bank_db
+from tests.conftest import BANK_PROCEDURES, build_bank_db, deadline
 
 
 class TestEngineLifecycle:
@@ -137,6 +137,30 @@ class TestArrivalSimulation:
             engine.simulate_arrivals(self.workload(10), 0, 1e-3)
         with pytest.raises(ConfigError):
             engine.simulate_arrivals(self.workload(10), 1e6, 0)
+
+    @pytest.mark.parametrize(
+        "rate, interval",
+        [
+            (float("nan"), 1e-3),
+            (1e6, float("nan")),
+            (1e6, float("inf")),
+            (float("-inf"), 1e-3),
+        ],
+        ids=["rate-nan", "interval-nan", "interval-inf", "rate-neg-inf"],
+    )
+    def test_nan_and_infinite_interval_rejected(self, rate, interval):
+        """Regression: a NaN rate admitted no arrival and spun forever; a
+        NaN or infinite interval reported a NaN elapsed time."""
+        engine = self.make_engine()
+        with deadline(), pytest.raises(ConfigError):
+            engine.simulate_arrivals(self.workload(10), rate, interval)
+
+    def test_infinite_rate_accepted(self):
+        report = self.make_engine().simulate_arrivals(
+            self.workload(10), float("inf"), 1e-3, strategy="kset"
+        )
+        assert report.bulk_sizes == [10]
+        assert report.elapsed_s > 0
 
     def test_empty_transaction_list(self):
         engine = self.make_engine()

@@ -20,14 +20,16 @@ records what the generator body yields at width 1.
 The last tests pin the edges: an op a lane cannot express is refused,
 a contended launch builds no one-lane ``WaveContext``, and a same-type
 sub-wave of at most ``NARROW_WIDTH`` lanes runs lane by lane while a
-wider one builds exactly one ``WaveContext``.
+wider one builds exactly one ``WaveContext``. Those routing guards spy
+on ``wave``, where ``run_sub_wave`` -- the one owner of the width fork
+-- looks its drivers up, for TPL, K-SET and PART alike.
 """
 
 import numpy as np
 import pytest
 
 from repro import EngineOptions, GPUTx
-from repro.core.backends import lockstep, vectorized
+from repro.core.backends import wave
 from repro.core.backends.wave import (
     HANDLE_BASE,
     NARROW_WIDTH,
@@ -267,11 +269,11 @@ def _contended_smallbank():
 
 
 @pytest.mark.parametrize(
-    "module, strategy, build",
+    "strategy, build",
     [
-        (lockstep, "tpl", _contended_smallbank),
-        (lockstep, "kset", _contended_smallbank),
-        (vectorized, "part", lambda: (
+        ("tpl", _contended_smallbank),
+        ("kset", _contended_smallbank),
+        ("part", lambda: (
             tpcb.build_database(2, accounts_per_branch=16),
             tpcb.PROCEDURES,
             lambda db: tpcb.generate_transactions(db, 200, seed=5),
@@ -279,7 +281,7 @@ def _contended_smallbank():
     ],
     ids=["smallbank-tpl", "smallbank-kset", "tpcb-part"],
 )
-def test_no_one_lane_wave_context_is_built(monkeypatch, module, strategy, build):
+def test_no_one_lane_wave_context_is_built(monkeypatch, strategy, build):
     """A contended launch grants one thread at a time; those bodies
     run through ``run_lane``, never a one-lane ``WaveContext``."""
     widths, lanes_run = [], []
@@ -293,8 +295,8 @@ def test_no_one_lane_wave_context_is_built(monkeypatch, module, strategy, build)
         lanes_run.append(args[2])
         return run_lane(*args, **kwargs)
 
-    monkeypatch.setattr(module, "WaveContext", Spy)
-    monkeypatch.setattr(module, "run_lane", spy_run_lane)
+    monkeypatch.setattr(wave, "WaveContext", Spy)
+    monkeypatch.setattr(wave, "run_lane", spy_run_lane)
     db, procedures, generate = build()
     engine = GPUTx(
         db, procedures=procedures,
@@ -316,8 +318,8 @@ def _mixed_width_smallbank():
     )
 
 
-def _dispatch(monkeypatch, module, build, strategy, narrow_width):
-    """Drain ``build``'s workload with ``module.NARROW_WIDTH`` set to
+def _dispatch(monkeypatch, build, strategy, narrow_width):
+    """Drain ``build``'s workload with ``wave.NARROW_WIDTH`` set to
     ``narrow_width``; every sub-wave dispatch in call order: ``("wave",
     lanes)`` for a ``WaveContext``, ``("lane", lane)`` for a
     ``run_lane`` call."""
@@ -333,9 +335,9 @@ def _dispatch(monkeypatch, module, build, strategy, narrow_width):
         return run_lane(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "WaveContext", Spy)
-        patch.setattr(module, "run_lane", spy_run_lane)
-        patch.setattr(module, "NARROW_WIDTH", narrow_width)
+        patch.setattr(wave, "WaveContext", Spy)
+        patch.setattr(wave, "run_lane", spy_run_lane)
+        patch.setattr(wave, "NARROW_WIDTH", narrow_width)
         db, procedures, generate = build()
         engine = GPUTx(
             db, procedures=procedures,
@@ -348,11 +350,11 @@ def _dispatch(monkeypatch, module, build, strategy, narrow_width):
 
 
 @pytest.mark.parametrize(
-    "module, strategy, build",
+    "strategy, build",
     [
-        (lockstep, "tpl", _mixed_width_smallbank),
-        (lockstep, "kset", _mixed_width_smallbank),
-        (vectorized, "part", lambda: (
+        ("tpl", _mixed_width_smallbank),
+        ("kset", _mixed_width_smallbank),
+        ("part", lambda: (
             tpcb.build_database(16, accounts_per_branch=16),
             tpcb.PROCEDURES,
             lambda db: tpcb.generate_transactions(db, 200, seed=5),
@@ -360,13 +362,13 @@ def _dispatch(monkeypatch, module, build, strategy, narrow_width):
     ],
     ids=["smallbank-tpl", "smallbank-kset", "tpcb-part"],
 )
-def test_narrow_sub_waves_run_lane_by_lane(monkeypatch, module, strategy, build):
+def test_narrow_sub_waves_run_lane_by_lane(monkeypatch, strategy, build):
     """With the crossover at 0 every same-type sub-wave builds one
     ``WaveContext``, which exposes the launch's sub-waves in order. At
     ``NARROW_WIDTH`` the same launches dispatch each sub-wave of at most
     that many lanes as one ``run_lane`` per lane, ascending, and each
     wider one as exactly one ``WaveContext`` -- with the same store."""
-    sub_waves, state = _dispatch(monkeypatch, module, build, strategy, 0)
+    sub_waves, state = _dispatch(monkeypatch, build, strategy, 0)
     assert {kind for kind, _ in sub_waves} == {"wave"}
     expected = []
     for _, lanes in sub_waves:
@@ -374,9 +376,7 @@ def test_narrow_sub_waves_run_lane_by_lane(monkeypatch, module, strategy, build)
             expected.extend(("lane", lane) for lane in lanes)
         else:
             expected.append(("wave", lanes))
-    events, routed_state = _dispatch(
-        monkeypatch, module, build, strategy, NARROW_WIDTH
-    )
+    events, routed_state = _dispatch(monkeypatch, build, strategy, NARROW_WIDTH)
     assert events == expected
     assert routed_state == state
     widths = {len(lanes) for _, lanes in sub_waves}

@@ -13,7 +13,7 @@ from repro.errors import ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.stream import Arrival, ArrivalStream
 from repro.workloads import tm1
-from tests.conftest import BANK_PROCEDURES
+from tests.conftest import BANK_PROCEDURES, deadline
 from repro.workloads.base import (
     bursty_arrival_times,
     diurnal_arrival_times,
@@ -208,6 +208,47 @@ class TestArrivalTimes:
                 make_rng(1), 10, base_rate_tps=50.0, flash_at_s=-0.1,
                 flash_rate_tps=500.0, flash_duration_s=0.1,
             )
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: uniform_arrival_times(5, float("nan")),
+            lambda: poisson_arrival_times(make_rng(1), 5, float("nan")),
+            lambda: bursty_arrival_times(make_rng(1), 5, 1e3, float("nan")),
+            lambda: bursty_arrival_times(make_rng(1), 5, 1e3, float("inf")),
+            lambda: diurnal_arrival_times(make_rng(1), 5, float("nan"), 2e3, 1.0),
+            lambda: diurnal_arrival_times(make_rng(1), 5, 1e3, float("nan"), 1.0),
+            lambda: diurnal_arrival_times(make_rng(1), 5, 1e3, float("inf"), 1.0),
+            lambda: diurnal_arrival_times(make_rng(1), 5, 1e3, 2e3, float("nan")),
+            lambda: flash_crowd_arrival_times(
+                make_rng(1), 5, 50.0, float("nan"), 500.0, 0.1
+            ),
+            lambda: flash_crowd_arrival_times(
+                make_rng(1), 5, 50.0, 0.0, float("nan"), 0.1
+            ),
+            lambda: flash_crowd_arrival_times(
+                make_rng(1), 5, 50.0, 0.0, 500.0, float("nan")
+            ),
+        ],
+        ids=[
+            "uniform-rate", "poisson-rate", "bursty-period-nan",
+            "bursty-period-inf", "diurnal-base", "diurnal-peak-nan",
+            "diurnal-peak-inf", "diurnal-period", "flash-at", "flash-rate",
+            "flash-duration",
+        ],
+    )
+    def test_a_nan_or_unusable_inf_is_rejected(self, generate):
+        """Regression: NaN slipped through every ``x <= 0`` guard (NaN
+        times, or a diurnal thinning loop that never returned)."""
+        with deadline(), pytest.raises(ValueError):
+            generate()
+
+    def test_an_infinite_rate_stays_accepted(self):
+        assert uniform_arrival_times(3, float("inf")).tolist() == [0.0] * 3
+        times = poisson_arrival_times(make_rng(1), 3, float("inf"))
+        assert times.tolist() == [0.0] * 3
+        times = bursty_arrival_times(make_rng(1), 3, float("inf"), 0.1)
+        assert times.tolist() == [0.0] * 3
 
     def test_timed_specs_zips_and_validates(self):
         specs = [("a", (1,)), ("b", (2,))]

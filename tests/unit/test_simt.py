@@ -280,6 +280,51 @@ class TestAtomics:
         assert winners == 1
 
 
+    @staticmethod
+    def claims(n):
+        def body():
+            slot = yield ops.AtomicAdd("seq", 0, 1)
+            return slot
+
+        return [ThreadTask(i, 0, body()) for i in range(n)]
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["warp", "serial"])
+    def test_both_paths_apply_atomics(self, serial):
+        """Regression: ``launch_serial`` accepted ``counters=`` but never
+        read it -- three claims returned ``None`` and left the counter
+        at 0."""
+        counters = CounterSpace()
+        counters.allocate("seq", 1)
+        engine = SIMTEngine()
+        launch = engine.launch_serial if serial else engine.launch
+        report = launch(self.claims(3), make_store(), counters=counters)
+        assert [o.result for o in report.outcomes] == [0, 1, 2]
+        assert counters.array("seq").tolist() == [3]
+
+    def test_serial_atomic_costs_a_memory_transaction(self):
+        counters = CounterSpace()
+        counters.allocate("seq", 1)
+        claim = SIMTEngine().launch_serial(
+            self.claims(1), make_store(), counters=counters
+        )
+
+        def read():
+            yield ops.Read("t", "v", 0)
+
+        plain = SIMTEngine().launch_serial(
+            [ThreadTask(0, 0, read())], make_store()
+        )
+        assert claim.stats.mem_transactions[0] == 1
+        assert claim.seconds == plain.seconds
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["warp", "serial"])
+    def test_an_atomic_without_counters_names_the_transaction(self, serial):
+        engine = SIMTEngine()
+        launch = engine.launch_serial if serial else engine.launch
+        with pytest.raises(ExecutionError, match="transaction 0 .*'seq'"):
+            launch(self.claims(1), make_store())
+
+
 class TestAbortAndUndo:
     def test_abort_marks_outcome(self):
         def failing():
