@@ -29,7 +29,7 @@ from repro.cluster.durability.checkpoint import Checkpoint, CheckpointManager
 from repro.cluster.durability.replay import recover_database
 from repro.cluster.durability.wal import RedoRecorder, ShardWAL, WalRecord
 from repro.cluster.router import replica_placement
-from repro.errors import ConfigError, DurabilityError
+from repro.errors import DurabilityError, check_int
 from repro.gpu.transfer import PCIeModel, TransferTimeline
 from repro.storage.catalog import Database
 
@@ -46,10 +46,9 @@ class DurabilityConfig:
     n_replicas: int = 1
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint_interval must be >= 1")
-        if self.n_replicas < 0:
-            raise ConfigError("n_replicas must be >= 0")
+        for name, minimum in (("checkpoint_interval", 1), ("n_replicas", 0)):
+            value = check_int(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -48,7 +48,7 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.cluster.durability.wal import MIGRATION_STRATEGY, PHASE_MIGRATION
-from repro.errors import ClusterError, ConfigError
+from repro.errors import ClusterError, ConfigError, check_int
 from repro.storage.catalog import row_tuples
 
 __all__ = [
@@ -88,10 +88,9 @@ class ElasticConfig:
     max_migrations: int = 8
 
     def __post_init__(self) -> None:
-        if self.min_queue_depth < 1:
-            raise ConfigError("min_queue_depth must be >= 1")
-        if self.max_migrations < 0:
-            raise ConfigError("max_migrations must be >= 0")
+        for name, minimum in (("min_queue_depth", 1), ("max_migrations", 0)):
+            value = check_int(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

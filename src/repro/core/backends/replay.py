@@ -11,6 +11,14 @@ that function over whole trace arrays at once and produces a
 interpreter -- the contract the vectorized backend's simulated-clock
 equivalence rests on (asserted field-by-field in the backend tests).
 
+The host pays per pass, so a launch is charged one of two ways, chosen
+by one test on its recorded event count: at most :data:`NARROW_EVENTS`
+events are grouped and charged as Python tuples (a narrow PART slot, a
+K-SET wave's tail, a serving sub-bulk), more as one ``(10, E)`` event
+matrix of NumPy passes. Both read the same per-kind charge table and
+``GpuCostModel.coalesce``'s rule, and both apply the staged mutations
+through one helper (tests/property/test_replay_paths.py diffs them).
+
 It also computes the interpreter's *event order* -- rounds ascending,
 SMs in index order, warps in the scheduler's visit order (with its
 swap-removal of finished warps), divergent groups in first-occurrence
@@ -24,7 +32,8 @@ device addresses of cells in tables whose row count moves mid-kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count, groupby, repeat
+from operator import add, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,10 +76,12 @@ _KIND_CHARGES = {
     op_ir.SET_BRANCH: (0, 0, 1),
     op_ir.ABORT: (0, 0, 1),
 }
+#: The charges of a kind :data:`_KIND_CHARGES` does not list.
+_NO_CHARGE = (0, 0, 0)
 #: The three columns as lookup tables indexed by op kind.
 _COALESCED, _MEM_INSTRUCTIONS, _PLAIN_ISSUES = (
     np.array(
-        [_KIND_CHARGES.get(kind, (0, 0, 0))[i] for kind in range(_N_KINDS)],
+        [_KIND_CHARGES.get(kind, _NO_CHARGE)[i] for kind in range(_N_KINDS)],
         dtype=dtype,
     )
     for i, dtype in enumerate((bool, np.int64, np.float64))
@@ -144,6 +155,15 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return fresh
 
 
+#: The most recorded (thread, op) events a launch replays as a scalar
+#: pass: up to here, grouping and charging Python tuples costs the host
+#: no more than building and sorting one event matrix on any built-in
+#: workload's mix; from 200 events, SmallBank's K-SET waves are cheaper
+#: as a matrix (``scripts/replay_cost.py``; docs/ARCHITECTURE.md, "What
+#: a launch costs the host").
+NARROW_EVENTS = 192
+
+
 def replay_kernel(
     recorder: TraceRecorder,
     store: WaveStore,
@@ -152,10 +172,15 @@ def replay_kernel(
     schedule: Optional[ScheduleOverrides] = None,
 ) -> KernelReport:
     """Resolve a recorded wave into a KernelReport and apply the staged
-    mutations in interpreter event order."""
-    recorder.flush_scalar()
+    mutations in interpreter event order.
+
+    The one owner of the path fork: a launch of at most
+    :data:`NARROW_EVENTS` recorded events is grouped and charged as
+    Python tuples (:func:`_charge_scalars`), a larger one as one event
+    matrix (:func:`_charge_arrays`). Both return the same per-SM totals
+    and apply the mutations through :func:`_apply_mutations`.
+    """
     spec = engine.spec
-    cost = engine.cost
     n_threads = recorder.n_threads
     stats = KernelStats(num_sms=spec.num_sms)
     stats.threads_launched = n_threads
@@ -166,15 +191,65 @@ def replay_kernel(
     else:
         stats.rounds = int(recorder.op_count.max()) if n_threads else 0
         layout = warp_layout(n_threads, engine.block_size, spec)
-    bounds, sm_warp_ids, resident, warp_of, sm_of_warp = layout
-    stats.resident_warps = list(resident)
+    stats.resident_warps = list(layout[2])
+    stats.ops_executed = recorder.event_count()
+    charge = (
+        _charge_scalars if stats.ops_executed <= NARROW_EVENTS
+        else _charge_arrays
+    )
+    issue, mem_tx, mem_instr, atomic = charge(
+        recorder, store, engine, layout, stats, schedule
+    )
+    mem_bytes = [tx * spec.memory_transaction_bytes for tx in mem_tx]
+    if schedule is not None:
+        # Acquire/spin-phase charges the scheduler accumulated. Every
+        # quantum is an integer-valued float (< 2**53), so adding the
+        # per-SM totals is exact regardless of accumulation order.
+        stats.divergent_serializations += schedule.divergent_serializations
+        stats.spin_iterations += schedule.spin_iterations
+        stats.atomic_conflicts += schedule.atomic_conflicts
+        issue = list(map(add, issue, schedule.issue_cycles.tolist()))
+        atomic = list(map(add, atomic, schedule.atomic_cycles.tolist()))
+        mem_tx = list(map(add, mem_tx, schedule.mem_transactions.tolist()))
+        mem_bytes = list(map(add, mem_bytes, schedule.mem_bytes.tolist()))
+    # Python scalars throughout, so downstream arithmetic (and report
+    # equality checks) see the same types as the interpreter.
+    stats.issue_cycles = issue
+    stats.mem_transactions = mem_tx
+    stats.mem_instructions = mem_instr
+    stats.mem_bytes = mem_bytes
+    stats.atomic_cycles = atomic
+
+    timing = engine.cost.resolve(stats)
+    return KernelReport(stats=stats, timing=timing, outcomes=outcomes)
+
+
+#: Per-SM ``(issue cycles, memory transactions, memory instructions,
+#: atomic cycles)`` of a launch's trace, as Python lists.
+_Totals = Tuple[List[float], List[int], List[int], List[float]]
+
+
+def _charge_arrays(
+    recorder: TraceRecorder,
+    store: WaveStore,
+    engine: Any,
+    layout: Tuple[Any, ...],
+    stats: KernelStats,
+    schedule: Optional[ScheduleOverrides],
+) -> _Totals:
+    """Group and charge the trace as one ``(10, E)`` event matrix; sets
+    the divergence and insert-conflict counts on ``stats``."""
+    recorder.flush_scalar()
+    spec = engine.spec
+    cost = engine.cost
+    n_threads = recorder.n_threads
+    bounds, _sm_warp_ids, _resident, warp_of, sm_of_warp = layout
 
     # ---- flatten steps into the event matrix --------------------------
     steps = recorder.steps
     sizes = [len(step.lanes) for step in steps]
     offsets = [0, *accumulate(sizes)]
     E = offsets[-1]
-    stats.ops_executed = E
     ev = np.empty((10, E), dtype=np.int64)
     deferred_steps: List[int] = []
     if steps:
@@ -247,10 +322,6 @@ def replay_kernel(
     stats.divergent_serializations = n_groups - int(
         np.count_nonzero(_group_starts(g[: _WARP + 1]))
     )
-    if schedule is not None:
-        stats.divergent_serializations += schedule.divergent_serializations
-        stats.spin_iterations += schedule.spin_iterations
-        stats.atomic_conflicts += schedule.atomic_conflicts
 
     # Per-group charges, summed by SM at the end.
     seg = spec.memory_transaction_bytes
@@ -339,28 +410,199 @@ def replay_kernel(
         np.bincount(g_sm, weights=column, minlength=spec.num_sms)
         for column in (g_issue, g_tx, g_instr)
     )
-    mem_tx = mem_tx.astype(np.int64)
-    mem_instr = mem_instr.astype(np.int64)
-    mem_bytes = mem_tx * seg
-    if schedule is not None:
-        # Acquire/spin-phase charges the scheduler accumulated. Every
-        # quantum is an integer-valued float (< 2**53), so adding the
-        # per-SM totals is exact regardless of accumulation order.
-        issue += schedule.issue_cycles
-        atomic_cycles += schedule.atomic_cycles
-        mem_tx += schedule.mem_transactions
-        mem_bytes += schedule.mem_bytes
+    return (
+        issue.astype(np.float64, copy=False).tolist(),  # float if E == 0
+        mem_tx.astype(np.int64).tolist(),
+        mem_instr.astype(np.int64).tolist(),
+        atomic_cycles.tolist(),
+    )
 
-    # tolist() yields Python scalars, so downstream arithmetic (and
-    # report equality checks) see the same types as the interpreter.
-    stats.issue_cycles = issue.tolist()
-    stats.mem_transactions = mem_tx.tolist()
-    stats.mem_instructions = mem_instr.tolist()
-    stats.mem_bytes = mem_bytes.tolist()
-    stats.atomic_cycles = atomic_cycles.tolist()
 
-    timing = cost.resolve(stats)
-    return KernelReport(stats=stats, timing=timing, outcomes=outcomes)
+def _charge_scalars(
+    recorder: TraceRecorder,
+    store: WaveStore,
+    engine: Any,
+    layout: Tuple[Any, ...],
+    stats: KernelStats,
+    schedule: Optional[ScheduleOverrides],
+) -> _Totals:
+    """:func:`_charge_arrays` as one pass over Python tuples.
+
+    Each event is ``(round, warp, branch + 1, kind, thread, record,
+    index, address)`` over :meth:`TraceRecorder.plain_records`. One sort
+    orders them like the event matrix (``(record, index)`` is the
+    flattened position, so ties keep the stable sort's order and the
+    address is never compared), and each ``(round, warp, branch,
+    kind)`` run is one group, charged from :data:`_KIND_CHARGES` and
+    ``cost.coalesce``.
+    """
+    cost = engine.cost
+    num_sms = engine.spec.num_sms
+    seg = engine.spec.memory_transaction_bytes
+    _bounds, _sm_warp_ids, _resident, warp_of, sm_of_warp = layout
+    records = recorder.plain_records()
+    warp_at = warp_of.tolist().__getitem__
+    events: List[Tuple[Any, ...]] = []
+    for r, rec in enumerate(records):
+        branch, lanes = rec[1], rec[6]
+        events += zip(
+            rec[7],
+            map(warp_at, lanes),
+            [tag + 1 for tag in branch] if type(branch) is list
+            else repeat(branch + 1),
+            repeat(rec[0]),
+            lanes,
+            repeat(r),
+            count(),
+            repeat(None) if rec[8] is None else rec[8],
+        )
+    events.sort()
+    sm_of = sm_of_warp.tolist()
+    if (
+        store.pending_inserts or store.pending_deletes
+        or any(rec[5] is not None for rec in records)
+    ):
+        events = _order_scalars(
+            recorder, store, layout, records, events, sm_of, schedule
+        )
+
+    plain = cost.issue_plain()
+    coalesce = cost.coalesce
+    issue = [0.0] * num_sms
+    mem_tx = [0] * num_sms
+    mem_instr = [0] * num_sms
+    atomic = [0.0] * num_sms
+    row_ntx: Dict[str, int] = {}
+    n_groups = n_heads = 0
+    head_round = head_warp = -1
+    for (rnd, warp, _tag, kind), group in groupby(events, _GROUP_KEY):
+        n_groups += 1
+        if rnd != head_round or warp != head_warp:
+            head_round, head_warp = rnd, warp
+            n_heads += 1
+        sm = sm_of[warp]
+        coalesced, g_instr, issues = _KIND_CHARGES.get(kind, _NO_CHARGE)
+        g_issue = issues * plain
+        g_tx = 0
+        # A group's members are read only where a charge depends on
+        # them (groupby skips the rest).
+        if coalesced:
+            # Each member's address (both words of a probe), at the
+            # group's *last* width.
+            members = list(group)
+            width = records[members[-1][5]][3]
+            if kind == op_ir.INDEX_PROBE:
+                g_tx = coalesce([a for e in members for a in e[7]], width)
+            else:
+                g_tx = coalesce([e[7] for e in members], width)
+            if kind == op_ir.WRITE:
+                # The undo-log flush of the members that journalled.
+                journalled = 0
+                for e in members:
+                    flags = records[e[5]][10]
+                    if flags is not None and flags[e[6]]:
+                        journalled += 1
+                if journalled:
+                    g_tx += (journalled * 16 + seg - 1) // seg
+                    g_instr += 1
+                    g_issue += plain
+        elif kind == op_ir.COMPUTE:
+            g_issue = cost.issue_compute(max(records[e[5]][2] for e in group))
+        elif kind == op_ir.SFU_COMPUTE:
+            g_issue = cost.issue_sfu(max(records[e[5]][2] for e in group))
+        elif kind == op_ir.INSERT_ROW:
+            per_table: Dict[str, int] = {}
+            for e in group:
+                table = records[e[5]][4]
+                ntx = row_ntx.get(table)
+                if ntx is None:
+                    width = store.adapter.row_width(table)
+                    ntx = row_ntx[table] = (width + seg - 1) // seg
+                g_tx += ntx
+                per_table[table] = per_table.get(table, 0) + 1
+            for n in per_table.values():
+                if n > 1:
+                    atomic[sm] += cost.atomic_serialization(n)
+                    stats.atomic_conflicts += n - 1
+        elif kind == op_ir.DELETE_ROW:
+            g_tx = sum(1 for _e in group)
+        issue[sm] += g_issue
+        mem_tx[sm] += g_tx
+        mem_instr[sm] += g_instr
+    stats.divergent_serializations = n_groups - n_heads
+    return issue, mem_tx, mem_instr, atomic
+
+
+#: A scalar event's divergence-group key: ``(round, warp, branch + 1,
+#: kind)``.
+_GROUP_KEY = itemgetter(0, 1, 2, 3)
+
+
+def _order_scalars(
+    recorder: TraceRecorder,
+    store: WaveStore,
+    layout: Tuple[Any, ...],
+    records: List[Tuple[Any, ...]],
+    events: List[Tuple[Any, ...]],
+    sm_of: List[int],
+    schedule: Optional[ScheduleOverrides],
+) -> List[Tuple[Any, ...]]:
+    """:func:`_resolve_order_and_addresses` over the sorted scalar
+    ``events``: order the order-sensitive subset by ``(round, SM, visit
+    rank, group's first thread, thread)``, apply the mutations in it,
+    and return ``events`` with each deferred address resolved."""
+    bounds, sm_warp_ids = layout[0], layout[1]
+    deferred = [rec[5] is not None for rec in records]
+    mutating = (op_ir.INSERT_ROW, op_ir.DELETE_ROW)
+    sub = [e for e in events if e[3] in mutating or deferred[e[5]]]
+    # A group's first subset thread: ``events`` is sorted by thread
+    # within each group, so its first subset member.
+    first: Dict[Tuple[Any, ...], int] = {}
+    for e in sub:
+        first.setdefault(e[:4], e[4])
+    needed = sorted({e[0] for e in sub})
+    visits = _warp_visit_ranks(
+        sm_warp_ids,
+        _warp_last_rounds(recorder, bounds, schedule),
+        np.asarray(needed, dtype=np.int64),
+    ).tolist()
+    at = dict(zip(needed, visits))
+    sub.sort(
+        key=lambda e: (
+            e[0], sm_of[e[1]], at[e[0]][e[1]], first[e[:4]], e[4], e[5], e[6]
+        )
+    )
+    base_rows = _apply_mutations(
+        store,
+        [
+            (e[3] == op_ir.INSERT_ROW, records[e[5]][9][e[6]], records[e[5]][4])
+            for e in sub if e[3] in mutating
+        ],
+    )
+    if not any(deferred):
+        return events
+    # Deferred addresses, at the row counts in effect at each event.
+    handle_row = store.handle_row
+    inserted = dict.fromkeys(base_rows, 0)
+    resolved: Dict[Tuple[int, int], int] = {}
+    for e in sub:
+        rec = records[e[5]]
+        if e[3] == op_ir.INSERT_ROW:
+            if rec[4] in inserted:
+                inserted[rec[4]] += 1
+        elif deferred[e[5]]:
+            table, column = rec[5]
+            row = rec[11][e[6]]
+            if row >= HANDLE_BASE:
+                row = handle_row[row - HANDLE_BASE]
+            addr, _width = store.addressing(table).addresses(
+                column, row, n_rows=base_rows[table] + inserted[table]
+            )
+            resolved[e[5], e[6]] = int(addr)
+    return [
+        e[:7] + (resolved[e[5], e[6]],) if deferred[e[5]] else e
+        for e in events
+    ]
 
 
 #: "No death ahead": the round bound of a list with no live warp left.
@@ -521,17 +763,10 @@ def _resolve_order_and_addresses(
     s_thread = ev[_THREAD, sub]
     S = len(sub)
 
-    if schedule is not None:
-        warp_last = schedule.warp_last_round
-    else:
-        # Conflict-free: a warp lives as long as its longest thread.
-        op_count = recorder.op_count
-        warp_last = np.array(
-            [op_count[lo:hi].max() if hi > lo else 0 for lo, hi in bounds],
-            dtype=np.int64,
-        )
     needed = np.unique(s_round)
-    visits = _warp_visit_ranks(sm_warp_ids, warp_last, needed)
+    visits = _warp_visit_ranks(
+        sm_warp_ids, _warp_last_rounds(recorder, bounds, schedule), needed
+    )
     s_visit = visits[np.searchsorted(needed, s_round), s_warp]
     s_sm = sm_of_warp[s_warp]
     # First-occurrence order of each (round, warp, branch, kind) group
@@ -555,12 +790,7 @@ def _resolve_order_and_addresses(
     pos = np.full(E, -1, dtype=np.int64)
     pos[sub[sub_order]] = np.arange(S)
 
-    # Apply staged mutations in event order; record handle -> row id.
-    # The mapping is published on the store: undo logs captured during
-    # the kernel name staged rows by handle and are remapped to these
-    # physical ids afterwards (tx_logging.remap_handle_rows).
-    handle_row: Dict[int, int] = {}
-    store.handle_row = handle_row
+    # Apply staged mutations in event order.
     mut_events = np.flatnonzero(is_mutation)
     mut_events = mut_events[np.argsort(pos[mut_events])]
     # Insert handles / delete encoded rows of the mutating events.
@@ -568,14 +798,17 @@ def _resolve_order_and_addresses(
     for i, step in enumerate(steps):
         if step.payload is not None:
             ev_payload[offsets[i] : offsets[i + 1]] = step.payload
-    #: (is insert, payload, step) per mutating event, in event order.
-    mutations = list(
-        zip(
-            (ev_kind[mut_events] == op_ir.INSERT_ROW).tolist(),
-            ev_payload[mut_events].tolist(),
-            ev_step[mut_events].tolist(),
-        )
+    base_rows = _apply_mutations(
+        store,
+        list(
+            zip(
+                (ev_kind[mut_events] == op_ir.INSERT_ROW).tolist(),
+                ev_payload[mut_events].tolist(),
+                [steps[i].table for i in ev_step[mut_events].tolist()],
+            )
+        ),
     )
+    handle_row = store.handle_row
     # Inserts-before prefix per mutating table (by subset rank), for
     # address resolution on tables whose row count moves mid-kernel.
     inserts_before: Dict[str, np.ndarray] = {}
@@ -597,12 +830,57 @@ def _resolve_order_and_addresses(
                 np.cumsum(ordered[:-1] == t, out=before[1:])
             inserts_before[table] = before  # indexed by subset rank
 
+    # Resolve deferred addresses with the per-event row counts.
+    for i in deferred_steps:
+        table, column, rows_enc = steps[i].deferred
+        lo, hi = offsets[i], offsets[i + 1]
+        rows = rows_enc.astype(np.int64).copy()
+        handles = rows >= HANDLE_BASE
+        for j in np.flatnonzero(handles):
+            rows[j] = handle_row[int(rows_enc[j]) - HANDLE_BASE]
+        info = store.addressing(table)
+        n_at = base_rows[table] + inserts_before[table][pos[lo:hi]]
+        addr, _width = info.addresses(column, rows, n_rows=n_at)
+        ev[_ADDR, lo:hi] = addr
+
+
+def _warp_last_rounds(
+    recorder: TraceRecorder,
+    bounds: Sequence[Tuple[int, int]],
+    schedule: Optional[ScheduleOverrides],
+) -> np.ndarray:
+    """Each warp's last round with a live thread: the lock schedule's,
+    or -- conflict-free -- its longest thread's op count."""
+    if schedule is not None:
+        return schedule.warp_last_round
+    op_count = recorder.op_count
+    return np.array(
+        [op_count[lo:hi].max() if hi > lo else 0 for lo, hi in bounds],
+        dtype=np.int64,
+    )
+
+
+def _apply_mutations(
+    store: WaveStore, mutations: Sequence[Tuple[bool, int, str]]
+) -> Dict[str, int]:
+    """Apply a launch's staged mutations to the real store.
+
+    ``mutations`` is ``(is insert, insert handle + HANDLE_BASE or
+    encoded delete row, table)`` per mutating event, in interpreter
+    event order. Publishes ``handle -> physical row id`` as
+    ``store.handle_row`` -- undo logs captured during the kernel name
+    staged rows by handle and are remapped to these ids afterwards
+    (tx_logging.remap_handle_rows) --, then applies the handle writes.
+    Returns each mutating table's row count as the launch found it.
+    """
     adapter = store.adapter
     base_rows = {
         t: store.addressing(t).n_rows for t in store.mutating_tables
     }
+    handle_row: Dict[int, int] = {}
+    store.handle_row = handle_row
     predicted: Dict[str, int] = dict(base_rows)
-    for is_ins, payload, _step in mutations:
+    for is_ins, payload, _table in mutations:
         if is_ins:
             handle = payload - HANDLE_BASE
             table, _values = store.pending_inserts[handle]
@@ -610,12 +888,12 @@ def _resolve_order_and_addresses(
             predicted[table] += 1
         # Deletes resolve their target after every handle is known.
 
-    # Apply the mutations: consecutive inserts between deletes batch
-    # into one insert_bulk per table (the paper's post-kernel batched
-    # update). Per-table insert order -- the only order physical row
-    # ids and the redo stream depend on -- is the event order, and the
-    # flush before each delete keeps insert-before-delete ordering for
-    # rows staged and deleted in the same launch.
+    # Consecutive inserts between deletes batch into one insert_bulk
+    # per table (the paper's post-kernel batched update). Per-table
+    # insert order -- the only order physical row ids and the redo
+    # stream depend on -- is the event order, and the flush before
+    # each delete keeps insert-before-delete ordering for rows staged
+    # and deleted in the same launch.
     run_tables: List[str] = []
     run_values: Dict[str, List[Tuple[Any, ...]]] = {}
     run_rows: Dict[str, List[int]] = {}
@@ -631,7 +909,7 @@ def _resolve_order_and_addresses(
         run_values.clear()
         run_rows.clear()
 
-    for is_ins, payload, step_i in mutations:
+    for is_ins, payload, table in mutations:
         if is_ins:
             handle = payload - HANDLE_BASE
             table, values = store.pending_inserts[handle]
@@ -646,7 +924,7 @@ def _resolve_order_and_addresses(
             row_enc = payload
             if row_enc >= HANDLE_BASE:
                 row_enc = handle_row[row_enc - HANDLE_BASE]
-            adapter.delete(steps[step_i].table, row_enc)
+            adapter.delete(table, row_enc)
     flush_inserts()
 
     # Writes to rows staged by a same-launch insert, now that the
@@ -656,16 +934,4 @@ def _resolve_order_and_addresses(
     # insert with original values first, then the write.
     for table, column, handle, value in store.pending_handle_writes:
         adapter.write(table, column, handle_row[handle], value)
-
-    # Resolve deferred addresses with the per-event row counts.
-    for i in deferred_steps:
-        table, column, rows_enc = steps[i].deferred
-        lo, hi = offsets[i], offsets[i + 1]
-        rows = rows_enc.astype(np.int64).copy()
-        handles = rows >= HANDLE_BASE
-        for j in np.flatnonzero(handles):
-            rows[j] = handle_row[int(rows_enc[j]) - HANDLE_BASE]
-        info = store.addressing(table)
-        n_at = base_rows[table] + inserts_before[table][pos[lo:hi]]
-        addr, _width = info.addresses(column, rows, n_rows=n_at)
-        ev[_ADDR, lo:hi] = addr
+    return base_rows

@@ -474,7 +474,9 @@ class TraceRecorder:
         #: Columnar buffers for single-lane records, keyed by the op
         #: shape (the merge_steps key): each value is the field lists
         #: (lanes, rounds, addr, payload, undo, deferred rows) flushed
-        #: into one Step per key by :meth:`flush_scalar`.
+        #: into one Step per key by :meth:`flush_scalar` (the event
+        #: matrix's input) or read as they stand by
+        #: :meth:`plain_records` (a narrow replay's).
         self._acc: Dict[Any, Tuple[list, ...]] = {}
         #: A recorded op's round is ``round_base[thread] +
         #: op_count[thread]``. Every thread starts at round 1; the TPL
@@ -568,6 +570,51 @@ class TraceRecorder:
                 )
             )
         self._acc.clear()
+
+    def event_count(self) -> int:
+        """Recorded (thread, op) events, in Steps and scalar buffers."""
+        return sum(len(step.lanes) for step in self.steps) + sum(
+            len(acc[0]) for acc in self._acc.values()
+        )
+
+    def plain_records(self) -> List[Tuple[Any, ...]]:
+        """Every recorded op shape as Python values, in the order
+        :meth:`flush_scalar` would leave the Steps (Steps first, then
+        the scalar buffers), without building a Step or an array.
+
+        Each record is ``(kind, branch, amount, width, table, deferred
+        target, lanes, rounds, addr, payload, undo, deferred rows)``:
+        ``branch`` is a scalar tag or a per-lane list, the last six are
+        per-lane lists (a probe's address is a ``(lo, hi)`` pair), and
+        a field the op shape lacks is None.
+        """
+        records: List[Tuple[Any, ...]] = []
+        for step in self.steps:
+            branch, deferred = step.branch, step.deferred
+            records.append((
+                step.kind,
+                branch.tolist() if isinstance(branch, np.ndarray) else branch,
+                step.amount, step.width, step.table,
+                None if deferred is None else deferred[:2],
+                step.lanes.tolist(), step.rounds.tolist(),
+                None if step.addr is None else step.addr.tolist(),
+                None if step.payload is None else step.payload.tolist(),
+                None if step.undo is None else step.undo.tolist(),
+                None if deferred is None else np.asarray(deferred[2]).tolist(),
+            ))
+        for key, (lanes, rounds, addr, payload, undo, drows) in self._acc.items():
+            (
+                kind, branch, amount, width, table, deferred_tc,
+                addr_ndim, no_payload, no_undo,
+            ) = key
+            records.append((
+                kind, branch, amount, width, table, deferred_tc, lanes, rounds,
+                None if addr_ndim is None else addr,
+                None if no_payload else payload,
+                None if no_undo else undo,
+                None if deferred_tc is None else drows,
+            ))
+        return records
 
     def merge_steps(self) -> None:
         """Coalesce steps whose per-step-constant fields all match.

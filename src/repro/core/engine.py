@@ -20,7 +20,6 @@ Typical use::
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from repro.core.strategies.relaxed import (
 )
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import ResultPool, Transaction, TransactionPool
-from repro.errors import ConfigError, ProcedureError
+from repro.errors import ConfigError, ProcedureError, check_int
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
@@ -485,15 +484,7 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
         value, lowest = options[name], _OPTION_MINIMUM[name]
         if value is None and name == "max_rounds":
             continue  # None = drain the bulk completely
-        if (
-            not isinstance(value, numbers.Integral)
-            or isinstance(value, bool)
-            or value < lowest
-        ):
-            raise ConfigError(
-                f"{name} must be an int >= {lowest}, got {value!r}"
-            )
-        options[name] = int(value)
+        options[name] = check_int(name, value, lowest)
     # The one on/off option: a truthy "no" would silently switch it on.
     flag = options.get("per_task_launch_overhead", False)
     if not isinstance(flag, bool):

@@ -7,6 +7,9 @@ while still distinguishing the common cases.
 
 from __future__ import annotations
 
+import numbers
+from typing import Any, Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -64,6 +67,21 @@ class RecoveryError(ReproError):
 
 class ConfigError(ReproError):
     """An engine/simulator configuration value is out of range."""
+
+
+def check_int(name: str, value: Any, minimum: Optional[int] = None) -> int:
+    """``value`` as an ``int``: any integral type but ``bool`` (a NumPy
+    integer is normalised), at least ``minimum`` when one is given.
+    Anything else -- a float, a NaN, a string, ``True`` -- raises
+    :class:`ConfigError` naming ``name``."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an int{bound}, got {value!r}")
+    return int(value)
 
 
 class ClusterError(ReproError):

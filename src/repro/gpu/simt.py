@@ -37,6 +37,7 @@ from repro.errors import (
     DeadlockError,
     ExecutionError,
     KernelTimeoutError,
+    check_int,
 )
 from repro.gpu import ops as op_ir
 from repro.gpu.atomics import CounterSpace, LockTable
@@ -205,6 +206,7 @@ class SIMTEngine:
         block_size: int = 256,
         max_rounds: int = 2_000_000,
     ) -> None:
+        block_size = check_int("block size", block_size)
         if block_size < spec.warp_size or block_size % spec.warp_size:
             raise ConfigError(
                 f"block size {block_size} must be a positive multiple of "
@@ -213,7 +215,7 @@ class SIMTEngine:
         self.spec = spec
         self.cost = GpuCostModel(spec)
         self.block_size = block_size
-        self.max_rounds = max_rounds
+        self.max_rounds = check_int("max_rounds", max_rounds, 1)
         self._locks: Optional[LockTable] = None
 
     # ------------------------------------------------------------------

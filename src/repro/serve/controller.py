@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.core.chooser import StrategyFeedback
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 
 #: Share of the latency budget granted to bulk *service* (execution +
 #: transfer); the rest covers queue wait while the bulk forms.
@@ -42,14 +42,6 @@ INCREASE_STEP = 64
 #: cause is queue wait, not service time): bigger bulks drain faster,
 #: so the controller ramps aggressively.
 DRAIN_GROWTH = 2.0
-
-
-def _size(name: str, value: Any) -> int:
-    """``value`` as a bulk size: any integral type but ``bool``,
-    normalised to ``int`` (a float size would reach a slice)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
-    return int(value)
 
 
 def _seconds(name: str, value: Any) -> float:
@@ -82,8 +74,8 @@ class SLOConfig:
     def __post_init__(self) -> None:
         fields = {
             "target_p95_s": _seconds("target_p95_s", self.target_p95_s),
-            "min_bulk": _size("min_bulk", self.min_bulk),
-            "max_bulk": _size("max_bulk", self.max_bulk),
+            "min_bulk": check_int("min_bulk", self.min_bulk),
+            "max_bulk": check_int("max_bulk", self.max_bulk),
         }
         if self.max_form_wait_s is not None:
             fields["max_form_wait_s"] = _seconds(
@@ -135,9 +127,7 @@ class FixedBulkFormer(BulkFormer):
     name = "fixed"
 
     def __init__(self, size: int, *, max_form_wait_s: float = 0.05) -> None:
-        self._size = _size("bulk size", size)
-        if self._size < 1:
-            raise ConfigError("bulk size must be >= 1")
+        self._size = check_int("bulk size", size, 1)
         self._wait = _seconds("max_form_wait_s", max_form_wait_s)
 
     @property

@@ -1,15 +1,17 @@
 """What a narrow launch costs the host, and that it costs nothing else.
 
-The cost replay flattens a launch into one event matrix, per-launch
-state that is pure (a schema's static addressing, ``warp_layout``) is
-built once, and an unmasked op skips its mask. This file pins what
-that must not change and what it must keep doing:
+The cost replay charges a narrow launch as Python tuples and a wide
+one as one event matrix, per-launch state that is pure (a schema's
+static addressing, ``warp_layout``) is built once, and an unmasked op
+skips its mask. This file pins what that must not change and what it
+must keep doing:
 
 * equivalence with the interpreter at narrow widths and at warp/block
   layout boundaries, where the walls in ``tests/property`` sample
   thinly -- ``KernelStats`` field by field, timing, outcomes,
   ``physical_state()`` and the redo stream;
-* the replay's shapes nobody reaches by accident: scalar and per-lane
+* the replay's shapes nobody reaches by accident, each on both paths
+  (``scalar_replay``/``array_replay`` force one): scalar and per-lane
   branch tags in one trace, probe-only and memory-only launches (one
   merged coalescing pass), a launch with no step, sort bounds too wide
   to pack;
@@ -40,8 +42,8 @@ from repro.cluster.durability.wal import (
     RedoRecorder,
     redo_bytes,
 )
-from repro.core.backends import VectorizedBackend
-from repro.core.backends.replay import _pack_sort, replay_kernel
+from repro.core.backends import VectorizedBackend, replay
+from repro.core.backends.replay import ScheduleOverrides, _pack_sort, replay_kernel
 from repro.core.backends.wave import NARROW_WIDTH, TraceRecorder, WaveStore
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
@@ -56,6 +58,18 @@ WIDTHS = tuple(sorted(
     {1, 2, 3, 7, 8, 31, 32, 33, 255, 256, 257, NARROW_WIDTH, NARROW_WIDTH + 1}
 ))
 STATS_FIELDS = tuple(f.name for f in dataclasses.fields(KernelStats))
+
+
+@pytest.fixture
+def scalar_replay(monkeypatch):
+    """Every replay in the test groups and charges Python tuples."""
+    monkeypatch.setattr(replay, "NARROW_EVENTS", 1 << 62)
+
+
+@pytest.fixture
+def array_replay(monkeypatch):
+    """Every replay in the test builds the event matrix."""
+    monkeypatch.setattr(replay, "NARROW_EVENTS", -1)
 
 
 def _engine(db, procedures, backend):
@@ -160,6 +174,7 @@ def _widths_launched(reports):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("n", WIDTHS)
 class TestWidths:
+    @pytest.mark.usefixtures("scalar_replay")
     def test_micro_kset_wave(self, n):
         """One conflict-free wave of ``n`` threads over four branch
         tags: a memory-only launch (no probe)."""
@@ -170,6 +185,10 @@ class TestWidths:
             "kset",
         )
         assert _widths_launched(reports) == {n}
+
+    @pytest.mark.usefixtures("array_replay")
+    def test_micro_kset_wave_on_the_event_matrix(self, n):
+        self.test_micro_kset_wave(n)
 
     def test_tm1_part_sweep(self, n):
         """``n`` partitions, up to three transactions deep, all seven
@@ -303,6 +322,7 @@ def test_tpcc_part_delivery_in_the_new_orders_launch(n_warehouses):
     assert _widths_launched(reports) == {n_warehouses}
 
 
+@pytest.mark.usefixtures("scalar_replay")
 @pytest.mark.parametrize("n", (1, 5, 40))
 def test_probe_only_launch(n):
     """TM1's name lookup is SET_BRANCH + one probe: every coalesced
@@ -314,6 +334,12 @@ def test_probe_only_launch(n):
         "kset",
     )
     assert _widths_launched(reports) == {n}
+
+
+@pytest.mark.usefixtures("array_replay")
+@pytest.mark.parametrize("n", (1, 5, 40))
+def test_probe_only_launch_on_the_event_matrix(n):
+    test_probe_only_launch(n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +356,7 @@ def _returns_at_once():
     yield  # pragma: no cover - makes this a generator
 
 
+@pytest.mark.usefixtures("scalar_replay")
 @pytest.mark.parametrize("n_threads", (0, 1, 33))
 def test_zero_step_launch(n_threads):
     """Threads that issue no op: the interpreter reports an empty
@@ -344,6 +371,12 @@ def test_zero_step_launch(n_threads):
         assert getattr(report.stats, name) == getattr(twin.stats, name), name
     assert report.timing == twin.timing
     assert report.stats.ops_executed == 0
+
+
+@pytest.mark.usefixtures("array_replay")
+@pytest.mark.parametrize("n_threads", (0, 1, 33))
+def test_zero_step_launch_on_the_event_matrix(n_threads):
+    test_zero_step_launch(n_threads)
 
 
 def _synthetic_trace(n_threads):
@@ -375,6 +408,7 @@ def _synthetic_trace(n_threads):
     return recorder
 
 
+@pytest.mark.usefixtures("scalar_replay")
 def test_mixed_scalar_and_per_lane_branch_tags():
     """Per-lane tags (all -1) and scalar tags in one trace group like
     the interpreter's ``(branch, kind)`` split: the two leading steps
@@ -388,6 +422,11 @@ def test_mixed_scalar_and_per_lane_branch_tags():
     assert report.stats.divergent_serializations == 2 * 8
     # Per warp and type: one probe, four reads, one write.
     assert report.stats.mem_instructions[0] == 2 * 2 * 6
+
+
+@pytest.mark.usefixtures("array_replay")
+def test_mixed_scalar_and_per_lane_branch_tags_on_the_event_matrix():
+    test_mixed_scalar_and_per_lane_branch_tags()
 
 
 def test_replay_memory_high_water_mark():
@@ -426,6 +465,40 @@ def test_pack_sort_falls_back_to_lexsort_past_62_bits():
         _pack_sort((small_a, small_b), (6, 6)).tolist()
         == np.lexsort((small_b, small_a)).tolist()
     )
+
+
+@pytest.mark.parametrize("path", ("scalar_replay", "array_replay"))
+def test_round_horizon_too_wide_to_pack(path, request):
+    """A lock schedule spanning 2**55 rounds: the event matrix's sort
+    keys do not pack into 62 bits (lexsort), and both paths charge the
+    trace as if it started at round 1."""
+    request.getfixturevalue(path)
+    n = 64
+    store, engine, outcomes = _bare_launch(n)
+    near = _synthetic_trace(n)
+    far = _synthetic_trace(n)
+    far.round_base[:] = 1 << 55
+    for step in far.steps:
+        step.rounds = step.rounds + (1 << 55) - 1
+    layout = warp_layout(n, engine.block_size, engine.spec)
+    zeros = np.zeros(engine.spec.num_sms)
+
+    def schedule(start):
+        return ScheduleOverrides(
+            layout=layout, rounds=start + 9,
+            warp_last_round=np.full(len(layout[0]), start + 9, dtype=np.int64),
+            issue_cycles=zeros, atomic_cycles=zeros,
+            mem_transactions=zeros.astype(np.int64),
+            mem_bytes=zeros.astype(np.int64),
+            spin_iterations=0, atomic_conflicts=0, divergent_serializations=0,
+        )
+
+    wide = replay_kernel(far, store, engine, outcomes, schedule(1 << 55))
+    narrow = replay_kernel(near, store, engine, outcomes, schedule(1))
+    assert wide.stats.rounds == (1 << 55) + 9
+    for name in STATS_FIELDS:
+        if name != "rounds":
+            assert getattr(wide.stats, name) == getattr(narrow.stats, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ and synchronous feed timing, and the small integration seams (journal
 epochs, pipeline DMA phases, engine rebuild).
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.durability import (
@@ -436,6 +437,21 @@ class TestReplicas:
             DurabilityConfig(checkpoint_interval=0)
         with pytest.raises(ConfigError):
             DurabilityConfig(n_replicas=-1)
+
+    @pytest.mark.parametrize("name", ["checkpoint_interval", "n_replicas"])
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, 8.0, "8", True])
+    def test_config_fields_are_ints(self, name, value):
+        # A NaN interval checkpointed every bulk; a NaN or fractional
+        # replica count died in replica_placement as a bare TypeError.
+        with pytest.raises(ConfigError, match=name):
+            DurabilityConfig(**{name: value})
+
+    def test_config_normalises_numpy_ints(self):
+        config = DurabilityConfig(
+            checkpoint_interval=np.int64(4), n_replicas=np.int16(2)
+        )
+        assert (config.checkpoint_interval, config.n_replicas) == (4, 2)
+        assert type(config.n_replicas) is int
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,21 @@ class TestElasticConfig:
         with pytest.raises(ConfigError):
             ElasticConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["min_queue_depth", "max_migrations"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 8.0, "8", True])
+    def test_knobs_are_ints(self, name, value):
+        # A NaN cap is never reached (``len(reports) >= nan`` is always
+        # false): the safety valve and the depth floor would be off.
+        with pytest.raises(ConfigError, match=name):
+            ElasticConfig(**{name: value})
+
+    def test_numpy_ints_are_normalised(self):
+        config = ElasticConfig(
+            min_queue_depth=np.int64(4), max_migrations=np.int32(0)
+        )
+        assert (config.min_queue_depth, config.max_migrations) == (4, 0)
+        assert type(config.min_queue_depth) is int
+
 
 class TestHotShardDetector:
     def test_no_queue_gauge_means_no_signal(self):

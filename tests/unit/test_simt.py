@@ -1,13 +1,17 @@
 """Unit tests for the SIMT lockstep engine."""
 
+import numpy as np
 import pytest
 
+from repro import GPUTx
 from repro.errors import ConfigError, DeadlockError, ExecutionError
 from repro.gpu import ops
 from repro.gpu.atomics import CounterSpace, LockTable
 from repro.gpu.memory import DictStore
 from repro.gpu.simt import SIMTEngine, ThreadTask, warp_layout
 from repro.gpu.spec import C1060
+
+from tests.conftest import BANK_PROCEDURES, build_bank_db
 
 
 def make_store(n_rows: int = 64) -> DictStore:
@@ -65,6 +69,30 @@ class TestBasicExecution:
         # range(); -32 surfaced as a misleading DeadlockError.
         with pytest.raises(ConfigError, match="block size"):
             SIMTEngine(block_size=block_size)
+
+    @pytest.mark.parametrize("block_size", [64.0, float("nan"), "64", True])
+    def test_block_size_must_be_an_int(self, block_size):
+        # 64.0 used to construct and fail at the first launch with a
+        # bare TypeError from warp_layout's range().
+        with pytest.raises(ConfigError, match="block size"):
+            SIMTEngine(block_size=block_size)
+
+    def test_gputx_rejects_a_float_block_size(self):
+        with pytest.raises(ConfigError, match="block size"):
+            GPUTx(build_bank_db(), procedures=BANK_PROCEDURES, block_size=64.0)
+
+    @pytest.mark.parametrize(
+        "max_rounds", [float("nan"), 0, -5, 2.5, True, "9"]
+    )
+    def test_max_rounds_must_be_a_positive_int(self, max_rounds):
+        # NaN disabled the kernel timeout: ``rounds > nan`` is never true.
+        with pytest.raises(ConfigError, match="max_rounds"):
+            SIMTEngine(max_rounds=max_rounds)
+
+    def test_numpy_ints_are_accepted(self):
+        engine = SIMTEngine(block_size=np.int64(64), max_rounds=np.int32(9))
+        assert (engine.block_size, engine.max_rounds) == (64, 9)
+        assert type(engine.block_size) is int
 
     def test_generator_exception_becomes_execution_error(self):
         def bad():
