@@ -45,7 +45,7 @@ from repro.cluster.durability.failover import RecoveryReport
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tdg import TDependencyGraph
-from repro.core.txn import Transaction, TxnResult
+from repro.core.txn import ResultColumns, Transaction
 from repro.cpu.costmodel import CpuCostModel
 from repro.cpu.engine import DEVICE_ATOMICS, run_serial
 from repro.cluster.router import ShardRouter
@@ -184,7 +184,7 @@ class GroupReport:
 class CoordinatorResult:
     """Outcome and timing of one leader wave."""
 
-    results: List[TxnResult] = field(default_factory=list)
+    results: ResultColumns = field(default_factory=ResultColumns)
     #: Execution time: the serial host interpretation (serial mode) or
     #: the makespan of the follower lanes net of dispatch (parallel).
     exec_seconds: float = 0.0
@@ -311,7 +311,7 @@ class CrossShardCoordinator:
         shard_map: Dict[int, FrozenSet[int]],
     ) -> Tuple[
         List[Transaction],
-        List[TxnResult],
+        ResultColumns,
         List[float],
         "List[frozenset[int]]",
     ]:

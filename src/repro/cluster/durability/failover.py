@@ -29,6 +29,7 @@ from repro.cluster.durability.checkpoint import Checkpoint, CheckpointManager
 from repro.cluster.durability.replay import recover_database
 from repro.cluster.durability.wal import RedoRecorder, ShardWAL, WalRecord
 from repro.cluster.router import replica_placement
+from repro.core.txn import ResultColumns
 from repro.errors import DurabilityError, check_int
 from repro.gpu.transfer import PCIeModel, TransferTimeline
 from repro.storage.catalog import Database
@@ -181,7 +182,7 @@ class ShardDurability:
         bulk_id: int,
         wave: int,
         strategy: str,
-        results: Sequence,
+        results: ResultColumns,
         journal_epoch: int = 0,
         now: float = 0.0,
     ) -> float:

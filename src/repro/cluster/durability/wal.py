@@ -25,7 +25,7 @@ format and :func:`~repro.core.tx_logging.apply_redo` live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from repro.core.tx_logging import (
     REDO_CANCEL_DELETE,
@@ -36,7 +36,7 @@ from repro.core.tx_logging import (
     RedoEntry,
     redo_bytes,
 )
-from repro.core.txn import TxnResult
+from repro.core.txn import ResultColumns
 from repro.errors import DurabilityError
 
 #: Breakdown phases charged by the durability layer.
@@ -119,11 +119,9 @@ class WalRecord:
         return 40 + 17 * len(self.outcomes) + redo_bytes(self.redo)
 
 
-def outcomes_of(results: Iterable[TxnResult]) -> Tuple[Tuple[int, bool, str], ...]:
-    """Compress TxnResults into WAL outcome triples."""
-    return tuple(
-        (r.txn_id, r.committed, r.abort_reason) for r in results
-    )
+def outcomes_of(results: ResultColumns) -> Tuple[Tuple[int, bool, str], ...]:
+    """Compress a wave's result columns into WAL outcome triples."""
+    return tuple(zip(results.txn_id, results.committed, results.abort_reason))
 
 
 class ShardWAL:
@@ -161,12 +159,12 @@ class ShardWAL:
         bulk_id: int,
         wave: int,
         strategy: str,
-        results: Sequence[TxnResult],
+        results: ResultColumns,
         redo: Tuple[RedoEntry, ...],
         journal_epoch: int = 0,
     ) -> WalRecord:
         """Seal one committed wave into a record; returns it."""
-        txn_ids = [r.txn_id for r in results]
+        txn_ids = results.txn_id
         record = WalRecord(
             lsn=self._next_lsn,
             shard=self.shard,

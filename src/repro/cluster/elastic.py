@@ -48,6 +48,7 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.cluster.durability.wal import MIGRATION_STRATEGY, PHASE_MIGRATION
+from repro.core.txn import ResultColumns
 from repro.errors import ClusterError, ConfigError, check_int
 from repro.storage.catalog import row_tuples
 
@@ -351,7 +352,7 @@ class ShardMigrator:
                         bulk_id=bulk_id,
                         wave=wave,
                         strategy=MIGRATION_STRATEGY,
-                        results=[],
+                        results=ResultColumns(),
                         journal_epoch=(
                             cluster.shards[shard].adapter.journal.epoch
                         ),

@@ -74,10 +74,10 @@ from repro.core.oparray import OpArray
 from repro.core.procedure import TransactionType
 from repro.core.txn import (
     BulkOutcome,
+    ResultColumns,
     ResultPool,
     Transaction,
     TransactionPool,
-    TxnResult,
 )
 from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
 from repro.gpu.costmodel import TimeBreakdown
@@ -131,7 +131,7 @@ class WaveReport:
 class ClusterExecutionResult(BulkOutcome):
     """Outcome of executing one bulk across the cluster."""
 
-    results: List[TxnResult]
+    results: ResultColumns
     breakdown: TimeBreakdown
     waves: List[WaveReport] = field(default_factory=list)
     n_single_shard: int = 0
@@ -308,7 +308,7 @@ class ClusterTx(BulkFrontDoor):
         """Segment a bulk into waves and execute them in order."""
         validate_strategy_options(strategy, options)
         out = ClusterExecutionResult(
-            results=[],
+            results=ResultColumns(),
             breakdown=TimeBreakdown(),
             shard_busy_s=[0.0] * self.n_shards,
         )
@@ -359,7 +359,7 @@ class ClusterTx(BulkFrontDoor):
                 self._record_bulk_metrics(session, out)
         if self.elastic is not None:
             self.elastic.note_bulk(out.shard_busy_s, out.shard_abort_share())
-        out.results.sort(key=lambda r: r.txn_id)
+        out.results = out.results.sorted_by_id()
         self._check_replicated_tables()
         self._sim_clock += out.seconds
         return out
@@ -703,7 +703,7 @@ class ClusterTx(BulkFrontDoor):
         critical_breakdown: Optional[TimeBreakdown] = None
         any_deferred = False
         # Each shard seals the outcomes of its own sub-bulk.
-        shares: List[Tuple[int, str, List[TxnResult]]] = []
+        shares: List[Tuple[int, str, ResultColumns]] = []
         now = self._sim_clock + out.breakdown.total
         for shard, txns in sorted(by_shard.items()):
             engine = self.shards[shard]
@@ -831,11 +831,14 @@ class ClusterTx(BulkFrontDoor):
         # in their recorders); every shard seals its share of the wave
         # -- the outcomes of the transactions that touch it. Untouched
         # shards append nothing.
+        ids = result.results.txn_id
         shares = (
             (
                 shard,
                 leader_strategy,
-                [r for r in result.results if shard in shard_map[r.txn_id]],
+                result.results.take(
+                    [at for at, i in enumerate(ids) if shard in shard_map[i]]
+                ),
             )
             for shard in range(self.n_shards)
         )
@@ -866,7 +869,7 @@ class ClusterTx(BulkFrontDoor):
         bulk_id: int,
         wave_index: int,
         now: float,
-        shares: Iterable[Tuple[int, str, List[TxnResult]]],
+        shares: Iterable[Tuple[int, str, ResultColumns]],
     ) -> None:
         """Seal one wave into the WAL of every shard in ``shares``
         (``(shard, strategy, the shard's outcomes)``) and account it.

@@ -22,7 +22,9 @@ from repro.core.procedure import (
 )
 from repro.core.profiler import BulkProfile, BulkProfiler
 from repro.core.tdg import TDependencyGraph
-from repro.core.txn import ResultPool, Transaction, TransactionPool, TxnResult
+from repro.core.txn import (
+    ResultColumns, ResultPool, Transaction, TransactionPool, TxnResult,
+)
 
 __all__ = [
     "STRATEGY_KSET",
@@ -44,6 +46,7 @@ __all__ = [
     "BulkProfile",
     "BulkProfiler",
     "TDependencyGraph",
+    "ResultColumns",
     "ResultPool",
     "Transaction",
     "TransactionPool",

@@ -29,13 +29,23 @@ selected via :class:`~repro.core.backends.EngineOptions`
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backends import EngineOptions
     from repro.core.executor import StrategyExecutor
-    from repro.core.txn import Transaction
+    from repro.core.txn import ResultColumns, Transaction
     from repro.gpu.simt import KernelReport
+
+
+class PartitionOutcomes(NamedTuple):
+    """What one PART partition thread returns: its transactions'
+    results, in execution order, and the buffered inserts and deletes
+    its aborted transactions leave to cancel (``(table, row)`` each)."""
+
+    results: ResultColumns
+    cancel_inserts: List[Tuple[str, int]]
+    cancel_deletes: List[Tuple[str, int]]
 
 
 class InterpretedBackend:
@@ -81,7 +91,8 @@ class InterpretedBackend:
 
         ``parts`` is the sorted ``(partition id, transactions)`` list;
         each partition is one GPU thread running its transactions back
-        to back (the pull model of Section 5.2).
+        to back (the pull model of Section 5.2), and its outcome row's
+        ``result`` is its :class:`PartitionOutcomes`.
         """
         start = time.perf_counter()
         tasks = [

@@ -86,7 +86,7 @@ from repro.core.backends.wave import (
 )
 from repro.errors import DeadlockError, KernelTimeoutError
 from repro.gpu import ops as op_ir
-from repro.gpu.simt import KernelReport, ThreadOutcome, warp_layout
+from repro.gpu.simt import KernelReport, OutcomeColumns, warp_layout
 from repro.gpu.simt import _LOCK_SPACE_BASE as LOCK_BASE
 
 #: Sentinel "still alive" value for warps whose last round is unknown.
@@ -563,15 +563,12 @@ def run_locked_schedule(
         divergent_serializations=extra,
     )
 
-    outcomes = list(
-        map(
-            ThreadOutcome,
-            [txn.txn_id for txn in transactions],
-            type_ids.tolist(),
-            committed.tolist(),
-            abort_reason.tolist(),
-            results.tolist(),
-        )
+    outcomes = OutcomeColumns(
+        [txn.txn_id for txn in transactions],
+        type_ids.tolist(),
+        committed.tolist(),
+        abort_reason.tolist(),
+        results.tolist(),
     )
     report = replay_kernel(
         recorder, store, engine, outcomes, schedule=schedule_ov
@@ -581,7 +578,7 @@ def run_locked_schedule(
     # physical ids the replay assigned (no-op without staged inserts).
     for t, entries in enumerate(undo_logs):
         if entries:
-            outcomes[t].undo = tx_logging.remap_handle_rows(
+            outcomes.undo[t] = tx_logging.remap_handle_rows(
                 entries, store.handle_row, HANDLE_BASE
             )
     return report

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
-from repro.gpu.simt import KernelReport, ThreadOutcome, warp_layout
+from repro.gpu.simt import KernelReport, OutcomeColumns, warp_layout
 
 from repro.core.backends.wave import HANDLE_BASE, TraceRecorder, WaveStore
 
@@ -168,7 +168,7 @@ def replay_kernel(
     recorder: TraceRecorder,
     store: WaveStore,
     engine: Any,
-    outcomes: List[ThreadOutcome],
+    outcomes: OutcomeColumns,
     schedule: Optional[ScheduleOverrides] = None,
 ) -> KernelReport:
     """Resolve a recorded wave into a KernelReport and apply the staged
@@ -184,7 +184,7 @@ def replay_kernel(
     n_threads = recorder.n_threads
     stats = KernelStats(num_sms=spec.num_sms)
     stats.threads_launched = n_threads
-    stats.threads_aborted = sum(1 for o in outcomes if not o.committed)
+    stats.threads_aborted = outcomes.aborted_count()
     if schedule is not None:
         stats.rounds = schedule.rounds
         layout = schedule.layout

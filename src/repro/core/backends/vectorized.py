@@ -32,17 +32,18 @@ tests and benches that must know vectorization happened.
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import InterpretedBackend
+from repro.core.backends.base import InterpretedBackend, PartitionOutcomes
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
 from repro.core.backends.wave import TraceRecorder, WaveStore, run_sub_wave
+from repro.core.txn import ResultColumns
 from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
-from repro.gpu.simt import KernelReport, ThreadOutcome
+from repro.gpu.simt import KernelReport, OutcomeColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backends import EngineOptions
@@ -171,7 +172,6 @@ class VectorizedBackend(InterpretedBackend):
         store = self._wave_store(executor, by_type)
         recorder = TraceRecorder(n)
         cur_branch = np.full(n, -1, dtype=np.int64)
-        per_part: List[List[Tuple]] = [[] for _ in range(n)]
         # One slot's outcomes, at their partitions' indices.
         committed = np.ones(n, dtype=bool)
         abort_reason = np.full(n, "", dtype=object)
@@ -186,6 +186,12 @@ class VectorizedBackend(InterpretedBackend):
         part_txns = [txns for _pid, txns in parts]
         lens = np.fromiter((len(t) for t in part_txns), np.int64, n)
         max_slots = int(lens.max())
+        # Every transaction's outcome, partition after partition.
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        flat_committed = np.ones(offsets[-1], dtype=bool)
+        flat_reason = np.full(offsets[-1], "", dtype=object)
+        flat_result = np.full(offsets[-1], None, dtype=object)
         for slot in range(max_slots):
             lanes_slot = np.flatnonzero(lens > slot)
             slot_types: Dict[str, List[int]] = {}
@@ -208,24 +214,27 @@ class VectorizedBackend(InterpretedBackend):
                     recorder, store, lanes, type_id, txn_type, txns_slot, out,
                     record_abort_ops=False, capture_undo=False,
                 )
-                for i, txn, ok, reason, value in zip(
-                    lane_list, txns_slot, committed[lanes].tolist(),
-                    abort_reason[lanes].tolist(), results[lanes].tolist(),
-                ):
-                    per_part[i].append((txn.txn_id, ok, reason, value, [], []))
+            at = offsets[lanes_slot] + slot
+            flat_committed[at] = committed[lanes_slot]
+            flat_reason[at] = abort_reason[lanes_slot]
+            flat_result[at] = results[lanes_slot]
             # Loop bookkeeping between transactions (one Compute op).
             recorder.record(
                 op_ir.COMPUTE, lanes_slot, cur_branch[lanes_slot], amount=2
             )
-        outcomes = [
-            ThreadOutcome(
-                txn_id=parts[i][0],
-                type_id=-1,
-                committed=True,
-                result=per_part[i],
-            )
-            for i in range(n)
-        ]
+        flat = ResultColumns(
+            [txn.txn_id for txns in part_txns for txn in txns],
+            [txn.type_name for txns in part_txns for txn in txns],
+            flat_committed.tolist(), flat_reason.tolist(), flat_result.tolist(),
+        )
+        bounds = offsets.tolist()
+        outcomes = OutcomeColumns(
+            [pid for pid, _txns in parts], [-1] * n, [True] * n, [""] * n,
+            [
+                PartitionOutcomes(flat[a:b], [], [])
+                for a, b in zip(bounds, bounds[1:])
+            ],
+        )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start

@@ -41,7 +41,9 @@ from repro.core.strategies.relaxed import (
     RelaxedTplExecutor,
 )
 from repro.core.strategies.tpl import TplExecutor
-from repro.core.txn import ResultPool, Transaction, TransactionPool
+from repro.core.txn import (
+    ResultColumns, ResultPool, Transaction, TransactionPool,
+)
 from repro.errors import ConfigError, ProcedureError, check_int
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
@@ -265,7 +267,7 @@ class GPUTx(BulkFrontDoor):
         """
         validate_strategy_options(strategy, options)
         if not transactions:
-            return ExecutionResult(strategy, [], breakdown=TimeBreakdown())
+            return ExecutionResult(strategy, ResultColumns(), TimeBreakdown())
         if ops is None:
             ops = OpArray.of_bulk(self.registry, transactions)
         chosen = strategy

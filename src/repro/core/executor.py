@@ -17,14 +17,14 @@ The base class also centralises what happens *after* a kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tx_logging import rollback
-from repro.core.txn import BulkOutcome, Transaction, TxnResult
+from repro.core.txn import BulkOutcome, ResultColumns, Transaction
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
@@ -47,7 +47,7 @@ class ExecutionResult(BulkOutcome):
     """Outcome of executing one bulk with some strategy."""
 
     strategy: str
-    results: List[TxnResult]
+    results: ResultColumns
     breakdown: TimeBreakdown
     kernel_reports: List[KernelReport] = field(default_factory=list)
     #: Transactions rolled back because a conflicting predecessor
@@ -147,10 +147,9 @@ class StrategyExecutor:
         nbytes = sum(map(Transaction.signature_bytes, transactions))
         return self.pcie.to_device(nbytes, component="input")
 
-    def output_transfer_seconds(self, results: Sequence[TxnResult]) -> float:
+    def output_transfer_seconds(self, results: ResultColumns) -> float:
         """Copy the bulk's results device -> host."""
-        nbytes = sum(map(TxnResult.result_bytes, results))
-        return self.pcie.to_host(nbytes, component="output")
+        return self.pcie.to_host(results.result_bytes(), component="output")
 
     def group_by_type(
         self, transactions: List[Transaction], passes: int
@@ -172,23 +171,15 @@ class StrategyExecutor:
         self,
         transactions: Sequence[Transaction],
         report: KernelReport,
-    ) -> List[TxnResult]:
-        """Roll back aborts, apply the insert/delete batch, build results."""
-        by_id: Dict[int, Transaction] = {t.txn_id: t for t in transactions}
-        results: List[TxnResult] = []
-        append = results.append
-        for outcome in report.outcomes:
-            txn = by_id[outcome.txn_id]
-            if not outcome.committed and outcome.undo:
-                rollback(self.adapter, outcome.undo)
-            append(
-                TxnResult(
-                    outcome.txn_id,
-                    txn.type_name,
-                    outcome.committed,
-                    outcome.abort_reason,
-                    outcome.result,
-                )
-            )
+    ) -> ResultColumns:
+        """Roll back aborts (in thread order), apply the insert/delete
+        batch, build results; ``transactions`` are in thread order."""
+        out = report.outcomes
+        for t, undo in out.undo.items():
+            if not out.committed[t]:
+                rollback(self.adapter, undo)
         self.adapter.apply_batch()
-        return results
+        return ResultColumns(
+            out.txn_id, [txn.type_name for txn in transactions],
+            out.committed, out.abort_reason, out.result,
+        )

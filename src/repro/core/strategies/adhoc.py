@@ -22,7 +22,7 @@ from repro.core.executor import (
     StrategyExecutor,
 )
 from repro.core.oparray import OpArray
-from repro.core.txn import Transaction
+from repro.core.txn import ResultColumns, Transaction
 from repro.gpu.costmodel import TimeBreakdown
 
 
@@ -42,7 +42,7 @@ class AdhocExecutor(StrategyExecutor):
         # a bulk is in timestamp order already.
         breakdown = TimeBreakdown()
         if not transactions:
-            return ExecutionResult(self.name, [], breakdown)
+            return ExecutionResult(self.name, ResultColumns(), breakdown)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )

@@ -22,7 +22,7 @@ mutations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.core.executor import (
     PHASE_EXECUTION,
@@ -34,7 +34,7 @@ from repro.core.executor import (
 )
 from repro.core.kset import IncrementalKSetExtractor
 from repro.core.oparray import OpArray
-from repro.core.txn import Transaction, TxnResult
+from repro.core.txn import ResultColumns, Transaction
 from repro.gpu.costmodel import TimeBreakdown
 
 
@@ -62,7 +62,7 @@ class KsetExecutor(StrategyExecutor):
     ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
-            return ExecutionResult(self.name, [], breakdown)
+            return ExecutionResult(self.name, ResultColumns(), breakdown)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
@@ -85,7 +85,7 @@ class KsetExecutor(StrategyExecutor):
             )
 
         # ---- iterate 0-sets ---------------------------------------------
-        all_results: List[TxnResult] = []
+        all_results = ResultColumns()
         reports = []
         rounds = 0
         while len(extractor):
@@ -110,7 +110,7 @@ class KsetExecutor(StrategyExecutor):
             breakdown.add(PHASE_EXECUTION, report.seconds)
             all_results.extend(self.finalize_kernel(round_txns, report))
 
-        all_results.sort(key=lambda r: r.txn_id)
+        all_results = all_results.sorted_by_id()
         breakdown.add(
             PHASE_TRANSFER_OUT, self.output_transfer_seconds(all_results)
         )

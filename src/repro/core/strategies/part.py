@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.backends.base import PartitionOutcomes
 from repro.core.executor import (
     PHASE_EXECUTION,
     PHASE_GENERATION,
@@ -44,7 +45,7 @@ from repro.core.executor import (
 )
 from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.strategies.tpl import TplExecutor
-from repro.core.txn import Transaction, TxnResult
+from repro.core.txn import ResultColumns, Transaction
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.simt import ThreadTask
@@ -69,7 +70,7 @@ class PartExecutor(StrategyExecutor):
     ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
-            return ExecutionResult(self.name, [], breakdown)
+            return ExecutionResult(self.name, ResultColumns(), breakdown)
 
         # Cross-partition transactions force the TPL fallback.
         if (ops.partition == NO_PARTITION).any():
@@ -117,18 +118,12 @@ class PartExecutor(StrategyExecutor):
         # The partition schedule executes through the configured
         # backend: one interpreted generator per partition thread, or
         # the vectorized backend's slot-parallel column kernels.
-        report = self.backend.launch_partitions(
-            self, sorted(grouped.items()), boundary_cycles
-        )
+        parts = sorted(grouped.items())
+        report = self.backend.launch_partitions(self, parts, boundary_cycles)
         breakdown.add(PHASE_EXECUTION, report.seconds)
 
         # ---- per-transaction outcomes ----------------------------------
-        results, cancels = self._collect(transactions, report)
-        for table, provisional in cancels["inserts"]:
-            self.adapter.cancel_insert(table, provisional)
-        for table, row in cancels["deletes"]:
-            self.adapter.cancel_delete(table, row)
-        self.adapter.apply_batch()
+        results = self._collect(report)
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name, results, breakdown, kernel_reports=[report]
@@ -141,7 +136,7 @@ class PartExecutor(StrategyExecutor):
         """One GPU thread running a partition's transactions serially."""
         prepared = [
             (
-                txn.txn_id,
+                txn,
                 self.registry.type_id(txn.type_name),
                 self.registry.needs_undo(txn.type_name),
                 self.registry.build_stream(txn.type_name, txn.params),
@@ -152,8 +147,9 @@ class PartExecutor(StrategyExecutor):
         def stream():
             # Binary searches for the partition's [start, end) in P.
             yield op_ir.Compute(boundary_cycles)
-            outcomes: List[Tuple[int, bool, str, Any, list, list]] = []
-            for txn_id, type_id, needs_undo, inner in prepared:
+            rows = ResultColumns()
+            outcomes = PartitionOutcomes(rows, [], [])
+            for txn, type_id, needs_undo, inner in prepared:
                 yield op_ir.SetBranch(type_id)
                 undo: List[Tuple[str, str, int, Any]] = []
                 ins_cancel: List[Tuple[str, int]] = []
@@ -189,44 +185,34 @@ class PartExecutor(StrategyExecutor):
                         del_cancel.append((op.table, op.row))
                     else:
                         send = yield op
-                outcomes.append(
-                    (
-                        txn_id,
-                        not aborted,
-                        reason,
-                        result,
-                        ins_cancel if aborted else [],
-                        del_cancel if aborted else [],
+                rows.extend(
+                    ResultColumns(
+                        [txn.txn_id], [txn.type_name], [not aborted], [reason],
+                        [result],
                     )
                 )
+                if aborted:
+                    outcomes.cancel_inserts.extend(ins_cancel)
+                    outcomes.cancel_deletes.extend(del_cancel)
                 # Loop bookkeeping between transactions.
                 yield op_ir.Compute(2)
             return outcomes
 
         return ThreadTask(txn_id=pid, type_id=-1, body=stream())
 
-    def _collect(self, transactions, report):
-        """Flatten per-partition outcome lists into per-txn results."""
-        per_txn: Dict[int, Tuple[bool, str, Any]] = {}
-        cancels = {"inserts": [], "deletes": []}
-        for outcome in report.outcomes:
-            for txn_id, committed, reason, value, ins, dels in outcome.result:
-                per_txn[txn_id] = (committed, reason, value)
-                if ins:
-                    cancels["inserts"].extend(ins)
-                if dels:
-                    cancels["deletes"].extend(dels)
-        results: List[TxnResult] = []
-        append = results.append
-        for txn in transactions:
-            committed, reason, value = per_txn[txn.txn_id]
-            append(
-                TxnResult(
-                    txn_id=txn.txn_id,
-                    type_name=txn.type_name,
-                    committed=committed,
-                    abort_reason=reason,
-                    value=value,
-                )
-            )
-        return results, cancels
+    def _collect(self, report) -> ResultColumns:
+        """Concatenate the partition threads' results (in id order),
+        cancel what aborted transactions buffered, and apply the
+        insert/delete batch."""
+        threads = report.outcomes.result
+        for part in threads:
+            for table, provisional in part.cancel_inserts:
+                self.adapter.cancel_insert(table, provisional)
+        for part in threads:
+            for table, row in part.cancel_deletes:
+                self.adapter.cancel_delete(table, row)
+        self.adapter.apply_batch()
+        results = ResultColumns()
+        for part in threads:
+            results.extend(part.results)
+        return results.sorted_by_id()

@@ -38,7 +38,7 @@ from repro.core.executor import (
 from repro.core.oparray import OpArray
 from repro.core.strategies.kset_exec import KsetExecutor
 from repro.core.strategies.part import PartExecutor
-from repro.core.txn import Transaction
+from repro.core.txn import ResultColumns, Transaction
 from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import TimeBreakdown
 
@@ -53,7 +53,7 @@ class RelaxedTplExecutor(StrategyExecutor):
     ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
-            return ExecutionResult(self.name, [], breakdown)
+            return ExecutionResult(self.name, ResultColumns(), breakdown)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )

@@ -29,7 +29,7 @@ it. Two-phase transactions abort before writing and cascade nothing.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import Sequence, Set
 
 from repro.core.executor import (
     PHASE_EXECUTION,
@@ -43,7 +43,7 @@ from repro.core.kset import compute_ranks
 from repro.core.oparray import OpArray
 from repro.core.tdg import TDependencyGraph
 from repro.core.tx_logging import rollback
-from repro.core.txn import Transaction, TxnResult
+from repro.core.txn import ResultColumns, Transaction
 from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import TimeBreakdown
 
@@ -62,7 +62,7 @@ class TplExecutor(StrategyExecutor):
     ) -> ExecutionResult:
         breakdown = TimeBreakdown()
         if not transactions:
-            return ExecutionResult(self.name, [], breakdown)
+            return ExecutionResult(self.name, ResultColumns(), breakdown)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
@@ -91,7 +91,7 @@ class TplExecutor(StrategyExecutor):
         breakdown.add(PHASE_EXECUTION, report.seconds)
 
         # ---- recovery (aborts + TPL cascade) ---------------------------
-        results, cascaded = self._recover(transactions, ops, report)
+        results, cascaded = self._recover(ordered, ops, report)
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name,
@@ -102,50 +102,36 @@ class TplExecutor(StrategyExecutor):
         )
 
     # ------------------------------------------------------------------
-    def _recover(self, transactions, ops, report):
-        """Roll back aborted transactions, cascading through the sub-DAG."""
-        aborted_ids = {
-            o.txn_id for o in report.outcomes if not o.committed
-        }
+    def _recover(self, ordered, ops, report):
+        """Roll back aborted transactions, cascading through the
+        sub-DAG; ``ordered`` are the launch's transactions."""
+        outcomes = report.outcomes
+        ids = outcomes.txn_id
+        committed = list(outcomes.committed)
+        reasons = list(outcomes.abort_reason)
+        values = list(outcomes.result)
+        aborted_ids = {ids[t] for t, ok in enumerate(committed) if not ok}
         cascaded: Set[int] = set()
         if aborted_ids:
             # Only non-two-phase aborters can have dirtied state.
-            dirty_roots = {
-                o.txn_id
-                for o in report.outcomes
-                if not o.committed and o.undo
-            }
+            dirty_roots = [ids[t] for t in outcomes.undo if not committed[t]]
             if dirty_roots:
                 graph = TDependencyGraph.build(ops)
                 for root in sorted(dirty_roots):
                     cascaded |= graph.sub_dag_from(root)
                 cascaded -= aborted_ids
-        outcome_by_id = {o.txn_id: o for o in report.outcomes}
-        # Roll back in reverse timestamp order so earlier states win.
-        for txn_id in sorted(aborted_ids | cascaded, reverse=True):
-            rollback(self.adapter, outcome_by_id[txn_id].undo)
-
-        results: List[TxnResult] = []
-        for txn in transactions:
-            outcome = outcome_by_id[txn.txn_id]
-            if txn.txn_id in cascaded:
-                results.append(
-                    TxnResult(
-                        txn_id=txn.txn_id,
-                        type_name=txn.type_name,
-                        committed=False,
-                        abort_reason="cascaded-rollback",
-                    )
-                )
-            else:
-                results.append(
-                    TxnResult(
-                        txn_id=txn.txn_id,
-                        type_name=txn.type_name,
-                        committed=outcome.committed,
-                        abort_reason=outcome.abort_reason,
-                        value=outcome.result,
-                    )
-                )
+            undone = aborted_ids | cascaded
+            position = {i: t for t, i in enumerate(ids) if i in undone}
+            # Roll back in reverse timestamp order so earlier states win.
+            for txn_id in sorted(undone, reverse=True):
+                rollback(self.adapter, outcomes.undo.get(position[txn_id], ()))
+            for txn_id in cascaded:
+                t = position[txn_id]
+                committed[t] = False
+                reasons[t] = "cascaded-rollback"
+                values[t] = None
         self.adapter.apply_batch()
-        return results, sorted(cascaded)
+        results = ResultColumns(
+            ids, [txn.type_name for txn in ordered], committed, reasons, values
+        )
+        return results.sorted_by_id(), sorted(cascaded)

@@ -11,11 +11,14 @@ generates a bulk from the pool; results land in a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from collections import Counter
+from itertools import chain, groupby, islice
+from operator import eq, lt
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Tuple, Union
 
-from repro.errors import ProcedureError
+from repro.errors import ProcedureError, check_int
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,84 @@ class TxnResult:
 
     def result_bytes(self) -> int:
         """Approximate size of the result copied back to the host."""
-        size = 8 + 1
-        value = self.value
-        if isinstance(value, (list, tuple)):
-            size += 8 * len(value)
-        elif value is not None:
-            size += 8
-        return size
+        return 8 + 1 + _value_bytes(self.value)
+
+
+def _value_bytes(value: Any) -> int:
+    """Bytes of a result value, on top of its row's id and flag."""
+    if isinstance(value, (list, tuple)):
+        return 8 * len(value)
+    return 0 if value is None else 8
+
+
+@dataclass(eq=False)
+class ResultColumns(Sequence[TxnResult]):
+    """A bulk's outcomes as five parallel lists: what every executor
+    returns as ``results``. A :class:`TxnResult` is built only when a
+    caller reads one (an int index; a slice gives columns), and the
+    record equals any sequence of equal rows (``results == []``)."""
+
+    txn_id: List[int] = field(default_factory=list)
+    type_name: List[str] = field(default_factory=list)
+    committed: List[bool] = field(default_factory=list)
+    abort_reason: List[str] = field(default_factory=list)
+    value: List[Any] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, rows: Iterable[TxnResult]) -> "ResultColumns":
+        """Columns of ready-made rows (tests, hand-built results)."""
+        rows = list(rows)
+        return cls(*([getattr(r, f.name) for r in rows] for f in fields(TxnResult)))
+
+    def _columns(self) -> Tuple[List[Any], ...]:
+        return (
+            self.txn_id, self.type_name, self.committed, self.abort_reason,
+            self.value,
+        )
+
+    def __len__(self) -> int:
+        return len(self.txn_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ResultColumns(*(col[i] for col in self._columns()))
+        return TxnResult(*(col[i] for col in self._columns()))
+
+    def __iter__(self) -> Iterator[TxnResult]:
+        return map(TxnResult, *self._columns())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def extend(self, other: "ResultColumns") -> None:
+        """Append ``other``'s rows (concatenation in place)."""
+        self.txn_id += other.txn_id
+        self.type_name += other.type_name
+        self.committed += other.committed
+        self.abort_reason += other.abort_reason
+        self.value += other.value
+
+    def take(self, positions: Sequence[int]) -> "ResultColumns":
+        """The rows at ``positions``, in that order."""
+        return ResultColumns(
+            *(list(map(col.__getitem__, positions)) for col in self._columns())
+        )
+
+    def sorted_by_id(self) -> "ResultColumns":
+        """The rows in transaction-id order (``self`` when already)."""
+        ids = self.txn_id
+        if all(map(lt, ids, islice(ids, 1, None))):
+            return self
+        return self.take(sorted(range(len(ids)), key=ids.__getitem__))
+
+    def committed_count(self) -> int:
+        return self.committed.count(True)
+
+    def result_bytes(self) -> int:
+        """``sum(TxnResult.result_bytes)`` over the rows."""
+        return (8 + 1) * len(self) + sum(map(_value_bytes, self.value))
 
 
 class BulkOutcome:
@@ -72,12 +146,12 @@ class BulkOutcome:
     Base of the engine's ``ExecutionResult``, the cluster's
     ``ClusterExecutionResult`` and the CPU counterpart's
     ``CpuExecutionResult``: each is a dataclass holding per-transaction
-    ``results`` and a phase ``breakdown``
+    ``results`` (:class:`ResultColumns`) and a phase ``breakdown``
     (:class:`~repro.gpu.costmodel.TimeBreakdown`); what is derived
     from those two is defined here, once.
     """
 
-    results: List[TxnResult]
+    results: ResultColumns
 
     @property
     def seconds(self) -> float:
@@ -85,11 +159,11 @@ class BulkOutcome:
 
     @property
     def committed(self) -> int:
-        return sum(1 for r in self.results if r.committed)
+        return self.results.committed_count()
 
     @property
     def aborted(self) -> int:
-        return sum(1 for r in self.results if not r.committed)
+        return len(self.results) - self.results.committed_count()
 
     def throughput_tps(self, count_aborts: bool = True) -> float:
         """Transactions per second of this bulk execution."""
@@ -196,7 +270,10 @@ class TransactionPool:
         return txn
 
     def take(self, n: Optional[int] = None) -> List[Transaction]:
-        """Remove and return up to ``n`` oldest transactions (all if None)."""
+        """Remove and return up to ``n`` oldest transactions (all if
+        None); ``n`` is an int >= 0, anything else a ConfigError."""
+        if n is not None:
+            n = check_int("max_txns", n, minimum=0)
         if n is None or n >= len(self._pending):
             out, self._pending = self._pending, []
             return out
@@ -213,10 +290,11 @@ class TransactionPool:
         return taken
 
     def peek(self, n: Optional[int] = None) -> List[Transaction]:
-        """Oldest ``n`` transactions without removing them."""
+        """Oldest ``n`` transactions without removing them (``n`` as
+        in :meth:`take`)."""
         if n is None:
             return list(self._pending)
-        return self._pending[:n]
+        return self._pending[: check_int("max_txns", n, minimum=0)]
 
     def requeue(self, transactions: Iterable[Transaction]) -> None:
         """Return deferred transactions to the pool.
@@ -234,42 +312,58 @@ class TransactionPool:
 
 
 class ResultPool:
-    """Collected outcomes, keyed by transaction id."""
+    """Collected outcomes: the recorded bulks' columns, one after
+    another, plus a ``txn_id -> position`` map."""
 
     def __init__(self) -> None:
-        self._results: Dict[int, TxnResult] = {}
+        self._rows = ResultColumns()
+        self._position: Dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._results)
+        return len(self._position)
 
     def __contains__(self, txn_id: int) -> bool:
-        return txn_id in self._results
+        return txn_id in self._position
+
+    def __iter__(self) -> Iterator[TxnResult]:
+        """Every recorded row, in recording order."""
+        return iter(self._rows)
 
     def record(self, result: TxnResult) -> None:
-        if result.txn_id in self._results:
-            raise ProcedureError(
-                f"duplicate result for transaction {result.txn_id}"
-            )
-        self._results[result.txn_id] = result
+        self.record_many(ResultColumns.of([result]))
 
-    def record_many(self, results: Iterable[TxnResult]) -> None:
-        for result in results:
-            self.record(result)
+    def record_many(self, results: ResultColumns) -> None:
+        """Record a bulk's rows -- all of them, or none when any id is
+        already recorded or repeats within ``results``."""
+        start = len(self._rows)
+        ids = results.txn_id
+        position = dict(zip(ids, range(start, start + len(ids))))
+        # The pool's keys view iterates ``position``, not the pool.
+        if len(position) < len(ids) or not self._position.keys().isdisjoint(
+            position
+        ):
+            counts = Counter(chain(self._position, ids))
+            dup = next(txn_id for txn_id in ids if counts[txn_id] > 1)
+            raise ProcedureError(f"duplicate result for transaction {dup}")
+        self._rows.extend(results)
+        self._position.update(position)
 
     def get(self, txn_id: int) -> Optional[TxnResult]:
-        return self._results.get(txn_id)
+        at = self._position.get(txn_id)
+        return None if at is None else self._rows[at]
 
     @property
     def committed_count(self) -> int:
-        return sum(1 for r in self._results.values() if r.committed)
+        return self._rows.committed_count()
 
     @property
     def aborted_count(self) -> int:
-        return sum(1 for r in self._results.values() if not r.committed)
+        return len(self._rows) - self._rows.committed_count()
 
     def output_bytes(self) -> int:
         """Total result bytes copied device -> host."""
-        return sum(r.result_bytes() for r in self._results.values())
+        return self._rows.result_bytes()
 
     def clear(self) -> None:
-        self._results.clear()
+        self._rows = ResultColumns()
+        self._position.clear()

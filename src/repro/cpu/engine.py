@@ -24,7 +24,7 @@ from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.executor import PHASE_EXECUTION
 from repro.core.procedure import ProcedureRegistry, TransactionType
-from repro.core.txn import BulkOutcome, Transaction, TxnResult
+from repro.core.txn import BulkOutcome, ResultColumns, Transaction
 from repro.cpu.costmodel import CpuCostModel
 from repro.errors import ConfigError, ExecutionError
 from repro.gpu import ops as op_ir
@@ -126,7 +126,7 @@ def run_serial(
     *,
     who: str = "transaction",
     refused: FrozenSet[int] = DEVICE_ATOMICS,
-) -> Tuple[List[Transaction], List[TxnResult], List[float]]:
+) -> Tuple[List[Transaction], ResultColumns, List[float]]:
     """Run a batch through :func:`run_stream` in timestamp order.
 
     Returns the timestamp-sorted transactions plus parallel lists of
@@ -134,7 +134,9 @@ def run_serial(
     applies the buffered insert/delete batch once at the end.
     """
     order = sorted(transactions, key=lambda t: t.txn_id)
-    results: List[TxnResult] = []
+    results = ResultColumns(
+        [txn.txn_id for txn in order], [txn.type_name for txn in order]
+    )
     cycles: List[float] = []
     for txn in order:
         txn_cycles, committed, reason, value = run_stream(
@@ -145,15 +147,9 @@ def run_serial(
             refused=refused,
         )
         cycles.append(txn_cycles + cost.dispatch())
-        results.append(
-            TxnResult(
-                txn_id=txn.txn_id,
-                type_name=txn.type_name,
-                committed=committed,
-                abort_reason=reason,
-                value=value,
-            )
-        )
+        results.committed.append(committed)
+        results.abort_reason.append(reason)
+        results.value.append(value)
     adapter.apply_batch()
     return order, results, cycles
 
@@ -162,7 +158,7 @@ def run_serial(
 class CpuExecutionResult(BulkOutcome):
     """Outcome and timing of one CPU batch execution."""
 
-    results: List[TxnResult]
+    results: ResultColumns
     #: One phase: the makespan (the busiest core's time).
     breakdown: TimeBreakdown
     core_seconds: List[float] = field(default_factory=list)

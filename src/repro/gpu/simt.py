@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import eq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,6 +111,10 @@ def warp_layout(
     return bounds, sm_warp_ids, resident, warp_of, sm_of_warp_arr
 
 
+#: A thread's undo records, ``(table, column, row, old value)`` each.
+UndoLog = List[Tuple[str, str, int, Any]]
+
+
 @dataclass
 class ThreadOutcome:
     """What happened to one thread's transaction(s)."""
@@ -119,7 +124,43 @@ class ThreadOutcome:
     committed: bool
     abort_reason: str = ""
     result: Any = None
-    undo: List[Tuple[str, str, int, Any]] = field(default_factory=list)
+    undo: UndoLog = field(default_factory=list)
+
+
+@dataclass(eq=False)
+class OutcomeColumns(Sequence[ThreadOutcome]):
+    """One launch's per-thread outcomes: five Python lists in thread
+    order, and ``undo``, each non-empty undo log by its thread (in
+    thread order). ``outcomes[i]`` builds the row view, a
+    :class:`ThreadOutcome`; the record equals any sequence of equal
+    rows."""
+
+    txn_id: List[int]
+    type_id: List[int]
+    committed: List[bool]
+    abort_reason: List[str]
+    result: List[Any]
+    undo: Dict[int, UndoLog] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.txn_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[t] for t in range(len(self))[i]]
+        t = range(len(self))[i]
+        return ThreadOutcome(
+            self.txn_id[t], self.type_id[t], self.committed[t],
+            self.abort_reason[t], self.result[t], self.undo.get(t, []),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def aborted_count(self) -> int:
+        return len(self.committed) - self.committed.count(True)
 
 
 @dataclass
@@ -128,7 +169,7 @@ class KernelReport:
 
     stats: KernelStats
     timing: KernelTiming
-    outcomes: List[ThreadOutcome]
+    outcomes: OutcomeColumns
 
     @property
     def seconds(self) -> float:
@@ -136,7 +177,7 @@ class KernelReport:
 
     @property
     def aborted_count(self) -> int:
-        return sum(1 for o in self.outcomes if not o.committed)
+        return self.outcomes.aborted_count()
 
 
 def _apply_atomic(
@@ -178,22 +219,22 @@ class _Thread:
         self.done = False
         self.aborted = False
         self.abort_reason = ""
-        self.undo: List[Tuple[str, str, int, Any]] = []
+        self.undo: UndoLog = []
         self.result: Any = None
         # lock_id -> (key or None, shared)
         self.held: Dict[int, Tuple[Optional[int], bool]] = {}
         # Current switch-case (PC region) for divergence grouping.
         self.branch = task.type_id
 
-    def outcome(self) -> ThreadOutcome:
-        return ThreadOutcome(
-            txn_id=self.task.txn_id,
-            type_id=self.task.type_id,
-            committed=not self.aborted,
-            abort_reason=self.abort_reason,
-            result=self.result,
-            undo=self.undo,
-        )
+
+def _outcomes_of(threads: Sequence[_Thread]) -> OutcomeColumns:
+    """The launch's outcome record, built once from its threads."""
+    return OutcomeColumns(
+        [t.task.txn_id for t in threads], [t.task.type_id for t in threads],
+        [not t.aborted for t in threads], [t.abort_reason for t in threads],
+        [t.result for t in threads],
+        {i: t.undo for i, t in enumerate(threads) if t.undo},
+    )
 
 
 class SIMTEngine:
@@ -288,7 +329,7 @@ class SIMTEngine:
         stats.threads_aborted = sum(1 for t in threads if t.aborted)
         timing = self.cost.resolve(stats)
         return KernelReport(
-            stats=stats, timing=timing, outcomes=[t.outcome() for t in threads]
+            stats=stats, timing=timing, outcomes=_outcomes_of(threads)
         )
 
     # ------------------------------------------------------------------
@@ -554,7 +595,7 @@ class SIMTEngine:
         stats = KernelStats(num_sms=spec.num_sms)
         stats.threads_launched = len(tasks)
         stats.resident_warps[0] = 1
-        outcomes: List[ThreadOutcome] = []
+        threads: List[_Thread] = []
         serial_overhead = float(spec.serial_op_overhead_cycles)
         issue = 0.0
         launches = 0
@@ -633,10 +674,11 @@ class SIMTEngine:
                         stats.mem_bytes[0] += spec.memory_transaction_bytes
                     thread.undo.clear()
                 # Lock ops are free of contention when serial.
-            outcomes.append(thread.outcome())
+            threads.append(thread)
 
+        outcomes = _outcomes_of(threads)
         stats.issue_cycles[0] = issue
-        stats.threads_aborted = sum(1 for o in outcomes if not o.committed)
+        stats.threads_aborted = outcomes.aborted_count()
         # A lone thread cannot overlap memory stalls with issue: the
         # dependent chain pays latency *additively*, unlike the warp
         # path where resolve() models overlap and bandwidth limits.

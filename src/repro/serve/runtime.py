@@ -53,7 +53,6 @@ from repro.serve.stream import ArrivalLike, ArrivalStream
 
 _TXN_ID = attrgetter("txn_id")
 _SUBMIT_TIME = attrgetter("submit_time")
-_COMMITTED = attrgetter("committed")
 
 
 @dataclass
@@ -368,7 +367,7 @@ class ServeRuntime:
         report counters, admission slots, former feedback."""
         results = result.results
         n = len(results)
-        ids = np.fromiter(map(_TXN_ID, results), np.int64, n)
+        ids = np.asarray(results.txn_id, dtype=np.int64)
         order = np.searchsorted(
             np.fromiter(map(_TXN_ID, batch), np.int64, len(batch)), ids
         )
@@ -383,9 +382,7 @@ class ServeRuntime:
         self.admission.note_executed(
             batch if n == len(batch) else [batch[i] for i in order.tolist()]
         )
-        committed = int(
-            np.count_nonzero(np.fromiter(map(_COMMITTED, results), np.bool_, n))
-        )
+        committed = results.committed_count()
         report.executed += n
         report.committed += committed
         report.aborted += n - committed

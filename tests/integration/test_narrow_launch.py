@@ -47,7 +47,7 @@ from repro.core.backends.replay import ScheduleOverrides, _pack_sort, replay_ker
 from repro.core.backends.wave import NARROW_WIDTH, TraceRecorder, WaveStore
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
-from repro.gpu.simt import SIMTEngine, ThreadOutcome, ThreadTask, warp_layout
+from repro.gpu.simt import OutcomeColumns, SIMTEngine, ThreadTask, warp_layout
 from repro.storage.catalog import StoreAdapter
 from repro.storage.schema import TableSchema
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc
@@ -347,7 +347,10 @@ def test_probe_only_launch_on_the_event_matrix(n):
 # ---------------------------------------------------------------------------
 def _bare_launch(n_threads):
     store = WaveStore(StoreAdapter(micro.build_database(8)), frozenset())
-    outcomes = [ThreadOutcome(i, 0, True) for i in range(n_threads)]
+    outcomes = OutcomeColumns(
+        list(range(n_threads)), [0] * n_threads, [True] * n_threads,
+        [""] * n_threads, [None] * n_threads,
+    )
     return store, SIMTEngine(), outcomes
 
 

@@ -165,7 +165,7 @@ class TestTpcc:
             for r in range(db.table("district").n_rows)
         ]
         committed_orders = sum(
-            1 for r in engine.results._results.values()
+            1 for r in engine.results
             if r.committed and r.type_name == "tpcc_new_order"
         )
         assert sum(after) - sum(before) == committed_orders

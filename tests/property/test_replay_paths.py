@@ -35,7 +35,7 @@ from repro.core.backends.replay import ScheduleOverrides, replay_kernel
 from repro.core.backends.wave import HANDLE_BASE, Step, TraceRecorder, WaveStore
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
-from repro.gpu.simt import SIMTEngine, ThreadOutcome, warp_layout
+from repro.gpu.simt import OutcomeColumns, SIMTEngine, warp_layout
 from repro.storage.catalog import Database, StoreAdapter
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 
@@ -266,7 +266,10 @@ def _build(plan):
             atomic_conflicts=rng.randrange(9),
             divergent_serializations=rng.randrange(9),
         )
-    outcomes = [ThreadOutcome(t, 0, rng.random() < 0.8) for t in range(n)]
+    outcomes = OutcomeColumns(
+        list(range(n)), [0] * n, [rng.random() < 0.8 for _ in range(n)],
+        [""] * n, [None] * n,
+    )
     return db, redo, (recorder, store, engine, outcomes, schedule)
 
 
@@ -364,7 +367,9 @@ def _launch_of(n_events):
     if rest:
         recorder.record(op_ir.COMPUTE, lanes[:rest], 0, amount=2)
     store = WaveStore(StoreAdapter(_database()), frozenset())
-    outcomes = [ThreadOutcome(t, 0, True) for t in range(8)]
+    outcomes = OutcomeColumns(
+        list(range(8)), [0] * 8, [True] * 8, [""] * 8, [None] * 8
+    )
     return recorder, store, SIMTEngine(), outcomes
 
 

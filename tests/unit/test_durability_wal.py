@@ -25,7 +25,7 @@ from repro.cluster.durability.replay import (
 from repro.cluster.durability.wal import PHASE_CHECKPOINT, PHASE_WAL_SYNC
 from repro.cluster.router import replica_placement
 from repro.core import tx_logging
-from repro.core.txn import TxnResult
+from repro.core.txn import ResultColumns, TxnResult
 from repro.errors import (
     ConfigError,
     DurabilityError,
@@ -44,6 +44,11 @@ def result(txn_id, committed=True, reason=""):
     return TxnResult(
         txn_id=txn_id, type_name="t", committed=committed, abort_reason=reason
     )
+
+
+def wave_results(*results):
+    """A wave's results as the column record the WAL reads."""
+    return ResultColumns.of(results)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +291,7 @@ class TestShardWAL:
         return [
             wal.append(
                 bulk_id=k, wave=0, strategy="kset",
-                results=[result(k)], redo=(), **kwargs,
+                results=wave_results(result(k)), redo=(), **kwargs,
             )
             for k in range(n)
         ]
@@ -313,7 +318,9 @@ class TestShardWAL:
         wal = ShardWAL(shard=2)
         record = wal.append(
             bulk_id=7, wave=1, strategy="part",
-            results=[result(10), result(12, committed=False, reason="x")],
+            results=wave_results(
+                result(10), result(12, committed=False, reason="x")
+            ),
             redo=((tx_logging.REDO_WRITE, "t", "c", 0, 1),),
         )
         assert (record.ts_lo, record.ts_hi) == (10, 12)
@@ -369,7 +376,7 @@ class TestCheckpoints:
         wal = ShardWAL(shard=0)
         stale = [
             wal.append(bulk_id=0, wave=0, strategy="kset",
-                       results=[result(0)], redo=())
+                       results=wave_results(result(0)), redo=())
             for _ in range(3)
         ]
         with pytest.raises(RecoveryError, match="already covered"):
@@ -379,9 +386,9 @@ class TestCheckpoints:
         db = build_bank_db(4)
         wal = ShardWAL(shard=0)
         a = wal.append(bulk_id=0, wave=0, strategy="kset",
-                       results=[result(0)], redo=())
+                       results=wave_results(result(0)), redo=())
         b = wal.append(bulk_id=0, wave=1, strategy="kset",
-                       results=[result(1)], redo=())
+                       results=wave_results(result(1)), redo=())
         with pytest.raises(RecoveryError, match="out of order"):
             replay_records(db, [b, a])
 
@@ -409,7 +416,7 @@ class TestReplicas:
         wal = ShardWAL(shard=0)
         record = wal.append(
             bulk_id=0, wave=0, strategy="kset",
-            results=[result(0)],
+            results=wave_results(result(0)),
             redo=tuple(
                 (tx_logging.REDO_WRITE, "t", "c", i, 1) for i in range(64)
             ),
@@ -427,7 +434,7 @@ class TestReplicas:
         replicas = ReplicaSet(0, 2, PCIeModel(C1060), n_shards=4)
         wal = ShardWAL(shard=0)
         record = wal.append(bulk_id=0, wave=0, strategy="kset",
-                            results=[result(0)], redo=())
+                            results=wave_results(result(0)), redo=())
         replicas.replicate_record(record, now=0.0)
         assert all(r.synced_lsn == 1 for r in replicas.replicas)
         assert replicas.shipped_bytes == 2 * record.record_bytes()

@@ -1,11 +1,22 @@
 """Unit tests for transaction pools, result pools, and the registry."""
 
+import time
+
+import numpy as np
 import pytest
 
+from repro import ClusterTx, GPUTx
 from repro.core.procedure import Access, ProcedureRegistry, TransactionType
-from repro.core.txn import ResultPool, Transaction, TransactionPool, TxnResult
-from repro.errors import ProcedureError, RegistrationError
+from repro.core.txn import (
+    ResultColumns, ResultPool, Transaction, TransactionPool, TxnResult,
+)
+from repro.errors import ConfigError, ProcedureError, RegistrationError
 from repro.gpu import ops
+from repro.workloads import tm1
+
+
+#: Bulk sizes that are not an int >= 0 (``True`` is a bool, not a size).
+BAD_SIZES = (-1, True, 2.5, float("nan"), "3")
 
 
 class TestTransactionPool:
@@ -76,6 +87,27 @@ class TestTransactionPool:
             pool.submit_specs([("ok", ()), Transaction(3, "stale", ())])
         assert [t.type_name for t in pool][-2:] == ["next", "ok"]
 
+    @pytest.mark.parametrize("bad", BAD_SIZES, ids=repr)
+    def test_take_and_peek_refuse_a_bad_size(self, bad):
+        """``take(-1)`` used to slice off the youngest transaction and
+        ``take(True)`` to take one; neither may touch the pool."""
+        pool = TransactionPool()
+        for i in range(4):
+            pool.submit("t", (i,))
+        with pytest.raises(ConfigError, match="max_txns"):
+            pool.take(bad)
+        with pytest.raises(ConfigError, match="max_txns"):
+            pool.peek(bad)
+        assert [t.txn_id for t in pool] == [0, 1, 2, 3]
+
+    def test_take_accepts_none_zero_and_numpy_ints(self):
+        pool = TransactionPool()
+        for i in range(4):
+            pool.submit("t", (i,))
+        assert pool.take(0) == [] and pool.peek(0) == []
+        assert [t.txn_id for t in pool.take(np.int64(3))] == [0, 1, 2]
+        assert [t.txn_id for t in pool.take(None)] == [3]
+
     def test_signature_bytes(self):
         txn = Transaction(0, "t", (1, "abc", 2.5))
         assert txn.signature_bytes() == 8 + 4 + 8 + 3 + 8
@@ -107,6 +139,94 @@ class TestResultPool:
         pool.record(TxnResult(0, "t", committed=True))
         pool.clear()
         assert len(pool) == 0
+
+    @pytest.mark.parametrize(
+        "batch", ([1, 2, 5, 6], [1, 2, 1]), ids=("recorded", "repeated")
+    )
+    def test_record_many_is_all_or_nothing(self, batch):
+        """A duplicate -- of a recorded id, or within the batch itself
+        -- rejects the whole batch and leaves the pool as it was."""
+        pool = ResultPool()
+        pool.record(TxnResult(5, "t", committed=False, abort_reason="x"))
+        rows = ResultColumns.of(
+            TxnResult(i, "t", committed=True, value=i) for i in batch
+        )
+        with pytest.raises(ProcedureError, match="duplicate"):
+            pool.record_many(rows)
+        assert list(pool) == [TxnResult(5, "t", False, "x")]
+        assert (1 in pool, 2 in pool, len(pool)) == (False, False, 1)
+        assert (pool.committed_count, pool.aborted_count) == (0, 1)
+        assert pool.output_bytes() == 9
+
+    def test_record_many_does_not_walk_the_pool(self):
+        """Recording a small bulk costs the same into an empty pool and
+        into one of 200k rows (a duplicate check that iterated the
+        pool made a run of small bulks quadratic). Min of 5 rounds of
+        200 bulks; a walk of 200k keys per bulk is ~1,000x dearer."""
+
+        def cost(pool):
+            base = 10**9
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(200):
+                    pool.record_many(
+                        ResultColumns([base], ["t"], [True], [""], [None])
+                    )
+                    base += 1
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        big = ResultPool()
+        n = 200_000
+        big.record_many(
+            ResultColumns(
+                list(range(n)), ["t"] * n, [True] * n, [""] * n, [None] * n
+            )
+        )
+        assert cost(big) < 20 * cost(ResultPool())
+
+    def test_iteration_is_recording_order(self):
+        pool = ResultPool()
+        pool.record_many(ResultColumns.of([TxnResult(3, "a", True)]))
+        pool.record_many(
+            ResultColumns.of([TxnResult(1, "b", False), TxnResult(2, "c", True)])
+        )
+        assert [r.txn_id for r in pool] == [3, 1, 2]
+
+
+class TestBulkSizeAtTheFrontDoor:
+    """``max_txns`` reaches ``TransactionPool.take``/``peek`` through
+    the engine's and the cluster's shared front door."""
+
+    @staticmethod
+    def fronts():
+        """A GPUTx and a ClusterTx, each with the same TM1 pool."""
+        db = tm1.build_database(1, subscribers_per_sf=64, seed=5)
+        specs = tm1.generate_transactions(db, 13, seed=5)
+        fronts = (
+            GPUTx(db.clone(), procedures=tm1.PROCEDURES),
+            ClusterTx(db.clone(), procedures=tm1.PROCEDURES, n_shards=2),
+        )
+        for front in fronts:
+            front.submit_many(specs)
+        return fronts
+
+    @pytest.mark.parametrize("bad", BAD_SIZES, ids=repr)
+    def test_run_bulk_refuses_a_bad_size_and_keeps_the_pool(self, bad):
+        for front in self.fronts():
+            n = len(front.pool)
+            with pytest.raises(ConfigError, match="max_txns"):
+                front.run_bulk(max_txns=bad)
+            assert len(front.pool) == n
+            assert len(front.run_bulk().results) == n
+
+    @pytest.mark.parametrize("bad", BAD_SIZES, ids=repr)
+    def test_profile_pool_refuses_a_bad_size(self, bad):
+        engine, _cluster = self.fronts()
+        with pytest.raises(ConfigError, match="max_txns"):
+            engine.profile_pool(bad)
+        assert engine.profile_pool(5).size == 5
 
 
 def simple_type(name: str, two_phase: bool = True,
