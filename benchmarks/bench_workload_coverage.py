@@ -3,8 +3,8 @@
 BACKEND-3 runs every workload (micro, TM1, TPC-B, TPC-C, SmallBank)
 through both execution backends under K-SET, PART, and -- for the
 full TPC-C mix -- columnar TPL. Every row asserts byte-identical
-outcomes, final state, and simulated clock, and the fallback-rate
-column must be zero everywhere -- the coverage matrix documented in
+outcomes, final state, and simulated clock, and every type must have
+a vector kernel -- the coverage matrix documented in
 docs/WORKLOADS.md. (The backends' host-clock ratio is a row of the host
 benchmark, benchmarks/host: core.backends.vec_over_interp.)
 SMALLBANK-1 sweeps the zipfian skew knob across strategies on the
@@ -25,15 +25,13 @@ def test_workload_coverage(figure_runner):
     workloads = {row[0] for row in result.rows}
     assert {"micro", "tm1", "tpcb", "tpcc-neworder", "tpcc-mix",
             "smallbank", "smallbank-local"} <= workloads
-    # The zero-fallback coverage matrix (matches docs/WORKLOADS.md):
-    # every type of every workload has a vector kernel, so no wave
-    # ever routes to the interpreter. Asserted in every lane.
+    # The coverage matrix (matches docs/WORKLOADS.md): every type of
+    # every workload has a vector kernel. Asserted in every lane.
     for row in result.rows:
-        name, _strategy, _bulk, coverage, *_rest = row
+        name, _strategy, _bulk, coverage, waves_vec, _ktps = row
         have, total = coverage.split("/")
         assert have == total, f"{name}: vector coverage {coverage}"
-        assert row[6] == 0.0, f"{name}: fallback rate {row[6]}"
-        assert row[4] > 0, f"{name}: no vectorized waves"
+        assert waves_vec > 0, f"{name}: no vectorized waves"
 
 
 def test_smallbank_skew(figure_runner):

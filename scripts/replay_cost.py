@@ -102,7 +102,7 @@ def _record(mix: str, size: int, bulks: int) -> List[Tuple[Any, ...]]:
     db = build()
     engine = GPUTx(
         db, procedures=procedures,
-        options=EngineOptions(backend="vectorized", strict_vector=True),
+        options=EngineOptions(backend="vectorized"),
     )
     launches: List[Tuple[Any, ...]] = []
     real = replay.replay_kernel

@@ -4,13 +4,10 @@ BACKEND-3 is the per-workload interpreted-vs-vectorized matrix: every
 workload the repo can generate (micro, TM1, TPC-B, TPC-C, SmallBank)
 runs the same bulk through both execution backends under K-SET, PART,
 and (for the full TPC-C mix) columnar TPL, asserting byte-identical
-outcomes, final physical state, and simulated clock on every row, and
-reporting the per-row fallback rate.
-The fallback column is the coverage contract: every transaction type
-of every workload ships a vector kernel (the matrix in
-docs/WORKLOADS.md) and every schedule shape -- TPL's counter locks
-included -- runs on the vectorized backend, so no wave ever falls
-back to the interpreter -- asserted as ``fallback_rate == 0`` in
+outcomes, final physical state, and simulated clock on every row.
+The ``vector_types`` column is the coverage contract: every
+transaction type of every workload ships a vector kernel (the matrix
+in docs/WORKLOADS.md), asserted in
 ``benchmarks/bench_workload_coverage.py``. The host-clock ratio of the
 two backends is the host benchmark's
 ``core.backends.vec_over_interp`` row (``benchmarks/host``), not a
@@ -134,7 +131,7 @@ def _run(build_db, procedures, specs, backend: str, strategy: str):
 
 
 def workload_coverage() -> FigureResult:
-    """BACKEND-3: every workload on both backends, zero fallback."""
+    """BACKEND-3: every workload on both backends."""
     rows = []
     headline = 0.0
     for name, build_db, procedures, specs, strategies in _workload_cases():
@@ -153,9 +150,6 @@ def workload_coverage() -> FigureResult:
             assert_backends_agree(
                 f"{name}, {strategy}", (db_i, res_i), (db_v, res_v)
             )
-            waves_v = eng_v.backend.waves_vectorized
-            waves_f = eng_v.backend.waves_interpreted
-            fallback = waves_f / max(1, waves_v + waves_f)
             if name == "tpcc-mix" and strategy == "tpl":
                 headline = res_v.throughput_ktps
             rows.append(
@@ -164,9 +158,7 @@ def workload_coverage() -> FigureResult:
                     strategy,
                     len(specs),
                     coverage,
-                    waves_v,
-                    waves_f,
-                    fallback,
+                    eng_v.backend.waves_vectorized,
                     res_v.throughput_ktps,
                 )
             )
@@ -179,21 +171,17 @@ def workload_coverage() -> FigureResult:
             "bulk",
             "vector_types",
             "waves_vec",
-            "waves_interp",
-            "fallback_rate",
             "sim_ktps",
         ],
         rows=rows,
         notes=[
             "Every row asserts byte-identical outcomes, final physical "
             "state, and simulated clock across backends.",
-            "fallback_rate is the fraction of waves the vectorized "
-            "backend routed to the interpreter; the coverage matrix in "
-            "docs/WORKLOADS.md promises 0 for every workload, asserted "
-            "in benchmarks/bench_workload_coverage.py.",
+            "vector_types is the coverage matrix of docs/WORKLOADS.md, "
+            "asserted full in benchmarks/bench_workload_coverage.py.",
             "tpcc-mix runs the full five-type mix under K-SET and "
             "columnar TPL: the lock schedule is computed closed-form "
-            "on the vectorized backend (no interpreter fallback).",
+            "on the vectorized backend.",
             "smallbank-local restricts the mix to the single-customer "
             "types so the PART row measures PART, not its TPL "
             "fallback (the two-customer types are cross-partition).",

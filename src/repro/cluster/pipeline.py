@@ -29,13 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Sequence
 
 from repro.cluster.durability.wal import PHASE_CHECKPOINT, PHASE_WAL_SYNC
-from repro.core.executor import (
-    PHASE_EXECUTION,
-    PHASE_TRANSFER_IN,
-    PHASE_TRANSFER_OUT,
-)
+from repro.core.executor import PHASE_TRANSFER_IN, PHASE_TRANSFER_OUT
 from repro.errors import ConfigError
-from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.transfer import TransferTimeline
 
 #: Phases that occupy the DMA engine on the way out of a bulk: result
@@ -106,18 +101,6 @@ class PipelineReport:
     def exposed_transfer_seconds(self) -> float:
         """Transfer time the pipeline failed to hide behind kernels."""
         return max(0.0, self.pipelined_seconds - self.compute_seconds)
-
-    def as_breakdown(self) -> TimeBreakdown:
-        """The pipelined run as a two-phase breakdown.
-
-        ``execution`` is the device-busy time; ``transfer_exposed`` is
-        the copy time left on the critical path, so the breakdown's
-        total equals the pipelined makespan.
-        """
-        out = TimeBreakdown()
-        out.add(PHASE_EXECUTION, self.compute_seconds)
-        out.add("transfer_exposed", self.exposed_transfer_seconds)
-        return out
 
 
 class PipelineScheduler:

@@ -7,9 +7,8 @@ See :mod:`repro.core.backends.base` for the backend contract, and
 ``BACKENDS[options.backend](options)``.
 """
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Type
+from typing import Dict, Type
 
 from repro.core.backends.base import InterpretedBackend  # noqa: F401
 from repro.core.backends.vectorized import VectorizedBackend  # noqa: F401
@@ -29,32 +28,18 @@ BACKENDS: Dict[str, Type[InterpretedBackend]] = {
 }
 
 
-def _env_strict_vector() -> bool:
-    """The ``REPRO_STRICT_VECTOR`` environment default.
-
-    CI's strict lane exports ``REPRO_STRICT_VECTOR=1`` to turn every
-    silent interpreter fallback in the vectorized backend into an
-    error; empty, ``0``, and ``false`` (any case) leave it off.
-    """
-    raw = os.environ.get("REPRO_STRICT_VECTOR", "")
-    return raw.strip().lower() not in ("", "0", "false")
-
-
 @dataclass(frozen=True)
 class EngineOptions:
     """Engine-level execution options (strategy-independent).
 
     ``backend`` selects the execution backend by its :data:`BACKENDS`
-    name. ``strict_vector`` turns the vectorized
-    backend's silent per-wave fallback into an error -- for tests and
-    benchmarks that must know vectorization actually happened. Its
-    default (``None``) resolves from the ``REPRO_STRICT_VECTOR``
-    environment variable, so a CI lane can arm strictness repo-wide;
-    an explicit ``False`` stays off regardless of the environment.
+    name. ``strict_vector`` has no effect: the vectorized backend runs
+    every launch itself, so there is no fallback left to forbid. It
+    stays a checked bool only because existing callers still pass it.
     """
 
     backend: str = "interpreted"
-    strict_vector: Optional[bool] = None
+    strict_vector: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, str) or self.backend not in BACKENDS:
@@ -62,10 +47,7 @@ class EngineOptions:
                 f"unknown execution backend {self.backend!r}; "
                 f"choose from {sorted(BACKENDS)}"
             )
-        if self.strict_vector is None:
-            object.__setattr__(self, "strict_vector", _env_strict_vector())
-        elif not isinstance(self.strict_vector, bool):
+        if not isinstance(self.strict_vector, bool):
             raise ConfigError(
-                f"strict_vector must be None or a bool, not "
-                f"{self.strict_vector!r}"
+                f"strict_vector must be a bool, not {self.strict_vector!r}"
             )

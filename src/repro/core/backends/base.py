@@ -15,10 +15,9 @@ on the host:
   execute as batched NumPy column kernels (gather -> compute ->
   conflict-masked scatter) against the column store, and the kernel's
   simulated cost is reproduced *exactly* by a vectorized replay of the
-  SIMT cost accounting (:mod:`repro.core.backends.replay`). Extends
-  the interpreted backend and leaves it any wave with a transaction
-  type that has no vector form or that needs features only the
-  interpreter models.
+  SIMT cost accounting (:mod:`repro.core.backends.replay`). It runs
+  every launch it is given; a type without a vector form runs one
+  lane at a time through its op stream.
 
 Both backends produce byte-identical outcomes, final states, and
 simulated-clock figures; only wall-clock time differs. Backends are
@@ -130,11 +129,11 @@ class InterpretedBackend:
         return report
 
     def bulk_path(self) -> str:
-        """Which path ran the launches since the previous call.
+        """Which path ran the launches since the previous call:
+        ``"interpreted"`` or ``"vectorized"``.
 
-        ``"interpreted"``, ``"vectorized"``, or ``"mixed"`` when a
-        vectorizing backend fell back for some of them; the engine
-        calls it around each bulk to fill ``ExecutionResult.backend``.
+        The engine calls it around each bulk to fill
+        ``ExecutionResult.backend``.
         A bulk that launched nothing through the backend (ad-hoc,
         relaxed TPL, an empty 0-set) reads as interpreted.
         """

@@ -17,31 +17,30 @@ abort-capable launches journal before-images as bulk gathers
 (vectorized undo capture). A K-SET wave is that launch with every lock
 plan empty. PART's one-thread-per-partition sweep is the other launch.
 
-Per-wave fallback: a wave is vectorized only when every participating
-transaction type has a vector form (``TransactionType.vector_body``)
-and the store is column-layout; the partition path additionally
-requires two-phase types that need no undo logging (the PART wrapper's
-inline compensating rollback is interpreter-shaped). Such a wave runs
-through the base class (:class:`~repro.core.backends.base.
-InterpretedBackend`) unchanged. (The ad-hoc and relaxed-TPL strategies
-never reach a backend: they launch on the SIMT engine directly.) The
-``strict_vector`` engine option turns that fallback into an error for
-tests and benches that must know vectorization happened.
+Every launch it is given runs here: a type without a vector form runs
+lane by lane (:func:`~repro.core.backends.wave.run_lane`) at any
+width, and on the partition path a type that needs undo logging rolls
+back inline, as the PART wrapper does. (The ad-hoc and relaxed-TPL
+strategies never reach a backend: they launch on the SIMT engine
+directly.) Building a vectorized engine on a row-layout store is a
+``ConfigError`` (:class:`~repro.core.engine.GPUTx`).
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List
 
 import numpy as np
 
 from repro.core.backends.base import InterpretedBackend, PartitionOutcomes
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
-from repro.core.backends.wave import TraceRecorder, WaveStore, run_sub_wave
+from repro.core.backends.wave import (
+    HANDLE_BASE, TraceRecorder, WaveStore, run_sub_wave,
+)
+from repro.core.tx_logging import DELETE_SENTINEL, INSERT_SENTINEL, remap_handle_rows
 from repro.core.txn import ResultColumns
-from repro.errors import ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, OutcomeColumns
 
@@ -50,96 +49,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class VectorizedBackend(InterpretedBackend):
-    """Batched NumPy wave execution with exact cost replay; a wave it
-    cannot express runs on the interpreter it extends."""
+    """Batched NumPy wave execution with exact cost replay."""
 
     name = "vectorized"
 
     def __init__(self, options: "EngineOptions") -> None:
         super().__init__(options)
-        #: How many launches each path actually ran.
+        #: How many launches ran.
         self.waves_vectorized = 0
-        self.waves_interpreted = 0
-        #: The two counters as of the last :meth:`bulk_path` call.
-        self._path_mark = (0, 0)
-        self.last_fallback_reason: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Support checks.
-    # ------------------------------------------------------------------
-    def _unsupported_reason(
-        self, executor, type_names: Sequence[str], *, allow_undo: bool = True
-    ) -> Optional[str]:
-        """Why this wave cannot vectorize, or None when it can.
-
-        Wave and locked launches capture before-images in bulk, so
-        abort-after-write types and undo logging are fine there
-        (``allow_undo``). The partition path keeps the strict checks:
-        the PART wrapper rolls back aborts inline with compensating
-        Read/Write ops, a trace shape only the interpreter produces.
-        """
-        if executor.adapter.db.layout != "column":
-            return "vectorized backend requires a column-layout store"
-        registry = executor.registry
-        for name in type_names:
-            txn_type = registry.get(name)
-            if txn_type.vector_body is None:
-                return f"transaction type {name!r} has no vector form"
-            if not allow_undo:
-                if not txn_type.two_phase:
-                    return f"transaction type {name!r} is not two-phase"
-                if registry.needs_undo(name):
-                    return f"transaction type {name!r} requires undo logging"
-        return None
-
-    def _fall_back(self, reason: str) -> None:
-        """Count one launch left to the interpreter because of
-        ``reason`` (an error under ``strict_vector``)."""
-        self.last_fallback_reason = reason
-        if self.options.strict_vector:
-            raise ExecutionError(
-                f"strict_vector: wave cannot be vectorized ({reason})"
-            )
-        self.waves_interpreted += 1
+        #: ``waves_vectorized`` as of the last :meth:`bulk_path` call.
+        self._path_mark = 0
 
     def bulk_path(self) -> str:
-        vec = self.waves_vectorized - self._path_mark[0]
-        interp = self.waves_interpreted - self._path_mark[1]
-        self._path_mark = (self.waves_vectorized, self.waves_interpreted)
-        if vec and interp:
-            return "mixed"
-        return "vectorized" if vec else "interpreted"
+        launched = self.waves_vectorized > self._path_mark
+        self._path_mark = self.waves_vectorized
+        return "vectorized" if launched else "interpreted"
 
     # ------------------------------------------------------------------
     # One thread per transaction: TPL behind counter-lock gates, and
     # K-SET's conflict-free waves as the launch with no gates at all.
     # ------------------------------------------------------------------
     def launch_wave(self, executor, transactions) -> KernelReport:
-        report = self._launch_threads(
+        return self._launch_threads(
             executor, transactions, ((),) * len(transactions), None
         )
-        if report is None:
-            return super().launch_wave(executor, transactions)
-        return report
 
     def launch_locked(self, executor, transactions, plans, locks):
-        report = self._launch_threads(executor, transactions, plans, locks)
-        if report is None:
-            return super().launch_locked(executor, transactions, plans, locks)
-        return report
+        return self._launch_threads(executor, transactions, plans, locks)
 
     def _launch_threads(
         self, executor, transactions, plans, locks
-    ) -> Optional[KernelReport]:
-        """Run one thread per transaction through the lock scheduler;
-        None when the launch is left to the interpreter."""
+    ) -> KernelReport:
+        """Run one thread per transaction through the lock scheduler."""
         by_type: Dict[str, List[int]] = {}
         for i, txn in enumerate(transactions):
             by_type.setdefault(txn.type_name, []).append(i)
-        reason = self._unsupported_reason(executor, list(by_type))
-        if reason is not None:
-            self._fall_back(reason)
-            return None
         start = _time.perf_counter()
         report = run_locked_schedule(
             executor, transactions, by_type, plans, locks,
@@ -155,18 +99,13 @@ class VectorizedBackend(InterpretedBackend):
     def launch_partitions(
         self, executor, parts, boundary_cycles: int
     ) -> KernelReport:
+        start = _time.perf_counter()
+        registry = executor.registry
         type_names = {
             txn.type_name for _pid, txns in parts for txn in txns
         }
-        reason = self._unsupported_reason(
-            executor, sorted(type_names), allow_undo=False
-        )
-        if reason is not None:
-            self._fall_back(reason)
-            return super().launch_partitions(executor, parts, boundary_cycles)
-
-        start = _time.perf_counter()
-        registry = executor.registry
+        # The types the PART wrapper undo-logs: they roll back inline.
+        inline = {name for name in type_names if registry.needs_undo(name)}
         n = len(parts)
         by_type = {name: [0] for name in type_names}  # tables only
         store = self._wave_store(executor, by_type)
@@ -176,7 +115,10 @@ class VectorizedBackend(InterpretedBackend):
         committed = np.ones(n, dtype=bool)
         abort_reason = np.full(n, "", dtype=object)
         results = np.full(n, None, dtype=object)
-        out = (committed, abort_reason, results, [None] * n)
+        undo: List[Any] = [None] * n
+        out = (committed, abort_reason, results, undo)
+        # Partition -> the undo logs of its aborted transactions.
+        aborted_logs: Dict[int, List[Any]] = {}
         all_lanes = np.arange(n, dtype=np.int64)
         # The partition-boundary binary searches (one Compute op).
         recorder.record(
@@ -213,7 +155,12 @@ class VectorizedBackend(InterpretedBackend):
                 run_sub_wave(
                     recorder, store, lanes, type_id, txn_type, txns_slot, out,
                     record_abort_ops=False, capture_undo=False,
+                    inline_rollback=type_name in inline,
                 )
+                if type_name in inline:
+                    for i in lane_list:
+                        if not committed[i]:
+                            aborted_logs.setdefault(i, []).extend(undo[i])
             at = offsets[lanes_slot] + slot
             flat_committed[at] = committed[lanes_slot]
             flat_reason[at] = abort_reason[lanes_slot]
@@ -236,6 +183,17 @@ class VectorizedBackend(InterpretedBackend):
             ],
         )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
+        # What the aborted transactions staged, under the physical row
+        # ids the replay assigned: the partitions' cancel lists.
+        for i, log in aborted_logs.items():
+            part = outcomes.result[i]
+            for kind, table, row, _old in remap_handle_rows(
+                log, store.handle_row, HANDLE_BASE
+            ):
+                if kind == INSERT_SENTINEL:
+                    part.cancel_inserts.append((table, row))
+                elif kind == DELETE_SENTINEL:
+                    part.cancel_deletes.append((table, row))
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
         return report

@@ -19,9 +19,11 @@ column rules of the kernel boundary are on :class:`WaveContext`):
 * a hand-written vector body must record per lane exactly the ops its
   generator body yields (a single-source kernel, lane.py, cannot differ);
 * a type that aborts after its first write journals before-images
-  (``capture_undo``, one bulk gather per write step); the PART sweep
-  takes only two-phase types, where the scatter mask equals the commit
-  mask and no undo logging is needed;
+  (``capture_undo``, one bulk gather per write step); on the PART
+  sweep such a type rolls back inline, lane by lane, as the PART
+  wrapper does (:func:`run_lane`'s ``inline_rollback``);
+* a type inserts only into the tables its ``vector_inserts`` declares
+  (an undeclared insert is refused before anything is staged);
 * a lane must not read a cell it wrote earlier in the same wave
   (conflict-free waves make cross-lane reads of written cells
   impossible; same-lane re-reads are a kernel-authoring error);
@@ -41,9 +43,11 @@ the one owner of the width fork. At most :data:`NARROW_WIDTH` lanes
 :class:`WaveContext`: :func:`run_lane` runs each lane's op stream, in
 ascending lane order, on the same :class:`WaveStore`, recording
 through :meth:`TraceRecorder.record_scalar` what a ``WaveContext``
-would (tests/property/test_one_lane_driver.py diffs the two). A wider
-sub-wave builds one ``WaveContext``, whose every op has one path: its
-lane selection is an index NumPy applies alike to all lanes or some.
+would (tests/property/test_one_lane_driver.py diffs the two); so
+does a sub-wave of any width whose type has no vector body or rolls
+back inline. A wider sub-wave builds one ``WaveContext``, whose every
+op has one path: its lane selection is an index NumPy applies alike to
+all lanes or some.
 """
 
 from __future__ import annotations
@@ -795,6 +799,7 @@ class WaveContext(KernelContext):
         self.store = store
         self.lanes = lanes
         self.type_id = type_id
+        self.type_name = transactions[0].type_name
         self.n = len(transactions)
         self._params = list(zip(*[t.params for t in transactions]))
         self.active = np.ones(self.n, dtype=bool)
@@ -1026,6 +1031,8 @@ class WaveContext(KernelContext):
         lanes = np.arange(self.n)[idx].tolist()
         if not lanes:
             return np.full(self.n, -1, dtype=np.int64)
+        if table not in self.store.mutating_tables:
+            raise _undeclared_insert(self.type_name, table)
         rows = list(zip(*(
             c[idx].tolist() if isinstance(c, np.ndarray)
             else repeat(c, len(lanes))
@@ -1106,6 +1113,31 @@ class WaveContext(KernelContext):
 #: "What a lane costs the host").
 NARROW_WIDTH = 5
 
+def _undeclared_insert(type_name: str, table: str) -> ValueError:
+    """The refusal of an insert into a table the type did not declare."""
+    return ValueError(
+        f"transaction type {type_name!r} inserts into table {table!r}, "
+        "which its vector_inserts does not declare"
+    )
+
+
+def _write1(
+    record: Any, store: WaveStore, lane: int, type_id: int,
+    table: str, column: str, row: int, value: Any,
+) -> None:
+    """One lane's WRITE: into the store (or the staged row it names),
+    then onto the trace."""
+    if row < HANDLE_BASE:
+        store.adapter.write(table, column, row, value)
+    elif table in store.mutating_tables:
+        store.stage_handle_write(table, column, row - HANDLE_BASE, value)
+    else:
+        raise ValueError(
+            f"write of staged rows into non-mutating table {table!r}"
+        )
+    addr, width, deferred = store.cells(table, column, row)
+    record(op_ir.WRITE, lane, type_id, addr=addr, width=width, deferred=deferred)
+
 
 def run_lane(
     recorder: TraceRecorder,
@@ -1117,6 +1149,7 @@ def run_lane(
     *,
     record_abort_ops: bool,
     capture_undo: bool,
+    inline_rollback: bool = False,
 ) -> Tuple[bool, str, Any, Optional[List[Tuple[Any, ...]]]]:
     """Run one transaction as a one-lane sub-wave.
 
@@ -1126,10 +1159,18 @@ def run_lane(
     trace, store effects and undo log a one-lane :class:`WaveContext`
     would produce, without a column per op. Returns ``(committed, abort
     reason, result, undo log or None)``.
+
+    ``inline_rollback`` is the PART wrapper's undo logging
+    (:meth:`~repro.core.strategies.part.PartExecutor.partition_task`):
+    each WRITE is preceded by a READ of its before-image, and an abort
+    writes those back in reverse instead of issuing an ABORT op. The
+    returned log then holds the before-images and the insert/delete
+    sentinels, from which the caller takes the cancel lists.
     """
     record = recorder.record_scalar
     record(op_ir.SET_BRANCH, lane, type_id)
-    undo: Optional[List[Tuple[Any, ...]]] = [] if capture_undo else None
+    logged = capture_undo or inline_rollback
+    undo: Optional[List[Tuple[Any, ...]]] = [] if logged else None
     db = store.db
     mutating = store.mutating_tables
 
@@ -1151,16 +1192,11 @@ def run_lane(
             table, column, row = op.table, op.column, op.row
             if undo is not None:
                 undo.append((table, column, row, store.gather1(table, column, row)))
-            if row < HANDLE_BASE:
-                store.adapter.write(table, column, row, op.value)
-            elif table in mutating:
-                store.stage_handle_write(table, column, row - HANDLE_BASE, op.value)
-            else:
-                raise ValueError(
-                    f"write of staged rows into non-mutating table {table!r}"
-                )
-            addr, width, deferred = store.cells(table, column, row)
-            record(kind, lane, type_id, addr=addr, width=width, deferred=deferred)
+                if inline_rollback:  # the PART wrapper reads it as an op
+                    addr, width, deferred = store.cells(table, column, row)
+                    record(op_ir.READ, lane, type_id, addr=addr, width=width,
+                           deferred=deferred)
+            _write1(record, store, lane, type_id, table, column, row, op.value)
         elif kind == op_ir.INDEX_PROBE:
             index, key = op.index, op.key
             if index in db.static_maps or db.index(index).unique:
@@ -1172,6 +1208,8 @@ def run_lane(
         elif kind == op_ir.COMPUTE or kind == op_ir.SFU_COMPUTE:
             record(kind, lane, type_id, amount=op.amount)
         elif kind == op_ir.INSERT_ROW:
+            if op.table not in mutating:
+                raise _undeclared_insert(txn_type.name, op.table)
             reply = int(store.stage_inserts(op.table, [tuple(op.values)])[0])
             if undo is not None:
                 undo.append((tx_logging.INSERT_SENTINEL, op.table, reply, None))
@@ -1184,10 +1222,14 @@ def run_lane(
         elif kind == op_ir.ABORT:
             if record_abort_ops:
                 record(kind, lane, type_id)
+            if inline_rollback:
+                for table, column, row, old in reversed(undo):
+                    if table not in tx_logging.SENTINELS:
+                        _write1(record, store, lane, type_id, table, column, row, old)
             return False, op.reason, None, undo
         else:
             name = op_ir.KIND_NAMES.get(kind, kind)
-            raise ValueError(f"op kind {name} cannot run in a one-lane sub-wave")
+            raise ValueError(f"op kind {name} runs only on the interpreter")
 
 
 def run_sub_wave(
@@ -1201,25 +1243,30 @@ def run_sub_wave(
     *,
     record_abort_ops: bool,
     capture_undo: bool,
+    inline_rollback: bool = False,
 ) -> None:
     """Run one same-type sub-wave: ``transactions`` on the launch
     threads ``lanes`` (ascending).
 
     The one owner of the width fork: at most :data:`NARROW_WIDTH` lanes
-    run through :func:`run_lane`, one call per lane in ascending order;
-    a wider sub-wave runs the type's vector body on one
+    run through :func:`run_lane`, one call per lane in ascending order,
+    and so does a sub-wave of any width whose type has no vector body
+    or rolls back inline (``inline_rollback``, see :func:`run_lane`); a
+    wider sub-wave runs the type's vector body on one
     :class:`WaveContext`. Either way each thread's committed flag, abort
-    reason, result and undo log (None unless ``capture_undo``) land at
-    its index in ``out``, the caller's launch-length columns ``(committed,
-    abort_reason, results, undo)``.
+    reason, result and undo log (None unless ``capture_undo`` or
+    ``inline_rollback``) land at its index in ``out``, the caller's
+    launch-length columns ``(committed, abort_reason, results, undo)``.
     """
     committed, abort_reason, results, undo = out
     lane_list = lanes.tolist()
-    if len(lane_list) <= NARROW_WIDTH:
+    lane_by_lane = inline_rollback or txn_type.vector_body is None
+    if lane_by_lane or len(lane_list) <= NARROW_WIDTH:
         for t, txn in zip(lane_list, transactions):
             committed[t], abort_reason[t], results[t], undo[t] = run_lane(
                 recorder, store, t, type_id, txn_type, txn.params,
                 record_abort_ops=record_abort_ops, capture_undo=capture_undo,
+                inline_rollback=inline_rollback,
             )
         return
     ctx = WaveContext(

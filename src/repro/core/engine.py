@@ -170,6 +170,12 @@ class GPUTx(BulkFrontDoor):
                 "GPUTx options must be an EngineOptions, got "
                 f"{type(options).__name__}"
             )
+        if options.backend == "vectorized" and db.layout != "column":
+            raise ConfigError(
+                "the vectorized backend needs a column-layout store; "
+                f"this database is {db.layout}-layout (use "
+                "backend='interpreted')"
+            )
         self.options = options
         #: The execution backend every K-SET/PART/TPL kernel launch of
         #: this engine routes through (repro.core.backends).

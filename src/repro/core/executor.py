@@ -56,9 +56,8 @@ class ExecutionResult(BulkOutcome):
     #: Transactions not executed this bulk (streaming K-SET leaves
     #: blocked work in the pool for later bulks, Section 5.3).
     deferred: List["Transaction"] = field(default_factory=list)
-    #: Execution backend that actually ran this bulk's kernel waves:
-    #: "interpreted", "vectorized", or "mixed" when the vectorized
-    #: backend fell back for some waves. The simulated figures are
+    #: Execution backend that ran this bulk's kernel waves:
+    #: "interpreted" or "vectorized". The simulated figures are
     #: backend-independent by construction, only wall-clock differs.
     backend: str = "interpreted"
     #: Host wall-clock seconds spent executing the bulk (set by the

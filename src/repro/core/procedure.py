@@ -81,12 +81,15 @@ class TransactionType:
     #: Optional batched form of ``body`` for the vectorized backend: a
     #: callable that runs a whole same-type sub-wave on a
     #: :class:`~repro.core.backends.wave.WaveContext`. ``None`` means
-    #: waves containing this type fall back to the interpreter. See
-    #: docs/ARCHITECTURE.md ("Authoring a stored procedure").
+    #: the vectorized backend runs the type one lane at a time through
+    #: ``body``. See docs/ARCHITECTURE.md ("Authoring a stored
+    #: procedure").
     vector_body: Optional[Callable[..., None]] = None
-    #: Tables ``vector_body`` may insert rows into -- the vectorized
-    #: backend resolves device addresses on these tables lazily, since
-    #: their row count (and hence column offsets) moves mid-kernel.
+    #: The tables this type inserts rows into. Both of the vectorized
+    #: backend's drivers (``vector_body`` and the lane-by-lane
+    #: ``body``) need it: those tables' row counts, and so their device
+    #: addresses, move mid-kernel. An insert into a table not declared
+    #: here is refused with a ``ValueError`` before anything is staged.
     vector_inserts: FrozenSet[str] = frozenset()
 
     @classmethod

@@ -39,11 +39,6 @@ class BulkProfile:
     cross_partition: int
     gen_seconds: float
 
-    @property
-    def parallel_fraction(self) -> float:
-        """Share of the bulk immediately executable without locks."""
-        return self.w0 / self.size if self.size else 0.0
-
     def predicted_strategy(self, thresholds=None) -> str:
         """The strategy Algorithm 1 would choose for this profile.
 

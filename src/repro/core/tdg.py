@@ -176,10 +176,3 @@ class TDependencyGraph:
                     stack.append(w)
         return seen
 
-    def cross_partition_count(self) -> int:
-        """Vertices with more than one predecessor.
-
-        Appendix D uses this as the structural indicator ``c`` (e.g.
-        cross-partition transactions) for the strategy chooser.
-        """
-        return sum(1 for v in self.succ if len(self.pred.get(v, ())) > 1)

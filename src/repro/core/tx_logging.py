@@ -31,6 +31,7 @@ UndoEntry = Tuple[str, str, int, Any]
 
 INSERT_SENTINEL = "__insert__"
 DELETE_SENTINEL = "__delete__"
+SENTINELS = (INSERT_SENTINEL, DELETE_SENTINEL)
 
 
 def rollback(adapter, entries: Sequence[UndoEntry]) -> int:

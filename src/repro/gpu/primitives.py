@@ -138,32 +138,3 @@ class PrimitiveLibrary:
         starts = np.flatnonzero(change).astype(np.int64)
         return starts, self.map_cost(n)
 
-    def binary_search(
-        self, haystack: np.ndarray, needles: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """Left insertion points of ``needles`` in sorted ``haystack``."""
-        idx = np.searchsorted(haystack, needles, side="left").astype(np.int64)
-        return idx, self.binary_search_cost(len(needles), len(haystack))
-
-    @staticmethod
-    def stable_group_runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of a stable group-by: ``(order, starts)``.
-
-        ``keys[order]`` is stably sorted and ``starts`` marks each
-        run's first position, so run ``i`` spans
-        ``order[starts[i]:starts[i+1]]``. This is the functional shape
-        of radix grouping, reused host-side by the vectorized
-        execution backend to split waves by transaction type; it
-        charges no simulated cost -- the device-side work it stands in
-        for is already charged by the callers (sort/partition costs in
-        bulk generation, per-op costs in the replay).
-        """
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        n = len(sorted_keys)
-        if n == 0:
-            return order, np.zeros(0, dtype=np.int64)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
-        return order, np.flatnonzero(change).astype(np.int64)

@@ -17,7 +17,7 @@ abort rollback needs to cancel a transaction's mutations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 
 class MutationJournal:
@@ -54,14 +54,6 @@ class MutationJournal:
         inserted = sum(len(rows) for rows in self._inserted.values())
         deleted = sum(len(rows) for rows in self._deleted.values())
         return inserted + deleted
-
-    def pending_by_table(self) -> Dict[str, Tuple[int, int]]:
-        """table -> (inserts, deletes) accumulated since the last apply."""
-        tables = set(self._inserted) | set(self._deleted)
-        return {
-            t: (len(self._inserted.get(t, ())), len(self._deleted.get(t, ())))
-            for t in sorted(tables)
-        }
 
     def clear(self) -> None:
         """Batch boundary: the staged mutations become permanent."""

@@ -148,8 +148,8 @@ BANK_PROCEDURES = [
 # ---------------------------------------------------------------------------
 # Vector forms of the bank procedures: the same op streams, authored as
 # batched column kernels. BANK_VECTOR_PROCEDURES keeps them on separate
-# type objects so fallback tests can still rely on BANK_PROCEDURES
-# having no vector form.
+# type objects so tests can still rely on BANK_PROCEDURES having no
+# vector form (the vectorized backend runs those lane by lane).
 # ---------------------------------------------------------------------------
 def _v_deposit(ctx) -> None:
     account = ctx.param_i64(0)

@@ -129,8 +129,8 @@ LEDGER_PROCEDURES = [
 
 
 # Vector forms of the ledger procedures (same op streams as batched
-# column kernels), on separate type objects so interpreter-only tests
-# keep exercising the fallback path. test_durability_properties uses
+# column kernels), on separate type objects so the stream-only forms
+# keep running lane by lane. test_durability_properties uses
 # them to compare WAL capture across backends.
 def _v_deposit(ctx) -> None:
     row = ctx.index_probe("accounts_pk", ctx.param_i64(0))

@@ -76,9 +76,7 @@ def _engine(db, procedures, backend):
     return GPUTx(
         db,
         procedures=procedures,
-        options=EngineOptions(
-            backend=backend, strict_vector=backend == "vectorized"
-        ),
+        options=EngineOptions(backend=backend),
     )
 
 
@@ -129,10 +127,12 @@ def assert_equivalent(build_db, procedures, specs, strategy, **options):
     db_v, bulks_v, engine = _run(
         build_db, procedures, specs, "vectorized", strategy, **options
     )
-    assert engine.backend.waves_interpreted == 0
+    assert engine.backend.waves_vectorized > 0
     assert len(bulks_i) == len(bulks_v)
     reports = []
     for (ri, redo_i), (rv, redo_v) in zip(bulks_i, bulks_v):
+        assert rv.backend == "vectorized"
+        assert ri.strategy == rv.strategy
         assert [
             (r.txn_id, r.committed, r.abort_reason, r.value)
             for r in ri.results
@@ -671,9 +671,7 @@ def test_swapped_database_is_addressed_afresh(monkeypatch):
             n_shards=4,
             router="range",
             options=ClusterOptions(
-                engine=EngineOptions(
-                    backend=backend, strict_vector=backend == "vectorized"
-                ),
+                engine=EngineOptions(backend=backend),
                 durability=DurabilityConfig(
                     checkpoint_interval=100, n_replicas=1
                 ),

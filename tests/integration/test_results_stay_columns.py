@@ -90,7 +90,7 @@ def test_a_wide_bulk_leaves_no_rows_for_the_collector(case):
     db, procedures, strategy, generate = case()
     engine = GPUTx(
         db, procedures=procedures,
-        options=EngineOptions(backend="vectorized", strict_vector=True),
+        options=EngineOptions(backend="vectorized"),
     )
     # A first small bulk pays the one-time costs (lazy imports, caches).
     engine.submit_many(generate(64, 1))

@@ -80,9 +80,7 @@ def _run(build_db, procedures, specs, backend, strategy, **options):
     engine = GPUTx(
         db,
         procedures=procedures,
-        options=EngineOptions(
-            backend=backend, strict_vector=(backend == "vectorized")
-        ),
+        options=EngineOptions(backend=backend),
     )
     engine.submit_many(specs)
     bulks = [engine.run_bulk(strategy=strategy, **options)]
@@ -448,9 +446,7 @@ class TestResultTypes:
             engine = GPUTx(
                 build_db(),
                 procedures=procedures,
-                options=EngineOptions(
-                    backend=backend, strict_vector=(backend == "vectorized")
-                ),
+                options=EngineOptions(backend=backend),
             )
             engine.submit_many(specs)
             results = engine.run_bulk(strategy="kset").results

@@ -138,9 +138,7 @@ def _capture_run(specs, backend, strategy):
     engine = GPUTx(
         db,
         procedures=BANK_VECTOR_PROCEDURES,
-        options=EngineOptions(
-            backend=backend, strict_vector=backend == "vectorized"
-        ),
+        options=EngineOptions(backend=backend),
     )
     recorder = RedoRecorder()
     engine.adapter.attach_recorder(recorder)

@@ -244,8 +244,9 @@ def test_the_cases_cover_every_type_and_mutation():
     [
         (op_ir.AtomicAdd("counter", 0, 1), "ATOMIC_ADD"),
         (op_ir.Write(micro.TABLE, "value", HANDLE_BASE, 1.0), "non-mutating"),
+        (op_ir.InsertRow(micro.TABLE, (4, 0.0, 0)), "'odd' inserts into .* vector_inserts"),
     ],
-    ids=["atomic", "handle-write"],
+    ids=["atomic", "handle-write", "undeclared-insert"],
 )
 def test_what_a_lane_cannot_express_is_refused(op, match):
     def body():
@@ -258,6 +259,7 @@ def test_what_a_lane_cannot_express_is_refused(op, match):
             TraceRecorder(1), store, 0, 0, txn_type, (),
             record_abort_ops=True, capture_undo=False,
         )
+    assert store.pending_inserts == []
 
 
 def _contended_smallbank():
@@ -300,7 +302,7 @@ def test_no_one_lane_wave_context_is_built(monkeypatch, strategy, build):
     db, procedures, generate = build()
     engine = GPUTx(
         db, procedures=procedures,
-        options=EngineOptions(backend="vectorized", strict_vector=True),
+        options=EngineOptions(backend="vectorized"),
     )
     engine.submit_many(generate(db))
     while len(engine.pool):
@@ -341,7 +343,7 @@ def _dispatch(monkeypatch, build, strategy, narrow_width):
         db, procedures, generate = build()
         engine = GPUTx(
             db, procedures=procedures,
-            options=EngineOptions(backend="vectorized", strict_vector=True),
+            options=EngineOptions(backend="vectorized"),
         )
         engine.submit_many(generate(db))
         while len(engine.pool):

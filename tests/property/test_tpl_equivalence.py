@@ -13,8 +13,8 @@ on *everything observable*:
 * the final ``Database.physical_state()``.
 
 The suite forces tpl directly, reaches it through part's tpl-fallback
-(cross-partition transactions), and checks both ``strict_vector``
-settings produce identical results. It also pins the other end of the
+(cross-partition transactions), and runs types without a vector form
+lane by lane. It also pins the other end of the
 scheduler: a K-SET wave *is* the locked launch whose plans are all
 empty, on both backends.
 """
@@ -25,7 +25,11 @@ from hypothesis import strategies as st
 from repro import EngineOptions, GPUTx
 from repro.workloads import smallbank, tm1, tpcc
 
-from tests.conftest import BANK_VECTOR_PROCEDURES, build_bank_db
+from tests.conftest import (
+    BANK_PROCEDURES,
+    BANK_VECTOR_PROCEDURES,
+    build_bank_db,
+)
 from tests.property.test_backend_equivalence import (
     _smallbank_db,
     _smallbank_specs,
@@ -75,15 +79,11 @@ def _bank_specs():
     )
 
 
-def _run(build_db, procedures, specs, backend, strategy, strict=None,
+def _run(build_db, procedures, specs, backend, strategy,
          waves_as_locked=False, **options):
     db = build_db()
-    if strict is None:
-        strict = backend == "vectorized"
     engine = GPUTx(
-        db,
-        procedures=procedures,
-        options=EngineOptions(backend=backend, strict_vector=strict),
+        db, procedures=procedures, options=EngineOptions(backend=backend)
     )
     if waves_as_locked:
         launch_locked = engine.backend.launch_locked
@@ -233,13 +233,13 @@ class TestWaveIsTheLockFreeLaunch:
         )
 
 
-class TestStrictVectorSettings:
+class TestTypesWithoutVectorForm:
     @settings(max_examples=20, deadline=None)
     @given(specs=_bank_specs())
-    def test_strict_on_and_off_identical(self, specs):
-        """strict_vector only arms the fallback error; with a fully
-        vectorizable bulk both settings take the same code path and
-        every observable matches the interpreter."""
+    def test_lane_by_lane_identical(self, specs):
+        """The bank set with and without vector forms: the vectorized
+        backend runs both (the stream-only one lane by lane), and every
+        observable matches the interpreter."""
         base = _run(
             lambda: build_bank_db(BANK_ACCOUNTS),
             BANK_VECTOR_PROCEDURES,
@@ -247,13 +247,12 @@ class TestStrictVectorSettings:
             "interpreted",
             "tpl",
         )
-        for strict in (True, False):
+        for procedures in (BANK_VECTOR_PROCEDURES, BANK_PROCEDURES):
             got = _run(
                 lambda: build_bank_db(BANK_ACCOUNTS),
-                BANK_VECTOR_PROCEDURES,
+                procedures,
                 specs,
                 "vectorized",
                 "tpl",
-                strict=strict,
             )
             assert got == base

@@ -193,7 +193,7 @@ def test_a_tpl_launch_sweeps_once_per_sm_and_death_round(monkeypatch):
     db = tpcc.build_database(2, customers_per_district=30, n_items=200, seed=3)
     engine = GPUTx(
         db, procedures=tpcc.PROCEDURES,
-        options=EngineOptions(backend="vectorized", strict_vector=True),
+        options=EngineOptions(backend="vectorized"),
     )
     specs = tpcc.generate_transactions(db, 400, seed=7)
     engine.submit_many(specs)

@@ -1,4 +1,4 @@
-"""Execution backends: options, exact equivalence, fallback.
+"""Execution backends: options, exact equivalence, no fallback.
 
 The vectorized backend's contract is *byte-identical everything*:
 outcomes, final physical state, and every simulated-clock figure down
@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import ConfigError, EngineOptions, ExecutionError, GPUTx
+from repro import ConfigError, EngineOptions, GPUTx
 from repro.core.backends import (
     BACKENDS,
     InterpretedBackend,
@@ -22,7 +22,6 @@ from repro.core.backends import (
 from repro.core.chooser import ChooserThresholds
 from repro.core.oparray import OpArray
 from repro.gpu.costmodel import GpuCostModel
-from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.spec import C1060
 from repro.workloads import micro, tm1
 
@@ -49,9 +48,7 @@ def _engine(db, procedures, backend, **kwargs):
     return GPUTx(
         db,
         procedures=procedures,
-        options=EngineOptions(
-            backend=backend, strict_vector=(backend == "vectorized")
-        ),
+        options=EngineOptions(backend=backend),
         **kwargs,
     )
 
@@ -130,13 +127,12 @@ class TestRegistryAndOptions:
 
     def test_lock_strategies_vectorize(self):
         """TPL routes through the vectorized backend: counter-lock
-        pass rounds are derived in closed form (lockstep), no
-        interpreter fallback."""
+        pass rounds are derived in closed form (lockstep)."""
         db = micro.build_database(64)
         engine = GPUTx(
             db,
             procedures=micro.build_procedures(2),
-            options=EngineOptions(backend="vectorized", strict_vector=True),
+            options=EngineOptions(backend="vectorized"),
         )
         engine.submit_many(
             micro.generate_transactions(24, n_tuples=64, n_branches=2)
@@ -145,7 +141,6 @@ class TestRegistryAndOptions:
         assert result.backend == "vectorized"
         assert result.committed == 24
         assert engine.backend.waves_vectorized > 0
-        assert engine.backend.waves_interpreted == 0
 
 
 class TestExactEquivalence:
@@ -160,7 +155,6 @@ class TestExactEquivalence:
         )
         assert_identical(interp, vector)
         assert vector[2].backend.waves_vectorized > 0
-        assert vector[2].backend.waves_interpreted == 0
 
     def test_staged_delete_restores_real_row_shadow(self):
         """Deleting a staged insert whose unique key shadows a
@@ -242,49 +236,35 @@ class TestExactEquivalence:
         assert_identical(interp, vector)
 
 
-class TestFallback:
-    def test_types_without_vector_form_fall_back(self):
+class TestNoFallback:
+    """The vectorized backend runs every launch it is given."""
+
+    def test_types_without_vector_form_run_vectorized(self):
         db = build_bank_db(16)
         engine = GPUTx(
             db,
             procedures=BANK_PROCEDURES,
-            # Pin the permissive mode: this test is *about* the silent
-            # fallback, which CI's strict-vector lane otherwise forbids.
-            options=EngineOptions(backend="vectorized", strict_vector=False),
+            options=EngineOptions(backend="vectorized"),
         )
         for i in range(12):
             engine.submit("deposit", (i % 16, 5))
         result = engine.run_bulk(strategy="kset")
         assert result.committed == 12
-        assert result.backend == "interpreted"
-        assert engine.backend.waves_interpreted > 0
-        assert engine.backend.waves_vectorized == 0
-        assert "vector form" in engine.backend.last_fallback_reason
+        assert result.backend == "vectorized"
+        assert engine.backend.waves_vectorized > 0
 
-    def test_strict_vector_raises_instead_of_falling_back(self):
-        engine = GPUTx(
-            build_bank_db(16),
-            procedures=BANK_PROCEDURES,
-            options=EngineOptions(backend="vectorized", strict_vector=True),
-        )
-        engine.submit("deposit", (1, 5))
-        with pytest.raises(ExecutionError, match="strict_vector"):
-            engine.run_bulk(strategy="kset")
-
-    def test_row_layout_falls_back(self):
-        db = micro.build_database(32, layout="row")
-        engine = GPUTx(
-            db,
-            procedures=micro.build_procedures(2),
-            options=EngineOptions(backend="vectorized", strict_vector=False),
-        )
-        engine.submit_many(
-            micro.generate_transactions(16, n_tuples=32, n_branches=2)
-        )
-        result = engine.run_bulk(strategy="kset")
-        assert result.committed == 16
-        assert engine.backend.waves_interpreted > 0
-        assert "column" in engine.backend.last_fallback_reason
+    def test_strict_vector_is_a_bool_without_behaviour(self):
+        runs = []
+        for strict in (False, True):
+            engine = GPUTx(
+                build_bank_db(16),
+                procedures=BANK_PROCEDURES,
+                options=EngineOptions(backend="vectorized", strict_vector=strict),
+            )
+            engine.submit("deposit", (1, 5))
+            runs.append(engine.run_bulk(strategy="kset"))
+        assert [r.backend for r in runs] == ["vectorized"] * 2
+        assert runs[0].seconds == runs[1].seconds
 
 
 class TestWarnDedupPerEngine:
@@ -334,20 +314,18 @@ class TestResultBackend:
         return engine
 
     def test_vectorized_bulk(self):
-        engine = self._micro_engine(backend="vectorized", strict_vector=True)
+        engine = self._micro_engine(backend="vectorized")
         assert engine.run_bulk(strategy="kset").backend == "vectorized"
 
     def test_interpreted_bulk(self):
         engine = self._micro_engine(backend="interpreted")
         assert engine.run_bulk(strategy="kset").backend == "interpreted"
 
-    def test_partial_fallback_is_mixed(self):
+    def test_type_without_vector_form_is_vectorized(self):
         # 32 vectorizable transactions over 4 tuples, then two of a
-        # type without a vector form on tuple 0: the first 0-sets
-        # vectorize, the ones the scalar-only type lands in fall back.
-        engine = self._micro_engine(
-            n_tuples=4, backend="vectorized", strict_vector=False
-        )
+        # type without a vector form on tuple 0: every 0-set of the
+        # bulk runs on the vectorized backend.
+        engine = self._micro_engine(n_tuples=4, backend="vectorized")
         engine.register(
             dataclasses.replace(
                 engine.registry.get("micro_0"),
@@ -358,11 +336,10 @@ class TestResultBackend:
         engine.submit_many([("scalar_only", (0,))] * 2)
         result = engine.run_bulk(strategy="kset")
         assert engine.backend.waves_vectorized > 0
-        assert engine.backend.waves_interpreted > 0
-        assert result.backend == "mixed"
+        assert result.backend == "vectorized"
 
     def test_launches_outside_execute_bulk_do_not_leak_in(self):
-        engine = self._micro_engine(backend="vectorized", strict_vector=True)
+        engine = self._micro_engine(backend="vectorized")
         batch = engine.pool.take(16)
         engine.make_executor("kset").execute(
             batch, OpArray.of_bulk(engine.registry, batch)
@@ -391,12 +368,3 @@ class TestArrayForms:
             members = addresses[group_idx == g]
             expected = cost.coalesce(list(members), int(group_width[g]))
             assert ntx[g] == expected
-
-    def test_stable_group_runs(self):
-        keys = np.array([3, 1, 3, 2, 1, 3])
-        order, starts = PrimitiveLibrary.stable_group_runs(keys)
-        sorted_keys = keys[order]
-        assert list(sorted_keys) == [1, 1, 2, 3, 3, 3]
-        assert list(starts) == [0, 2, 3]
-        # Stability: equal keys keep original relative order.
-        assert list(order[:2]) == [1, 4]

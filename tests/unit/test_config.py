@@ -58,16 +58,14 @@ class TestEngineOptionsValue:
         with pytest.raises(ConfigError, match="backend"):
             EngineOptions(backend=backend)
 
-    @pytest.mark.parametrize("strict", ["no", "yes", 0, 1, ""])
-    def test_strict_vector_must_be_none_or_bool(self, strict):
+    @pytest.mark.parametrize("strict", ["no", "yes", 0, 1, "", None])
+    def test_strict_vector_must_be_a_bool(self, strict):
         with pytest.raises(ConfigError, match="strict_vector"):
             EngineOptions(strict_vector=strict)
 
-    def test_explicit_bools_are_kept(self, monkeypatch):
+    def test_the_environment_sets_no_option(self, monkeypatch):
         monkeypatch.setenv("REPRO_STRICT_VECTOR", "1")
-        assert EngineOptions(strict_vector=False).strict_vector is False
-        assert EngineOptions().strict_vector is True
-        monkeypatch.delenv("REPRO_STRICT_VECTOR")
+        assert EngineOptions().strict_vector is False
         assert EngineOptions(strict_vector=True).strict_vector is True
 
 

@@ -92,11 +92,3 @@ class TestPipelineScheduler:
     def test_invalid_depth_rejected(self):
         with pytest.raises(ConfigError):
             PipelineScheduler(depth=0)
-
-    def test_as_breakdown_totals_makespan(self):
-        report = PipelineScheduler(depth=2).overlap(
-            [timing(2, 10, 1)] * 3
-        )
-        breakdown = report.as_breakdown()
-        assert breakdown.total == pytest.approx(report.pipelined_seconds)
-        assert breakdown.phases["execution"] == pytest.approx(30.0)

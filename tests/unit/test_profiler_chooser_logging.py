@@ -41,7 +41,6 @@ class TestBulkProfiler:
         profile = self.make_profiler().profile(txns)
         assert profile.size == profile.w0 == 10
         assert profile.depth == 0
-        assert profile.parallel_fraction == 1.0
 
     def test_conflicting_chain_has_depth(self):
         txns = make_transactions([("deposit", (0, 5))] * 8)

@@ -317,25 +317,25 @@ class TestOneDefinition:
         ],
         ids=["tpcb", "tpcc", "smallbank"],
     )
-    def test_stripping_the_vector_form_falls_back_to_the_stream(
+    def test_stripping_the_vector_form_runs_the_stream_vectorized(
         self, build_db, procedures, generate
     ):
         """``dataclasses.replace(t, vector_body=None)`` is how benches
-        and tests make an interpreter-only type; a type derived from a
-        kernel must not refill it."""
+        and tests make a stream-only type; a type derived from a kernel
+        must not refill it, and the vectorized backend runs it lane by
+        lane with the same outcomes, clock and state."""
         stripped = [dataclasses.replace(t, vector_body=None) for t in procedures]
         assert all(t.vector_body is None for t in stripped)
         specs = generate(build_db())
         observed = []
-        for procs, path in ((procedures, "vectorized"), (stripped, "interpreted")):
+        for procs in (procedures, stripped):
             db = build_db()
             engine = GPUTx(
-                db, procedures=procs,
-                options=EngineOptions(backend="vectorized", strict_vector=False),
+                db, procedures=procs, options=EngineOptions(backend="vectorized")
             )
             engine.submit_many(specs)
             result = engine.run_bulk(strategy="kset")
-            assert result.backend == path
+            assert result.backend == "vectorized"
             observed.append(
                 (
                     [(r.txn_id, r.committed, r.abort_reason, r.value)

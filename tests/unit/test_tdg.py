@@ -137,11 +137,3 @@ class TestSubDagAndCrossPartition:
         )
         assert g.sub_dag_from(1) == {1, 2, 3}
         assert g.sub_dag_from(4) == {4}
-
-    def test_cross_partition_count(self):
-        g = build(
-            (1, [W("a")]),
-            (2, [W("b")]),
-            (3, [R("a"), R("b")]),  # two predecessors
-        )
-        assert g.cross_partition_count() == 1

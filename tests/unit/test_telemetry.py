@@ -369,10 +369,9 @@ class TestOverhead:
         engine = GPUTx(
             db,
             procedures=BANK_PROCEDURES,
-            # The bank set has no vector forms; this test measures
-            # telemetry overhead, so the interpreter fallback is fine
-            # even under CI's strict-vector lane.
-            options=EngineOptions(backend="vectorized", strict_vector=False),
+            # The bank set has no vector forms: its launches run lane
+            # by lane on the vectorized backend.
+            options=EngineOptions(backend="vectorized"),
         )
         rng = np.random.default_rng(5)
         engine.submit_many(
