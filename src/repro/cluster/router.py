@@ -116,11 +116,6 @@ class ShardRouter:
         timestamp."""
         return shards or frozenset({txn_id % self.n_shards})
 
-    def is_cross_shard(
-        self, txn_type: TransactionType, params: Tuple[Any, ...]
-    ) -> bool:
-        return len(self.shards_of(txn_type, params)) > 1
-
     # ------------------------------------------------------------------
     def split(self, lo: int, hi: int, dst: int) -> List[RangeEntry]:
         """Reassign the key range ``[lo, hi)`` to shard ``dst``.

@@ -16,8 +16,9 @@ simulated clock to the last cycle.
 Kernel-authoring contract (checked where cheap, documented here; the
 column rules of the kernel boundary are on :class:`WaveContext`):
 
-* a hand-written vector body must record per lane exactly the ops its
-  generator body yields (a single-source kernel, lane.py, cannot differ);
+* a hand-written vector body (micro's are the built-in ones) must
+  record per lane exactly the ops its generator body yields (a
+  single-source kernel, lane.py, cannot differ);
 * a type that aborts after its first write journals before-images
   (``capture_undo``, one bulk gather per write step); on the PART
   sweep such a type rolls back inline, lane by lane, as the PART

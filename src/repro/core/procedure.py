@@ -12,7 +12,7 @@ combined into a single kernel ... with a switch clause" (Sections 3.1,
   ``body``, a generator function emitting micro-ops
   (:mod:`repro.gpu.ops`), plus an optional ``vector_body`` -- is for
   types that need interpreter-only ops (atomics, basic spin locks) and
-  for the equivalence walls' independent reference (TM1, micro);
+  for the equivalence walls' independent reference (micro);
 * the *access function* derives the affected data items from the
   parameters before execution -- the paper's requirement that conflicts
   be derivable "on the affected data items" (Appendix B), which is why

@@ -70,16 +70,6 @@ class PrimitiveLibrary:
     # ------------------------------------------------------------------
     # Functional primitives (numpy-backed) returning (result, seconds).
     # ------------------------------------------------------------------
-    def sort_pairs(
-        self, keys: np.ndarray, values: np.ndarray, key_bits: int = 32
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Stable sort of ``values`` by ``keys`` (LSD radix cost)."""
-        if keys.shape != values.shape and keys.shape[0] != values.shape[0]:
-            raise ConfigError("keys/values length mismatch")
-        order = np.argsort(keys, kind="stable")
-        cost = self.sort_cost(len(keys), key_bits=key_bits)
-        return keys[order], values[order], cost
-
     def sort_by_composite(
         self, primary: np.ndarray, secondary: np.ndarray, key_bits: int = 64
     ) -> Tuple[np.ndarray, float]:
@@ -114,13 +104,6 @@ class PrimitiveLibrary:
         executed = math.ceil(used_bits / bits_per_pass)
         cost = executed * self.radix_pass_cost(n)
         return order, cost
-
-    def exclusive_scan(self, values: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Exclusive prefix sum."""
-        out = np.zeros_like(values)
-        if len(values) > 1:
-            np.cumsum(values[:-1], out=out[1:])
-        return out, self.scan_cost(len(values))
 
     def group_boundaries(self, sorted_keys: np.ndarray) -> Tuple[np.ndarray, float]:
         """Start offsets of each run of equal keys (a map primitive).

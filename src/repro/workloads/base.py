@@ -348,9 +348,23 @@ def random_string(rng: np.random.Generator, length: int) -> str:
 def choose_mix(
     rng: np.random.Generator, mix: Sequence[Tuple[str, float]], size: int
 ) -> List[str]:
-    """Draw ``size`` type names from a (name, weight) mix."""
+    """Draw ``size`` type names from a (name, weight) mix.
+
+    The one owner of the mix check: an empty mix, a negative or
+    non-finite weight, or a total that is not positive and finite is a
+    ``ValueError``.
+    """
     names = [name for name, _w in mix]
     weights = np.asarray([w for _n, w in mix], dtype=float)
-    weights = weights / weights.sum()
-    picks = rng.choice(len(names), size=size, p=weights)
+    if not names:
+        raise ValueError("transaction mix is empty")
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError(
+            f"mix weights must be finite and >= 0, got {weights.tolist()}"
+        )
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not 0 < total < np.inf:
+        raise ValueError(f"mix weights must have a positive total, got {total}")
+    picks = rng.choice(len(names), size=size, p=weights / total)
     return [names[i] for i in picks]

@@ -15,9 +15,9 @@ transaction targets tuple 0 with probability alpha, otherwise a uniform
 tuple; larger alpha deepens the T-dependency graph.
 
 Two forms on purpose: each type keeps a hand-written generator ``body``
-and a hand-written ``vector_body``. With TM1 they are the independent
-reference the backend-equivalence walls rest on, now that the other
-workloads are single-source kernels. Do not convert them.
+and a hand-written ``vector_body``. Every other built-in workload is
+single-source kernels, so these pairs are the one independent
+reference the backend-equivalence walls rest on. Do not convert them.
 """
 
 from __future__ import annotations

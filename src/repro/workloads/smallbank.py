@@ -83,6 +83,8 @@ def build_database(
     """Populate the three SmallBank tables for ``scale_factor``."""
     if scale_factor < 1:
         raise ValueError("scale_factor must be >= 1")
+    if accounts_per_sf < 1:
+        raise ValueError("accounts_per_sf must be >= 1")
     rng = make_rng(seed)
     n = scale_factor * accounts_per_sf
     db = Database(layout)
@@ -338,7 +340,7 @@ def generate_transactions(
     """
     rng = make_rng(seed)
     n_accounts = db.table(ACCOUNT).n_rows
-    picks = choose_mix(rng, mix or DEFAULT_MIX, n)
+    picks = choose_mix(rng, DEFAULT_MIX if mix is None else mix, n)
     customers = zipfian_items(rng, n_accounts, theta, 2 * n)
     out: List[TxnSpec] = []
     for k, name in enumerate(picks):

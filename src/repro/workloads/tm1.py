@@ -28,11 +28,11 @@ GET_SUBSCRIBER_DATA 35 %, GET_NEW_DESTINATION 10 %, GET_ACCESS_DATA
 35 %, UPDATE_SUBSCRIBER_DATA 2 %, UPDATE_LOCATION 14 %,
 INSERT_CALL_FORWARDING 2 %, DELETE_CALL_FORWARDING 2 %.
 
-Two forms on purpose: every type keeps a hand-written generator body
-*and* a hand-written ``_v_`` vector body. The other workloads are
-single-source kernels whose forms cannot diverge, so the equivalence
-walls rest on TM1 (which also carries the serving, cluster and leader
-paths) and micro as the independent reference. Do not convert them.
+Every type is a single-source kernel (:mod:`repro.core.backends.lane`),
+registered with :meth:`TransactionType.from_kernel`: the kernel
+``tm1.get_subscriber_data`` is the type's op stream and its vector
+body alike. The equivalence walls' independent reference is micro's
+hand-written pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.procedure import Access, TransactionType
-from repro.gpu import ops as op_ir
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import (
@@ -89,6 +88,8 @@ def build_database(
     """Populate the four TM1 tables for ``scale_factor``."""
     if scale_factor < 1:
         raise ValueError("scale_factor must be >= 1")
+    if subscribers_per_sf < 1:
+        raise ValueError("subscribers_per_sf must be >= 1")
     rng = make_rng(seed)
     n_subs = scale_factor * subscribers_per_sf
     db = Database(layout)
@@ -252,110 +253,109 @@ def build_database(
 
 
 # ---------------------------------------------------------------------------
-# Stored procedures.
+# Stored procedures: single-source kernels (repro.core.backends.lane).
 # ---------------------------------------------------------------------------
-def _get_subscriber_data(s_id: int) -> op_ir.OpStream:
-    row = yield op_ir.IndexProbe("subscriber_pk", s_id)
-    if row < 0:
-        yield op_ir.Abort("subscriber not found")
-    bit_1 = yield op_ir.Read(SUBSCRIBER, "bit_1", row)
-    hex_5 = yield op_ir.Read(SUBSCRIBER, "hex_5", row)
-    byte2_9 = yield op_ir.Read(SUBSCRIBER, "byte2_9", row)
-    msc = yield op_ir.Read(SUBSCRIBER, "msc_location", row)
-    vlr = yield op_ir.Read(SUBSCRIBER, "vlr_location", row)
-    return (bool(bit_1), int(hex_5), int(byte2_9), int(msc), int(vlr))
+def get_subscriber_data(ctx):
+    row = yield ctx.index_probe("subscriber_pk", ctx.param_i64(0))
+    yield ctx.abort_where(row < 0, "subscriber not found")
+    bit_1 = yield ctx.read(SUBSCRIBER, "bit_1", row)
+    hex_5 = yield ctx.read(SUBSCRIBER, "hex_5", row)
+    byte2_9 = yield ctx.read(SUBSCRIBER, "byte2_9", row)
+    msc = yield ctx.read(SUBSCRIBER, "msc_location", row)
+    vlr = yield ctx.read(SUBSCRIBER, "vlr_location", row)
+    ctx.finish(bit_1, hex_5, byte2_9, msc, vlr)
 
 
-def _get_new_destination(
-    s_id: int, sf_type: int, start_time: int, end_time: int
-) -> op_ir.OpStream:
-    sf_row = yield op_ir.IndexProbe("special_facility_pk", (s_id, sf_type))
-    if sf_row < 0:
-        yield op_ir.Abort("no special facility")
-    active = yield op_ir.Read(SPECIAL_FACILITY, "is_active", sf_row)
-    if not active:
-        yield op_ir.Abort("special facility inactive")
-    cf_candidates = yield op_ir.IndexProbe(
+def get_new_destination(ctx):
+    s_id = ctx.param_i64(0)
+    sf_type = ctx.param_i64(1)
+    start_time = ctx.param_i64(2)
+    end_time = ctx.param_i64(3)
+    sf_row = yield ctx.index_probe("special_facility_pk", (s_id, sf_type))
+    yield ctx.abort_where(sf_row < 0, "no special facility")
+    is_active = yield ctx.read(SPECIAL_FACILITY, "is_active", sf_row)
+    yield ctx.abort_where(is_active == 0, "special facility inactive")
+    cand, n_cand = yield ctx.index_probe_multi(
         "call_forwarding_by_sf", (s_id, sf_type)
     )
-    for cf_row in cf_candidates:
-        cf_start = yield op_ir.Read(CALL_FORWARDING, "start_time", cf_row)
-        cf_end = yield op_ir.Read(CALL_FORWARDING, "end_time", cf_row)
-        if cf_start <= start_time and end_time < cf_end:
-            numberx = yield op_ir.Read(CALL_FORWARDING, "numberx", cf_row)
-            return numberx
-    yield op_ir.Abort("no matching call forwarding")
+    # The first candidate whose window covers the call wins.
+    for slot in range(ctx.most(n_cand)):
+        has = n_cand > slot
+        rows = ctx.pick(cand, slot)
+        cf_start = yield ctx.read(CALL_FORWARDING, "start_time", rows, mask=has)
+        cf_end = yield ctx.read(CALL_FORWARDING, "end_time", rows, mask=has)
+        match = has & (cf_start <= start_time) & (end_time < cf_end)
+        numberx = yield ctx.read(CALL_FORWARDING, "numberx", rows, mask=match)
+        ctx.finish_where(match, numberx)
+    yield ctx.abort_where(ctx.active, "no matching call forwarding")
 
 
-def _get_access_data(s_id: int, ai_type: int) -> op_ir.OpStream:
-    row = yield op_ir.IndexProbe("access_info_pk", (s_id, ai_type))
-    if row < 0:
-        yield op_ir.Abort("no access info")
-    data1 = yield op_ir.Read(ACCESS_INFO, "data1", row)
-    data2 = yield op_ir.Read(ACCESS_INFO, "data2", row)
-    data3 = yield op_ir.Read(ACCESS_INFO, "data3", row)
-    data4 = yield op_ir.Read(ACCESS_INFO, "data4", row)
-    return (int(data1), int(data2), int(data3), int(data4))
+def get_access_data(ctx):
+    row = yield ctx.index_probe(
+        "access_info_pk", (ctx.param_i64(0), ctx.param_i64(1))
+    )
+    yield ctx.abort_where(row < 0, "no access info")
+    data1 = yield ctx.read(ACCESS_INFO, "data1", row)
+    data2 = yield ctx.read(ACCESS_INFO, "data2", row)
+    data3 = yield ctx.read(ACCESS_INFO, "data3", row)
+    data4 = yield ctx.read(ACCESS_INFO, "data4", row)
+    ctx.finish(data1, data2, data3, data4)
 
 
-def _update_subscriber_data(
-    s_id: int, bit_1: bool, sf_type: int, data_a: int
-) -> op_ir.OpStream:
-    # Phase 1 (reads + abort checks), then phase 2 (writes): two-phase.
-    sub_row = yield op_ir.IndexProbe("subscriber_pk", s_id)
-    if sub_row < 0:
-        yield op_ir.Abort("subscriber not found")
-    sf_row = yield op_ir.IndexProbe("special_facility_pk", (s_id, sf_type))
-    if sf_row < 0:
-        yield op_ir.Abort("no special facility")
-    yield op_ir.Write(SUBSCRIBER, "bit_1", sub_row, bool(bit_1))
-    yield op_ir.Write(SPECIAL_FACILITY, "data_a", sf_row, int(data_a))
-    return None
+def update_subscriber_data(ctx):
+    # Phase 1 (probes + abort checks), then phase 2 (writes): two-phase.
+    s_id = ctx.param_i64(0)
+    sub_row = yield ctx.index_probe("subscriber_pk", s_id)
+    yield ctx.abort_where(sub_row < 0, "subscriber not found")
+    sf_row = yield ctx.index_probe(
+        "special_facility_pk", (s_id, ctx.param_i64(2))
+    )
+    yield ctx.abort_where(sf_row < 0, "no special facility")
+    yield ctx.write(SUBSCRIBER, "bit_1", sub_row, ctx.param_bool(1))
+    yield ctx.write(SPECIAL_FACILITY, "data_a", sf_row, ctx.param_i64(3))
+    ctx.finish()
 
 
-def _lookup_sub_nbr(sub_nbr: str) -> op_ir.OpStream:
-    s_id = yield op_ir.IndexProbe("sub_nbr_map", sub_nbr)
-    return int(s_id)
+def lookup_sub_nbr(ctx):
+    s_id = yield ctx.index_probe("sub_nbr_map", ctx.param_obj(0))
+    ctx.finish(s_id)
 
 
-def _update_location(s_id: int, vlr_location: int) -> op_ir.OpStream:
-    row = yield op_ir.IndexProbe("subscriber_pk", s_id)
-    if row < 0:
-        yield op_ir.Abort("subscriber not found")
-    yield op_ir.Write(SUBSCRIBER, "vlr_location", row, int(vlr_location))
-    return None
+def update_location(ctx):
+    row = yield ctx.index_probe("subscriber_pk", ctx.param_i64(0))
+    yield ctx.abort_where(row < 0, "subscriber not found")
+    yield ctx.write(SUBSCRIBER, "vlr_location", row, ctx.param_i64(1))
+    ctx.finish()
 
 
-def _insert_call_forwarding(
-    s_id: int, sf_type: int, start_time: int, end_time: int, numberx: str
-) -> op_ir.OpStream:
-    sf_row = yield op_ir.IndexProbe("special_facility_pk", (s_id, sf_type))
-    if sf_row < 0:
-        yield op_ir.Abort("no special facility")
-    existing = yield op_ir.IndexProbe(
+def insert_call_forwarding(ctx):
+    s_id = ctx.param_i64(0)
+    sf_type = ctx.param_i64(1)
+    start_time = ctx.param_i64(2)
+    sf_row = yield ctx.index_probe("special_facility_pk", (s_id, sf_type))
+    yield ctx.abort_where(sf_row < 0, "no special facility")
+    existing = yield ctx.index_probe(
         "call_forwarding_pk", (s_id, sf_type, start_time)
     )
-    if existing >= 0:
-        yield op_ir.Abort("call forwarding exists")
-    yield op_ir.InsertRow(
-        CALL_FORWARDING, (s_id, sf_type, start_time, end_time, numberx)
+    yield ctx.abort_where(existing >= 0, "call forwarding exists")
+    yield ctx.insert(
+        CALL_FORWARDING,
+        (s_id, sf_type, start_time, ctx.param_i64(3), ctx.param_obj(4)),
     )
-    return None
+    ctx.finish()
 
 
-def _delete_call_forwarding(
-    s_id: int, sf_type: int, start_time: int
-) -> op_ir.OpStream:
-    row = yield op_ir.IndexProbe(
-        "call_forwarding_pk", (s_id, sf_type, start_time)
+def delete_call_forwarding(ctx):
+    row = yield ctx.index_probe(
+        "call_forwarding_pk",
+        (ctx.param_i64(0), ctx.param_i64(1), ctx.param_i64(2)),
     )
-    if row < 0:
-        yield op_ir.Abort("no call forwarding")
-    yield op_ir.DeleteRow(CALL_FORWARDING, row)
-    return None
+    yield ctx.abort_where(row < 0, "no call forwarding")
+    yield ctx.delete(CALL_FORWARDING, row)
+    ctx.finish()
 
 
-def _sync_location(src_s_id: int, dst_s_id: int) -> op_ir.OpStream:
+def sync_location(ctx):
     """Cross-subscriber roaming sync (cluster workloads only).
 
     Copies the source subscriber's VLR location onto the destination
@@ -363,131 +363,12 @@ def _sync_location(src_s_id: int, dst_s_id: int) -> op_ir.OpStream:
     spans two subscribers and therefore, under sharding, two shards.
     Two-phase: both existence checks precede the single write.
     """
-    src_row = yield op_ir.IndexProbe("subscriber_pk", src_s_id)
-    if src_row < 0:
-        yield op_ir.Abort("source subscriber not found")
-    dst_row = yield op_ir.IndexProbe("subscriber_pk", dst_s_id)
-    if dst_row < 0:
-        yield op_ir.Abort("destination subscriber not found")
-    vlr = yield op_ir.Read(SUBSCRIBER, "vlr_location", src_row)
-    yield op_ir.Write(SUBSCRIBER, "vlr_location", dst_row, int(vlr))
-    return int(vlr)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized forms: the hand-written twins of the generator bodies
-# above (the module docstring says why TM1 keeps both).
-# ---------------------------------------------------------------------------
-def _v_get_subscriber_data(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    row = ctx.index_probe("subscriber_pk", s_id)
-    ctx.abort_where(row < 0, "subscriber not found")
-    bit_1 = ctx.read(SUBSCRIBER, "bit_1", row)
-    hex_5 = ctx.read(SUBSCRIBER, "hex_5", row)
-    byte2_9 = ctx.read(SUBSCRIBER, "byte2_9", row)
-    msc = ctx.read(SUBSCRIBER, "msc_location", row)
-    vlr = ctx.read(SUBSCRIBER, "vlr_location", row)
-    ctx.finish(bit_1, hex_5, byte2_9, msc, vlr)
-
-
-def _v_get_new_destination(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    sf_type = ctx.param_i64(1)
-    start_time = ctx.param_i64(2)
-    end_time = ctx.param_i64(3)
-    sf_row = ctx.index_probe("special_facility_pk", (s_id, sf_type))
-    ctx.abort_where(sf_row < 0, "no special facility")
-    active_flag = ctx.read(SPECIAL_FACILITY, "is_active", sf_row)
-    ctx.abort_where(~active_flag.astype(bool), "special facility inactive")
-    cand, n_cand = ctx.index_probe_multi(
-        "call_forwarding_by_sf", (s_id, sf_type)
-    )
-    for slot in range(cand.shape[1]):
-        has = n_cand > slot
-        rows = cand[:, slot]
-        cf_start = ctx.read(CALL_FORWARDING, "start_time", rows, mask=has)
-        cf_end = ctx.read(CALL_FORWARDING, "end_time", rows, mask=has)
-        match = has & (cf_start <= start_time) & (end_time < cf_end)
-        numberx = ctx.read(CALL_FORWARDING, "numberx", rows, mask=match)
-        ctx.finish_where(match, numberx)
-    ctx.abort_where(ctx.active, "no matching call forwarding")
-
-
-def _v_get_access_data(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    ai_type = ctx.param_i64(1)
-    row = ctx.index_probe("access_info_pk", (s_id, ai_type))
-    ctx.abort_where(row < 0, "no access info")
-    ctx.finish(
-        *(ctx.read(ACCESS_INFO, f"data{i}", row) for i in range(1, 5))
-    )
-
-
-def _v_update_subscriber_data(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    bit_1 = ctx.param_bool(1)
-    sf_type = ctx.param_i64(2)
-    data_a = ctx.param_i64(3)
-    sub_row = ctx.index_probe("subscriber_pk", s_id)
-    ctx.abort_where(sub_row < 0, "subscriber not found")
-    sf_row = ctx.index_probe("special_facility_pk", (s_id, sf_type))
-    ctx.abort_where(sf_row < 0, "no special facility")
-    ctx.write(SUBSCRIBER, "bit_1", sub_row, bit_1)
-    ctx.write(SPECIAL_FACILITY, "data_a", sf_row, data_a)
-    ctx.finish()
-
-
-def _v_lookup_sub_nbr(ctx) -> None:
-    ctx.finish(ctx.index_probe("sub_nbr_map", ctx.param_obj(0)))
-
-
-def _v_update_location(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    vlr_location = ctx.param_i64(1)
-    row = ctx.index_probe("subscriber_pk", s_id)
-    ctx.abort_where(row < 0, "subscriber not found")
-    ctx.write(SUBSCRIBER, "vlr_location", row, vlr_location)
-    ctx.finish()
-
-
-def _v_insert_call_forwarding(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    sf_type = ctx.param_i64(1)
-    start_time = ctx.param_i64(2)
-    sf_row = ctx.index_probe("special_facility_pk", (s_id, sf_type))
-    ctx.abort_where(sf_row < 0, "no special facility")
-    existing = ctx.index_probe(
-        "call_forwarding_pk", (s_id, sf_type, start_time)
-    )
-    ctx.abort_where(existing >= 0, "call forwarding exists")
-    ctx.insert(
-        CALL_FORWARDING,
-        (s_id, sf_type, start_time, ctx.param_i64(3), ctx.param_obj(4)),
-    )
-    ctx.finish()
-
-
-def _v_delete_call_forwarding(ctx) -> None:
-    s_id = ctx.param_i64(0)
-    sf_type = ctx.param_i64(1)
-    start_time = ctx.param_i64(2)
-    row = ctx.index_probe(
-        "call_forwarding_pk", (s_id, sf_type, start_time)
-    )
-    ctx.abort_where(row < 0, "no call forwarding")
-    ctx.delete(CALL_FORWARDING, row)
-    ctx.finish()
-
-
-def _v_sync_location(ctx) -> None:
-    src = ctx.param_i64(0)
-    dst = ctx.param_i64(1)
-    src_row = ctx.index_probe("subscriber_pk", src)
-    ctx.abort_where(src_row < 0, "source subscriber not found")
-    dst_row = ctx.index_probe("subscriber_pk", dst)
-    ctx.abort_where(dst_row < 0, "destination subscriber not found")
-    vlr = ctx.read(SUBSCRIBER, "vlr_location", src_row)
-    ctx.write(SUBSCRIBER, "vlr_location", dst_row, vlr)
+    src_row = yield ctx.index_probe("subscriber_pk", ctx.param_i64(0))
+    yield ctx.abort_where(src_row < 0, "source subscriber not found")
+    dst_row = yield ctx.index_probe("subscriber_pk", ctx.param_i64(1))
+    yield ctx.abort_where(dst_row < 0, "destination subscriber not found")
+    vlr = yield ctx.read(SUBSCRIBER, "vlr_location", src_row)
+    yield ctx.write(SUBSCRIBER, "vlr_location", dst_row, vlr)
     ctx.finish(vlr)
 
 
@@ -511,92 +392,80 @@ def _lookup_partition(params):
     return int(params[0])
 
 
-_ALL_TABLES = frozenset(
-    {SUBSCRIBER, ACCESS_INFO, SPECIAL_FACILITY, CALL_FORWARDING}
-)
-
 PROCEDURES = [
-    TransactionType(
+    TransactionType.from_kernel(
+        get_subscriber_data,
         name="tm1_get_subscriber_data",
-        body=_get_subscriber_data,
         access_fn=_sub_access(write=False),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({SUBSCRIBER}),
-        vector_body=_v_get_subscriber_data,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        get_new_destination,
         name="tm1_get_new_destination",
-        body=_get_new_destination,
         access_fn=_sub_access(write=False),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({SPECIAL_FACILITY, CALL_FORWARDING}),
-        vector_body=_v_get_new_destination,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        get_access_data,
         name="tm1_get_access_data",
-        body=_get_access_data,
         access_fn=_sub_access(write=False),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({ACCESS_INFO}),
-        vector_body=_v_get_access_data,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        update_subscriber_data,
         name="tm1_update_subscriber_data",
-        body=_update_subscriber_data,
         access_fn=_sub_access(write=True),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({SUBSCRIBER, SPECIAL_FACILITY}),
-        vector_body=_v_update_subscriber_data,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        lookup_sub_nbr,
         name="tm1_lookup_sub_nbr",
-        body=_lookup_sub_nbr,
         access_fn=_no_access,
         partition_fn=_lookup_partition,
         two_phase=True,
         conflict_classes=frozenset(),
-        vector_body=_v_lookup_sub_nbr,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        update_location,
         name="tm1_update_location",
-        body=_update_location,
         access_fn=_sub_access(write=True),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({SUBSCRIBER}),
-        vector_body=_v_update_location,
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        insert_call_forwarding,
         name="tm1_insert_call_forwarding",
-        body=_insert_call_forwarding,
         access_fn=_sub_access(write=True),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({SPECIAL_FACILITY, CALL_FORWARDING}),
-        vector_body=_v_insert_call_forwarding,
         vector_inserts=frozenset({CALL_FORWARDING}),
     ),
-    TransactionType(
+    TransactionType.from_kernel(
+        delete_call_forwarding,
         name="tm1_delete_call_forwarding",
-        body=_delete_call_forwarding,
         access_fn=_sub_access(write=True),
         partition_fn=_sub_partition,
         two_phase=True,
         conflict_classes=frozenset({CALL_FORWARDING}),
-        vector_body=_v_delete_call_forwarding,
     ),
 ]
 
 
 #: The cross-subscriber sync transaction (not part of the standard TM1
 #: set; registered only by cluster workloads).
-SYNC_LOCATION = TransactionType(
+SYNC_LOCATION = TransactionType.from_kernel(
+    sync_location,
     name="tm1_sync_location",
-    body=_sync_location,
     access_fn=lambda p: [
         Access(item=int(p[0]), write=False),
         Access(item=int(p[1]), write=True),
@@ -604,7 +473,6 @@ SYNC_LOCATION = TransactionType(
     partition_fn=lambda p: int(p[0]) if int(p[0]) == int(p[1]) else None,
     two_phase=True,
     conflict_classes=frozenset({SUBSCRIBER}),
-    vector_body=_v_sync_location,
 )
 
 #: TM1 plus the cross-subscriber sync type, for ClusterTx workloads.
@@ -629,7 +497,7 @@ def generate_transactions(
     """
     rng = make_rng(seed)
     n_subs = db.table(SUBSCRIBER).n_rows
-    picks = choose_mix(rng, mix or DEFAULT_MIX, n)
+    picks = choose_mix(rng, DEFAULT_MIX if mix is None else mix, n)
     out: List[TxnSpec] = []
     for name in picks:
         s_id = int(rng.integers(0, n_subs))

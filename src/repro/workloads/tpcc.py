@@ -793,7 +793,7 @@ def generate_transactions(
     # collapsing onto a handful of rows.
     a_item = min(8191, max(15, (1 << max(1, (n_items // 12)).bit_length()) - 1))
     a_cust = min(1023, max(15, (1 << max(1, (customers // 3)).bit_length()) - 1))
-    picks = choose_mix(rng, mix or DEFAULT_MIX, n)
+    picks = choose_mix(rng, DEFAULT_MIX if mix is None else mix, n)
     out: List[TxnSpec] = []
     for name in picks:
         w_id = int(rng.integers(0, n_w))

@@ -13,9 +13,9 @@ TPC-B, TPC-C and SmallBank:
   deletes and staged handle writes;
 * the undo logs, the outcome, and the result value *and type*.
 
-For TM1 and micro, whose generator and vector bodies are two hand-
-written functions, this is the direct check that the vector body
-records what the generator body yields at width 1.
+For micro, whose generator and vector bodies are two hand-written
+functions, this is the direct check that the vector body records what
+the generator body yields at width 1.
 
 The last tests pin the edges: an op a lane cannot express is refused,
 a contended launch builds no one-lane ``WaveContext``, and a same-type

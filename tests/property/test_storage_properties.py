@@ -23,28 +23,6 @@ int_arrays = arrays(
 
 
 class TestPrimitivesAgainstOracles:
-    @given(int_arrays)
-    @settings(max_examples=100, deadline=None)
-    def test_sort_pairs_matches_sorted(self, keys):
-        values = np.arange(len(keys))
-        sorted_keys, sorted_values, _ = LIB.sort_pairs(keys, values)
-        assert sorted_keys.tolist() == sorted(keys.tolist())
-        # Permutation property: values are a rearrangement.
-        assert sorted(sorted_values.tolist()) == values.tolist()
-        # Stability: equal keys keep ascending original positions.
-        for k in set(sorted_keys.tolist()):
-            positions = sorted_values[sorted_keys == k]
-            assert positions.tolist() == sorted(positions.tolist())
-
-    @given(int_arrays)
-    @settings(max_examples=100, deadline=None)
-    def test_exclusive_scan_matches_cumsum(self, values):
-        out, _ = LIB.exclusive_scan(values)
-        expected = np.concatenate([[0], np.cumsum(values)[:-1]]) if len(
-            values
-        ) else values
-        assert out.tolist() == expected.tolist()
-
     @given(int_arrays, st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
     def test_radix_partition_is_permutation(self, keys, passes):

@@ -3,9 +3,11 @@
 The vectorized backend derives TPL's counter-lock pass rounds in closed
 form (repro.core.backends.lockstep) instead of spinning round by round.
 The interpreter stays the oracle: for hypothesis-random bulks over
-TM1/TPC-C/SmallBank and abort-inducing bank mixes (non-two-phase
-aborters -> undo logs + Appendix D cascades), both backends must agree
-on *everything observable*:
+TM1/TPC-C/SmallBank, over micro (whose hand-written pairs are the one
+built-in reference not derived from a single-source kernel) and over
+abort-inducing bank mixes (non-two-phase aborters -> undo logs +
+Appendix D cascades), both backends must agree on *everything
+observable*:
 
 * per-transaction outcomes (commit/abort, reason, value),
 * the deferral sets and the cascaded-abort sets,
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import EngineOptions, GPUTx
-from repro.workloads import smallbank, tm1, tpcc
+from repro.workloads import micro, smallbank, tm1, tpcc
 
 from tests.conftest import (
     BANK_PROCEDURES,
@@ -56,6 +58,56 @@ STATS_FIELDS = (
 )
 
 BANK_ACCOUNTS = 6  # tiny account pool -> long reader runs + lock queues
+
+# Enough tuples that a round grants wider same-type sub-waves than
+# ``wave.NARROW_WIDTH``, so the hand-written vector bodies run too.
+MICRO_TUPLES = 64
+MICRO_BRANCHES = 2
+MICRO_PROCEDURES = micro.build_procedures(
+    MICRO_BRANCHES, x=1
+) + micro.build_pair_procedures(MICRO_BRANCHES, x=1)
+
+
+def _micro_db():
+    return micro.build_database(MICRO_TUPLES, with_index=True)
+
+
+@st.composite
+def _micro_specs(draw):
+    """Alpha-skewed one-tuple transactions (an ``alpha`` share lock
+    tuple 0, so their grants queue) shuffled among pair transactions,
+    whose lock sets hold two items. A few drawn edge pairs add the
+    one-item lock set (``a == b``), the hot tuple and the abort path
+    (``MICRO_TUPLES`` names no tuple)."""
+    seed = draw(st.integers(0, 2**16))
+    singles = micro.generate_transactions(
+        draw(st.integers(1, 60)),
+        n_tuples=MICRO_TUPLES,
+        n_branches=MICRO_BRANCHES,
+        alpha=draw(st.sampled_from([0.3, 0.7, 0.95])),
+        seed=seed,
+    )
+    pairs = micro.generate_pair_transactions(
+        draw(st.integers(1, 30)),
+        n_tuples=MICRO_TUPLES,
+        shard_of=lambda key: key % 2,
+        cross_shard_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        n_branches=MICRO_BRANCHES,
+        seed=seed,
+    )
+    item = st.sampled_from([0, 1, MICRO_TUPLES])
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [f"micro_pair_{b}" for b in range(MICRO_BRANCHES)]
+                ),
+                st.tuples(item, item),
+            ),
+            max_size=6,
+        )
+    )
+    return draw(st.permutations(singles + pairs + edges))
 
 
 def _bank_specs():
@@ -151,6 +203,19 @@ class TestWorkloadTpl:
     def test_smallbank(self, specs):
         _assert_equivalent(_smallbank_db, smallbank.PROCEDURES, specs, "tpl")
 
+    @settings(max_examples=30, deadline=None)
+    @given(specs=_micro_specs())
+    def test_micro(self, specs):
+        _assert_equivalent(_micro_db, MICRO_PROCEDURES, specs, "tpl")
+
+    @settings(max_examples=15, deadline=None)
+    @given(specs=_micro_specs())
+    def test_micro_part_reaches_tpl_fallback(self, specs):
+        """A pair over two tuples is cross-partition, so PART hands the
+        bulk to TPL on the same backend."""
+        specs = list(specs) + [("micro_pair_0", (1, 2))]
+        _assert_equivalent(_micro_db, MICRO_PROCEDURES, specs, "part")
+
     @settings(max_examples=15, deadline=None)
     @given(specs=_smallbank_specs(), passes=st.sampled_from([1, 2]))
     def test_smallbank_grouped(self, specs, passes):
@@ -224,6 +289,11 @@ class TestWaveIsTheLockFreeLaunch:
     @given(specs=_smallbank_specs())
     def test_smallbank(self, specs):
         self._assert_same_launch(_smallbank_db, smallbank.PROCEDURES, specs)
+
+    @settings(max_examples=10, deadline=None)
+    @given(specs=_micro_specs())
+    def test_micro(self, specs):
+        self._assert_same_launch(_micro_db, MICRO_PROCEDURES, specs)
 
     @settings(max_examples=15, deadline=None)
     @given(specs=_bank_specs())

@@ -135,12 +135,10 @@ class TestClassification:
     def test_single_item_type_is_single_shard(self):
         router = HashShardRouter(4)
         assert router.shards_of(DEPOSIT, (6, 10)) == frozenset({2})
-        assert not router.is_cross_shard(DEPOSIT, (6, 10))
 
     def test_pair_type_spans_shards(self):
         router = HashShardRouter(4)
         assert router.shards_of(TRANSFER, (1, 6, 5)) == frozenset({1, 2})
-        assert router.is_cross_shard(TRANSFER, (1, 6, 5))
 
     def test_pair_on_same_shard_is_single_shard(self):
         router = HashShardRouter(4)

@@ -13,14 +13,6 @@ def lib() -> PrimitiveLibrary:
 
 
 class TestSort:
-    def test_sort_pairs_is_stable(self, lib):
-        keys = np.array([2, 1, 2, 1, 0])
-        values = np.array([10, 11, 12, 13, 14])
-        sorted_keys, sorted_values, cost = lib.sort_pairs(keys, values)
-        assert sorted_keys.tolist() == [0, 1, 1, 2, 2]
-        assert sorted_values.tolist() == [14, 11, 13, 10, 12]
-        assert cost > 0
-
     def test_sort_by_composite_orders_lexicographically(self, lib):
         primary = np.array([1, 0, 1, 0])
         secondary = np.array([9, 8, 1, 2])
@@ -31,10 +23,6 @@ class TestSort:
     def test_sort_cost_grows_with_input_and_key_bits(self, lib):
         assert lib.sort_cost(10_000) > lib.sort_cost(1_000)
         assert lib.sort_cost(1_000, key_bits=64) > lib.sort_cost(1_000, key_bits=8)
-
-    def test_mismatched_lengths_rejected(self, lib):
-        with pytest.raises(ConfigError):
-            lib.sort_pairs(np.arange(3), np.arange(4))
 
 
 class TestRadixPartition:
@@ -84,16 +72,6 @@ class TestRadixPartition:
 
 
 class TestScanAndBoundaries:
-    def test_exclusive_scan_matches_numpy(self, lib):
-        values = np.array([3, 1, 4, 1, 5])
-        out, cost = lib.exclusive_scan(values)
-        assert out.tolist() == [0, 3, 4, 8, 9]
-        assert cost > 0
-
-    def test_exclusive_scan_single_element(self, lib):
-        out, _ = lib.exclusive_scan(np.array([42]))
-        assert out.tolist() == [0]
-
     def test_group_boundaries(self, lib):
         keys = np.array([0, 0, 1, 1, 1, 5])
         starts, _ = lib.group_boundaries(keys)

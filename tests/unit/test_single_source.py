@@ -1,8 +1,8 @@
 """Tests that pin the single authoring form (repro.core.backends.lane).
 
-TPC-B, TPC-C and SmallBank write each stored procedure once, as a
-kernel both backends drive. Nothing diffs two forms of those types any
-more, so what could still go wrong is pinned here: a forgotten
+TPC-B, TPC-C, SmallBank and TM1 write each stored procedure once, as
+a kernel both backends drive. Nothing diffs two forms of those types
+any more, so what could still go wrong is pinned here: a forgotten
 ``yield``, a one-lane context drifting from ``WaveContext``'s surface,
 a registration that does not wrap one function, and the two-phase
 check no longer reading a derived stream.
@@ -27,7 +27,10 @@ from repro.gpu import ops as op_ir
 from repro.storage.catalog import StoreAdapter
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc
 
-SINGLE_SOURCE = tpcb.PROCEDURES + tpcc.PROCEDURES + smallbank.PROCEDURES
+SINGLE_SOURCE = (
+    tpcb.PROCEDURES + tpcc.PROCEDURES + smallbank.PROCEDURES
+    + tm1.CLUSTER_PROCEDURES
+)
 
 #: The ops of the kernel surface: each call must be yielded.
 OPS = {
@@ -281,10 +284,12 @@ class TestOneDefinition:
         assert inspect.isgeneratorfunction(kernel)
         assert inspect.isgeneratorfunction(proc.body)
 
-    def test_tm1_and_micro_keep_hand_written_pairs(self):
-        """The independent reference of the equivalence walls: their
-        two forms are two functions (see their module docstrings)."""
-        for proc in tm1.CLUSTER_PROCEDURES + micro.build_procedures(2):
+    def test_micro_keeps_hand_written_pairs(self):
+        """The independent reference of the equivalence walls: micro's
+        two forms are two functions (see its module docstring), for the
+        one-tuple and the pair procedures alike."""
+        procs = micro.build_procedures(2) + micro.build_pair_procedures(2)
+        for proc in procs:
             assert not hasattr(proc.body, "__wrapped__"), proc.name
             assert not hasattr(proc.vector_body, "__wrapped__"), proc.name
             assert not inspect.isgeneratorfunction(proc.vector_body)
@@ -314,8 +319,13 @@ class TestOneDefinition:
                     db, 120, seed=4, theta=0.6
                 ),
             ),
+            (
+                lambda: tm1.build_database(1, subscribers_per_sf=40, seed=4),
+                tm1.PROCEDURES,
+                lambda db: tm1.generate_transactions(db, 120, seed=4),
+            ),
         ],
-        ids=["tpcb", "tpcc", "smallbank"],
+        ids=["tpcb", "tpcc", "smallbank", "tm1"],
     )
     def test_stripping_the_vector_form_runs_the_stream_vectorized(
         self, build_db, procedures, generate

@@ -1,5 +1,7 @@
 """Unit tests for the four benchmark workload definitions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,63 @@ class TestBaseHelpers:
         picks = base.choose_mix(rng, [("a", 90.0), ("b", 10.0)], 5000)
         share_a = picks.count("a") / len(picks)
         assert 0.85 < share_a < 0.95
+
+
+class TestMixChecks:
+    """``base.choose_mix`` owns the mix check, a workload uses an
+    explicit mix as given, and a builder refuses an empty population."""
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            [],
+            [("a", 0.0), ("b", 0.0)],
+            [("a", float("nan")), ("b", 1.0)],
+            [("a", float("inf")), ("b", 1.0)],
+            [("a", -1.0), ("b", 2.0)],
+            [("a", 1e308), ("b", 1e308)],
+        ],
+        ids=["empty", "all-zero", "nan", "inf", "negative", "overflow"],
+    )
+    def test_choose_mix_rejects_bad_mixes(self, mix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mix"):
+                base.choose_mix(base.make_rng(0), mix, 10)
+
+    def test_choose_mix_allows_a_zero_weight(self):
+        picks = base.choose_mix(base.make_rng(0), [("a", 0.0), ("b", 3.0)], 50)
+        assert set(picks) == {"b"}
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda mix: tm1.generate_transactions(
+                tm1.build_database(1, subscribers_per_sf=8), 5, mix=mix
+            ),
+            lambda mix: smallbank.generate_transactions(
+                smallbank.build_database(1, accounts_per_sf=8), 5, mix=mix
+            ),
+            lambda mix: tpcc.generate_transactions(
+                tpcc.build_database(
+                    1, customers_per_district=4, n_items=16,
+                    init_orders_per_district=3,
+                ),
+                5,
+                mix=mix,
+            ),
+        ],
+        ids=["tm1", "smallbank", "tpcc"],
+    )
+    def test_an_explicit_empty_mix_is_not_the_default(self, generate):
+        with pytest.raises(ValueError, match="mix is empty"):
+            generate([])
+
+    def test_builders_reject_an_empty_population(self):
+        with pytest.raises(ValueError, match="subscribers_per_sf"):
+            tm1.build_database(1, subscribers_per_sf=0)
+        with pytest.raises(ValueError, match="accounts_per_sf"):
+            smallbank.build_database(1, accounts_per_sf=0)
 
 
 class TestMicro:
