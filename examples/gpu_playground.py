@@ -10,18 +10,33 @@ generator of micro-ops and launch thousands of threads. This example
 3. reproduces the classic deadlock of the basic 0/1 spin lock
    (Figure 10) and shows the engine detecting it.
 
+The kernels run on the same store the engine uses: a ``Database``
+behind a ``StoreAdapter``.
+
 Run:  python examples/gpu_playground.py
 """
 
 from repro import DeadlockError
-from repro.gpu import DictStore, LockTable, SIMTEngine, ThreadTask, ops
+from repro.gpu import LockTable, SIMTEngine, ThreadTask, ops
+from repro.storage.catalog import Database, StoreAdapter
+from repro.storage.schema import ColumnDef, DataType, TableSchema
+
+
+def one_table_store(table: str, columns: list, n_rows: int) -> StoreAdapter:
+    """A column-store table of ``n_rows`` zero INT64 rows."""
+    db = Database()
+    schema = TableSchema(table, [ColumnDef(c, DataType.INT64) for c in columns])
+    db.create_table(schema, capacity=n_rows).append_rows(
+        [(0,) * len(columns)] * n_rows
+    )
+    return StoreAdapter(db)
 
 
 def main() -> None:
     engine = SIMTEngine()  # a simulated Tesla C1060
 
     # --- 1. a custom kernel ----------------------------------------------
-    store = DictStore({"grid": {"cell": [0] * 1024}})
+    store = one_table_store("grid", ["cell"], 1024)
 
     def life_step(row: int, tag: int):
         def body():
@@ -45,7 +60,7 @@ def main() -> None:
           f"{sum(stats.mem_bytes) // 1024} KiB")
 
     # --- 2. deterministic counter locks ------------------------------------
-    store = DictStore({"t": {"log": [None] * 1, "v": [0]}})
+    store = one_table_store("t", ["v"], 1)
     locks = LockTable(1)
 
     def appender(key: int):
@@ -83,7 +98,7 @@ def main() -> None:
     try:
         engine.launch(
             [ThreadTask(0, 0, embrace(0, 1)), ThreadTask(1, 0, embrace(1, 0))],
-            DictStore({"x": {"y": [0]}}),
+            one_table_store("x", ["y"], 1),
             locks=locks,
         )
     except DeadlockError as exc:

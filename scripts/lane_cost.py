@@ -113,7 +113,7 @@ def _time_once(db, registry, mutating, chunks, driver: str) -> float:
             txn_type.vector_body(ctx)
             ctx.close()
             lane += len(chunk)
-    recorder.merge_steps()
+    recorder.fold_steps()
     return time.perf_counter() - start
 
 

@@ -47,7 +47,7 @@ from repro.core.procedure import ProcedureRegistry
 from repro.core.tdg import TDependencyGraph
 from repro.core.txn import ResultColumns, Transaction
 from repro.cpu.costmodel import CpuCostModel
-from repro.cpu.engine import DEVICE_ATOMICS, run_serial
+from repro.cpu.engine import run_serial
 from repro.cluster.router import ShardRouter
 from repro.errors import ClusterError
 from repro.gpu import ops as op_ir
@@ -56,7 +56,7 @@ from repro.storage.catalog import StoreAdapter
 
 #: Device locks order threads *within* a kernel; the leader pass has
 #: no kernel, so a stream that takes one was mis-routed to it.
-_LEADER_REFUSED = DEVICE_ATOMICS | {op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE}
+_LEADER_REFUSED = frozenset({op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE})
 
 #: Row-handle stride separating shards in the leader's address space.
 _SHARD_ROW_STRIDE = 1 << 32
@@ -320,7 +320,7 @@ class CrossShardCoordinator:
         The leader is the CPU engine: the wave runs through
         :func:`repro.cpu.engine.run_serial` -- ``CpuEngine.execute``'s
         own loop and cost model -- over the cluster-wide store view,
-        refusing device locks on top of the atomics no host pass runs.
+        refusing device locks, which only order threads inside a kernel.
         Shared by both commit paths so their outcomes, store mutations
         and redo capture are identical by construction. Returns the
         timestamp-sorted transactions plus parallel lists of results,

@@ -30,7 +30,7 @@ from typing import Any, Iterable, List, Sequence
 
 from repro.cluster.durability.wal import PHASE_CHECKPOINT, PHASE_WAL_SYNC
 from repro.core.executor import PHASE_TRANSFER_IN, PHASE_TRANSFER_OUT
-from repro.errors import ConfigError
+from repro.errors import check_int
 from repro.gpu.transfer import TransferTimeline
 
 #: Phases that occupy the DMA engine on the way out of a bulk: result
@@ -107,9 +107,7 @@ class PipelineScheduler:
     """Static double-buffer schedule over one DMA + one compute engine."""
 
     def __init__(self, depth: int = 2) -> None:
-        if depth < 1:
-            raise ConfigError("pipeline depth must be >= 1")
-        self.depth = depth
+        self.depth = check_int("pipeline depth", depth, 1)
 
     def overlap(self, timings: Sequence[BulkTiming]) -> PipelineReport:
         """Compute the pipelined makespan of ``timings`` in order."""
@@ -194,10 +192,11 @@ def run_pipelined(
     clock differs, because the schedule slides bulk *k+1*'s input
     transfer underneath bulk *k*'s kernels.
     """
+    scheduler = PipelineScheduler(depth)
     report = PipelinedRunReport(pipeline=None)
     for bulk in bulks:
         engine.submit_many(bulk)
         report.results.append(engine.run_bulk(strategy=strategy, **options))
     timings = [BulkTiming.from_result(r) for r in report.results]
-    report.pipeline = PipelineScheduler(depth).overlap(timings)
+    report.pipeline = scheduler.overlap(timings)
     return report

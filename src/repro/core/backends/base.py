@@ -7,8 +7,9 @@ on the host:
 
 * ``interpreted`` -- the original path: one Python generator per GPU
   thread, stepped op-by-op in warp lockstep by
-  :class:`~repro.gpu.simt.SIMTEngine`. Fully general (locks, atomics,
-  undo logging) but pays Python interpreter cost per op per thread.
+  :class:`~repro.gpu.simt.SIMTEngine`. Fully general (either lock
+  flavour, including the basic 0/1 spin lock; undo logging) but pays
+  Python interpreter cost per op per thread.
   :class:`InterpretedBackend`'s three ``launch_*`` methods are the
   contract every backend meets.
 * ``vectorized`` -- the whole wave's same-procedure transactions

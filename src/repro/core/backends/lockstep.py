@@ -449,7 +449,7 @@ def run_locked_schedule(
                 for t, k in payload:
                     lock, key, shared = plans[t][k]
                     old = int(values[lock])
-                    locks.release_counter(lock, key, shared, True)
+                    locks.release_counter(lock, key, shared)
                     new = int(values[lock])
                     if new != old:
                         wake(lock, new, pos)
@@ -457,7 +457,7 @@ def run_locked_schedule(
                 for t in payload:
                     for lock, key, shared in plans[t]:
                         old = int(values[lock])
-                        locks.release_counter(lock, key, shared, True)
+                        locks.release_counter(lock, key, shared)
                         new = int(values[lock])
                         if new != old:
                             wake(lock, new, pos)
@@ -511,7 +511,7 @@ def run_locked_schedule(
     # steps below are appended whole and need no merging). A type's
     # steps only fragment once threads are granted past a gate.
     if pass_threads:
-        recorder.merge_steps()
+        recorder.fold_steps()
 
     # ---- synthetic lock-op trace events --------------------------------
     # Appended directly (record() would double-bump op_count on

@@ -55,7 +55,7 @@ _ROUND, _WARP, _BRANCH, _KIND, _AMOUNT, _WIDTH, _STEP, _ADDR, _ADDR2, _THREAD = 
     range(10)
 )
 
-_N_KINDS = max(op_ir.VECTORIZABLE_KINDS) + 1
+_N_KINDS = max(op_ir.KIND_NAMES) + 1
 
 #: What one divergence group of each op kind charges: (does it pack
 #: its members' addresses into memory transactions, memory

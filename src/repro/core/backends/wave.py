@@ -477,7 +477,7 @@ class TraceRecorder:
         self.op_count = np.zeros(n_threads, np.int64)
         self.steps: List[Step] = []
         #: Columnar buffers for single-lane records, keyed by the op
-        #: shape (the merge_steps key): each value is the field lists
+        #: shape (the fold_steps key): each value is the field lists
         #: (lanes, rounds, addr, payload, undo, deferred rows) flushed
         #: into one Step per key by :meth:`flush_scalar` (the event
         #: matrix's input) or read as they stand by
@@ -621,7 +621,7 @@ class TraceRecorder:
             ))
         return records
 
-    def merge_steps(self) -> None:
+    def fold_steps(self) -> None:
         """Coalesce steps whose per-step-constant fields all match.
 
         The replay groups events by a pure sort on ``(round, warp,
@@ -701,12 +701,6 @@ class TraceRecorder:
         self.steps = out
 
     def record(self, kind: int, lanes: np.ndarray, branch: Any, **kw: Any) -> None:
-        if kind not in op_ir.VECTORIZABLE_KINDS:
-            raise ValueError(
-                f"op kind {op_ir.KIND_NAMES.get(kind, kind)} has no "
-                "vectorized replay; the wave must fall back to the "
-                "interpreter"
-            )
         if len(lanes) == 0:
             return
         count = self.op_count[lanes]

@@ -48,7 +48,7 @@ from repro.errors import ConfigError, ProcedureError, check_int
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
-from repro.gpu.spec import C1060, GPUSpec
+from repro.gpu.spec import C1060
 from repro.gpu.transfer import PCIeModel
 from repro.storage.catalog import Database, StoreAdapter
 
@@ -144,25 +144,25 @@ class GPUTx(BulkFrontDoor):
         db: Database,
         procedures: Optional[Sequence[TransactionType]] = None,
         *,
-        spec: GPUSpec = C1060,
         block_size: int = 256,
         options: Optional[EngineOptions] = None,
     ) -> None:
         self.db = db
-        self.spec = spec
+        #: The simulated device: always the paper's Tesla C1060.
+        self.spec = C1060
         self.registry = ProcedureRegistry()
         if procedures:
             self.registry.register_many(procedures)
         self.adapter = StoreAdapter(db)
-        self.engine = SIMTEngine(spec, block_size=block_size)
-        self.primitives = PrimitiveLibrary(spec)
-        self.pcie = PCIeModel(spec)
+        self.engine = SIMTEngine(self.spec, block_size=block_size)
+        self.primitives = PrimitiveLibrary(self.spec)
+        self.pcie = PCIeModel(self.spec)
         self.pool = TransactionPool()
         self.results = ResultPool()
         self.profiler = BulkProfiler(self.registry, self.primitives)
         #: Algorithm 1's thresholds for ``strategy="auto"``; assign a
         #: :class:`ChooserThresholds` to tune the chooser.
-        self.thresholds = ChooserThresholds.for_spec(spec)
+        self.thresholds = ChooserThresholds.for_spec(self.spec)
         if options is None:
             options = EngineOptions()
         elif not isinstance(options, EngineOptions):
@@ -206,7 +206,6 @@ class GPUTx(BulkFrontDoor):
                 self.registry.get(name)
                 for name in self.registry.type_names
             ],
-            spec=self.spec,
             block_size=self.engine.block_size,
             options=self.options,
         )

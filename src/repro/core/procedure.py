@@ -11,7 +11,7 @@ combined into a single kernel ... with a switch clause" (Sections 3.1,
   derives ``body`` and ``vector_body`` from it. A hand-written pair --
   ``body``, a generator function emitting micro-ops
   (:mod:`repro.gpu.ops`), plus an optional ``vector_body`` -- is for
-  types that need interpreter-only ops (atomics, basic spin locks) and
+  types that need interpreter-only ops (lock ops of their own) and
   for the equivalence walls' independent reference (micro);
 * the *access function* derives the affected data items from the
   parameters before execution -- the paper's requirement that conflicts

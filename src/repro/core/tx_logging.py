@@ -77,8 +77,7 @@ def validate_two_phase(stream: op_ir.OpStream, feed: Any = 0) -> bool:
             wrote = True
         elif kind == op_ir.ABORT:
             return not wrote
-        if kind in (op_ir.READ, op_ir.INDEX_PROBE, op_ir.ATOMIC_ADD,
-                    op_ir.ATOMIC_CAS, op_ir.INSERT_ROW):
+        if kind in (op_ir.READ, op_ir.INDEX_PROBE, op_ir.INSERT_ROW):
             send = feed
         else:
             send = None

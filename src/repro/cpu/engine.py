@@ -29,14 +29,8 @@ from repro.cpu.costmodel import CpuCostModel
 from repro.errors import ConfigError, ExecutionError
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
-from repro.gpu.spec import CPUSpec, XEON_E5520
+from repro.gpu.spec import XEON_E5520
 from repro.storage.catalog import Database, StoreAdapter
-
-
-#: Raw device atomics have no host-core form, so no serial pass runs
-#: them. A caller may refuse more: the cluster leader also refuses
-#: device locks (``refused=`` below).
-DEVICE_ATOMICS = frozenset({op_ir.ATOMIC_ADD, op_ir.ATOMIC_CAS})
 
 
 def run_stream(
@@ -45,7 +39,7 @@ def run_stream(
     cost: CpuCostModel,
     *,
     who: str,
-    refused: FrozenSet[int] = DEVICE_ATOMICS,
+    refused: FrozenSet[int] = frozenset(),
 ) -> Tuple[float, bool, str, Any]:
     """Run one transaction's op stream to completion on one host core.
 
@@ -125,7 +119,7 @@ def run_serial(
     cost: CpuCostModel,
     *,
     who: str = "transaction",
-    refused: FrozenSet[int] = DEVICE_ATOMICS,
+    refused: FrozenSet[int] = frozenset(),
 ) -> Tuple[List[Transaction], ResultColumns, List[float]]:
     """Run a batch through :func:`run_stream` in timestamp order.
 
@@ -172,19 +166,19 @@ class CpuEngine:
         db: Database,
         procedures: Optional[Sequence[TransactionType]] = None,
         *,
-        spec: CPUSpec = XEON_E5520,
         num_cores: Optional[int] = None,
     ) -> None:
         self.db = db
-        self.spec = spec
-        self.num_cores = num_cores if num_cores is not None else spec.num_cores
+        #: The simulated host: always the paper's Xeon E5520.
+        self.spec = XEON_E5520
+        self.num_cores = XEON_E5520.num_cores if num_cores is None else num_cores
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
         self.registry = ProcedureRegistry()
         if procedures:
             self.registry.register_many(procedures)
         self.adapter = StoreAdapter(db)
-        self.cost = CpuCostModel(spec)
+        self.cost = CpuCostModel(self.spec)
 
     def register(self, txn_type: TransactionType) -> int:
         return self.registry.register(txn_type)

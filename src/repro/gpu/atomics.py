@@ -1,6 +1,7 @@
-"""Atomic counters and spin locks for the simulated device.
+"""Spin locks for the simulated device.
 
-Two lock flavours, exactly as Appendix C of the paper:
+The device's atomics exist here only as the locks GPUTx builds from
+them -- two flavours, exactly as Appendix C of the paper:
 
 * **Basic 0/1 spin lock** (Figure 10): ``atomicCAS(lock, 0, 1)`` in a
   retry loop. Simple, but execution order is non-deterministic and
@@ -27,42 +28,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-
-
-class CounterSpace:
-    """Named arrays of device counters targeted by atomic ops."""
-
-    def __init__(self) -> None:
-        self._arrays: Dict[str, np.ndarray] = {}
-
-    def allocate(self, name: str, size: int, fill: int = 0) -> np.ndarray:
-        if size < 0:
-            raise ConfigError(f"counter space {name!r} size must be >= 0")
-        arr = np.full(size, fill, dtype=np.int64)
-        self._arrays[name] = arr
-        return arr
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
-    def array(self, name: str) -> np.ndarray:
-        try:
-            return self._arrays[name]
-        except KeyError:
-            raise ConfigError(f"unknown counter space {name!r}") from None
-
-    def atomic_add(self, name: str, index: int, value: int) -> int:
-        arr = self.array(name)
-        old = int(arr[index])
-        arr[index] = old + value
-        return old
-
-    def atomic_cas(self, name: str, index: int, compare: int, value: int) -> int:
-        arr = self.array(name)
-        old = int(arr[index])
-        if old == compare:
-            arr[index] = value
-        return old
 
 
 class LockTable:
@@ -103,17 +68,12 @@ class LockTable:
         """True when the lock counter has reached ``key``."""
         return int(self.values[lock_id]) == key
 
-    def release_counter(
-        self, lock_id: int, key: int, shared: bool, advance: bool = True
-    ) -> None:
+    def release_counter(self, lock_id: int, key: int, shared: bool) -> None:
         """Finish the critical section; maybe advance the counter.
 
-        Exclusive holders (writers) advance unconditionally when
-        ``advance``; shared holders decrement the run countdown and the
-        last one advances.
+        Exclusive holders (writers) advance unconditionally; shared
+        holders decrement the run countdown and the last one advances.
         """
-        if not advance:
-            return
         if shared:
             slot = (lock_id, key)
             remaining = self._run_remaining.get(slot, 1) - 1
@@ -124,7 +84,3 @@ class LockTable:
                 self._run_remaining[slot] = remaining
         else:
             self.values[lock_id] += 1
-
-    def reset(self) -> None:
-        self.values[:] = 0
-        self._run_remaining.clear()

@@ -67,25 +67,6 @@ class KernelStats:
         self.atomic_cycles = [0.0] * self.num_sms
         self.resident_warps = list(zeros)
 
-    def merge(self, other: "KernelStats") -> None:
-        """Fold another kernel's stats into this one (sequential launches)."""
-        for i in range(self.num_sms):
-            self.issue_cycles[i] += other.issue_cycles[i]
-            self.mem_transactions[i] += other.mem_transactions[i]
-            self.mem_instructions[i] += other.mem_instructions[i]
-            self.mem_bytes[i] += other.mem_bytes[i]
-            self.atomic_cycles[i] += other.atomic_cycles[i]
-            self.resident_warps[i] = max(
-                self.resident_warps[i], other.resident_warps[i]
-            )
-        self.ops_executed += other.ops_executed
-        self.divergent_serializations += other.divergent_serializations
-        self.spin_iterations += other.spin_iterations
-        self.atomic_conflicts += other.atomic_conflicts
-        self.rounds += other.rounds
-        self.threads_launched += other.threads_launched
-        self.threads_aborted += other.threads_aborted
-
 
 @dataclass(frozen=True)
 class KernelTiming:
@@ -253,9 +234,3 @@ class TimeBreakdown:
         if total <= 0.0:
             return 0.0
         return self.phases.get(phase, 0.0) / total
-
-    def merged(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        out = TimeBreakdown(dict(self.phases))
-        for phase, seconds in other.phases.items():
-            out.add(phase, seconds)
-        return out

@@ -1,10 +1,11 @@
 """Device-memory interface between the SIMT engine and storage.
 
-The simulator is storage-agnostic: any object satisfying
-:class:`DeviceStore` can back a kernel. The storage package provides
-the real column-/row-store adapters; :class:`DictStore` here is a tiny
-reference implementation used by unit tests and examples that exercise
-the simulator directly.
+The simulator never imports storage: it sees a kernel's store only
+through :class:`DeviceStore`. The engine's store is
+:class:`repro.storage.catalog.StoreAdapter` over a ``Database``'s
+column or row store (the cluster leader's host pass wraps several);
+tests and examples that drive the simulator directly use it too, so
+they run on the layout the engine really uses.
 
 Addresses are flat byte offsets in a pretend device address space. The
 cost model only uses them for *coalescing* -- deciding how many 64 B
@@ -17,9 +18,7 @@ column-vs-row result (Appendix F.2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Protocol, Sequence, Tuple
-
-from repro.errors import StorageError
+from typing import Any, List, Protocol, Sequence, Tuple
 
 
 class DeviceStore(Protocol):
@@ -54,109 +53,3 @@ class DeviceStore(Protocol):
 
     def row_width(self, table: str) -> int:
         """Bytes per row (used to charge insert traffic)."""
-
-
-class DictStore:
-    """Minimal in-memory :class:`DeviceStore` for tests and demos.
-
-    Tables are ``{column: list}`` dicts laid out column-major: the
-    address of ``(column, row)`` is ``base(column) + row * width``, so
-    neighbouring rows coalesce -- the same layout the real column store
-    uses.
-    """
-
-    _WIDTH = 8  # pretend every value is a 64-bit word
-
-    def __init__(self, tables: Dict[str, Dict[str, List[Any]]]) -> None:
-        self._tables = tables
-        self._indexes: Dict[str, Dict[Any, int]] = {}
-        self._pending_inserts: Dict[str, List[Sequence[Any]]] = {}
-        self._pending_deletes: Dict[str, List[int]] = {}
-        self._bases: Dict[Tuple[str, str], int] = {}
-        base = 0
-        for tname, columns in sorted(tables.items()):
-            for cname, values in sorted(columns.items()):
-                self._bases[(tname, cname)] = base
-                base += (len(values) + 1024) * self._WIDTH
-
-    # -- functional ----------------------------------------------------
-    def read(self, table: str, column: str, row: int) -> Any:
-        try:
-            return self._tables[table][column][row]
-        except (KeyError, IndexError) as exc:
-            raise StorageError(f"bad read {table}.{column}[{row}]") from exc
-
-    def write(self, table: str, column: str, row: int, value: Any) -> Any:
-        try:
-            col = self._tables[table][column]
-            old = col[row]
-            col[row] = value
-            return old
-        except (KeyError, IndexError) as exc:
-            raise StorageError(f"bad write {table}.{column}[{row}]") from exc
-
-    def create_index(self, name: str, mapping: Dict[Any, int]) -> None:
-        self._indexes[name] = dict(mapping)
-
-    def probe(self, index: str, key: Any) -> int:
-        return self._indexes.get(index, {}).get(key, -1)
-
-    def probe_cost_addresses(self, index: str, key: Any) -> List[Tuple[int, int]]:
-        # A hash probe is roughly two dependent reads; fake bucket address.
-        bucket = hash((index, key)) & 0xFFFFF
-        return [(bucket * self._WIDTH, self._WIDTH), ((bucket + 7) * self._WIDTH, self._WIDTH)]
-
-    def insert(self, table: str, values: Sequence[Any]) -> int:
-        pending = self._pending_inserts.setdefault(table, [])
-        columns = self._tables[table]
-        first = next(iter(columns.values()), [])
-        provisional = len(first) + len(pending)
-        pending.append(list(values))
-        return provisional
-
-    def delete(self, table: str, row: int) -> None:
-        self._pending_deletes.setdefault(table, []).append(row)
-
-    def cancel_insert(self, table: str, row: int) -> None:
-        pending = self._pending_inserts.get(table, [])
-        columns = self._tables[table]
-        first = next(iter(columns.values()), [])
-        pos = row - len(first)
-        if 0 <= pos < len(pending):
-            pending[pos] = None
-
-    def cancel_delete(self, table: str, row: int) -> None:
-        rows = self._pending_deletes.get(table, [])
-        if row in rows:
-            rows.remove(row)
-
-    def apply_batch(self) -> None:
-        """Apply buffered inserts/deletes (post-kernel batched update)."""
-        for table, rows in self._pending_inserts.items():
-            columns = self._tables[table]
-            names = list(columns)
-            for values in rows:
-                if values is None:
-                    continue
-                if len(values) != len(names):
-                    raise StorageError(
-                        f"insert into {table}: {len(values)} values for "
-                        f"{len(names)} columns"
-                    )
-                for cname, value in zip(names, values):
-                    columns[cname].append(value)
-        self._pending_inserts.clear()
-        for table, rows in self._pending_deletes.items():
-            columns = self._tables[table]
-            for row in rows:
-                for col in columns.values():
-                    col[row] = None
-        self._pending_deletes.clear()
-
-    # -- layout --------------------------------------------------------
-    def address_of(self, table: str, column: str, row: int) -> Tuple[int, int]:
-        base = self._bases[(table, column)]
-        return base + row * self._WIDTH, self._WIDTH
-
-    def row_width(self, table: str) -> int:
-        return self._WIDTH * len(self._tables[table])

@@ -17,8 +17,8 @@ The op vocabulary mirrors what the paper's CUDA kernels do:
 * :class:`LockAcquire` / :class:`LockRelease` -- the spin locks of
   Appendix C. With ``key=None`` this is the basic 0/1 spin lock of
   Figure 10 (may deadlock); with an integer key it is the counter-based
-  deterministic lock of Figure 11.
-* :class:`AtomicAdd` / :class:`AtomicCAS` -- raw device atomics.
+  deterministic lock of Figure 11. These are the only atomics a kernel
+  issues.
 * :class:`IndexProbe` -- a hash-index lookup (two dependent memory
   reads' worth of traffic).
 * :class:`InsertRow` / :class:`DeleteRow` -- deferred mutations routed
@@ -30,8 +30,10 @@ The op vocabulary mirrors what the paper's CUDA kernels do:
 
 Each op class carries a small integer ``kind`` used for fast dispatch
 and for warp-divergence detection: threads of one warp whose current
-ops have different ``(kind, tag)`` shapes are serialised, which is how
-branch divergence manifests in the cost model.
+ops differ in ``(branch, kind)`` are serialised, which is how branch
+divergence manifests in the cost model. Memory ops do not diverge on
+*address* (SIMT lanes may touch different addresses in one
+instruction), only on which instruction they sit at.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ COMPUTE = 2
 SFU_COMPUTE = 3
 LOCK_ACQUIRE = 4
 LOCK_RELEASE = 5
-ATOMIC_ADD = 6
-ATOMIC_CAS = 7
 INDEX_PROBE = 8
 INSERT_ROW = 9
 DELETE_ROW = 10
@@ -60,8 +60,6 @@ KIND_NAMES = {
     SFU_COMPUTE: "SFU_COMPUTE",
     LOCK_ACQUIRE: "LOCK_ACQUIRE",
     LOCK_RELEASE: "LOCK_RELEASE",
-    ATOMIC_ADD: "ATOMIC_ADD",
-    ATOMIC_CAS: "ATOMIC_CAS",
     INDEX_PROBE: "INDEX_PROBE",
     INSERT_ROW: "INSERT_ROW",
     DELETE_ROW: "DELETE_ROW",
@@ -75,15 +73,6 @@ class Op:
 
     __slots__ = ()
     kind: int = -1
-
-    def shape(self) -> tuple:
-        """Divergence signature: threads with different shapes serialise.
-
-        The default shape is just the kind; memory ops do not diverge on
-        *address* (SIMT lanes may touch different addresses in one
-        instruction), only on which instruction they sit at.
-        """
-        return (self.kind,)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = KIND_NAMES.get(self.kind, str(self.kind))
@@ -168,43 +157,17 @@ class LockAcquire(Op):
 class LockRelease(Op):
     """Release the spin lock ``lock_id``.
 
-    For counter locks, ``advance`` says whether this release bumps the
-    counter to the next key ("flag == marked" in Figure 11). For a
-    shared reader run the engine maintains a countdown so that exactly
-    the last finishing reader advances the counter.
+    A counter-lock release bumps the counter to the next key ("flag ==
+    marked" in Figure 11). For a shared reader run the engine maintains
+    a countdown so that exactly the last finishing reader advances the
+    counter.
     """
 
-    __slots__ = ("lock_id", "advance")
+    __slots__ = ("lock_id",)
     kind = LOCK_RELEASE
 
-    def __init__(self, lock_id: int, advance: bool = True) -> None:
+    def __init__(self, lock_id: int) -> None:
         self.lock_id = lock_id
-        self.advance = advance
-
-
-class AtomicAdd(Op):
-    """``atomicAdd`` on a named counter space; result is the old value."""
-
-    __slots__ = ("space", "index", "value")
-    kind = ATOMIC_ADD
-
-    def __init__(self, space: str, index: int, value: int) -> None:
-        self.space = space
-        self.index = index
-        self.value = value
-
-
-class AtomicCAS(Op):
-    """``atomicCAS`` on a named counter space; result is the old value."""
-
-    __slots__ = ("space", "index", "compare", "value")
-    kind = ATOMIC_CAS
-
-    def __init__(self, space: str, index: int, compare: int, value: int) -> None:
-        self.space = space
-        self.index = index
-        self.compare = compare
-        self.value = value
 
 
 class IndexProbe(Op):
@@ -274,27 +237,3 @@ class SetBranch(Op):
 
 #: Type alias for a stored procedure body: a generator over micro-ops.
 OpStream = Generator[Op, Any, None]
-
-#: Op kinds the vectorized execution backend can express and replay
-#: exactly (repro.core.backends). Raw-atomic ops (AtomicAdd/AtomicCAS)
-#: and the basic 0/1 spin lock stay interpreter-only: their outcomes
-#: depend on CAS races the closed form cannot predict. Counter locks
-#: (LOCK_ACQUIRE with a key, LOCK_RELEASE) *are* vectorizable: the
-#: rank gates make every pass round a deterministic function of the
-#: release schedule, which the lockstep scheduler
-#: (repro.core.backends.lockstep) derives in closed form.
-VECTORIZABLE_KINDS = frozenset(
-    {
-        READ,
-        WRITE,
-        COMPUTE,
-        SFU_COMPUTE,
-        LOCK_ACQUIRE,
-        LOCK_RELEASE,
-        INDEX_PROBE,
-        INSERT_ROW,
-        DELETE_ROW,
-        ABORT,
-        SET_BRANCH,
-    }
-)

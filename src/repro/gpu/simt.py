@@ -8,11 +8,12 @@ yielding micro-ops (:mod:`repro.gpu.ops`); the engine
   round-robin,
 * steps every live warp once per *round*, executing at most one op per
   thread per round,
-* serialises threads of one warp that sit on different op shapes
+* serialises threads of one warp that sit on different ops
   (branch divergence, Appendix A),
 * lets spin locks really spin: a failed acquire leaves the thread on
   the same op and burns issue cycles next round,
-* serialises conflicting atomics to the same address,
+* serialises atomic RMWs that hit the same word (a lock, an insert
+  buffer's tail),
 * coalesces each warp-group memory access into 64 B transactions,
 * detects deadlock: a full round in which no thread makes progress
   while some are blocked (this is how the basic 0/1-lock TPL of
@@ -41,7 +42,7 @@ from repro.errors import (
     check_int,
 )
 from repro.gpu import ops as op_ir
-from repro.gpu.atomics import CounterSpace, LockTable
+from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import GpuCostModel, KernelStats, KernelTiming
 from repro.gpu.memory import DeviceStore
 from repro.gpu.spec import C1060, GPUSpec
@@ -49,7 +50,6 @@ from repro.gpu.spec import C1060, GPUSpec
 #: Pretend base address of the lock table in device memory (only used
 #: for coalescing accounting; any constant clear of table data works).
 _LOCK_SPACE_BASE = 1 << 48
-_COUNTER_SPACE_BASE = 1 << 49
 
 
 @dataclass
@@ -180,20 +180,6 @@ class KernelReport:
         return self.outcomes.aborted_count()
 
 
-def _apply_atomic(
-    counters: Optional[CounterSpace], op: Any, txn_id: int
-) -> int:
-    """Apply one ``AtomicAdd`` / ``AtomicCAS`` and return the old value."""
-    if counters is None:
-        raise ExecutionError(
-            f"transaction {txn_id} issued an atomic on counter space "
-            f"{op.space!r}, but the launch has no CounterSpace"
-        )
-    if op.kind == op_ir.ATOMIC_ADD:
-        return counters.atomic_add(op.space, op.index, op.value)
-    return counters.atomic_cas(op.space, op.index, op.compare, op.value)
-
-
 class _Thread:
     """Mutable per-thread interpreter state."""
 
@@ -268,7 +254,6 @@ class SIMTEngine:
         store: DeviceStore,
         *,
         locks: Optional[LockTable] = None,
-        counters: Optional[CounterSpace] = None,
     ) -> KernelReport:
         """Run all tasks as one kernel; return stats/timing/outcomes."""
         spec = self.spec
@@ -308,7 +293,7 @@ class SIMTEngine:
                         warps[w] = warps[-1]
                         warps.pop()
                         continue
-                    adv, blk = self._step_warp(live, sm, stats, store, locks, counters)
+                    adv, blk = self._step_warp(live, sm, stats, store, locks)
                     progressed = progressed or adv
                     blocked += blk
                     alive -= sum(1 for t in live if t.done)
@@ -358,7 +343,7 @@ class SIMTEngine:
                 if key is None:
                     self._locks.release_basic(lock_id)
                 else:
-                    self._locks.release_counter(lock_id, key, shared, advance=True)
+                    self._locks.release_counter(lock_id, key, shared)
             thread.held.clear()
 
     def _step_warp(
@@ -368,21 +353,19 @@ class SIMTEngine:
         stats: KernelStats,
         store: DeviceStore,
         locks: Optional[LockTable],
-        counters: Optional[CounterSpace],
     ) -> Tuple[bool, int]:
         """Execute one round of a warp; return (progressed, blocked)."""
         self._locks = locks  # used by _finish for auto-release
-        groups: Dict[tuple, List[_Thread]] = {}
+        groups: Dict[Tuple[int, int], List[_Thread]] = {}
         for t in live:
-            groups.setdefault((t.branch,) + t.op.shape(), []).append(t)
+            groups.setdefault((t.branch, t.op.kind), []).append(t)
         if len(groups) > 1:
             stats.divergent_serializations += len(groups) - 1
 
         cost = self.cost
         progressed = False
         blocked = 0
-        for shape, members in groups.items():
-            kind = shape[1]
+        for (_branch, kind), members in groups.items():
             if kind == op_ir.LOCK_ACQUIRE:
                 acquired = 0
                 addrs = [_LOCK_SPACE_BASE + t.op.lock_id * 8 for t in members]
@@ -477,7 +460,7 @@ class SIMTEngine:
                     if key is None:
                         locks.release_basic(op.lock_id)
                     else:
-                        locks.release_counter(op.lock_id, key, shared, op.advance)
+                        locks.release_counter(op.lock_id, key, shared)
                     self._advance(t, None)
                 # The release is an atomic RMW on the lock word.
                 ntx = cost.coalesce(addrs, 8)
@@ -485,22 +468,6 @@ class SIMTEngine:
                 stats.mem_instructions[sm] += 1
                 stats.mem_bytes[sm] += ntx * self.spec.memory_transaction_bytes
                 stats.issue_cycles[sm] += cost.issue_plain()
-            elif kind in (op_ir.ATOMIC_ADD, op_ir.ATOMIC_CAS):
-                per_slot: Dict[Tuple[str, int], int] = {}
-                for t in members:
-                    op = t.op
-                    old = _apply_atomic(counters, op, t.task.txn_id)
-                    slot = (op.space, op.index)
-                    per_slot[slot] = per_slot.get(slot, 0) + 1
-                    self._advance(t, old)
-                stats.issue_cycles[sm] += cost.issue_plain()
-                stats.mem_instructions[sm] += 1
-                for (space, index), count in per_slot.items():
-                    stats.mem_transactions[sm] += 1
-                    stats.mem_bytes[sm] += self.spec.memory_transaction_bytes
-                    if count > 1:
-                        stats.atomic_cycles[sm] += cost.atomic_serialization(count)
-                        stats.atomic_conflicts += count - 1
             elif kind == op_ir.INDEX_PROBE:
                 addrs: List[int] = []
                 width = 8
@@ -579,7 +546,6 @@ class SIMTEngine:
         tasks: Sequence[ThreadTask],
         store: DeviceStore,
         *,
-        counters: Optional[CounterSpace] = None,
         per_task_launch_overhead: bool = True,
     ) -> KernelReport:
         """Ad-hoc execution baseline (Section 6.3).
@@ -624,10 +590,6 @@ class SIMTEngine:
                     old = store.write(op.table, op.column, op.row, op.value)
                     if task.capture_undo:
                         thread.undo.append((op.table, op.column, op.row, old))
-                    stats.mem_transactions[0] += 1
-                    stats.mem_bytes[0] += spec.memory_transaction_bytes
-                elif kind == op_ir.ATOMIC_ADD or kind == op_ir.ATOMIC_CAS:
-                    send = _apply_atomic(counters, op, task.txn_id)
                     stats.mem_transactions[0] += 1
                     stats.mem_bytes[0] += spec.memory_transaction_bytes
                 elif kind == op_ir.COMPUTE:

@@ -23,7 +23,7 @@ Sources for the numbers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -132,11 +132,6 @@ class CPUSpec:
         if not 0.0 <= self.cache_hit_ratio <= 1.0:
             raise ConfigError("cache_hit_ratio must be within [0, 1]")
 
-    @property
-    def effective_ops_per_s_per_core(self) -> float:
-        """Scalar op throughput of one core (clock x IPC factor)."""
-        return self.clock_hz * self.superscalar_factor
-
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count on this device to seconds."""
         return cycles / self.clock_hz
@@ -150,16 +145,3 @@ XEON_E5520 = CPUSpec()
 #: quoted from dell.com, Nov-15 2010).
 GPU_PRICE_USD = 1699.00
 CPU_PRICE_USD = 649.00
-
-
-@dataclass(frozen=True)
-class MachineSpec:
-    """The full evaluation machine: one GPU + one CPU + prices."""
-
-    gpu: GPUSpec = field(default_factory=GPUSpec)
-    cpu: CPUSpec = field(default_factory=CPUSpec)
-    gpu_price_usd: float = GPU_PRICE_USD
-    cpu_price_usd: float = CPU_PRICE_USD
-
-
-PAPER_MACHINE = MachineSpec()

@@ -31,10 +31,6 @@ class TransferLedger:
             self.seconds_by_component.get(component, 0.0) + seconds
         )
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds_by_component.values())
-
 
 @dataclass
 class TransferTimeline:

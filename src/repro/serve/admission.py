@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.cluster.router import ShardRouter
 from repro.core.procedure import ProcedureRegistry
 from repro.core.txn import Transaction, TransactionPool
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 from repro.serve.stream import Arrival
 
 
@@ -71,31 +71,28 @@ class AdmissionController:
         tenant_quotas: Optional[Dict[str, int]] = None,
         record_admitted: bool = False,
     ) -> None:
-        if max_pending < 1:
-            raise ConfigError("max_pending must be >= 1")
+        max_pending = check_int("max_pending", max_pending, 1)
         if max_pending_per_shard is not None:
-            if max_pending_per_shard < 1:
-                raise ConfigError("max_pending_per_shard must be >= 1")
+            max_pending_per_shard = check_int(
+                "max_pending_per_shard", max_pending_per_shard, 1
+            )
             if router is None or registry is None:
                 raise ConfigError(
                     "per-shard admission limits need a router and a "
                     "procedure registry to route arrivals"
                 )
         if tenant_quotas is not None:
-            for tenant, quota in tenant_quotas.items():
-                if not tenant:
-                    raise ConfigError("tenant names must be non-empty")
-                if quota < 1:
-                    raise ConfigError(
-                        f"tenant {tenant!r} quota must be >= 1"
-                    )
+            if not all(tenant_quotas):
+                raise ConfigError("tenant names must be non-empty")
+            tenant_quotas = {
+                tenant: check_int(f"tenant {tenant!r} quota", quota, 1)
+                for tenant, quota in tenant_quotas.items()
+            }
         self.max_pending = max_pending
         self.max_pending_per_shard = max_pending_per_shard
         self.router = router
         self.registry = registry
-        self.tenant_quotas = (
-            dict(tenant_quotas) if tenant_quotas is not None else None
-        )
+        self.tenant_quotas = tenant_quotas
         self.stats = AdmissionStats()
         #: Admitted transactions in admission (= timestamp) order, kept
         #: only when asked: the scenario verifiers replay this log

@@ -142,7 +142,7 @@ def _typed(value):
 
 def _columns(recorder):
     """The flushed, merged steps as comparable plain values."""
-    recorder.merge_steps()
+    recorder.fold_steps()
 
     def arr(a):
         return None if a is None else (str(np.asarray(a).dtype), np.asarray(a).tolist())
@@ -242,11 +242,11 @@ def test_the_cases_cover_every_type_and_mutation():
 @pytest.mark.parametrize(
     "op, match",
     [
-        (op_ir.AtomicAdd("counter", 0, 1), "ATOMIC_ADD"),
+        (op_ir.LockAcquire(0, key=0), "LOCK_ACQUIRE runs only on the interpreter"),
         (op_ir.Write(micro.TABLE, "value", HANDLE_BASE, 1.0), "non-mutating"),
         (op_ir.InsertRow(micro.TABLE, (4, 0.0, 0)), "'odd' inserts into .* vector_inserts"),
     ],
-    ids=["atomic", "handle-write", "undeclared-insert"],
+    ids=["lock", "handle-write", "undeclared-insert"],
 )
 def test_what_a_lane_cannot_express_is_refused(op, match):
     def body():

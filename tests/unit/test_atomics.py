@@ -1,40 +1,9 @@
-"""Unit tests for atomic counters and the two spin-lock flavours."""
+"""Unit tests for the two spin-lock flavours."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpu.atomics import CounterSpace, LockTable
-
-
-class TestCounterSpace:
-    def test_atomic_add_returns_old_value(self):
-        cs = CounterSpace()
-        cs.allocate("c", 4)
-        assert cs.atomic_add("c", 0, 5) == 0
-        assert cs.atomic_add("c", 0, 2) == 5
-        assert cs.array("c")[0] == 7
-
-    def test_atomic_cas_swaps_only_on_match(self):
-        cs = CounterSpace()
-        cs.allocate("c", 1)
-        assert cs.atomic_cas("c", 0, 0, 9) == 0   # success
-        assert cs.array("c")[0] == 9
-        assert cs.atomic_cas("c", 0, 0, 5) == 9   # failure: no change
-        assert cs.array("c")[0] == 9
-
-    def test_unknown_space_raises(self):
-        with pytest.raises(ConfigError):
-            CounterSpace().atomic_add("nope", 0, 1)
-
-    def test_allocation_with_fill(self):
-        cs = CounterSpace()
-        arr = cs.allocate("f", 3, fill=7)
-        assert list(arr) == [7, 7, 7]
-        assert "f" in cs
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ConfigError):
-            CounterSpace().allocate("bad", -1)
+from repro.gpu.atomics import LockTable
 
 
 class TestBasicLock:
@@ -66,11 +35,6 @@ class TestCounterLock:
         locks.release_counter(0, 0, shared=False)
         assert locks.try_pass_counter(0, 1)
 
-    def test_release_without_advance_keeps_counter(self):
-        locks = LockTable(1)
-        locks.release_counter(0, 0, shared=False, advance=False)
-        assert locks.try_pass_counter(0, 0)
-
     def test_reader_run_advances_only_when_all_done(self):
         # Three readers share rank 2 on lock 0 ("flag == marked"
         # semantics: the last finisher bumps the counter).
@@ -87,14 +51,6 @@ class TestCounterLock:
     def test_invalid_run_size_rejected(self):
         with pytest.raises(ConfigError):
             LockTable(1).set_run_size(0, 0, 0)
-
-    def test_reset_clears_counters_and_runs(self):
-        locks = LockTable(2)
-        locks.set_run_size(0, 0, 2)
-        locks.values[1] = 5
-        locks.reset()
-        assert locks.values[1] == 0
-        assert locks.try_pass_counter(1, 0)
 
     def test_negative_table_size_rejected(self):
         with pytest.raises(ConfigError):

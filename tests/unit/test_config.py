@@ -154,7 +154,7 @@ class TestOptionSurfaceIsPinned:
     @pytest.mark.parametrize(
         "cls, arguments",
         [
-            (GPUTx, {"db", "procedures", "spec", "block_size", "options"}),
+            (GPUTx, {"db", "procedures", "block_size", "options"}),
             (
                 ClusterTx,
                 {"db", "procedures", "n_shards", "router", "options"},

@@ -125,21 +125,6 @@ class TestResolve:
         assert cost.resolve(stats).cycles == pytest.approx(150.0)
 
 
-class TestKernelStatsMerge:
-    def test_merge_accumulates(self):
-        a = KernelStats(num_sms=2)
-        b = KernelStats(num_sms=2)
-        a.issue_cycles[0] = 5.0
-        b.issue_cycles[0] = 7.0
-        a.ops_executed = 3
-        b.ops_executed = 4
-        b.resident_warps[1] = 9
-        a.merge(b)
-        assert a.issue_cycles[0] == 12.0
-        assert a.ops_executed == 7
-        assert a.resident_warps[1] == 9
-
-
 class TestTimeBreakdown:
     def test_add_and_total(self):
         td = TimeBreakdown()
@@ -151,10 +136,3 @@ class TestTimeBreakdown:
 
     def test_fraction_of_empty_breakdown_is_zero(self):
         assert TimeBreakdown().fraction("anything") == 0.0
-
-    def test_merged_keeps_sources_intact(self):
-        a = TimeBreakdown({"x": 1.0})
-        b = TimeBreakdown({"x": 2.0, "y": 3.0})
-        c = a.merged(b)
-        assert c.phases == {"x": 3.0, "y": 3.0}
-        assert a.phases == {"x": 1.0}

@@ -1,10 +1,13 @@
 """Unit tests for the double-buffered bulk pipeline scheduler."""
 
+import numpy as np
 import pytest
 
+from repro import GPUTx, run_pipelined
 from repro.cluster.pipeline import BulkTiming, PipelineScheduler
 from repro.errors import ConfigError
 from repro.gpu.transfer import TransferTimeline
+from tests.conftest import BANK_PROCEDURES, build_bank_db
 
 
 def timing(t_in, compute, t_out):
@@ -92,3 +95,24 @@ class TestPipelineScheduler:
     def test_invalid_depth_rejected(self):
         with pytest.raises(ConfigError):
             PipelineScheduler(depth=0)
+
+    @pytest.mark.parametrize("depth", [float("nan"), 1.5, True, "2"])
+    def test_depth_must_be_an_int(self, depth):
+        # NaN used to read every buffer slot as free; 1.5 raised a bare
+        # TypeError from overlap().
+        with pytest.raises(ConfigError, match="pipeline depth"):
+            PipelineScheduler(depth=depth)
+
+    def test_numpy_depth_is_accepted(self):
+        assert PipelineScheduler(depth=np.int64(3)).depth == 3
+
+
+class TestRunPipelined:
+    def test_bad_depth_is_rejected_before_anything_runs(self):
+        # The depth used to be checked only after every bulk had run.
+        engine = GPUTx(build_bank_db(), procedures=BANK_PROCEDURES)
+        bulks = [[("deposit", (i, 5)) for i in range(8)]] * 3
+        with pytest.raises(ConfigError, match="pipeline depth"):
+            run_pipelined(engine, bulks, depth=0)
+        assert len(engine.pool) == 0
+        assert list(engine.results) == []

@@ -1,5 +1,6 @@
 """Unit tests for admission control: bounded queues and backpressure."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.router import HashShardRouter
@@ -61,6 +62,25 @@ class TestGlobalBound:
         with pytest.raises(ConfigError):
             AdmissionController(max_pending=0)
 
+    @pytest.mark.parametrize("limit", [float("nan"), 2.5, True, "8"])
+    def test_max_pending_must_be_an_int(self, limit):
+        # NaN split the two paths (offer admitted every arrival,
+        # offer_batch shed every one); 2.5 raised a TypeError mid-run.
+        with pytest.raises(ConfigError, match="max_pending"):
+            AdmissionController(max_pending=limit)
+
+    @pytest.mark.parametrize("quota", [float("nan"), 1.5, True, 0])
+    def test_tenant_quota_must_be_a_positive_int(self, quota):
+        with pytest.raises(ConfigError, match="tenant 'a' quota"):
+            AdmissionController(tenant_quotas={"a": quota})
+
+    def test_numpy_limits_are_normalised(self):
+        controller = AdmissionController(
+            max_pending=np.int64(4), tenant_quotas={"a": np.int32(2)}
+        )
+        assert type(controller.max_pending) is int
+        assert type(controller.tenant_quotas["a"]) is int
+
 
 class TestPerShardBound:
     def make(self, registry, per_shard=2):
@@ -100,6 +120,11 @@ class TestPerShardBound:
         assert controller.shard_depth(0) == 0
         assert controller.shard_depth(1) == 0
         assert controller.offer(deposit(4), pool)
+
+    @pytest.mark.parametrize("per_shard", [float("nan"), 1.5, True])
+    def test_per_shard_limit_must_be_an_int(self, registry, per_shard):
+        with pytest.raises(ConfigError, match="max_pending_per_shard"):
+            self.make(registry, per_shard=per_shard)
 
     def test_per_shard_needs_router_and_registry(self, registry):
         with pytest.raises(ConfigError):

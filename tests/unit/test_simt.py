@@ -6,16 +6,27 @@ import pytest
 from repro import GPUTx
 from repro.errors import ConfigError, DeadlockError, ExecutionError
 from repro.gpu import ops
-from repro.gpu.atomics import CounterSpace, LockTable
-from repro.gpu.memory import DictStore
+from repro.gpu.atomics import LockTable
 from repro.gpu.simt import SIMTEngine, ThreadTask, warp_layout
 from repro.gpu.spec import C1060
+from repro.storage.catalog import Database, StoreAdapter
+from repro.storage.schema import ColumnDef, DataType, TableSchema
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db
 
 
-def make_store(n_rows: int = 64) -> DictStore:
-    return DictStore({"t": {"v": [0] * n_rows, "w": [0] * n_rows}})
+def make_store(n_rows: int = 64) -> StoreAdapter:
+    """One column-store table ``t(v, w)`` of zeros, behind the adapter
+    every engine launches on."""
+    db = Database()
+    schema = TableSchema(
+        "t", [ColumnDef("v", DataType.INT64), ColumnDef("w", DataType.INT64)]
+    )
+    zeros = np.zeros(n_rows, dtype=np.int64)
+    db.create_table(schema, capacity=n_rows).append_columns(
+        {"v": zeros, "w": zeros.copy()}
+    )
+    return StoreAdapter(db)
 
 
 def increment(row: int, compute: int = 2):
@@ -269,88 +280,6 @@ class TestLocks:
             SIMTEngine().launch(
                 [ThreadTask(0, 0, bad())], store, locks=LockTable(1)
             )
-
-
-class TestAtomics:
-    def test_atomic_add_old_values_unique(self):
-        store = make_store()
-        counters = CounterSpace()
-        counters.allocate("seq", 1)
-
-        def claim():
-            def body():
-                slot = yield ops.AtomicAdd("seq", 0, 1)
-                return slot
-
-            return body()
-
-        tasks = [ThreadTask(i, 0, claim()) for i in range(40)]
-        report = SIMTEngine().launch(tasks, store, counters=counters)
-        slots = sorted(o.result for o in report.outcomes)
-        assert slots == list(range(40))
-        assert report.stats.atomic_conflicts > 0
-
-    def test_atomic_cas_one_winner(self):
-        store = make_store()
-        counters = CounterSpace()
-        counters.allocate("flag", 1)
-
-        def race():
-            def body():
-                old = yield ops.AtomicCAS("flag", 0, 0, 1)
-                return old == 0
-
-            return body()
-
-        tasks = [ThreadTask(i, 0, race()) for i in range(32)]
-        report = SIMTEngine().launch(tasks, store, counters=counters)
-        winners = sum(1 for o in report.outcomes if o.result)
-        assert winners == 1
-
-
-    @staticmethod
-    def claims(n):
-        def body():
-            slot = yield ops.AtomicAdd("seq", 0, 1)
-            return slot
-
-        return [ThreadTask(i, 0, body()) for i in range(n)]
-
-    @pytest.mark.parametrize("serial", [False, True], ids=["warp", "serial"])
-    def test_both_paths_apply_atomics(self, serial):
-        """Regression: ``launch_serial`` accepted ``counters=`` but never
-        read it -- three claims returned ``None`` and left the counter
-        at 0."""
-        counters = CounterSpace()
-        counters.allocate("seq", 1)
-        engine = SIMTEngine()
-        launch = engine.launch_serial if serial else engine.launch
-        report = launch(self.claims(3), make_store(), counters=counters)
-        assert [o.result for o in report.outcomes] == [0, 1, 2]
-        assert counters.array("seq").tolist() == [3]
-
-    def test_serial_atomic_costs_a_memory_transaction(self):
-        counters = CounterSpace()
-        counters.allocate("seq", 1)
-        claim = SIMTEngine().launch_serial(
-            self.claims(1), make_store(), counters=counters
-        )
-
-        def read():
-            yield ops.Read("t", "v", 0)
-
-        plain = SIMTEngine().launch_serial(
-            [ThreadTask(0, 0, read())], make_store()
-        )
-        assert claim.stats.mem_transactions[0] == 1
-        assert claim.seconds == plain.seconds
-
-    @pytest.mark.parametrize("serial", [False, True], ids=["warp", "serial"])
-    def test_an_atomic_without_counters_names_the_transaction(self, serial):
-        engine = SIMTEngine()
-        launch = engine.launch_serial if serial else engine.launch
-        with pytest.raises(ExecutionError, match="transaction 0 .*'seq'"):
-            launch(self.claims(1), make_store())
 
 
 class TestAbortAndUndo:

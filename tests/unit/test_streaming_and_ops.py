@@ -1,4 +1,4 @@
-"""Tests for streaming K-SET deferral, pool requeue, and op shapes."""
+"""Tests for streaming K-SET deferral, pool requeue, and the op IR."""
 
 import pytest
 
@@ -10,15 +10,6 @@ from tests.conftest import BANK_PROCEDURES, build_bank_db, serial_oracle_state
 
 
 class TestOpShapes:
-    def test_default_shape_is_kind(self):
-        assert ops.Read("t", "c", 0).shape() == (ops.READ,)
-        assert ops.Write("t", "c", 0, 1).shape() == (ops.WRITE,)
-        assert ops.Compute(5).shape() == (ops.COMPUTE,)
-
-    def test_same_kind_different_address_same_shape(self):
-        # SIMT lanes touching different addresses do not diverge.
-        assert ops.Read("t", "c", 0).shape() == ops.Read("u", "d", 9).shape()
-
     def test_kind_names_cover_all_kinds(self):
         for name in dir(ops):
             obj = getattr(ops, name)
