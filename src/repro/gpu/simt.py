@@ -578,6 +578,10 @@ class SIMTEngine:
                     thread.result = stop.value
                     thread.done = True
                     break
+                except Exception as exc:
+                    raise ExecutionError(
+                        f"transaction {task.txn_id} raised {exc!r}"
+                    ) from exc
                 send = None
                 stats.ops_executed += 1
                 kind = op.kind

@@ -184,6 +184,28 @@ class TestStoreAdapter:
         old = adapter.write("acct", "balance", 0, 150)
         assert old == 100
 
+    def test_bad_read_raises(self):
+        adapter = StoreAdapter(build_db())
+        with pytest.raises(StorageError):
+            adapter.read("acct", "nope", 0)
+        with pytest.raises(StorageError):
+            adapter.read("acct", "balance", 77)
+
+    def test_column_addresses_contiguous_and_columns_apart(self):
+        adapter = StoreAdapter(build_db("column"))
+        a0, width = adapter.address_of("acct", "balance", 0)
+        a1, _ = adapter.address_of("acct", "balance", 1)
+        b0, _ = adapter.address_of("acct", "owner", 0)
+        assert a1 - a0 == width
+        assert b0 != a0
+
+    def test_static_map_probe_costs_two_dependent_words(self):
+        adapter = StoreAdapter(build_db())
+        (base, w0), (second, w1) = adapter.probe_cost_addresses("alias", "first")
+        assert (w0, w1) == (8, 8)
+        assert second == base + 8
+        assert adapter.probe_cost_addresses("alias", "first") == [(base, 8), (second, 8)]
+
     def test_probe_unique_multi_and_static(self):
         adapter = StoreAdapter(build_db())
         assert adapter.probe("acct_pk", 30) == 2

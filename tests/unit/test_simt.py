@@ -162,6 +162,28 @@ class TestDivergence:
         report = SIMTEngine().launch(tasks, store)
         assert report.stats.divergent_serializations > 0
 
+    def test_different_kinds_in_one_branch_diverge(self):
+        # A warp groups its lanes by (branch, op kind): lanes of one
+        # branch whose next ops differ in kind are serialized too.
+        def reader(row):
+            def body():
+                yield ops.Read("t", "v", row)
+
+            return body()
+
+        def computer():
+            def body():
+                yield ops.Compute(4)
+
+            return body()
+
+        tasks = [
+            ThreadTask(i, 0, reader(i) if i % 2 else computer())
+            for i in range(32)
+        ]
+        report = SIMTEngine().launch(tasks, make_store())
+        assert report.stats.divergent_serializations > 0
+
     def test_more_branches_more_divergence(self):
         def run(n_types: int) -> int:
             def tagged(row, tag):
@@ -370,3 +392,37 @@ class TestSerialLaunch:
         store = make_store()
         report = SIMTEngine().launch_serial([ThreadTask(0, 0, failing())], store)
         assert report.aborted_count == 1
+
+    def test_serial_access_costs_one_memory_transaction(self):
+        def touch():
+            value = yield ops.Read("t", "v", 0)
+            yield ops.Write("t", "w", 0, value + 1)
+
+        report = SIMTEngine().launch_serial([ThreadTask(0, 0, touch())], make_store())
+        assert report.stats.mem_transactions[0] == 2
+        assert report.stats.mem_bytes[0] == 2 * C1060.memory_transaction_bytes
+
+
+class TestBothLaunchPaths:
+    """The warp-stepped launch and the serial (ad-hoc) launch answer a
+    transaction's ops the same way."""
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["warp", "serial"])
+    def test_both_paths_apply_read_modify_writes(self, serial):
+        engine = SIMTEngine()
+        launch = engine.launch_serial if serial else engine.launch
+        store = make_store()
+        report = launch([ThreadTask(i, 0, increment(i)) for i in range(3)], store)
+        assert [o.result for o in report.outcomes] == [1, 1, 1]
+        assert [store.read("t", "v", r) for r in range(4)] == [1, 1, 1, 0]
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["warp", "serial"])
+    def test_a_raising_body_names_the_transaction(self, serial):
+        def bad():
+            yield ops.Read("t", "v", 0)
+            raise ValueError("boom")
+
+        engine = SIMTEngine()
+        launch = engine.launch_serial if serial else engine.launch
+        with pytest.raises(ExecutionError, match="transaction 7 raised .*boom"):
+            launch([ThreadTask(7, 0, bad())], make_store())
