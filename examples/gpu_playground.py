@@ -17,7 +17,9 @@ Run:  python examples/gpu_playground.py
 """
 
 from repro import DeadlockError
-from repro.gpu import LockTable, SIMTEngine, ThreadTask, ops
+from repro.gpu import ops
+from repro.gpu.atomics import LockTable
+from repro.gpu.simt import SIMTEngine, ThreadTask
 from repro.storage.catalog import Database, StoreAdapter
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 

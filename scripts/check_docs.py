@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Keep the documentation executable and internally consistent.
 
-Two checks over ``README.md`` and ``docs/*.md``, and one over the
+Three checks over ``README.md`` and ``docs/*.md``, and one over the
 docstrings of ``src/repro``:
 
 1. **Doctests** -- every fenced code block containing ``>>>`` examples
@@ -12,7 +12,13 @@ docstrings of ``src/repro``:
 2. **Intra-repo links** -- every relative markdown link target must
    exist on disk (http(s)/mailto/anchor links are skipped), so a
    renamed file breaks CI instead of leaving dead links.
-3. **Docstring citations** (default run only, not with explicit
+3. **Dotted references** -- every backticked ``repro.…`` path must
+   resolve: its longest importable prefix is imported and the rest is
+   looked up with ``getattr``, so a doc cannot name a path that is
+   gone. A migration note is exempt, since naming the old path is its
+   point: a paragraph starting ``Migration:`` or a bullet containing
+   ``->``. Fenced code blocks are left to the doctests.
+4. **Docstring citations** (default run only, not with explicit
    ``files``) -- every ``*.md`` file a docstring under ``src/repro``
    names must exist in the repo, so source comments cannot keep
    pointing at a document that was never written or was deleted.
@@ -29,6 +35,7 @@ from __future__ import annotations
 import ast
 import doctest
 import glob
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -40,6 +47,10 @@ _LINK = re.compile(r"\[[^\]\[]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 _OPTIONFLAGS = doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE
 #: A markdown file named in prose, with or without a directory part.
 _MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+#: A backticked dotted path into the package.
+_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)")
+#: The first line of a list item.
+_BULLET = re.compile(r"^\s*(?:[-*+]|\d+\.)\s")
 
 
 def fenced_blocks(text: str) -> List[Tuple[int, str]]:
@@ -97,6 +108,66 @@ def check_links(path: Path) -> List[str]:
     return problems
 
 
+def prose_units(text: str) -> List[Tuple[int, str]]:
+    """(first line number, text) of every paragraph and list item
+    outside fenced code blocks; a list item runs to the next item or
+    blank line."""
+    units: List[Tuple[int, str]] = []
+    current: List[str] = []
+    start = 0
+    in_fence = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fence = bool(_FENCE.match(line))
+        in_fence ^= fence
+        prose = not (fence or in_fence or not line.strip())
+        if not prose or _BULLET.match(line):
+            if current:
+                units.append((start, "\n".join(current)))
+            current = []
+        if not prose:
+            continue
+        if not current:
+            start = lineno
+        current.append(line)
+    if current:
+        units.append((start, "\n".join(current)))
+    return units
+
+
+def resolves(reference: str) -> bool:
+    """Whether a dotted ``repro.…`` path names something that exists."""
+    parts = reference.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def check_references(path: Path) -> List[str]:
+    """Backticked ``repro.…`` paths of ``path`` that do not resolve,
+    outside migration notes."""
+    problems = []
+    for lineno, unit in prose_units(path.read_text(encoding="utf-8")):
+        if unit.lstrip().startswith("Migration:") or (
+            _BULLET.match(unit) and "->" in unit
+        ):
+            continue
+        for match in _REFERENCE.finditer(unit):
+            if not resolves(match.group(1)):
+                line = lineno + unit.count("\n", 0, match.start())
+                problems.append(
+                    f"{path}:{line}: unresolved reference {match.group(1)}"
+                )
+    return problems
+
+
 def check_docstring_citations(src_root: Path, repo_root: Path) -> List[str]:
     """``*.md`` names in docstrings under ``src_root`` that match no
     markdown file of the repo (by trailing path components)."""
@@ -147,6 +218,7 @@ def main(argv: List[str]) -> int:
             1 for _ln, body in fenced_blocks(path.read_text()) if ">>>" in body
         )
         problems.extend(check_links(path))
+        problems.extend(check_references(path))
     for problem in problems:
         print(problem)
     print(

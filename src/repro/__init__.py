@@ -18,7 +18,7 @@ Quick start::
 """
 
 from repro.cluster.coordinator import FailoverController
-from repro.cluster.durability import DurabilityConfig, RecoveryReport
+from repro.cluster.durability.failover import DurabilityConfig, RecoveryReport
 from repro.cluster.elastic import (
     ElasticConfig,
     ElasticController,

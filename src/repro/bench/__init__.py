@@ -1,6 +1,1 @@
 """Benchmark harness: one experiment per paper figure/table."""
-
-from repro.bench.figures import ALL_FIGURES
-from repro.bench.harness import FigureResult, save_result, scaled
-
-__all__ = ["ALL_FIGURES", "FigureResult", "save_result", "scaled"]

@@ -4,7 +4,7 @@ Two series, in the style of the figure reproductions:
 
 * ``durability_overhead`` -- TM1 cluster throughput under per-shard
   WAL replication and copy-on-write checkpoints, swept over the two
-  knobs of :class:`~repro.cluster.durability.DurabilityConfig`:
+  knobs of :class:`~repro.cluster.durability.failover.DurabilityConfig`:
   checkpoint interval (shorter = more checkpoint bytes shipped, less
   WAL to replay on failure) and replica count (the primary's single
   copy engine serialises the K feeds, so replication time is linear
@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.bench.harness import FigureResult, scaled
-from repro.cluster.durability import DurabilityConfig, PHASE_CHECKPOINT, PHASE_WAL_SYNC
+from repro.cluster.durability.failover import DurabilityConfig
+from repro.cluster.durability.wal import PHASE_CHECKPOINT, PHASE_WAL_SYNC
 from repro.cluster.runtime import ClusterTx
 from repro.config import ClusterOptions
 from repro.workloads import tm1

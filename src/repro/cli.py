@@ -52,7 +52,7 @@ def _migrate_demo(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     import repro.telemetry as telemetry
-    from repro.cluster.durability import DurabilityConfig
+    from repro.cluster.durability.failover import DurabilityConfig
     from repro.cluster.elastic import MigrationPlan
     from repro.cluster.runtime import ClusterTx
     from repro.config import ClusterOptions

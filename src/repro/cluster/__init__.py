@@ -3,74 +3,9 @@
 Scales the single-device GPUTx engine to N simulated GPUs: a
 :class:`~repro.cluster.router.ShardRouter` partitions the database,
 :class:`~repro.cluster.runtime.ClusterTx` executes single-shard waves
-in parallel and cross-shard waves through a serial leader pass, and
+in parallel and, by default, conflict-partitions each cross-shard wave
+into groups that run on their home shards in parallel (the serial
+leader pass is the ``cross_shard="serial"`` baseline), and
 :class:`~repro.cluster.pipeline.PipelineScheduler` overlaps PCIe
 transfer of one bulk with kernel execution of the previous one.
 """
-
-from repro.cluster.coordinator import (
-    ClusterStoreAdapter,
-    CoordinatorResult,
-    CrossShardCoordinator,
-    FailoverController,
-    KillOrder,
-)
-from repro.cluster.durability import (
-    ClusterDurability,
-    DurabilityConfig,
-    RecoveryReport,
-    ReplicaSet,
-    ShardDurability,
-    ShardWAL,
-    WalRecord,
-)
-from repro.cluster.partition import key_space_of, partition_database
-from repro.cluster.pipeline import (
-    BulkTiming,
-    PipelineReport,
-    PipelineScheduler,
-    PipelinedRunReport,
-    run_pipelined,
-)
-from repro.cluster.router import (
-    HashShardRouter,
-    RangeShardRouter,
-    ShardRouter,
-    make_router,
-    replica_placement,
-)
-from repro.cluster.runtime import (
-    ClusterExecutionResult,
-    ClusterTx,
-    WaveReport,
-)
-
-__all__ = [
-    "BulkTiming",
-    "ClusterDurability",
-    "ClusterExecutionResult",
-    "ClusterStoreAdapter",
-    "ClusterTx",
-    "CoordinatorResult",
-    "CrossShardCoordinator",
-    "DurabilityConfig",
-    "FailoverController",
-    "HashShardRouter",
-    "KillOrder",
-    "PipelineReport",
-    "PipelineScheduler",
-    "PipelinedRunReport",
-    "RangeShardRouter",
-    "RecoveryReport",
-    "ReplicaSet",
-    "ShardDurability",
-    "ShardRouter",
-    "ShardWAL",
-    "WalRecord",
-    "WaveReport",
-    "key_space_of",
-    "make_router",
-    "partition_database",
-    "replica_placement",
-    "run_pipelined",
-]

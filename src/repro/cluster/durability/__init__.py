@@ -15,59 +15,3 @@ execution, so a physical redo log replayed in order reproduces the
 exact store state -- no quiescing, no cross-shard coordination on
 recovery.
 """
-
-from repro.cluster.durability.checkpoint import (
-    Checkpoint,
-    CheckpointManager,
-    take_checkpoint,
-)
-from repro.cluster.durability.failover import (
-    ClusterDurability,
-    DurabilityConfig,
-    RecoveryReport,
-    Replica,
-    ReplicaSet,
-    ShardDurability,
-)
-from repro.cluster.durability.replay import (
-    ReplayStats,
-    recover_database,
-    replay_records,
-    states_identical,
-)
-from repro.cluster.durability.wal import (
-    LEADER_STRATEGY,
-    PARALLEL_STRATEGY,
-    PHASE_CHECKPOINT,
-    PHASE_RECOVERY,
-    PHASE_WAL_SYNC,
-    RedoRecorder,
-    ShardWAL,
-    WalRecord,
-    outcomes_of,
-)
-
-__all__ = [
-    "Checkpoint",
-    "CheckpointManager",
-    "ClusterDurability",
-    "DurabilityConfig",
-    "LEADER_STRATEGY",
-    "PARALLEL_STRATEGY",
-    "PHASE_CHECKPOINT",
-    "PHASE_RECOVERY",
-    "PHASE_WAL_SYNC",
-    "RecoveryReport",
-    "RedoRecorder",
-    "Replica",
-    "ReplicaSet",
-    "ReplayStats",
-    "ShardDurability",
-    "ShardWAL",
-    "WalRecord",
-    "outcomes_of",
-    "recover_database",
-    "replay_records",
-    "states_identical",
-    "take_checkpoint",
-]

@@ -55,6 +55,12 @@ class Checkpoint:
         return db
 
 
+def fork_bytes(db: Database) -> int:
+    """Bytes a copy-on-write fork of ``db`` writes: one 24-byte column
+    descriptor per column, independent of row count."""
+    return sum(24 * len(t.schema.columns) for t in db.tables.values())
+
+
 def take_checkpoint(shard: int, db: Database, lsn: int, bulk_id: int) -> Checkpoint:
     """Snapshot ``db`` (a shard partition) at WAL position ``lsn``."""
     nbytes = sum(t.host_bytes() for t in db.tables.values())

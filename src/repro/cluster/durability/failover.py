@@ -25,8 +25,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import repro.telemetry as telemetry
-from repro.cluster.durability.checkpoint import Checkpoint, CheckpointManager
-from repro.cluster.durability.replay import recover_database
+from repro.cluster.durability.checkpoint import (
+    Checkpoint,
+    CheckpointManager,
+    fork_bytes,
+)
+from repro.cluster.durability.replay import ReplayStats, recover_database
 from repro.cluster.durability.wal import RedoRecorder, ShardWAL, WalRecord
 from repro.cluster.router import replica_placement
 from repro.core.txn import ResultColumns
@@ -238,6 +242,27 @@ class ShardDurability:
         return wait
 
     # ------------------------------------------------------------------
+    def _read_durable(
+        self,
+    ) -> Tuple[Checkpoint, Database, ReplayStats, List[float]]:
+        """The one durable read: the newest checkpoint with its WAL
+        suffix replayed on a fork of it, and the interconnect seconds
+        each replayed record costs. Defined only at a wave boundary."""
+        if self.recorder.entries:
+            raise DurabilityError(
+                f"shard {self.shard} has redo entries not sealed into "
+                "its WAL; commit the wave or discard them "
+                "(recorder.cut()) first"
+            )
+        checkpoint = self.checkpoints.latest
+        records = self.wal.suffix(checkpoint.lsn)
+        db, stats = recover_database(checkpoint, records)
+        record_seconds = [
+            self.pcie.transfer_seconds(record.record_bytes())
+            for record in records
+        ]
+        return checkpoint, db, stats, record_seconds
+
     def durable_snapshot(self) -> Tuple[Database, int, float, float]:
         """Materialise the shard's current durable state off to the side.
 
@@ -253,23 +278,9 @@ class ShardDurability:
         property checkpoints are built on); the tail replay pays the
         same per-record interconnect cost promotion charges.
         """
-        if self.recorder.entries:
-            raise DurabilityError(
-                f"shard {self.shard} has unsealed redo entries; a "
-                "durable snapshot is only defined at a wave boundary"
-            )
-        checkpoint = self.checkpoints.latest
-        records = self.wal.suffix(checkpoint.lsn)
-        db, _stats = recover_database(checkpoint, records)
-        fork_bytes = sum(
-            24 * len(table.schema.columns) for table in db.tables.values()
-        )
-        fork_seconds = self.pcie.transfer_seconds(fork_bytes)
-        replay_seconds = sum(
-            self.pcie.transfer_seconds(record.record_bytes())
-            for record in records
-        )
-        return db, len(records), fork_seconds, replay_seconds
+        _checkpoint, db, _stats, record_seconds = self._read_durable()
+        fork_seconds = self.pcie.transfer_seconds(fork_bytes(db))
+        return db, len(record_seconds), fork_seconds, sum(record_seconds)
 
     def promote(self) -> Tuple[Database, RecoveryReport]:
         """Restore the newest checkpoint and replay the WAL suffix.
@@ -279,24 +290,13 @@ class ShardDurability:
         the simulated recovery cost: the checkpoint image and the WAL
         suffix both cross the interconnect to the promoted device.
         """
-        if self.recorder.entries:
-            raise DurabilityError(
-                f"shard {self.shard} has uncommitted redo entries; "
-                "discard them (recorder.cut()) before promoting"
-            )
-        checkpoint = self.checkpoints.latest
-        records = self.wal.suffix(checkpoint.lsn)
-        db, stats = recover_database(checkpoint, records)
+        checkpoint, db, stats, record_seconds = self._read_durable()
         # ``seconds`` keeps the historical accumulation order (restore
-        # first, then each record) so recovery cost is bit-stable; the
-        # restore/replay decomposition is accumulated alongside.
+        # first, then each record) so recovery cost is bit-stable.
         restore_seconds = self.pcie.transfer_seconds(checkpoint.nbytes)
         seconds = restore_seconds
-        replay_seconds = 0.0
-        for record in records:
-            record_seconds = self.pcie.transfer_seconds(record.record_bytes())
-            seconds += record_seconds
-            replay_seconds += record_seconds
+        for one in record_seconds:
+            seconds += one
         self.promotions += 1
         report = RecoveryReport(
             shard=self.shard,
@@ -309,7 +309,7 @@ class ShardDurability:
             replayed_entries=stats.entries,
             seconds=seconds,
             restore_seconds=restore_seconds,
-            replay_seconds=replay_seconds,
+            replay_seconds=sum(record_seconds),
         )
         return db, report
 

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Mapping, Optional
 import numpy as np
 
 import repro.telemetry as telemetry
+from repro.cluster.durability.checkpoint import fork_bytes
 from repro.cluster.durability.wal import MIGRATION_STRATEGY, PHASE_MIGRATION
 from repro.core.txn import ResultColumns
 from repro.errors import ClusterError, ConfigError, check_int
@@ -290,11 +291,7 @@ class ShardMigrator:
             # state; fork it directly (still COW, still metadata-only).
             snapshot = src_engine.db.fork()
             tail_records = 0
-            fork_bytes = sum(
-                24 * len(t.schema.columns)
-                for t in snapshot.tables.values()
-            )
-            fork_s = src_engine.pcie.transfer_seconds(fork_bytes)
+            fork_s = src_engine.pcie.transfer_seconds(fork_bytes(snapshot))
             replay_s = 0.0
 
         # 2. Extract the migrating rows from the snapshot and move

@@ -28,20 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Sequence
 
-from repro.cluster.durability.wal import PHASE_CHECKPOINT, PHASE_WAL_SYNC
-from repro.core.executor import PHASE_TRANSFER_IN, PHASE_TRANSFER_OUT
+from repro.core.executor import PHASE_TRANSFER_IN
 from repro.errors import check_int
+from repro.gpu.costmodel import DMA_PHASES
 from repro.gpu.transfer import TransferTimeline
-
-#: Phases that occupy the DMA engine on the way out of a bulk: result
-#: copies, WAL replication, checkpoint ships, and the cross-shard
-#: coordinator's sync hops + group-dispatch batches all ride the
-#: interconnect, so the pipeline can slide them under the next bulk's
-#: kernels just like ordinary output transfers. ("sync" matches
-#: :data:`repro.cluster.runtime.PHASE_SYNC`; a literal avoids the
-#: import cycle with the cluster runtime.)
-_DMA_OUT_PHASES = (PHASE_TRANSFER_OUT, PHASE_WAL_SYNC, PHASE_CHECKPOINT,
-                   "sync")
 
 
 @dataclass(frozen=True)
@@ -63,12 +53,17 @@ class BulkTiming:
         Everything that is not interconnect work (generation,
         execution, profiling, coordination) occupies the compute
         engine and cannot overlap with this bulk's own transfers.
-        Durability traffic -- WAL replication and checkpoint ships --
-        is DMA work and drains with the output copies.
+        Every other :data:`~repro.gpu.costmodel.DMA_PHASES` entry --
+        WAL replication, checkpoint ships, a mid-bulk migration, the
+        coordinator's sync hops -- is DMA work and drains with the
+        output copies.
         """
         phases = result.breakdown.phases
         t_in = phases.get(PHASE_TRANSFER_IN, 0.0)
-        t_out = sum(phases.get(p, 0.0) for p in _DMA_OUT_PHASES)
+        t_out = sum(
+            seconds for phase, seconds in phases.items()
+            if phase in DMA_PHASES and phase != PHASE_TRANSFER_IN
+        )
         return cls(
             transfer_in_s=t_in,
             compute_s=max(0.0, result.seconds - t_in - t_out),

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.procedure import TransactionType
-from repro.errors import ClusterError, ConfigError
+from repro.errors import ClusterError, ConfigError, check_int
 
 #: One row of a range table: keys in ``[lo, hi)`` belong to ``shard``.
 RangeEntry = Tuple[int, int, int]
@@ -56,9 +56,7 @@ class ShardRouter:
     kind = "base"
 
     def __init__(self, n_shards: int) -> None:
-        if n_shards < 1:
-            raise ConfigError("n_shards must be >= 1")
-        self.n_shards = n_shards
+        self.n_shards = check_int("n_shards", n_shards, 1)
 
     # ------------------------------------------------------------------
     def shard_of_key(self, key: Any) -> int:
@@ -164,9 +162,8 @@ class RangeShardRouter(ShardRouter):
 
     def __init__(self, n_shards: int, key_space: int) -> None:
         super().__init__(n_shards)
-        if key_space < 1:
-            raise ConfigError("key_space must be >= 1")
-        self.key_space = key_space
+        n_shards = self.n_shards
+        self.key_space = key_space = check_int("key_space", key_space, 1)
         #: bumped on every table swap; serving-layer consumers can use
         #: it to detect that routing changed under them.
         self.table_version = 0

@@ -80,7 +80,7 @@ from repro.core.txn import (
     TransactionPool,
 )
 from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
-from repro.gpu.costmodel import TimeBreakdown
+from repro.gpu.costmodel import DMA_PHASES, TimeBreakdown
 from repro.storage.catalog import Database
 
 #: Breakdown phases specific to the cluster runtime.
@@ -909,7 +909,7 @@ class ClusterTx(BulkFrontDoor):
             session.tracer.phase(
                 phase,
                 seconds,
-                track="dma" if phase in telemetry.DMA_PHASES else None,
+                track="dma" if phase in DMA_PHASES else None,
             )
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.core.txn import (
     ResultColumns, ResultPool, Transaction, TransactionPool,
 )
 from repro.errors import ConfigError, ProcedureError, check_int
-from repro.gpu.costmodel import TimeBreakdown
+from repro.gpu.costmodel import DMA_PHASES, TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
 from repro.gpu.spec import C1060
@@ -283,9 +283,9 @@ class GPUTx(BulkFrontDoor):
             profile_seconds = profile.gen_seconds
             options = _filter_options(chosen, options, self._warned_options)
         executor = self.make_executor(chosen, **options)
-        # Executors driven directly (simulate_arrivals, make_executor
-        # callers) launch outside this method: drop their launches so
-        # the label below covers this bulk only.
+        # Executors driven directly (make_executor callers) launch
+        # outside this method: drop their launches so the label below
+        # covers this bulk only.
         self.backend.bulk_path()
         wall_start = time.perf_counter()
         result = executor.execute(transactions, ops)
@@ -328,7 +328,7 @@ class GPUTx(BulkFrontDoor):
             deferred=len(result.deferred),
         )
         for phase, seconds in result.breakdown.phases.items():
-            track = tracer.dma_track if phase in telemetry.DMA_PHASES else None
+            track = tracer.dma_track if phase in DMA_PHASES else None
             if phase != PHASE_EXECUTION or not result.kernel_reports:
                 tracer.phase(phase, seconds, track=track)
                 continue
@@ -402,7 +402,9 @@ class GPUTx(BulkFrontDoor):
         boundary (or as soon as the GPU frees up, whichever is later)
         every arrived-but-unexecuted transaction forms a bulk. The
         response time of a transaction is bulk-finish-time minus its
-        arrival time.
+        arrival time. Each bulk runs through :meth:`execute_bulk`, so
+        ``strategy`` may be ``"auto"`` and a transaction streaming
+        K-SET defers waits in the pool for a later bulk.
         """
         # ``not x > 0``, not ``x <= 0``: a NaN must not pass. The rate may
         # be infinite (everything arrives at 0); the interval may not.
@@ -411,7 +413,7 @@ class GPUTx(BulkFrontDoor):
                 "arrival rate must be positive and interval positive and "
                 f"finite, got {arrival_rate_tps!r} and {interval_s!r}"
             )
-        executor = self.make_executor(strategy, **options)
+        validate_strategy_options(strategy, options)
         n = len(transactions)
         arrive = [i / arrival_rate_tps for i in range(n)]
         submitted = 0
@@ -432,17 +434,19 @@ class GPUTx(BulkFrontDoor):
             batch = self.pool.take()
             if not batch:
                 continue
-            result = executor.execute(
-                batch, OpArray.of_bulk(self.registry, batch)
-            )
-            self.results.record_many(result.results)
+            result = self.execute_bulk(batch, strategy, **options)
             clock += result.seconds
             bulk_sizes.append(len(batch))
+            # Streaming K-SET defers part of the bulk back into the
+            # pool: only what came back has finished.
+            deferred = {txn.txn_id for txn in result.deferred}
             for txn in batch:
+                if txn.txn_id in deferred:
+                    continue
                 response = clock - txn.submit_time
                 total_response += response
                 max_response = max(max_response, response)
-            executed += len(batch)
+            executed += len(batch) - len(deferred)
         # Throughput is measured from the first bulk boundary (when the
         # engine starts processing) to the last bulk's completion --
         # the steady-state view of the paper's long-running runs, not

@@ -1,21 +1,1 @@
 """Bulk execution strategies: TPL, PART, K-SET, ad-hoc, relaxed."""
-
-from repro.core.strategies.adhoc import AdhocExecutor
-from repro.core.strategies.kset_exec import KsetExecutor
-from repro.core.strategies.part import PartExecutor
-from repro.core.strategies.relaxed import (
-    RelaxedKsetExecutor,
-    RelaxedPartExecutor,
-    RelaxedTplExecutor,
-)
-from repro.core.strategies.tpl import TplExecutor
-
-__all__ = [
-    "AdhocExecutor",
-    "KsetExecutor",
-    "PartExecutor",
-    "RelaxedKsetExecutor",
-    "RelaxedPartExecutor",
-    "RelaxedTplExecutor",
-    "TplExecutor",
-]

@@ -1,6 +1,1 @@
 """CPU counterpart: H-Store-style partitioned execution engine."""
-
-from repro.cpu.costmodel import CpuCostModel
-from repro.cpu.engine import CpuEngine, CpuExecutionResult
-
-__all__ = ["CpuCostModel", "CpuEngine", "CpuExecutionResult"]

@@ -26,7 +26,7 @@ from repro.core.executor import PHASE_EXECUTION
 from repro.core.procedure import ProcedureRegistry, TransactionType
 from repro.core.txn import BulkOutcome, ResultColumns, Transaction
 from repro.cpu.costmodel import CpuCostModel
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError, check_int
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.spec import XEON_E5520
@@ -171,9 +171,10 @@ class CpuEngine:
         self.db = db
         #: The simulated host: always the paper's Xeon E5520.
         self.spec = XEON_E5520
-        self.num_cores = XEON_E5520.num_cores if num_cores is None else num_cores
-        if self.num_cores < 1:
-            raise ConfigError("num_cores must be >= 1")
+        self.num_cores = (
+            XEON_E5520.num_cores if num_cores is None
+            else check_int("num_cores", num_cores, 1)
+        )
         self.registry = ProcedureRegistry()
         if procedures:
             self.registry.register_many(procedures)

@@ -215,6 +215,18 @@ class GpuCostModel:
         )
 
 
+#: Breakdown phases that ride the interconnect (DMA) rather than the
+#: device: the input and output copies, WAL replication, checkpoint
+#: ships, a mid-bulk migration and the cross-shard coordinator's sync
+#: hops. The pipeline slides the outbound ones under the next bulk's
+#: kernels, the serve metrics count them as transfer and the trace
+#: exporter lays them on the DMA track.
+DMA_PHASES = frozenset(
+    {"transfer_in", "transfer_out", "wal_sync", "checkpoint", "migration",
+     "sync"}
+)
+
+
 @dataclass
 class TimeBreakdown:
     """Named phase timings for a bulk execution (Figures 5, 12, 17)."""

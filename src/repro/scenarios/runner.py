@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.durability import DurabilityConfig
+from repro.cluster.durability.failover import DurabilityConfig
 from repro.cluster.elastic import MigrationPlan, MigrationReport
 from repro.cluster.runtime import ClusterExecutionResult, ClusterTx
 from repro.config import ClusterOptions

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.gpu.costmodel import TimeBreakdown
+from repro.gpu.costmodel import DMA_PHASES, TimeBreakdown
 from repro.telemetry.metrics import percentile as percentile  # noqa: PLC0414
 from repro.telemetry.metrics import summarize
 # (``percentile`` is re-exported: this module's is, and must remain, the
@@ -33,12 +33,6 @@ from repro.telemetry.metrics import summarize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
     from repro.serve.admission import AdmissionStats
-
-#: Breakdown phases that ride the interconnect rather than the device.
-TRANSFER_PHASES = frozenset(
-    {"transfer_in", "transfer_out", "wal_sync", "checkpoint", "migration",
-     "sync"}
-)
 
 #: Component keys of the latency breakdown.
 QUEUE, EXECUTION, TRANSFER, TOTAL = "queue", "execution", "transfer", "total"
@@ -181,6 +175,6 @@ def split_service(breakdown: TimeBreakdown) -> "tuple[float, float]":
     transfer = sum(
         seconds
         for phase, seconds in breakdown.phases.items()
-        if phase in TRANSFER_PHASES
+        if phase in DMA_PHASES
     )
     return max(0.0, breakdown.total - transfer), transfer

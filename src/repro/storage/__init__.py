@@ -1,22 +1,1 @@
 """In-memory storage: column/row tables, indexes, catalog, buffers."""
-
-from repro.storage.buffer import MutationJournal
-from repro.storage.catalog import Database, StoreAdapter
-from repro.storage.column_store import ColumnTable
-from repro.storage.index import HashIndex, MultiHashIndex
-from repro.storage.row_store import RowTable
-from repro.storage.schema import ColumnDef, DataType, TableSchema, schema_dict
-
-__all__ = [
-    "MutationJournal",
-    "Database",
-    "StoreAdapter",
-    "ColumnTable",
-    "RowTable",
-    "HashIndex",
-    "MultiHashIndex",
-    "ColumnDef",
-    "DataType",
-    "TableSchema",
-    "schema_dict",
-]

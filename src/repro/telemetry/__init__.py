@@ -51,7 +51,6 @@ from repro.telemetry.trace import (
     CAT_PHASE,
     CAT_SPAN,
     CAT_WAVE,
-    DMA_PHASES,
     Span,
     Tracer,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "CAT_PHASE",
     "CAT_SPAN",
     "CAT_WAVE",
-    "DMA_PHASES",
     "Counter",
     "Gauge",
     "Histogram",

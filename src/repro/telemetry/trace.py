@@ -34,20 +34,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: Breakdown phases that ride the interconnect (DMA) rather than the
-#: device; the exporter lays them on a dedicated trace track.
-DMA_PHASES = frozenset(
-    {
-        "transfer_in",
-        "transfer_out",
-        "wal_sync",
-        "checkpoint",
-        "replication",
-        "migration",
-        "sync",
-    }
-)
-
 #: Span categories (the ``cat`` field of exported trace events).
 CAT_BULK = "bulk"
 CAT_PHASE = "phase"

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import ClusterTx, GPUTx
+from repro import ClusterTx, CpuEngine, GPUTx, TransactionPool
 from repro.errors import ConfigError, ProcedureError, RegistrationError
-from repro.workloads import micro, tpcb
+from repro.workloads import micro, smallbank, tpcb
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db, deadline
 
@@ -200,6 +200,35 @@ class TestArrivalSimulation:
         # Empty boundaries produced no bulks: far fewer bulks than the
         # elapsed span contains interval boundaries.
         assert len(report.bulk_sizes) <= 5
+
+    def test_deferred_transactions_run_in_a_later_bulk(self):
+        """Regression: streaming K-SET's deferred transactions were
+        counted as executed but never requeued, so they were lost."""
+        db = smallbank.build_database(scale_factor=1)
+        specs = smallbank.generate_transactions(db, 400, seed=5, theta=1.2)
+        engine = GPUTx(db, procedures=smallbank.PROCEDURES)
+        report = engine.simulate_arrivals(
+            specs, 1e6, 1e-4, strategy="kset", max_rounds=1
+        )
+        assert report.executed == len(engine.results) == len(specs)
+        assert len(engine.pool) == 0
+        # Deferral happened: a deferred transaction rode a second bulk.
+        assert sum(report.bulk_sizes) > len(specs)
+        baseline = smallbank.build_database(scale_factor=1)
+        pool = TransactionPool()
+        CpuEngine(baseline, procedures=smallbank.PROCEDURES, num_cores=1).execute(
+            [pool.submit(name, params) for name, params in specs]
+        )
+        assert engine.db.logical_state() == baseline.logical_state()
+
+    def test_auto_strategy_runs(self):
+        engine = self.make_engine()
+        report = engine.simulate_arrivals(
+            self.workload(200), arrival_rate_tps=2e6, interval_s=1e-4,
+            strategy="auto",
+        )
+        assert report.executed == len(engine.results) == 200
+        assert sum(report.bulk_sizes) == 200
 
 
 class TestSubmitMany:

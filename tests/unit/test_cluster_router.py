@@ -8,6 +8,7 @@ from repro.cluster.router import (
     RangeShardRouter,
     make_router,
 )
+from repro.cluster.runtime import ClusterTx
 from repro.errors import ClusterError, ConfigError
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
@@ -48,6 +49,20 @@ class TestRouters:
             HashShardRouter(0)
         with pytest.raises(ConfigError):
             RangeShardRouter(2, key_space=0)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, float("nan"), True], ids=["float", "nan", "bool"]
+    )
+    def test_non_integer_sizes_rejected(self, value):
+        """Regression: a float or NaN shard count raised a raw TypeError
+        while partitioning, and True built a cluster of "True" shards."""
+        with pytest.raises(ConfigError, match="n_shards must be an int"):
+            HashShardRouter(value)
+        with pytest.raises(ConfigError, match="n_shards must be an int"):
+            ClusterTx(build_bank_db(8), procedures=BANK_PROCEDURES,
+                      n_shards=value)
+        with pytest.raises(ConfigError, match="key_space must be an int"):
+            RangeShardRouter(2, key_space=value)
 
     def test_make_router_specs(self):
         assert make_router("hash", 4).kind == "hash"

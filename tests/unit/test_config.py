@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from repro.cluster.durability import DurabilityConfig
+from repro.cluster.durability.failover import DurabilityConfig
 from repro.cluster.elastic import ElasticConfig
 from repro.cluster.runtime import ClusterTx
 from repro.config import ClusterOptions

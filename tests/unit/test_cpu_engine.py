@@ -91,6 +91,15 @@ class TestCpuEngine:
         with pytest.raises(ConfigError):
             CpuEngine(build_bank_db(2), num_cores=0)
 
+    @pytest.mark.parametrize(
+        "cores", [2.5, float("nan"), True], ids=["float", "nan", "bool"]
+    )
+    def test_non_integer_core_count_rejected(self, cores):
+        """Regression: a float or NaN core count raised a raw TypeError
+        inside execute, and True ran on "True" cores."""
+        with pytest.raises(ConfigError, match="num_cores must be an int"):
+            CpuEngine(build_bank_db(2), num_cores=cores)
+
     def test_throughput_reporting(self):
         db = build_bank_db(8)
         engine = CpuEngine(db, procedures=BANK_PROCEDURES)

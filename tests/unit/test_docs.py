@@ -2,10 +2,11 @@
 
 ``scripts/check_docs.py`` backs the CI docs lane: fenced ``>>>``
 examples in README.md and docs/*.md must run under doctest,
-intra-repo links must resolve, and source docstrings may only name
-markdown files that exist. These tests pin the checker's
-behaviour on synthetic inputs and run the real documentation through
-it so a drifted example fails tier-1 locally, not just in CI.
+intra-repo links and backticked ``repro.…`` paths must resolve, and
+source docstrings may only name markdown files that exist. These tests
+pin the checker's behaviour on synthetic inputs and run the real
+documentation through it so a drifted example fails tier-1 locally,
+not just in CI.
 """
 
 import importlib.util
@@ -74,6 +75,24 @@ class TestCheckerMechanics:
         problems = check_docs.check_docstring_citations(src, tmp_path)
         assert len(problems) == 1
         assert "GONE.md" in problems[0]
+
+    def test_unresolved_reference_detected(self, tmp_path):
+        if str(REPO_ROOT / "src") not in sys.path:
+            sys.path.insert(0, str(REPO_ROOT / "src"))
+        doc = tmp_path / "refs.md"
+        doc.write_text(
+            "Real: `repro.GPUTx`, `repro.gpu.spec.C1060` and\n"
+            "`repro.cluster.elastic.COOLDOWN_BULKS`; gone:\n"
+            "`repro.gpu.C1060`.\n\n"
+            "* `repro.core.GPUTx` -> `repro.GPUTx` (a migration bullet)\n"
+            "* a plain bullet naming `repro.core.TxnResult`\n\n"
+            "Migration: `repro.core.ResultColumns` went.\n\n"
+            "```\n`repro.core.Fenced`\n```\n"
+        )
+        assert check_docs.check_references(doc) == [
+            f"{doc}:3: unresolved reference repro.gpu.C1060",
+            f"{doc}:6: unresolved reference repro.core.TxnResult",
+        ]
 
     def test_main_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.md"

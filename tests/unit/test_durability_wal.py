@@ -9,20 +9,20 @@ epochs, pipeline DMA phases, engine rebuild).
 import numpy as np
 import pytest
 
-from repro.cluster.durability import (
-    CheckpointManager,
-    DurabilityConfig,
-    RedoRecorder,
-    ReplicaSet,
-    ShardWAL,
-    take_checkpoint,
-)
+from repro.cluster.durability.checkpoint import CheckpointManager, take_checkpoint
+from repro.cluster.durability.failover import DurabilityConfig, ReplicaSet
 from repro.cluster.durability.replay import (
     recover_database,
     replay_records,
     states_identical,
 )
-from repro.cluster.durability.wal import PHASE_CHECKPOINT, PHASE_WAL_SYNC
+from repro.cluster.durability.wal import (
+    PHASE_CHECKPOINT,
+    PHASE_MIGRATION,
+    PHASE_WAL_SYNC,
+    RedoRecorder,
+    ShardWAL,
+)
 from repro.cluster.router import replica_placement
 from repro.core import tx_logging
 from repro.core.txn import ResultColumns, TxnResult
@@ -485,6 +485,29 @@ class TestSeams:
         assert timing.transfer_in_s == 1.0
         assert timing.transfer_out_s == 9.0
         assert timing.compute_s == pytest.approx(10.0)
+
+    def test_migration_rides_the_interconnect_everywhere(self):
+        """Regression: the pipeline counted a mid-bulk migration as
+        compute while serve counted it as transfer."""
+        from repro.cluster.pipeline import BulkTiming
+        from repro.gpu.costmodel import TimeBreakdown
+        from repro.serve.metrics import split_service
+
+        breakdown = TimeBreakdown()
+        breakdown.add("execution", 10.0)
+        breakdown.add("transfer_out", 2.0)
+        breakdown.add(PHASE_MIGRATION, 5.0)
+        breakdown.add("sync", 0.5)
+
+        class FakeResult:
+            def __init__(self):
+                self.breakdown = breakdown
+                self.seconds = breakdown.total
+
+        timing = BulkTiming.from_result(FakeResult())
+        assert timing.transfer_out_s == 7.5
+        assert timing.compute_s == 10.0
+        assert split_service(breakdown) == (10.0, 7.5)
 
     def test_engine_rebuild_preserves_type_ids(self):
         from repro.core.engine import GPUTx
