@@ -49,7 +49,7 @@ from repro.core.txn import ResultColumns, Transaction
 from repro.cpu.costmodel import CpuCostModel
 from repro.cpu.engine import run_serial
 from repro.cluster.router import ShardRouter
-from repro.errors import ClusterError
+from repro.errors import ClusterError, check_int
 from repro.gpu import ops as op_ir
 from repro.gpu.spec import C1060, GPUSpec
 from repro.storage.catalog import StoreAdapter
@@ -155,10 +155,6 @@ class ClusterStoreAdapter:
     def row_width(self, table: str) -> int:
         return self.adapters[0].row_width(table)
 
-    def apply_batch(self) -> None:
-        for adapter in self.adapters:
-            adapter.apply_batch()
-
 
 @dataclass(frozen=True)
 class GroupReport:
@@ -231,18 +227,20 @@ class FailoverController:
     # -- failure injection ----------------------------------------------
     def kill(self, shard: int) -> None:
         """Take ``shard`` down immediately (between bulks)."""
-        self._cluster._kill_shard(shard)
+        self._cluster._kill_shard(check_int("kill shard", shard))
 
     def schedule_kill(self, shard: int, *, bulk: int, wave: int = 0) -> None:
         """Arrange for ``shard`` to die just before ``wave`` of
         ``bulk`` (bulks and waves are 0-indexed; a kill scheduled for
         a point the run has already passed fires at the next wave
         boundary)."""
+        shard = check_int("kill shard", shard)
         if not 0 <= shard < self._cluster.n_shards:
             raise ClusterError(
                 f"no shard {shard} in a {self._cluster.n_shards}-shard "
                 "cluster"
             )
+        bulk, wave = check_int("kill bulk", bulk), check_int("kill wave", wave)
         if bulk < 0 or wave < 0:
             raise ClusterError("kill bulk/wave must be >= 0")
         self._orders.append(KillOrder(shard=shard, bulk=bulk, wave=wave))
@@ -269,7 +267,7 @@ class FailoverController:
 
     def recover(self, shard: int) -> RecoveryReport:
         """Promote a replica of ``shard`` and bring it back online."""
-        return self._cluster.recover_shard(shard)
+        return self._cluster.recover_shard(check_int("recover shard", shard))
 
 
 class CrossShardCoordinator:

@@ -18,7 +18,7 @@ the replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigError, DurabilityError
 from repro.storage.catalog import Database
@@ -87,7 +87,6 @@ class CheckpointManager:
         self.taken = 0
         self.checkpoint_bytes = 0
         self._latest: Optional[Checkpoint] = None
-        self.history_lsns: List[int] = []
 
     @property
     def latest(self) -> Checkpoint:
@@ -104,7 +103,6 @@ class CheckpointManager:
         self._bulks_since = 0
         self.taken += 1
         self.checkpoint_bytes += checkpoint.nbytes
-        self.history_lsns.append(lsn)
         return checkpoint
 
     def note_bulk(self, db: Database, lsn: int, bulk_id: int) -> Optional[Checkpoint]:

@@ -60,12 +60,8 @@ class DurabilityConfig:
 class Replica:
     """One synchronous replica of a shard, on a peer device."""
 
-    shard: int
     device: int
     timeline: TransferTimeline
-    synced_lsn: int = 0
-    checkpoint_lsn: int = -1
-    bytes_received: int = 0
 
 
 @dataclass
@@ -104,19 +100,17 @@ class ReplicaSet:
     def __init__(
         self, shard: int, n_replicas: int, pcie: PCIeModel, n_shards: int
     ) -> None:
-        self.shard = shard
         self.pcie = pcie
         #: The primary's copy engine; all outbound feeds queue here.
         self.sender: TransferTimeline = pcie.timeline()
         devices = replica_placement(shard, n_shards, n_replicas)
         self.replicas = [
-            Replica(shard=shard, device=device, timeline=pcie.timeline())
+            Replica(device=device, timeline=pcie.timeline())
             for device in devices
         ]
-        self.sync_seconds = 0.0
         self.shipped_bytes = 0
 
-    def _ship(self, nbytes: int, now: float, lsn: int, is_checkpoint: bool) -> float:
+    def _ship(self, nbytes: int, now: float, is_checkpoint: bool) -> float:
         """Feed ``nbytes`` to every replica; returns the synchronous
         wait (time until the last replica has it)."""
         if not self.replicas:
@@ -131,26 +125,15 @@ class ReplicaSet:
             # The receiving device sees the copy once the sender's
             # engine gets to it.
             _, end = replica.timeline.schedule(seconds, ready_at=start)
-            replica.bytes_received += nbytes
-            if is_checkpoint:
-                replica.checkpoint_lsn = lsn
-            else:
-                replica.synced_lsn = max(replica.synced_lsn, lsn)
             done = max(done, end)
-        wait = done - now
-        self.sync_seconds += wait
         self.shipped_bytes += nbytes * len(self.replicas)
-        return wait
+        return done - now
 
     def replicate_record(self, record: WalRecord, now: float) -> float:
-        return self._ship(
-            record.record_bytes(), now, record.lsn, is_checkpoint=False
-        )
+        return self._ship(record.record_bytes(), now, is_checkpoint=False)
 
     def replicate_checkpoint(self, checkpoint: Checkpoint, now: float) -> float:
-        return self._ship(
-            checkpoint.nbytes, now, checkpoint.lsn, is_checkpoint=True
-        )
+        return self._ship(checkpoint.nbytes, now, is_checkpoint=True)
 
 
 class ShardDurability:
@@ -170,9 +153,6 @@ class ShardDurability:
         self.recorder = RedoRecorder()
         self.checkpoints = CheckpointManager(shard, config.checkpoint_interval)
         self.replicas = ReplicaSet(shard, config.n_replicas, pcie, n_shards)
-        self.wal_sync_seconds = 0.0
-        self.checkpoint_sync_seconds = 0.0
-        self.promotions = 0
         # Seed: the initial partition is checkpoint 0, replicated
         # before the cluster executes anything -- a shard is always
         # recoverable, even if it dies before its first bulk.
@@ -187,7 +167,6 @@ class ShardDurability:
         wave: int,
         strategy: str,
         results: ResultColumns,
-        journal_epoch: int = 0,
         now: float = 0.0,
     ) -> float:
         """Seal the recorder's entries + ``results`` into a WAL record
@@ -205,10 +184,8 @@ class ShardDurability:
             strategy=strategy,
             results=results,
             redo=redo,
-            journal_epoch=journal_epoch,
         )
         wait = self.replicas.replicate_record(record, now)
-        self.wal_sync_seconds += wait
         session = telemetry.current()
         if session is not None:
             session.metrics.counter(
@@ -231,7 +208,6 @@ class ShardDurability:
 
     def _after_checkpoint(self, checkpoint: Checkpoint, now: float) -> float:
         wait = self.replicas.replicate_checkpoint(checkpoint, now)
-        self.checkpoint_sync_seconds += wait
         # The replicated checkpoint covers the WAL prefix: drop it.
         self.wal.truncate_through(checkpoint.lsn)
         session = telemetry.current()
@@ -297,7 +273,6 @@ class ShardDurability:
         seconds = restore_seconds
         for one in record_seconds:
             seconds += one
-        self.promotions += 1
         report = RecoveryReport(
             shard=self.shard,
             replica_device=(
@@ -357,7 +332,3 @@ class ClusterDurability:
     @property
     def replication_bytes(self) -> int:
         return sum(u.replicas.shipped_bytes for u in self.units)
-
-    @property
-    def promotions(self) -> int:
-        return sum(u.promotions for u in self.units)

@@ -13,8 +13,8 @@ failed shard's last durable state, which the simulation still has
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class ReplayStats:
 
     records: int = 0
     entries: int = 0
-    replayed_bytes: int = 0
-    #: (txn_id -> committed) across the replayed records, for auditing
-    #: the recovered shard's outcome set against the host result pool.
-    outcomes: Dict[int, bool] = field(default_factory=dict)
 
 
 def replay_records(
@@ -52,11 +48,7 @@ def replay_records(
             )
         last_lsn = record.lsn
         stats.entries += apply_redo(adapter, record.redo)
-        adapter.apply_batch()
         stats.records += 1
-        stats.replayed_bytes += record.record_bytes()
-        for txn_id, committed, _reason in record.outcomes:
-            stats.outcomes[txn_id] = committed
     return stats
 
 

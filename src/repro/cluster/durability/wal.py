@@ -111,8 +111,6 @@ class WalRecord:
     outcomes: Tuple[Tuple[int, bool, str], ...]
     #: Physical redo images, in application order.
     redo: Tuple[RedoEntry, ...]
-    #: The shard's mutation-journal epoch at commit (audit anchor).
-    journal_epoch: int = 0
 
     def record_bytes(self) -> int:
         """Wire size: 40 B header + 17 B/outcome + redo payload."""
@@ -140,7 +138,6 @@ class ShardWAL:
         #: Lifetime counters (survive truncation).
         self.appended_records = 0
         self.appended_bytes = 0
-        self.truncated_records = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -161,7 +158,6 @@ class ShardWAL:
         strategy: str,
         results: ResultColumns,
         redo: Tuple[RedoEntry, ...],
-        journal_epoch: int = 0,
     ) -> WalRecord:
         """Seal one committed wave into a record; returns it."""
         txn_ids = results.txn_id
@@ -175,7 +171,6 @@ class ShardWAL:
             strategy=strategy,
             outcomes=outcomes_of(results),
             redo=redo,
-            journal_epoch=journal_epoch,
         )
         self._next_lsn += 1
         self.records.append(record)
@@ -201,5 +196,4 @@ class ShardWAL:
         kept = [r for r in self.records if r.lsn > lsn]
         dropped = len(self.records) - len(kept)
         self.records = kept
-        self.truncated_records += dropped
         return dropped

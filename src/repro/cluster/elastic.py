@@ -319,8 +319,6 @@ class ShardMigrator:
                 src_engine.adapter.delete(name, int(row))
             moved_rows += len(values)
             moved_bytes += len(values) * table.schema.row_width
-        dst_engine.adapter.apply_batch()
-        src_engine.adapter.apply_batch()
 
         # 3. The row copy rides the DMA timeline like replication: it
         #    queues on the source's copy engine behind any in-flight
@@ -350,9 +348,6 @@ class ShardMigrator:
                         wave=wave,
                         strategy=MIGRATION_STRATEGY,
                         results=ResultColumns(),
-                        journal_epoch=(
-                            cluster.shards[shard].adapter.journal.epoch
-                        ),
                         now=now,
                     ),
                 )
@@ -393,6 +388,12 @@ class ShardMigrator:
     # ------------------------------------------------------------------
     def _validate(self, plan: MigrationPlan) -> None:
         cluster = self.cluster
+        for name in ("src", "dst", "key_lo", "key_hi"):
+            check_int(f"migration {name}", getattr(plan, name))
+        if plan.key_lo >= plan.key_hi:
+            raise ConfigError(
+                f"migration range [{plan.key_lo}, {plan.key_hi}) is empty"
+            )
         if plan.src == plan.dst:
             raise ConfigError("migration source and destination coincide")
         for shard, role in ((plan.src, "source"), (plan.dst, "destination")):

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Sequence
 
+from repro.core.engine import validate_strategy_options
 from repro.core.executor import PHASE_TRANSFER_IN
 from repro.errors import check_int
 from repro.gpu.costmodel import DMA_PHASES
@@ -188,6 +189,7 @@ def run_pipelined(
     transfer underneath bulk *k*'s kernels.
     """
     scheduler = PipelineScheduler(depth)
+    validate_strategy_options(strategy, options)
     report = PipelinedRunReport(pipeline=None)
     for bulk in bulks:
         engine.submit_many(bulk)

@@ -164,9 +164,6 @@ class RangeShardRouter(ShardRouter):
         super().__init__(n_shards)
         n_shards = self.n_shards
         self.key_space = key_space = check_int("key_space", key_space, 1)
-        #: bumped on every table swap; serving-layer consumers can use
-        #: it to detect that routing changed under them.
-        self.table_version = 0
         entries = []
         for shard in range(n_shards):
             lo = -(-shard * key_space // n_shards)
@@ -248,7 +245,6 @@ class RangeShardRouter(ShardRouter):
             else:
                 merged.append(entry)
         self._install(merged)
-        self.table_version += 1
         return moved
 
 

@@ -142,9 +142,12 @@ class ClusterExecutionResult(BulkOutcome):
     failovers: List[RecoveryReport] = field(default_factory=list)
     #: True when a shard failure halted the bulk's younger waves.
     halted: bool = False
-    #: Transactions requeued (halted waves; they rejoin the pool in
-    #: timestamp order -- ``Transaction.timestamp``, not arrival
-    #: ``submit_time`` -- and execute in a later bulk).
+    #: Transactions of the bulk sent back to the pool: shard deferrals
+    #: and the younger waves they stop, halted waves, and what a
+    #: migration reorders. They rejoin the pool in timestamp order --
+    #: ``Transaction.timestamp``, not arrival ``submit_time`` -- and
+    #: execute in a later bulk; ``len(results) + requeued`` is the
+    #: bulk's size.
     requeued: int = 0
     #: Conflict groups dispatched by parallel coordinator waves.
     n_groups: int = 0
@@ -223,7 +226,6 @@ class ClusterTx(BulkFrontDoor):
                 "ClusterTx options must be a ClusterOptions, got "
                 f"{type(options).__name__}"
             )
-        self.options = options
         durability = options.durability
         elastic = options.elastic
         self.cross_shard = options.cross_shard
@@ -240,10 +242,6 @@ class ClusterTx(BulkFrontDoor):
         self.pool = TransactionPool()
         self.results = ResultPool()
         for engine in self.shards:
-            # Shard engines each filter "auto" options for the strategy
-            # they chose; sharing one memo makes that one dropped-option
-            # warning per cluster instead of one per shard.
-            engine._warned_options = self.shards[0]._warned_options
             # One pool in, one result pool out (Section 3.1): a shard
             # records its outcomes and requeues what it defers there.
             engine.pool = self.pool
@@ -488,6 +486,7 @@ class ClusterTx(BulkFrontDoor):
                     ]
                     if rest:
                         self.pool.requeue(rest)
+                    out.requeued += deferred + len(rest)
                     break
             else:
                 self._run_coordinator_wave(
@@ -674,9 +673,9 @@ class ClusterTx(BulkFrontDoor):
         out: ClusterExecutionResult,
         bulk_id: int,
         wave_index: int,
-    ) -> bool:
-        """Run one parallel wave; returns True if any shard deferred
-        transactions (the caller must then stop the bulk)."""
+    ) -> int:
+        """Run one parallel wave; returns how many transactions its
+        shards deferred (the caller must stop the bulk if any did)."""
         by_shard: Dict[int, List[Transaction]] = {}
         for txn in wave_txns:
             # A parallel wave holds single-shard transactions.
@@ -701,7 +700,7 @@ class ClusterTx(BulkFrontDoor):
                 shards=sorted(by_shard),
             )
         critical_breakdown: Optional[TimeBreakdown] = None
-        any_deferred = False
+        n_deferred = 0
         # Each shard seals the outcomes of its own sub-bulk.
         shares: List[Tuple[int, str, ResultColumns]] = []
         now = self._sim_clock + out.breakdown.total
@@ -731,8 +730,7 @@ class ClusterTx(BulkFrontDoor):
                     tracer.dma_track = "dma"
             # A streaming strategy's deferred transactions are back in
             # the (shared) pool, in the cluster-wide timestamp order.
-            if result.deferred:
-                any_deferred = True
+            n_deferred += len(result.deferred)
             out.results.extend(result.results)
             out.shard_busy_s[shard] += result.seconds
             out.shard_txns[shard] = (
@@ -758,11 +756,11 @@ class ClusterTx(BulkFrontDoor):
                 wave_span,
                 advance_parent=True,
                 strategies=wave.strategies,
-                deferred=any_deferred,
+                deferred=n_deferred > 0,
             )
         out.n_single_shard += len(wave_txns)
         out.waves.append(wave)
-        return any_deferred
+        return n_deferred
 
     def _run_coordinator_wave(
         self,
@@ -889,7 +887,6 @@ class ClusterTx(BulkFrontDoor):
                     wave=wave_index,
                     strategy=strategy,
                     results=results,
-                    journal_epoch=self.shards[shard].adapter.journal.epoch,
                     now=now,
                 ),
             )

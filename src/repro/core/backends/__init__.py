@@ -3,8 +3,8 @@
 See :mod:`repro.core.backends.base` for the backend contract, and
 ``docs/ARCHITECTURE.md`` for where backends sit in the layer map.
 :class:`EngineOptions` names one of the two backends in
-:data:`BACKENDS`; ``GPUTx`` builds it as
-``BACKENDS[options.backend](options)``.
+:data:`BACKENDS`; ``GPUTx`` builds it as ``BACKENDS[options.backend]()``.
+A backend takes no options of its own.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ __all__ = [
     "VectorizedBackend",
 ]
 
-#: Backend name -> class; each is constructed from the engine options.
+#: Backend name -> class; each is constructed with no arguments.
 BACKENDS: Dict[str, Type[InterpretedBackend]] = {
     "interpreted": InterpretedBackend,
     "vectorized": VectorizedBackend,

@@ -32,7 +32,6 @@ import time
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.backends import EngineOptions
     from repro.core.executor import StrategyExecutor
     from repro.core.txn import ResultColumns, Transaction
     from repro.gpu.simt import KernelReport
@@ -54,10 +53,7 @@ class InterpretedBackend:
 
     name = "interpreted"
 
-    def __init__(self, options: "EngineOptions") -> None:
-        #: The engine options the backend was built from (only the
-        #: vectorized backend reads them).
-        self.options = options
+    def __init__(self) -> None:
         #: Host wall-clock seconds spent inside kernel launches (the
         #: phase a backend owns; bulk generation and transfer
         #: accounting are shared code outside it). Benchmarks read

@@ -184,7 +184,6 @@ def replay_kernel(
     n_threads = recorder.n_threads
     stats = KernelStats(num_sms=spec.num_sms)
     stats.threads_launched = n_threads
-    stats.threads_aborted = outcomes.aborted_count()
     if schedule is not None:
         stats.rounds = schedule.rounds
         layout = schedule.layout

@@ -29,7 +29,7 @@ directly.) Building a vectorized engine on a row-layout store is a
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -44,17 +44,14 @@ from repro.core.txn import ResultColumns
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, OutcomeColumns
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.backends import EngineOptions
-
 
 class VectorizedBackend(InterpretedBackend):
     """Batched NumPy wave execution with exact cost replay."""
 
     name = "vectorized"
 
-    def __init__(self, options: "EngineOptions") -> None:
-        super().__init__(options)
+    def __init__(self) -> None:
+        super().__init__()
         #: How many launches ran.
         self.waves_vectorized = 0
         #: ``waves_vectorized`` as of the last :meth:`bulk_path` call.

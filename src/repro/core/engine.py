@@ -19,11 +19,9 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import repro.telemetry as telemetry
 from repro.core.backends import BACKENDS, EngineOptions
@@ -44,7 +42,7 @@ from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import (
     ResultColumns, ResultPool, Transaction, TransactionPool,
 )
-from repro.errors import ConfigError, ProcedureError, check_int
+from repro.errors import ConfigError, ProcedureError, check_int, check_real
 from repro.gpu.costmodel import DMA_PHASES, TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
@@ -116,9 +114,9 @@ class BulkFrontDoor:
         """Generate one bulk from the pool and execute it.
 
         ``strategy="auto"`` profiles the bulk and applies Algorithm 1
-        (per shard, on a cluster). Strategy-specific options
-        (``grouping_passes``, ``partition_size``, ...) pass through to
-        the executor.
+        (per shard, on a cluster) and takes no options. Under an
+        explicit strategy, its options (``grouping_passes``,
+        ``partition_size``, ...) pass through to the executor.
         """
         # Validate before draining the pool: a typo'd option or
         # strategy name must not cost the caller the bulk.
@@ -179,10 +177,7 @@ class GPUTx(BulkFrontDoor):
         self.options = options
         #: The execution backend every K-SET/PART/TPL kernel launch of
         #: this engine routes through (repro.core.backends).
-        self.backend = BACKENDS[options.backend](options)
-        #: Dropped-option warnings already issued by THIS engine
-        #: (dedup is per engine, not per process -- see _filter_options).
-        self._warned_options: Set[Tuple[str, Tuple[str, ...]]] = set()
+        self.backend = BACKENDS[options.backend]()
         #: Bulks traced so far (names the per-bulk telemetry spans).
         self._bulk_count = 0
 
@@ -197,8 +192,8 @@ class GPUTx(BulkFrontDoor):
         type ids are preserved -- the contract replica promotion needs
         when it swaps a recovered database under a shard id
         (:mod:`repro.cluster.durability`). The chooser thresholds carry
-        over, and so does what a cluster shares between its shards: the
-        dropped-option warning memo and the transaction and result pools.
+        over, and so do the transaction and result pools a cluster
+        shares between its shards.
         """
         engine = GPUTx(
             db,
@@ -210,7 +205,6 @@ class GPUTx(BulkFrontDoor):
             options=self.options,
         )
         engine.thresholds = self.thresholds
-        engine._warned_options = self._warned_options
         engine.pool = self.pool
         engine.results = self.results
         return engine
@@ -281,7 +275,6 @@ class GPUTx(BulkFrontDoor):
             profile = self.profiler.profile(transactions, ops)
             chosen = choose_strategy(profile, self.thresholds)
             profile_seconds = profile.gen_seconds
-            options = _filter_options(chosen, options, self._warned_options)
         executor = self.make_executor(chosen, **options)
         # Executors driven directly (make_executor callers) launch
         # outside this method: drop their launches so the label below
@@ -406,13 +399,10 @@ class GPUTx(BulkFrontDoor):
         ``strategy`` may be ``"auto"`` and a transaction streaming
         K-SET defers waits in the pool for a later bulk.
         """
-        # ``not x > 0``, not ``x <= 0``: a NaN must not pass. The rate may
-        # be infinite (everything arrives at 0); the interval may not.
-        if not arrival_rate_tps > 0 or not 0 < interval_s < math.inf:
-            raise ConfigError(
-                "arrival rate must be positive and interval positive and "
-                f"finite, got {arrival_rate_tps!r} and {interval_s!r}"
-            )
+        # The rate may be infinite (everything arrives at 0); the
+        # interval may not.
+        arrival_rate_tps = check_real("arrival rate", arrival_rate_tps)
+        interval_s = check_real("interval", interval_s, finite=True)
         validate_strategy_options(strategy, options)
         n = len(transactions)
         arrive = [i / arrival_rate_tps for i in range(n)]
@@ -483,14 +473,25 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
     """Reject misdirected or out-of-range strategy options.
 
     Called before a bulk is consumed, so a typo or a bad value costs
-    an error, not the workload. Under ``"auto"`` any option some
-    strategy accepts is legitimate (the inapplicable ones are dropped
-    with a warning once Algorithm 1 has chosen); under an explicit
+    an error, not the workload. ``"auto"`` takes no options: the caller
+    cannot know which executor Algorithm 1 will pick, so an option
+    would apply to some bulks and not to others. Under an explicit
     strategy the option set is known up front and unknown names are
     rejected outright. Integer options accept any integral type (a
     NumPy integer is normalised to ``int`` in ``options``) but not a
     ``bool``: ``True`` is not a round count.
     """
+    if strategy == "auto":
+        if options:
+            owners = {
+                name: [s for s, ok in _STRATEGY_OPTIONS.items() if name in ok]
+                for name in sorted(options)
+            }
+            raise ConfigError(
+                f'strategy "auto" takes no options; name an explicit '
+                f"strategy to pass one (accepted by: {owners})"
+            )
+        return
     for name in _OPTION_MINIMUM.keys() & options.keys():
         value, lowest = options[name], _OPTION_MINIMUM[name]
         if value is None and name == "max_rounds":
@@ -502,15 +503,6 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
         raise ConfigError(
             f"per_task_launch_overhead must be a bool, got {flag!r}"
         )
-    if strategy == "auto":
-        known_anywhere = set().union(*_STRATEGY_OPTIONS.values())
-        unknown = sorted(set(options) - known_anywhere)
-        if unknown:
-            raise ConfigError(
-                f"unknown strategy option(s) {unknown}; valid options are "
-                f"{sorted(known_anywhere)}"
-            )
-        return
     allowed = _STRATEGY_OPTIONS.get(strategy)
     if allowed is None:
         raise ConfigError(
@@ -522,42 +514,3 @@ def validate_strategy_options(strategy: str, options: Dict[str, Any]) -> None:
             f"strategy {strategy!r} does not accept option(s) {unknown}; "
             f"allowed options are {sorted(allowed)}"
         )
-
-
-def _filter_options(
-    strategy: str,
-    options: Dict[str, Any],
-    warned: Set[Tuple[str, Tuple[str, ...]]],
-) -> Dict[str, Any]:
-    """Keep only the options the chosen strategy's executor accepts.
-
-    Under ``strategy="auto"`` the caller cannot know which executor
-    Algorithm 1 will pick, so passing an option another strategy owns
-    is legitimate -- it is *dropped with a warning*. Unknown names
-    were already rejected by :func:`validate_strategy_options`.
-
-    Warning dedup is **per engine**, via the caller-owned ``warned``
-    set: each engine warns once per (strategy, dropped-set). Relying
-    on Python's default once-per-location warning memo instead would
-    let the first engine in a process swallow every later engine's
-    first warning, so the warning is emitted through
-    ``warnings.warn_explicit`` with a fresh registry -- bypassing only
-    the per-location memo while still honouring the process's warning
-    *filters* (``-W error``, ``filterwarnings`` configs, ...).
-    """
-    allowed = _STRATEGY_OPTIONS[strategy]
-    dropped = set(options) - allowed
-    if dropped:
-        key = (strategy, tuple(sorted(dropped)))
-        if key not in warned:
-            warned.add(key)
-            warnings.warn_explicit(
-                f"option(s) {sorted(dropped)} are not used by the chosen "
-                f"strategy {strategy!r} and were dropped",
-                UserWarning,
-                filename=__file__,
-                lineno=0,
-                module=__name__,
-                registry={},
-            )
-    return {k: v for k, v in options.items() if k in allowed}

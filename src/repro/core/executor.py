@@ -9,9 +9,11 @@ transaction signatures and result output").
 
 The base class also centralises what happens *after* a kernel:
 
-* the batched apply of buffered inserts/deletes (Section 3.2);
 * rollback of aborted transactions through their undo logs, and
-  cancellation of their buffered inserts/deletes (Appendix D).
+  cancellation of their inserts/deletes (Appendix D). Inserts and
+  deletes apply in place -- the temporary insert buffer of Section
+  3.2 is modelled as cost only -- so no batched apply runs after the
+  kernel.
 """
 
 from __future__ import annotations
@@ -171,13 +173,12 @@ class StrategyExecutor:
         transactions: Sequence[Transaction],
         report: KernelReport,
     ) -> ResultColumns:
-        """Roll back aborts (in thread order), apply the insert/delete
-        batch, build results; ``transactions`` are in thread order."""
+        """Roll back aborts (in thread order) and build results;
+        ``transactions`` are in thread order."""
         out = report.outcomes
         for t, undo in out.undo.items():
             if not out.committed[t]:
                 rollback(self.adapter, undo)
-        self.adapter.apply_batch()
         return ResultColumns(
             out.txn_id, [txn.type_name for txn in transactions],
             out.committed, out.abort_reason, out.result,

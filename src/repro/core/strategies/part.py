@@ -201,9 +201,8 @@ class PartExecutor(StrategyExecutor):
         return ThreadTask(txn_id=pid, type_id=-1, body=stream())
 
     def _collect(self, report) -> ResultColumns:
-        """Concatenate the partition threads' results (in id order),
-        cancel what aborted transactions buffered, and apply the
-        insert/delete batch."""
+        """Concatenate the partition threads' results (in id order)
+        and cancel what aborted transactions inserted or deleted."""
         threads = report.outcomes.result
         for part in threads:
             for table, provisional in part.cancel_inserts:
@@ -211,7 +210,6 @@ class PartExecutor(StrategyExecutor):
         for part in threads:
             for table, row in part.cancel_deletes:
                 self.adapter.cancel_delete(table, row)
-        self.adapter.apply_batch()
         results = ResultColumns()
         for part in threads:
             results.extend(part.results)

@@ -130,7 +130,6 @@ class TplExecutor(StrategyExecutor):
                 committed[t] = False
                 reasons[t] = "cascaded-rollback"
                 values[t] = None
-        self.adapter.apply_batch()
         results = ResultColumns(
             ids, [txn.type_name for txn in ordered], committed, reasons, values
         )

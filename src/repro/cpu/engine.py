@@ -124,8 +124,7 @@ def run_serial(
     """Run a batch through :func:`run_stream` in timestamp order.
 
     Returns the timestamp-sorted transactions plus parallel lists of
-    results and per-transaction cycles (engine dispatch included), and
-    applies the buffered insert/delete batch once at the end.
+    results and per-transaction cycles (engine dispatch included).
     """
     order = sorted(transactions, key=lambda t: t.txn_id)
     results = ResultColumns(
@@ -144,7 +143,6 @@ def run_serial(
         results.committed.append(committed)
         results.abort_reason.append(reason)
         results.value.append(value)
-    adapter.apply_batch()
     return order, results, cycles
 
 
@@ -168,7 +166,6 @@ class CpuEngine:
         *,
         num_cores: Optional[int] = None,
     ) -> None:
-        self.db = db
         #: The simulated host: always the paper's Xeon E5520.
         self.spec = XEON_E5520
         self.num_cores = (

@@ -7,6 +7,7 @@ while still distinguishing the common cases.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any, Optional
 
@@ -82,6 +83,23 @@ def check_int(name: str, value: Any, minimum: Optional[int] = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{name} must be an int{bound}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value: Any, *, finite: bool = False) -> float:
+    """``value`` as a positive ``float``: any real type but ``bool``,
+    and infinite only when ``finite`` is false. ``not value > 0``, not
+    ``value <= 0``: a NaN must fail (every comparison against it is
+    false). Anything else -- zero, a string, ``True`` -- raises
+    :class:`ConfigError` naming ``name``."""
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not value > 0
+        or (finite and value == math.inf)
+    ):
+        bound = "positive finite" if finite else "positive"
+        raise ConfigError(f"{name} must be a {bound} number, got {value!r}")
+    return float(value)
 
 
 class ClusterError(ReproError):

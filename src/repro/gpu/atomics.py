@@ -41,7 +41,6 @@ class LockTable:
     def __init__(self, n_locks: int) -> None:
         if n_locks < 0:
             raise ConfigError("lock table size must be >= 0")
-        self.n_locks = n_locks
         self.values = np.zeros(n_locks, dtype=np.int64)
         #: Countdown of shared readers still holding (lock, key) runs.
         self._run_remaining: Dict[Tuple[int, int], int] = {}

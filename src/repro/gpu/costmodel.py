@@ -56,7 +56,6 @@ class KernelStats:
     atomic_conflicts: int = 0
     rounds: int = 0
     threads_launched: int = 0
-    threads_aborted: int = 0
 
     def __post_init__(self) -> None:
         zeros = [0] * self.num_sms

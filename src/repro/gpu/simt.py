@@ -311,7 +311,6 @@ class SIMTEngine:
                 )
 
         stats.rounds = rounds
-        stats.threads_aborted = sum(1 for t in threads if t.aborted)
         timing = self.cost.resolve(stats)
         return KernelReport(
             stats=stats, timing=timing, outcomes=_outcomes_of(threads)
@@ -644,7 +643,6 @@ class SIMTEngine:
 
         outcomes = _outcomes_of(threads)
         stats.issue_cycles[0] = issue
-        stats.threads_aborted = outcomes.aborted_count()
         # A lone thread cannot overlap memory stalls with issue: the
         # dependent chain pays latency *additively*, unlike the warp
         # path where resolve() models overlap and bandwidth limits.

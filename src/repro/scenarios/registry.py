@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int
 from repro.serve.stream import Arrival
 from repro.workloads.base import TxnSpec
 
@@ -76,8 +76,9 @@ class ShardKill:
     wave: int = 0
 
     def __post_init__(self) -> None:
-        if self.shard < 0 or self.at_bulk < 0 or self.wave < 0:
-            raise ConfigError("ShardKill coordinates must be >= 0")
+        for name in ("shard", "at_bulk", "wave"):
+            value = check_int(f"ShardKill {name}", getattr(self, name), 0)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,16 @@ class ForcedMigration:
     at_bulk: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("src", "dst", "key_lo", "key_hi", "at_bulk"):
+            value = check_int(
+                f"ForcedMigration {name}", getattr(self, name),
+                0 if name == "at_bulk" else None,
+            )
+            object.__setattr__(self, name, value)
         if self.src == self.dst:
             raise ConfigError("ForcedMigration src and dst must differ")
         if self.key_lo >= self.key_hi:
             raise ConfigError("ForcedMigration needs key_lo < key_hi")
-        if self.at_bulk < 0:
-            raise ConfigError("ForcedMigration at_bulk must be >= 0")
 
 
 FaultSpec = Union[ShardKill, ForcedMigration]

@@ -29,7 +29,7 @@ from repro.cluster.elastic import MigrationPlan, MigrationReport
 from repro.cluster.runtime import ClusterExecutionResult, ClusterTx
 from repro.config import ClusterOptions
 from repro.core.txn import Transaction
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_int, check_real
 from repro.scenarios.registry import (
     ForcedMigration,
     Scenario,
@@ -164,10 +164,10 @@ def run_scenario(
         raise ConfigError(
             f"unknown faults mode {faults!r}; expected one of {FAULT_MODES}"
         )
-    scale = default_scale() if scale is None else scale
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
-    seed = scenario.seed if seed is None else seed
+    scale = check_real(
+        "scale", default_scale() if scale is None else scale, finite=True
+    )
+    seed = check_int("seed", scenario.seed if seed is None else seed, 0)
     n = max(16, int(round(scenario.n_txns * scale)))
     setup = scenario.setup(n, seed)
     cluster = _build_cluster(scenario, setup)

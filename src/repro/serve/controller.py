@@ -24,12 +24,11 @@ Two formers share one interface:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Optional
 
 from repro.core.chooser import StrategyFeedback
-from repro.errors import ConfigError, check_int
+from repro.errors import ConfigError, check_int, check_real
 
 #: Share of the latency budget granted to bulk *service* (execution +
 #: transfer); the rest covers queue wait while the bulk forms.
@@ -42,20 +41,6 @@ INCREASE_STEP = 64
 #: cause is queue wait, not service time): bigger bulks drain faster,
 #: so the controller ramps aggressively.
 DRAIN_GROWTH = 2.0
-
-
-def _seconds(name: str, value: Any) -> float:
-    """``value`` as a time budget: a positive real, ``inf`` included (no
-    deadline: a cut waits for its size or a dry stream). ``not x > 0``,
-    not ``x <= 0``: a NaN must not pass (it would make every comparison
-    against it false)."""
-    if (
-        not isinstance(value, numbers.Real)
-        or isinstance(value, bool)
-        or not value > 0
-    ):
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -73,12 +58,12 @@ class SLOConfig:
 
     def __post_init__(self) -> None:
         fields = {
-            "target_p95_s": _seconds("target_p95_s", self.target_p95_s),
+            "target_p95_s": check_real("target_p95_s", self.target_p95_s),
             "min_bulk": check_int("min_bulk", self.min_bulk),
             "max_bulk": check_int("max_bulk", self.max_bulk),
         }
         if self.max_form_wait_s is not None:
-            fields["max_form_wait_s"] = _seconds(
+            fields["max_form_wait_s"] = check_real(
                 "max_form_wait_s", self.max_form_wait_s
             )
         for name, value in fields.items():
@@ -128,7 +113,7 @@ class FixedBulkFormer(BulkFormer):
 
     def __init__(self, size: int, *, max_form_wait_s: float = 0.05) -> None:
         self._size = check_int("bulk size", size, 1)
-        self._wait = _seconds("max_form_wait_s", max_form_wait_s)
+        self._wait = check_real("max_form_wait_s", max_form_wait_s)
 
     @property
     def max_form_wait_s(self) -> float:
@@ -153,8 +138,6 @@ class AdaptiveBulkFormer(BulkFormer):
         #: cheap probes that seed the service model.
         self._aimd = float(self.slo.min_bulk)
         self._target = self.slo.min_bulk
-        #: (size, target, strategy) per executed bulk, for reports.
-        self.trajectory: List["tuple[int, int, str]"] = []
         self._draining = False
 
     @property
@@ -174,7 +157,6 @@ class AdaptiveBulkFormer(BulkFormer):
     ) -> None:
         slo = self.slo
         self.feedback.observe(strategy, size, service_s)
-        self.trajectory.append((size, self._target, strategy))
         # AIMD on the observed end-to-end p95 -- but a breach has two
         # causes with opposite cures. If the bulk's own service time
         # blew the service budget, the bulk was too big: back off

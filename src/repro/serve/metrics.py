@@ -96,8 +96,6 @@ class LatencySummary:
     #: Arrivals rejected by admission control (never executed, so
     #: absent from every percentile above).
     shed: int = 0
-    #: The shed count split by the home shard whose queue was full.
-    shed_by_shard: Dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def of(
@@ -115,7 +113,6 @@ class LatencySummary:
         summary = cls(count=count, components=components)
         if admission is not None:
             summary.shed = admission.rejected
-            summary.shed_by_shard = dict(admission.rejected_by_shard)
         return summary
 
     @property

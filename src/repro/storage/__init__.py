@@ -1,1 +1,1 @@
-"""In-memory storage: column/row tables, indexes, catalog, buffers."""
+"""In-memory storage: column/row tables, indexes, catalog."""

@@ -5,8 +5,8 @@ and the static key maps the paper uses for string lookups (e.g. the
 "static mapping from the string representation to the subscriber ID"
 in TM1, Appendix E). :class:`StoreAdapter` exposes a database to the
 SIMT engine through the :class:`~repro.gpu.memory.DeviceStore`
-protocol, including the temporary insert buffer with post-kernel
-batched apply (Section 3.2).
+protocol; inserts and deletes apply in place, and only the cost of
+the paper's temporary insert buffer (Section 3.2) is modelled.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import CatalogError, StorageError
-from repro.storage.buffer import MutationJournal
 from repro.storage.column_store import ColumnTable
 from repro.storage.index import HashIndex, MultiHashIndex
 from repro.storage.row_store import RowTable
@@ -255,17 +254,19 @@ class StoreAdapter:
     """Adapts a :class:`Database` to the SIMT engine's DeviceStore.
 
     Inserts and deletes take effect immediately (including index
-    maintenance) so later transactions of the bulk observe them; the
-    :class:`~repro.storage.buffer.MutationJournal` remembers them until
-    the next batch boundary so an aborting transaction can cancel its
-    own mutations. The *performance* of the paper's temporary insert
-    buffer (atomicAdd allocation, post-kernel batched apply) is charged
-    by the SIMT engine and executors, not here -- see buffer.py.
+    maintenance) so later transactions of the bulk observe them -- a
+    PART thread may run a TPC-C NEW_ORDER and then a DELIVERY of the
+    same warehouse back to back (Definition 1). An aborting
+    transaction's inserts and deletes are undone through
+    :meth:`cancel_insert` and :meth:`cancel_delete`, from its undo log
+    (Appendix D) or, on PART, its partition's cancel lists.
+    The paper's temporary insert buffer (Section 3.2) is modelled as
+    cost only: both launch paths charge each insert's buffer-tail
+    atomicAdd.
     """
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self.journal = MutationJournal()
         #: The redo recorder (``repro.cluster.durability.wal``)
         #: observing every physical mutation in application order, or
         #: None when no durability layer is attached -- one slot: a
@@ -325,7 +326,6 @@ class StoreAdapter:
         for ix in self.db.indexes_on(table):
             key = Database._key_from_values(tbl.schema, ix.columns, values)
             ix.insert(key, row)
-        self.journal.record_insert(table, row)
         if self._recorder is not None:
             self._recorder.on_insert(table, row, tuple(values))
         return row
@@ -342,20 +342,19 @@ class StoreAdapter:
             )
         self._unindex_row(table, row)
         tbl.mark_deleted(row)
-        self.journal.record_delete(table, row)
         if self._recorder is not None:
             self._recorder.on_delete(table, row)
 
     def insert_bulk(
         self, table: str, values_rows: Sequence[Sequence[Any]]
     ) -> List[int]:
-        """Batched :meth:`insert`: the post-kernel batched update of
-        Section 3.2.
+        """Batched :meth:`insert`.
 
         Semantically identical to calling ``insert`` once per row in
-        order -- same index maintenance, journal records, and recorder
-        hooks -- with the appends applied columnar in one pass, which
-        is what makes the vectorized backend's mutation replay cheap.
+        order -- same index maintenance and recorder hooks -- with the
+        appends applied columnar in one pass, which is what makes the
+        vectorized backend's mutation replay and a live migration's row
+        copy cheap.
         """
         if not values_rows:
             return []
@@ -383,8 +382,6 @@ class StoreAdapter:
                 keys = [tuple(v[i] for i in idxs) for v in values_rows]
             for key, row in zip(keys, rows):
                 ix.insert(key, row)
-        for row in rows:
-            self.journal.record_insert(table, row)
         if self._recorder is not None:
             on_insert = self._recorder.on_insert
             for row, values in zip(rows, values_rows):
@@ -402,7 +399,6 @@ class StoreAdapter:
         """Undo one insert of an aborting transaction."""
         self._unindex_row(table, row)
         self.db.table(table).mark_deleted(row)
-        self.journal.forget_insert(table, row)
         if self._recorder is not None:
             self._recorder.on_cancel_insert(table, row)
 
@@ -413,7 +409,6 @@ class StoreAdapter:
         for ix in self.db.indexes_on(table):
             key = Database._key_of(tbl, ix.columns, row)
             ix.insert(key, row)
-        self.journal.forget_delete(table, row)
         if self._recorder is not None:
             self._recorder.on_cancel_delete(table, row)
 
@@ -432,7 +427,7 @@ class StoreAdapter:
         """Write many cells of ``table.column`` in one pass.
 
         Equivalent to :meth:`write` per (row, value) pair, including
-        the durability journal hooks: every cell is streamed to any
+        the redo recorder hooks: every cell is streamed to any
         attached redo recorder in element order, so a WAL written under
         the vectorized backend replays to the same physical state as
         one written under the interpreter (write sets of a conflict-
@@ -448,8 +443,15 @@ class StoreAdapter:
 
     # -- batch boundary -----------------------------------------------------
     def apply_batch(self) -> None:
-        """Commit the staged mutations (post-kernel batched update)."""
-        self.journal.clear()
+        """The post-kernel batch boundary; does nothing.
+
+        Inserts and deletes are applied in place as they happen, so a
+        batch boundary has nothing left to commit, and nothing in the
+        engine calls this. It stays only because the host benchmark's
+        tracer hooks ``StoreAdapter.apply_batch`` by name
+        (``benchmarks/host/trace.py``); a change to that benchmark can
+        drop the hook and then this method.
+        """
 
     # ------------------------------------------------------------------
     def _unindex_row(self, table: str, row: int) -> None:

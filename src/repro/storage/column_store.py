@@ -7,8 +7,8 @@ of one column are adjacent in the device address space, so warp
 accesses to one column coalesce -- the mechanism behind the ~10 %
 speedup over the row store the paper reports (Appendix F.2).
 
-Deletes are tombstones (a validity bitmap); inserts are appended in
-batches by the catalog's insert buffer after kernel completion.
+Deletes are tombstones (a validity bitmap); inserts are appended
+in place, one row or one column-wise batch at a time.
 """
 
 from __future__ import annotations

@@ -138,6 +138,19 @@ class TestScenariosCommand:
             assert f"scenario {name}:" in out
         assert "FAILED" not in out
 
+    @pytest.mark.parametrize("action", ["run", "verify"])
+    @pytest.mark.parametrize(
+        "flag", [["--scale", "nan"], ["--scale", "inf"], ["--seed", "-1"]],
+        ids=["scale-nan", "scale-inf", "seed-negative"],
+    )
+    def test_bad_scale_or_seed_is_an_error_not_a_traceback(
+        self, capsys, action, flag
+    ):
+        assert main(["scenarios", action, "flash_sale", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[0][2:] in err
+        assert "Traceback" not in err
+
     def test_verify_without_names_is_usage_error(self, capsys):
         assert main(["scenarios", "verify"]) == 2
         assert "--all" in capsys.readouterr().err

@@ -543,24 +543,23 @@ class TestClusterSurface:
             cluster.run_bulk(strategy="ksett")
         assert len(cluster.pool) == 1
 
-    def test_inapplicable_auto_option_warns_once_per_bulk(self, rng):
-        """Every shard drops the inapplicable option under 'auto', but
-        the cluster dedups the N per-shard warnings to one."""
+    def test_auto_option_refused_before_any_shard_runs(self, rng):
+        """Under 'auto' each shard picks its own strategy, so an option
+        would reach some shards' executors and not others' (the cluster
+        used to drop it with one warning). It is refused before the
+        pool is drained, and the same bulk then runs under 'auto'."""
+        from repro import ConfigError
+
         specs = ledger_specs(rng, 200, 32, cross_prob=0.0)
         cluster = ClusterTx(
             build_ledger_db(32), procedures=LEDGER_PROCEDURES, n_shards=4,
         )
         cluster.submit_many(specs)
-        with pytest.warns(UserWarning, match="per_task_launch_overhead") as rec:
-            result = cluster.run_bulk(
-                strategy="auto", per_task_launch_overhead=True,
-            )
-        # All four shards executed (so each would have warned) ...
+        with pytest.raises(ConfigError, match=r"\['adhoc'\]"):
+            cluster.run_bulk(strategy="auto", per_task_launch_overhead=True)
+        assert len(cluster.pool) == 200 and len(cluster.results) == 0
+        result = cluster.run_bulk(strategy="auto")
         assert set(result.waves[0].strategies) == {0, 1, 2, 3}
-        # ... but the caller sees exactly one warning.
-        drops = [w for w in rec
-                 if "per_task_launch_overhead" in str(w.message)]
-        assert len(drops) == 1
         assert cluster.logical_state() == serial_ledger_state(specs, 32)
 
     def test_replicated_table_mutation_detected(self):

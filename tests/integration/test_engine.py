@@ -1,7 +1,5 @@
 """End-to-end tests of the GPUTx engine facade."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -145,12 +143,18 @@ class TestArrivalSimulation:
             (1e6, float("nan")),
             (1e6, float("inf")),
             (float("-inf"), 1e-3),
+            (True, 1e-3),
+            (1e6, True),
         ],
-        ids=["rate-nan", "interval-nan", "interval-inf", "rate-neg-inf"],
+        ids=[
+            "rate-nan", "interval-nan", "interval-inf", "rate-neg-inf",
+            "rate-true", "interval-true",
+        ],
     )
     def test_nan_and_infinite_interval_rejected(self, rate, interval):
         """Regression: a NaN rate admitted no arrival and spun forever; a
-        NaN or infinite interval reported a NaN elapsed time."""
+        NaN or infinite interval reported a NaN elapsed time; ``True``
+        passed as a rate of 1 and an interval of 1 s."""
         engine = self.make_engine()
         with deadline(), pytest.raises(ConfigError):
             engine.simulate_arrivals(self.workload(10), rate, interval)
@@ -252,8 +256,18 @@ class TestSubmitMany:
         assert times == [0.0, 2.0]
 
 
+#: Every strategy option, with a valid value and the explicit
+#: strategies that accept it.
+STRATEGY_OPTIONS = [
+    ("partition_size", 4, ["part", "part-relaxed"]),
+    ("grouping_passes", 1, ["tpl", "kset", "kset-relaxed"]),
+    ("max_rounds", 1, ["kset"]),
+    ("per_task_launch_overhead", True, ["adhoc"]),
+]
+
+
 class TestAutoStrategyOptions:
-    """Option filtering under strategy='auto' (Algorithm 1)."""
+    """Strategy options under strategy='auto' (Algorithm 1)."""
 
     @staticmethod
     def make_engine():
@@ -262,15 +276,46 @@ class TestAutoStrategyOptions:
             engine.submit("deposit", (i, 1))
         return engine
 
-    def test_inapplicable_option_warns(self):
+    @pytest.mark.parametrize(
+        "name, value, owners", STRATEGY_OPTIONS,
+        ids=[row[0] for row in STRATEGY_OPTIONS],
+    )
+    @pytest.mark.parametrize(
+        "surface", ["run_bulk", "execute_bulk", "cluster", "serve", "pipelined"]
+    )
+    def test_auto_refuses_every_option_before_anything_runs(
+        self, surface, name, value, owners
+    ):
+        """"auto" takes no strategy option: the caller cannot know which
+        executor Algorithm 1 picks, so an option would apply to some
+        bulks and not others. It used to be dropped with a warning
+        wherever the pick did not take it (on a cluster, shard by
+        shard). Every front door refuses it up front, naming the
+        strategies that accept it, and nothing is consumed."""
+        from repro import ServeRuntime, run_pipelined
+
         engine = self.make_engine()
-        # Tiny bulk: Algorithm 1 never picks adhoc, so an adhoc-only
-        # option must be dropped with a warning naming it.
-        with pytest.warns(UserWarning, match="per_task_launch_overhead"):
-            result = engine.run_bulk(
-                strategy="auto", per_task_launch_overhead=True
-            )
-        assert result.committed == 8
+        specs = [("deposit", (i, 1)) for i in range(8)]
+        calls = {
+            "run_bulk": lambda: engine.run_bulk(strategy="auto", **{name: value}),
+            "execute_bulk": lambda: engine.execute_bulk(
+                engine.pool.peek(), strategy="auto", **{name: value}
+            ),
+            "cluster": lambda: ClusterTx(
+                build_bank_db(8), procedures=BANK_PROCEDURES, n_shards=2
+            ).run_bulk(strategy="auto", **{name: value}),
+            "serve": lambda: ServeRuntime(engine, strategy="auto", **{name: value}),
+            "pipelined": lambda: run_pipelined(
+                engine, [specs], strategy="auto", **{name: value}
+            ),
+        }
+        with pytest.raises(ConfigError) as info:
+            calls[surface]()
+        message = str(info.value)
+        assert '"auto" takes no options' in message
+        assert repr(name) in message and repr(owners) in message
+        assert len(engine.pool) == 8 and len(engine.results) == 0
+        assert engine.run_bulk(strategy="auto").committed == 8
 
     def test_unknown_option_raises_and_preserves_pool(self):
         engine = self.make_engine()
@@ -279,7 +324,7 @@ class TestAutoStrategyOptions:
         # Options are validated before the pool is drained: the typo
         # costs an error, not the workload.
         assert len(engine.pool) == 8
-        result = engine.run_bulk(strategy="auto", partition_size=64)
+        result = engine.run_bulk(strategy="auto")
         assert len(result.results) == 8
 
     def test_explicit_strategy_rejects_foreign_option(self):
@@ -406,13 +451,3 @@ class TestAutoStrategyOptions:
         # Withdraw the offender: the rest of the batch runs as usual.
         engine.pool.take_matching([1])
         assert engine.run_bulk().committed == 2
-
-    def test_applicable_option_passes_through_silently(self):
-        # This bulk is small and fully partitioned, so Algorithm 1
-        # picks PART; PART's own option must pass through untouched.
-        engine = self.make_engine()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = engine.run_bulk(strategy="auto", partition_size=4)
-        assert result.strategy == "part"
-        assert len(result.results) == 8

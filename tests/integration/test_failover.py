@@ -6,13 +6,13 @@ WAL replay, yields final store state and per-transaction outcomes
 identical to the uninterrupted run and to the serial oracle.
 """
 
-import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro import (
+    ChooserThresholds,
     ClusterOptions,
     ClusterTx,
     CpuEngine,
@@ -20,7 +20,7 @@ from repro import (
     MigrationPlan,
     TransactionPool,
 )
-from repro.errors import ClusterError, ShardFailure
+from repro.errors import ClusterError, ConfigError, ShardFailure
 from repro.workloads import tm1
 from tests.integration.test_cluster import (
     LEDGER_PROCEDURES,
@@ -262,31 +262,25 @@ class TestFailoverMechanics:
             cluster.run_bulk(strategy="kset")
         assert len(cluster.results) == 40
 
-    def test_recovered_shard_keeps_the_clusters_warning_memo(self, rng):
-        """A dropped-option warning is given once per cluster lifetime:
-        the engine rebuilt for a recovered shard shares the memo the
-        other shards already filled (GPUTx.rebuild_on used to drop it,
-        so the recovered shard warned again)."""
+    def test_recovered_shard_keeps_its_chooser_thresholds(self, rng):
+        """The engine rebuilt for a recovered shard (GPUTx.rebuild_on)
+        carries the failed engine's chooser thresholds, so 'auto' picks
+        for that shard after a failover as it did before."""
         cluster = self.make_cluster()
+        tuned = ChooserThresholds(w0_bar=1)  # every bulk is K-SET wide
+        cluster.shards[0].thresholds = tuned
 
         def auto_bulk():
             cluster.submit_many(ledger_specs(rng, 30, 24, cross_prob=0.0))
-            return cluster.run_bulk(
-                strategy="auto", per_task_launch_overhead=True
-            )
+            return cluster.run_bulk(strategy="auto")
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            auto_bulk()
-            cluster.failover.kill(0)
-            cluster.failover.recover(0)
-            assert cluster.failover.dead == frozenset()
-            result = auto_bulk()
-        assert set(result.waves[0].strategies) == {0, 1}
-        drops = [w for w in caught
-                 if "per_task_launch_overhead" in str(w.message)]
-        assert len(drops) == 1
-        assert issubclass(drops[0].category, UserWarning)
+        before = auto_bulk().waves[0].strategies
+        assert before[0] == "kset" and before[1] != "kset"
+        cluster.failover.kill(0)
+        cluster.failover.recover(0)
+        assert cluster.failover.dead == frozenset()
+        assert cluster.shards[0].thresholds is tuned
+        assert auto_bulk().waves[0].strategies == before
 
     def test_recovery_without_replicas_uses_host_wal(self, rng):
         """K = 0 still recovers in the simulation (host-side WAL and
@@ -414,6 +408,39 @@ class TestFailoverErrors:
         with pytest.raises(ClusterError, match=">= 0"):
             cluster.failover.schedule_kill(0, bulk=-1)
 
+    @pytest.mark.parametrize(
+        "shard, bulk, wave",
+        [(1, float("nan"), 0), (True, 0, 0), (1, 1.5, 0), (1, 0, 0.5),
+         (1.0, 0, 0)],
+        ids=["bulk-nan", "shard-true", "bulk-half", "wave-half", "shard-float"],
+    )
+    def test_kill_coordinates_must_be_ints(self, shard, bulk, wave):
+        """``schedule_kill(1, bulk=nan)`` was accepted, then neither
+        fired nor stayed pending (a NaN compares false against every
+        point), and ``schedule_kill(True, bulk=0)`` killed shard 1."""
+        cluster = ClusterTx(
+            build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
+            options=ClusterOptions(durability=DurabilityConfig()),
+        )
+        with pytest.raises(ConfigError, match="kill"):
+            cluster.failover.schedule_kill(shard, bulk=bulk, wave=wave)
+        assert cluster.failover.pending == ()
+        if wave == 0 and bulk == 0:
+            # ``kill(True)`` marked a shard "True" dead; ``kill(0.5)``
+            # raised a bare TypeError.
+            with pytest.raises(ConfigError, match="kill shard"):
+                cluster.failover.kill(shard)
+            assert cluster.dead_shards == frozenset()
+            # ``recover(1.0)`` raised a bare TypeError mid-recovery.
+            cluster.failover.kill(1)
+            with pytest.raises(ConfigError, match="recover shard"):
+                cluster.failover.recover(shard)
+            assert cluster.dead_shards == {1}
+        cluster.failover.schedule_kill(np.int64(1), bulk=np.int32(0))
+        (order,) = cluster.failover.pending
+        assert (order.shard, order.bulk, order.wave) == (1, 0, 0)
+        assert type(order.shard) is int and type(order.bulk) is int
+
     def test_dead_shard_access_raises_shard_failure(self):
         cluster = ClusterTx(
             build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
@@ -435,6 +462,53 @@ class TestFailoverErrors:
         cluster.failover.kill(1)
         cluster.failover.kill(1)
         assert cluster.dead_shards == {1}
+
+
+class TestRequeuedAccounting:
+    """``ClusterExecutionResult.requeued`` counts everything of a bulk
+    that went back to the pool, so executed plus requeued is the bulk's
+    size on every path. Shard deferrals and the younger waves they stop
+    used to go uncounted."""
+
+    @pytest.mark.parametrize("path", ["kill", "migration", "deferral"])
+    def test_every_transaction_is_executed_or_requeued(self, path):
+        cluster = ClusterTx(
+            build_ledger_db(24), procedures=LEDGER_PROCEDURES, n_shards=2,
+            router="range",
+            options=ClusterOptions(durability=DurabilityConfig()),
+        )
+        specs = ledger_specs(np.random.default_rng(11), 80, 24, 0.2)
+        cluster.submit_many(specs)
+        options = {}
+        if path == "kill":
+            cluster.failover.schedule_kill(1, bulk=0, wave=1)
+        elif path == "migration":
+            cluster.request_migration(
+                MigrationPlan(src=0, dst=1, key_lo=6, key_hi=12)
+            )
+        else:
+            options = {"max_rounds": 1}
+        requeued = []
+        while len(cluster.pool):
+            size = len(cluster.pool)
+            out = cluster.run_bulk(strategy="kset", **options)
+            assert len(out.results) + out.requeued == size
+            requeued.append(out.requeued)
+        assert requeued[0] > 0
+        assert cluster.logical_state() == serial_ledger_state(specs, 24)
+
+    def test_deferred_smallbank_bulk(self):
+        """The deferral case as first seen: SmallBank under streaming
+        K-SET with one round per shard."""
+        from repro.workloads import smallbank
+
+        db = smallbank.build_database(1)
+        cluster = ClusterTx(db, procedures=smallbank.PROCEDURES, n_shards=2)
+        cluster.submit_many(smallbank.generate_transactions(db, 400, seed=3))
+        batch = cluster.pool.take()
+        out = cluster.execute_bulk(batch, strategy="kset", max_rounds=1)
+        assert out.requeued == len(cluster.pool) > 0
+        assert len(out.results) + out.requeued == len(batch)
 
 
 class TestOnePoolOneResultSet:

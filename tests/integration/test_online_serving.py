@@ -436,6 +436,25 @@ class TestShardedServing:
         report = serve(cluster, arrivals, former=AdaptiveBulkFormer(slo()))
         assert all(b.strategy for b in report.bulks)
 
+    def test_report_bulks_record_what_the_former_observed(self):
+        """``ServeReport.bulks`` is the one per-bulk record of (size,
+        target, strategy): each entry is what the adaptive former saw
+        when the bulk was observed. (The former kept a second copy,
+        its ``trajectory`` list, that nothing read.)"""
+        engine = GPUTx(build_ledger_db(), procedures=LEDGER_PROCEDURES)
+        former = AdaptiveBulkFormer(slo())
+        seen = []
+        observe = former.observe
+
+        def spy(**kwargs):
+            seen.append((kwargs["size"], former.target_size(), kwargs["strategy"]))
+            observe(**kwargs)
+
+        former.observe = spy
+        report = serve(engine, ledger_arrivals(200, 40_000.0, seed=37), former=former)
+        assert len(seen) > 1
+        assert [(b.size, b.target, b.strategy) for b in report.bulks] == seen
+
     def test_strategies_used_counts_actual_subbulk_sizes(self):
         """Per-strategy counts come from each shard's real sub-bulk
         size, so they sum to the executed total exactly."""
@@ -480,7 +499,7 @@ class TestArrivalRateRealism:
 
 
 class TestShedAttributionAfterMigration:
-    """Regression: ``LatencySummary.shed_by_shard`` keys must follow
+    """Regression: ``AdmissionStats.rejected_by_shard`` keys must follow
     the live router, not the range table that existed at serve start.
 
     Admission routes every arrival through the cluster's router *at
@@ -539,4 +558,3 @@ class TestShedAttributionAfterMigration:
 
         summary = LatencySummary.of([], admission.stats)
         assert summary.shed == 2
-        assert summary.shed_by_shard == {1: 2}

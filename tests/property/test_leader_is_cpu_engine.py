@@ -77,7 +77,7 @@ def test_leader_wave_equals_cpu_engine(n_shards, fraction, n, seed):
     # One core, so the CPU makespan is the same left-to-right cycle
     # sum the serial leader reports: equal to the last bit.
     assert led.exec_seconds == ran.seconds
-    assert cluster.logical_state() == cpu.db.logical_state()
+    assert cluster.logical_state() == cpu.adapter.db.logical_state()
 
 
 @settings(

@@ -54,7 +54,6 @@ STATS_FIELDS = (
     "atomic_conflicts",
     "rounds",
     "threads_launched",
-    "threads_aborted",
 )
 
 BANK_ACCOUNTS = 6  # tiny account pool -> long reader runs + lock queues
@@ -159,6 +158,7 @@ def _run(build_db, procedures, specs, backend, strategy,
     stats = [
         (
             tuple(getattr(rep.stats, f) for f in STATS_FIELDS),
+            rep.aborted_count,
             rep.timing,
             rep.outcomes,
         )

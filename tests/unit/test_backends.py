@@ -8,7 +8,6 @@ small deterministic workloads; the hypothesis suite
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ STATS_FIELDS = (
     "atomic_conflicts",
     "rounds",
     "threads_launched",
-    "threads_aborted",
 )
 
 
@@ -86,6 +84,7 @@ def assert_identical(interp, vector):
         for ki, kv in zip(ri.kernel_reports, rv.kernel_reports):
             for field in STATS_FIELDS:
                 assert getattr(ki.stats, field) == getattr(kv.stats, field), field
+            assert ki.aborted_count == kv.aborted_count
             assert ki.timing.cycles == kv.timing.cycles
             assert ki.timing.seconds == kv.timing.seconds
             assert ki.timing.bound == kv.timing.bound
@@ -267,36 +266,35 @@ class TestNoFallback:
         assert runs[0].seconds == runs[1].seconds
 
 
-class TestWarnDedupPerEngine:
-    """A second engine in the same process must still get its first
-    dropped-option warning (the old global warning filter swallowed
-    it); repeats on the same engine stay deduplicated."""
+class TestAutoTakesNoOptions:
+    """"auto" refuses a strategy option on either backend, before the
+    pool is drained; the strategy named with it takes it. (It used to
+    be dropped with a warning, deduplicated per engine.)"""
 
-    def _engine(self):
-        engine = GPUTx(
-            micro.build_database(32), procedures=micro.build_procedures(2)
+    def _engine(self, backend):
+        engine = _engine(
+            micro.build_database(32), micro.build_procedures(2), backend
         )
-        engine.thresholds = ChooserThresholds(w0_bar=1)
         engine.submit_many(
             micro.generate_transactions(8, n_tuples=32, n_branches=2)
         )
         return engine
 
-    def test_second_engine_warns_again(self):
-        first = self._engine()
-        with pytest.warns(UserWarning, match="partition_size"):
-            first.run_bulk(strategy="auto", partition_size=4)
-        second = self._engine()
-        with pytest.warns(UserWarning, match="partition_size"):
-            second.run_bulk(strategy="auto", partition_size=4)
+    @pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+    def test_auto_refuses_the_option(self, backend):
+        engine = self._engine(backend)
+        with pytest.raises(ConfigError, match="'partition_size': \\['part'"):
+            engine.run_bulk(strategy="auto", partition_size=4)
+        assert len(engine.pool) == 8
 
-    def test_same_engine_warns_once(self):
-        engine = self._engine()
-        with pytest.warns(UserWarning, match="partition_size"):
-            engine.run_bulk(strategy="auto", max_txns=4, partition_size=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.run_bulk(strategy="auto", max_txns=4, partition_size=4)
+    def test_the_named_strategy_takes_it_on_both_backends(self):
+        specs = micro.generate_transactions(8, n_tuples=32, n_branches=2)
+        interp, vector = run_both(
+            lambda: micro.build_database(32), micro.build_procedures(2),
+            specs, "part", partition_size=4,
+        )
+        assert_identical(interp, vector)
+        assert interp[1][0].strategy == "part"
 
 
 class TestResultBackend:

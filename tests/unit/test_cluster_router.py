@@ -85,7 +85,6 @@ class TestRangeTable:
         assert router.range_table == (
             (0, 25, 0), (25, 50, 1), (50, 75, 2), (75, 100, 3)
         )
-        assert router.table_version == 0
 
     def test_split_moves_range_and_reports_segments(self):
         router = RangeShardRouter(4, key_space=100)
@@ -93,7 +92,6 @@ class TestRangeTable:
         assert moved == [(60, 75, 2)]
         assert router.shard_of_key(59) == 2
         assert router.shard_of_key(60) == 3
-        assert router.table_version == 1
         # Vectorized lookups agree with the scalar path post-swap.
         import numpy as np
 

@@ -9,6 +9,7 @@ front rather than translated.
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.cluster.durability.failover import DurabilityConfig
@@ -17,7 +18,7 @@ from repro.cluster.runtime import ClusterTx
 from repro.config import ClusterOptions
 from repro.core.backends import EngineOptions
 from repro.core.engine import GPUTx
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_real
 from repro.serve.admission import AdmissionController
 from repro.serve.controller import (
     AdaptiveBulkFormer,
@@ -69,6 +70,25 @@ class TestEngineOptionsValue:
         assert EngineOptions(strict_vector=True).strict_vector is True
 
 
+class TestCheckReal:
+    """``errors.check_real``: the one owner of "a positive real"."""
+
+    @pytest.mark.parametrize(
+        "value", [0, -1.0, float("nan"), float("-inf"), True, "1", None]
+    )
+    def test_refused(self, value):
+        with pytest.raises(ConfigError, match="wait must be a positive"):
+            check_real("wait", value)
+
+    def test_accepted_and_normalised(self):
+        assert check_real("wait", 2) == 2.0
+        assert type(check_real("wait", np.float32(0.5))) is float
+        assert check_real("wait", float("inf")) == float("inf")
+        with pytest.raises(ConfigError, match="positive finite"):
+            check_real("wait", float("inf"), finite=True)
+        assert check_real("wait", 1e300, finite=True) == 1e300
+
+
 class TestNewPath:
     def test_cluster_options_configures_everything_silently(self, recwarn):
         opts = ClusterOptions(
@@ -79,14 +99,16 @@ class TestNewPath:
         )
         cluster = bank_cluster(router="range", options=opts)
         assert not recwarn.list
-        assert cluster.options is opts
         assert cluster.durability is not None
         assert cluster.cross_shard == "serial"
         assert cluster.elastic is not None
         assert all(shard.options is opts.engine for shard in cluster.shards)
 
     def test_default_options(self):
-        assert bank_cluster().options == ClusterOptions()
+        cluster, default = bank_cluster(), ClusterOptions()
+        assert (cluster.durability, cluster.elastic) == (None, None)
+        assert cluster.cross_shard == default.cross_shard
+        assert all(shard.options == default.engine for shard in cluster.shards)
         engine = GPUTx(build_bank_db(8), procedures=BANK_PROCEDURES)
         assert engine.options == EngineOptions()
 

@@ -184,6 +184,49 @@ class TestMigrationValidation:
                 MigrationPlan(src=3, dst=0, key_lo=56, key_hi=999)
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("key_lo", 0.5), ("key_hi", 16.0), ("dst", True),
+         ("src", 0.0), ("key_lo", float("nan"))],
+    )
+    def test_plan_coordinates_must_be_ints(self, field, value):
+        """A float cut used to install range entries such as
+        ``(0, 0.5, 0), (0.5, 10, 1)`` and move the rows under them, and
+        ``dst=True`` moved the range to shard 1."""
+        cluster = build_cluster()
+        plan = {**dict(src=0, dst=2, key_lo=0, key_hi=8), field: value}
+        table = cluster.router.range_table
+        for call in (cluster.migrate, cluster.request_migration):
+            with pytest.raises(ConfigError, match=f"migration {field}"):
+                call(MigrationPlan(**plan))
+        assert cluster.router.range_table == table
+        report = cluster.migrate(
+            MigrationPlan(np.int64(0), 2, np.int32(0), np.int64(8))
+        )
+        assert report.moved_rows > 0
+
+    @pytest.mark.parametrize("key_lo, key_hi", [(8, 8), (12, 8)])
+    def test_empty_range_is_refused_before_the_bulk(self, key_lo, key_hi):
+        """An empty range passed validation, then failed inside the next
+        bulk's wave loop, after the pool was drained: the bulk's
+        transactions were neither executed nor requeued."""
+        cluster = ClusterTx(
+            build_ledger_db(N_ACCOUNTS),
+            procedures=LEDGER_PROCEDURES,
+            n_shards=4,
+            router="range",
+        )
+        cluster.submit_many(
+            ledger_specs(np.random.default_rng(3), 40, N_ACCOUNTS, 0.2)
+        )
+        with pytest.raises(ConfigError, match="empty"):
+            cluster.request_migration(
+                MigrationPlan(src=0, dst=3, key_lo=key_lo, key_hi=key_hi)
+            )
+        assert len(cluster.pool) == 40
+        cluster.run_bulk()
+        assert len(cluster.results) == 40
+
     def test_impossible_request_is_refused_before_the_bulk(self):
         """An impossible plan used to be accepted and then raise from
         inside the next bulk's wave loop, after the pool was drained:

@@ -246,13 +246,19 @@ class TestStoreAdapter:
         with pytest.raises(StorageError):
             adapter.insert("acct", (1, 2))
 
-    def test_journal_tracks_until_apply(self):
-        adapter = StoreAdapter(build_db())
-        adapter.insert("acct", (40, 2, 400))
-        adapter.delete("acct", 0)
-        assert adapter.journal.pending_count == 2
-        adapter.apply_batch()
-        assert adapter.journal.pending_count == 0
+    def test_insert_bulk_equals_row_by_row_inserts(self):
+        """The batched insert lands the same rows, indexes and probes
+        as one ``insert`` per row, and no batch boundary is needed for
+        either to be visible."""
+        rows = [(40, 2, 400), (50, 3, 500), (60, 2, 600)]
+        one, bulk = StoreAdapter(build_db()), StoreAdapter(build_db())
+        expected = [one.insert("acct", values) for values in rows]
+        assert bulk.insert_bulk("acct", rows) == expected == [3, 4, 5]
+        assert bulk.db.physical_state() == one.db.physical_state()
+        for adapter in (one, bulk):
+            assert adapter.probe("acct_pk", 50) == 4
+            assert adapter.probe("acct_by_owner", 2) == (2, 3, 5)
+        assert bulk.insert_bulk("acct", []) == []
 
     def test_addresses_disjoint_between_tables(self):
         db = build_db()

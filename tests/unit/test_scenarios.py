@@ -1,5 +1,6 @@
 """Unit tests for the scenario registry, runner, and verifiers."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -76,6 +77,36 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="key_lo"):
             ForcedMigration(src=0, dst=1, key_lo=10, key_hi=10)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ShardKill(shard=0.5, at_bulk=0),
+            lambda: ShardKill(shard=True, at_bulk=0),
+            lambda: ShardKill(shard=0, at_bulk=float("nan")),
+            lambda: ShardKill(shard=0, at_bulk=1, wave=1.5),
+            lambda: ForcedMigration(0, 1, 0, 10, at_bulk=float("nan")),
+            lambda: ForcedMigration(0, 1, 0.5, 10),
+            lambda: ForcedMigration(True, 0, 0, 10),
+        ],
+        ids=[
+            "kill-shard-half", "kill-shard-true", "kill-bulk-nan",
+            "kill-wave-half", "move-bulk-nan", "move-key-half",
+            "move-src-true",
+        ],
+    )
+    def test_fault_coordinates_are_ints(self, make):
+        """A NaN bulk compares false against every bulk, so the fault
+        never fired and the scenario "verified" without it; a float
+        shard or key and ``True`` (shard 1) were accepted."""
+        with pytest.raises(ConfigError, match="must be an int"):
+            make()
+
+    def test_fault_coordinates_are_normalised(self):
+        kill = ShardKill(shard=np.int64(1), at_bulk=np.int32(2))
+        move = ForcedMigration(np.int64(0), 1, np.int64(0), 9, np.int8(1))
+        assert [type(v) for v in (kill.shard, kill.at_bulk, move.src,
+                                  move.key_lo, move.at_bulk)] == [int] * 5
+
     def test_scenario_cross_field_rules(self):
         with pytest.raises(ConfigError, match="mode"):
             _scenario(mode="batch")
@@ -116,6 +147,27 @@ class TestRunner:
             run_scenario("noisy_neighbor", scale=0.02, faults="some")
         with pytest.raises(ConfigError, match="scale"):
             run_scenario("noisy_neighbor", scale=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scale": float("nan")},
+            {"scale": float("inf")},
+            {"scale": True},
+            {"scale": "0.1"},
+            {"seed": -1},
+            {"seed": 2.5},
+            {"seed": True},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    @pytest.mark.parametrize("entry", [run_scenario, verify_scenario])
+    def test_scale_and_seed_fail_as_config_errors(self, entry, kwargs):
+        """A NaN scale raised ``ValueError``, an infinite one
+        ``OverflowError``, ``True`` ran at scale 1, and a negative or
+        fractional seed failed inside NumPy or the workload generator."""
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            entry("flash_sale", **kwargs)
 
     def test_tiny_serve_run_produces_tenant_summaries(self):
         run = run_scenario("noisy_neighbor", scale=0.01)

@@ -164,11 +164,6 @@ class TestAdaptiveBulkFormer:
             observe(former, size=30, service_s=0.004, p95=0.0)
         assert former.target_size() == pytest.approx(40, abs=3)
 
-    def test_trajectory_records_bulks(self):
-        former = AdaptiveBulkFormer(self.slo())
-        observe(former, size=8, strategy="part")
-        assert former.trajectory == [(8, 8, "part")]
-
 
 class TestStrategyFeedback:
     def test_unobserved_strategy_has_no_model(self):
