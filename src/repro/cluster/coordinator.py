@@ -227,19 +227,14 @@ class FailoverController:
     # -- failure injection ----------------------------------------------
     def kill(self, shard: int) -> None:
         """Take ``shard`` down immediately (between bulks)."""
-        self._cluster._kill_shard(check_int("kill shard", shard))
+        self._cluster._kill_shard(shard)
 
     def schedule_kill(self, shard: int, *, bulk: int, wave: int = 0) -> None:
         """Arrange for ``shard`` to die just before ``wave`` of
         ``bulk`` (bulks and waves are 0-indexed; a kill scheduled for
         a point the run has already passed fires at the next wave
         boundary)."""
-        shard = check_int("kill shard", shard)
-        if not 0 <= shard < self._cluster.n_shards:
-            raise ClusterError(
-                f"no shard {shard} in a {self._cluster.n_shards}-shard "
-                "cluster"
-            )
+        shard = self._cluster._shard_id("kill shard", shard)
         bulk, wave = check_int("kill bulk", bulk), check_int("kill wave", wave)
         if bulk < 0 or wave < 0:
             raise ClusterError("kill bulk/wave must be >= 0")
@@ -267,7 +262,7 @@ class FailoverController:
 
     def recover(self, shard: int) -> RecoveryReport:
         """Promote a replica of ``shard`` and bring it back online."""
-        return self._cluster.recover_shard(check_int("recover shard", shard))
+        return self._cluster.recover_shard(shard)
 
 
 class CrossShardCoordinator:
@@ -316,14 +311,14 @@ class CrossShardCoordinator:
         """Interpret one wave in timestamp order, one txn at a time.
 
         The leader is the CPU engine: the wave runs through
-        :func:`repro.cpu.engine.run_serial` -- ``CpuEngine.execute``'s
-        own loop and cost model -- over the cluster-wide store view,
-        refusing device locks, which only order threads inside a kernel.
-        Shared by both commit paths so their outcomes, store mutations
-        and redo capture are identical by construction. Returns the
-        timestamp-sorted transactions plus parallel lists of results,
-        per-transaction cycles (dispatch included) and shard sets
-        (looked up in ``shard_map``, the bulk's routing).
+        :func:`repro.cpu.engine.run_serial` (``CpuEngine.execute``'s
+        loop and cost model, each transaction on
+        :func:`repro.core.tx_logging.run_stream`) over the cluster-wide
+        store view, refusing device locks. Shared by both commit paths,
+        so their outcomes, store mutations and redo capture are
+        identical by construction. Returns the timestamp-sorted
+        transactions plus parallel lists of results, per-transaction
+        cycles (dispatch included) and shard sets (from ``shard_map``).
         """
         order, results, cycles = run_serial(
             self.registry,

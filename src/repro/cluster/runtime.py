@@ -79,7 +79,9 @@ from repro.core.txn import (
     Transaction,
     TransactionPool,
 )
-from repro.errors import ClusterError, ConfigError, RecoveryError, ShardFailure
+from repro.errors import (
+    ClusterError, ConfigError, RecoveryError, ShardFailure, check_int,
+)
 from repro.gpu.costmodel import DMA_PHASES, TimeBreakdown
 from repro.storage.catalog import Database
 
@@ -921,18 +923,25 @@ class ClusterTx(BulkFrontDoor):
     def dead_shards(self) -> "frozenset[int]":
         return frozenset(self._dead)
 
+    def _shard_id(self, name: str, shard: Any) -> int:
+        """``shard`` as one of this cluster's shard ids: an int >= 0
+        (else ``ConfigError``) below ``n_shards`` (else ``ClusterError``)."""
+        shard = check_int(name, shard, 0)
+        if shard >= self.n_shards:
+            raise ClusterError(
+                f"no shard {shard} in a {self.n_shards}-shard cluster"
+            )
+        return shard
+
     def _kill_shard(self, shard: int) -> None:
         """Simulate losing ``shard``'s device: engine and partition
         become unreachable; only the durable state (host/replica-side
         WAL + checkpoints) survives."""
+        shard = self._shard_id("kill shard", shard)
         if self.durability is None:
             raise ClusterError(
                 "cannot kill a shard without durability enabled: its "
                 "partition would be unrecoverable"
-            )
-        if not 0 <= shard < self.n_shards:
-            raise ClusterError(
-                f"no shard {shard} in a {self.n_shards}-shard cluster"
             )
         if shard in self._dead:
             return
@@ -955,6 +964,7 @@ class ClusterTx(BulkFrontDoor):
     def recover_shard(self, shard: int) -> RecoveryReport:
         """Promote a replica of ``shard``: checkpoint restore + WAL
         suffix replay, then re-route the shard id to the new engine."""
+        shard = self._shard_id("recover shard", shard)
         if self.durability is None:
             raise ClusterError("durability is not enabled on this cluster")
         if shard not in self._dead:

@@ -33,18 +33,18 @@ from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import StrategyExecutor
+    from repro.core.tx_logging import UndoEntry
     from repro.core.txn import ResultColumns, Transaction
     from repro.gpu.simt import KernelReport
 
 
 class PartitionOutcomes(NamedTuple):
     """What one PART partition thread returns: its transactions'
-    results, in execution order, and the buffered inserts and deletes
-    its aborted transactions leave to cancel (``(table, row)`` each)."""
+    results, in execution order, and the undo log (in op order) of the
+    inserts and deletes its aborted transactions leave behind."""
 
     results: ResultColumns
-    cancel_inserts: List[Tuple[str, int]]
-    cancel_deletes: List[Tuple[str, int]]
+    undo: List[UndoEntry]
 
 
 class InterpretedBackend:

@@ -39,7 +39,7 @@ from repro.core.backends.replay import replay_kernel
 from repro.core.backends.wave import (
     HANDLE_BASE, TraceRecorder, WaveStore, run_sub_wave,
 )
-from repro.core.tx_logging import DELETE_SENTINEL, INSERT_SENTINEL, remap_handle_rows
+from repro.core.tx_logging import SENTINELS, remap_handle_rows
 from repro.core.txn import ResultColumns
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, OutcomeColumns
@@ -114,8 +114,10 @@ class VectorizedBackend(InterpretedBackend):
         results = np.full(n, None, dtype=object)
         undo: List[Any] = [None] * n
         out = (committed, abort_reason, results, undo)
-        # Partition -> the undo logs of its aborted transactions.
-        aborted_logs: Dict[int, List[Any]] = {}
+        # Each partition's undo log: its aborted transactions' inserts
+        # and deletes (writes roll back inline), under handle rows until
+        # the replay assigns physical ids.
+        logs: List[List[Any]] = [[] for _ in range(n)]
         all_lanes = np.arange(n, dtype=np.int64)
         # The partition-boundary binary searches (one Compute op).
         recorder.record(
@@ -157,7 +159,7 @@ class VectorizedBackend(InterpretedBackend):
                 if type_name in inline:
                     for i in lane_list:
                         if not committed[i]:
-                            aborted_logs.setdefault(i, []).extend(undo[i])
+                            logs[i] += [e for e in undo[i] if e[0] in SENTINELS]
             at = offsets[lanes_slot] + slot
             flat_committed[at] = committed[lanes_slot]
             flat_reason[at] = abort_reason[lanes_slot]
@@ -175,22 +177,14 @@ class VectorizedBackend(InterpretedBackend):
         outcomes = OutcomeColumns(
             [pid for pid, _txns in parts], [-1] * n, [True] * n, [""] * n,
             [
-                PartitionOutcomes(flat[a:b], [], [])
-                for a, b in zip(bounds, bounds[1:])
+                PartitionOutcomes(flat[a:b], log)
+                for a, b, log in zip(bounds, bounds[1:], logs)
             ],
         )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
-        # What the aborted transactions staged, under the physical row
-        # ids the replay assigned: the partitions' cancel lists.
-        for i, log in aborted_logs.items():
-            part = outcomes.result[i]
-            for kind, table, row, _old in remap_handle_rows(
-                log, store.handle_row, HANDLE_BASE
-            ):
-                if kind == INSERT_SENTINEL:
-                    part.cancel_inserts.append((table, row))
-                elif kind == DELETE_SENTINEL:
-                    part.cancel_deletes.append((table, row))
+        for log in logs:
+            if log:
+                log[:] = remap_handle_rows(log, store.handle_row, HANDLE_BASE)
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
         return report

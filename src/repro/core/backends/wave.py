@@ -1160,7 +1160,7 @@ def run_lane(
     each WRITE is preceded by a READ of its before-image, and an abort
     writes those back in reverse instead of issuing an ABORT op. The
     returned log then holds the before-images and the insert/delete
-    sentinels, from which the caller takes the cancel lists.
+    sentinels, from which the caller takes the partition's undo log.
     """
     record = recorder.record_scalar
     record(op_ir.SET_BRANCH, lane, type_id)

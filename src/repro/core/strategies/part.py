@@ -24,13 +24,15 @@ delegates the whole bulk to :class:`~repro.core.strategies.tpl.TplExecutor`
 in that case, exactly the severe degradation the paper describes.
 
 Aborts only affect the aborting transaction (its partition-mates have
-not run yet), so the wrapper rolls its writes back inline and moves on.
+not run yet), so the wrapper rolls its writes back inline and moves on;
+its inserts and deletes join the partition's undo log, rolled back
+after the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -45,6 +47,9 @@ from repro.core.executor import (
 )
 from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.strategies.tpl import TplExecutor
+from repro.core.tx_logging import (
+    DELETE_SENTINEL, INSERT_SENTINEL, UndoEntry, rollback,
+)
 from repro.core.txn import ResultColumns, Transaction
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
@@ -148,12 +153,11 @@ class PartExecutor(StrategyExecutor):
             # Binary searches for the partition's [start, end) in P.
             yield op_ir.Compute(boundary_cycles)
             rows = ResultColumns()
-            outcomes = PartitionOutcomes(rows, [], [])
+            outcomes = PartitionOutcomes(rows, [])
             for txn, type_id, needs_undo, inner in prepared:
                 yield op_ir.SetBranch(type_id)
-                undo: List[Tuple[str, str, int, Any]] = []
-                ins_cancel: List[Tuple[str, int]] = []
-                del_cancel: List[Tuple[str, int]] = []
+                writes: List[UndoEntry] = []
+                mutations: List[UndoEntry] = []
                 aborted = False
                 reason = ""
                 result = None
@@ -168,21 +172,22 @@ class PartExecutor(StrategyExecutor):
                     if op.kind == op_ir.ABORT:
                         aborted = True
                         reason = op.reason
-                        # Inline rollback: compensating writes.
-                        for table, column, row, old in reversed(undo):
+                        # Inline rollback: compensating writes; inserts
+                        # and deletes wait for _collect.
+                        for table, column, row, old in reversed(writes):
                             yield op_ir.Write(table, column, row, old)
+                        outcomes.undo.extend(mutations)
                         break
                     if op.kind == op_ir.WRITE and needs_undo:
                         old = yield op_ir.Read(op.table, op.column, op.row)
-                        undo.append((op.table, op.column, op.row, old))
+                        writes.append((op.table, op.column, op.row, old))
                         send = yield op
                     elif op.kind == op_ir.INSERT_ROW:
-                        provisional = yield op
-                        ins_cancel.append((op.table, provisional))
-                        send = provisional
+                        send = yield op
+                        mutations.append((INSERT_SENTINEL, op.table, send, None))
                     elif op.kind == op_ir.DELETE_ROW:
                         send = yield op
-                        del_cancel.append((op.table, op.row))
+                        mutations.append((DELETE_SENTINEL, op.table, op.row, None))
                     else:
                         send = yield op
                 rows.extend(
@@ -191,9 +196,6 @@ class PartExecutor(StrategyExecutor):
                         [result],
                     )
                 )
-                if aborted:
-                    outcomes.cancel_inserts.extend(ins_cancel)
-                    outcomes.cancel_deletes.extend(del_cancel)
                 # Loop bookkeeping between transactions.
                 yield op_ir.Compute(2)
             return outcomes
@@ -202,15 +204,9 @@ class PartExecutor(StrategyExecutor):
 
     def _collect(self, report) -> ResultColumns:
         """Concatenate the partition threads' results (in id order)
-        and cancel what aborted transactions inserted or deleted."""
-        threads = report.outcomes.result
-        for part in threads:
-            for table, provisional in part.cancel_inserts:
-                self.adapter.cancel_insert(table, provisional)
-        for part in threads:
-            for table, row in part.cancel_deletes:
-                self.adapter.cancel_delete(table, row)
+        and roll back what aborted transactions inserted or deleted."""
         results = ResultColumns()
-        for part in threads:
+        for part in report.outcomes.result:
+            rollback(self.adapter, part.undo)
             results.extend(part.results)
         return results.sorted_by_id()

@@ -11,22 +11,22 @@ The paper eliminates logging wherever practical:
   contract (used at registration time in tests and by workload
   authors).
 * For the remaining types, undo records are captured during execution
-  (by the SIMT engine for TPL/K-SET, inline by the PART wrapper) and
-  rolled back afterwards; :func:`rollback` replays a log against a
-  store in reverse order, handling writes, buffered inserts, and
-  buffered deletes.
+  and :func:`rollback`, the one code that undoes a transaction, replays
+  them in reverse: after the kernel (TPL, K-SET, PART's inserts and
+  deletes), or inline in :func:`run_stream`, the serial interpreter of
+  the CPU engine, the cross-shard leader and the ad-hoc launch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.errors import RecoveryError
+from repro.errors import ExecutionError, RecoveryError
 from repro.gpu import ops as op_ir
 
 #: One undo record: (table, column, row, old_value) for writes, or the
-#: sentinel forms ("__insert__", table, provisional_row, None) and
-#: ("__delete__", table, row, None) for buffered mutations.
+#: sentinel forms (INSERT_SENTINEL, table, inserted_row, None) and
+#: (DELETE_SENTINEL, table, row, None) for inserts and deletes.
 UndoEntry = Tuple[str, str, int, Any]
 
 INSERT_SENTINEL = "__insert__"
@@ -55,6 +55,76 @@ def rollback(adapter, entries: Sequence[UndoEntry]) -> int:
             raise RecoveryError(f"cannot roll back {entry!r}: {exc}") from exc
         count += 1
     return count
+
+
+def run_stream(
+    stream: op_ir.OpStream,
+    adapter: Any,
+    cost: Any,
+    *,
+    who: str,
+    refused: FrozenSet[int] = frozenset(),
+) -> Tuple[float, bool, str, Any]:
+    """Run one transaction's op stream to completion, alone.
+
+    ``CpuEngine``, the cross-shard leader and ``SIMTEngine.launch_serial``
+    all execute through it. ``adapter`` is any DeviceStore-protocol store
+    view; ``cost`` prices each op (``CpuCostModel``, or the ad-hoc
+    launch's serial core); ``who`` names the transaction in errors; an op
+    whose kind is in ``refused`` is an ExecutionError. Returns ``(cycles,
+    committed, abort_reason, value)``. An abort rolls the transaction's
+    log back inline: nothing else has seen its effects.
+    """
+    cycles = 0.0
+    undo: List[UndoEntry] = []
+    send: Any = None
+    while True:
+        try:
+            op = stream.send(send)
+        except StopIteration as stop:
+            return cycles, True, "", stop.value
+        except Exception as exc:
+            raise ExecutionError(f"{who} raised {exc!r}") from exc
+        send = None
+        kind = op.kind
+        if kind == op_ir.READ:
+            send = adapter.read(op.table, op.column, op.row)
+            cycles += cost.memory_access()
+        elif kind == op_ir.WRITE:
+            old = adapter.write(op.table, op.column, op.row, op.value)
+            undo.append((op.table, op.column, op.row, old))
+            cycles += cost.memory_access()
+        elif kind == op_ir.COMPUTE:
+            cycles += cost.compute(op.amount)
+        elif kind == op_ir.SFU_COMPUTE:
+            cycles += cost.sfu(op.amount)
+        elif kind == op_ir.INDEX_PROBE:
+            send = adapter.probe(op.index, op.key)
+            cycles += cost.memory_access(2)
+        elif kind == op_ir.INSERT_ROW:
+            send = adapter.insert(op.table, op.values)
+            undo.append((INSERT_SENTINEL, op.table, send, None))
+            cycles += cost.insert(adapter.row_width(op.table))
+        elif kind == op_ir.DELETE_ROW:
+            adapter.delete(op.table, op.row)
+            undo.append((DELETE_SENTINEL, op.table, op.row, None))
+            cycles += cost.memory_access()
+        elif kind == op_ir.ABORT:
+            rollback(adapter, undo)
+            cycles += cost.abort()
+            for entry in undo:
+                cycles += cost.undo(entry)
+            return cycles, False, op.reason, None
+        elif kind in refused:
+            raise ExecutionError(
+                f"{who} issued {type(op).__name__}, which this serial "
+                "host pass does not run"
+            )
+        elif kind in (op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE,
+                      op_ir.SET_BRANCH):
+            cycles += cost.compute(0)  # no work of its own
+        else:  # pragma: no cover - closed op table
+            raise ExecutionError(f"unknown op kind {kind}")
 
 
 def validate_two_phase(stream: op_ir.OpStream, feed: Any = 0) -> bool:

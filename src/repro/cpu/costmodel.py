@@ -15,6 +15,7 @@ docs/ARCHITECTURE.md).
 
 from __future__ import annotations
 
+from repro.core.tx_logging import SENTINELS, UndoEntry
 from repro.gpu.spec import CPUSpec, XEON_E5520
 
 
@@ -30,12 +31,13 @@ class CpuCostModel:
         #: ``sinf`` via SSE/libm on Nehalem.
         self._sfu_cycles = 20.0
 
-    def memory_access(self) -> float:
-        """One random read or write (index probe counts as two)."""
-        return self._mem_cycles
+    def memory_access(self, accesses: int = 1) -> float:
+        """``accesses`` random reads or writes (an index probe is two)."""
+        return accesses * self._mem_cycles
 
     def compute(self, amount: int) -> float:
-        """``amount`` ALU ops through the superscalar pipeline."""
+        """``amount`` ALU ops through the superscalar pipeline (at least
+        one: a lock or branch-tag op is a compute op with no work)."""
         return max(1, amount) / self._ipc
 
     def sfu(self, amount: int) -> float:
@@ -45,6 +47,15 @@ class CpuCostModel:
     def insert(self, row_width: int) -> float:
         """Append one row: sequential writes, cache friendly."""
         return 8.0 + row_width / 16.0
+
+    def abort(self) -> float:
+        """The abort itself is free; its rollback is charged per entry."""
+        return 0.0
+
+    def undo(self, entry: UndoEntry) -> float:
+        """Roll back one undo entry: a write restores its before-image
+        (one access); cancelling an insert or delete is free."""
+        return 0.0 if entry[0] in SENTINELS else self._mem_cycles
 
     def dispatch(self) -> float:
         """Per-transaction engine overhead (queueing, stored-proc call)."""

@@ -24,92 +24,13 @@ from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.executor import PHASE_EXECUTION
 from repro.core.procedure import ProcedureRegistry, TransactionType
+from repro.core.tx_logging import run_stream
 from repro.core.txn import BulkOutcome, ResultColumns, Transaction
 from repro.cpu.costmodel import CpuCostModel
-from repro.errors import ExecutionError, check_int
-from repro.gpu import ops as op_ir
+from repro.errors import check_int
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.spec import XEON_E5520
 from repro.storage.catalog import Database, StoreAdapter
-
-
-def run_stream(
-    stream: op_ir.OpStream,
-    adapter: Any,
-    cost: CpuCostModel,
-    *,
-    who: str,
-    refused: FrozenSet[int] = frozenset(),
-) -> Tuple[float, bool, str, Any]:
-    """Run one transaction's op stream to completion on one host core.
-
-    The only serial op-stream interpreter outside the SIMT simulator:
-    :class:`CpuEngine` and the cluster's cross-shard leader
-    (:mod:`repro.cluster.coordinator`) both execute through it, so
-    their outcomes and cycle charges agree by construction. ``adapter``
-    is any DeviceStore-protocol store view; ``who`` names the
-    transaction in errors; an op whose kind is in ``refused`` is an
-    :class:`~repro.errors.ExecutionError`. Returns ``(cycles,
-    committed, abort_reason, value)``. An abort is rolled back inline:
-    serial execution makes that trivial (no other transaction has
-    observed the writes).
-    """
-    cycles = 0.0
-    undo: List[Tuple[str, str, int, Any]] = []
-    pending_inserts: List[Tuple[str, int]] = []
-    pending_deletes: List[Tuple[str, int]] = []
-    send: Any = None
-    while True:
-        try:
-            op = stream.send(send)
-        except StopIteration as stop:
-            return cycles, True, "", stop.value
-        except Exception as exc:
-            raise ExecutionError(f"{who} raised {exc!r}") from exc
-        send = None
-        kind = op.kind
-        if kind == op_ir.READ:
-            send = adapter.read(op.table, op.column, op.row)
-            cycles += cost.memory_access()
-        elif kind == op_ir.WRITE:
-            old = adapter.write(op.table, op.column, op.row, op.value)
-            undo.append((op.table, op.column, op.row, old))
-            cycles += cost.memory_access()
-        elif kind == op_ir.COMPUTE:
-            cycles += cost.compute(op.amount)
-        elif kind == op_ir.SFU_COMPUTE:
-            cycles += cost.sfu(op.amount)
-        elif kind == op_ir.INDEX_PROBE:
-            send = adapter.probe(op.index, op.key)
-            cycles += 2 * cost.memory_access()
-        elif kind == op_ir.INSERT_ROW:
-            provisional = adapter.insert(op.table, op.values)
-            pending_inserts.append((op.table, provisional))
-            send = provisional
-            cycles += cost.insert(adapter.row_width(op.table))
-        elif kind == op_ir.DELETE_ROW:
-            adapter.delete(op.table, op.row)
-            pending_deletes.append((op.table, op.row))
-            cycles += cost.memory_access()
-        elif kind == op_ir.ABORT:
-            for table, column, row, old in reversed(undo):
-                adapter.write(table, column, row, old)
-                cycles += cost.memory_access()
-            for table, provisional in pending_inserts:
-                adapter.cancel_insert(table, provisional)
-            for table, row in pending_deletes:
-                adapter.cancel_delete(table, row)
-            return cycles, False, op.reason, None
-        elif kind in refused:
-            raise ExecutionError(
-                f"{who} issued {type(op).__name__}, which this serial "
-                "host pass does not run"
-            )
-        elif kind in (op_ir.LOCK_ACQUIRE, op_ir.LOCK_RELEASE,
-                      op_ir.SET_BRANCH):
-            cycles += cost.compute(1)
-        else:  # pragma: no cover - closed op table
-            raise ExecutionError(f"unknown op kind {kind}")
 
 
 def run_serial(

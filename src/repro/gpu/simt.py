@@ -21,8 +21,11 @@ yielding micro-ops (:mod:`repro.gpu.ops`); the engine
 
 Functional effects (reads/writes/inserts) are *real*, applied to the
 backing :class:`~repro.gpu.memory.DeviceStore`; only time is simulated.
+Undo records are :mod:`repro.core.tx_logging`'s, and only its
+``rollback`` undoes them (the bulk executors, after the kernel).
 ``launch_serial`` implements the paper's ad-hoc baseline: transactions
-executed one at a time on a single GPU core (Section 6.3).
+executed one at a time on a single GPU core (Section 6.3), through the
+CPU engine's serial interpreter (``tx_logging.run_stream``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.tx_logging import (
+    DELETE_SENTINEL, INSERT_SENTINEL, UndoEntry, run_stream,
+)
 from repro.errors import (
     ConfigError,
     DeadlockError,
@@ -111,10 +117,6 @@ def warp_layout(
     return bounds, sm_warp_ids, resident, warp_of, sm_of_warp_arr
 
 
-#: A thread's undo records, ``(table, column, row, old value)`` each.
-UndoLog = List[Tuple[str, str, int, Any]]
-
-
 @dataclass
 class ThreadOutcome:
     """What happened to one thread's transaction(s)."""
@@ -124,7 +126,7 @@ class ThreadOutcome:
     committed: bool
     abort_reason: str = ""
     result: Any = None
-    undo: UndoLog = field(default_factory=list)
+    undo: List[UndoEntry] = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -140,7 +142,7 @@ class OutcomeColumns(Sequence[ThreadOutcome]):
     committed: List[bool]
     abort_reason: List[str]
     result: List[Any]
-    undo: Dict[int, UndoLog] = field(default_factory=dict)
+    undo: Dict[int, List[UndoEntry]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.txn_id)
@@ -205,22 +207,12 @@ class _Thread:
         self.done = False
         self.aborted = False
         self.abort_reason = ""
-        self.undo: UndoLog = []
+        self.undo: List[UndoEntry] = []
         self.result: Any = None
         # lock_id -> (key or None, shared)
         self.held: Dict[int, Tuple[Optional[int], bool]] = {}
         # Current switch-case (PC region) for divergence grouping.
         self.branch = task.type_id
-
-
-def _outcomes_of(threads: Sequence[_Thread]) -> OutcomeColumns:
-    """The launch's outcome record, built once from its threads."""
-    return OutcomeColumns(
-        [t.task.txn_id for t in threads], [t.task.type_id for t in threads],
-        [not t.aborted for t in threads], [t.abort_reason for t in threads],
-        [t.result for t in threads],
-        {i: t.undo for i, t in enumerate(threads) if t.undo},
-    )
 
 
 class SIMTEngine:
@@ -311,10 +303,13 @@ class SIMTEngine:
                 )
 
         stats.rounds = rounds
-        timing = self.cost.resolve(stats)
-        return KernelReport(
-            stats=stats, timing=timing, outcomes=_outcomes_of(threads)
+        outcomes = OutcomeColumns(
+            [t.task.txn_id for t in threads], [t.task.type_id for t in threads],
+            [not t.aborted for t in threads], [t.abort_reason for t in threads],
+            [t.result for t in threads],
+            {i: t.undo for i, t in enumerate(threads) if t.undo},
         )
+        return KernelReport(stats, self.cost.resolve(stats), outcomes)
 
     # ------------------------------------------------------------------
     # Warp stepping.
@@ -462,10 +457,7 @@ class SIMTEngine:
                         locks.release_counter(op.lock_id, key, shared)
                     self._advance(t, None)
                 # The release is an atomic RMW on the lock word.
-                ntx = cost.coalesce(addrs, 8)
-                stats.mem_transactions[sm] += ntx
-                stats.mem_instructions[sm] += 1
-                stats.mem_bytes[sm] += ntx * self.spec.memory_transaction_bytes
+                self._charge_mem(stats, sm, addrs, 8)
                 stats.issue_cycles[sm] += cost.issue_plain()
             elif kind == op_ir.INDEX_PROBE:
                 addrs: List[int] = []
@@ -484,7 +476,7 @@ class SIMTEngine:
                     op = t.op
                     provisional = store.insert(op.table, op.values)
                     if t.task.capture_undo:
-                        t.undo.append(("__insert__", op.table, provisional, None))
+                        t.undo.append((INSERT_SENTINEL, op.table, provisional, None))
                     width = store.row_width(op.table)
                     seg = self.spec.memory_transaction_bytes
                     ntx = (width + seg - 1) // seg
@@ -504,7 +496,7 @@ class SIMTEngine:
                     op = t.op
                     store.delete(op.table, op.row)
                     if t.task.capture_undo:
-                        t.undo.append(("__delete__", op.table, op.row, None))
+                        t.undo.append((DELETE_SENTINEL, op.table, op.row, None))
                     stats.mem_transactions[sm] += 1
                     stats.mem_bytes[sm] += self.spec.memory_transaction_bytes
                     self._advance(t, None)
@@ -550,107 +542,38 @@ class SIMTEngine:
         """Ad-hoc execution baseline (Section 6.3).
 
         Each transaction runs to completion on a single scalar core
-        before the next starts. Lock ops are no-ops (there is no
-        concurrency), every memory access pays the full device latency
-        (no coalescing partner, no latency hiding), and -- when
-        ``per_task_launch_overhead`` -- every transaction pays one
-        kernel launch.
+        before the next starts (``run_stream``). Lock ops are no-ops
+        (there is no concurrency), every memory access pays the full
+        device latency (no coalescing partner, no latency hiding), and
+        -- when ``per_task_launch_overhead`` -- every transaction pays
+        one kernel launch.
         """
         spec = self.spec
+        core = _SerialCore(spec)
+        runs = [
+            run_stream(task.body, store, core, who=f"transaction {task.txn_id}")
+            for task in tasks
+        ]
+        outcomes = OutcomeColumns(
+            [task.txn_id for task in tasks], [task.type_id for task in tasks],
+            [run[1] for run in runs], [run[2] for run in runs],
+            [run[3] for run in runs],
+        )
+        issue = sum((run[0] for run in runs), 0.0)
         stats = KernelStats(num_sms=spec.num_sms)
         stats.threads_launched = len(tasks)
         stats.resident_warps[0] = 1
-        threads: List[_Thread] = []
-        serial_overhead = float(spec.serial_op_overhead_cycles)
-        issue = 0.0
-        launches = 0
-
-        for task in tasks:
-            thread = _Thread(task)
-            launches += 1
-            gen = thread.gen
-            send: Any = None
-            while not thread.done:
-                try:
-                    op = gen.send(send)
-                except StopIteration as stop:
-                    thread.result = stop.value
-                    thread.done = True
-                    break
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"transaction {task.txn_id} raised {exc!r}"
-                    ) from exc
-                send = None
-                stats.ops_executed += 1
-                kind = op.kind
-                issue += serial_overhead
-                if kind == op_ir.READ:
-                    send = store.read(op.table, op.column, op.row)
-                    stats.mem_transactions[0] += 1
-                    stats.mem_bytes[0] += spec.memory_transaction_bytes
-                elif kind == op_ir.WRITE:
-                    old = store.write(op.table, op.column, op.row, op.value)
-                    if task.capture_undo:
-                        thread.undo.append((op.table, op.column, op.row, old))
-                    stats.mem_transactions[0] += 1
-                    stats.mem_bytes[0] += spec.memory_transaction_bytes
-                elif kind == op_ir.COMPUTE:
-                    issue += float(op.amount)
-                elif kind == op_ir.SFU_COMPUTE:
-                    issue += float(op.amount * spec.sfu_op_cycles)
-                elif kind == op_ir.INDEX_PROBE:
-                    send = store.probe(op.index, op.key)
-                    stats.mem_transactions[0] += 2
-                    stats.mem_bytes[0] += 2 * spec.memory_transaction_bytes
-                elif kind == op_ir.INSERT_ROW:
-                    send = store.insert(op.table, op.values)
-                    if task.capture_undo:
-                        thread.undo.append(("__insert__", op.table, send, None))
-                    width = store.row_width(op.table)
-                    seg = spec.memory_transaction_bytes
-                    ntx = (width + seg - 1) // seg
-                    stats.mem_transactions[0] += ntx
-                    stats.mem_bytes[0] += ntx * seg
-                elif kind == op_ir.DELETE_ROW:
-                    store.delete(op.table, op.row)
-                    if task.capture_undo:
-                        thread.undo.append(("__delete__", op.table, op.row, None))
-                    stats.mem_transactions[0] += 1
-                    stats.mem_bytes[0] += spec.memory_transaction_bytes
-                elif kind == op_ir.ABORT:
-                    thread.aborted = True
-                    thread.abort_reason = op.reason
-                    thread.done = True
-                    # Serial semantics: successors run immediately after
-                    # us, so roll our effects back inline (the bulk
-                    # executors roll back post-kernel instead, which is
-                    # safe there because conflicting successors are
-                    # ordered into later rounds/partition slots).
-                    for entry in reversed(thread.undo):
-                        table, column, row, old = entry
-                        if table == "__insert__":
-                            store.cancel_insert(column, row)
-                        elif table == "__delete__":
-                            store.cancel_delete(column, row)
-                        else:
-                            store.write(table, column, row, old)
-                        stats.mem_transactions[0] += 1
-                        stats.mem_bytes[0] += spec.memory_transaction_bytes
-                    thread.undo.clear()
-                # Lock ops are free of contention when serial.
-            threads.append(thread)
-
-        outcomes = _outcomes_of(threads)
+        stats.ops_executed = core.ops
         stats.issue_cycles[0] = issue
         # A lone thread cannot overlap memory stalls with issue: the
         # dependent chain pays latency *additively*, unlike the warp
         # path where resolve() models overlap and bandwidth limits.
-        stats.mem_instructions[0] = stats.mem_transactions[0]
-        mem_cycles = stats.mem_transactions[0] * float(spec.memory_latency_cycles)
+        stats.mem_transactions[0] = stats.mem_instructions[0] = core.transactions
+        stats.mem_bytes[0] = core.transactions * spec.memory_transaction_bytes
+        mem_cycles = core.transactions * float(spec.memory_latency_cycles)
         cycles = issue + mem_cycles
         extra = spec.kernel_launch_overhead_s * (
-            launches if per_task_launch_overhead else 1
+            len(tasks) if per_task_launch_overhead else 1
         )
         timing = KernelTiming(
             cycles=cycles,
@@ -661,3 +584,42 @@ class SIMTEngine:
             bound="memory" if mem_cycles > issue else "compute",
         )
         return KernelReport(stats=stats, timing=timing, outcomes=outcomes)
+
+
+class _SerialCore:
+    """The ad-hoc launch's lone scalar core, as ``run_stream``'s cost
+    object. A charge counts the op and its memory transactions (one per
+    access and rolled-back undo entry, an insert's row in 64 B
+    segments), whose full latency a lone thread pays after its issue
+    cycles, and returns those issue cycles: ``serial_op_overhead_cycles``
+    per op plus any ALU or SFU work. All are whole cycles, so their
+    float sum is exact in any grouping."""
+
+    def __init__(self, spec: GPUSpec) -> None:
+        self.spec = spec
+        self.ops = self.transactions = 0
+
+    def _op(self, transactions: int = 0, work: int = 0) -> float:
+        self.ops += 1
+        self.transactions += transactions
+        return float(self.spec.serial_op_overhead_cycles + work)
+
+    def memory_access(self, accesses: int = 1) -> float:
+        return self._op(accesses)
+
+    def insert(self, row_width: int) -> float:
+        segment = self.spec.memory_transaction_bytes
+        return self._op((row_width + segment - 1) // segment)
+
+    def compute(self, amount: int) -> float:
+        return self._op(work=amount)
+
+    def sfu(self, amount: int) -> float:
+        return self._op(work=amount * self.spec.sfu_op_cycles)
+
+    def abort(self) -> float:
+        return self._op()
+
+    def undo(self, entry: UndoEntry) -> float:
+        self.transactions += 1
+        return 0.0

@@ -257,9 +257,9 @@ class StoreAdapter:
     maintenance) so later transactions of the bulk observe them -- a
     PART thread may run a TPC-C NEW_ORDER and then a DELIVERY of the
     same warehouse back to back (Definition 1). An aborting
-    transaction's inserts and deletes are undone through
-    :meth:`cancel_insert` and :meth:`cancel_delete`, from its undo log
-    (Appendix D) or, on PART, its partition's cancel lists.
+    transaction's inserts and deletes are undone (:meth:`cancel_insert`,
+    :meth:`cancel_delete`) by :func:`~repro.core.tx_logging.rollback`,
+    from its undo log (Appendix D).
     The paper's temporary insert buffer (Section 3.2) is modelled as
     cost only: both launch paths charge each insert's buffer-tail
     atomicAdd.

@@ -18,7 +18,7 @@ the PART wrapper does. This file pins:
   ``physical_state()``, ``KernelStats``, seconds and redo stream;
 * PART's inline rollback of a type that deletes, inserts, writes the
   row it inserted and then aborts: the aborted transaction's staged
-  inserts and deletes come back as the partition's cancel lists;
+  inserts and deletes come back in the partition's undo log;
 * a row-layout store is refused when a vectorized engine is built;
 * an insert into a table the type does not declare in
   ``vector_inserts`` is refused, on every strategy.
@@ -194,7 +194,7 @@ class TestEveryTypeRunsVectorized:
 
 
 # ---------------------------------------------------------------------------
-# PART's inline rollback: cancel lists for staged inserts and deletes.
+# PART's inline rollback: an undo log for staged inserts and deletes.
 # ---------------------------------------------------------------------------
 def _reroute(s_id, sf_type, start, new_start, fail):
     """Not two-phase: moves a call-forwarding row to a new start time,

@@ -441,6 +441,28 @@ class TestFailoverErrors:
         assert (order.shard, order.bulk, order.wave) == (1, 0, 0)
         assert type(order.shard) is int and type(order.bulk) is int
 
+    @pytest.mark.parametrize(
+        "shard", [1.0, True, -1, "1"], ids=["float", "true", "negative", "str"]
+    )
+    def test_recover_shard_checks_its_argument(self, shard):
+        """``ClusterTx.recover_shard(1.0)`` raised a bare TypeError and
+        ``recover_shard(True)`` recovered shard 1: a refused call now
+        leaves the shard dead, and recoverable with ``1``."""
+        cluster = ClusterTx(
+            build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,
+            options=ClusterOptions(durability=DurabilityConfig()),
+        )
+        cluster.failover.kill(1)
+        with pytest.raises(ConfigError, match="recover shard"):
+            cluster.recover_shard(shard)
+        with pytest.raises(ClusterError, match="no shard 2"):
+            cluster.recover_shard(2)
+        with pytest.raises(ClusterError, match="shard 0 is not down"):
+            cluster.recover_shard(0)
+        assert cluster.dead_shards == {1}
+        assert cluster.recover_shard(1).verified
+        assert cluster.dead_shards == frozenset()
+
     def test_dead_shard_access_raises_shard_failure(self):
         cluster = ClusterTx(
             build_ledger_db(8), procedures=LEDGER_PROCEDURES, n_shards=2,

@@ -10,11 +10,16 @@ the identical logical database state.
 import numpy as np
 import pytest
 
-from repro import GPUTx
+from repro import ClusterOptions, ClusterTx, CpuEngine, EngineOptions, GPUTx
+from repro.core.procedure import Access, TransactionType
+from repro.gpu import ops as op_ir
+from repro.storage.catalog import StoreAdapter
+from repro.workloads import micro
 
 from tests.conftest import (
     BANK_PROCEDURES,
     build_bank_db,
+    make_transactions,
     random_bank_specs,
     serial_oracle_state,
 )
@@ -148,3 +153,88 @@ class TestAutoStrategy:
         assert result.strategy in ("part", "kset", "tpl")
         assert db.logical_state() == serial_oracle_state(specs)
         assert "profiling" in result.breakdown.phases
+
+
+# ---------------------------------------------------------------------------
+# An aborted transaction that deletes the row it inserted: the rollback
+# must cancel the delete before the insert (reverse op order), or the
+# row comes back to life, live and indexed.
+# ---------------------------------------------------------------------------
+CHURN_KEY = 100
+
+
+def _churn(a, b):
+    row = yield op_ir.InsertRow(micro.TABLE, (CHURN_KEY, 0.0, 0))
+    yield op_ir.DeleteRow(micro.TABLE, row)
+    yield op_ir.Abort("churn refused")
+
+
+#: Not two-phase; tuples 0 and 1 sit on different shards of a two-shard
+#: hash-routed cluster, so the cluster sends it through the leader,
+#: while its partition key lets PART run it without the TPL fallback.
+CHURN = TransactionType(
+    name="churn",
+    body=_churn,
+    access_fn=lambda p: [Access(int(p[0]), write=True),
+                         Access(int(p[1]), write=True)],
+    partition_fn=lambda p: int(p[0]),
+    two_phase=False,
+    conflict_classes=frozenset({micro.TABLE}),
+    vector_inserts=frozenset({micro.TABLE}),
+)
+CHURN_PROCEDURES = micro.build_pair_procedures(1) + [CHURN]
+CHURN_SPECS = [
+    ("micro_pair_0", (2, 2)), ("churn", (0, 1)), ("micro_pair_0", (3, 3)),
+]
+
+CHURN_PATHS = ["cpu", "leader-serial", "leader-parallel", "adhoc"] + [
+    f"{strategy}-{backend}"
+    for strategy in ("kset", "tpl", "part")
+    for backend in ("interpreted", "vectorized")
+]
+
+
+def _run_churn(path):
+    """Run the churn bulk on ``path``. Returns the results, the
+    database that holds key ``CHURN_KEY``'s table, and a
+    ``(state, oracle state)`` projection pair: physical state on one
+    database, logical state on a cluster (its rows sit on shards)."""
+    db = micro.build_database(4, with_index=True)
+    oracle = micro.build_database(4, with_index=True)
+    CpuEngine(oracle, procedures=CHURN_PROCEDURES, num_cores=1).execute(
+        make_transactions(CHURN_SPECS)
+    )
+    if path == "cpu":
+        cpu = CpuEngine(db, procedures=CHURN_PROCEDURES, num_cores=1)
+        result = cpu.execute(make_transactions(CHURN_SPECS))
+    elif path.startswith("leader-"):
+        cluster = ClusterTx(
+            db, procedures=CHURN_PROCEDURES, n_shards=2,
+            options=ClusterOptions(cross_shard=path.split("-")[1]),
+        )
+        cluster.submit_many(CHURN_SPECS)
+        result = cluster.run_bulk(strategy="kset")
+        assert result.n_cross_shard == 1
+        shard_db = cluster.shards[cluster.router.shard_of_key(CHURN_KEY)].db
+        return result.results, shard_db, (
+            cluster.logical_state(), oracle.logical_state()
+        )
+    else:
+        strategy, _, backend = path.partition("-")
+        engine = GPUTx(
+            db, procedures=CHURN_PROCEDURES,
+            options=EngineOptions(backend=backend or "interpreted"),
+        )
+        engine.submit_many(CHURN_SPECS)
+        result = engine.run_bulk(strategy=strategy)
+        assert result.strategy == strategy
+    return result.results, db, (db.physical_state(), oracle.physical_state())
+
+
+@pytest.mark.parametrize("path", CHURN_PATHS)
+def test_an_aborted_insert_then_delete_stays_deleted(path):
+    results, db, (state, oracle_state) = _run_churn(path)
+    assert [r.committed for r in results] == [True, False, True]
+    assert db.physical_state()[micro.TABLE][-1] == ((CHURN_KEY, 0.0, 0), True)
+    assert StoreAdapter(db).probe("tuples_pk", CHURN_KEY) == -1
+    assert state == oracle_state

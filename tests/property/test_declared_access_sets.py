@@ -32,9 +32,9 @@ import pytest
 from repro.core.kset import IncrementalKSetExtractor
 from repro.core.oparray import OpArray
 from repro.core.procedure import Access, ProcedureRegistry, TransactionType
+from repro.core.tx_logging import run_stream
 from repro.core.txn import TransactionPool
 from repro.cpu.costmodel import CpuCostModel
-from repro.cpu.engine import run_stream
 from repro.gpu.spec import XEON_E5520
 from repro.storage.catalog import StoreAdapter
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc

@@ -7,10 +7,12 @@ from repro import GPUTx
 from repro.errors import ConfigError, DeadlockError, ExecutionError
 from repro.gpu import ops
 from repro.gpu.atomics import LockTable
+from repro.gpu.costmodel import KernelTiming
 from repro.gpu.simt import SIMTEngine, ThreadTask, warp_layout
 from repro.gpu.spec import C1060
 from repro.storage.catalog import Database, StoreAdapter
 from repro.storage.schema import ColumnDef, DataType, TableSchema
+from repro.workloads import micro
 
 from tests.conftest import BANK_PROCEDURES, build_bank_db
 
@@ -401,6 +403,82 @@ class TestSerialLaunch:
         report = SIMTEngine().launch_serial([ThreadTask(0, 0, touch())], make_store())
         assert report.stats.mem_transactions[0] == 2
         assert report.stats.mem_bytes[0] == 2 * C1060.memory_transaction_bytes
+
+
+class TestSerialChargePerOpKind:
+    """The ad-hoc launch's clock, pinned per op kind: every op pays
+    ``serial_op_overhead_cycles`` of issue, ALU and SFU work add their
+    cycles, and each memory transaction (one per read, write, delete
+    and rolled-back undo entry, two per probe, an insert's row in
+    64 B segments) pays the full latency after the issue."""
+
+    def test_every_kind_on_one_stream(self):
+        store = StoreAdapter(micro.build_database(4, with_index=True))
+
+        def every_kind():
+            yield ops.LockAcquire(0, key=1)
+            value = yield ops.Read(micro.TABLE, "value", 0)
+            yield ops.Write(micro.TABLE, "value", 0, value + 1.0)
+            yield ops.Compute(5)
+            yield ops.SfuCompute(3)
+            row = yield ops.IndexProbe("tuples_pk", 2)
+            new = yield ops.InsertRow(micro.TABLE, (10, 0.0, 0))
+            yield ops.DeleteRow(micro.TABLE, new)
+            yield ops.SetBranch(2)
+            yield ops.LockRelease(0)
+            return row
+
+        def undone():
+            yield ops.Write(micro.TABLE, "value", 1, 9.0)
+            yield ops.InsertRow(micro.TABLE, (11, 0.0, 0))
+            yield ops.DeleteRow(micro.TABLE, 3)
+            yield ops.Abort("undone")
+
+        report = SIMTEngine().launch_serial(
+            [ThreadTask(0, 0, every_kind(), capture_undo=True),
+             ThreadTask(1, 0, undone(), capture_undo=True)],
+            store,
+        )
+        assert [(o.committed, o.result) for o in report.outcomes] == [
+            (True, 2), (False, None)
+        ]
+        assert store.read(micro.TABLE, "value", 0) == 1.0
+        assert store.read(micro.TABLE, "value", 1) == 0.0
+        assert store.probe("tuples_pk", 3) == 3
+        assert store.probe("tuples_pk", 11) == -1
+
+        spec = C1060
+        seg = spec.memory_transaction_bytes
+        insert_tx = (store.row_width(micro.TABLE) + seg - 1) // seg
+        ops_run = 10 + 4
+        # read, write, probe (2), insert, delete; then write, insert,
+        # delete and the three rolled-back entries.
+        transactions = (1 + 1 + 2 + insert_tx + 1) + (1 + insert_tx + 1 + 3)
+        issue = float(
+            ops_run * spec.serial_op_overhead_cycles + 5
+            + 3 * spec.sfu_op_cycles
+        )
+        stats = report.stats
+        assert stats.ops_executed == ops_run
+        assert stats.threads_launched == 2
+        assert stats.issue_cycles == [issue] + [0.0] * (spec.num_sms - 1)
+        assert stats.mem_transactions == [transactions] + [0] * (spec.num_sms - 1)
+        assert stats.mem_instructions == stats.mem_transactions
+        assert stats.mem_bytes == [transactions * seg] + [0] * (spec.num_sms - 1)
+        assert stats.resident_warps == [1] + [0] * (spec.num_sms - 1)
+        assert stats.atomic_cycles == [0.0] * spec.num_sms
+        assert (stats.divergent_serializations, stats.spin_iterations,
+                stats.atomic_conflicts, stats.rounds) == (0, 0, 0, 0)
+        memory = transactions * float(spec.memory_latency_cycles)
+        assert report.timing == KernelTiming(
+            cycles=issue + memory,
+            seconds=spec.seconds(issue + memory)
+            + 2 * spec.kernel_launch_overhead_s,
+            issue_cycles=issue,
+            memory_cycles=memory,
+            atomic_cycles=0.0,
+            bound="memory",
+        )
 
 
 class TestBothLaunchPaths:
