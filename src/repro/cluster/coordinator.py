@@ -45,7 +45,7 @@ from repro.cluster.durability.failover import RecoveryReport
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tdg import TDependencyGraph
-from repro.core.txn import ResultColumns, Transaction
+from repro.core.txn import ResultColumns, Transaction, signatures_bytes
 from repro.cpu.costmodel import CpuCostModel
 from repro.cpu.engine import run_serial
 from repro.cluster.router import ShardRouter
@@ -432,14 +432,12 @@ class CrossShardCoordinator:
         for index, group in enumerate(self.conflict_groups(order, ops)):
             group_shards: set = set()
             group_cycles = 0.0
-            group_bytes = 0
             for txn in group:
                 at = position[txn.txn_id]
                 group_shards |= shard_sets[at]
                 group_cycles += cycles[at]
-                group_bytes += txn.signature_bytes()
             touched |= group_shards
-            dispatch_end += group_bytes / self.dispatch_bytes_per_s
+            dispatch_end += signatures_bytes(group) / self.dispatch_bytes_per_s
             home = min(
                 sorted(
                     self.router.home_shards(group[0].txn_id, group_shards)

@@ -29,22 +29,12 @@ selected via :class:`~repro.core.backends.EngineOptions`
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import StrategyExecutor
-    from repro.core.tx_logging import UndoEntry
-    from repro.core.txn import ResultColumns, Transaction
+    from repro.core.txn import Transaction
     from repro.gpu.simt import KernelReport
-
-
-class PartitionOutcomes(NamedTuple):
-    """What one PART partition thread returns: its transactions'
-    results, in execution order, and the undo log (in op order) of the
-    inserts and deletes its aborted transactions leave behind."""
-
-    results: ResultColumns
-    undo: List[UndoEntry]
 
 
 class InterpretedBackend:
@@ -88,7 +78,8 @@ class InterpretedBackend:
         ``parts`` is the sorted ``(partition id, transactions)`` list;
         each partition is one GPU thread running its transactions back
         to back (the pull model of Section 5.2), and its outcome row's
-        ``result`` is its :class:`PartitionOutcomes`.
+        ``result`` is its transactions' :class:`ResultColumns`, in
+        execution order.
         """
         start = time.perf_counter()
         tasks = [

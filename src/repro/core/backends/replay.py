@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import tx_logging
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
 from repro.gpu.simt import KernelReport, OutcomeColumns, warp_layout
@@ -553,7 +554,13 @@ def _order_scalars(
     bounds, sm_warp_ids = layout[0], layout[1]
     deferred = [rec[5] is not None for rec in records]
     mutating = (op_ir.INSERT_ROW, op_ir.DELETE_ROW)
-    sub = [e for e in events if e[3] in mutating or deferred[e[5]]]
+    # Whole divergence groups of the events PART cancels follow.
+    cancels = store.pending_cancels
+    anchored = {e[:4] for e in events if (e[4], e[0]) in cancels}
+    sub = [
+        e for e in events
+        if e[3] in mutating or deferred[e[5]] or e[:4] in anchored
+    ]
     # A group's first subset thread: ``events`` is sorted by thread
     # within each group, so its first subset member.
     first: Dict[Tuple[Any, ...], int] = {}
@@ -574,8 +581,9 @@ def _order_scalars(
     base_rows = _apply_mutations(
         store,
         [
-            (e[3] == op_ir.INSERT_ROW, records[e[5]][9][e[6]], records[e[5]][4])
-            for e in sub if e[3] in mutating
+            (e[3], records[e[5]][9][e[6]], records[e[5]][4], (e[4], e[0]))
+            if e[3] in mutating else (e[3], -1, "", (e[4], e[0]))
+            for e in sub if e[3] in mutating or (e[4], e[0]) in cancels
         ],
     )
     if not any(deferred):
@@ -750,7 +758,14 @@ def _resolve_order_and_addresses(
     ev_kind = ev[_KIND]
     ev_step = ev[_STEP]
     is_mutation = (ev_kind == op_ir.INSERT_ROW) | (ev_kind == op_ir.DELETE_ROW)
-    sub_mask = is_mutation
+    # The events PART cancels follow, and their whole divergence groups.
+    is_anchor = np.zeros(E, dtype=bool)
+    for thread, round_ in store.pending_cancels:
+        is_anchor |= (ev[_THREAD] == thread) & (ev[_ROUND] == round_)
+    in_group = np.zeros(E, dtype=bool)
+    for a in np.flatnonzero(is_anchor).tolist():
+        in_group |= (ev[: _KIND + 1] == ev[: _KIND + 1, a : a + 1]).all(axis=0)
+    sub_mask = is_mutation | in_group
     if deferred_steps:
         step_deferred = np.zeros(len(steps), dtype=bool)
         step_deferred[deferred_steps] = True
@@ -789,8 +804,8 @@ def _resolve_order_and_addresses(
     pos = np.full(E, -1, dtype=np.int64)
     pos[sub[sub_order]] = np.arange(S)
 
-    # Apply staged mutations in event order.
-    mut_events = np.flatnonzero(is_mutation)
+    # Apply staged mutations (and PART's cancels) in event order.
+    mut_events = np.flatnonzero(is_mutation | is_anchor)
     mut_events = mut_events[np.argsort(pos[mut_events])]
     # Insert handles / delete encoded rows of the mutating events.
     ev_payload = np.full(E, -1, dtype=np.int64)
@@ -801,9 +816,13 @@ def _resolve_order_and_addresses(
         store,
         list(
             zip(
-                (ev_kind[mut_events] == op_ir.INSERT_ROW).tolist(),
+                ev_kind[mut_events].tolist(),
                 ev_payload[mut_events].tolist(),
                 [steps[i].table for i in ev_step[mut_events].tolist()],
+                zip(
+                    ev[_THREAD, mut_events].tolist(),
+                    ev[_ROUND, mut_events].tolist(),
+                ),
             )
         ),
     )
@@ -860,15 +879,18 @@ def _warp_last_rounds(
 
 
 def _apply_mutations(
-    store: WaveStore, mutations: Sequence[Tuple[bool, int, str]]
+    store: WaveStore,
+    mutations: Sequence[Tuple[int, int, str, Tuple[int, int]]],
 ) -> Dict[str, int]:
     """Apply a launch's staged mutations to the real store.
 
-    ``mutations`` is ``(is insert, insert handle + HANDLE_BASE or
-    encoded delete row, table)`` per mutating event, in interpreter
-    event order. Publishes ``handle -> physical row id`` as
-    ``store.handle_row`` -- undo logs captured during the kernel name
-    staged rows by handle and are remapped to these ids afterwards
+    ``mutations`` is ``(kind, insert handle + HANDLE_BASE or encoded
+    delete row, table, (thread, round))`` per mutating event, and per
+    event a PART cancel follows (``store.pending_cancels``, rolled back
+    right after it), in interpreter event order.
+    Publishes ``handle -> physical row id`` as ``store.handle_row`` --
+    undo logs captured during the kernel name staged rows by handle
+    and are remapped to these ids afterwards
     (tx_logging.remap_handle_rows) --, then applies the handle writes.
     Returns each mutating table's row count as the launch found it.
     """
@@ -879,8 +901,8 @@ def _apply_mutations(
     handle_row: Dict[int, int] = {}
     store.handle_row = handle_row
     predicted: Dict[str, int] = dict(base_rows)
-    for is_ins, payload, _table in mutations:
-        if is_ins:
+    for kind, payload, _table, _event in mutations:
+        if kind == op_ir.INSERT_ROW:
             handle = payload - HANDLE_BASE
             table, _values = store.pending_inserts[handle]
             handle_row[handle] = predicted[table]
@@ -908,8 +930,9 @@ def _apply_mutations(
         run_values.clear()
         run_rows.clear()
 
-    for is_ins, payload, table in mutations:
-        if is_ins:
+    cancels = store.pending_cancels
+    for kind, payload, table, event in mutations:
+        if kind == op_ir.INSERT_ROW:
             handle = payload - HANDLE_BASE
             table, values = store.pending_inserts[handle]
             if table not in run_values:
@@ -918,12 +941,18 @@ def _apply_mutations(
                 run_rows[table] = []
             run_values[table].append(values)
             run_rows[table].append(handle_row[handle])
-        else:
+        elif kind == op_ir.DELETE_ROW:
             flush_inserts()
             row_enc = payload
             if row_enc >= HANDLE_BASE:
                 row_enc = handle_row[row_enc - HANDLE_BASE]
             adapter.delete(table, row_enc)
+        if event in cancels:
+            flush_inserts()
+            # Stored in rollback order; rollback() reverses op order.
+            tx_logging.rollback(adapter, tx_logging.remap_handle_rows(
+                cancels[event][::-1], handle_row, HANDLE_BASE
+            ))
     flush_inserts()
 
     # Writes to rows staged by a same-launch insert, now that the

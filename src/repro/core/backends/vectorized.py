@@ -33,13 +33,10 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.core.backends.base import InterpretedBackend, PartitionOutcomes
+from repro.core.backends.base import InterpretedBackend
 from repro.core.backends.lockstep import run_locked_schedule
 from repro.core.backends.replay import replay_kernel
-from repro.core.backends.wave import (
-    HANDLE_BASE, TraceRecorder, WaveStore, run_sub_wave,
-)
-from repro.core.tx_logging import SENTINELS, remap_handle_rows
+from repro.core.backends.wave import TraceRecorder, WaveStore, run_sub_wave
 from repro.core.txn import ResultColumns
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, OutcomeColumns
@@ -114,10 +111,6 @@ class VectorizedBackend(InterpretedBackend):
         results = np.full(n, None, dtype=object)
         undo: List[Any] = [None] * n
         out = (committed, abort_reason, results, undo)
-        # Each partition's undo log: its aborted transactions' inserts
-        # and deletes (writes roll back inline), under handle rows until
-        # the replay assigns physical ids.
-        logs: List[List[Any]] = [[] for _ in range(n)]
         all_lanes = np.arange(n, dtype=np.int64)
         # The partition-boundary binary searches (one Compute op).
         recorder.record(
@@ -156,10 +149,6 @@ class VectorizedBackend(InterpretedBackend):
                     record_abort_ops=False, capture_undo=False,
                     inline_rollback=type_name in inline,
                 )
-                if type_name in inline:
-                    for i in lane_list:
-                        if not committed[i]:
-                            logs[i] += [e for e in undo[i] if e[0] in SENTINELS]
             at = offsets[lanes_slot] + slot
             flat_committed[at] = committed[lanes_slot]
             flat_reason[at] = abort_reason[lanes_slot]
@@ -176,15 +165,9 @@ class VectorizedBackend(InterpretedBackend):
         bounds = offsets.tolist()
         outcomes = OutcomeColumns(
             [pid for pid, _txns in parts], [-1] * n, [True] * n, [""] * n,
-            [
-                PartitionOutcomes(flat[a:b], log)
-                for a, b, log in zip(bounds, bounds[1:], logs)
-            ],
+            [flat[a:b] for a, b in zip(bounds, bounds[1:])],
         )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
-        for log in logs:
-            if log:
-                log[:] = remap_handle_rows(log, store.handle_row, HANDLE_BASE)
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
         return report

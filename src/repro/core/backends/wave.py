@@ -53,6 +53,7 @@ all lanes or some.
 
 from __future__ import annotations
 
+import bisect
 from itertools import chain, repeat
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -137,6 +138,10 @@ class WaveStore:
         #: handle -> physical row id, published by the replay once the
         #: staged inserts have materialised (undo-log fixups read it).
         self.handle_row: Dict[int, int] = {}
+        #: Aborted PART transactions' insert/delete sentinels, in
+        #: rollback order, by the ``(thread, round)`` event the replay
+        #: rolls them back right after (:meth:`cancel`).
+        self.pending_cancels: Dict[Tuple[int, int], List[Tuple[Any, ...]]] = {}
         #: table -> [(index, column positions)] -- the per-row key
         #: construction is the mutation-staging hot path.
         self._index_info: Dict[str, List[Tuple[Any, Tuple[int, ...]]]] = {}
@@ -368,28 +373,54 @@ class WaveStore:
         self.pending_handle_writes.append((table, column, handle, py))
         self._handle_overrides[(handle, col_idx)] = py
 
-    def stage_delete(self, table: str, row_enc: int) -> None:
-        """Stage one delete of a real row or a staged insert's row."""
-        self.pending_deletes.append((table, row_enc))
-        self._dirty = True
-        self._fold(table)
-        tbl = self.db.table(table)
-        staged_values = (
+    def _keys(self, table: str, row_enc: int) -> List[Tuple[Any, Any]]:
+        """``(index, key)`` of a real or staged row, per index of
+        ``table``."""
+        staged = (
             self.pending_inserts[row_enc - HANDLE_BASE][1]
             if row_enc >= HANDLE_BASE
             else None
         )
+        tbl = self.db.table(table)
+        out = []
         for ix, cols in self._indexes_of(table):
-            if staged_values is not None:
-                key = (
-                    staged_values[cols[0]]
-                    if len(cols) == 1
-                    else tuple(staged_values[i] for i in cols)
-                )
-            else:
+            if staged is None:
                 key = Database._key_of(tbl, ix.columns, row_enc)
+            elif len(cols) == 1:
+                key = staged[cols[0]]
+            else:
+                key = tuple(staged[i] for i in cols)
+            out.append((ix, key))
+        return out
+
+    def stage_delete(self, table: str, row_enc: int) -> None:
+        """Stage one delete of a real or a staged insert's row."""
+        self.pending_deletes.append((table, row_enc))
+        self._dirty = True
+        self._show(table, row_enc, False)
+
+    def cancel(self, anchor: Tuple[int, int], entry: Tuple[Any, ...]) -> None:
+        """Roll back one staged insert or delete of an aborted PART
+        transaction (its undo sentinel): probes see it undone from here
+        on, and the replay cancels it for real right after the
+        ``anchor`` event -- the ``(thread, round)`` the lane recorded
+        last, which is where the interpreter's wrapper rolls it back."""
+        self.pending_cancels.setdefault(anchor, []).append(entry)
+        sentinel, table, row_enc, _ = entry
+        self._show(table, row_enc, sentinel == tx_logging.DELETE_SENTINEL)
+
+    def _show(self, table: str, row_enc: int, visible: bool) -> None:
+        """Make a real or staged row read as present (``visible``) or
+        deleted to this launch's probes."""
+        self._fold(table)
+        for ix, key in self._keys(table, row_enc):
             if ix.unique:
-                added = self._unique_add.get(ix.name, {})
+                added = self._unique_add.setdefault(ix.name, {})
+                removed = self._unique_del.setdefault(ix.name, set())
+                if visible:
+                    added[key] = row_enc
+                    removed.discard(key)
+                    continue
                 if added.get(key) == row_enc:
                     del added[key]
                 # Whether the deleted row was staged or real, the key
@@ -400,15 +431,19 @@ class WaveStore:
                 # the probe would fall through to the (stale) real
                 # mapping. Probes check added before removed, so the
                 # marker is always safe.
-                self._unique_del.setdefault(ix.name, set()).add(key)
-            else:
-                extra = self._multi_add.get(ix.name, {}).get(key)
-                if extra and row_enc in extra:
+                removed.add(key)
+                continue
+            extra = self._multi_add.setdefault(ix.name, {}).setdefault(key, [])
+            gone = self._multi_del.setdefault(ix.name, {}).setdefault(key, set())
+            if not visible:
+                if row_enc in extra:
                     extra.remove(row_enc)
                 else:
-                    self._multi_del.setdefault(ix.name, {}).setdefault(
-                        key, set()
-                    ).add(row_enc)
+                    gone.add(row_enc)
+            elif row_enc in gone:
+                gone.discard(row_enc)
+            else:
+                bisect.insort(extra, row_enc)
 
 
 class Step:
@@ -491,6 +526,10 @@ class TraceRecorder:
         #: Per-thread "journals before-images" flags; stamped onto
         #: WRITE steps so the replay can charge the undo-log flush.
         self.undo_capture: Optional[np.ndarray] = None
+
+    def last_event(self, lane: int) -> Tuple[int, int]:
+        """``(thread, round)`` of the event ``lane`` recorded last."""
+        return lane, int(self.round_base[lane] + self.op_count[lane]) - 1
 
     def record_scalar(
         self,
@@ -1158,9 +1197,9 @@ def run_lane(
     ``inline_rollback`` is the PART wrapper's undo logging
     (:meth:`~repro.core.strategies.part.PartExecutor.partition_task`):
     each WRITE is preceded by a READ of its before-image, and an abort
-    writes those back in reverse instead of issuing an ABORT op. The
-    returned log then holds the before-images and the insert/delete
-    sentinels, from which the caller takes the partition's undo log.
+    writes those back in reverse instead of issuing an ABORT op and
+    cancels its staged inserts and deletes (:meth:`WaveStore.cancel`),
+    so the lane's later transactions never see them.
     """
     record = recorder.record_scalar
     record(op_ir.SET_BRANCH, lane, type_id)
@@ -1218,9 +1257,11 @@ def run_lane(
             if record_abort_ops:
                 record(kind, lane, type_id)
             if inline_rollback:
-                for table, column, row, old in reversed(undo):
-                    if table not in tx_logging.SENTINELS:
-                        _write1(record, store, lane, type_id, table, column, row, old)
+                for entry in reversed(undo):
+                    if entry[0] in tx_logging.SENTINELS:
+                        store.cancel(recorder.last_event(lane), entry)
+                    else:
+                        _write1(record, store, lane, type_id, *entry)
             return False, op.reason, None, undo
         else:
             name = op_ir.KIND_NAMES.get(kind, kind)

@@ -26,7 +26,9 @@ import numpy as np
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tx_logging import rollback
-from repro.core.txn import BulkOutcome, ResultColumns, Transaction
+from repro.core.txn import (
+    BulkOutcome, ResultColumns, Transaction, signatures_bytes,
+)
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.primitives import PrimitiveLibrary
@@ -145,8 +147,9 @@ class StrategyExecutor:
 
     def input_transfer_seconds(self, transactions: Sequence[Transaction]) -> float:
         """Copy the bulk's signatures host -> device."""
-        nbytes = sum(map(Transaction.signature_bytes, transactions))
-        return self.pcie.to_device(nbytes, component="input")
+        return self.pcie.to_device(
+            signatures_bytes(transactions), component="input"
+        )
 
     def output_transfer_seconds(self, results: ResultColumns) -> float:
         """Copy the bulk's results device -> host."""

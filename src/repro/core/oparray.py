@@ -4,8 +4,11 @@ The paper builds *one* sorted array of basic operations per bulk and
 reads it for everything: profiling (Appendix D), TPL's lock keys
 (Section 5.1), K-SET's 0-sets (Section 5.3). :class:`OpArray` is that
 array. :meth:`OpArray.of_bulk` is the only place the engine and
-cluster paths ask a transaction type for its access set or partition;
-every layer below reads the result, none re-derives it.
+cluster paths ask a transaction type for its access set or partition
+-- once per type in the bulk: a keyed declaration
+(:class:`~repro.core.procedure.KeyedAccess`) answers a whole key
+column, any other type its row form --; every layer below reads the
+result, none re-derives it.
 
 Entry columns ``item / txn / write`` hold one entry per (item,
 transaction) pair, write dominating (Figure 1(b): T1's ``Ra Wa`` is one
@@ -24,13 +27,16 @@ and scan passes the device would run, with counts read off the array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.procedure import Access, ProcedureRegistry
+from repro.core.procedure import (
+    Access, KeyedAccess, KeyedPartition, ProcedureRegistry,
+)
 from repro.core.txn import Transaction
-from repro.errors import ExecutionError, ProcedureError
+from repro.errors import ExecutionError, ProcedureError, RegistrationError
 
 #: ``partition`` value of a cross-partition transaction.
 NO_PARTITION = -1
@@ -58,28 +64,53 @@ class OpArray:
     def of_bulk(
         cls, registry: ProcedureRegistry, transactions: Sequence[Transaction]
     ) -> "OpArray":
-        """Resolve a bulk's declared access sets and partitions, once;
-        a declaration that cannot read its parameters is a
-        :class:`~repro.errors.ProcedureError` naming the transaction."""
-        get = registry.get
-        partitions: List[Optional[int]] = []
-
-        def declared() -> Iterable[Tuple[int, Sequence[Access]]]:
-            # A generator: each access list is merged and dropped
-            # before the next is built, so a 16k bulk never holds 16k
-            # of them; ``partitions`` fills as it is consumed.
-            try:
-                for t in transactions:
-                    txn_type = get(t.type_name)
-                    partitions.append(txn_type.partition_of(t.params))
-                    yield t.txn_id, txn_type.accesses(t.params)
-            except (IndexError, ValueError, TypeError, KeyError) as exc:
-                raise ProcedureError(
-                    f"transaction {t.txn_id} ({t.type_name!r}): its declared "
-                    f"accesses cannot be resolved from {t.params!r}: {exc!r}"
-                ) from exc
-
-        return cls.from_accesses(declared(), partitions)
+        """Resolve a bulk's declared access sets and partitions, once
+        per type: a keyed type answers with one key column, any other
+        through its row form. Parameters a declaration cannot read are
+        a :class:`~repro.errors.ProcedureError` naming the bulk's first
+        such transaction."""
+        n = len(transactions)
+        ids = np.fromiter(map(attrgetter("txn_id"), transactions), np.int64, n)
+        params = list(map(attrgetter("params"), transactions))
+        partition = np.full(n, NO_PARTITION, dtype=np.int64)
+        op_counts = np.zeros(n, dtype=np.int64)
+        columns = tuple([np.zeros(0, dtype=dtype)] for dtype in _DTYPES)
+        try:
+            for name, at in _by_type(
+                list(map(attrgetter("type_name"), transactions))
+            ):
+                txn_type = registry.get(name)
+                access, part = txn_type.access_fn, txn_type.partition_fn
+                group = list(map(params.__getitem__, at))
+                if isinstance(access, KeyedAccess) and isinstance(
+                    part, (KeyedPartition, type(None))
+                ):
+                    if part is not None:
+                        partition[at] = part.keys(group)
+                    keys = access.keys(group)
+                    op_counts[at] = 1 if len(keys) else 0
+                    entries: Tuple[Any, ...] = (
+                        keys, ids[at][: len(keys)], [access.write] * len(keys)
+                    )
+                else:
+                    entries, parts, counts = ([], [], []), [], []
+                    for txn_id, p in zip(ids[at].tolist(), group):
+                        parts.append(txn_type.partition_of(p))
+                        accesses = txn_type.accesses(p)
+                        counts.append(len(accesses))
+                        _merge(txn_id, accesses, *entries)
+                    partition[at] = [
+                        NO_PARTITION if q is None else q for q in parts
+                    ]
+                    op_counts[at] = counts
+                for column, entry, dtype in zip(columns, entries, _DTYPES):
+                    column.append(np.asarray(entry, dtype=dtype))
+        except (RegistrationError, *_UNRESOLVABLE):
+            _raise_first_unresolvable(registry, transactions)
+            raise
+        return cls._sorted(
+            ids, partition, op_counts, *map(np.concatenate, columns)
+        )
 
     @classmethod
     def from_accesses(
@@ -90,42 +121,33 @@ class OpArray:
         """Build from ``(txn_id, accesses)`` pairs in timestamp order;
         ``partitions`` aligns with them (``None``, or no list at all,
         means cross-partition)."""
-        txn_ids, op_counts, items, txns, writes = [], [], [], [], []
+        txn_ids, op_counts, entries = [], [], ([], [], [])
         for txn_id, accesses in access_lists:
             txn_ids.append(txn_id)
             op_counts.append(len(accesses))
-            if len(accesses) == 1:
-                # OLTP fast path: one basic operation needs no merge dict.
-                items.append(accesses[0].item)
-                txns.append(txn_id)
-                writes.append(accesses[0].write)
-                continue
-            merged: Dict[int, bool] = {}
-            for acc in accesses:
-                merged[acc.item] = merged.get(acc.item, False) or acc.write
-            items.extend(merged)
-            txns.extend([txn_id] * len(merged))
-            writes.extend(merged.values())
-        ids = np.asarray(txn_ids, dtype=np.int64)
+            _merge(txn_id, accesses, *entries)
+        return cls._sorted(
+            np.asarray(txn_ids, dtype=np.int64),
+            np.asarray(
+                [NO_PARTITION if p is None else p for p in partitions]
+                or [NO_PARTITION] * len(txn_ids),
+                dtype=np.int64,
+            ),
+            np.asarray(op_counts, dtype=np.int64),
+            *map(np.asarray, entries, _DTYPES),
+        )
+
+    @classmethod
+    def _sorted(cls, ids, partition, op_counts, item, txn, write) -> "OpArray":
+        """The array of unsorted entry columns, sorted by ``(item, txn)``."""
         if (ids[1:] <= ids[:-1]).any():
             raise ExecutionError(
                 "a bulk's transactions must be in timestamp order "
                 "(strictly increasing ids)"
             )
-        item = np.asarray(items, dtype=np.int64)
-        txn = np.asarray(txns, dtype=np.int64)
         order = np.lexsort((txn, item))
         return cls(
-            txn_ids=ids,
-            partition=np.asarray(
-                [NO_PARTITION if p is None else p for p in partitions]
-                or [NO_PARTITION] * len(ids),
-                dtype=np.int64,
-            ),
-            op_counts=np.asarray(op_counts, dtype=np.int64),
-            item=item[order],
-            txn=txn[order],
-            write=np.asarray(writes, dtype=bool)[order],
+            ids, partition, op_counts, item[order], txn[order], write[order]
         )
 
     def select(self, txn_ids: Sequence[int]) -> "OpArray":
@@ -159,3 +181,53 @@ class OpArray:
         order, bounds = self._by_txn()
         flat = column[order].tolist()
         return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+#: dtypes of the entry columns ``item``, ``txn``, ``write``.
+_DTYPES = (np.int64, np.int64, bool)
+#: What a declaration raises on parameters it cannot read.
+_UNRESOLVABLE = (IndexError, ValueError, TypeError, KeyError)
+
+
+def _by_type(names: List[str]) -> List[Tuple[str, np.ndarray]]:
+    """``(type name, ascending positions)`` per distinct name."""
+    code = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+    bounds = np.cumsum(np.bincount(codes, minlength=len(code)))[:-1]
+    return list(zip(code, np.split(np.argsort(codes, kind="stable"), bounds)))
+
+
+def _merge(
+    txn_id: int, accesses: Sequence[Access],
+    items: list, txns: list, writes: list,
+) -> None:
+    """Append one transaction's entries: one per item, write dominating."""
+    if len(accesses) == 1:
+        # OLTP fast path: one basic operation needs no merge dict.
+        items.append(accesses[0].item)
+        txns.append(txn_id)
+        writes.append(accesses[0].write)
+        return
+    merged: Dict[int, bool] = {}
+    for acc in accesses:
+        merged[acc.item] = merged.get(acc.item, False) or acc.write
+    items.extend(merged)
+    txns.extend([txn_id] * len(merged))
+    writes.extend(merged.values())
+
+
+def _raise_first_unresolvable(
+    registry: ProcedureRegistry, transactions: Sequence[Transaction]
+) -> None:
+    """Resolve ``transactions`` one by one, raising at the first whose
+    type is unknown or whose declarations cannot read its parameters."""
+    for t in transactions:
+        txn_type = registry.get(t.type_name)
+        try:
+            txn_type.partition_of(t.params)
+            txn_type.accesses(t.params)
+        except _UNRESOLVABLE as exc:
+            raise ProcedureError(
+                f"transaction {t.txn_id} ({t.type_name!r}): its declared "
+                f"accesses cannot be resolved from {t.params!r}: {exc!r}"
+            ) from exc

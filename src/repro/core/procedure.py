@@ -19,6 +19,9 @@ combined into a single kernel ... with a switch clause" (Sections 3.1,
   the benchmarks' name-lookup transactions are split in two;
 * the *partition function* maps parameters to PART's partition id
   (Section 5.2), or ``None`` for a cross-partition transaction;
+* either may be *keyed* (:class:`KeyedAccess`, :class:`KeyedPartition`:
+  ``int(params[i])``), which also answers a column of parameter tuples
+  in one pass (how :meth:`~repro.core.oparray.OpArray.of_bulk` asks);
 * the :class:`ProcedureRegistry` is the combined kernel: it assigns the
   switch-case ids and builds per-transaction generators whose first op
   is ``SetBranch(type_id)`` so the SIMT engine sees the switch's
@@ -34,7 +37,10 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.backends.lane import lane_stream, wave_pump
 from repro.errors import RegistrationError
@@ -53,6 +59,45 @@ class Access:
 
     item: int
     write: bool
+
+
+def _int_column(params: Sequence[Tuple[Any, ...]], i: int) -> np.ndarray:
+    """``int(p[i])`` for every tuple ``p`` of ``params``, as int64."""
+    return np.fromiter(map(int, map(itemgetter(i), params)), np.int64, len(params))
+
+
+@dataclass(frozen=True)
+class KeyedAccess:
+    """The access set ``[Access(int(params[param]), write)]`` -- or
+    none at all when ``param`` is None -- as an ``access_fn``."""
+
+    param: Optional[int]
+    write: bool = False
+
+    def __call__(self, params: Tuple[Any, ...]) -> List[Access]:
+        if self.param is None:
+            return []
+        return [Access(int(params[self.param]), self.write)]
+
+    def keys(self, params: Sequence[Tuple[Any, ...]]) -> np.ndarray:
+        """Each tuple's item, as one column (empty for no access)."""
+        if self.param is None:
+            return np.zeros(0, dtype=np.int64)
+        return _int_column(params, self.param)
+
+
+@dataclass(frozen=True)
+class KeyedPartition:
+    """The partition ``int(params[param])``, as a ``partition_fn``."""
+
+    param: int
+
+    def __call__(self, params: Tuple[Any, ...]) -> int:
+        return int(params[self.param])
+
+    def keys(self, params: Sequence[Tuple[Any, ...]]) -> np.ndarray:
+        """Each tuple's partition, as one column."""
+        return _int_column(params, self.param)
 
 
 #: Builds the op stream of one transaction from its parameters.

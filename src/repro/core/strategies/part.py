@@ -24,9 +24,8 @@ delegates the whole bulk to :class:`~repro.core.strategies.tpl.TplExecutor`
 in that case, exactly the severe degradation the paper describes.
 
 Aborts only affect the aborting transaction (its partition-mates have
-not run yet), so the wrapper rolls its writes back inline and moves on;
-its inserts and deletes join the partition's undo log, rolled back
-after the kernel.
+not run yet), so the wrapper rolls it back inline -- writes, inserts
+and deletes -- and moves on.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.backends.base import PartitionOutcomes
 from repro.core.executor import (
     PHASE_EXECUTION,
     PHASE_GENERATION,
@@ -48,7 +46,7 @@ from repro.core.executor import (
 from repro.core.oparray import NO_PARTITION, OpArray
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.tx_logging import (
-    DELETE_SENTINEL, INSERT_SENTINEL, UndoEntry, rollback,
+    DELETE_SENTINEL, INSERT_SENTINEL, SENTINELS, UndoEntry, rollback,
 )
 from repro.core.txn import ResultColumns, Transaction
 from repro.gpu import ops as op_ir
@@ -153,11 +151,11 @@ class PartExecutor(StrategyExecutor):
             # Binary searches for the partition's [start, end) in P.
             yield op_ir.Compute(boundary_cycles)
             rows = ResultColumns()
-            outcomes = PartitionOutcomes(rows, [])
             for txn, type_id, needs_undo, inner in prepared:
                 yield op_ir.SetBranch(type_id)
-                writes: List[UndoEntry] = []
-                mutations: List[UndoEntry] = []
+                # Before-images (when undo-logged) and insert/delete
+                # sentinels, in op order.
+                log: List[UndoEntry] = []
                 aborted = False
                 reason = ""
                 result = None
@@ -172,22 +170,26 @@ class PartExecutor(StrategyExecutor):
                     if op.kind == op_ir.ABORT:
                         aborted = True
                         reason = op.reason
-                        # Inline rollback: compensating writes; inserts
-                        # and deletes wait for _collect.
-                        for table, column, row, old in reversed(writes):
-                            yield op_ir.Write(table, column, row, old)
-                        outcomes.undo.extend(mutations)
+                        # Inline rollback, in reverse op order, before a
+                        # partition-mate can see the effects:
+                        # compensating writes (charged ops) and
+                        # cancelled inserts and deletes (free).
+                        for entry in reversed(log):
+                            if entry[0] in SENTINELS:
+                                rollback(self.adapter, [entry])
+                            else:
+                                yield op_ir.Write(*entry)
                         break
                     if op.kind == op_ir.WRITE and needs_undo:
                         old = yield op_ir.Read(op.table, op.column, op.row)
-                        writes.append((op.table, op.column, op.row, old))
+                        log.append((op.table, op.column, op.row, old))
                         send = yield op
                     elif op.kind == op_ir.INSERT_ROW:
                         send = yield op
-                        mutations.append((INSERT_SENTINEL, op.table, send, None))
+                        log.append((INSERT_SENTINEL, op.table, send, None))
                     elif op.kind == op_ir.DELETE_ROW:
                         send = yield op
-                        mutations.append((DELETE_SENTINEL, op.table, op.row, None))
+                        log.append((DELETE_SENTINEL, op.table, op.row, None))
                     else:
                         send = yield op
                 rows.extend(
@@ -198,15 +200,13 @@ class PartExecutor(StrategyExecutor):
                 )
                 # Loop bookkeeping between transactions.
                 yield op_ir.Compute(2)
-            return outcomes
+            return rows
 
         return ThreadTask(txn_id=pid, type_id=-1, body=stream())
 
     def _collect(self, report) -> ResultColumns:
-        """Concatenate the partition threads' results (in id order)
-        and roll back what aborted transactions inserted or deleted."""
+        """Concatenate the partition threads' results, in id order."""
         results = ResultColumns()
-        for part in report.outcomes.result:
-            rollback(self.adapter, part.undo)
-            results.extend(part.results)
+        for rows in report.outcomes.result:
+            results.extend(rows)
         return results.sorted_by_id()

@@ -12,9 +12,10 @@ The paper eliminates logging wherever practical:
   authors).
 * For the remaining types, undo records are captured during execution
   and :func:`rollback`, the one code that undoes a transaction, replays
-  them in reverse: after the kernel (TPL, K-SET, PART's inserts and
-  deletes), or inline in :func:`run_stream`, the serial interpreter of
-  the CPU engine, the cross-shard leader and the ad-hoc launch.
+  them in reverse: after the kernel (TPL, K-SET), at the abort (PART's
+  inserts and deletes), or inline in :func:`run_stream`, the serial
+  interpreter of the CPU engine, the cross-shard leader and the ad-hoc
+  launch.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from collections import Counter
-from itertools import chain, groupby, islice
-from operator import eq, lt
+from itertools import chain, compress, groupby, islice, repeat
+from operator import attrgetter, eq, lt
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 from typing import Tuple, Union
 
@@ -46,6 +46,19 @@ class Transaction:
         for p in self.params:
             size += len(p) if isinstance(p, (str, bytes)) else 8
         return size
+
+
+def signatures_bytes(transactions: Sequence[Transaction]) -> int:
+    """``sum(t.signature_bytes() for t in transactions)``, in a few
+    passes over the bulk's parameters instead of a call per row."""
+    # Two streamed passes: a transient list of every parameter (or a
+    # tee) measurably raised the wide bulks' peak RSS.
+    def flat() -> Iterator[Any]:
+        return chain.from_iterable(map(attrgetter("params"), transactions))
+
+    sized = list(compress(flat(), map(isinstance, flat(), repeat((str, bytes)))))
+    n_params = sum(map(len, map(attrgetter("params"), transactions)))
+    return 12 * len(transactions) + 8 * (n_params - len(sized)) + sum(map(len, sized))
 
 
 @dataclass(frozen=True)
@@ -220,12 +233,7 @@ class TransactionPool:
         calls (the serving front half admits arrival slices this way)."""
         base = self._next_id
         txns = [
-            Transaction(
-                txn_id=base + i,
-                type_name=type_name,
-                params=tuple(params),
-                submit_time=submit_time,
-            )
+            Transaction(base + i, type_name, tuple(params), submit_time)
             for i, (type_name, params, submit_time) in enumerate(items)
         ]
         self._next_id = base + len(txns)

@@ -27,13 +27,13 @@ Definition-1 timestamps) agree with arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.cluster.router import ShardRouter
 from repro.core.procedure import ProcedureRegistry
 from repro.core.txn import Transaction, TransactionPool
 from repro.errors import ConfigError, check_int
-from repro.serve.stream import Arrival
+from repro.serve.stream import Arrival, ArrivalSlice
 
 
 @dataclass
@@ -123,7 +123,7 @@ class AdmissionController:
         return self._offer_one(arrival, pool)
 
     def offer_batch(
-        self, arrivals: List[Arrival], pool: TransactionPool
+        self, arrivals: Sequence[Arrival], pool: TransactionPool
     ) -> List[bool]:
         """Admit a slice of arrivals at once; returns per-arrival fates.
 
@@ -133,27 +133,31 @@ class AdmissionController:
         unsharded case short-circuits to a closed form: within a batch
         the queue only deepens, so the global cap admits exactly the
         first ``max_pending - len(pool)`` arrivals and sheds the rest,
-        and the whole slice stamps into the pool with one batched
-        submit. Tenant quotas and per-shard caps make fates depend on
-        the running depths, so those walk the slice (routing is
-        state-independent either way).
+        and the slice's columns stamp into the pool with one batched
+        submit, no ``Arrival`` built. Tenant quotas and per-shard caps
+        make fates depend on the running depths, so those walk the
+        slice's rows (routing is state-independent either way).
+        ``arrivals`` is an :class:`ArrivalSlice` or any sequence of
+        ``Arrival``.
         """
         n = len(arrivals)
         if n == 0:
             return []
         self.stats.offered += n
+        if not isinstance(arrivals, ArrivalSlice):
+            arrivals = ArrivalSlice.of(arrivals)
         plain = (
             self.tenant_quotas is None
             and self.max_pending_per_shard is None
-            and not any(a.tenant for a in arrivals)
+            and not any(arrivals.tenant)
         )
         if not plain:
             return [self._offer_one(a, pool) for a in arrivals]
         k = min(n, max(0, self.max_pending - len(pool)))
         if k:
             txns = pool.submit_batch(
-                (a.type_name, a.params, a.submit_time)
-                for a in arrivals[:k]
+                zip(arrivals.type_name[:k], arrivals.params[:k],
+                    arrivals.submit_time[:k])
             )
             if self.record_admitted:
                 self.admitted_log.extend(txns)

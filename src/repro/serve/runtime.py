@@ -185,7 +185,7 @@ class ServeRuntime:
                 # are admitted at the cut). The clock moves to the last
                 # one; only shedding can leave the bulk short then.
                 filling = stream.pop_until(deadline, target - len(pool))
-                clock = filling[-1].submit_time
+                clock = filling.submit_time[-1]
                 self.admission.offer_batch(filling, pool)
             # Cut: the queue hit the target, the wait budget expired,
             # or the stream ran dry (shutdown drain).

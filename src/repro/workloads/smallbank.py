@@ -43,7 +43,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.procedure import Access, TransactionType
+from repro.core.procedure import (
+    Access, KeyedAccess, KeyedPartition, TransactionType,
+)
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import (
@@ -237,12 +239,9 @@ def send_payment(ctx):
 # ---------------------------------------------------------------------------
 # Access sets / partitions: the customer id is the lock item.
 # ---------------------------------------------------------------------------
-def _one_customer(params) -> List[Access]:
-    return [Access(item=int(params[0]), write=True)]
-
-
-def _one_customer_read(params) -> List[Access]:
-    return [Access(item=int(params[0]), write=False)]
+_one_customer = KeyedAccess(0, write=True)
+_one_customer_read = KeyedAccess(0, write=False)
+_single_partition = KeyedPartition(0)
 
 
 def _two_customers(params) -> List[Access]:
@@ -250,10 +249,6 @@ def _two_customers(params) -> List[Access]:
     if a == b:
         return [Access(item=a, write=True)]
     return [Access(item=a, write=True), Access(item=b, write=True)]
-
-
-def _single_partition(params):
-    return int(params[0])
 
 
 def _pair_partition(params):

@@ -41,7 +41,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.procedure import Access, TransactionType
+from repro.core.procedure import (
+    Access, KeyedAccess, KeyedPartition, TransactionType,
+)
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import (
@@ -372,80 +374,68 @@ def sync_location(ctx):
     ctx.finish(vlr)
 
 
-def _sub_access(write: bool):
-    def access_fn(params) -> List[Access]:
-        return [Access(item=int(params[0]), write=write)]
-
-    return access_fn
-
-
-def _sub_partition(params):
-    return int(params[0])
-
-
-def _no_access(_params) -> List[Access]:
-    return []
-
-
-def _lookup_partition(params):
-    # sub_nbr is the zero-padded decimal s_id: statically derivable.
-    return int(params[0])
+#: The subscriber id is every single-subscriber type's lock item and
+#: partition; a lookup's ``sub_nbr`` is the zero-padded decimal s_id, so
+#: its partition is statically derivable too (it locks nothing).
+_READ_SUB = KeyedAccess(0, write=False)
+_WRITE_SUB = KeyedAccess(0, write=True)
+_SUB_PARTITION = KeyedPartition(0)
 
 
 PROCEDURES = [
     TransactionType.from_kernel(
         get_subscriber_data,
         name="tm1_get_subscriber_data",
-        access_fn=_sub_access(write=False),
-        partition_fn=_sub_partition,
+        access_fn=_READ_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({SUBSCRIBER}),
     ),
     TransactionType.from_kernel(
         get_new_destination,
         name="tm1_get_new_destination",
-        access_fn=_sub_access(write=False),
-        partition_fn=_sub_partition,
+        access_fn=_READ_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({SPECIAL_FACILITY, CALL_FORWARDING}),
     ),
     TransactionType.from_kernel(
         get_access_data,
         name="tm1_get_access_data",
-        access_fn=_sub_access(write=False),
-        partition_fn=_sub_partition,
+        access_fn=_READ_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({ACCESS_INFO}),
     ),
     TransactionType.from_kernel(
         update_subscriber_data,
         name="tm1_update_subscriber_data",
-        access_fn=_sub_access(write=True),
-        partition_fn=_sub_partition,
+        access_fn=_WRITE_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({SUBSCRIBER, SPECIAL_FACILITY}),
     ),
     TransactionType.from_kernel(
         lookup_sub_nbr,
         name="tm1_lookup_sub_nbr",
-        access_fn=_no_access,
-        partition_fn=_lookup_partition,
+        access_fn=KeyedAccess(None),
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset(),
     ),
     TransactionType.from_kernel(
         update_location,
         name="tm1_update_location",
-        access_fn=_sub_access(write=True),
-        partition_fn=_sub_partition,
+        access_fn=_WRITE_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({SUBSCRIBER}),
     ),
     TransactionType.from_kernel(
         insert_call_forwarding,
         name="tm1_insert_call_forwarding",
-        access_fn=_sub_access(write=True),
-        partition_fn=_sub_partition,
+        access_fn=_WRITE_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({SPECIAL_FACILITY, CALL_FORWARDING}),
         vector_inserts=frozenset({CALL_FORWARDING}),
@@ -453,8 +443,8 @@ PROCEDURES = [
     TransactionType.from_kernel(
         delete_call_forwarding,
         name="tm1_delete_call_forwarding",
-        access_fn=_sub_access(write=True),
-        partition_fn=_sub_partition,
+        access_fn=_WRITE_SUB,
+        partition_fn=_SUB_PARTITION,
         two_phase=True,
         conflict_classes=frozenset({CALL_FORWARDING}),
     ),

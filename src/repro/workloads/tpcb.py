@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.procedure import Access, TransactionType
+from repro.core.procedure import KeyedAccess, KeyedPartition, TransactionType
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import TxnSpec, make_rng
@@ -160,22 +160,13 @@ def profile(ctx):
     ctx.finish(a_balance + delta)
 
 
-def _access_fn(params) -> List[Access]:
-    # Root-relation locking (Section 5.1): the branch id covers the
-    # teller/account/history accesses of the tree-shaped schema.
-    _a_id, _t_id, b_id, _delta = params
-    return [Access(item=int(b_id), write=True)]
-
-
-def _partition_fn(params):
-    return int(params[2])
-
-
 PROFILE = TransactionType.from_kernel(
     profile,
     name="tpcb_profile",
-    access_fn=_access_fn,
-    partition_fn=_partition_fn,
+    # Root-relation locking (Section 5.1): the branch id covers the
+    # teller/account/history accesses of the tree-shaped schema.
+    access_fn=KeyedAccess(2, write=True),
+    partition_fn=KeyedPartition(2),
     two_phase=True,
     conflict_classes=frozenset({BRANCH, TELLER, ACCOUNT, HISTORY}),
     vector_inserts=frozenset({HISTORY}),

@@ -234,9 +234,9 @@ REROUTE = TransactionType(
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("strategy", ["part", "kset", "tpl"])
 def test_an_aborted_insert_and_delete_are_cancelled(strategy, n):
-    """One transaction per (subscriber, facility): the PART wrapper
-    cancels an aborted transaction's staged rows only after the whole
-    partition ran, so a partition-mate must not touch them."""
+    """One transaction per (subscriber, facility): an aborted
+    transaction's staged rows are cancelled at the abort, in the
+    interpreter's event order (the redo streams agree per table)."""
     build = lambda: tm1.build_database(1, subscribers_per_sf=n, seed=3)  # noqa: E731
     cf = build().table(tm1.CALL_FORWARDING)
     rng = np.random.default_rng(n)

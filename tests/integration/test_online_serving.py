@@ -319,7 +319,8 @@ class TestServeLoopIsPerBulk:
         import repro.telemetry as telemetry
         from repro import EngineOptions
         from repro.core.txn import TransactionPool
-        from repro.serve import ArrivalStream
+        from repro.core.procedure import KeyedAccess, KeyedPartition
+        from repro.serve import Arrival, ArrivalStream
         from repro.telemetry.metrics import Histogram
         from repro.workloads import tm1
 
@@ -335,6 +336,11 @@ class TestServeLoopIsPerBulk:
             monkeypatch.setattr(owner, attr, counted)
 
         count(ArrivalStream, "pop_until")
+        # Per-row work the plain path must not do: an Arrival built, or
+        # a keyed declaration asked one transaction at a time.
+        count(Arrival, "__init__")
+        count(KeyedAccess, "__call__")
+        count(KeyedPartition, "__call__")
         count(AdmissionController, "offer_batch")
         count(AdmissionController, "tenant_of")
         count(TransactionPool, "submit_batch")
@@ -373,6 +379,8 @@ class TestServeLoopIsPerBulk:
                      "target_size", "observe"):
             assert 0 < calls[name] <= budget, (name, calls[name], budget)
         assert "tenant_of" not in calls
+        for name in ("__init__", "__call__"):
+            assert name not in calls, (name, calls.get(name))
         # ... and the queue-wait histogram still saw every transaction.
         waits = tel.metrics.histogram("queue_wait_seconds")
         assert waits.count() == report.executed

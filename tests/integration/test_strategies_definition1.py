@@ -238,3 +238,78 @@ def test_an_aborted_insert_then_delete_stays_deleted(path):
     assert db.physical_state()[micro.TABLE][-1] == ((CHURN_KEY, 0.0, 0), True)
     assert StoreAdapter(db).probe("tuples_pk", CHURN_KEY) == -1
     assert state == oracle_state
+
+
+# ---------------------------------------------------------------------------
+# A partition-mate of an aborted insert: PART rolls the insert back at the
+# abort, before the partition's next transaction runs.
+# ---------------------------------------------------------------------------
+def _insert_then_abort(part):
+    yield op_ir.InsertRow(micro.TABLE, (CHURN_KEY, 0.0, 0))
+    yield op_ir.Abort("insert refused")
+
+
+def _insert_churn_key(part):
+    yield op_ir.InsertRow(micro.TABLE, (CHURN_KEY, 1.0, 0))
+
+
+def _probe_churn_key(part):
+    row = yield op_ir.IndexProbe("tuples_pk", CHURN_KEY)
+    return row
+
+
+def _delete_own_row(part, fail=False):
+    row = yield op_ir.IndexProbe("tuples_pk", part)
+    yield op_ir.DeleteRow(micro.TABLE, row)
+    if fail:
+        yield op_ir.Abort("delete refused")
+    return row
+
+
+def _in_partition(name, body, two_phase=True):
+    return TransactionType(
+        name=name,
+        body=body,
+        access_fn=lambda p: [Access(int(p[0]), write=True)],
+        partition_fn=lambda p: int(p[0]),
+        two_phase=two_phase,
+        conflict_classes=frozenset({micro.TABLE}),
+        vector_inserts=frozenset({micro.TABLE}),
+    )
+
+
+MATE_PROCEDURES = [
+    _in_partition("insert_abort", _insert_then_abort, two_phase=False),
+    _in_partition("insert_churn_key", _insert_churn_key),
+    _in_partition("probe_churn_key", _probe_churn_key),
+    _in_partition("delete_own_row", _delete_own_row, two_phase=False),
+]
+#: Partition 1 re-inserts the key an aborted insert staged; partition 2
+#: deletes the row an aborted delete staged the delete of.
+MATE_SPECS = [
+    ("insert_abort", (1,)), ("probe_churn_key", (1,)),
+    ("insert_churn_key", (1,)),
+    ("delete_own_row", (2, True)), ("delete_own_row", (2,)),
+]
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+def test_a_partition_mate_never_sees_an_aborted_insert(backend):
+    oracle = micro.build_database(4, with_index=True)
+    expected = CpuEngine(oracle, procedures=MATE_PROCEDURES, num_cores=1).execute(
+        make_transactions(MATE_SPECS)
+    )
+    db = micro.build_database(4, with_index=True)
+    engine = GPUTx(
+        db, procedures=MATE_PROCEDURES, options=EngineOptions(backend=backend)
+    )
+    engine.submit_many(MATE_SPECS)
+    result = engine.run_bulk(strategy="part")
+    assert result.strategy == "part"
+    outcomes = [(r.committed, r.value) for r in result.results]
+    assert outcomes == [(r.committed, r.value) for r in expected.results]
+    assert outcomes == [
+        (False, None), (True, -1), (True, None), (False, None), (True, 2),
+    ]
+    assert db.physical_state() == oracle.physical_state()
+    assert StoreAdapter(db).probe("tuples_pk", CHURN_KEY) == 5

@@ -9,9 +9,9 @@ import pytest
 from repro.cluster.router import HashShardRouter
 from repro.core.procedure import ProcedureRegistry
 from repro.core.txn import TransactionPool
-from repro.errors import ServeError
+from repro.errors import ConfigError, ServeError
 from repro.serve.admission import AdmissionController
-from repro.serve.stream import Arrival, ArrivalStream
+from repro.serve.stream import Arrival, ArrivalSlice, ArrivalStream
 from repro.workloads import tm1
 from tests.conftest import BANK_PROCEDURES, deadline
 from repro.workloads.base import (
@@ -78,6 +78,37 @@ class TestArrivalStream:
         assert [a.type_name for a in stream.pop_until(0.5, limit=5)] == ["c"]
         assert stream.pop_until(0.5, limit=5) == []
         assert stream.peek_time() == 0.9
+
+    @pytest.mark.parametrize("limit", [-1, 1.5, True, "2"])
+    def test_pop_until_rejects_a_bad_limit(self, limit):
+        """-1 and 1.5 used to pop everything due, True one arrival."""
+        stream = ArrivalStream([("a", (), 0.1), ("b", (), 0.2)])
+        with pytest.raises(ConfigError, match="limit"):
+            stream.pop_until(0.5, limit)
+        assert stream.peek_time() == 0.1
+
+    def test_pop_until_rejects_a_nan_clock(self):
+        """A NaN clock used to pop nothing, silently."""
+        stream = ArrivalStream([("a", (), 0.1)])
+        with pytest.raises(ConfigError, match="NaN"):
+            stream.pop_until(float("nan"))
+        assert [a.type_name for a in stream.pop_until(0.5, limit=0)] == []
+        assert [a.type_name for a in stream.pop_until(0.5)] == ["a"]
+
+    def test_pop_until_returns_columns_across_chunks(self, monkeypatch):
+        from repro.serve import stream as stream_module
+
+        monkeypatch.setattr(stream_module, "CHUNK", 2)
+        stream = ArrivalStream(
+            [("a", (1,), 0.1), ("b", [2], 0.2, "t"), Arrival("c", (3,), 0.3)]
+        )
+        batch = stream.pop_until(0.5)
+        assert isinstance(batch, ArrivalSlice)
+        assert batch.type_name == ["a", "b", "c"]
+        assert batch.params == [(1,), (2,), (3,)]
+        assert batch.submit_time == [0.1, 0.2, 0.3]
+        assert batch.tenant == ["", "t", ""]
+        assert batch[1] == Arrival("b", (2,), 0.2, "t")
 
     def test_unbounded_generator_is_not_materialised(self):
         def infinite():
