@@ -15,7 +15,7 @@ The census at a full collection walks the whole heap; its time is
 taken out of both the pause and the timed region, so the shares are
 those of an uninstrumented run. Tracked objects are what the collector
 walks: the fewer a bulk leaves behind, the rarer and shorter its
-pauses (docs/ARCHITECTURE.md, "What a bulk's results cost").
+pauses (docs/ARCHITECTURE.md, "What a bulk's columns cost").
 
 Usage::
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.backends.wave import TraceRecorder, WaveContext, WaveStore, run_lane
 from repro.core.procedure import ProcedureRegistry
-from repro.core.txn import Transaction
 from repro.storage.catalog import StoreAdapter
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc
 
@@ -106,8 +105,8 @@ def _time_once(db, registry, mutating, chunks, driver: str) -> float:
         else:
             lanes = np.arange(lane, lane + len(chunk), dtype=np.int64)
             ctx = WaveContext(
-                recorder, store, lanes, tid,
-                [Transaction(int(i), n, p) for i, (n, p) in zip(lanes, chunk)],
+                recorder, store, lanes, tid, name,
+                [p for _n, p in chunk],
             )
             ctx.set_branch()
             txn_type.vector_body(ctx)

@@ -117,8 +117,8 @@ def run_cpu_batch(build_db, procedures, specs, num_cores: Optional[int] = None):
     db = build_db()
     engine = CpuEngine(db, procedures=procedures, num_cores=num_cores)
     pool = TransactionPool()
-    txns = [pool.submit(name, params) for name, params in specs]
-    return engine.execute(txns)
+    pool.submit_specs(specs)
+    return engine.execute(pool.take())
 
 
 def throughput_ktps(result) -> float:

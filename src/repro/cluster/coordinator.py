@@ -45,7 +45,9 @@ from repro.cluster.durability.failover import RecoveryReport
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tdg import TDependencyGraph
-from repro.core.txn import ResultColumns, Transaction, signatures_bytes
+from repro.core.txn import (
+    ResultColumns, Transaction, TransactionColumns, signatures_bytes,
+)
 from repro.cpu.costmodel import CpuCostModel
 from repro.cpu.engine import run_serial
 from repro.cluster.router import ShardRouter
@@ -303,7 +305,7 @@ class CrossShardCoordinator:
         transactions: Sequence[Transaction],
         shard_map: Dict[int, FrozenSet[int]],
     ) -> Tuple[
-        List[Transaction],
+        TransactionColumns,
         ResultColumns,
         List[float],
         "List[frozenset[int]]",
@@ -328,7 +330,7 @@ class CrossShardCoordinator:
             who="cross-shard transaction",
             refused=_LEADER_REFUSED,
         )
-        shard_sets = [shard_map[txn.txn_id] for txn in order]
+        shard_sets = list(map(shard_map.__getitem__, order.txn_id))
         return order, results, cycles, shard_sets
 
     # ------------------------------------------------------------------
@@ -358,7 +360,7 @@ class CrossShardCoordinator:
     # ------------------------------------------------------------------
     def conflict_groups(
         self, transactions: Sequence[Transaction], ops: OpArray
-    ) -> List[List[Transaction]]:
+    ) -> List[TransactionColumns]:
         """Partition a wave (``ops`` is its operation array) into
         independent conflict groups.
 
@@ -371,9 +373,9 @@ class CrossShardCoordinator:
         Returned in deterministic order (by oldest member), each
         group's members in timestamp order.
         """
-        order = sorted(transactions, key=lambda t: t.txn_id)
+        order = TransactionColumns.of(transactions).sorted_by_id()
         graph = TDependencyGraph.build(ops)
-        parent: Dict[int, int] = {t.txn_id: t.txn_id for t in order}
+        parent: Dict[int, int] = dict(zip(order.txn_id, order.txn_id))
 
         def find(x: int) -> int:
             root = x
@@ -391,10 +393,10 @@ class CrossShardCoordinator:
                     if rb < ra:
                         ra, rb = rb, ra
                     parent[rb] = ra
-        members: Dict[int, List[Transaction]] = {}
-        for txn in order:
-            members.setdefault(find(txn.txn_id), []).append(txn)
-        return [members[root] for root in sorted(members)]
+        members: Dict[int, List[int]] = {}
+        for at, txn_id in enumerate(order.txn_id):
+            members.setdefault(find(txn_id), []).append(at)
+        return [order.take(members[root]) for root in sorted(members)]
 
     # ------------------------------------------------------------------
     def execute_parallel(
@@ -425,22 +427,22 @@ class CrossShardCoordinator:
             transactions, shard_map
         )
         out.results = results
-        position = {t.txn_id: i for i, t in enumerate(order)}
+        position = {txn_id: i for i, txn_id in enumerate(order.txn_id)}
         lanes = [0.0] * self.router.n_shards
         dispatch_end = 0.0
         touched: set = set()
         for index, group in enumerate(self.conflict_groups(order, ops)):
             group_shards: set = set()
             group_cycles = 0.0
-            for txn in group:
-                at = position[txn.txn_id]
+            for txn_id in group.txn_id:
+                at = position[txn_id]
                 group_shards |= shard_sets[at]
                 group_cycles += cycles[at]
             touched |= group_shards
             dispatch_end += signatures_bytes(group) / self.dispatch_bytes_per_s
             home = min(
                 sorted(
-                    self.router.home_shards(group[0].txn_id, group_shards)
+                    self.router.home_shards(group.txn_id[0], group_shards)
                 ),
                 key=lambda s: (lanes[s], s),
             )
@@ -455,8 +457,8 @@ class CrossShardCoordinator:
                     shards=tuple(sorted(group_shards)),
                     start_s=start,
                     seconds=seconds,
-                    txn_lo=group[0].txn_id,
-                    txn_hi=group[-1].txn_id,
+                    txn_lo=group.txn_id[0],
+                    txn_hi=group.txn_id[-1],
                 )
             )
         makespan = max(lanes)

@@ -77,6 +77,7 @@ from repro.core.txn import (
     ResultColumns,
     ResultPool,
     Transaction,
+    TransactionColumns,
     TransactionPool,
 )
 from repro.errors import (
@@ -314,6 +315,7 @@ class ClusterTx(BulkFrontDoor):
         )
         if not transactions:
             return out
+        transactions = TransactionColumns.of(transactions)
         # Resolve the declared footprint before the bulk counts: an
         # error here must not shift the kills keyed on ``_bulk_seq``.
         if ops is None:
@@ -454,7 +456,9 @@ class ClusterTx(BulkFrontDoor):
                 # order with respect to the dead shard's lost wave).
                 # The halted transactions rejoin the pool in timestamp
                 # order and execute after promotion.
-                rest = [txn for _kind, txns in waves[index:] for txn in txns]
+                rest = TransactionColumns.concat(
+                    txns for _kind, txns in waves[index:]
+                )
                 self.pool.requeue(rest)
                 out.requeued += len(rest)
                 out.halted = True
@@ -481,11 +485,9 @@ class ClusterTx(BulkFrontDoor):
                     # with them, so running any would break timestamp
                     # order. Requeue the rest; they rejoin the pool in
                     # timestamp order and execute in a later bulk.
-                    rest = [
-                        txn
-                        for _kind, txns in waves[index + 1:]
-                        for txn in txns
-                    ]
+                    rest = TransactionColumns.concat(
+                        txns for _kind, txns in waves[index + 1:]
+                    )
                     if rest:
                         self.pool.requeue(rest)
                     out.requeued += deferred + len(rest)
@@ -545,7 +547,7 @@ class ClusterTx(BulkFrontDoor):
 
     def _apply_pending_migration(
         self,
-        waves: List[Tuple[str, List[Transaction]]],
+        waves: List[Tuple[str, TransactionColumns]],
         index: int,
         shard_map: Dict[int, "frozenset[int]"],
         out: ClusterExecutionResult,
@@ -571,20 +573,20 @@ class ClusterTx(BulkFrontDoor):
             plan, bulk_id=bulk_id, wave=index, now=now
         )
         tainted = {plan.src, plan.dst}
-        requeued: List[Transaction] = []
+        requeued = TransactionColumns()
         for k in range(index, len(waves)):
             kind_k, txns_k = waves[k]
-            kept: List[Transaction] = []
-            for txn in txns_k:
-                homes = self.router.home_shards(
-                    txn.txn_id, shard_map[txn.txn_id]
-                )
+            kept: List[int] = []
+            moved: List[int] = []
+            for at, txn_id in enumerate(txns_k.txn_id):
+                homes = self.router.home_shards(txn_id, shard_map[txn_id])
                 if homes & tainted:
                     tainted |= homes
-                    requeued.append(txn)
+                    moved.append(at)
                 else:
-                    kept.append(txn)
-            waves[k] = (kind_k, kept)
+                    kept.append(at)
+            requeued.extend(txns_k.take(moved))
+            waves[k] = (kind_k, txns_k.take(kept))
         if requeued:
             self.pool.requeue(requeued)
         report.requeued = len(requeued)
@@ -598,26 +600,27 @@ class ClusterTx(BulkFrontDoor):
     def _segment_runs(
         transactions: Sequence[Transaction],
         shard_map: Dict[int, "frozenset[int]"],
-    ) -> List[Tuple[str, List[Transaction]]]:
+    ) -> List[Tuple[str, TransactionColumns]]:
         """Split a timestamp-ordered bulk into maximal same-kind runs."""
-        waves: List[Tuple[str, List[Transaction]]] = []
-        for txn in transactions:
+        transactions = TransactionColumns.of(transactions)
+        waves: List[Tuple[str, List[int]]] = []
+        for at, txn_id in enumerate(transactions.txn_id):
             kind = (
                 "coordinator"
-                if len(shard_map[txn.txn_id]) > 1
+                if len(shard_map[txn_id]) > 1
                 else "parallel"
             )
             if waves and waves[-1][0] == kind:
-                waves[-1][1].append(txn)
+                waves[-1][1].append(at)
             else:
-                waves.append((kind, [txn]))
-        return waves
+                waves.append((kind, [at]))
+        return [(kind, transactions.take(at)) for kind, at in waves]
 
     def _segment_packed(
         self,
         transactions: Sequence[Transaction],
         shard_map: Dict[int, "frozenset[int]"],
-    ) -> List[Tuple[str, List[Transaction]]]:
+    ) -> List[Tuple[str, TransactionColumns]]:
         """Conflict-aware wave packing for the parallel commit mode.
 
         Each transaction (visited in timestamp order) joins the
@@ -638,13 +641,14 @@ class ClusterTx(BulkFrontDoor):
         coalescing the run-segmented bulk's many tiny coordinator
         waves (whose per-wave sync dominates) into a few large ones.
         """
-        waves: List[Tuple[str, List[Transaction]]] = []
+        transactions = TransactionColumns.of(transactions)
+        waves: List[Tuple[str, List[int]]] = []
         # Per kind, shard -> index of the youngest wave of that kind
         # touching the shard: all the placement rule ever reads.
         parallel: Dict[int, int] = {}
         coordinator: Dict[int, int] = {}
-        for txn in transactions:
-            shards = shard_map[txn.txn_id]
+        for at, txn_id in enumerate(transactions.txn_id):
+            shards = shard_map[txn_id]
             if len(shards) > 1:
                 kind, same, other = "coordinator", coordinator, parallel
             else:
@@ -656,18 +660,18 @@ class ClusterTx(BulkFrontDoor):
                 )
             for index in range(earliest, len(waves)):
                 if waves[index][0] == kind:
-                    waves[index][1].append(txn)
+                    waves[index][1].append(at)
                     break
             else:
                 index = len(waves)
-                waves.append((kind, [txn]))
+                waves.append((kind, [at]))
             for shard in shards:
                 same[shard] = index
-        return waves
+        return [(kind, transactions.take(at)) for kind, at in waves]
 
     def _run_parallel_wave(
         self,
-        wave_txns: List[Transaction],
+        wave_txns: TransactionColumns,
         ops: OpArray,
         shard_map: Dict[int, "frozenset[int]"],
         strategy: str,
@@ -678,13 +682,11 @@ class ClusterTx(BulkFrontDoor):
     ) -> int:
         """Run one parallel wave; returns how many transactions its
         shards deferred (the caller must stop the bulk if any did)."""
-        by_shard: Dict[int, List[Transaction]] = {}
-        for txn in wave_txns:
+        by_shard: Dict[int, List[int]] = {}
+        for at, txn_id in enumerate(wave_txns.txn_id):
             # A parallel wave holds single-shard transactions.
-            (home,) = self.router.home_shards(
-                txn.txn_id, shard_map[txn.txn_id]
-            )
-            by_shard.setdefault(home, []).append(txn)
+            (home,) = self.router.home_shards(txn_id, shard_map[txn_id])
+            by_shard.setdefault(home, []).append(at)
         wave = WaveReport(
             kind="parallel",
             size=len(wave_txns),
@@ -706,7 +708,8 @@ class ClusterTx(BulkFrontDoor):
         # Each shard seals the outcomes of its own sub-bulk.
         shares: List[Tuple[int, str, ResultColumns]] = []
         now = self._sim_clock + out.breakdown.total
-        for shard, txns in sorted(by_shard.items()):
+        for shard, at in sorted(by_shard.items()):
+            txns = wave_txns.take(at)
             engine = self.shards[shard]
             if session is not None:
                 # Shard sub-bulks run in parallel: each one's engine
@@ -721,7 +724,7 @@ class ClusterTx(BulkFrontDoor):
                 result = engine.execute_bulk(
                     txns,
                     strategy=strategy,
-                    ops=ops.select([t.txn_id for t in txns]),
+                    ops=ops.select(txns.txn_id),
                     **dict(options),
                 )
             finally:
@@ -766,7 +769,7 @@ class ClusterTx(BulkFrontDoor):
 
     def _run_coordinator_wave(
         self,
-        wave_txns: List[Transaction],
+        wave_txns: TransactionColumns,
         ops: OpArray,
         shard_map: Dict[int, "frozenset[int]"],
         out: ClusterExecutionResult,
@@ -788,7 +791,7 @@ class ClusterTx(BulkFrontDoor):
         if parallel:
             result = self.coordinator.execute_parallel(
                 wave_txns,
-                ops.select([t.txn_id for t in wave_txns]),
+                ops.select(wave_txns.txn_id),
                 shard_map,
             )
         else:

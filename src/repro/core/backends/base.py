@@ -31,9 +31,10 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
+from repro.core.txn import ResultColumns, TransactionColumns
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import StrategyExecutor
-    from repro.core.txn import Transaction
     from repro.gpu.simt import KernelReport
 
 
@@ -53,7 +54,7 @@ class InterpretedBackend:
     def launch_wave(
         self,
         executor: "StrategyExecutor",
-        transactions: Sequence["Transaction"],
+        transactions: TransactionColumns,
     ) -> "KernelReport":
         """Execute one conflict-free wave (one thread per transaction).
 
@@ -62,7 +63,7 @@ class InterpretedBackend:
         ``executor.build_task``-built tasks in order.
         """
         start = time.perf_counter()
-        tasks = [executor.build_task(t) for t in transactions]
+        tasks = executor.build_tasks(transactions)
         report = executor.engine.launch(tasks, executor.adapter)
         self.wall_launch_seconds += time.perf_counter() - start
         return report
@@ -70,30 +71,35 @@ class InterpretedBackend:
     def launch_partitions(
         self,
         executor: "StrategyExecutor",
-        parts: Sequence[Tuple[int, List["Transaction"]]],
+        parts: Sequence[Tuple[int, Sequence[int]]],
         boundary_cycles: int,
-    ) -> "KernelReport":
+        transactions: TransactionColumns,
+    ) -> Tuple["KernelReport", ResultColumns]:
         """Execute PART's per-partition serial threads as one kernel.
 
-        ``parts`` is the sorted ``(partition id, transactions)`` list;
-        each partition is one GPU thread running its transactions back
-        to back (the pull model of Section 5.2), and its outcome row's
-        ``result`` is its transactions' :class:`ResultColumns`, in
-        execution order.
+        ``parts`` is the sorted ``(partition id, positions)`` list, the
+        positions indexing ``transactions`` in timestamp order; each
+        partition is one GPU thread running its transactions back to
+        back (the pull model of Section 5.2). Returns the launch's
+        report -- one outcome row per partition thread -- and its
+        transactions' outcomes as one flat record (here, each thread's
+        :class:`ResultColumns` return value, concatenated).
         """
         start = time.perf_counter()
         tasks = [
-            executor.partition_task(pid, txns, boundary_cycles)
-            for pid, txns in parts
+            executor.partition_task(
+                pid, transactions.take(positions), boundary_cycles
+            )
+            for pid, positions in parts
         ]
         report = executor.engine.launch(tasks, executor.adapter)
         self.wall_launch_seconds += time.perf_counter() - start
-        return report
+        return report, ResultColumns.concat(report.outcomes.result)
 
     def launch_locked(
         self,
         executor: "StrategyExecutor",
-        transactions: Sequence["Transaction"],
+        transactions: TransactionColumns,
         plans: Sequence[List[Tuple[int, int, bool]]],
         locks,
     ) -> "KernelReport":
@@ -108,10 +114,10 @@ class InterpretedBackend:
         tasks on the interpreter, as done here.
         """
         start = time.perf_counter()
-        tasks = [
-            executor.locked_task(txn, plan)
-            for txn, plan in zip(transactions, plans)
-        ]
+        tasks = list(map(
+            executor.locked_task, transactions.txn_id,
+            transactions.type_name, transactions.params, plans,
+        ))
         report = executor.engine.launch(tasks, executor.adapter, locks=locks)
         self.wall_launch_seconds += time.perf_counter() - start
         return report

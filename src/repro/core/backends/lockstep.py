@@ -206,8 +206,8 @@ def _uncovered_count(
 
 def run_locked_schedule(
     executor: Any,
-    transactions: Sequence[Any],
-    by_type: Dict[str, List[int]],
+    transactions: Any,
+    by_type: Dict[str, Any],
     plans: Sequence[Sequence[Tuple[int, int, bool]]],
     locks: Any,
     store: WaveStore,
@@ -216,7 +216,9 @@ def run_locked_schedule(
     schedule.
 
     ``by_type`` groups the launch's thread indices by transaction type
-    name. ``plans`` aligns with ``transactions``: each entry is the
+    name. ``transactions`` is the launch's
+    :class:`~repro.core.txn.TransactionColumns`; ``plans`` aligns with
+    it: each entry is the
     thread's merged-item lock plan ``[(lock_id, key, shared), ...]`` in
     item order (the order the growing and shrinking phases walk).
     ``locks`` is the pre-seeded :class:`~repro.gpu.atomics.LockTable`
@@ -231,7 +233,8 @@ def run_locked_schedule(
     spec = engine.spec
     cost = engine.cost
     registry = executor.registry
-    n = len(transactions)
+    params = transactions.params
+    n = len(params)
 
     layout = warp_layout(n, engine.block_size, spec)
     bounds, sm_warp_ids, _resident, warp_of, sm_of_warp = layout
@@ -314,7 +317,7 @@ def run_locked_schedule(
             recorder.round_base[lanes] = r + 1
             run_sub_wave(
                 recorder, store, lanes, tid, txn_type,
-                [transactions[t] for t in lanes.tolist()], out,
+                list(map(params.__getitem__, lanes.tolist())), out,
                 record_abort_ops=True, capture_undo=capture_undo,
             )
         lanes = np.concatenate([ready[tid] for tid in sorted(ready)])
@@ -564,7 +567,7 @@ def run_locked_schedule(
     )
 
     outcomes = OutcomeColumns(
-        [txn.txn_id for txn in transactions],
+        list(transactions.txn_id),
         type_ids.tolist(),
         committed.tolist(),
         abort_reason.tolist(),

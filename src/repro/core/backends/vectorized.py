@@ -29,7 +29,7 @@ directly.) Building a vectorized engine on a row-layout store is a
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Dict, List
+from typing import Any, Iterable, List, Tuple
 
 import numpy as np
 
@@ -75,9 +75,7 @@ class VectorizedBackend(InterpretedBackend):
         self, executor, transactions, plans, locks
     ) -> KernelReport:
         """Run one thread per transaction through the lock scheduler."""
-        by_type: Dict[str, List[int]] = {}
-        for i, txn in enumerate(transactions):
-            by_type.setdefault(txn.type_name, []).append(i)
+        by_type = dict(transactions.by_type())
         start = _time.perf_counter()
         report = run_locked_schedule(
             executor, transactions, by_type, plans, locks,
@@ -91,18 +89,21 @@ class VectorizedBackend(InterpretedBackend):
     # PART: one thread per partition, transactions back to back.
     # ------------------------------------------------------------------
     def launch_partitions(
-        self, executor, parts, boundary_cycles: int
-    ) -> KernelReport:
+        self, executor, parts, boundary_cycles: int, transactions
+    ) -> Tuple[KernelReport, ResultColumns]:
         start = _time.perf_counter()
         registry = executor.registry
-        type_names = {
-            txn.type_name for _pid, txns in parts for txn in txns
-        }
+        names = transactions.type_name
+        params = transactions.params
+        by_type = transactions.by_type()
+        type_names = [name for name, _at in by_type]
+        code = np.empty(len(names), dtype=np.int64)
+        for c, (_name, at) in enumerate(by_type):
+            code[at] = c
         # The types the PART wrapper undo-logs: they roll back inline.
         inline = {name for name in type_names if registry.needs_undo(name)}
         n = len(parts)
-        by_type = {name: [0] for name in type_names}  # tables only
-        store = self._wave_store(executor, by_type)
+        store = self._wave_store(executor, type_names)
         recorder = TraceRecorder(n)
         cur_branch = np.full(n, -1, dtype=np.int64)
         # One slot's outcomes, at their partitions' indices.
@@ -117,27 +118,27 @@ class VectorizedBackend(InterpretedBackend):
             op_ir.COMPUTE, all_lanes, cur_branch.copy(),
             amount=boundary_cycles,
         )
-        part_txns = [txns for _pid, txns in parts]
-        lens = np.fromiter((len(t) for t in part_txns), np.int64, n)
-        max_slots = int(lens.max())
-        # Every transaction's outcome, partition after partition.
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        flat_committed = np.ones(offsets[-1], dtype=bool)
-        flat_reason = np.full(offsets[-1], "", dtype=object)
-        flat_result = np.full(offsets[-1], None, dtype=object)
-        for slot in range(max_slots):
+        groups = [positions for _pid, positions in parts]
+        lens = np.fromiter(map(len, groups), np.int64, n)
+        # Partition ``i``'s slot ``s`` runs the transaction at position
+        # ``flat[offsets[i] + s]``.
+        flat = np.concatenate(groups).astype(np.int64, copy=False)
+        offsets = np.zeros(n, dtype=np.int64)
+        np.cumsum(lens[:-1], out=offsets[1:])
+        # Every transaction's outcome, at its position in the bulk.
+        flat_committed = np.ones(len(names), dtype=bool)
+        flat_reason = np.full(len(names), "", dtype=object)
+        flat_result = np.full(len(names), None, dtype=object)
+        for slot in range(int(lens.max())):
             lanes_slot = np.flatnonzero(lens > slot)
-            slot_types: Dict[str, List[int]] = {}
-            for i in lanes_slot.tolist():
-                slot_types.setdefault(
-                    part_txns[i][slot].type_name, []
-                ).append(i)
-            for type_name, lane_list in slot_types.items():
-                txn_type = registry.get(type_name)
+            at = flat[offsets[lanes_slot] + slot]
+            codes = code[at]
+            # Types in the order their first lane meets them.
+            for c in dict.fromkeys(codes.tolist()):
+                picked = codes == c
+                type_name = type_names[c]
                 type_id = registry.type_id(type_name)
-                lanes = np.asarray(lane_list, dtype=np.int64)
-                txns_slot = [part_txns[i][slot] for i in lane_list]
+                lanes = lanes_slot[picked]
                 # Each transaction re-enters its switch case: the
                 # partition wrapper's SetBranch executes under the
                 # *previous* branch tag, then the stored procedure's
@@ -145,11 +146,11 @@ class VectorizedBackend(InterpretedBackend):
                 recorder.record(op_ir.SET_BRANCH, lanes, cur_branch[lanes])
                 cur_branch[lanes] = type_id
                 run_sub_wave(
-                    recorder, store, lanes, type_id, txn_type, txns_slot, out,
+                    recorder, store, lanes, type_id, registry.get(type_name),
+                    list(map(params.__getitem__, at[picked].tolist())), out,
                     record_abort_ops=False, capture_undo=False,
                     inline_rollback=type_name in inline,
                 )
-            at = offsets[lanes_slot] + slot
             flat_committed[at] = committed[lanes_slot]
             flat_reason[at] = abort_reason[lanes_slot]
             flat_result[at] = results[lanes_slot]
@@ -157,27 +158,24 @@ class VectorizedBackend(InterpretedBackend):
             recorder.record(
                 op_ir.COMPUTE, lanes_slot, cur_branch[lanes_slot], amount=2
             )
-        flat = ResultColumns(
-            [txn.txn_id for txns in part_txns for txn in txns],
-            [txn.type_name for txns in part_txns for txn in txns],
-            flat_committed.tolist(), flat_reason.tolist(), flat_result.tolist(),
-        )
-        bounds = offsets.tolist()
         outcomes = OutcomeColumns(
-            [pid for pid, _txns in parts], [-1] * n, [True] * n, [""] * n,
-            [flat[a:b] for a, b in zip(bounds, bounds[1:])],
+            [pid for pid, _positions in parts], [-1] * n, [True] * n,
+            [""] * n, [None] * n,
         )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
-        return report
+        return report, ResultColumns(
+            list(transactions.txn_id), list(names), flat_committed.tolist(),
+            flat_reason.tolist(), flat_result.tolist(),
+        )
 
     # ------------------------------------------------------------------
-    def _wave_store(self, executor, by_type: Dict[str, List[int]]) -> WaveStore:
+    def _wave_store(self, executor, type_names: Iterable[str]) -> WaveStore:
         mutating = frozenset().union(
             *(
                 executor.registry.get(name).vector_inserts
-                for name in by_type
+                for name in type_names
             )
         )
         return WaveStore(executor.adapter, mutating)

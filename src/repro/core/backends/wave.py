@@ -54,8 +54,8 @@ all lanes or some.
 from __future__ import annotations
 
 import bisect
-from itertools import chain, repeat
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -179,21 +179,30 @@ class WaveStore:
         """Adapter.probe for a static map or unique index, batched.
 
         Returns encoded rows: ``-1`` miss, real row id, or
-        ``HANDLE_BASE + handle`` for a staged insert's row.
+        ``HANDLE_BASE + handle`` for a staged insert's row. The real
+        index answers every key in one pass; only the keys a staged
+        insert or delete of this launch may answer are re-probed
+        through :meth:`probe_unique1`.
         """
         static = self.db.static_maps.get(index)
         if static is not None:
-            return np.fromiter(
-                (static.get(k, -1) for k in keys), np.int64, len(keys)
-            )
-        if not self._dirty:
-            mapping = self.db.index(index).mapping
-            return np.fromiter(
-                (mapping.get(k, -1) for k in keys), np.int64, len(keys)
-            )
-        return np.fromiter(
-            (self.probe_unique1(index, k) for k in keys), np.int64, len(keys)
-        )
+            return np.fromiter(map(static.get, keys, repeat(-1)), np.int64, len(keys))
+        mapping = self.db.index(index).mapping
+        rows = np.fromiter(map(mapping.get, keys, repeat(-1)), np.int64, len(keys))
+        for i in self._staged_hits(index, keys, self._unique_add, self._unique_del):
+            rows[i] = self.probe_unique1(index, keys[i])
+        return rows
+
+    def _staged_hits(self, index: str, keys: Sequence[Any], *overlays: Any) -> Set[int]:
+        """Positions of ``keys`` that meet a staged insert or delete of
+        ``index`` (its entry in the ``overlays``), found in C-level
+        membership passes."""
+        hits: Set[int] = set()
+        if self._dirty:
+            self._fold(self.db.index(index).table)
+            for staged in filter(None, (o.get(index) for o in overlays)):
+                hits.update(compress(range(len(keys)), map(staged.__contains__, keys)))
+        return hits
 
     def probe_unique1(self, index: str, key: Any) -> int:
         """Single-key :meth:`probe_unique` (:func:`run_lane`'s probe, and
@@ -243,11 +252,13 @@ class WaveStore:
         return self.db.index(index).cost_address_base(key)
 
     def probe_multi(self, index: str, keys: Sequence[Any]) -> List[List[int]]:
-        """MultiHashIndex.probe_all, batched, overlay-aware."""
-        if not self._dirty:
-            mapping = self.db.index(index).mapping
-            return [list(mapping.get(k, ())) for k in keys]
-        return [self.probe_multi1(index, k) for k in keys]
+        """MultiHashIndex.probe_all, batched, overlay-aware (as
+        :meth:`probe_unique`, through :meth:`probe_multi1`)."""
+        mapping = self.db.index(index).mapping
+        rows = [list(mapping.get(k, ())) for k in keys]
+        for i in self._staged_hits(index, keys, self._multi_add, self._multi_del):
+            rows[i] = self.probe_multi1(index, keys[i])
+        return rows
 
     def probe_cost_addresses(self, index: str, keys: Sequence[Any]) -> np.ndarray:
         """The two per-probe cost addresses, shape ``(len(keys), 2)``.
@@ -255,7 +266,7 @@ class WaveStore:
         Batched form of the interpreter's per-probe
         ``probe_cost_addresses``, built on the same formula owners
         (:func:`repro.storage.catalog.static_map_cost_base`,
-        :meth:`~repro.storage.index.HashIndex.cost_address_base`).
+        :func:`repro.storage.index.bucket_bases`).
         """
         if index in self.db.static_maps:
             base = np.fromiter(
@@ -264,10 +275,7 @@ class WaveStore:
                 len(keys),
             )
         else:
-            cost_base = self.db.index(index).cost_address_base
-            base = np.fromiter(
-                (cost_base(k) for k in keys), np.int64, len(keys)
-            )
+            base = self.db.index(index).cost_address_bases(keys)
         return base[:, None] + _PROBE_WORDS
 
     # -- gathers ---------------------------------------------------------
@@ -824,7 +832,8 @@ class WaveContext(KernelContext):
         store: WaveStore,
         lanes: np.ndarray,
         type_id: int,
-        transactions: Sequence[Any],
+        type_name: str,
+        params: Sequence[Tuple[Any, ...]],
         *,
         record_abort_ops: bool = True,
         capture_undo: bool = False,
@@ -833,9 +842,9 @@ class WaveContext(KernelContext):
         self.store = store
         self.lanes = lanes
         self.type_id = type_id
-        self.type_name = transactions[0].type_name
-        self.n = len(transactions)
-        self._params = list(zip(*[t.params for t in transactions]))
+        self.type_name = type_name
+        self.n = len(params)
+        self._params = list(zip(*params))
         self.active = np.ones(self.n, dtype=bool)
         self.committed = np.ones(self.n, dtype=bool)
         #: Per-lane abort reasons and results, as object columns.
@@ -1274,15 +1283,15 @@ def run_sub_wave(
     lanes: np.ndarray,
     type_id: int,
     txn_type: Any,
-    transactions: Sequence[Any],
+    params: Sequence[Tuple[Any, ...]],
     out: Tuple[np.ndarray, np.ndarray, np.ndarray, List[Any]],
     *,
     record_abort_ops: bool,
     capture_undo: bool,
     inline_rollback: bool = False,
 ) -> None:
-    """Run one same-type sub-wave: ``transactions`` on the launch
-    threads ``lanes`` (ascending).
+    """Run one same-type sub-wave: the transactions whose parameter
+    tuples are ``params`` on the launch threads ``lanes`` (ascending).
 
     The one owner of the width fork: at most :data:`NARROW_WIDTH` lanes
     run through :func:`run_lane`, one call per lane in ascending order,
@@ -1298,15 +1307,15 @@ def run_sub_wave(
     lane_list = lanes.tolist()
     lane_by_lane = inline_rollback or txn_type.vector_body is None
     if lane_by_lane or len(lane_list) <= NARROW_WIDTH:
-        for t, txn in zip(lane_list, transactions):
+        for t, p in zip(lane_list, params):
             committed[t], abort_reason[t], results[t], undo[t] = run_lane(
-                recorder, store, t, type_id, txn_type, txn.params,
+                recorder, store, t, type_id, txn_type, p,
                 record_abort_ops=record_abort_ops, capture_undo=capture_undo,
                 inline_rollback=inline_rollback,
             )
         return
     ctx = WaveContext(
-        recorder, store, lanes, type_id, transactions,
+        recorder, store, lanes, type_id, txn_type.name, params,
         record_abort_ops=record_abort_ops, capture_undo=capture_undo,
     )
     ctx.set_branch()

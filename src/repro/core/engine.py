@@ -20,6 +20,7 @@ Typical use::
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +41,8 @@ from repro.core.strategies.relaxed import (
 )
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import (
-    ResultColumns, ResultPool, Transaction, TransactionPool,
+    ResultColumns, ResultPool, Transaction, TransactionColumns,
+    TransactionPool,
 )
 from repro.errors import ConfigError, ProcedureError, check_int, check_real
 from repro.gpu.costmodel import DMA_PHASES, TimeBreakdown
@@ -267,6 +269,7 @@ class GPUTx(BulkFrontDoor):
         validate_strategy_options(strategy, options)
         if not transactions:
             return ExecutionResult(strategy, ResultColumns(), TimeBreakdown())
+        transactions = TransactionColumns.of(transactions)
         if ops is None:
             ops = OpArray.of_bulk(self.registry, transactions)
         chosen = strategy
@@ -417,10 +420,11 @@ class GPUTx(BulkFrontDoor):
             clock = max(clock, next_boundary)
             next_boundary += interval_s
             # Admit everything that has arrived by now.
-            while submitted < n and arrive[submitted] <= clock:
-                type_name, params = transactions[submitted]
-                self.pool.submit(type_name, params, submit_time=arrive[submitted])
-                submitted += 1
+            arrived = bisect_right(arrive, clock, lo=submitted)
+            self.pool.submit_batch(
+                (*transactions[i], arrive[i]) for i in range(submitted, arrived)
+            )
+            submitted = arrived
             batch = self.pool.take()
             if not batch:
                 continue
@@ -429,11 +433,11 @@ class GPUTx(BulkFrontDoor):
             bulk_sizes.append(len(batch))
             # Streaming K-SET defers part of the bulk back into the
             # pool: only what came back has finished.
-            deferred = {txn.txn_id for txn in result.deferred}
-            for txn in batch:
-                if txn.txn_id in deferred:
+            deferred = set(result.deferred.txn_id)
+            for txn_id, submit_time in zip(batch.txn_id, batch.submit_time):
+                if txn_id in deferred:
                     continue
-                response = clock - txn.submit_time
+                response = clock - submit_time
                 total_response += response
                 max_response = max(max_response, response)
             executed += len(batch) - len(deferred)

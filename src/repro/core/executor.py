@@ -27,7 +27,8 @@ from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
 from repro.core.tx_logging import rollback
 from repro.core.txn import (
-    BulkOutcome, ResultColumns, Transaction, signatures_bytes,
+    BulkOutcome, ResultColumns, Transaction, TransactionColumns,
+    signatures_bytes,
 )
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
@@ -59,7 +60,7 @@ class ExecutionResult(BulkOutcome):
     cascaded_aborts: List[int] = field(default_factory=list)
     #: Transactions not executed this bulk (streaming K-SET leaves
     #: blocked work in the pool for later bulks, Section 5.3).
-    deferred: List["Transaction"] = field(default_factory=list)
+    deferred: TransactionColumns = field(default_factory=TransactionColumns)
     #: Execution backend that ran this bulk's kernel waves:
     #: "interpreted" or "vectorized". The simulated figures are
     #: backend-independent by construction, only wall-clock differs.
@@ -108,18 +109,27 @@ class StrategyExecutor:
     # ------------------------------------------------------------------
     # Shared helpers.
     # ------------------------------------------------------------------
-    def build_task(self, txn: Transaction) -> ThreadTask:
+    def build_task(self, txn_id: int, type_name: str, params: tuple) -> ThreadTask:
         """One transaction -> one GPU thread."""
         return ThreadTask(
-            txn_id=txn.txn_id,
-            type_id=self.registry.type_id(txn.type_name),
-            body=self.registry.build_stream(txn.type_name, txn.params),
-            capture_undo=self.registry.needs_undo(txn.type_name),
+            txn_id=txn_id,
+            type_id=self.registry.type_id(type_name),
+            body=self.registry.build_stream(type_name, params),
+            capture_undo=self.registry.needs_undo(type_name),
         )
+
+    def build_tasks(self, transactions: TransactionColumns) -> List[ThreadTask]:
+        """:meth:`build_task` per transaction, in order."""
+        return list(map(
+            self.build_task, transactions.txn_id, transactions.type_name,
+            transactions.params,
+        ))
 
     def locked_task(
         self,
-        txn: Transaction,
+        txn_id: int,
+        type_name: str,
+        params: tuple,
         plan: Sequence[Tuple[int, Optional[int], bool]],
     ) -> ThreadTask:
         """Wrap the stored procedure with the two locking phases.
@@ -128,9 +138,9 @@ class StrategyExecutor:
         ascending item order (globally sorted, so the lock graph stays
         acyclic); ``key=None`` takes the basic 0/1 spin lock.
         """
-        inner = self.registry.build_stream(txn.type_name, txn.params)
+        task = self.build_task(txn_id, type_name, params)
 
-        def stream():
+        def stream(inner):
             for lock_id, key, shared in plan:
                 yield op_ir.LockAcquire(lock_id, key=key, shared=shared)
             result = yield from inner
@@ -138,12 +148,8 @@ class StrategyExecutor:
                 yield op_ir.LockRelease(lock_id)
             return result
 
-        return ThreadTask(
-            txn_id=txn.txn_id,
-            type_id=self.registry.type_id(txn.type_name),
-            body=stream(),
-            capture_undo=self.registry.needs_undo(txn.type_name),
-        )
+        task.body = stream(task.body)
+        return task
 
     def input_transfer_seconds(self, transactions: Sequence[Transaction]) -> float:
         """Copy the bulk's signatures host -> device."""
@@ -156,24 +162,24 @@ class StrategyExecutor:
         return self.pcie.to_host(results.result_bytes(), component="output")
 
     def group_by_type(
-        self, transactions: List[Transaction], passes: int
-    ) -> Tuple[List[Transaction], float]:
+        self, transactions: TransactionColumns, passes: int
+    ) -> Tuple[TransactionColumns, float]:
         """Radix-group a wave by transaction type to cut branch
         divergence (Appendix D); returns the new order and its cost."""
-        type_ids = np.asarray(
-            [self.registry.type_id(t.type_name) for t in transactions],
-            dtype=np.int64,
+        type_ids = np.fromiter(
+            map(self.registry.type_id, transactions.type_name), np.int64,
+            len(transactions),
         )
         n_types = max(1, len(self.registry))
         key_bits = max(1, (n_types - 1).bit_length())
         order, cost = self.primitives.radix_partition(
             type_ids, passes, key_bits=key_bits
         )
-        return [transactions[i] for i in order], cost
+        return transactions.take(order.tolist()), cost
 
     def finalize_kernel(
         self,
-        transactions: Sequence[Transaction],
+        transactions: TransactionColumns,
         report: KernelReport,
     ) -> ResultColumns:
         """Roll back aborts (in thread order) and build results;
@@ -183,6 +189,6 @@ class StrategyExecutor:
             if not out.committed[t]:
                 rollback(self.adapter, undo)
         return ResultColumns(
-            out.txn_id, [txn.type_name for txn in transactions],
+            out.txn_id, list(transactions.type_name),
             out.committed, out.abort_reason, out.result,
         )

@@ -27,7 +27,6 @@ and scan passes the device would run, with counts read off the array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from repro.core.procedure import (
     Access, KeyedAccess, KeyedPartition, ProcedureRegistry,
 )
-from repro.core.txn import Transaction
+from repro.core.txn import Transaction, TransactionColumns
 from repro.errors import ExecutionError, ProcedureError, RegistrationError
 
 #: ``partition`` value of a cross-partition transaction.
@@ -69,16 +68,15 @@ class OpArray:
         through its row form. Parameters a declaration cannot read are
         a :class:`~repro.errors.ProcedureError` naming the bulk's first
         such transaction."""
+        transactions = TransactionColumns.of(transactions)
         n = len(transactions)
-        ids = np.fromiter(map(attrgetter("txn_id"), transactions), np.int64, n)
-        params = list(map(attrgetter("params"), transactions))
+        ids = np.fromiter(transactions.txn_id, np.int64, n)
+        params = transactions.params
         partition = np.full(n, NO_PARTITION, dtype=np.int64)
         op_counts = np.zeros(n, dtype=np.int64)
         columns = tuple([np.zeros(0, dtype=dtype)] for dtype in _DTYPES)
         try:
-            for name, at in _by_type(
-                list(map(attrgetter("type_name"), transactions))
-            ):
+            for name, at in transactions.by_type():
                 txn_type = registry.get(name)
                 access, part = txn_type.access_fn, txn_type.partition_fn
                 group = list(map(params.__getitem__, at))
@@ -189,14 +187,6 @@ _DTYPES = (np.int64, np.int64, bool)
 _UNRESOLVABLE = (IndexError, ValueError, TypeError, KeyError)
 
 
-def _by_type(names: List[str]) -> List[Tuple[str, np.ndarray]]:
-    """``(type name, ascending positions)`` per distinct name."""
-    code = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    codes = np.fromiter(map(code.__getitem__, names), np.int64, len(names))
-    bounds = np.cumsum(np.bincount(codes, minlength=len(code)))[:-1]
-    return list(zip(code, np.split(np.argsort(codes, kind="stable"), bounds)))
-
-
 def _merge(
     txn_id: int, accesses: Sequence[Access],
     items: list, txns: list, writes: list,
@@ -217,17 +207,19 @@ def _merge(
 
 
 def _raise_first_unresolvable(
-    registry: ProcedureRegistry, transactions: Sequence[Transaction]
+    registry: ProcedureRegistry, transactions: TransactionColumns
 ) -> None:
     """Resolve ``transactions`` one by one, raising at the first whose
     type is unknown or whose declarations cannot read its parameters."""
-    for t in transactions:
-        txn_type = registry.get(t.type_name)
+    for txn_id, name, params in zip(
+        transactions.txn_id, transactions.type_name, transactions.params
+    ):
+        txn_type = registry.get(name)
         try:
-            txn_type.partition_of(t.params)
-            txn_type.accesses(t.params)
+            txn_type.partition_of(params)
+            txn_type.accesses(params)
         except _UNRESOLVABLE as exc:
             raise ProcedureError(
-                f"transaction {t.txn_id} ({t.type_name!r}): its declared "
-                f"accesses cannot be resolved from {t.params!r}: {exc!r}"
+                f"transaction {txn_id} ({name!r}): its declared "
+                f"accesses cannot be resolved from {params!r}: {exc!r}"
             ) from exc

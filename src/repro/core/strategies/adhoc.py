@@ -22,7 +22,7 @@ from repro.core.executor import (
     StrategyExecutor,
 )
 from repro.core.oparray import OpArray
-from repro.core.txn import ResultColumns, Transaction
+from repro.core.txn import ResultColumns, Transaction, TransactionColumns
 from repro.gpu.costmodel import TimeBreakdown
 
 
@@ -43,10 +43,11 @@ class AdhocExecutor(StrategyExecutor):
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, ResultColumns(), breakdown)
+        transactions = TransactionColumns.of(transactions)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
-        tasks = [self.build_task(t) for t in transactions]
+        tasks = self.build_tasks(transactions)
         report = self.engine.launch_serial(
             tasks,
             self.adapter,

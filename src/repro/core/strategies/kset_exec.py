@@ -22,7 +22,9 @@ mutations.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.executor import (
     PHASE_EXECUTION,
@@ -34,7 +36,7 @@ from repro.core.executor import (
 )
 from repro.core.kset import IncrementalKSetExtractor
 from repro.core.oparray import OpArray
-from repro.core.txn import ResultColumns, Transaction
+from repro.core.txn import ResultColumns, Transaction, TransactionColumns
 from repro.gpu.costmodel import TimeBreakdown
 
 
@@ -63,12 +65,15 @@ class KsetExecutor(StrategyExecutor):
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, ResultColumns(), breakdown)
+        transactions = TransactionColumns.of(transactions)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
 
         # ---- bulk generation: merge ops into sorted groups -------------
-        by_id: Dict[int, Transaction] = {t.txn_id: t for t in transactions}
+        def of_ids(ids):  # ``ops.txn_ids`` is the bulk's id column
+            return transactions.take(np.searchsorted(ops.txn_ids, ids).tolist())
+
         extractor = IncrementalKSetExtractor(ops, self.primitives)
         gen_before = extractor.gen_seconds
         if self.timestamp_constrained:
@@ -95,7 +100,7 @@ class KsetExecutor(StrategyExecutor):
             zero = extractor.pop_zero_set()
             breakdown.add(PHASE_GENERATION, extractor.gen_seconds - gen_before)
             gen_before = extractor.gen_seconds
-            round_txns = [by_id[t] for t in zero]
+            round_txns = of_ids(zero)
             if self.grouping_passes > 0:
                 round_txns, group_cost = self.group_by_type(
                     round_txns, self.grouping_passes
@@ -114,7 +119,7 @@ class KsetExecutor(StrategyExecutor):
         breakdown.add(
             PHASE_TRANSFER_OUT, self.output_transfer_seconds(all_results)
         )
-        deferred = [by_id[t] for t in extractor.pending]
+        deferred = of_ids(extractor.pending)
         return ExecutionResult(
             self.name, all_results, breakdown, kernel_reports=reports,
             deferred=deferred,

@@ -31,7 +31,7 @@ and deletes -- and moves on.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, List, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.core.strategies.tpl import TplExecutor
 from repro.core.tx_logging import (
     DELETE_SENTINEL, INSERT_SENTINEL, SENTINELS, UndoEntry, rollback,
 )
-from repro.core.txn import ResultColumns, Transaction
+from repro.core.txn import ResultColumns, Transaction, TransactionColumns
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.simt import ThreadTask
@@ -74,6 +74,7 @@ class PartExecutor(StrategyExecutor):
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, ResultColumns(), breakdown)
+        transactions = TransactionColumns.of(transactions)
 
         # Cross-partition transactions force the TPL fallback.
         if (ops.partition == NO_PARTITION).any():
@@ -112,21 +113,27 @@ class PartExecutor(StrategyExecutor):
             )
         breakdown.add(PHASE_GENERATION, sort_cost)
 
-        # ---- build one thread per non-empty partition ------------------
-        grouped: Dict[int, List[Transaction]] = {}
-        coarse_list = coarse.tolist()
-        for idx in order.tolist():
-            grouped.setdefault(coarse_list[idx], []).append(transactions[idx])
+        # ---- one thread per non-empty partition: runs of ``order`` ------
+        # Each partition is the run of positions ``order`` sorted
+        # together, in timestamp order.
+        sorted_coarse = coarse[order]
+        cuts = np.flatnonzero(sorted_coarse[1:] != sorted_coarse[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(order)]
+        parts = list(zip(
+            sorted_coarse[bounds[:-1]].tolist(),
+            [order[a:b] for a, b in zip(bounds, bounds[1:])],
+        ))
         boundary_cycles = 8 * max(1, math.ceil(math.log2(max(2, len(transactions)))))
         # The partition schedule executes through the configured
         # backend: one interpreted generator per partition thread, or
         # the vectorized backend's slot-parallel column kernels.
-        parts = sorted(grouped.items())
-        report = self.backend.launch_partitions(self, parts, boundary_cycles)
+        report, results = self.backend.launch_partitions(
+            self, parts, boundary_cycles, transactions
+        )
         breakdown.add(PHASE_EXECUTION, report.seconds)
 
         # ---- per-transaction outcomes ----------------------------------
-        results = self._collect(report)
+        results = results.sorted_by_id()
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name, results, breakdown, kernel_reports=[report]
@@ -134,24 +141,27 @@ class PartExecutor(StrategyExecutor):
 
     # ------------------------------------------------------------------
     def partition_task(
-        self, pid: int, txns: List[Transaction], boundary_cycles: int
+        self, pid: int, txns: TransactionColumns, boundary_cycles: int
     ) -> ThreadTask:
         """One GPU thread running a partition's transactions serially."""
         prepared = [
             (
-                txn,
-                self.registry.type_id(txn.type_name),
-                self.registry.needs_undo(txn.type_name),
-                self.registry.build_stream(txn.type_name, txn.params),
+                txn_id,
+                type_name,
+                self.registry.type_id(type_name),
+                self.registry.needs_undo(type_name),
+                self.registry.build_stream(type_name, params),
             )
-            for txn in txns
+            for txn_id, type_name, params in zip(
+                txns.txn_id, txns.type_name, txns.params
+            )
         ]
 
         def stream():
             # Binary searches for the partition's [start, end) in P.
             yield op_ir.Compute(boundary_cycles)
             rows = ResultColumns()
-            for txn, type_id, needs_undo, inner in prepared:
+            for txn_id, type_name, type_id, needs_undo, inner in prepared:
                 yield op_ir.SetBranch(type_id)
                 # Before-images (when undo-logged) and insert/delete
                 # sentinels, in op order.
@@ -194,7 +204,7 @@ class PartExecutor(StrategyExecutor):
                         send = yield op
                 rows.extend(
                     ResultColumns(
-                        [txn.txn_id], [txn.type_name], [not aborted], [reason],
+                        [txn_id], [type_name], [not aborted], [reason],
                         [result],
                     )
                 )
@@ -203,10 +213,3 @@ class PartExecutor(StrategyExecutor):
             return rows
 
         return ThreadTask(txn_id=pid, type_id=-1, body=stream())
-
-    def _collect(self, report) -> ResultColumns:
-        """Concatenate the partition threads' results, in id order."""
-        results = ResultColumns()
-        for rows in report.outcomes.result:
-            results.extend(rows)
-        return results.sorted_by_id()

@@ -38,7 +38,7 @@ from repro.core.executor import (
 from repro.core.oparray import OpArray
 from repro.core.strategies.kset_exec import KsetExecutor
 from repro.core.strategies.part import PartExecutor
-from repro.core.txn import ResultColumns, Transaction
+from repro.core.txn import ResultColumns, Transaction, TransactionColumns
 from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import TimeBreakdown
 
@@ -54,6 +54,7 @@ class RelaxedTplExecutor(StrategyExecutor):
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, ResultColumns(), breakdown)
+        transactions = TransactionColumns.of(transactions)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
@@ -66,14 +67,16 @@ class RelaxedTplExecutor(StrategyExecutor):
         )
 
         locks = LockTable(len(all_items))
-        tasks = [
-            self.locked_task(txn, [(lock, None, False) for lock in lock_ids])
-            for txn, lock_ids in zip(transactions, ops.per_txn(lock_of_entry))
-        ]
+        tasks = list(map(
+            self.locked_task, transactions.txn_id, transactions.type_name,
+            transactions.params,
+            [[(lock, None, False) for lock in lock_ids]
+             for lock_ids in ops.per_txn(lock_of_entry)],
+        ))
         report = self.engine.launch(tasks, self.adapter, locks=locks)
         breakdown.add(PHASE_EXECUTION, report.seconds)
 
-        results = self.finalize_kernel(list(transactions), report)
+        results = self.finalize_kernel(transactions, report)
         breakdown.add(PHASE_TRANSFER_OUT, self.output_transfer_seconds(results))
         return ExecutionResult(
             self.name, results, breakdown, kernel_reports=[report]

@@ -43,7 +43,7 @@ from repro.core.kset import compute_ranks
 from repro.core.oparray import OpArray
 from repro.core.tdg import TDependencyGraph
 from repro.core.tx_logging import rollback
-from repro.core.txn import ResultColumns, Transaction
+from repro.core.txn import ResultColumns, Transaction, TransactionColumns
 from repro.gpu.atomics import LockTable
 from repro.gpu.costmodel import TimeBreakdown
 
@@ -63,6 +63,7 @@ class TplExecutor(StrategyExecutor):
         breakdown = TimeBreakdown()
         if not transactions:
             return ExecutionResult(self.name, ResultColumns(), breakdown)
+        transactions = TransactionColumns.of(transactions)
         breakdown.add(
             PHASE_TRANSFER_IN, self.input_transfer_seconds(transactions)
         )
@@ -78,7 +79,7 @@ class TplExecutor(StrategyExecutor):
             locks.set_run_size(lock_id, key, size)
 
         # Optional grouping by type to cut branch divergence (App. D).
-        ordered = list(transactions)
+        ordered = transactions
         if self.grouping_passes > 0:
             ordered, group_cost = self.group_by_type(
                 ordered, self.grouping_passes
@@ -86,7 +87,7 @@ class TplExecutor(StrategyExecutor):
             breakdown.add(PHASE_GENERATION, group_cost)
 
         # ---- kernel ----------------------------------------------------
-        plans = ranks.lock_plans(ops, [txn.txn_id for txn in ordered])
+        plans = ranks.lock_plans(ops, ordered.txn_id)
         report = self.backend.launch_locked(self, ordered, plans, locks)
         breakdown.add(PHASE_EXECUTION, report.seconds)
 
@@ -131,6 +132,6 @@ class TplExecutor(StrategyExecutor):
                 reasons[t] = "cascaded-rollback"
                 values[t] = None
         results = ResultColumns(
-            ids, [txn.type_name for txn in ordered], committed, reasons, values
+            ids, list(ordered.type_name), committed, reasons, values
         )
         return results.sorted_by_id(), sorted(cascaded)

@@ -7,6 +7,11 @@ doubles as the submission timestamp (Section 3.2). Users submit
 signatures into a :class:`TransactionPool`; the engine periodically
 generates a bulk from the pool; results land in a
 :class:`ResultPool` and are returned to users.
+
+Both ends of a bulk are columns: the pool hands out a
+:class:`TransactionColumns` and every executor returns a
+:class:`ResultColumns`. A :class:`Transaction` or :class:`TxnResult`
+row is built only when someone indexes one.
 """
 
 from __future__ import annotations
@@ -14,11 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from collections import Counter
 from itertools import chain, compress, groupby, islice, repeat
-from operator import attrgetter, eq, lt
+from operator import eq, is_, itemgetter, lt, not_
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
-from typing import Tuple, Union
+from typing import Tuple, TypeVar, Union
+
+import numpy as np
 
 from repro.errors import ProcedureError, check_int
+
+Row = TypeVar("Row")
 
 
 @dataclass(frozen=True)
@@ -50,15 +59,16 @@ class Transaction:
 
 def signatures_bytes(transactions: Sequence[Transaction]) -> int:
     """``sum(t.signature_bytes() for t in transactions)``, in a few
-    passes over the bulk's parameters instead of a call per row."""
+    passes over the bulk's parameter column instead of a call per row."""
+    params = TransactionColumns.of(transactions).params
     # Two streamed passes: a transient list of every parameter (or a
     # tee) measurably raised the wide bulks' peak RSS.
-    def flat() -> Iterator[Any]:
-        return chain.from_iterable(map(attrgetter("params"), transactions))
-
-    sized = list(compress(flat(), map(isinstance, flat(), repeat((str, bytes)))))
-    n_params = sum(map(len, map(attrgetter("params"), transactions)))
-    return 12 * len(transactions) + 8 * (n_params - len(sized)) + sum(map(len, sized))
+    sized = list(compress(
+        chain.from_iterable(params),
+        map(isinstance, chain.from_iterable(params), repeat((str, bytes))),
+    ))
+    n_params = sum(map(len, params))
+    return 12 * len(params) + 8 * (n_params - len(sized)) + sum(map(len, sized))
 
 
 @dataclass(frozen=True)
@@ -72,85 +82,125 @@ class TxnResult:
     value: Any = None
 
     def result_bytes(self) -> int:
-        """Approximate size of the result copied back to the host."""
-        return 8 + 1 + _value_bytes(self.value)
+        """Approximate size of the result copied back to the host: the
+        id and flag, plus 8 bytes per item of a list or tuple value, or
+        8 for any other value but ``None``."""
+        if isinstance(self.value, (list, tuple)):
+            return 9 + 8 * len(self.value)
+        return 9 if self.value is None else 17
 
 
-def _value_bytes(value: Any) -> int:
-    """Bytes of a result value, on top of its row's id and flag."""
-    if isinstance(value, (list, tuple)):
-        return 8 * len(value)
-    return 0 if value is None else 8
+class _Columns(Sequence[Row]):
+    """Parallel lists, one per field of the row class ``_row`` and in
+    its field order (the subclass is a dataclass of those lists). A
+    row is built only when a caller indexes one with an int; a slice or
+    :meth:`take` gives columns, and the record equals any sequence of
+    equal rows (``columns == []``)."""
 
-
-@dataclass(eq=False)
-class ResultColumns(Sequence[TxnResult]):
-    """A bulk's outcomes as five parallel lists: what every executor
-    returns as ``results``. A :class:`TxnResult` is built only when a
-    caller reads one (an int index; a slice gives columns), and the
-    record equals any sequence of equal rows (``results == []``)."""
-
-    txn_id: List[int] = field(default_factory=list)
-    type_name: List[str] = field(default_factory=list)
-    committed: List[bool] = field(default_factory=list)
-    abort_reason: List[str] = field(default_factory=list)
-    value: List[Any] = field(default_factory=list)
+    _row: Any
+    txn_id: List[int]
 
     @classmethod
-    def of(cls, rows: Iterable[TxnResult]) -> "ResultColumns":
-        """Columns of ready-made rows (tests, hand-built results)."""
+    def of(cls, rows: Iterable[Row]):
+        """``rows`` as columns: itself when it already is."""
+        if isinstance(rows, cls):
+            return rows
         rows = list(rows)
-        return cls(*([getattr(r, f.name) for r in rows] for f in fields(TxnResult)))
+        return cls(*([getattr(r, f.name) for r in rows] for f in fields(cls._row)))
+
+    @classmethod
+    def concat(cls, parts: Iterable[Iterable[Row]]):
+        """One record of ``parts``' rows, one part after another."""
+        out = cls()
+        for part in parts:
+            out.extend(part)
+        return out
 
     def _columns(self) -> Tuple[List[Any], ...]:
-        return (
-            self.txn_id, self.type_name, self.committed, self.abort_reason,
-            self.value,
-        )
+        return tuple(vars(self).values())
 
     def __len__(self) -> int:
         return len(self.txn_id)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ResultColumns(*(col[i] for col in self._columns()))
-        return TxnResult(*(col[i] for col in self._columns()))
+            return type(self)(*(col[i] for col in self._columns()))
+        return self._row(*(col[i] for col in self._columns()))
 
-    def __iter__(self) -> Iterator[TxnResult]:
-        return map(TxnResult, *self._columns())
+    def __iter__(self) -> Iterator[Row]:
+        return map(self._row, *self._columns())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
-    def extend(self, other: "ResultColumns") -> None:
+    def extend(self, other: Iterable[Row]) -> None:
         """Append ``other``'s rows (concatenation in place)."""
-        self.txn_id += other.txn_id
-        self.type_name += other.type_name
-        self.committed += other.committed
-        self.abort_reason += other.abort_reason
-        self.value += other.value
+        for mine, theirs in zip(self._columns(), self.of(other)._columns()):
+            mine += theirs
 
-    def take(self, positions: Sequence[int]) -> "ResultColumns":
+    def take(self, positions: Iterable[int]):
         """The rows at ``positions``, in that order."""
-        return ResultColumns(
+        positions = list(positions)
+        return type(self)(
             *(list(map(col.__getitem__, positions)) for col in self._columns())
         )
 
-    def sorted_by_id(self) -> "ResultColumns":
+    def sorted_by_id(self):
         """The rows in transaction-id order (``self`` when already)."""
         ids = self.txn_id
         if all(map(lt, ids, islice(ids, 1, None))):
             return self
         return self.take(sorted(range(len(ids)), key=ids.__getitem__))
 
+
+@dataclass(eq=False)
+class TransactionColumns(_Columns[Transaction]):
+    """A bulk's signatures as four parallel lists: what the pool hands
+    out and every layer below reads (:class:`_Columns` for the row
+    view)."""
+
+    _row = Transaction
+    txn_id: List[int] = field(default_factory=list)
+    type_name: List[str] = field(default_factory=list)
+    params: List[Tuple[Any, ...]] = field(default_factory=list)
+    submit_time: List[float] = field(default_factory=list)
+
+    def by_type(self) -> List[Tuple[str, np.ndarray]]:
+        """``(type name, ascending positions)`` per distinct type, in
+        the order the types first appear."""
+        names = self.type_name
+        code = {name: i for i, name in enumerate(dict.fromkeys(names))}
+        codes = np.fromiter(map(code.__getitem__, names), np.int64, len(names))
+        order = np.argsort(codes, kind="stable")
+        bounds = [0, *np.cumsum(np.bincount(codes)).tolist()]
+        return [(name, order[a:b]) for name, a, b in zip(code, bounds, bounds[1:])]
+
+
+@dataclass(eq=False)
+class ResultColumns(_Columns[TxnResult]):
+    """A bulk's outcomes as five parallel lists: what every executor
+    returns as ``results`` (:class:`_Columns` for the row view)."""
+
+    _row = TxnResult
+    txn_id: List[int] = field(default_factory=list)
+    type_name: List[str] = field(default_factory=list)
+    committed: List[bool] = field(default_factory=list)
+    abort_reason: List[str] = field(default_factory=list)
+    value: List[Any] = field(default_factory=list)
+
     def committed_count(self) -> int:
         return self.committed.count(True)
 
     def result_bytes(self) -> int:
-        """``sum(TxnResult.result_bytes)`` over the rows."""
-        return (8 + 1) * len(self) + sum(map(_value_bytes, self.value))
+        """``sum(TxnResult.result_bytes)`` over the rows, counted in
+        C-level passes: 8 bytes per scalar value and per item of a
+        list or tuple value, none for ``None``."""
+        values = self.value
+        seqs = list(compress(values, map(isinstance, values, repeat((list, tuple)))))
+        scalars = len(values) - sum(map(is_, values, repeat(None))) - len(seqs)
+        return 9 * len(values) + 8 * (scalars + sum(map(len, seqs)))
 
 
 class BulkOutcome:
@@ -191,14 +241,15 @@ class BulkOutcome:
 
 
 class TransactionPool:
-    """FIFO pool of submitted-but-unexecuted transaction signatures.
+    """FIFO pool of submitted-but-unexecuted transaction signatures,
+    kept as one :class:`TransactionColumns`.
 
     Ids are handed out in submission order, so iterating the pool is
     iterating in timestamp order.
     """
 
     def __init__(self) -> None:
-        self._pending: List[Transaction] = []
+        self._pending = TransactionColumns()
         self._next_id = 0
 
     def __len__(self) -> int:
@@ -214,31 +265,37 @@ class TransactionPool:
         submit_time: float = 0.0,
     ) -> Transaction:
         """Register one signature; returns the stamped transaction."""
-        txn = Transaction(
-            txn_id=self._next_id,
-            type_name=type_name,
-            params=tuple(params),
-            submit_time=submit_time,
-        )
-        self._next_id += 1
-        self._pending.append(txn)
-        return txn
+        return self.submit_batch(((type_name, params, submit_time),))[0]
 
     def submit_batch(
         self,
         items: Iterable[Tuple[str, tuple, float]],
-    ) -> List[Transaction]:
+    ) -> TransactionColumns:
         """Stamp a batch of ``(type, params, submit_time)`` triples in
-        order -- one append and one id-range grab instead of per-item
-        calls (the serving front half admits arrival slices this way)."""
+        order -- one id range and one extend per column (the serving
+        front half admits arrival slices this way); returns the
+        stamped columns."""
+        items = list(items)
+        if set(map(len, items)) - {3}:
+            raise ValueError("submit_batch takes (type, params, submit_time) triples")
+        return self._stamp(
+            list(map(itemgetter(0), items)),
+            list(map(itemgetter(1), items)),
+            list(map(itemgetter(2), items)),
+        )
+
+    def _stamp(
+        self, names: List[str], params: List[Any], times: List[float]
+    ) -> TransactionColumns:
         base = self._next_id
-        txns = [
-            Transaction(base + i, type_name, tuple(params), submit_time)
-            for i, (type_name, params, submit_time) in enumerate(items)
-        ]
-        self._next_id = base + len(txns)
-        self._pending.extend(txns)
-        return txns
+        new = TransactionColumns(
+            list(range(base, base + len(names))), names,
+            list(map(tuple, params)), times,
+        )
+        self._next_id = base + len(names)
+        for mine, theirs in zip(self._pending._columns(), new._columns()):
+            mine += theirs
+        return new
 
     def submit_specs(
         self,
@@ -249,23 +306,25 @@ class TransactionPool:
         """Admit a mixed stream of pre-built transactions, ``(type,
         params)`` pairs, or ``(type, params, submit_time)`` triples;
         returns how many were submitted. Each run of pairs/triples is
-        stamped by one :meth:`submit_batch` call."""
-        count = 0
-        for prebuilt, run in groupby(
-            specs, key=lambda item: isinstance(item, Transaction)
-        ):
+        stamped as columns in one go."""
+        specs = list(specs)
+        runs: Iterable[Tuple[bool, Iterable[Any]]] = [(False, specs)]
+        if any(map(isinstance, specs, repeat(Transaction))):
+            runs = groupby(specs, key=lambda item: isinstance(item, Transaction))
+        for prebuilt, run in runs:
             if prebuilt:
                 for txn in run:
                     self.submit_transaction(txn)
-                    count += 1
-            else:
-                count += len(
-                    self.submit_batch(
-                        (item[0], item[1], item[2] if len(item) == 3 else 0.0)
-                        for item in run
-                    )
-                )
-        return count
+                continue
+            run = list(run)
+            times = [0.0] * len(run)
+            if set(map(len, run)) - {2}:
+                times = [item[2] if len(item) == 3 else 0.0 for item in run]
+            self._stamp(
+                list(map(itemgetter(0), run)), list(map(itemgetter(1), run)),
+                times,
+            )
+        return len(specs)
 
     def submit_transaction(self, txn: Transaction) -> Transaction:
         """Admit an externally built transaction (id must be fresh)."""
@@ -274,34 +333,36 @@ class TransactionPool:
                 f"transaction id {txn.txn_id} is not monotonically increasing"
             )
         self._next_id = txn.txn_id + 1
-        self._pending.append(txn)
+        self._pending.extend((txn,))
         return txn
 
-    def take(self, n: Optional[int] = None) -> List[Transaction]:
+    def take(self, n: Optional[int] = None) -> TransactionColumns:
         """Remove and return up to ``n`` oldest transactions (all if
         None); ``n`` is an int >= 0, anything else a ConfigError."""
+        pending = self._pending
         if n is not None:
             n = check_int("max_txns", n, minimum=0)
-        if n is None or n >= len(self._pending):
-            out, self._pending = self._pending, []
-            return out
-        out = self._pending[:n]
-        del self._pending[:n]
-        return out
+        if n is None or n >= len(pending):
+            self._pending = TransactionColumns()
+            return pending
+        self._pending = pending[n:]
+        return pending[:n]
 
-    def take_matching(self, txn_ids: Iterable[int]) -> List[Transaction]:
+    def take_matching(self, txn_ids: Iterable[int]) -> TransactionColumns:
         """Remove and return the pool entries with the given ids."""
-        wanted = set(txn_ids)
-        taken = [t for t in self._pending if t.txn_id in wanted]
-        if taken:
-            self._pending = [t for t in self._pending if t.txn_id not in wanted]
+        hit = list(map(set(txn_ids).__contains__, self._pending.txn_id))
+        if not any(hit):
+            return TransactionColumns()
+        at = range(len(hit))
+        taken = self._pending.take(compress(at, hit))
+        self._pending = self._pending.take(compress(at, map(not_, hit)))
         return taken
 
-    def peek(self, n: Optional[int] = None) -> List[Transaction]:
+    def peek(self, n: Optional[int] = None) -> TransactionColumns:
         """Oldest ``n`` transactions without removing them (``n`` as
         in :meth:`take`)."""
         if n is None:
-            return list(self._pending)
+            return self._pending[:]
         return self._pending[: check_int("max_txns", n, minimum=0)]
 
     def requeue(self, transactions: Iterable[Transaction]) -> None:
@@ -316,7 +377,7 @@ class TransactionPool:
         wall-clock ``submit_time``, which arrives in any order.
         """
         self._pending.extend(transactions)
-        self._pending.sort(key=lambda t: t.timestamp)
+        self._pending = self._pending.sorted_by_id()
 
 
 class ResultPool:

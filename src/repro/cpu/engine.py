@@ -25,7 +25,9 @@ from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.executor import PHASE_EXECUTION
 from repro.core.procedure import ProcedureRegistry, TransactionType
 from repro.core.tx_logging import run_stream
-from repro.core.txn import BulkOutcome, ResultColumns, Transaction
+from repro.core.txn import (
+    BulkOutcome, ResultColumns, Transaction, TransactionColumns,
+)
 from repro.cpu.costmodel import CpuCostModel
 from repro.errors import check_int
 from repro.gpu.costmodel import TimeBreakdown
@@ -41,23 +43,21 @@ def run_serial(
     *,
     who: str = "transaction",
     refused: FrozenSet[int] = frozenset(),
-) -> Tuple[List[Transaction], ResultColumns, List[float]]:
+) -> Tuple[TransactionColumns, ResultColumns, List[float]]:
     """Run a batch through :func:`run_stream` in timestamp order.
 
     Returns the timestamp-sorted transactions plus parallel lists of
     results and per-transaction cycles (engine dispatch included).
     """
-    order = sorted(transactions, key=lambda t: t.txn_id)
-    results = ResultColumns(
-        [txn.txn_id for txn in order], [txn.type_name for txn in order]
-    )
+    order = TransactionColumns.of(transactions).sorted_by_id()
+    results = ResultColumns(list(order.txn_id), list(order.type_name))
     cycles: List[float] = []
-    for txn in order:
+    for txn_id, type_name, params in zip(order.txn_id, order.type_name, order.params):
         txn_cycles, committed, reason, value = run_stream(
-            registry.build_stream(txn.type_name, txn.params),
+            registry.build_stream(type_name, params),
             adapter,
             cost,
-            who=f"{who} {txn.txn_id}",
+            who=f"{who} {txn_id}",
             refused=refused,
         )
         cycles.append(txn_cycles + cost.dispatch())
@@ -109,8 +109,8 @@ class CpuEngine:
         order, results, cycles = run_serial(
             self.registry, transactions, self.adapter, self.cost
         )
-        for txn, txn_cycles in zip(order, cycles):
-            partition = self.registry.get(txn.type_name).partition_of(txn.params)
+        for type_name, params, txn_cycles in zip(order.type_name, order.params, cycles):
+            partition = self.registry.get(type_name).partition_of(params)
             if partition is None:
                 # Cross-partition: quiesce -- every worker blocks for it.
                 for core in range(self.num_cores):

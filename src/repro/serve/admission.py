@@ -27,11 +27,11 @@ Definition-1 timestamps) agree with arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.router import ShardRouter
 from repro.core.procedure import ProcedureRegistry
-from repro.core.txn import Transaction, TransactionPool
+from repro.core.txn import Transaction, TransactionColumns, TransactionPool
 from repro.errors import ConfigError, check_int
 from repro.serve.stream import Arrival, ArrivalSlice
 
@@ -98,7 +98,7 @@ class AdmissionController:
         #: only when asked: the scenario verifiers replay this log
         #: through the serial oracle for Definition-1 checks.
         self.record_admitted = record_admitted
-        self.admitted_log: List[Transaction] = []
+        self.admitted_log = TransactionColumns()
         self._shard_depth: Dict[int, int] = {}
         self._shards_of_txn: Dict[int, "frozenset[int]"] = {}
         self._tenant_depth: Dict[str, int] = {}
@@ -120,7 +120,7 @@ class AdmissionController:
         K-SET), which still occupy buffer space.
         """
         self.stats.offered += 1
-        return self._offer_one(arrival, pool)
+        return self._offer_walked([arrival], pool)[0]
 
     def offer_batch(
         self, arrivals: Sequence[Arrival], pool: TransactionPool
@@ -152,7 +152,7 @@ class AdmissionController:
             and not any(arrivals.tenant)
         )
         if not plain:
-            return [self._offer_one(a, pool) for a in arrivals]
+            return self._offer_walked(arrivals, pool)
         k = min(n, max(0, self.max_pending - len(pool)))
         if k:
             txns = pool.submit_batch(
@@ -169,11 +169,40 @@ class AdmissionController:
             self.stats.rejected += n - k
         return [True] * k + [False] * (n - k)
 
-    def _offer_one(self, arrival: Arrival, pool: TransactionPool) -> bool:
+    def _offer_walked(
+        self, arrivals: Sequence[Arrival], pool: TransactionPool
+    ) -> List[bool]:
+        """Admit or shed each arrival in order against the running
+        depths, then stamp the admitted ones into the pool at once."""
+        fates: List[bool] = []
+        admitted: List[Tuple[Arrival, Optional[frozenset]]] = []
+        for arrival in arrivals:
+            ok, shards = self._admit_one(arrival, len(pool) + len(admitted))
+            fates.append(ok)
+            if ok:
+                admitted.append((arrival, shards))
+        if admitted:
+            txns = pool.submit_batch(
+                (a.type_name, a.params, a.submit_time) for a, _ in admitted
+            )
+            for txn_id, (arrival, shards) in zip(txns.txn_id, admitted):
+                if shards is not None:
+                    self._shards_of_txn[txn_id] = shards
+                if arrival.tenant:
+                    self._tenant_of_txn[txn_id] = arrival.tenant
+            if self.record_admitted:
+                self.admitted_log.extend(txns)
+        return fates
+
+    def _admit_one(
+        self, arrival: Arrival, depth: int
+    ) -> Tuple[bool, Optional[frozenset]]:
+        """One arrival's fate at global queue depth ``depth``, with its
+        shard set when admitted under per-shard caps."""
         tenant = arrival.tenant
-        if len(pool) >= self.max_pending:
+        if depth >= self.max_pending:
             self._reject(tenant)
-            return False
+            return False, None
         if tenant and self.tenant_quotas is not None:
             quota = self.tenant_quotas.get(tenant)
             if (
@@ -181,7 +210,7 @@ class AdmissionController:
                 and self._tenant_depth.get(tenant, 0) >= quota
             ):
                 self._reject(tenant)
-                return False
+                return False, None
         shards: Optional[frozenset] = None
         if self.max_pending_per_shard is not None:
             shards = self._route(arrival)
@@ -193,27 +222,19 @@ class AdmissionController:
                     self._reject(tenant)
                     by_shard = self.stats.rejected_by_shard
                     by_shard[shard] = by_shard.get(shard, 0) + 1
-                    return False
-        txn = pool.submit(
-            arrival.type_name, arrival.params, arrival.submit_time
-        )
-        if shards is not None:
-            self._shards_of_txn[txn.txn_id] = shards
+                    return False, None
             for shard in shards:
                 self._shard_depth[shard] = self._shard_depth.get(shard, 0) + 1
         if tenant:
-            self._tenant_of_txn[txn.txn_id] = tenant
-            depth = self._tenant_depth.get(tenant, 0) + 1
-            self._tenant_depth[tenant] = depth
+            depth_t = self._tenant_depth.get(tenant, 0) + 1
+            self._tenant_depth[tenant] = depth_t
             high = self.stats.tenant_high_water
-            high[tenant] = max(high.get(tenant, 0), depth)
+            high[tenant] = max(high.get(tenant, 0), depth_t)
             by_tenant = self.stats.admitted_by_tenant
             by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
-        if self.record_admitted:
-            self.admitted_log.append(txn)
         self.stats.admitted += 1
-        self.stats.high_water = max(self.stats.high_water, len(pool))
-        return True
+        self.stats.high_water = max(self.stats.high_water, depth + 1)
+        return True, shards
 
     def _reject(self, tenant: str) -> None:
         self.stats.rejected += 1
@@ -232,11 +253,11 @@ class AdmissionController:
         if not self._tenant_of_txn and not self._shards_of_txn:
             return
         tenant_depth, shard_depth = self._tenant_depth, self._shard_depth
-        for txn in transactions:
-            tenant = self._tenant_of_txn.pop(txn.txn_id, None)
+        for txn_id in TransactionColumns.of(transactions).txn_id:
+            tenant = self._tenant_of_txn.pop(txn_id, None)
             if tenant is not None:
                 tenant_depth[tenant] = max(0, tenant_depth.get(tenant, 0) - 1)
-            for shard in self._shards_of_txn.pop(txn.txn_id, ()):
+            for shard in self._shards_of_txn.pop(txn_id, ()):
                 shard_depth[shard] = max(0, shard_depth.get(shard, 0) - 1)
 
     def shard_depth(self, shard: int) -> int:

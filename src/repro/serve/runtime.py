@@ -29,14 +29,13 @@ cost models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
 import repro.telemetry as telemetry
 from repro.core.engine import validate_strategy_options
-from repro.core.txn import Transaction
+from repro.core.txn import TransactionColumns
 from repro.errors import ServeError
 from repro.gpu.costmodel import TimeBreakdown
 from repro.serve.admission import AdmissionController, AdmissionStats
@@ -50,9 +49,6 @@ from repro.serve.metrics import (
     tenant_summaries,
 )
 from repro.serve.stream import ArrivalLike, ArrivalStream
-
-_TXN_ID = attrgetter("txn_id")
-_SUBMIT_TIME = attrgetter("submit_time")
 
 
 @dataclass
@@ -173,7 +169,7 @@ class ServeRuntime:
                 clock = max(clock, stream.peek_time())
                 continue
             target = self.former.target_size()
-            deadline = pool.peek(1)[0].submit_time + self.former.max_form_wait_s
+            deadline = pool.peek(1).submit_time[0] + self.former.max_form_wait_s
             while (
                 len(pool) < target
                 and not stream.exhausted  # an infinite budget waits for +inf
@@ -192,7 +188,7 @@ class ServeRuntime:
             start = max(clock, gpu_free)
             self.admission.offer_batch(stream.pop_until(start), pool)
             batch = pool.take(target)
-            submit_s = np.fromiter(map(_SUBMIT_TIME, batch), np.float64, len(batch))
+            submit_s = np.array(batch.submit_time, dtype=np.float64)
             session = telemetry.current()
             serve_span = None
             result = None
@@ -355,7 +351,7 @@ class ServeRuntime:
         self,
         report: ServeReport,
         latencies: List[BulkLatency],
-        batch: List[Transaction],
+        batch: TransactionColumns,
         submit_s: np.ndarray,
         result: Any,
         start: float,
@@ -369,7 +365,7 @@ class ServeRuntime:
         n = len(results)
         ids = np.asarray(results.txn_id, dtype=np.int64)
         order = np.searchsorted(
-            np.fromiter(map(_TXN_ID, batch), np.int64, len(batch)), ids
+            np.array(batch.txn_id, dtype=np.int64), ids
         )
         tenants = None
         if self.admission.stats.admitted_by_tenant:
@@ -380,7 +376,7 @@ class ServeRuntime:
         )
         latencies.append(latency)
         self.admission.note_executed(
-            batch if n == len(batch) else [batch[i] for i in order.tolist()]
+            batch if n == len(batch) else batch.take(order.tolist())
         )
         committed = results.committed_count()
         report.executed += n

@@ -20,7 +20,10 @@ header + entry), which is what the SIMT engine charges via
 from __future__ import annotations
 
 import bisect
+import sys
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import IndexError_
 
@@ -40,16 +43,34 @@ def _bucket_base(region: int, key: Any) -> int:
     return region + (hash(key) & 0xFFFFFF) * 16
 
 
-class HashIndex:
-    """Unique hash index: key -> row id."""
+def bucket_bases(region: int, keys: Sequence[Any]) -> np.ndarray:
+    """:func:`_bucket_base` of every key in ``keys``, as one array.
 
-    unique = True
+    An exact ``int`` in ``[0, 2**61 - 1)`` hashes to itself, so a
+    column of only such keys is one NumPy expression; a column holding
+    any other key (a negative or huge int, a ``bool``, a string, a
+    tuple) takes the scalar form.
+    """
+    n = len(keys)
+    if (
+        n and set(map(type, keys)) == {int}
+        and 0 <= min(keys) and max(keys) < sys.hash_info.modulus
+    ):
+        return region + (np.fromiter(keys, np.int64, n) & 0xFFFFFF) * 16
+    return np.fromiter(
+        (_bucket_base(region, key) for key in keys), np.int64, n
+    )
+
+
+class _KeyIndex:
+    """What both index flavours share: a key -> entry dict in a device
+    region of its own, and the cost addresses of a probe."""
 
     def __init__(self, name: str, table: str, columns: Tuple[str, ...]) -> None:
         self.name = name
         self.table = table
         self.columns = tuple(columns)
-        self._map: Dict[Any, int] = {}
+        self._map: Dict[Any, Any] = {}
         self._region = (hash(name) & 0xFF) * _INDEX_REGION_STRIDE
 
     def __len__(self) -> int:
@@ -57,6 +78,33 @@ class HashIndex:
 
     def __contains__(self, key: Any) -> bool:
         return key in self._map
+
+    @property
+    def mapping(self) -> Dict[Any, Any]:
+        """The key -> entry dict (read-only by convention; the
+        vectorized backend's bulk probes read it directly)."""
+        return self._map
+
+    def cost_address_base(self, key: Any) -> int:
+        """Device address of ``key``'s bucket header (:func:`_bucket_base`)."""
+        return _bucket_base(self._region, key)
+
+    def cost_address_bases(self, keys: Sequence[Any]) -> np.ndarray:
+        """:meth:`cost_address_base` of a key column (:func:`bucket_bases`)."""
+        return bucket_bases(self._region, keys)
+
+    def probe_cost_addresses(self, key: Any) -> List[Tuple[int, int]]:
+        base = self.cost_address_base(key)
+        return [(base, 8), (base + 8, 8)]
+
+    def items(self) -> Iterator[Tuple[Any, Any]]:
+        return iter(self._map.items())
+
+
+class HashIndex(_KeyIndex):
+    """Unique hash index: key -> row id."""
+
+    unique = True
 
     def insert(self, key: Any, row: int) -> None:
         if key in self._map:
@@ -82,45 +130,15 @@ class HashIndex:
         """Row id for ``key``, or -1 (the device convention)."""
         return self._map.get(key, -1)
 
-    @property
-    def mapping(self) -> Dict[Any, int]:
-        """The key -> row dict (read-only by convention; the vectorized
-        backend's bulk probes iterate it directly)."""
-        return self._map
-
-    def cost_address_base(self, key: Any) -> int:
-        """Device address of ``key``'s bucket header (:func:`_bucket_base`)."""
-        return _bucket_base(self._region, key)
-
-    def probe_cost_addresses(self, key: Any) -> List[Tuple[int, int]]:
-        base = self.cost_address_base(key)
-        return [(base, 8), (base + 8, 8)]
-
-    def items(self) -> Iterator[Tuple[Any, int]]:
-        return iter(self._map.items())
-
     def device_bytes(self) -> int:
         """16 B per entry (hash bucket + row id), 1.5x load headroom."""
         return int(len(self._map) * 16 * 1.5)
 
 
-class MultiHashIndex:
+class MultiHashIndex(_KeyIndex):
     """Non-unique hash index: key -> sorted row ids."""
 
     unique = False
-
-    def __init__(self, name: str, table: str, columns: Tuple[str, ...]) -> None:
-        self.name = name
-        self.table = table
-        self.columns = tuple(columns)
-        self._map: Dict[Any, List[int]] = {}
-        self._region = (hash(name) & 0xFF) * _INDEX_REGION_STRIDE
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._map
 
     def insert(self, key: Any, row: int) -> None:
         # Keep sorted for deterministic iteration.
@@ -160,22 +178,6 @@ class MultiHashIndex:
 
     def probe_all(self, key: Any) -> List[int]:
         return list(self._map.get(key, ()))
-
-    @property
-    def mapping(self) -> Dict[Any, List[int]]:
-        """The key -> rows dict (read-only by convention)."""
-        return self._map
-
-    def cost_address_base(self, key: Any) -> int:
-        """Device address of ``key``'s bucket header (:func:`_bucket_base`)."""
-        return _bucket_base(self._region, key)
-
-    def probe_cost_addresses(self, key: Any) -> List[Tuple[int, int]]:
-        base = self.cost_address_base(key)
-        return [(base, 8), (base + 8, 8)]
-
-    def items(self) -> Iterator[Tuple[Any, List[int]]]:
-        return iter(self._map.items())
 
     def device_bytes(self) -> int:
         entries = sum(len(rows) for rows in self._map.values())

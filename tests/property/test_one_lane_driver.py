@@ -39,7 +39,6 @@ from repro.core.backends.wave import (
     run_lane,
 )
 from repro.core.procedure import ProcedureRegistry, TransactionType
-from repro.core.txn import Transaction
 from repro.gpu import ops as op_ir
 from repro.storage.catalog import StoreAdapter
 from repro.workloads import micro, smallbank, tm1, tpcb, tpcc
@@ -180,8 +179,7 @@ def _drive(workload, one_lane, *, capture_undo, record_abort_ops):
             )
         else:
             ctx = WaveContext(
-                recorder, store, np.array([lane]), tid,
-                [Transaction(lane, name, params)],
+                recorder, store, np.array([lane]), tid, name, [params],
                 record_abort_ops=record_abort_ops, capture_undo=capture_undo,
             )
             ctx.set_branch()

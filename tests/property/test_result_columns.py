@@ -84,6 +84,26 @@ def test_result_columns_read_as_their_rows(parts, data):
         assert cols != other and cols != rows[:-1]
 
 
+#: Result values of every shape ``result_bytes`` tells apart: ``None``,
+#: scalars and strings (8 bytes), lists and tuples (8 per item, however
+#: deep their items nest).
+ANY_VALUE = st.recursive(
+    st.none() | st.integers() | st.floats(allow_nan=False) | st.booleans()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ANY_VALUE, max_size=30))
+def test_result_bytes_counts_as_the_rows_do(values):
+    """The column count (C-level passes) equals the per-row sum."""
+    rows = [TxnResult(i, "a", True, "", v) for i, v in enumerate(values)]
+    assert columns(rows).result_bytes() == sum(r.result_bytes() for r in rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(blocks())
 def test_result_pool_reads_as_a_dict_of_rows(parts):

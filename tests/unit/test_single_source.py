@@ -21,7 +21,6 @@ from repro.core.backends.lane import LaneContext
 from repro.core.backends.wave import TraceRecorder, WaveContext
 from repro.core.procedure import TransactionType
 from repro.core.tx_logging import validate_two_phase
-from repro.core.txn import Transaction
 from repro.errors import RegistrationError
 from repro.gpu import ops as op_ir
 from repro.storage.catalog import StoreAdapter
@@ -147,7 +146,7 @@ class TestOneSurface:
         value, and so is what its helpers return."""
         lane = LaneContext((7,))
         wave = WaveContext(
-            TraceRecorder(1), None, np.array([0]), 0, [Transaction(0, "x", (7,))]
+            TraceRecorder(1), None, np.array([0]), 0, "x", [(7,)]
         )
         public = {name for name in dir(lane) if not name.startswith("_")}
         # ``result`` is the lane stream's return value, not kernel surface.
@@ -219,7 +218,7 @@ class TestOneSurface:
         assert _typed(stop.value.value) == _typed(9)
         recorder = TraceRecorder(1)
         wave = WaveContext(
-            recorder, None, np.array([0]), 0, [Transaction(0, "masked", ())]
+            recorder, None, np.array([0]), 0, "masked", [()]
         )
         proc.vector_body(wave)
         recorder.flush_scalar()

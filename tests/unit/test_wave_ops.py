@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.backends.wave import TraceRecorder, WaveContext, WaveStore
-from repro.core.txn import Transaction
 from repro.storage.catalog import Database, StoreAdapter
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 
@@ -107,8 +106,8 @@ def _run(op, mode):
     recorder = TraceRecorder(max(LANES) + 1)
     recorder.undo_capture = np.ones(max(LANES) + 1, dtype=bool)
     ctx = WaveContext(
-        recorder, store, np.array(LANES[:width]), 4,
-        [Transaction(i, "x", (i,)) for i in range(width)],
+        recorder, store, np.array(LANES[:width]), 4, "x",
+        [(i,) for i in range(width)],
         record_abort_ops=False, capture_undo=True,
     )
     mask = None
