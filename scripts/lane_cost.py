@@ -8,8 +8,8 @@ SmallBank on ``smallbank.build_database(8)`` and TPC-C on
 ``tm1.build_database(2)`` (the serving and cluster workloads'), micro
 on 65,536 tuples -- as same-type sub-waves of width ``w``, each either
 as ``w`` ``run_lane`` calls or as one ``WaveContext``: the same 512
-transactions at every width, one ``TraceRecorder``, steps merged,
-replay excluded. The repeats interleave widths and drivers, so a busy
+transactions at every width, one ``TraceRecorder``, its op shapes
+flushed once, replay excluded. The repeats interleave widths and drivers, so a busy
 machine slows every cell alike. Prints microseconds per lane, best of
 the repeats: the table behind ``NARROW_WIDTH`` in
 ``repro/core/backends/wave.py`` (docs/ARCHITECTURE.md, "What a lane
@@ -112,7 +112,7 @@ def _time_once(db, registry, mutating, chunks, driver: str) -> float:
             txn_type.vector_body(ctx)
             ctx.close()
             lane += len(chunk)
-    recorder.fold_steps()
+    recorder.flush()
     return time.perf_counter() - start
 
 

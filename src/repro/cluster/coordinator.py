@@ -41,10 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster.durability.failover import RecoveryReport
 from repro.core.oparray import OpArray
 from repro.core.procedure import ProcedureRegistry
-from repro.core.tdg import TDependencyGraph
 from repro.core.txn import (
     ResultColumns, Transaction, TransactionColumns, signatures_bytes,
 )
@@ -365,16 +366,14 @@ class CrossShardCoordinator:
         independent conflict groups.
 
         Groups are the connected components of the wave's conflict
-        graph, computed over the TDG's (reduced) edge set -- edge
-        reduction never disconnects a component, since every dropped
-        conflict edge is covered by a path of retained ones. Members
-        of different groups share no data item, so the groups can
-        execute in any interleaving (DiPETrans's static analysis).
+        graph: every item with at least one write joins all of its
+        accessors, read off ``ops``' ``(item, txn)``-sorted entries.
+        Members of different groups share no data item, so the groups
+        can execute in any interleaving (DiPETrans's static analysis).
         Returned in deterministic order (by oldest member), each
         group's members in timestamp order.
         """
         order = TransactionColumns.of(transactions).sorted_by_id()
-        graph = TDependencyGraph.build(ops)
         parent: Dict[int, int] = dict(zip(order.txn_id, order.txn_id))
 
         def find(x: int) -> int:
@@ -385,14 +384,23 @@ class CrossShardCoordinator:
                 parent[x], x = root, parent[x]
             return root
 
-        for src, dsts in graph.succ.items():
-            for dst in dsts:
-                ra, rb = find(src), find(dst)
-                if ra != rb:
-                    # Union by smaller id keeps roots = oldest member.
-                    if rb < ra:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
+        # Per entry, its item group; each entry of an item with a write
+        # joins the item's first accessor.
+        item, txn = ops.item, ops.txn
+        fresh = np.ones(len(item), dtype=bool)
+        fresh[1:] = item[1:] != item[:-1]
+        group = np.cumsum(fresh) - 1
+        written = np.zeros(int(fresh.sum()), dtype=bool)
+        np.logical_or.at(written, group, ops.write)
+        joined = written[group]
+        first = txn[fresh][group]
+        for a, b in zip(first[joined].tolist(), txn[joined].tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                # Union by smaller id keeps roots = oldest member.
+                if rb < ra:
+                    ra, rb = rb, ra
+                parent[rb] = ra
         members: Dict[int, List[int]] = {}
         for at, txn_id in enumerate(order.txn_id):
             members.setdefault(find(txn_id), []).append(at)

@@ -58,8 +58,9 @@ journal before-images as bulk gathers (``capture_undo``), and aborted
 lanes' dirty writes stay visible to rank-successors exactly as the
 interpreter leaves them (recovery rolls both back after the kernel).
 
-The recorded trace (body steps plus synthetic LOCK_ACQUIRE pass and
-LOCK_RELEASE events at their true rounds) replays through
+The recorded trace (body ops plus LOCK_ACQUIRE pass and LOCK_RELEASE
+events, recorded at their scheduled rounds without counting as body
+ops) replays through
 :func:`~repro.core.backends.replay.replay_kernel` with a
 :class:`~repro.core.backends.replay.ScheduleOverrides` carrying the
 spin-phase charges and the true round horizon; the result is a
@@ -75,15 +76,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import tx_logging
 from repro.core.backends.replay import ScheduleOverrides, VisitTracker, replay_kernel
-from repro.core.backends.wave import (
-    HANDLE_BASE,
-    Step,
-    TraceRecorder,
-    WaveStore,
-    run_sub_wave,
-)
+from repro.core.backends.wave import TraceRecorder, WaveStore, run_sub_wave
 from repro.errors import DeadlockError, KernelTimeoutError
 from repro.gpu import ops as op_ir
 from repro.gpu.simt import KernelReport, OutcomeColumns, warp_layout
@@ -278,7 +272,7 @@ def run_locked_schedule(
     pending: Dict[int, Tuple[List[int], List[Tuple]]] = {}
     heap: List[int] = []
 
-    # Lock-op trace events, materialised as two synthetic Steps.
+    # Lock-op trace events, recorded once the schedule is done.
     pass_threads: List[int] = []
     pass_rounds: List[int] = []
     pass_locks: List[int] = []
@@ -509,33 +503,20 @@ def run_locked_schedule(
             f"kernel exceeded {engine.max_rounds} rounds"
         )
 
-    # Collapse the per-batch step fragments into one step per distinct
-    # op shape before the replay flattens them (the synthetic lock
-    # steps below are appended whole and need no merging). A type's
-    # steps only fragment once threads are granted past a gate.
-    if pass_threads:
-        recorder.fold_steps()
-
-    # ---- synthetic lock-op trace events --------------------------------
-    # Appended directly (record() would double-bump op_count on
-    # repeated lanes): pass events replay as uncharged LOCK_ACQUIRE
-    # groups (their charges came via settle), release events charge
-    # exactly like the interpreter's release groups.
+    # ---- lock-op trace events, at their scheduled rounds ---------------
+    # Pass events replay as uncharged LOCK_ACQUIRE groups (their charges
+    # came via settle), release events charge exactly like the
+    # interpreter's release groups; neither is a body op.
     for kind, threads, rounds, lock_ids in (
         (op_ir.LOCK_ACQUIRE, pass_threads, pass_rounds, pass_locks),
         (op_ir.LOCK_RELEASE, rel_threads, rel_rounds, rel_locks),
     ):
-        if threads:
-            lanes_arr = np.asarray(threads, dtype=np.int64)
-            recorder.steps.append(
-                Step(
-                    kind,
-                    lanes_arr,
-                    np.asarray(rounds, dtype=np.int64),
-                    type_ids[lanes_arr],
-                    addr=LOCK_BASE + np.asarray(lock_ids, dtype=np.int64) * 8,
-                )
-            )
+        lanes_arr = np.asarray(threads, dtype=np.int64)
+        recorder.record(
+            kind, lanes_arr, type_ids[lanes_arr],
+            rounds=np.asarray(rounds, dtype=np.int64),
+            addr=LOCK_BASE + np.asarray(lock_ids, dtype=np.int64) * 8,
+        )
 
     # ---- divergence correction -----------------------------------------
     # The interpreter counts (groups - 1) per (round, warp); the replay
@@ -576,12 +557,11 @@ def run_locked_schedule(
     report = replay_kernel(
         recorder, store, engine, outcomes, schedule=schedule_ov
     )
-    # Undo logs were journalled during the kernel, before staged
-    # inserts materialised; rewrite handle-encoded rows to the
-    # physical ids the replay assigned (no-op without staged inserts).
+    # Results and undo logs were made during the kernel, before staged
+    # inserts materialised: decode their handles to the physical ids
+    # the replay assigned.
+    store.publish(outcomes.result, store.handed)
     for t, entries in enumerate(undo_logs):
         if entries:
-            outcomes.undo[t] = tx_logging.remap_handle_rows(
-                entries, store.handle_row, HANDLE_BASE
-            )
+            outcomes.undo[t] = store.logged(entries)
     return report

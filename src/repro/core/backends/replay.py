@@ -43,7 +43,7 @@ from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
 from repro.gpu.simt import KernelReport, OutcomeColumns, warp_layout
 
-from repro.core.backends.wave import HANDLE_BASE, TraceRecorder, WaveStore
+from repro.core.backends.wave import HANDLE_BASE, Step, TraceRecorder, WaveStore
 
 #: Rows of the event matrix: one column per recorded (thread, op)
 #: event. Rows 0-3 are the divergence-group key -- a warp's live
@@ -239,14 +239,13 @@ def _charge_arrays(
 ) -> _Totals:
     """Group and charge the trace as one ``(10, E)`` event matrix; sets
     the divergence and insert-conflict counts on ``stats``."""
-    recorder.flush_scalar()
     spec = engine.spec
     cost = engine.cost
     n_threads = recorder.n_threads
     bounds, _sm_warp_ids, _resident, warp_of, sm_of_warp = layout
 
-    # ---- flatten steps into the event matrix --------------------------
-    steps = recorder.steps
+    # ---- flatten the op shapes into the event matrix ------------------
+    steps = recorder.flush()
     sizes = [len(step.lanes) for step in steps]
     offsets = [0, *accumulate(sizes)]
     E = offsets[-1]
@@ -278,7 +277,7 @@ def _charge_arrays(
             if isinstance(step.branch, np.ndarray):
                 np.add(step.branch, 1, out=ev[_BRANCH, lo:hi])
             if step.addr is None:
-                if step.deferred is not None:
+                if step.target is not None:
                     deferred_steps.append(i)
             elif step.addr.ndim == 2:
                 ev[_ADDR:_THREAD, lo:hi] = step.addr.T
@@ -293,7 +292,7 @@ def _charge_arrays(
     # ---- interpreter event order (mutations, moving addresses) --------
     if deferred_steps or store.pending_inserts or store.pending_deletes:
         _resolve_order_and_addresses(
-            recorder, store, layout, ev, offsets, deferred_steps,
+            recorder, steps, store, layout, ev, offsets, deferred_steps,
             key_bounds, schedule,
         )
 
@@ -589,7 +588,6 @@ def _order_scalars(
     if not any(deferred):
         return events
     # Deferred addresses, at the row counts in effect at each event.
-    handle_row = store.handle_row
     inserted = dict.fromkeys(base_rows, 0)
     resolved: Dict[Tuple[int, int], int] = {}
     for e in sub:
@@ -599,11 +597,9 @@ def _order_scalars(
                 inserted[rec[4]] += 1
         elif deferred[e[5]]:
             table, column = rec[5]
-            row = rec[11][e[6]]
-            if row >= HANDLE_BASE:
-                row = handle_row[row - HANDLE_BASE]
             addr, _width = store.addressing(table).addresses(
-                column, row, n_rows=base_rows[table] + inserted[table]
+                column, store.row_of(rec[11][e[6]]),
+                n_rows=base_rows[table] + inserted[table],
             )
             resolved[e[5], e[6]] = int(addr)
     return [
@@ -731,6 +727,7 @@ def _warp_visit_ranks(
 
 def _resolve_order_and_addresses(
     recorder: TraceRecorder,
+    steps: List[Step],
     store: WaveStore,
     layout: Tuple[Any, ...],
     ev: np.ndarray,
@@ -740,8 +737,9 @@ def _resolve_order_and_addresses(
     schedule: Optional[ScheduleOverrides] = None,
 ) -> None:
     """Compute the interpreter event order over the *order-sensitive
-    subset* of events -- staged inserts/deletes plus deferred-address
-    reads/writes -- then (a) apply the mutations in it and (b) resolve
+    subset* of events -- staged inserts/deletes, deferred-address
+    reads/writes and the divergence groups of the events a PART cancel
+    follows -- then (a) apply the mutations in it and (b) resolve
     the deferred device addresses against the row counts in effect at
     each event, into the ``_ADDR`` row of the (unsorted) event matrix
     ``ev``.
@@ -749,11 +747,11 @@ def _resolve_order_and_addresses(
     Restricting the ordering to the subset is sound because every
     divergence group that contains a subset event consists entirely of
     subset events (insert/delete groups are homogeneous in kind; a
-    deferred step's whole lane set is deferred), so relative order
-    within the subset never depends on excluded events.
+    deferred step's whole lane set is deferred; an anchor brings its
+    whole group), so relative order within the subset never depends on
+    excluded events.
     """
     bounds, sm_warp_ids, _resident, _warp_of, sm_of_warp = layout
-    steps = recorder.steps
     E = ev.shape[1]
     ev_kind = ev[_KIND]
     ev_step = ev[_STEP]
@@ -769,7 +767,7 @@ def _resolve_order_and_addresses(
     if deferred_steps:
         step_deferred = np.zeros(len(steps), dtype=bool)
         step_deferred[deferred_steps] = True
-        sub_mask = is_mutation | step_deferred[ev_step]
+        sub_mask |= step_deferred[ev_step]
     sub = np.flatnonzero(sub_mask)
     # Subset columns, in the event matrix's row order.
     keys = ev[: _KIND + 1, sub]
@@ -826,7 +824,6 @@ def _resolve_order_and_addresses(
             )
         ),
     )
-    handle_row = store.handle_row
     # Inserts-before prefix per mutating table (by subset rank), for
     # address resolution on tables whose row count moves mid-kernel.
     inserts_before: Dict[str, np.ndarray] = {}
@@ -850,15 +847,12 @@ def _resolve_order_and_addresses(
 
     # Resolve deferred addresses with the per-event row counts.
     for i in deferred_steps:
-        table, column, rows_enc = steps[i].deferred
+        (table, column), rows_enc = steps[i].target, steps[i].rows
         lo, hi = offsets[i], offsets[i + 1]
-        rows = rows_enc.astype(np.int64).copy()
-        handles = rows >= HANDLE_BASE
-        for j in np.flatnonzero(handles):
-            rows[j] = handle_row[int(rows_enc[j]) - HANDLE_BASE]
-        info = store.addressing(table)
         n_at = base_rows[table] + inserts_before[table][pos[lo:hi]]
-        addr, _width = info.addresses(column, rows, n_rows=n_at)
+        addr, _width = store.addressing(table).addresses(
+            column, store.rows_of(rows_enc), n_rows=n_at
+        )
         ev[_ADDR, lo:hi] = addr
 
 
@@ -889,9 +883,9 @@ def _apply_mutations(
     event a PART cancel follows (``store.pending_cancels``, rolled back
     right after it), in interpreter event order.
     Publishes ``handle -> physical row id`` as ``store.handle_row`` --
-    undo logs captured during the kernel name staged rows by handle
-    and are remapped to these ids afterwards
-    (tx_logging.remap_handle_rows) --, then applies the handle writes.
+    undo logs and result values captured during the kernel name staged
+    rows by handle, and ``store.row_of`` decodes them to these ids --,
+    then applies the handle writes.
     Returns each mutating table's row count as the launch found it.
     """
     adapter = store.adapter
@@ -943,16 +937,11 @@ def _apply_mutations(
             run_rows[table].append(handle_row[handle])
         elif kind == op_ir.DELETE_ROW:
             flush_inserts()
-            row_enc = payload
-            if row_enc >= HANDLE_BASE:
-                row_enc = handle_row[row_enc - HANDLE_BASE]
-            adapter.delete(table, row_enc)
+            adapter.delete(table, store.row_of(payload))
         if event in cancels:
             flush_inserts()
             # Stored in rollback order; rollback() reverses op order.
-            tx_logging.rollback(adapter, tx_logging.remap_handle_rows(
-                cancels[event][::-1], handle_row, HANDLE_BASE
-            ))
+            tx_logging.rollback(adapter, store.logged(cancels[event][::-1]))
     flush_inserts()
 
     # Writes to rows staged by a same-launch insert, now that the

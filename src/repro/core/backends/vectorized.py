@@ -163,11 +163,16 @@ class VectorizedBackend(InterpretedBackend):
             [""] * n, [None] * n,
         )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
+        values = flat_result.tolist()
+        store.publish(values, [
+            at for i in store.handed
+            for at in flat[offsets[i] : offsets[i] + lens[i]].tolist()
+        ])
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
         return report, ResultColumns(
             list(transactions.txn_id), list(names), flat_committed.tolist(),
-            flat_reason.tolist(), flat_result.tolist(),
+            flat_reason.tolist(), values,
         )
 
     # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ surviving lanes' writes back (aborted lanes are masked out -- the
 conflict-masked scatter). While doing so it records, through
 :class:`WaveContext`, the exact per-thread micro-op trace the
 interpreter would have produced: op kind, divergence branch, and
-memory addresses per lane per op. The cost replay
+memory addresses per lane per op, folded by op shape into
+:class:`TraceRecorder`'s one store as it is recorded. The cost replay
 (:mod:`repro.core.backends.replay`) turns that trace into a
 :class:`~repro.gpu.costmodel.KernelStats` identical to the SIMT
 interpreter's, which is what makes the two backends agree on the
@@ -34,6 +35,8 @@ column rules of the kernel boundary are on :class:`WaveContext`):
   writing an order a same-bulk NEW_ORDER created is the canonical
   case). Handle writes must not target indexed columns: the
   interpreter never re-indexes on write, and neither does the overlay;
+  a staged row's handle in a result value becomes its row id after
+  the replay (:meth:`WaveStore.publish`);
 * inserts/deletes are staged in a :class:`WaveStore` overlay and
   applied to the real store in interpreter event order by the replay,
   so physical row ids are byte-identical to the interpreted backend.
@@ -55,7 +58,10 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain, compress, repeat
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -73,6 +79,11 @@ _PROBE_WORDS = np.array([0, 8], dtype=np.int64)
 
 #: The lane index of a wave op whose selection is every lane.
 _EVERY_LANE = slice(None)
+
+#: Result values a staged row's handle can sit in: a handle is a Python
+#: int, returned as is or inside a tuple or a list.
+_NESTED = (tuple, list)
+_MAY_HOLD_HANDLE = (int, *_NESTED)
 
 
 class _TableAddressing:
@@ -136,7 +147,7 @@ class WaveStore:
         #: (handle, column index) -> latest staged value, for gathers.
         self._handle_overrides: Dict[Tuple[int, int], Any] = {}
         #: handle -> physical row id, published by the replay once the
-        #: staged inserts have materialised (undo-log fixups read it).
+        #: staged inserts have materialised (:meth:`row_of` reads it).
         self.handle_row: Dict[int, int] = {}
         #: Aborted PART transactions' insert/delete sentinels, in
         #: rollback order, by the ``(thread, round)`` event the replay
@@ -155,6 +166,10 @@ class WaveStore:
         self._multi_add: Dict[str, Dict[Any, List[int]]] = {}
         self._multi_del: Dict[str, Dict[Any, set]] = {}
         self._dirty = False
+        #: Launch threads some op answered with a staged row's handle
+        #: (an insert, or a probe that met a staged row): the only
+        #: threads whose results :meth:`publish` decodes.
+        self.handed: Set[int] = set()
 
     # -- addressing ------------------------------------------------------
     def addressing(self, table: str) -> _TableAddressing:
@@ -173,6 +188,46 @@ class WaveStore:
             return None, info.columns[column][1], (table, column, rows)
         addr, width = info.addresses(column, rows)
         return addr, width, None
+
+    # -- staged handles, once the replay has materialised them ---------
+    def row_of(self, row_enc: int) -> int:
+        """The physical row id of an encoded row: a real row id as it
+        is, a staged insert's handle as the row the replay gave it."""
+        if row_enc >= HANDLE_BASE:
+            return self.handle_row[row_enc - HANDLE_BASE]
+        return row_enc
+
+    def rows_of(self, rows_enc: Any) -> np.ndarray:
+        """:meth:`row_of` of every encoded row of an array."""
+        rows = np.array(rows_enc, dtype=np.int64)
+        handles = np.flatnonzero(rows >= HANDLE_BASE)
+        if len(handles):
+            rows[handles] = list(map(self.row_of, rows[handles].tolist()))
+        return rows
+
+    def logged(self, entries: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
+        """An undo log journalled during the launch, each entry's row
+        decoded (:meth:`row_of`): the log the interpreter keeps."""
+        return [(table, col, self.row_of(row), old) for table, col, row, old in entries]
+
+    def publish(self, values: List[Any], at: Iterable[int]) -> None:
+        """Give ``values[i]``, for each ``i`` in ``at``, as the
+        interpreter returns it: every staged insert's handle -- an int
+        in ``[HANDLE_BASE, HANDLE_BASE + staged inserts)``, alone or
+        inside a tuple or a list -- becomes its row id
+        (:meth:`row_of`). ``at`` holds the result positions of the
+        threads in :attr:`handed`; no other result can hold a handle."""
+        top = HANDLE_BASE + len(self.pending_inserts)
+
+        def one(value: Any) -> Any:
+            kind = type(value)
+            if kind is int:
+                return self.row_of(value) if HANDLE_BASE <= value < top else value
+            return kind(map(one, value)) if kind in _NESTED else value
+
+        for i in at:
+            if type(values[i]) in _MAY_HOLD_HANDLE:
+                values[i] = one(values[i])
 
     # -- probes ----------------------------------------------------------
     def probe_unique(self, index: str, keys: Sequence[Any]) -> np.ndarray:
@@ -454,85 +509,75 @@ class WaveStore:
                 bisect.insort(extra, row_enc)
 
 
-class Step:
-    """One recorded wave step: the same micro-op over a set of lanes
-    (threads), each at its own execution round."""
+class Step(NamedTuple):
+    """One op shape of a launch's trace: the same micro-op over a set
+    of lanes (threads), each at its own execution round
+    (:meth:`TraceRecorder.flush`). The first six fields are the shape;
+    the rest hold one entry per event, or are None where the shape has
+    no such field."""
 
-    __slots__ = (
-        "kind",
-        "lanes",
-        "rounds",
-        "branch",
-        "amount",
-        "addr",
-        "width",
-        "deferred",
-        "table",
-        "payload",
-        "undo",
-    )
+    kind: int
+    #: Divergence branch: a scalar tag, or one per lane.
+    branch: Any
+    amount: int
+    width: int
+    #: The table an INSERT_ROW or DELETE_ROW names.
+    table: Optional[str]
+    #: ``(table, column)`` of a READ/WRITE whose device address the
+    #: replay resolves late: the table's row count moves mid-kernel.
+    target: Optional[Tuple[str, str]]
+    lanes: Any
+    #: Execution round (1-based). A thread issues one op per round from
+    #: its body's first round on; under the TPL lock schedule that
+    #: first round follows the thread's spin on its lock gates.
+    rounds: Any
+    #: Resolved device address, or a probe's ``(lo, hi)`` pair.
+    addr: Any
+    #: Insert handles / delete encoded rows.
+    payload: Any
+    #: This WRITE journalled a before-image (the interpreter's
+    #: per-group undo-log flush charge keys on how many did).
+    undo: Any
+    #: The encoded rows of a ``target`` READ/WRITE.
+    rows: Any
 
-    def __init__(
-        self,
-        kind: int,
-        lanes: np.ndarray,
-        rounds: np.ndarray,
-        branch: Any,
-        *,
-        amount: int = 0,
-        addr: Optional[np.ndarray] = None,
-        width: int = 8,
-        deferred: Optional[Tuple[str, str, np.ndarray]] = None,
-        table: Optional[str] = None,
-        payload: Optional[np.ndarray] = None,
-        undo: Optional[np.ndarray] = None,
-    ) -> None:
-        self.kind = kind
-        self.lanes = lanes
-        #: Per-lane execution round (1-based). A thread issues one op
-        #: per round from its body's first round on; under the TPL lock
-        #: schedule that first round follows the thread's spin on its
-        #: lock gates.
-        self.rounds = rounds
-        #: Divergence branch per lane: scalar or per-lane array.
-        self.branch = branch
-        self.amount = amount
-        #: Resolved device addresses -- (L,) or (L, 2) for probes.
-        self.addr = addr
-        self.width = width
-        #: (table, column, encoded rows) for late address resolution on
-        #: tables whose row count moves mid-kernel.
-        self.deferred = deferred
-        self.table = table
-        #: Insert handles / delete encoded rows.
-        self.payload = payload
-        #: Per-lane bool: this WRITE journalled a before-image (the
-        #: interpreter's per-group undo-log flush charge keys on the
-        #: number of such lanes per divergence group).
-        self.undo = undo
+
+#: The ``branch`` of an op-shape key whose branch is a per-lane field.
+_PER_LANE = None
 
 
 class TraceRecorder:
-    """Accumulates the wave's steps and per-thread op counters."""
+    """A launch's trace, folded by op shape as it is recorded, and the
+    per-thread op counters.
+
+    The one store holds one accumulator per op shape -- ``(kind, scalar
+    branch, amount, width, table, deferred target, address rank,
+    payload absent, undo absent)`` -- and each accumulator keeps the
+    per-event fields: :meth:`record` adds array chunks,
+    :meth:`record_scalar` one event's scalars. A per-lane branch is a
+    per-lane field of its shape. The replay reads the store as one
+    :class:`Step` per shape (:meth:`flush`) or as Python lists
+    (:meth:`plain_records`). Which shape an event lands in is invisible
+    to both: a thread issues at most one event per round, so the
+    replay's grouping, charges and mutation order are functions of
+    per-event keys alone.
+    """
 
     def __init__(self, n_threads: int) -> None:
         self.n_threads = n_threads
         self.op_count = np.zeros(n_threads, np.int64)
-        self.steps: List[Step] = []
-        #: Columnar buffers for single-lane records, keyed by the op
-        #: shape (the fold_steps key): each value is the field lists
-        #: (lanes, rounds, addr, payload, undo, deferred rows) flushed
-        #: into one Step per key by :meth:`flush_scalar` (the event
-        #: matrix's input) or read as they stand by
-        #: :meth:`plain_records` (a narrow replay's).
-        self._acc: Dict[Any, Tuple[list, ...]] = {}
+        #: op shape -> (lanes, rounds, addr, payload, undo, deferred
+        #: rows) lists of scalar events, then the list of array chunks
+        #: ``(lanes, rounds, branch, addr, payload, undo, deferred
+        #: rows)`` (a field the shape lacks is None).
+        self._shapes: Dict[Any, Tuple[list, ...]] = {}
         #: A recorded op's round is ``round_base[thread] +
         #: op_count[thread]``. Every thread starts at round 1; the TPL
         #: lock scheduler moves a thread's base past its lock-acquire
         #: phase so body ops land on the rounds they really execute in.
         self.round_base = np.ones(n_threads, np.int64)
         #: Per-thread "journals before-images" flags; stamped onto
-        #: WRITE steps so the replay can charge the undo-log flush.
+        #: WRITE events so the replay can charge the undo-log flush.
         self.undo_capture: Optional[np.ndarray] = None
 
     def last_event(self, lane: int) -> Tuple[int, int]:
@@ -552,29 +597,26 @@ class TraceRecorder:
         table: Optional[str] = None,
         payload: Optional[int] = None,
     ) -> None:
-        """Single-lane :meth:`record` that buffers into the columnar
-        accumulator instead of building a one-lane Step per op.
+        """One lane's :meth:`record`, as Python scalars.
 
         Its one caller is :func:`run_lane`, which dispatches only
         vectorizable kinds; ``addr`` is a plain int (1-d address) or an
-        ``(lo, hi)`` pair (probe addresses). :meth:`flush_scalar`
-        materialises one Step per distinct op shape -- the exact arrays
-        :meth:`record` would have produced, concatenated.
+        ``(lo, hi)`` pair (probe addresses).
         """
         opidx = int(self.op_count[lane])
         self.op_count[lane] = opidx + 1
         undo = None
         if kind == op_ir.WRITE and self.undo_capture is not None:
             undo = bool(self.undo_capture[lane])
-        addr_ndim = None if addr is None else (2 if type(addr) is tuple else 1)
-        deferred_tc = None if deferred is None else deferred[:2]
         key = (
-            kind, branch, amount, width, table, deferred_tc,
-            addr_ndim, payload is None, undo is None,
+            kind, branch, amount, width, table,
+            None if deferred is None else deferred[:2],
+            None if addr is None else (2 if type(addr) is tuple else 1),
+            payload is None, undo is None,
         )
-        acc = self._acc.get(key)
+        acc = self._shapes.get(key)
         if acc is None:
-            acc = self._acc[key] = ([], [], [], [], [], [])
+            acc = self._shapes[key] = ([], [], [], [], [], [], [])
         acc[0].append(lane)
         acc[1].append(int(self.round_base[lane]) + opidx)
         if addr is not None:
@@ -586,177 +628,110 @@ class TraceRecorder:
         if deferred is not None:
             acc[5].append(deferred[2])
 
-    def flush_scalar(self) -> None:
-        """Materialise the scalar accumulator into whole Steps."""
-        if not self._acc:
+    def record(
+        self,
+        kind: int,
+        lanes: np.ndarray,
+        branch: Any,
+        *,
+        rounds: Optional[np.ndarray] = None,
+        amount: int = 0,
+        addr: Optional[np.ndarray] = None,
+        width: int = 8,
+        deferred: Optional[Tuple[str, str, np.ndarray]] = None,
+        table: Optional[str] = None,
+        payload: Optional[np.ndarray] = None,
+    ) -> None:
+        """One op on ``lanes`` (an array), ``branch`` a scalar tag or a
+        per-lane array. Each lane's event lands on its next round; an
+        event at given ``rounds`` (the lock scheduler's gate passes and
+        releases) leaves the op counters alone."""
+        if len(lanes) == 0:
             return
-        for key, acc in self._acc.items():
-            (
-                kind, branch, amount, width, table, deferred_tc,
-                addr_ndim, no_payload, no_undo,
-            ) = key
-            lanes, rounds, addr, payload, undo, drows = acc
-            kw: Dict[str, Any] = {}
-            if addr_ndim is not None:
-                kw["addr"] = np.asarray(addr, dtype=np.int64)
-            if not no_payload:
-                kw["payload"] = np.asarray(payload, dtype=np.int64)
-            if not no_undo:
-                kw["undo"] = np.asarray(undo, dtype=bool)
-            if deferred_tc is not None:
-                kw["deferred"] = (
-                    deferred_tc[0],
-                    deferred_tc[1],
-                    np.asarray(drows, dtype=np.int64),
-                )
-            self.steps.append(
-                Step(
-                    kind,
-                    np.asarray(lanes, dtype=np.int64),
-                    np.asarray(rounds, dtype=np.int64),
-                    branch,
-                    amount=amount,
-                    width=width,
-                    table=table,
-                    **kw,
-                )
-            )
-        self._acc.clear()
+        if rounds is None:
+            count = self.op_count[lanes]
+            rounds = self.round_base[lanes] + count
+            count += 1
+            self.op_count[lanes] = count
+        undo = None
+        if kind == op_ir.WRITE and self.undo_capture is not None:
+            undo = self.undo_capture[lanes]
+        per_lane = isinstance(branch, np.ndarray)
+        key = (
+            kind, _PER_LANE if per_lane else branch, amount, width, table,
+            None if deferred is None else deferred[:2],
+            None if addr is None else addr.ndim,
+            payload is None, undo is None,
+        )
+        acc = self._shapes.get(key)
+        if acc is None:
+            acc = self._shapes[key] = ([], [], [], [], [], [], [])
+        acc[6].append((
+            lanes, rounds, branch if per_lane else None, addr, payload, undo,
+            None if deferred is None else deferred[2],
+        ))
 
     def event_count(self) -> int:
-        """Recorded (thread, op) events, in Steps and scalar buffers."""
-        return sum(len(step.lanes) for step in self.steps) + sum(
-            len(acc[0]) for acc in self._acc.values()
+        """Recorded (thread, op) events."""
+        return sum(
+            len(acc[0]) + sum(len(chunk[0]) for chunk in acc[6])
+            for acc in self._shapes.values()
         )
 
-    def plain_records(self) -> List[Tuple[Any, ...]]:
-        """Every recorded op shape as Python values, in the order
-        :meth:`flush_scalar` would leave the Steps (Steps first, then
-        the scalar buffers), without building a Step or an array.
-
-        Each record is ``(kind, branch, amount, width, table, deferred
-        target, lanes, rounds, addr, payload, undo, deferred rows)``:
-        ``branch`` is a scalar tag or a per-lane list, the last six are
-        per-lane lists (a probe's address is a ``(lo, hi)`` pair), and
-        a field the op shape lacks is None.
-        """
+    def _folded(self, plain: bool) -> List[Tuple[Any, ...]]:
+        """Per op shape, its :class:`Step` fields: each per-event field
+        as a Python list (``plain``) or an array, its array chunks
+        first, then its scalars."""
+        join = _joined_list if plain else _joined_array
+        i64 = np.int64
         records: List[Tuple[Any, ...]] = []
-        for step in self.steps:
-            branch, deferred = step.branch, step.deferred
-            records.append((
-                step.kind,
-                branch.tolist() if isinstance(branch, np.ndarray) else branch,
-                step.amount, step.width, step.table,
-                None if deferred is None else deferred[:2],
-                step.lanes.tolist(), step.rounds.tolist(),
-                None if step.addr is None else step.addr.tolist(),
-                None if step.payload is None else step.payload.tolist(),
-                None if step.undo is None else step.undo.tolist(),
-                None if deferred is None else np.asarray(deferred[2]).tolist(),
-            ))
-        for key, (lanes, rounds, addr, payload, undo, drows) in self._acc.items():
+        for key, acc in self._shapes.items():
             (
-                kind, branch, amount, width, table, deferred_tc,
+                kind, branch, amount, width, table, target,
                 addr_ndim, no_payload, no_undo,
             ) = key
+            lanes, rounds, addr, payload, undo, rows, chunks = acc
+            if chunks or not plain:
+                # Per field, its chunks: (lanes, rounds, branch, addr, ...).
+                cols = tuple(zip(*chunks)) if chunks else ((),) * 7
+                if branch is _PER_LANE:
+                    branch = join(cols[2], [], i64)
+                lanes, rounds = join(cols[0], lanes, i64), join(cols[1], rounds, i64)
+                addr = join(cols[3], addr, i64) if addr_ndim else None
+                payload = None if no_payload else join(cols[4], payload, i64)
+                undo = None if no_undo else join(cols[5], undo, bool)
+                rows = None if target is None else join(cols[6], rows, i64)
             records.append((
-                kind, branch, amount, width, table, deferred_tc, lanes, rounds,
-                None if addr_ndim is None else addr,
-                None if no_payload else payload,
-                None if no_undo else undo,
-                None if deferred_tc is None else drows,
+                kind, branch, amount, width, table, target, lanes, rounds,
+                addr if addr_ndim else None, None if no_payload else payload,
+                None if no_undo else undo, None if target is None else rows,
             ))
         return records
 
-    def fold_steps(self) -> None:
-        """Coalesce steps whose per-step-constant fields all match.
+    def flush(self) -> List[Step]:
+        """The store as one :class:`Step` of arrays per op shape (the
+        event matrix's input)."""
+        return [Step(*fields) for fields in self._folded(plain=False)]
 
-        The replay groups events by a pure sort on ``(round, warp,
-        branch, kind, thread)`` -- the recorded step partition is
-        invisible to it -- so two steps may merge whenever every
-        per-step-constant field (kind, scalar branch, amount, width,
-        table, deferred target) is equal: the merged step flattens to
-        the identical event arrays. A TPL lock schedule records one
-        tiny step per granted batch per body op; merging collapses
-        those to one step per distinct op shape, keeping the replay's
-        flatten and per-step python loops off the hot path.
-        """
-        self.flush_scalar()
-        buckets: Dict[Any, List[Step]] = {}
-        for i, s in enumerate(self.steps):
-            if isinstance(s.branch, np.ndarray):
-                key: Any = ("solo", i)
-            else:
-                key = (
-                    s.kind, s.branch, s.amount, s.width, s.table,
-                    None if s.deferred is None else s.deferred[:2],
-                    None if s.addr is None else s.addr.ndim,
-                    s.payload is None, s.undo is None,
-                )
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [s]
-            else:
-                bucket.append(s)
-        out: List[Step] = []
-        cat = np.concatenate
-        for bucket in buckets.values():
-            if len(bucket) == 1:
-                out.append(bucket[0])
-                continue
-            first = bucket[0]
-            out.append(
-                Step(
-                    first.kind,
-                    cat([s.lanes for s in bucket]),
-                    cat([s.rounds for s in bucket]),
-                    first.branch,
-                    amount=first.amount,
-                    addr=(
-                        None
-                        if first.addr is None
-                        else cat([s.addr for s in bucket])
-                    ),
-                    width=first.width,
-                    deferred=(
-                        None
-                        if first.deferred is None
-                        else (
-                            first.deferred[0],
-                            first.deferred[1],
-                            cat(
-                                [
-                                    np.asarray(s.deferred[2])
-                                    for s in bucket
-                                ]
-                            ),
-                        )
-                    ),
-                    table=first.table,
-                    payload=(
-                        None
-                        if first.payload is None
-                        else cat([s.payload for s in bucket])
-                    ),
-                    undo=(
-                        None
-                        if first.undo is None
-                        else cat([s.undo for s in bucket])
-                    ),
-                )
-            )
-        self.steps = out
+    def plain_records(self) -> List[Tuple[Any, ...]]:
+        """The store as Python values (a narrow replay's input): per op
+        shape, its :class:`Step` fields as a tuple of lists (a probe's
+        address a ``(lo, hi)`` pair), without building an array."""
+        return self._folded(plain=True)
 
-    def record(self, kind: int, lanes: np.ndarray, branch: Any, **kw: Any) -> None:
-        if len(lanes) == 0:
-            return
-        count = self.op_count[lanes]
-        rounds = self.round_base[lanes] + count
-        count += 1
-        self.op_count[lanes] = count
-        if kind == op_ir.WRITE and self.undo_capture is not None:
-            kw["undo"] = self.undo_capture[lanes]
-        self.steps.append(Step(kind, lanes, rounds, branch, **kw))
+
+def _joined_array(chunks: Sequence[Any], scalars: list, dtype: Any) -> np.ndarray:
+    parts = [np.asarray(chunk, dtype=dtype) for chunk in chunks]
+    if scalars:
+        parts.append(np.asarray(scalars, dtype=dtype))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _joined_list(chunks: Sequence[np.ndarray], scalars: list, dtype: Any) -> list:
+    out: list = []
+    for chunk in chunks:
+        out += chunk.tolist()
+    return out + scalars if scalars else out
 
 
 def _padded(lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -924,6 +899,11 @@ class WaveContext(KernelContext):
         m = self.active if mask is None else self.active & mask
         return _EVERY_LANE if np.count_nonzero(m) == self.n else m.nonzero()[0]
 
+    def _hand(self, staged: np.ndarray) -> None:
+        """Note the lanes an op answered with a staged row's handle."""
+        if self.store.pending_inserts and staged.any():
+            self.store.handed.update(self.lanes[staged].tolist())
+
     def _record(self, kind: int, idx: Any, **kw: Any) -> None:
         """Record one op on the lanes :meth:`_select` picked."""
         self.recorder.record(kind, self.lanes[idx], self.type_id, **kw)
@@ -943,6 +923,7 @@ class WaveContext(KernelContext):
         if not keys_m:
             return out
         out[idx] = self.store.probe_unique(index, keys_m)
+        self._hand(out >= HANDLE_BASE)
         self._record(
             op_ir.INDEX_PROBE,
             idx,
@@ -973,6 +954,7 @@ class WaveContext(KernelContext):
         counts_n = np.zeros(self.n, dtype=np.int64)
         rows_n[idx] = rows
         counts_n[idx] = counts
+        self._hand(rows_n.max(axis=1) >= HANDLE_BASE)
         return rows_n, counts_n
 
     def read(
@@ -1093,6 +1075,7 @@ class WaveContext(KernelContext):
                 )
         out = np.full(self.n, -1, dtype=np.int64)
         out[idx] = handles
+        self._hand(out >= HANDLE_BASE)
         self._record(op_ir.INSERT_ROW, idx, table=table, payload=handles)
         return out
 
@@ -1244,8 +1227,13 @@ def run_lane(
             index, key = op.index, op.key
             if index in db.static_maps or db.index(index).unique:
                 reply = store.probe_unique1(index, key)
+                staged = reply >= HANDLE_BASE
             else:
                 reply = store.probe_multi1(index, key)
+                # Staged rows sort last: above every real row id.
+                staged = bool(reply) and reply[-1] >= HANDLE_BASE
+            if staged:
+                store.handed.add(lane)
             base = int(store.probe_cost_base1(index, key))
             record(kind, lane, type_id, addr=(base, base + 8))
         elif kind == op_ir.COMPUTE or kind == op_ir.SFU_COMPUTE:
@@ -1254,6 +1242,7 @@ def run_lane(
             if op.table not in mutating:
                 raise _undeclared_insert(txn_type.name, op.table)
             reply = int(store.stage_inserts(op.table, [tuple(op.values)])[0])
+            store.handed.add(lane)
             if undo is not None:
                 undo.append((tx_logging.INSERT_SENTINEL, op.table, reply, None))
             record(kind, lane, type_id, table=op.table, payload=reply)

@@ -159,29 +159,6 @@ def undo_bytes(entries: Iterable[UndoEntry]) -> int:
     return 16 * sum(1 for _ in entries)
 
 
-def remap_handle_rows(
-    entries: Sequence[UndoEntry],
-    handle_row: "dict[int, int]",
-    handle_base: int,
-) -> List[UndoEntry]:
-    """Rewrite handle-encoded rows in a vectorized-capture undo log.
-
-    The vectorized backend journals before-images during the wave
-    kernel, *before* the replay materialises staged inserts -- rows the
-    wave itself inserted are therefore recorded under their encoded
-    handle (``handle_base + handle``). Once the replay has assigned
-    physical row ids (``handle -> row``), this rewrites those entries
-    to the exact ids the interpreter would have logged. Entries naming
-    real rows pass through untouched.
-    """
-    out: List[UndoEntry] = []
-    for table, column, row, old in entries:
-        if row >= handle_base:
-            row = handle_row[row - handle_base]
-        out.append((table, column, row, old))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Redo logging (the durability layer's write-ahead records).
 #

@@ -382,11 +382,12 @@ def test_zero_step_launch_on_the_event_matrix(n_threads):
     test_zero_step_launch(n_threads)
 
 
-def _synthetic_trace(n_threads):
-    """A PART-shaped trace, ten ops per thread: per-lane branch tags on
-    the leading COMPUTE/SET_BRANCH, then two types' scalar-tagged
-    probe, reads, compute and write."""
+def _synthetic_trace(n_threads, first_round=1):
+    """A PART-shaped trace, ten ops per thread from ``first_round`` on:
+    per-lane branch tags on the leading COMPUTE/SET_BRANCH, then two
+    types' scalar-tagged probe, reads, compute and write."""
     recorder = TraceRecorder(n_threads)
+    recorder.round_base[:] = first_round
     lanes = np.arange(n_threads, dtype=np.int64)
     untagged = np.full(n_threads, -1, dtype=np.int64)
     recorder.record(op_ir.COMPUTE, lanes, untagged.copy(), amount=16)
@@ -479,10 +480,7 @@ def test_round_horizon_too_wide_to_pack(path, request):
     n = 64
     store, engine, outcomes = _bare_launch(n)
     near = _synthetic_trace(n)
-    far = _synthetic_trace(n)
-    far.round_base[:] = 1 << 55
-    for step in far.steps:
-        step.rounds = step.rounds + (1 << 55) - 1
+    far = _synthetic_trace(n, first_round=1 << 55)
     layout = warp_layout(n, engine.block_size, engine.spec)
     zeros = np.zeros(engine.spec.num_sms)
 

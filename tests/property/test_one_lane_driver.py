@@ -140,8 +140,7 @@ def _typed(value):
 
 
 def _columns(recorder):
-    """The flushed, merged steps as comparable plain values."""
-    recorder.fold_steps()
+    """The recorder's op shapes as comparable plain values."""
 
     def arr(a):
         return None if a is None else (str(np.asarray(a).dtype), np.asarray(a).tolist())
@@ -151,10 +150,9 @@ def _columns(recorder):
             s.kind, _typed(s.branch), s.amount, s.width, s.table,
             arr(s.lanes), arr(s.rounds), arr(s.addr), arr(s.payload),
             arr(s.undo),
-            None if s.deferred is None
-            else (s.deferred[0], s.deferred[1], arr(s.deferred[2])),
+            s.target, arr(s.rows),
         )
-        for s in recorder.steps
+        for s in recorder.flush()
     )
 
 

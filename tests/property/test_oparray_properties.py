@@ -178,6 +178,38 @@ def test_conflict_groups_are_the_conflict_components(transactions):
     ]
 
 
+def tdg_conflict_groups(transactions, ops):
+    """The groups as the coordinator built them before it read the
+    operation array: union-find over a full ``TDependencyGraph``'s
+    edges, roots the oldest member, groups by root."""
+    ids = sorted(t.txn_id for t in transactions)
+    parent = {t: t for t in ids}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for src, dsts in TDependencyGraph.build(ops).succ.items():
+        for dst in dsts:
+            ra, rb = sorted((find(src), find(dst)))
+            parent[rb] = ra
+    members = {}
+    for txn_id in ids:
+        members.setdefault(find(txn_id), []).append(txn_id)
+    return [members[root] for root in sorted(members)]
+
+
+@given(bulks())
+@settings(max_examples=100, deadline=None)
+def test_conflict_groups_equal_the_tdg_construction(transactions):
+    ops = OpArray.of_bulk(REGISTRY, transactions)
+    groups = COORDINATOR.conflict_groups(transactions, ops)
+    assert [list(group.txn_id) for group in groups] == tdg_conflict_groups(
+        transactions, ops
+    )
+
+
 @given(bulks())
 @settings(max_examples=100, deadline=None)
 def test_shard_map_matches_scalar_routing(transactions):

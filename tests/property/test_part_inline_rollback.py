@@ -20,7 +20,9 @@ from repro.gpu import ops as op_ir
 from repro.workloads import micro
 
 from tests.conftest import make_transactions
-from tests.integration.test_narrow_launch import assert_equivalent
+from tests.integration.test_narrow_launch import (  # noqa: F401 (fixture)
+    array_replay, assert_equivalent,
+)
 
 N_PARTS = 3
 
@@ -90,6 +92,65 @@ def test_partition_mates_see_aborts_rolled_back(params):
     engine = GPUTx(db, procedures=[CHURN])
     engine.submit_many(specs)
     result = engine.run_bulk(strategy="part")
+    assert [(r.committed, r.value) for r in result.results] == [
+        (r.committed, r.value) for r in expected.results
+    ]
+    assert db.logical_state() == oracle_db.logical_state()
+
+
+def _refused_insert(part):
+    yield op_ir.InsertRow(micro.TABLE, (1000 + part, 0.0, part))
+    yield op_ir.Compute(4)
+    yield op_ir.Abort("refused")
+
+
+def _bump(part):
+    row = yield op_ir.IndexProbe("tuples_pk", part)
+    value = yield op_ir.Read(micro.TABLE, "value", row)
+    yield op_ir.Write(micro.TABLE, "value", row, value + 1.0)
+
+
+REFUSED = TransactionType(
+    name="refused",
+    body=_refused_insert,
+    access_fn=lambda p: [Access(int(p[0]), write=True)],
+    partition_fn=lambda p: int(p[0]),
+    two_phase=False,
+    conflict_classes=frozenset({micro.TABLE}),
+    vector_inserts=frozenset({micro.TABLE}),
+)
+BUMP = TransactionType(
+    name="bump",
+    body=_bump,
+    access_fn=lambda p: [Access(int(p[0]), write=True)],
+    partition_fn=lambda p: int(p[0]),
+    conflict_classes=frozenset({micro.TABLE}),
+)
+
+
+def test_a_cancel_after_an_undeferred_event_on_the_event_matrix(array_replay):
+    """An aborted insert's cancel follows the lane's COMPUTE, an event
+    with a resolved address, in a launch whose reads and writes of the
+    growing table are deferred: the event matrix still orders the
+    cancel after the insert it undoes."""
+    specs = [
+        (name, (p,)) for p in range(40) for name in ("bump", "refused", "bump")
+    ]
+
+    def build():
+        return micro.build_database(64, with_index=True)
+
+    (report,) = assert_equivalent(
+        build, [REFUSED, BUMP], specs, "part", partition_size=1
+    )
+    assert report.stats.ops_executed > 192
+    oracle_db, db = build(), build()
+    expected = CpuEngine(
+        oracle_db, procedures=[REFUSED, BUMP], num_cores=1
+    ).execute(make_transactions(specs))
+    engine = GPUTx(db, procedures=[REFUSED, BUMP])
+    engine.submit_many(specs)
+    result = engine.run_bulk(strategy="part", partition_size=1)
     assert [(r.committed, r.value) for r in result.results] == [
         (r.committed, r.value) for r in expected.results
     ]

@@ -11,10 +11,10 @@ the redo stream.
 A launch is a list of runs of threads sharing one program: runs give
 warps different lifetimes, so the scheduler's swap-removal permutes
 its visit order and same-round inserts land in visit-rank order, not
-thread order. Programs mix scalar and per-lane branch tags, steps and
-scalar-buffered records, probes, COMPUTE/SFU, undo-flagged writes,
+thread order. Programs mix scalar and per-lane branch tags, array and
+scalar records, probes, COMPUTE/SFU, undo-flagged writes,
 inserts into two tables, deletes, handle writes, deferred addresses
-and -- under ``ScheduleOverrides`` -- lock acquire/release steps, at
+and -- under ``ScheduleOverrides`` -- lock acquire/release events, at
 widths from one thread to several warps on several SMs.
 
 The last test is the routing guard: a launch of ``NARROW_EVENTS``
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.cluster.durability.wal import RedoRecorder, redo_bytes
 from repro.core.backends import replay
 from repro.core.backends.replay import ScheduleOverrides, replay_kernel
-from repro.core.backends.wave import HANDLE_BASE, Step, TraceRecorder, WaveStore
+from repro.core.backends.wave import HANDLE_BASE, TraceRecorder, WaveStore
 from repro.gpu import ops as op_ir
 from repro.gpu.costmodel import KernelStats
 from repro.gpu.simt import OutcomeColumns, SIMTEngine, warp_layout
@@ -226,8 +226,8 @@ def _build(plan):
 
     schedule = None
     if plan["schedule"]:
-        # The lock scheduler's synthetic steps: a pass event the round
-        # before a thread's body, a release the round after it.
+        # The lock scheduler's events: a pass the round before a
+        # thread's body, a release the round after it.
         locked_arr = np.array(locked, dtype=np.int64)
         tags = np.array([rng.randint(-1, 1) for _ in locked], dtype=np.int64)
         ids = np.array([rng.randrange(4) for _ in locked], dtype=np.int64)
@@ -237,8 +237,9 @@ def _build(plan):
                 (op_ir.LOCK_ACQUIRE, base - 1),
                 (op_ir.LOCK_RELEASE, base + recorder.op_count[locked_arr]),
             ):
-                recorder.steps.append(
-                    Step(kind, locked_arr, rounds, tags, addr=LOCK_BASE + ids * 8)
+                recorder.record(
+                    kind, locked_arr, tags, rounds=rounds,
+                    addr=LOCK_BASE + ids * 8,
                 )
         layout = warp_layout(n, engine.block_size, engine.spec)
         last = recorder.round_base + recorder.op_count

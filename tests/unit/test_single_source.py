@@ -221,8 +221,7 @@ class TestOneSurface:
             recorder, None, np.array([0]), 0, "masked", [()]
         )
         proc.vector_body(wave)
-        recorder.flush_scalar()
-        assert recorder.steps == [] and wave.results.tolist() == [9]
+        assert recorder.flush() == [] and wave.results.tolist() == [9]
         ours = replies[LaneContext]
         assert _typed(ours) == _typed([lane0(r) for r in replies[WaveContext]])
         assert _typed(ours[1]) == ("tuple", [("list", []), ("int", 0)])

@@ -126,10 +126,9 @@ def _run(op, mode):
         (
             s.kind, s.branch, s.amount, s.width, s.table, arr(s.lanes),
             arr(s.rounds), arr(s.addr), arr(s.payload), arr(s.undo),
-            None if s.deferred is None
-            else (s.deferred[0], s.deferred[1], arr(s.deferred[2])),
+            s.target, arr(s.rows),
         )
-        for s in recorder.steps
+        for s in recorder.flush()
     ]
     return {
         "reply": _plain(reply, N),
