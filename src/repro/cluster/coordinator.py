@@ -39,9 +39,8 @@ Two pieces live here besides the coordinator:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.cluster.durability.failover import RecoveryReport
 from repro.core.oparray import OpArray
@@ -384,18 +383,15 @@ class CrossShardCoordinator:
                 parent[x], x = root, parent[x]
             return root
 
-        # Per entry, its item group; each entry of an item with a write
-        # joins the item's first accessor.
-        item, txn = ops.item, ops.txn
-        fresh = np.ones(len(item), dtype=bool)
-        fresh[1:] = item[1:] != item[:-1]
-        group = np.cumsum(fresh) - 1
-        written = np.zeros(int(fresh.sum()), dtype=bool)
-        np.logical_or.at(written, group, ops.write)
-        joined = written[group]
-        first = txn[fresh][group]
-        for a, b in zip(first[joined].tolist(), txn[joined].tolist()):
-            ra, rb = find(a), find(b)
+        # Each accessor of an item with a write joins the item's first
+        # (oldest) accessor.
+        item, txn = ops.item.tolist(), ops.txn.tolist()
+        written = set(compress(item, ops.write.tolist()))
+        first: Dict[int, int] = {}
+        for key, txn_id in zip(item, txn):
+            if key not in written:
+                continue
+            ra, rb = find(first.setdefault(key, txn_id)), find(txn_id)
             if ra != rb:
                 # Union by smaller id keeps roots = oldest member.
                 if rb < ra:

@@ -164,10 +164,10 @@ class VectorizedBackend(InterpretedBackend):
         )
         report = replay_kernel(recorder, store, executor.engine, outcomes)
         values = flat_result.tolist()
-        store.publish(values, [
-            at for i in store.handed
-            for at in flat[offsets[i] : offsets[i] + lens[i]].tolist()
-        ])
+        if store.handed:
+            handed = np.zeros(n, dtype=bool)
+            handed[list(store.handed)] = True
+            store.publish(values, flat[np.repeat(handed, lens)].tolist())
         self.waves_vectorized += 1
         self.wall_launch_seconds += _time.perf_counter() - start
         return report, ResultColumns(

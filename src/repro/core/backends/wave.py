@@ -59,8 +59,8 @@ from __future__ import annotations
 import bisect
 from itertools import chain, compress, repeat
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set,
-    Tuple,
+    Any, Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+    Set, Tuple,
 )
 
 import numpy as np
@@ -210,7 +210,7 @@ class WaveStore:
         decoded (:meth:`row_of`): the log the interpreter keeps."""
         return [(table, col, self.row_of(row), old) for table, col, row, old in entries]
 
-    def publish(self, values: List[Any], at: Iterable[int]) -> None:
+    def publish(self, values: List[Any], at: Collection[int]) -> None:
         """Give ``values[i]``, for each ``i`` in ``at``, as the
         interpreter returns it: every staged insert's handle -- an int
         in ``[HANDLE_BASE, HANDLE_BASE + staged inserts)``, alone or
@@ -218,16 +218,20 @@ class WaveStore:
         (:meth:`row_of`). ``at`` holds the result positions of the
         threads in :attr:`handed`; no other result can hold a handle."""
         top = HANDLE_BASE + len(self.pending_inserts)
+        kinds = map(type, map(values.__getitem__, at))
+        for i in compress(at, map(_MAY_HOLD_HANDLE.__contains__, kinds)):
+            values[i] = self._published(values[i], top)
 
-        def one(value: Any) -> Any:
-            kind = type(value)
-            if kind is int:
-                return self.row_of(value) if HANDLE_BASE <= value < top else value
-            return kind(map(one, value)) if kind in _NESTED else value
-
-        for i in at:
-            if type(values[i]) in _MAY_HOLD_HANDLE:
-                values[i] = one(values[i])
+    def _published(self, value: Any, top: int) -> Any:
+        # A method, not a closure over itself: a self-referencing
+        # closure is a reference cycle that keeps this store alive
+        # until the collector runs.
+        kind = type(value)
+        if kind is int:
+            return self.row_of(value) if HANDLE_BASE <= value < top else value
+        if kind in _NESTED:
+            return kind([self._published(item, top) for item in value])
+        return value
 
     # -- probes ----------------------------------------------------------
     def probe_unique(self, index: str, keys: Sequence[Any]) -> np.ndarray:
@@ -571,6 +575,8 @@ class TraceRecorder:
         #: ``(lanes, rounds, branch, addr, payload, undo, deferred
         #: rows)`` (a field the shape lacks is None).
         self._shapes: Dict[Any, Tuple[list, ...]] = {}
+        #: Events recorded at given rounds (not in :attr:`op_count`).
+        self._placed = 0
         #: A recorded op's round is ``round_base[thread] +
         #: op_count[thread]``. Every thread starts at round 1; the TPL
         #: lock scheduler moves a thread's base past its lock-acquire
@@ -653,6 +659,8 @@ class TraceRecorder:
             rounds = self.round_base[lanes] + count
             count += 1
             self.op_count[lanes] = count
+        else:
+            self._placed += len(lanes)
         undo = None
         if kind == op_ir.WRITE and self.undo_capture is not None:
             undo = self.undo_capture[lanes]
@@ -672,16 +680,16 @@ class TraceRecorder:
         ))
 
     def event_count(self) -> int:
-        """Recorded (thread, op) events."""
-        return sum(
-            len(acc[0]) + sum(len(chunk[0]) for chunk in acc[6])
-            for acc in self._shapes.values()
-        )
+        """Recorded (thread, op) events: a thread's counted ops are
+        distinct events (one per round), the placed ones come on top."""
+        return int(self.op_count.sum()) + self._placed
 
     def _folded(self, plain: bool) -> List[Tuple[Any, ...]]:
         """Per op shape, its :class:`Step` fields: each per-event field
         as a Python list (``plain``) or an array, its array chunks
-        first, then its scalars."""
+        first, then its scalars. Arrays replace the shape's chunks and
+        scalars as its one chunk, so a launch holds its trace once
+        while the replay builds the event matrix from it."""
         join = _joined_list if plain else _joined_array
         i64 = np.int64
         records: List[Tuple[Any, ...]] = []
@@ -691,7 +699,12 @@ class TraceRecorder:
                 addr_ndim, no_payload, no_undo,
             ) = key
             lanes, rounds, addr, payload, undo, rows, chunks = acc
-            if chunks or not plain:
+            if not plain and len(chunks) == 1 and not lanes:
+                # One array chunk is the shape's Step as it stands.
+                lanes, rounds, lane_branch, addr, payload, undo, rows = chunks[0]
+                if branch is _PER_LANE:
+                    branch = lane_branch
+            elif chunks or not plain:
                 # Per field, its chunks: (lanes, rounds, branch, addr, ...).
                 cols = tuple(zip(*chunks)) if chunks else ((),) * 7
                 if branch is _PER_LANE:
@@ -701,6 +714,11 @@ class TraceRecorder:
                 payload = None if no_payload else join(cols[4], payload, i64)
                 undo = None if no_undo else join(cols[5], undo, bool)
                 rows = None if target is None else join(cols[6], rows, i64)
+                if not plain:
+                    self._shapes[key] = ([], [], [], [], [], [], [(
+                        lanes, rounds, branch if key[1] is _PER_LANE else None,
+                        addr, payload, undo, rows,
+                    )])
             records.append((
                 kind, branch, amount, width, table, target, lanes, rounds,
                 addr if addr_ndim else None, None if no_payload else payload,
@@ -721,7 +739,7 @@ class TraceRecorder:
 
 
 def _joined_array(chunks: Sequence[Any], scalars: list, dtype: Any) -> np.ndarray:
-    parts = [np.asarray(chunk, dtype=dtype) for chunk in chunks]
+    parts = list(chunks)
     if scalars:
         parts.append(np.asarray(scalars, dtype=dtype))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)

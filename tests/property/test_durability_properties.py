@@ -132,7 +132,8 @@ def _capture_run(specs, backend, strategy):
     The undo log of every kernel outcome is compared entry-for-entry:
     vectorized capture journals before-images with handle-encoded rows
     during the wave, so equality here also proves the post-replay
-    handle->row remap (tx_logging.remap_handle_rows) is exact.
+    handle->row decoding (``WaveStore.logged``, through ``row_of``) is
+    exact.
     """
     db = build_bank_db(BANK_ACCOUNTS)
     engine = GPUTx(
